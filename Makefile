@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-baseline bench check-deprecated
+.PHONY: build test race vet vet-baseline bench bench-test check-deprecated
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,11 @@ vet-baseline:
 
 bench:
 	$(GO) run ./cmd/gflink-bench -list
+
+# benchmark/ is a module of its own, so `go test ./...` at the root
+# never reaches its tests.
+bench-test:
+	cd benchmark && $(GO) test .
 
 # Fail when non-test code calls a Deprecated: positional constructor
 # (NewGStreamManager / NewGMemoryManager). The shims exist only so the

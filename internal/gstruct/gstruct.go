@@ -117,6 +117,10 @@ type Schema struct {
 	fields  []Field
 	offsets []int // AoS offsets
 	stride  int   // AoS element stride including tail padding
+	// soaCol[i] is the per-element byte width of fields 0..i-1, so field
+	// i's SoA column in an n-element buffer starts at soaCol[i]*n; the
+	// last entry is the whole element's width.
+	soaCol []int
 }
 
 // New builds a schema named name with the given pack alignment and
@@ -161,6 +165,7 @@ func MustNew(name string, align int, fields ...Field) *Schema {
 // computeLayout assigns C offsets under #pragma pack(s.align).
 func (s *Schema) computeLayout() {
 	s.offsets = make([]int, len(s.fields))
+	s.soaCol = make([]int, len(s.fields)+1)
 	off := 0
 	maxAlign := 1
 	for i, f := range s.fields {
@@ -174,6 +179,7 @@ func (s *Schema) computeLayout() {
 		off = roundUp(off, a)
 		s.offsets[i] = off
 		off += f.Kind.Size() * f.len()
+		s.soaCol[i+1] = s.soaCol[i] + f.Kind.Size()*f.len()
 	}
 	s.stride = roundUp(off, maxAlign)
 }
@@ -219,11 +225,7 @@ func (s *Schema) Size(layout Layout, n int) int {
 	case AoS:
 		return s.stride * n
 	case SoA, AoP:
-		total := 0
-		for _, f := range s.fields {
-			total += f.Kind.Size() * f.len() * n
-		}
-		return total
+		return s.ElemBytes() * n
 	default:
 		panic("gstruct: unknown layout")
 	}
@@ -241,12 +243,8 @@ func (s *Schema) AoPSizes(n int) []int {
 // soaOffset returns the byte offset of (field, elem, idx) in a single
 // SoA buffer of n elements.
 func (s *Schema) soaOffset(n, field, elem, idx int) int {
-	off := 0
-	for i := 0; i < field; i++ {
-		off += s.fields[i].Kind.Size() * s.fields[i].len() * n
-	}
 	f := s.fields[field]
-	return off + (elem*f.len()+idx)*f.Kind.Size()
+	return s.soaCol[field]*n + (elem*f.len()+idx)*f.Kind.Size()
 }
 
 // MaxCols is the maximum number of fields a ColSet can address.
@@ -328,13 +326,7 @@ func (s *Schema) Covers(c ColSet) bool {
 // ElemBytes returns the per-element byte footprint under SoA (the sum
 // of all column widths; SoA has no padding, so Size(SoA,n) ==
 // ElemBytes()*n).
-func (s *Schema) ElemBytes() int {
-	total := 0
-	for _, f := range s.fields {
-		total += f.Kind.Size() * f.len()
-	}
-	return total
-}
+func (s *Schema) ElemBytes() int { return s.soaCol[len(s.fields)] }
 
 // ProjectedElemBytes returns the per-element byte footprint of the
 // selected columns under SoA. A zero set means all columns.

@@ -1,13 +1,17 @@
 package kernels
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
+	"gflink/internal/gstruct"
 	"gflink/internal/vclock"
 )
 
@@ -16,9 +20,20 @@ import (
 // but not asserted here (costmodel has its own tests).
 func launch(t *testing.T, name string, in [][]byte, outSize int, n int, nominal int64, args []int64) []byte {
 	t.Helper()
+	out, err := launchErr(t, name, in, outSize, n, nominal, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// launchErr is launch returning the launch error instead of failing.
+func launchErr(t *testing.T, name string, in [][]byte, outSize int, n int, nominal int64, args []int64) ([]byte, error) {
+	t.Helper()
 	c := vclock.New()
 	d := gpu.NewDevice(c, 0, 0, costmodel.C2050, costmodel.DefaultPCIe)
 	out := make([]byte, outSize)
+	var runErr error
 	c.Run(func() {
 		var inBufs []*gpu.Buffer
 		for _, b := range in {
@@ -34,12 +49,11 @@ func launch(t *testing.T, name string, in [][]byte, outSize int, n int, nominal 
 			t.Fatal(err)
 		}
 		ctx := &gpu.KernelCtx{In: inBufs, Out: []*gpu.Buffer{outBuf}, N: n, Nominal: nominal, Args: args}
-		if _, err := d.Launch(name, ctx); err != nil {
-			t.Fatal(err)
+		if _, runErr = d.Launch(name, ctx); runErr == nil {
+			copy(out, outBuf.Bytes())
 		}
-		copy(out, outBuf.Bytes())
 	})
-	return out
+	return out, runErr
 }
 
 func packF32(vals []float32) []byte {
@@ -114,9 +128,8 @@ func soaPoints(points [][]float32, d int) []byte {
 	return b
 }
 
-func TestKMeansAssignMatchesCPU(t *testing.T) {
-	const n, k, d = 200, 5, 4
-	rng := rand.New(rand.NewSource(7))
+// randPoints draws n d-dimensional points with coordinates in [0, 100).
+func randPoints(rng *rand.Rand, n, d int) [][]float32 {
 	points := make([][]float32, n)
 	for i := range points {
 		points[i] = make([]float32, d)
@@ -124,20 +137,125 @@ func TestKMeansAssignMatchesCPU(t *testing.T) {
 			points[i][j] = rng.Float32() * 100
 		}
 	}
-	cents := make([]float32, k*d)
-	for i := range cents {
-		cents[i] = rng.Float32() * 100
-	}
-	out := launch(t, KMeansAssignKernel,
+	return points
+}
+
+// assertKMeansBitExact launches the kmeans kernel on points and cents,
+// requires its partials to equal CPUKMeansAssign's byte for byte, and
+// returns them.
+func assertKMeansBitExact(t *testing.T, points [][]float32, cents []float32, k, d int) []float32 {
+	t.Helper()
+	n := len(points)
+	got := launch(t, KMeansAssignKernel,
 		[][]byte{soaPoints(points, d), packF32(cents)},
-		4*k*(d+1), n, int64(n), []int64{k, d})
-	got := unpackF32(out)
-	want := CPUKMeansAssign(points, cents, k, d)
-	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
-			t.Fatalf("partial[%d] = %v, want %v", i, got[i], want[i])
+		4*k*(d+1), n, int64(n), []int64{int64(k), int64(d)})
+	want := packF32(CPUKMeansAssign(points, cents, k, d))
+	if !bytes.Equal(got, want) {
+		for i := 0; i < k*(d+1); i++ {
+			if g, w := f32(got, i), f32(want, i); math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("n=%d k=%d d=%d: partial[%d] = %v (%#x), want %v (%#x)",
+					n, k, d, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
 		}
 	}
+	return unpackF32(got)
+}
+
+// TestKMeansAssignMatchesCPU covers tile (32) and four-point remainders on
+// both sides of each boundary, and d up to gstruct.MaxCols.
+func TestKMeansAssignMatchesCPU(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 3, 4, 5, 31, 32, 33, 200} {
+		for _, k := range []int{1, 5, 10} {
+			for _, d := range []int{1, 4, 20, 64} {
+				t.Run(fmt.Sprintf("n=%d/k=%d/d=%d", n, k, d), func(t *testing.T) {
+					points := randPoints(rng, n, d)
+					cents := make([]float32, k*d)
+					for i := range cents {
+						cents[i] = rng.Float32() * 100
+					}
+					assertKMeansBitExact(t, points, cents, k, d)
+				})
+			}
+		}
+	}
+}
+
+// TestKMeansAssignTiesGoToLowerCentroid places points exactly halfway
+// between two centroids, and duplicates a centroid: the lower index wins.
+func TestKMeansAssignTiesGoToLowerCentroid(t *testing.T) {
+	const k, d, n = 4, 2, 37 // 37 points: full tile, then 4-wide and scalar remainders
+	// Centroid 0 is far away; 1 and 2 sit at x = 0 and x = 2; 3 duplicates 2.
+	cents := []float32{50, 50, 0, 0, 2, 0, 2, 0}
+	points := make([][]float32, n)
+	for i := range points {
+		points[i] = []float32{1, float32(i%5) - 2} // equidistant from 1 and 2
+	}
+	points[n-1] = []float32{3, 0} // nearest 2 and 3 (both at distance 1)
+	got := assertKMeansBitExact(t, points, cents, k, d)
+	counts := []float32{got[d], got[(d+1)+d], got[2*(d+1)+d], got[3*(d+1)+d]}
+	if want := []float32{0, n - 1, 1, 0}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("cluster counts = %v, want %v", counts, want)
+	}
+}
+
+// TestKMeansAssignRejectsBadLaunch checks that each malformed launch is a
+// launch error, not a panic.
+func TestKMeansAssignRejectsBadLaunch(t *testing.T) {
+	const n, k, d = 10, 3, 4
+	points, cents := make([]byte, 4*n*d), make([]byte, 4*k*d)
+	cases := []struct {
+		name    string
+		in      [][]byte
+		outSize int
+		args    []int64
+	}{
+		{"k=0", [][]byte{points, cents}, 4 * k * (d + 1), []int64{0, d}},
+		{"k<0", [][]byte{points, cents}, 4 * k * (d + 1), []int64{-1, d}},
+		{"d=0", [][]byte{points, cents}, 4 * k * (d + 1), []int64{k, 0}},
+		{"d<0", [][]byte{points, cents}, 4 * k * (d + 1), []int64{k, -2}},
+		{"d>MaxCols", [][]byte{make([]byte, 4*n*65), make([]byte, 4*k*65)}, 4 * k * 66, []int64{k, gstruct.MaxCols + 1}},
+		{"short points", [][]byte{points[:4*n*d-1], cents}, 4 * k * (d + 1), []int64{k, d}},
+		{"short centroids", [][]byte{points, cents[:4*k*d-1]}, 4 * k * (d + 1), []int64{k, d}},
+		{"short partials", [][]byte{points, cents}, 4*k*(d+1) - 1, []int64{k, d}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := launchErr(t, KMeansAssignKernel, tc.in, tc.outSize, n, n, tc.args); err == nil {
+				t.Error("launch succeeded")
+			}
+		})
+	}
+}
+
+// FuzzKMeansAssign compares the kernel with CPUKMeansAssign byte for byte
+// on random shapes. With grid set, coordinates are small integers, so
+// exact distance ties are common.
+func FuzzKMeansAssign(f *testing.F) {
+	f.Add(uint16(33), uint8(5), uint8(20), int64(1), false)
+	f.Add(uint16(7), uint8(3), uint8(2), int64(2), true)
+	f.Fuzz(func(t *testing.T, nRaw uint16, kRaw, dRaw uint8, seed int64, grid bool) {
+		n, k, d := int(nRaw%300), int(kRaw%16)+1, int(dRaw%gstruct.MaxCols)+1
+		rng := rand.New(rand.NewSource(seed))
+		value := func() float32 {
+			if grid {
+				return float32(rng.Intn(9) - 4)
+			}
+			return (rng.Float32() - 0.5) * 200
+		}
+		points := make([][]float32, n)
+		for i := range points {
+			points[i] = make([]float32, d)
+			for j := range points[i] {
+				points[i][j] = value()
+			}
+		}
+		cents := make([]float32, k*d)
+		for i := range cents {
+			cents[i] = value()
+		}
+		assertKMeansBitExact(t, points, cents, k, d)
+	})
 }
 
 func TestUpdateCentroids(t *testing.T) {

@@ -68,33 +68,108 @@ func init() {
 		if len(ctx.In) < 2 || len(ctx.Out) < 1 || len(ctx.Args) < 2 {
 			return fmt.Errorf("kmeansAssign: want 2 inputs, 1 output, 2 args")
 		}
-		k, d := int(ctx.Args[0]), int(ctx.Args[1])
+		k, d, n := ctx.Args[0], ctx.Args[1], int64(ctx.N)
 		points, cents, out := ctx.In[0].Bytes(), ctx.In[1].Bytes(), ctx.Out[0].Bytes()
-		for i := range out {
-			out[i] = 0
+		switch {
+		case k <= 0:
+			return fmt.Errorf("kmeansAssign: k = %d, want > 0", k)
+		case d <= 0 || d > gstruct.MaxCols:
+			return fmt.Errorf("kmeansAssign: d = %d, want 1..%d", d, gstruct.MaxCols)
+		case int64(len(points)) < 4*n*d:
+			return fmt.Errorf("kmeansAssign: points buffer %d bytes, want %d for n=%d d=%d", len(points), 4*n*d, n, d)
+		case int64(len(cents)) < 4*k*d:
+			return fmt.Errorf("kmeansAssign: centroid buffer %d bytes, want %d for k=%d d=%d", len(cents), 4*k*d, k, d)
+		case int64(len(out)) < 4*k*(d+1):
+			return fmt.Errorf("kmeansAssign: partials buffer %d bytes, want %d for k=%d d=%d", len(out), 4*k*(d+1), k, d)
 		}
-		n := ctx.N
-		for i := 0; i < n; i++ {
-			best, bestDist := 0, float32(math.MaxFloat32)
-			for c := 0; c < k; c++ {
-				var dist float32
-				for j := 0; j < d; j++ {
-					// SoA: coordinate j of point i is at column j, row i.
-					diff := f32(points, j*n+i) - f32(cents, c*d+j)
-					dist += diff * diff
-				}
-				if dist < bestDist {
-					best, bestDist = c, dist
-				}
-			}
-			for j := 0; j < d; j++ {
-				putF32(out, best*(d+1)+j, f32(out, best*(d+1)+j)+f32(points, j*n+i))
-			}
-			putF32(out, best*(d+1)+d, f32(out, best*(d+1)+d)+1)
-		}
-		ctx.Charge(KMeansWork(k, d).Scale(float64(ctx.Nominal)))
+		kmeansAssign(points, cents, out, int(n), int(k), int(d))
+		ctx.Charge(KMeansWork(int(k), int(d)).Scale(float64(ctx.Nominal)))
 		return nil
 	})
+}
+
+// kmeansTile is how many points kmeansAssign decodes and scores at once:
+// the tile's coordinates (tile × MaxCols float32, 8 KiB) stay on the
+// stack and in L1 while every centroid is scored against them.
+const kmeansTile = 32
+
+// kmeansAssign is the host body of KMeansAssignKernel over validated
+// buffers (d ≤ gstruct.MaxCols). It is bit-identical to CPUKMeansAssign:
+// each (point, centroid) distance sums j = 0..d-1 in order with the same
+// float32 operations, the best centroid is the first strict minimum over
+// ascending c, and the partials accumulate in point order. What differs is
+// only the host cost: every input element is decoded once (points once per
+// launch, centroids once per tile), four points are scored per centroid
+// pass on independent accumulators, and nothing is heap-allocated.
+func kmeansAssign(points, cents, out []byte, n, k, d int) {
+	clear(out)
+	var (
+		tile     [kmeansTile][gstruct.MaxCols]float32
+		best     [kmeansTile]int
+		bestDist [kmeansTile]float32
+		cent     [gstruct.MaxCols]float32
+	)
+	row := cent[:d]
+	for i0 := 0; i0 < n; i0 += kmeansTile {
+		m := min(kmeansTile, n-i0)
+		// SoA: coordinate j of point i is at column j, row i.
+		for j := 0; j < d; j++ {
+			col := points[4*(j*n+i0) : 4*(j*n+i0+m)]
+			for t := range m {
+				tile[t][j] = f32(col, t)
+			}
+		}
+		for t := range m {
+			best[t], bestDist[t] = 0, math.MaxFloat32
+		}
+		for c := 0; c < k; c++ {
+			for j := range row {
+				row[j] = f32(cents, c*d+j)
+			}
+			t := 0
+			for ; t+4 <= m; t += 4 {
+				p0, p1, p2, p3 := tile[t][:d], tile[t+1][:d], tile[t+2][:d], tile[t+3][:d]
+				var d0, d1, d2, d3 float32
+				for j, cj := range row {
+					x0, x1, x2, x3 := p0[j]-cj, p1[j]-cj, p2[j]-cj, p3[j]-cj
+					d0 += x0 * x0
+					d1 += x1 * x1
+					d2 += x2 * x2
+					d3 += x3 * x3
+				}
+				if d0 < bestDist[t] {
+					best[t], bestDist[t] = c, d0
+				}
+				if d1 < bestDist[t+1] {
+					best[t+1], bestDist[t+1] = c, d1
+				}
+				if d2 < bestDist[t+2] {
+					best[t+2], bestDist[t+2] = c, d2
+				}
+				if d3 < bestDist[t+3] {
+					best[t+3], bestDist[t+3] = c, d3
+				}
+			}
+			for ; t < m; t++ {
+				p := tile[t][:d]
+				var dist float32
+				for j, cj := range row {
+					diff := p[j] - cj
+					dist += diff * diff
+				}
+				if dist < bestDist[t] {
+					best[t], bestDist[t] = c, dist
+				}
+			}
+		}
+		for t := range m {
+			part := out[4*best[t]*(d+1) : 4*(best[t]+1)*(d+1)]
+			for j, x := range tile[t][:d] {
+				putF32(part, j, f32(part, j)+x)
+			}
+			putF32(part, d, f32(part, d)+1)
+		}
+	}
 }
 
 // CPUKMeansAssign is the reference per-partition implementation: it
