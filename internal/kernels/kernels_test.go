@@ -258,6 +258,99 @@ func FuzzKMeansAssign(f *testing.F) {
 	})
 }
 
+// assertWindowAggBitExact launches the windowAgg kernel over in with
+// record count n and requires its slot sums to equal CPUWindowAgg's byte
+// for byte.
+func assertWindowAggBitExact(t *testing.T, in []byte, n, slots int) {
+	t.Helper()
+	got := launch(t, WindowAggKernel, [][]byte{in}, 4*slots, n, int64(n), []int64{int64(slots)})
+	sums := make([]float32, slots)
+	CPUWindowAgg(in, n, slots, sums)
+	if want := packF32(sums); !bytes.Equal(got, want) {
+		for i := range sums {
+			if g, w := f32(got, i), sums[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("n=%d slots=%d: sum[%d] = %v (%#x), want %v (%#x)",
+					n, slots, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		}
+	}
+}
+
+// packWindow packs n (slot, value) pairs with slots drawn from
+// [0, slotRange), so a slotRange above the kernel's slot count exercises
+// its modulo.
+func packWindow(rng *rand.Rand, n, slotRange int) []byte {
+	b := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		putU32(b, 2*i, uint32(rng.Intn(slotRange)))
+		putF32(b, 2*i+1, (rng.Float32()-0.5)*1e4)
+	}
+	return b
+}
+
+// TestWindowAggMatchesCPU pins the windowAgg kernel to its CPU
+// reference: slot values at and past the slot count, record counts past
+// the buffer (the kernel clamps to len(in)/8), a ragged buffer tail, and
+// an empty window.
+func TestWindowAggMatchesCPU(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cases := []struct {
+		name     string
+		in       []byte
+		n, slots int
+	}{
+		{"empty", nil, 0, 16},
+		{"empty-buffer-n-past-end", nil, 5, 16},
+		{"dense", packWindow(rng, 1024, 256), 1024, 256},
+		{"slots-wrap", packWindow(rng, 500, 1<<20), 500, 7},
+		{"max-slot-values", packWindow(rng, 64, math.MaxInt32), 64, 100},
+		{"n-past-buffer", packWindow(rng, 300, 50), 1000, 50},
+		{"n-below-buffer", packWindow(rng, 300, 50), 123, 50},
+		{"ragged-tail", append(packWindow(rng, 40, 9), 1, 2, 3), 41, 9},
+		{"one-slot", packWindow(rng, 200, 3), 200, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertWindowAggBitExact(t, tc.in, tc.n, tc.slots)
+		})
+	}
+}
+
+// TestWindowAggRejectsBadLaunch checks that each malformed launch is a
+// launch error, not a panic.
+func TestWindowAggRejectsBadLaunch(t *testing.T) {
+	in := packWindow(rand.New(rand.NewSource(1)), 10, 8)
+	cases := []struct {
+		name    string
+		outSize int
+		args    []int64
+	}{
+		{"no args", 32, nil},
+		{"slots=0", 32, []int64{0}},
+		{"slots<0", 32, []int64{-3}},
+		{"short sums", 31, []int64{8}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := launchErr(t, WindowAggKernel, [][]byte{in}, tc.outSize, 10, 10, tc.args); err == nil {
+				t.Error("launch succeeded")
+			}
+		})
+	}
+}
+
+// FuzzWindowAgg compares the windowAgg kernel with CPUWindowAgg byte for
+// byte on arbitrary packed bytes: any slot bits (the kernel takes them
+// modulo slots), any float bits, any record count against any buffer
+// length.
+func FuzzWindowAgg(f *testing.F) {
+	f.Add(packWindow(rand.New(rand.NewSource(2)), 37, 1000), uint16(37), uint16(100))
+	f.Add([]byte{}, uint16(0), uint16(1))
+	f.Fuzz(func(t *testing.T, in []byte, nRaw, slotsRaw uint16) {
+		assertWindowAggBitExact(t, in, int(nRaw), int(slotsRaw%512)+1)
+	})
+}
+
 func TestUpdateCentroids(t *testing.T) {
 	// One cluster with two points summing to (6, 8); one empty cluster.
 	partials := []float32{6, 8, 2 /* count */, 0, 0, 0}

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
@@ -42,14 +44,18 @@ func init() {
 			return fmt.Errorf("windowAgg: non-positive slot count %d", slots)
 		}
 		in, out := ctx.In[0].Bytes(), ctx.Out[0].Bytes()
-		// ctx.N is the real record count; each record is 8 packed bytes.
-		n := ctx.N
-		if max := len(in) / 8; n > max {
-			n = max
+		if len(out) < 4*slots {
+			return fmt.Errorf("windowAgg: output holds %d bytes, %d slots need %d", len(out), slots, 4*slots)
 		}
-		for i := 0; i < n; i++ {
-			slot := int(u32(in, 2*i)) % slots
-			putF32(out, slot, f32(out, slot)+f32(in, 2*i+1))
+		// ctx.N is the real record count; each record is 8 packed bytes.
+		n := min(max(ctx.N, 0), len(in)/8)
+		// Each pair is one little-endian uint64: slot in the low half,
+		// the value's float32 bits in the high half.
+		in = in[:8*n]
+		for i := 0; i < len(in); i += 8 {
+			p := binary.LittleEndian.Uint64(in[i:])
+			slot := int(uint32(p)) % slots
+			putF32(out, slot, f32(out, slot)+math.Float32frombits(uint32(p>>32)))
 		}
 		ctx.Charge(WindowAggWork(ctx.Nominal))
 		return nil

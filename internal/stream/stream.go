@@ -30,6 +30,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -49,8 +50,9 @@ type Record struct {
 	Val float32
 }
 
-// packedRecordBytes is the on-device encoding of one record: a uint32
-// slot index and a float32 value, packed for the windowAgg kernel.
+// packedRecordBytes is the on-device encoding of one record for the
+// windowAgg kernel: one little-endian uint64 holding the uint32 slot
+// index in its low half and the float32 value's bits in its high half.
 const packedRecordBytes = 8
 
 // Options are a pipeline's resolved settings. Construct them through
@@ -282,10 +284,11 @@ type stage struct {
 	blocked                   time.Duration
 	checksum                  float64
 
-	// window state
-	winRecs []Record
-	sums    []float32
-	dev     plan.Device
+	// window state: fill records folded into the open window, the slot
+	// sums emitted when it fires
+	fill int
+	sums []float32
+	dev  plan.Device
 	// GPU-path staging: host buffers reused across windows, plus the
 	// one-element Args backing (WorkPool.Put drops Args, whose backing
 	// belongs to the submitter).
@@ -599,15 +602,18 @@ func (s *stage) run() {
 func (s *stage) runSource() {
 	clock := s.p.g.Cluster.Clock
 	model := s.p.g.Cfg.Config.Model
-	keys := uint64(s.src.Keys)
-	for i := int64(0); i < s.src.Records; {
+	keys, seed := uint64(s.src.Keys), s.src.Seed
+	total, batchLen := s.src.Records, int64(s.p.opts.BatchRecords)
+	for i := int64(0); i < total; {
+		n := min(batchLen, total-i)
 		b := s.out.take()
-		for len(b.recs) < s.p.opts.BatchRecords && i < s.src.Records {
-			h := mix(s.src.Seed, uint64(i))
-			b.recs = append(b.recs, Record{Key: h % keys, Val: unit(h)})
-			i++
+		recs := b.recs[:n]
+		for j := range recs {
+			h := mix(seed, uint64(i)+uint64(j))
+			recs[j] = Record{Key: h % keys, Val: unit(h)}
 		}
-		n := int64(len(b.recs))
+		b.recs = recs
+		i += n
 		clock.Sleep(model.CPU.SlotTime(n, s.src.PerRecord.Scale(float64(n))))
 		s.records += n
 		s.cntRecords.Add(n)
@@ -628,18 +634,22 @@ func (s *stage) ackGrantsClosed() {
 	e.grants.Close()
 }
 
-// runWindow consumes batches, folds records into the tumbling window,
-// and on every trigger fires the aggregation on the placed device,
-// emitting one aggregate record per slot downstream.
+// runWindow consumes batches in chunks up to the window boundary,
+// folding each chunk into the open window as it arrives, and on every
+// trigger fires the aggregation on the placed device, emitting one
+// aggregate record per slot downstream.
 func (s *stage) runWindow() {
+	width := s.win.Trigger.records
 	for {
 		b, ok := s.in.q.Get()
 		if !ok {
 			break
 		}
-		for _, r := range b.recs {
-			s.winRecs = append(s.winRecs, r)
-			if len(s.winRecs) == s.win.Trigger.records {
+		for recs := b.recs; len(recs) > 0; {
+			k := min(len(recs), width-s.fill)
+			s.fold(recs[:k])
+			recs = recs[k:]
+			if s.fill == width {
 				s.fireWindow()
 			}
 		}
@@ -648,18 +658,39 @@ func (s *stage) runWindow() {
 		s.cntRecords.Add(n)
 		s.in.ack(b)
 	}
-	if len(s.winRecs) > 0 {
+	if s.fill > 0 {
 		s.fireWindow()
 	}
 	s.out.closeSend()
 	s.ackGrantsClosed()
 }
 
+// fold adds recs to the open window in one pass. A CPU window adds each
+// value into its slot's sum, the same float additions in the same order
+// as kernels.CPUWindowAgg over the packed window. A GPU window writes
+// each record once, straight from the batch, as the kernel's packed
+// pair: one little-endian uint64, slot | float32 bits << 32.
+func (s *stage) fold(recs []Record) {
+	slots := uint64(s.win.Slots)
+	if s.dev == plan.GPU {
+		in := s.inBuf.Bytes()[s.fill*packedRecordBytes:]
+		in = in[:len(recs)*packedRecordBytes]
+		for i, r := range recs {
+			binary.LittleEndian.PutUint64(in[i*packedRecordBytes:], r.Key%slots|uint64(math.Float32bits(r.Val))<<32)
+		}
+	} else {
+		sums := s.sums
+		for _, r := range recs {
+			sums[r.Key%slots] += r.Val
+		}
+	}
+	s.fill += len(recs)
+}
+
 // prepareWindow allocates the stage's reusable staging: the packed
 // input buffer and slot-table output for the GPU path, and the sums
-// table both paths accumulate into.
+// table both paths emit from.
 func (s *stage) prepareWindow(jobID int) {
-	s.winRecs = make([]Record, 0, s.win.Trigger.records)
 	s.sums = make([]float32, s.win.Slots)
 	pool := s.p.g.Cluster.TaskManagers[s.worker].Pool
 	s.inBuf = pool.MustAllocate(s.win.Trigger.records * packedRecordBytes)
@@ -668,29 +699,21 @@ func (s *stage) prepareWindow(jobID int) {
 	s.args[0] = int64(s.win.Slots)
 }
 
-// fireWindow aggregates the buffered window on the placed device. Both
-// bodies consume the same packed (slot, value) pairs in the same order,
-// so the emitted aggregates are bit-identical across placements.
+// fireWindow completes the open window on the placed device: a CPU
+// window charges the slot time of the sums fold already applied, a GPU
+// window runs the kernel over the packed pairs. Both add the same
+// values in the same order, so the emitted aggregates are bit-identical
+// across placements.
 func (s *stage) fireWindow() {
 	clock := s.p.g.Cluster.Clock
-	n := len(s.winRecs)
+	n := s.fill
 	t0 := clock.Now()
-
-	in := s.inBuf.Bytes()
-	for i, r := range s.winRecs {
-		putU32(in, 2*i, uint32(r.Key%uint64(s.win.Slots)))
-		putF32(in, 2*i+1, r.Val)
-	}
-	for i := range s.sums {
-		s.sums[i] = 0
-	}
 
 	if s.dev == plan.GPU {
 		s.aggGPU(n)
 	} else {
 		model := s.p.g.Cfg.Config.Model
 		clock.Sleep(model.CPU.SlotTime(int64(n), s.win.PerRecordCPU.Scale(float64(n))))
-		kernels.CPUWindowAgg(in, n, s.win.Slots, s.sums)
 	}
 
 	s.windows++
@@ -699,7 +722,8 @@ func (s *stage) fireWindow() {
 		obs.Int("records", int64(n)),
 		obs.Str("placed", s.dev.String()))
 	s.emitAggregates()
-	s.winRecs = s.winRecs[:0]
+	clear(s.sums)
+	s.fill = 0
 }
 
 // aggGPU lowers one window onto the GPU path: a pooled GWork (shell,
@@ -709,10 +733,8 @@ func (s *stage) fireWindow() {
 func (s *stage) aggGPU(n int) {
 	mgr := s.p.g.Manager(s.worker).Streams
 	wp := mgr.Pool()
-	out := s.outBuf.Bytes()
-	for i := 0; i < s.win.Slots; i++ {
-		putF32(out, i, 0)
-	}
+	out := s.outBuf.Bytes()[:s.win.Slots*4]
+	clear(out)
 	w := wp.Get()
 	w.ExecuteName = kernels.WindowAggKernel
 	w.Size = n
@@ -731,7 +753,7 @@ func (s *stage) aggGPU(n int) {
 		panic(fmt.Sprintf("stream: window %q kernel failed: %v", s.name, err))
 	}
 	for i := range s.sums {
-		s.sums[i] = f32(out, i)
+		s.sums[i] = math.Float32frombits(binary.LittleEndian.Uint32(out[i*4:]))
 	}
 }
 
@@ -791,20 +813,4 @@ func mix(seed, x uint64) uint64 {
 // unit maps a mixed hash to a float32 in [0, 1).
 func unit(h uint64) float32 {
 	return float32(h>>40) / float32(1<<24)
-}
-
-// packed little-endian accessors (the kernels package's encoding).
-func putU32(buf []byte, i int, v uint32) {
-	buf[i*4] = byte(v)
-	buf[i*4+1] = byte(v >> 8)
-	buf[i*4+2] = byte(v >> 16)
-	buf[i*4+3] = byte(v >> 24)
-}
-
-func putF32(buf []byte, i int, v float32) {
-	putU32(buf, i, math.Float32bits(v))
-}
-
-func f32(buf []byte, i int) float32 {
-	return math.Float32frombits(uint32(buf[i*4]) | uint32(buf[i*4+1])<<8 | uint32(buf[i*4+2])<<16 | uint32(buf[i*4+3])<<24)
 }

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gflink/internal/core"
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
+	"gflink/internal/kernels"
 	"gflink/internal/plan"
 	"gflink/internal/stream"
 )
@@ -113,6 +115,111 @@ func TestCPUAndGPUWindowsBitIdentical(t *testing.T) {
 	if cpu.Records != gpu.Records || cpu.Windows != gpu.Windows {
 		t.Errorf("record/window counts differ: CPU %d/%d, GPU %d/%d",
 			cpu.Records, cpu.Windows, gpu.Records, gpu.Windows)
+	}
+}
+
+// splitmix64 and unitValue replay the source's generator: record i of
+// a source keyed by seed is (h % keys, unitValue(h)), h = splitmix64(seed, i).
+func splitmix64(seed, x uint64) uint64 {
+	z := seed + 0x9e3779b97f4a7c15*(x+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func unitValue(h uint64) float32 { return float32(h>>40) / float32(1<<24) }
+
+// referenceChecksum replays the source, packs each tumbling window as
+// (slot uint32, value float32) pairs, aggregates it with
+// kernels.CPUWindowAgg, and folds the slot sums in the order the sink
+// receives them. It returns the checksum and the window count.
+func referenceChecksum(seed uint64, records int64, keys, width, slots int) (float64, int64) {
+	packed := make([]byte, 8*width)
+	sums := make([]float32, slots)
+	var checksum float64
+	var windows int64
+	for start := int64(0); start < records; start += int64(width) {
+		n := int(min(int64(width), records-start))
+		for i := 0; i < n; i++ {
+			h := splitmix64(seed, uint64(start)+uint64(i))
+			binary.LittleEndian.PutUint32(packed[8*i:], uint32(h%uint64(keys)%uint64(slots)))
+			binary.LittleEndian.PutUint32(packed[8*i+4:], math.Float32bits(unitValue(h)))
+		}
+		clear(sums)
+		kernels.CPUWindowAgg(packed, n, slots, sums)
+		for slot, v := range sums {
+			checksum += float64(v) * float64(slot+1)
+		}
+		windows++
+	}
+	return checksum, windows
+}
+
+// TestWindowMatchesReference checks each placement against an
+// independent replay through kernels.CPUWindowAgg, so a packing or
+// folding bug shared by both placements cannot hide behind their
+// agreement with each other.
+func TestWindowMatchesReference(t *testing.T) {
+	cases := []struct {
+		name                               string
+		records                            int64
+		keys, batch, width, slots, credits int
+	}{
+		{"window-not-multiple-of-batch", 4000, 1024, 97, 1000, 100, 3},
+		{"window-smaller-than-batch", 2048, 1000, 256, 100, 7, 1},
+		{"partial-tail-window", 4321, 1024, 256, 1024, 256, 3},
+		{"one-record-batches", 50, 13, 1, 7, 5, 1},
+	}
+	for _, tc := range cases {
+		want, windows := referenceChecksum(7, tc.records, tc.keys, tc.width, tc.slots)
+		for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
+			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
+				g := build(2)
+				var res stream.Result
+				g.Run(func() {
+					p := stream.New(g, "test", stream.WithMode(mode),
+						stream.WithBatchRecords(tc.batch), stream.WithBufferBatches(tc.credits))
+					p.Source("gen", 0, stream.SourceSpec{Records: tc.records, Keys: tc.keys, Seed: 7}).
+						Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(tc.width), Slots: tc.slots}).
+						Sink("out", 0)
+					res = p.Run()
+				})
+				if math.Float64bits(res.Checksum) != math.Float64bits(want) {
+					t.Errorf("checksum %v, reference %v", res.Checksum, want)
+				}
+				if res.Records != tc.records || res.Windows != windows {
+					t.Errorf("records/windows = %d/%d, want %d/%d", res.Records, res.Windows, tc.records, windows)
+				}
+				if res.MaxDepth > int64(tc.credits) {
+					t.Errorf("edge depth %d exceeds %d credits", res.MaxDepth, tc.credits)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPipelineRecords measures the host cost of the stream layer
+// per record on the backpressure shape (1024-record windows over 256
+// slots, default batches and credits), tracing off.
+func BenchmarkPipelineRecords(b *testing.B) {
+	const records = 1_000_000
+	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
+		b.Run(mode.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := build(2)
+				g.Obs.Tracer().SetEnabled(false)
+				b.StartTimer()
+				g.Run(func() {
+					p := stream.New(g, "bench", stream.WithMode(mode))
+					p.Source("gen", 0, stream.SourceSpec{Records: records, Seed: 7}).
+						Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(1024), Slots: 256}).
+						Sink("out", 0)
+					p.Run()
+				})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }
 
