@@ -9,9 +9,12 @@
 // Simulator code must spawn concurrency through (*vclock.Clock).Go (or
 // Group.Go), which registers the process with the scheduler.
 //
-// The vclock runtime itself needs one real goroutine per process; such
-// sites are annotated //gflink:allow-go, which this analyzer honours on
-// the go statement's line or the line above.
+// vclock needs no go statement of its own: it runs every process as a
+// coroutine resumed from Run's goroutine. The one deliberate go
+// statement left is bench.RunPoints, which fans independent sweep
+// points (each with its own clock) out across OS threads; such sites
+// are annotated //gflink:allow-go, which this analyzer honours on the
+// go statement's line or the line above.
 package clockgo
 
 import (

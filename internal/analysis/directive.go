@@ -11,7 +11,7 @@ import (
 // applies to its own line and to the line directly below it, so both
 // styles work:
 //
-//	//gflink:allow-go -- the vclock runtime spawns its own goroutines
+//	//gflink:allow-go -- host-side fan-out, one isolated clock per goroutine
 //	go func() { ... }()
 //
 //	go fn() //gflink:allow-go

@@ -6,10 +6,9 @@ import (
 
 // waiter is a parked process waiting on a primitive: the process shell
 // to wake plus the semaphore units it requested. Wakes target the
-// process's own channel, so in the batched engine the waker recycles
-// the waiter shell the moment it leaves the wait queue; the legacy
-// engine keeps the pre-batching behavior of the woken process
-// re-locking to recycle it.
+// process shell, so in the batched engine the waker recycles the waiter
+// shell the moment it leaves the wait queue; the legacy engine keeps the
+// pre-batching behavior of the woken process re-locking to recycle it.
 type waiter struct {
 	p *proc
 	n int64 // semaphore units requested
@@ -81,10 +80,10 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 		q.waiters.Push(w)
 		q.c.block(reasonQueue, nil)
 		q.c.mu.Unlock()
-		<-p.ch
-		// The wake was a one-shot send into the process's own channel;
-		// re-lock and re-check. The waker already recycled the waiter
-		// shell (batched engine); the legacy engine recycles it here.
+		p.park()
+		// Resumed: re-lock and re-check. The waker already recycled the
+		// waiter shell (batched engine); the legacy engine recycles it
+		// here.
 		q.c.mu.Lock()
 		if q.c.legacy {
 			q.c.putWaiterLocked(w)
@@ -161,7 +160,7 @@ func (s *Semaphore) Acquire(n int64) {
 	s.waiters.Push(w)
 	s.c.block(s.reasonIdx, nil)
 	s.c.mu.Unlock()
-	<-p.ch
+	p.park()
 	if s.c.legacy {
 		// Pre-batching behavior: the woken process re-locks to recycle
 		// the waiter shell Release removed from the queue.
@@ -262,7 +261,7 @@ func (e *Event) Wait() {
 	e.waiters.Push(w)
 	e.c.block(reasonEvent, nil)
 	e.c.mu.Unlock()
-	<-p.ch
+	p.park()
 	if e.c.legacy {
 		// Pre-batching behavior: the woken process re-locks to recycle
 		// the waiter shell Set removed from the queue.

@@ -2,14 +2,15 @@
 // GFlink simulator.
 //
 // Every concurrent component of the simulated cluster (task slots, CUDA
-// streams, DMA engines, network transfers, disks) runs as an ordinary
-// goroutine registered with a Clock. Such a goroutine is called a
-// process. Processes may block only through the primitives provided by
-// this package (Sleep, Queue, Semaphore, Event, ...). Scheduling is
-// cooperative: exactly one process executes at a time, and when it
-// blocks the kernel hands control to the next ready process in FIFO
-// wake order. The clock advances to the earliest pending deadline
-// exactly when no process is ready, which makes simulated schedules —
+// streams, DMA engines, network transfers, disks) runs as a coroutine
+// registered with a Clock. Such a coroutine is called a process.
+// Processes may block only through the primitives provided by this
+// package (Sleep, Queue, Semaphore, Event, ...). Scheduling is
+// cooperative: Run resumes one process at a time on its caller's
+// goroutine, and when that process blocks it yields back to Run, which
+// resumes the next ready process in FIFO wake order. The clock advances
+// to the earliest pending deadline exactly when no process is ready,
+// which makes simulated schedules —
 // including the admission order at contended semaphores when several
 // processes wake at the same instant — deterministic and independent of
 // host scheduling, GOMAXPROCS, or wall time.
@@ -35,14 +36,25 @@ import (
 	"time"
 )
 
-// proc is one registered process: a permanent wake channel the
-// dispatcher sends into (one-shot, buffered) plus the process name for
-// diagnostics. The shell is recycled through a free list when the
-// process exits, so timeout- and deadline-heavy workloads that spawn
-// short-lived processes stay allocation-free at steady state.
+// proc is one registered process: its coroutine (next resumes it until
+// it parks or exits; yield, captured when it first runs, parks it) plus
+// the process name for diagnostics. The shell is recycled through a free
+// list when the process exits.
 type proc struct {
-	ch   chan struct{}
-	name string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	name  string
+}
+
+// park gives up the execution slot: the coroutine switches back to the
+// dispatch loop in Run, which resumes it once a dispatch selects it
+// again. Callers must have released c.mu after block chose the next
+// process.
+//
+//gflink:hotpath
+func (p *proc) park() {
+	//gflink:allow-alloc a coroutine switch through iter.Pull's yield allocates nothing
+	p.yield(struct{}{})
 }
 
 // Census indices for the closed set of built-in block reasons. The
@@ -62,12 +74,16 @@ type Clock struct {
 	mu  sync.Mutex
 	now time.Duration
 	// nowNanos mirrors now for lock-free Now(): it is written under mu,
-	// always before the wake-up send that lets another process run, and
-	// read atomically by everyone else.
+	// always before the handoff that lets another process run, and read
+	// atomically by everyone else.
 	nowNanos int64
 	running  int   // processes currently executing: 0 or 1 once Run starts
 	total    int   // registered processes alive
 	cur      *proc // the process holding the execution slot
+	// nextp is the process the last dispatch chose, for Run's loop to
+	// resume once the current process has parked or exited; nil when
+	// the dispatch kept the slot with its caller or found nothing to run.
+	nextp *proc
 	// runq holds readied processes in wake order; wakeq holds the
 	// remainder of the current co-deadline timer batch in seq order.
 	// Dispatch order is runq, then wakeq, then a fresh batch from the
@@ -77,7 +93,6 @@ type Clock struct {
 	timers  timerHeap
 	seq     uint64 // tie-break for identical deadlines; preserves FIFO order
 	started bool   // set by Run; no advancement/deadlock checks before it
-	done    chan struct{}
 	// Fixed-index blocked census for deadlock diagnostics: blockedN[i]
 	// processes are parked for reasonLabels[i].
 	reasonLabels []string
@@ -91,11 +106,11 @@ type Clock struct {
 	// re-raise it on the caller's goroutine.
 	panicked any
 	hasPanic bool
-	// Free lists recycling park machinery across blocks: wake-ups are
-	// one-shot sends into each process's buffered channel, so timer and
-	// waiter shells are reusable the moment their wake is queued. This
-	// keeps the park/wake cycle in Sleep and the primitives
-	// allocation-free at steady state (invariant 10).
+	// Free lists recycling park machinery across blocks: a wake-up
+	// targets the process shell, so timer and waiter shells are
+	// reusable the moment their wake is queued. This keeps the park/wake
+	// cycle in Sleep and the primitives allocation-free at steady state
+	// (invariant 10).
 	freeWaiters []*waiter
 	freeTimers  []*timer
 	freeProcs   []*proc
@@ -104,16 +119,15 @@ type Clock struct {
 // New returns a Clock positioned at virtual time zero.
 func New() *Clock {
 	return &Clock{
-		done:         make(chan struct{}),
 		reasonLabels: []string{"sleep", "queue", "event"},
 		blockedN:     make([]int, numBuiltinReasons),
 	}
 }
 
 // SetLegacyDispatch switches the clock to the pre-batching dispatch
-// engine: timers fire one per dispatch with a full channel handoff
-// each, the blocked census is a string-keyed map, and parked processes
-// re-lock after waking to recycle their park shells. Schedules and
+// engine: timers fire one per dispatch with a full handoff each, the
+// blocked census is a string-keyed map, and parked processes re-lock
+// after waking to recycle their park shells. Schedules and
 // traces are byte-identical to the batched engine — only the constant
 // factor differs — which is exactly what the vclock-bench speedup
 // baseline and the dispatch-equivalence tests need. It must be called
@@ -148,9 +162,9 @@ func (c *Clock) RegisterReason(label string) int {
 
 // Now reports the current virtual time as a duration since the start of
 // the simulation. The batched engine reads it lock-free: the dispatcher
-// publishes the instant atomically before any wake-up send, and only
-// the dispatcher — which runs while every other process is parked —
-// ever writes it.
+// publishes the instant atomically before any handoff, and only the
+// dispatcher — which runs while every other process is parked — ever
+// writes it.
 //
 //gflink:hotpath
 func (c *Clock) Now() time.Duration {
@@ -163,8 +177,8 @@ func (c *Clock) Now() time.Duration {
 }
 
 // setNowLocked advances the clock, publishing the new instant for
-// lock-free Now readers. Callers must hold c.mu and must not have sent
-// any wake-up for the new instant yet.
+// lock-free Now readers. Callers must hold c.mu and must not have
+// handed the slot to any process for the new instant yet.
 //
 //gflink:hotpath
 func (c *Clock) setNowLocked(d time.Duration) {
@@ -179,16 +193,10 @@ func (c *Clock) setNowLocked(d time.Duration) {
 // order — not host scheduling — decides execution order.
 func (c *Clock) Go(name string, fn func()) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p := c.takeProcLocked(name)
-	c.total++
-	c.runq.Push(p)
-	c.mu.Unlock()
-	// The vclock runtime is the one place real goroutines are created:
-	// every simulated process is backed by exactly one, registered with
-	// the census above before it starts. The goroutine parks until the
-	// dispatcher hands it the (single) execution slot.
-	//gflink:allow-go
-	go func() {
+	p.next = coroutine(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				c.mu.Lock()
@@ -200,14 +208,20 @@ func (c *Clock) Go(name string, fn func()) {
 			}
 			c.exit(p)
 		}()
-		<-p.ch
 		fn()
-	}()
+	})
+	c.total++
+	c.runq.Push(p)
 }
 
 // Run executes root as the initial process and blocks until every
 // process has finished. It returns the final virtual time. Run may be
 // called once per Clock.
+//
+// Run's goroutine is the only runner: it resumes the process each
+// dispatch chooses and regains control when that process parks or
+// exits, so exactly one process executes at a time by construction and
+// a handoff is a coroutine switch, not a wake-up of another goroutine.
 //
 // Processes spawned before Run (e.g., stream executors created during
 // deployment construction) may block on primitives; the clock neither
@@ -219,9 +233,15 @@ func (c *Clock) Run(root func()) time.Duration {
 	// Kick the dispatcher: processes spawned before Run (including root)
 	// are parked in the ready queue and run from here on, one at a time.
 	c.dispatchLocked(nil)
-	c.mu.Unlock()
-	<-c.done
-	c.mu.Lock()
+	// No process left to resume means every process exited, or the last
+	// dispatch found a deadlock (possibly after a process panicked).
+	for c.nextp != nil {
+		next := c.nextp.next
+		c.nextp = nil
+		c.mu.Unlock()
+		next()
+		c.mu.Lock()
+	}
 	defer c.mu.Unlock()
 	if c.hasPanic {
 		panic(c.panicked)
@@ -229,37 +249,27 @@ func (c *Clock) Run(root func()) time.Duration {
 	return c.now
 }
 
-// exit unregisters the calling process and recycles its shell. The
-// wake channel is provably empty here — every wake-up is a one-shot
-// send the process consumed before running — so the shell (channel
-// included) is immediately reusable by a future Go.
+// exit unregisters the calling process, recycles its shell and chooses
+// the next process to run. Nothing references the shell once its
+// coroutine returns, so it is immediately reusable by a future Go.
 func (c *Clock) exit(p *proc) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.running--
 	c.total--
 	c.putProcLocked(p)
-	if c.total == 0 {
-		defer c.mu.Unlock()
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
-		}
-		return
-	}
 	c.dispatchLocked(nil)
-	c.mu.Unlock()
 }
 
-// Sleep blocks the calling process for d of virtual time. Negative or
-// zero durations yield without advancing time... actually a zero sleep
-// still round-trips through the timer heap so that co-scheduled wakeups
-// at the same instant occur in FIFO order.
+// Sleep blocks the calling process for d of virtual time. A negative
+// duration counts as zero. A zero sleep does not advance time, but it
+// still round-trips through the timer heap, so wake-ups co-scheduled at
+// the same instant occur in FIFO order.
 //
 // When the sleeper's own timer heads the next dispatch batch — common
 // when one worker races ahead of every other process — block reports a
-// self-wake and Sleep returns without touching its wake channel at all:
-// one locked section, zero channel operations.
+// self-wake and Sleep returns without parking at all: one locked
+// section, no coroutine switch.
 //
 //gflink:hotpath
 func (c *Clock) Sleep(d time.Duration) {
@@ -273,12 +283,12 @@ func (c *Clock) Sleep(d time.Duration) {
 	if c.legacy {
 		c.block(reasonSleep, nil)
 		c.mu.Unlock()
-		<-p.ch
-		// Woken by a one-shot send: p.ch is drained and t is off the heap,
-		// so the timer can be recycled. The extra lock round-trip changes
-		// no scheduling decision — this process already holds the
-		// execution slot. (The batched engine recycles the timer inside
-		// the dispatcher instead and skips this round trip.)
+		p.park()
+		// Resumed: t is off the heap, so the timer can be recycled. The
+		// extra lock round-trip changes no scheduling decision — this
+		// process already holds the execution slot. (The batched engine
+		// recycles the timer inside the dispatcher instead and skips this
+		// round trip.)
 		c.mu.Lock()
 		c.putTimerLocked(t)
 		c.mu.Unlock()
@@ -289,7 +299,7 @@ func (c *Clock) Sleep(d time.Duration) {
 		return
 	}
 	c.mu.Unlock()
-	<-p.ch
+	p.park()
 }
 
 // takeProcLocked returns a recycled (or new) process shell. Callers
@@ -302,12 +312,13 @@ func (c *Clock) takeProcLocked(name string) *proc {
 		p.name = name
 		return p
 	}
-	return &proc{ch: make(chan struct{}, 1), name: name}
+	return &proc{name: name}
 }
 
 // putProcLocked recycles an exited process's shell. Callers must hold
 // c.mu.
 func (c *Clock) putProcLocked(p *proc) {
+	p.next, p.yield = nil, nil
 	p.name = ""
 	c.freeProcs = append(c.freeProcs, p)
 }
@@ -333,8 +344,8 @@ func (c *Clock) takeTimerLocked(p *proc, deadline time.Duration) *timer {
 }
 
 // putTimerLocked recycles a fired timer. The batched dispatcher calls
-// it the moment a timer is drained from the heap — before the wake-up
-// send — because the wake now targets the process shell, not the timer.
+// it the moment a timer is drained from the heap — before the handoff —
+// because the wake targets the process shell, not the timer.
 // Callers must hold c.mu.
 //
 //gflink:hotpath
@@ -379,7 +390,7 @@ func (c *Clock) putWaiterLocked(w *waiter) {
 // can be woken by a timer it just armed; block returns true when the
 // dispatcher re-selected self, in which case the caller keeps the slot
 // and must NOT park. Callers must hold c.mu and, unless block reports a
-// self-wake, must park on their process channel after releasing it.
+// self-wake, must park (p.park) after releasing it.
 //
 //gflink:hotpath
 func (c *Clock) block(idx int, self *proc) bool {
@@ -427,8 +438,8 @@ func (c *Clock) ready(idx int, p *proc) {
 // same instant, so it would have fired after the whole batch anyway.
 //
 // dispatchLocked returns true when the selected process is self: the
-// caller keeps the execution slot and no channel operation happens at
-// all. Callers must hold c.mu.
+// caller keeps the execution slot and does not park. Callers must hold
+// c.mu.
 //
 //gflink:hotpath
 func (c *Clock) dispatchLocked(self *proc) bool {
@@ -475,7 +486,8 @@ func (c *Clock) dispatchLocked(self *proc) bool {
 }
 
 // handoffLocked gives p the execution slot. A handoff to self is the
-// fast path: no channel send, the caller just keeps running. Callers
+// fast path: the caller just keeps running. Otherwise p becomes the
+// process Run's loop resumes once the caller parks or exits. Callers
 // must hold c.mu.
 //
 //gflink:hotpath
@@ -485,14 +497,14 @@ func (c *Clock) handoffLocked(p, self *proc) bool {
 	if p == self {
 		return true
 	}
-	p.ch <- struct{}{}
+	c.nextp = p
 	return false
 }
 
 // legacyDispatchLocked is the pre-batching dispatcher: next readied
 // process, else exactly one timer — the earliest pending (FIFO by seq
-// at equal deadlines) — fires per dispatch, with a full channel handoff
-// each. Co-deadline timers fire one by one as each woken process blocks
+// at equal deadlines) — fires per dispatch, with a full handoff each.
+// Co-deadline timers fire one by one as each woken process blocks
 // again; virtual time holds still in between. Callers must hold c.mu.
 func (c *Clock) legacyDispatchLocked() {
 	if !c.started || c.running > 0 || c.total == 0 {
@@ -501,7 +513,7 @@ func (c *Clock) legacyDispatchLocked() {
 	if p, ok := c.runq.Pop(); ok {
 		c.running++
 		c.cur = p
-		p.ch <- struct{}{}
+		c.nextp = p
 		return
 	}
 	if len(c.timers) == 0 {
@@ -516,24 +528,19 @@ func (c *Clock) legacyDispatchLocked() {
 	}
 	c.running++
 	c.cur = t.p
-	t.p.ch <- struct{}{}
+	c.nextp = t.p
 }
 
 // deadlockLocked ends the simulation with a deadlock diagnostic. Either
 // a process died by panic (simulation already compromised) or this is a
 // genuine deadlock. The error surfaces from Run on the caller's
 // goroutine: panicking here would unwind with c.mu held and wedge the
-// recover path. Parked processes are leaked; this path ends the
-// simulation.
+// recover path. No process is chosen, so Run's loop ends; the parked
+// coroutines are never resumed and are leaked.
 func (c *Clock) deadlockLocked() {
 	if !c.hasPanic {
 		c.hasPanic = true
 		c.panicked = fmt.Errorf("vclock: deadlock: all processes blocked with no pending timer\n%s", c.diagnosticLocked())
-	}
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
 	}
 }
 

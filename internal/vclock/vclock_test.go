@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -310,6 +311,65 @@ func TestProcessPanicPropagates(t *testing.T) {
 	c.Run(func() { panic("boom") })
 }
 
+// TestProcessPanicSurfacesFromRun pins the message a panicking process
+// leaves: Run re-panics on its caller's goroutine, naming the process.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic from Run")
+		}
+		if want := `process "worker" panicked: boom`; !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("Run panicked with %v, want it to contain %q", r, want)
+		}
+	}()
+	c := New()
+	c.Run(func() {
+		g := NewGroup(c)
+		g.Go("worker", func() {
+			c.Sleep(time.Second)
+			panic("boom")
+		})
+		g.Wait()
+	})
+}
+
+// TestRunLeavesNoGoroutines checks that every process's coroutine has
+// finished by the time Run returns, for processes spawned both before
+// and during the run.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := New()
+	q := NewQueue[int](c)
+	sum := 0
+	c.Go("consumer", func() {
+		for {
+			v, ok := q.Get()
+			if !ok {
+				return
+			}
+			sum += v
+		}
+	})
+	c.Run(func() {
+		g := NewGroup(c)
+		for i := 1; i <= 4; i++ {
+			g.Go("producer", func() {
+				c.Sleep(time.Duration(i) * time.Millisecond)
+				q.Put(i)
+			})
+		}
+		g.Wait()
+		q.Close()
+	})
+	if sum != 10 {
+		t.Fatalf("consumer summed %d, want 10", sum)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after Run, %d before", after, before)
+	}
+}
+
 func TestAfterFunc(t *testing.T) {
 	c := New()
 	var at time.Duration
@@ -465,4 +525,56 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("run %d gave %v, first gave %v", i, got, first)
 		}
 	}
+}
+
+// BenchmarkHandoff measures one handoff of the execution slot between two
+// processes that ping-pong, each parking as it wakes the other. The
+// semaphore case passes a one-unit Semaphore back and forth; the queue
+// case bounces a value over two Queues.
+func BenchmarkHandoff(b *testing.B) {
+	// pingPong runs root as the root process after spawning peer and
+	// letting it run until it parks, so every timed iteration is two
+	// handoffs: root to peer and back.
+	pingPong := func(b *testing.B, c *Clock, root, peer func()) {
+		b.ReportAllocs()
+		c.Run(func() {
+			c.Go("peer", peer)
+			c.Sleep(0)
+			b.ResetTimer()
+			root()
+			b.StopTimer()
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/handoff")
+	}
+	b.Run("semaphore", func(b *testing.B) {
+		c := New()
+		sem := NewSemaphore(c, "slot", 1)
+		sem.Acquire(1) // the root starts out holding the unit
+		pingPong(b, c, func() {
+			for i := 0; i < b.N; i++ {
+				sem.Release(1) // hands the unit to the parked peer
+				sem.Acquire(1) // parks until the peer releases it
+			}
+		}, func() {
+			for i := 0; i < b.N; i++ {
+				sem.Acquire(1)
+				sem.Release(1)
+			}
+		})
+	})
+	b.Run("queue", func(b *testing.B) {
+		c := New()
+		ping, pong := NewQueue[int](c), NewQueue[int](c)
+		pingPong(b, c, func() {
+			for i := 0; i < b.N; i++ {
+				ping.Put(i)
+				pong.Get()
+			}
+		}, func() {
+			for i := 0; i < b.N; i++ {
+				v, _ := ping.Get()
+				pong.Put(v)
+			}
+		})
+	})
 }
