@@ -200,6 +200,8 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 		}
 		works := make([]*GWork, len(blocks))
 		outs := make([]*Block, len(blocks))
+		// One backing array holds the partition's output block headers.
+		outHdrs := make([]Block, len(blocks))
 		wp := mgr.Streams.Pool()
 		ptx := spec.Kernel + ".ptx"
 		var outNominalTotal int64
@@ -215,7 +217,7 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 				outNominal = int64(on)
 			}
 			outBuf := pool.MustAllocate(spec.OutSchema.Size(spec.OutLayout, on))
-			outs[i] = &Block{
+			outHdrs[i] = Block{
 				Schema:    spec.OutSchema,
 				Layout:    spec.OutLayout,
 				Buf:       outBuf,
@@ -224,6 +226,7 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 				Partition: b.Partition,
 				Index:     b.Index,
 			}
+			outs[i] = &outHdrs[i]
 			// Pooled shell: the producer recycles GWork allocations across
 			// blocks (and partitions) instead of allocating one per block.
 			w := wp.Get()

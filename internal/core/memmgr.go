@@ -84,22 +84,25 @@ type GMemoryManager struct {
 	// spillDisk is the simulated device host pages spill to when the
 	// tier overflows.
 	spillDisk costmodel.Disk
-	// hostPool backs resident host pages with off-heap buffers. The
-	// tier's capacity is enforced in nominal bytes by hostUsed, so the
-	// pool itself is unbounded: it only holds the scaled-down real
-	// bytes.
+	// hostPool backs resident host pages with off-heap buffers and
+	// diskPool the spilled pages' simulated on-disk blobs. The tier's
+	// capacity is enforced in nominal bytes by hostUsed, so both pools
+	// are unbounded: they only hold the scaled-down real bytes, and both
+	// recycle their spans, so steady tier traffic reuses the same memory.
 	hostPool *membuf.Pool
+	diskPool *membuf.Pool
 
 	mu      sync.Mutex
 	regions map[int]*cacheRegion // by job ID
 	// freeEntries recycles cacheEntry shells (which double as eviction
 	// list nodes) so steady-state insert-after-evict allocates nothing.
 	freeEntries []*cacheEntry
-	// pending collects entries evicted under mu whose demotion (which
-	// charges simulated time and therefore must not run under the
-	// mutex) is still owed; takePendingLocked hands the batch to settle
-	// after the lock is released.
-	pending []*cacheEntry
+	// pendHead/pendTail chain, through their next fields, the entries
+	// evicted under mu whose demotion (which charges simulated time and
+	// therefore must not run under the mutex) is still owed;
+	// takePendingLocked hands the chain to settle after the lock is
+	// released.
+	pendHead, pendTail *cacheEntry
 
 	// Host tier state (all guarded by mu). hostHead/hostTail order the
 	// resident pages oldest-first for spilling; spilled pages stay in
@@ -176,6 +179,7 @@ func NewMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, op
 	}
 	if m.hostTierBytes > 0 {
 		m.hostPool = membuf.NewPool(wrapper.clock, wrapper.model, membuf.Config{})
+		m.diskPool = membuf.NewPool(wrapper.clock, wrapper.model, membuf.Config{})
 		m.hostPages = make(map[CacheKey]*hostPage)
 	}
 	return m
@@ -257,10 +261,8 @@ func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
 		return e.buf, true
 	}
 	if m.hostTierBytes > 0 {
-		//gflink:allow-alloc tiered promotion lookup: opt-in path off the pinned hot route
 		if pg := m.takePageLocked(key); pg != nil {
 			m.mu.Unlock()
-			//gflink:allow-alloc tiered promotion: opt-in path off the pinned hot route
 			return m.promote(key, pg)
 		}
 	}
@@ -330,15 +332,14 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 	pend := m.takePendingLocked()
 	m.mu.Unlock()
 	if pend != nil {
-		//gflink:allow-alloc tiered demotion: opt-in path off the pinned hot route
 		m.settle(pend)
 	}
 	return true
 }
 
 // evictLocked detaches a chosen victim from its region and either
-// frees its device buffer (no host tier) or queues it on m.pending for
-// demotion once the caller drops mu.
+// frees its device buffer (no host tier) or chains it onto the pending
+// demotions for once the caller drops mu.
 //
 //gflink:hotpath
 func (m *GMemoryManager) evictLocked(r *cacheRegion, e *cacheEntry) {
@@ -347,8 +348,15 @@ func (m *GMemoryManager) evictLocked(r *cacheRegion, e *cacheEntry) {
 	delete(r.entries, e.key)
 	r.used -= e.nominal
 	if m.hostTierBytes > 0 {
-		//gflink:allow-alloc tiered demotion queue: opt-in path off the pinned hot route
-		m.pending = append(m.pending, e)
+		// Remove took e off the region's list, so its next field is free
+		// to chain the pending demotions.
+		e.next = nil
+		if m.pendTail != nil {
+			m.pendTail.next = e
+		} else {
+			m.pendHead = e
+		}
+		m.pendTail = e
 		m.cntEvictions.Add(1)
 		return
 	}
@@ -380,17 +388,14 @@ func (m *GMemoryManager) recycleEntryLocked(e *cacheEntry) {
 	m.freeEntries = append(m.freeEntries, e)
 }
 
-// takePendingLocked hands the owed demotion batch (if any) to the
-// caller, which must run settle on it after releasing mu.
+// takePendingLocked hands the chain of owed demotions (nil if none) to
+// the caller, which must run settle on it after releasing mu.
 //
 //gflink:hotpath
-func (m *GMemoryManager) takePendingLocked() []*cacheEntry {
-	if len(m.pending) == 0 {
-		return nil
-	}
-	p := m.pending
-	m.pending = nil
-	return p
+func (m *GMemoryManager) takePendingLocked() *cacheEntry {
+	e := m.pendHead
+	m.pendHead, m.pendTail = nil, nil
+	return e
 }
 
 // CachedBytes sums the nominal sizes of the given keys present in this

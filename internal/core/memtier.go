@@ -22,15 +22,15 @@ import (
 // invariant), taking the mutex themselves only around bookkeeping.
 
 // hostPage is one demoted cache object. Resident pages hold their real
-// bytes in an off-heap HBuffer and sit on the manager's oldest-first
-// spill list; spilled pages keep the bytes in a simulated on-disk blob
-// and leave the list.
+// bytes in an off-heap HBuffer from the host pool and sit on the
+// manager's oldest-first spill list; spilled pages keep the bytes in a
+// simulated on-disk blob from the disk pool and leave the list.
 type hostPage struct {
 	key     CacheKey
 	nominal int64
 	real    int             // real (scaled-down) byte length
 	hbuf    *membuf.HBuffer // resident backing; nil when spilled or real == 0
-	disk    []byte          // simulated on-disk copy when spilled
+	disk    *membuf.HBuffer // on-disk blob when spilled; nil otherwise or when real == 0
 	spilled bool
 	prev    *hostPage
 	next    *hostPage
@@ -71,6 +71,7 @@ func (m *GMemoryManager) pageLocked() *hostPage {
 		m.freePages = m.freePages[:n-1]
 		return p
 	}
+	//gflink:allow-alloc page-shell cold start: shells recycle through the free list thereafter
 	return &hostPage{}
 }
 
@@ -80,7 +81,11 @@ func (m *GMemoryManager) recyclePageLocked(p *hostPage) {
 	if p.hbuf != nil {
 		p.hbuf.Free()
 	}
+	if p.disk != nil {
+		p.disk.Free()
+	}
 	*p = hostPage{}
+	//gflink:allow-alloc amortized free-list growth, bounded by the peak page count
 	m.freePages = append(m.freePages, p)
 }
 
@@ -100,18 +105,16 @@ func (m *GMemoryManager) takePageLocked(key CacheKey) *hostPage {
 	return pg
 }
 
-// settle demotes a batch of entries evicted under the lock. Runs
-// without m.mu held; only reachable with the host tier enabled.
-func (m *GMemoryManager) settle(pend []*cacheEntry) {
-	for i, e := range pend {
+// settle demotes, in eviction order, a chain of entries evicted under
+// the lock. Runs without m.mu held; only reachable with the host tier
+// enabled.
+func (m *GMemoryManager) settle(e *cacheEntry) {
+	for e != nil {
+		next := e.next
+		e.next = nil
 		m.demote(e)
-		pend[i] = nil
+		e = next
 	}
-	m.mu.Lock()
-	if m.pending == nil {
-		m.pending = pend[:0]
-	}
-	m.mu.Unlock()
 }
 
 // demote moves an evicted entry's bytes from the device into the host
@@ -136,9 +139,13 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 	real := len(src)
 	m.dev.Free(e.buf)
 	m.cntDemotions.Add(1)
-	m.tracer.Record(m.memTrack, "mem", "demote", t0, m.clock.Now(), obs.Int("nominal", nominal))
+	if m.tracer.Enabled() {
+		m.tracer.Record(m.memTrack, "mem", "demote", t0, m.clock.Now(), obs.Int("nominal", nominal))
+	}
 
-	var spills []*hostPage
+	// Overflow victims leave the resident list oldest first and chain
+	// through their next fields until they are spilled.
+	var spillHead, spillTail *hostPage
 	m.mu.Lock()
 	m.recycleEntryLocked(e)
 	if old, ok := m.hostPages[key]; ok {
@@ -154,6 +161,7 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 	}
 	pg := m.pageLocked()
 	pg.key, pg.nominal, pg.real, pg.hbuf = key, nominal, real, hb
+	//gflink:allow-alloc page registration: the table grows only to the peak page count
 	m.hostPages[key] = pg
 	m.pagePushBackLocked(pg)
 	m.hostUsed += nominal
@@ -162,38 +170,50 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 		m.pageUnlinkLocked(p)
 		delete(m.hostPages, p.key)
 		m.hostUsed -= p.nominal
-		spills = append(spills, p)
+		if spillTail != nil {
+			spillTail.next = p
+		} else {
+			spillHead = p
+		}
+		spillTail = p
 	}
 	m.mu.Unlock()
-	for _, p := range spills {
+	for p := spillHead; p != nil; {
+		next := p.next
+		p.next = nil
 		m.spill(p)
+		p = next
 	}
 }
 
-// spill writes one page to the simulated spill disk, freeing its host
-// buffer. The page has already left the tier's map and resident list;
-// it re-enters the map as a spilled page once the disk write is
-// charged.
+// spill writes one page to the simulated spill disk: its bytes move
+// into a disk-pool blob and its host buffer is freed. The page has
+// already left the tier's map and resident list; it re-enters the map
+// as a spilled page once the disk write is charged.
 //
 //gflink:gated hosttier -- reachable only when the host paging tier is enabled; invariant 11 holds it to byte-preserving copies
 func (m *GMemoryManager) spill(p *hostPage) {
 	t0 := m.clock.Now()
 	m.clock.Sleep(m.spillDisk.WriteTime(p.nominal))
 	if p.hbuf != nil {
+		p.disk = m.diskPool.MustAllocate(p.real)
 		//gflink:real-copy -- the disk blob is a verbatim copy of the page's real bytes (invariant 11)
-		p.disk = append(p.disk[:0], p.hbuf.Bytes()...)
+		copy(p.disk.Bytes(), p.hbuf.Bytes())
 		p.hbuf.Free()
 		p.hbuf = nil
 	}
 	p.spilled = true
 	m.cntSpills.Add(1)
-	m.tracer.Record(m.memTrack, "mem", "spill", t0, m.clock.Now(), obs.Int("nominal", p.nominal))
+	if m.tracer.Enabled() {
+		m.tracer.Record(m.memTrack, "mem", "spill", t0, m.clock.Now(), obs.Int("nominal", p.nominal))
+	}
 	m.mu.Lock()
 	if _, dup := m.hostPages[p.key]; dup {
 		// A fresher copy of the key re-entered the tier while the disk
 		// write was in flight; ours is stale.
 		m.recyclePageLocked(p)
 	} else {
+		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[p.key] = p
 	}
 	m.mu.Unlock()
@@ -217,6 +237,7 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 	m.clock.Sleep(m.model.PCIe.GFlinkTransferTime(pg.nominal))
 	buf, err := m.dev.Malloc(pg.nominal, pg.real)
 	if err != nil {
+		//gflink:allow-alloc device-pressure fallback: Reclaim orders the job IDs, and runs only when the device is full
 		m.Reclaim(pg.nominal)
 		buf, err = m.dev.Malloc(pg.nominal, pg.real)
 	}
@@ -228,9 +249,9 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 	if pg.hbuf != nil {
 		//gflink:real-copy -- promotion restores the demoted real bytes verbatim (invariant 11)
 		copy(buf.Bytes(), pg.hbuf.Bytes())
-	} else {
+	} else if pg.disk != nil {
 		//gflink:real-copy -- promotion restores the spilled real bytes verbatim (invariant 11)
-		copy(buf.Bytes(), pg.disk)
+		copy(buf.Bytes(), pg.disk.Bytes())
 	}
 	nominal := pg.nominal
 	m.mu.Lock()
@@ -245,9 +266,13 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 	}
 	if reload {
 		m.cntReloads.Add(1)
-		m.tracer.Record(m.memTrack, "mem", "reload", t0, m.clock.Now(), obs.Int("nominal", nominal))
-	} else {
-		m.tracer.Record(m.memTrack, "mem", "promote", t0, m.clock.Now(), obs.Int("nominal", nominal))
+	}
+	if m.tracer.Enabled() {
+		name := "promote"
+		if reload {
+			name = "reload"
+		}
+		m.tracer.Record(m.memTrack, "mem", name, t0, m.clock.Now(), obs.Int("nominal", nominal))
 	}
 	m.cntPromotions.Add(1)
 	return buf, true
@@ -260,6 +285,7 @@ func (m *GMemoryManager) restorePage(pg *hostPage) {
 	if _, dup := m.hostPages[pg.key]; dup {
 		m.recyclePageLocked(pg)
 	} else {
+		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[pg.key] = pg
 		if !pg.spilled {
 			m.pagePushBackLocked(pg)

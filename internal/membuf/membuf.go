@@ -4,11 +4,17 @@
 // asynchronous DMA, and whose raw bytes are handed to the transfer
 // channel without any heap-to-native copy.
 //
-// Because the real simulator runs in Go, "off-heap" is a bookkeeping
-// concept: what the package enforces is the allocation discipline the
-// paper relies on — fixed page size (matching Flink's memory segments),
-// a bounded pool per worker, page-aligned HBuffers, and the rule that a
-// GStruct never straddles a page boundary (Section 5.1).
+// The simulator runs in Go, so the pages are Go memory, but the pool
+// manages them the way an off-heap allocator does: fixed page size
+// (matching Flink's memory segments), a bounded page budget per worker,
+// page-aligned HBuffers, the rule that a GStruct never straddles a page
+// boundary (Section 5.1), and page spans that are recycled rather than
+// returned to the garbage collector. A freed span goes onto the pool's
+// spare list for its page count, and the next Allocate of that many
+// pages reuses it, so a steady Allocate/Free cycle does not touch the
+// Go heap beyond the HBuffer handle. Spans never leave the pool: for
+// each page count it keeps as many spans as it ever had buffers of that
+// size live at once.
 package membuf
 
 import (
@@ -47,6 +53,11 @@ type Pool struct {
 	pinned  int // pages currently page-locked
 	pinOps  int64
 	nextIDs int64
+	reused  int64
+	// spare holds freed page spans by page count, most recently freed
+	// last. spareTotal counts the pages they hold.
+	spare      map[int]*[][]byte
+	spareTotal int
 }
 
 // NewPool creates a pool on the given clock and hardware model.
@@ -61,10 +72,14 @@ func NewPool(clock *vclock.Clock, model costmodel.Model, cfg Config) *Pool {
 func (p *Pool) PageSize() int { return p.pageSize }
 
 // Allocate returns an HBuffer of at least n bytes (rounded up to whole
-// pages). It fails when the pool's page budget is exhausted, modelling
-// an off-heap OutOfMemory condition.
+// pages), zeroed like fresh memory. It reuses a freed span of the same
+// page count when the pool holds one. It fails when the pool's page
+// budget is exhausted, modelling an off-heap OutOfMemory condition.
+//
+//gflink:hotpath
 func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	if n <= 0 {
+		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("membuf: allocate %d bytes", n)
 	}
 	pages := (n + p.pageSize - 1) / p.pageSize
@@ -72,6 +87,7 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	if p.capacity > 0 && p.inUse+pages > p.capacity {
 		avail := p.capacity - p.inUse
 		p.mu.Unlock()
+		//gflink:allow-alloc error diagnostic: off-heap exhaustion cold path
 		return nil, fmt.Errorf("membuf: off-heap exhausted: need %d pages, %d available", pages, avail)
 	}
 	p.inUse += pages
@@ -81,14 +97,26 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	p.allocs++
 	p.nextIDs++
 	id := p.nextIDs
+	var data []byte
+	if st := p.spare[pages]; st != nil && len(*st) > 0 {
+		k := len(*st) - 1
+		data = (*st)[k]
+		(*st)[k] = nil
+		*st = (*st)[:k]
+		p.spareTotal -= pages
+		p.reused++
+	}
 	p.mu.Unlock()
-	return &HBuffer{
-		id:    id,
-		pool:  p,
-		data:  make([]byte, pages*p.pageSize),
-		size:  n,
-		pages: pages,
-	}, nil
+	if data == nil {
+		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
+		data = make([]byte, pages*p.pageSize)
+	} else {
+		clear(data)
+	}
+	// The handle stays fresh so that a stale *HBuffer still sees its own
+	// freed flag and a double free still panics; only the span recycles.
+	//gflink:allow-alloc HBuffer handle: a small fixed-size header, never reused
+	return &HBuffer{id: id, pool: p, data: data, size: n, pages: pages}, nil
 }
 
 // MustAllocate is Allocate panicking on failure.
@@ -109,6 +137,11 @@ type Stats struct {
 	Frees       int64
 	PinnedPages int
 	PinOps      int64
+	// Reused counts allocations served from a freed span instead of the
+	// Go heap; SparePages is the number of freed pages the pool holds
+	// for reuse.
+	Reused     int64
+	SparePages int
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -123,6 +156,8 @@ func (p *Pool) Stats() Stats {
 		Frees:       p.frees,
 		PinnedPages: p.pinned,
 		PinOps:      p.pinOps,
+		Reused:      p.reused,
+		SparePages:  p.spareTotal,
 	}
 }
 
@@ -208,9 +243,12 @@ func (b *HBuffer) Pinned() bool {
 	return b.pinned
 }
 
-// Free returns the pages to the pool, releasing any page lock first.
+// Free returns the pages to the pool, releasing any page lock first,
+// and keeps their span for the next Allocate of the same page count.
 // Double frees panic: the paper's GMemoryManager owns buffer lifetime
 // exactly once.
+//
+//gflink:hotpath
 func (b *HBuffer) Free() {
 	p := b.pool
 	p.mu.Lock()
@@ -225,6 +263,20 @@ func (b *HBuffer) Free() {
 	}
 	p.inUse -= b.pages
 	p.frees++
+	if p.spare == nil {
+		//gflink:allow-alloc spare lists are created on first Free, so an idle pool costs nothing
+		p.spare = make(map[int]*[][]byte)
+	}
+	st := p.spare[b.pages]
+	if st == nil {
+		//gflink:allow-alloc one spare list per distinct buffer page count
+		st = new([][]byte)
+		//gflink:allow-alloc one spare list per distinct buffer page count
+		p.spare[b.pages] = st
+	}
+	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this page count ever live at once
+	*st = append(*st, b.data)
+	p.spareTotal += b.pages
 	p.mu.Unlock()
 	b.data = nil
 }

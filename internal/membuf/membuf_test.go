@@ -97,6 +97,97 @@ func TestDoubleFreePanics(t *testing.T) {
 	})
 }
 
+// A freed span comes back for the next allocation of the same page
+// count, zeroed across the whole page span, under a new buffer ID; an
+// allocation of another page count does not take it.
+func TestFreedSpanIsReusedZeroed(t *testing.T) {
+	_, p := newPool(Config{PageSize: 256})
+	b := p.MustAllocate(300)
+	raw := b.Raw()
+	for i := range raw {
+		raw[i] = 0xAB
+	}
+	id := b.ID()
+	b.Free()
+	if s := p.Stats(); s.SparePages != 2 || s.Reused != 0 {
+		t.Fatalf("after free: %+v, want 2 spare pages and no reuse", s)
+	}
+	one := p.MustAllocate(10)
+	if s := p.Stats(); s.Reused != 0 || s.SparePages != 2 {
+		t.Errorf("1-page allocation took the 2-page span: %+v", s)
+	}
+	again := p.MustAllocate(512)
+	if s := p.Stats(); s.Reused != 1 || s.SparePages != 0 {
+		t.Errorf("2-page allocation did not reuse the span: %+v", s)
+	}
+	if &again.Raw()[0] != &raw[0] {
+		t.Error("2-page allocation got a fresh span, not the freed one")
+	}
+	if again.ID() == id {
+		t.Error("a reused span kept the freed buffer's ID")
+	}
+	for i, v := range again.Raw() {
+		if v != 0 {
+			t.Fatalf("reused span byte %d = %#x, want 0", i, v)
+		}
+	}
+	one.Free()
+	again.Free()
+}
+
+// The handle of a freed buffer never aliases the recycled span: its
+// views are gone and a second Free still panics after the span has
+// gone to another buffer.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	_, p := newPool(Config{PageSize: 256})
+	b := p.MustAllocate(64)
+	b.Free()
+	next := p.MustAllocate(64)
+	if b.Raw() != nil {
+		t.Error("a freed handle still exposes its page span")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("double free of a handle whose span was reused did not panic")
+			}
+		}()
+		b.Free()
+	}()
+	if next.Freed() {
+		t.Error("double free of the stale handle freed the span's new owner")
+	}
+	next.Free()
+}
+
+// A steady Allocate/Free cycle allocates only the HBuffer handle: the
+// page span comes off the pool's spare list.
+func TestSteadyAllocateFreeReusesSpan(t *testing.T) {
+	_, p := newPool(Config{})
+	p.MustAllocate(DefaultPageSize).Free()
+	allocs := testing.AllocsPerRun(100, func() {
+		p.MustAllocate(DefaultPageSize).Free()
+	})
+	if allocs != 1 {
+		t.Errorf("Allocate+Free = %v allocs, want 1 (the handle)", allocs)
+	}
+	if s := p.Stats(); s.Reused != s.Allocs-1 {
+		t.Errorf("reused %d of %d allocations, want all but the first", s.Reused, s.Allocs)
+	}
+}
+
+// BenchmarkAllocateFree times one page-sized Allocate and Free against a
+// warm pool, the cycle a GWork output buffer or a host-tier page goes
+// through.
+func BenchmarkAllocateFree(b *testing.B) {
+	_, p := newPool(Config{})
+	p.MustAllocate(DefaultPageSize).Free()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.MustAllocate(DefaultPageSize).Free()
+	}
+}
+
 func TestFreeUnpins(t *testing.T) {
 	c, p := newPool(Config{PageSize: 512})
 	c.Run(func() {
@@ -122,7 +213,9 @@ func TestElemsPerPage(t *testing.T) {
 }
 
 // Property: pool accounting balances — after freeing everything, in-use
-// is zero and peak equals the maximum simultaneous pages.
+// is zero and peak equals the maximum simultaneous pages. Freeing some
+// buffers and re-allocating their sizes reuses every freed span, so the
+// pool's pages (in use plus spare) stay at the peak.
 func TestPoolAccountingProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		if len(sizes) > 30 {
@@ -147,10 +240,24 @@ func TestPoolAccountingProperty(t *testing.T) {
 			if st.InUsePages != total || st.PeakPages != peak {
 				ok = false
 			}
+			// Free half, then allocate the same sizes again: every
+			// re-allocation reuses a span, and the pool never holds more
+			// than its peak.
+			half := bufs[:len(bufs)/2]
+			for _, b := range half {
+				b.Free()
+			}
+			for i, b := range half {
+				half[i] = p.MustAllocate(b.Size())
+			}
+			st = p.Stats()
+			if st.Reused != int64(len(half)) || st.InUsePages+st.SparePages > st.PeakPages || st.PeakPages != peak {
+				ok = false
+			}
 			for _, b := range bufs {
 				b.Free()
 			}
-			if p.Stats().InUsePages != 0 {
+			if st := p.Stats(); st.InUsePages != 0 || st.SparePages != st.PeakPages {
 				ok = false
 			}
 		})

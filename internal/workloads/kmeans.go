@@ -204,6 +204,12 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 					putRawF32(centBuf.Bytes(), i, v)
 				}
 				perWorker := core.BroadcastBuffer(g, j, centBuf, int64(4*p.K*p.D))
+				// Every block on a worker reads that worker's copy, so the
+				// extra-input slices are built once per worker, not per block.
+				centIn := make([][]core.Input, workers)
+				for w, buf := range perWorker {
+					centIn[w] = []core.Input{{Buf: buf, Nominal: int64(4 * p.K * p.D)}}
+				}
 				tm0 := c.Clock.Now()
 				partials := core.GPUReducePartition(g, ds, core.GPUMapSpec{
 					Name:         "kmeansAssign",
@@ -213,12 +219,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 					CacheInput:   p.UseCache,
 					Args:         []int64{int64(p.K), int64(p.D)},
 					KernelPerRec: kernels.KMeansWork(p.K, p.D),
-					Extra: func(b *core.Block) []core.Input {
-						return []core.Input{{
-							Buf:     perWorker[b.Partition%workers],
-							Nominal: int64(4 * p.K * p.D),
-						}}
-					},
+					Extra:        func(b *core.Block) []core.Input { return centIn[b.Partition%workers] },
 				}, 1)
 				merged := make([]float32, p.K*(p.D+1))
 				for _, blk := range core.CollectBlocks(partials) {
