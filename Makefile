@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-baseline bench bench-test check-deprecated
+.PHONY: build test race vet vet-baseline bench bench-test
 
 build:
 	$(GO) build ./...
@@ -35,16 +35,3 @@ bench:
 # never reaches its tests.
 bench-test:
 	cd benchmark && $(GO) test .
-
-# Fail when non-test code calls a Deprecated: positional constructor
-# (NewGStreamManager / NewGMemoryManager). The shims exist only so the
-# tests that pin their equivalence to the options constructors keep
-# compiling; new code uses NewStreamManager / NewMemoryManager.
-check-deprecated:
-	@hits=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
-		-E '\bNewG(StreamManager|MemoryManager)\(' . | grep -v 'func NewG' || true); \
-	if [ -n "$$hits" ]; then \
-		echo "deprecated positional constructors called from non-test code:"; \
-		echo "$$hits"; \
-		exit 1; \
-	fi

@@ -7,20 +7,25 @@
 //	gflink-bench -exp fig5a,table2
 //	gflink-bench -all [-scale 4] [-md results.md] [-trace out.json]
 //
-// -scale divides the real (in-memory) data sizes without changing any
-// simulated cost; 1 is full fidelity, larger values run faster.
+// -scale divides the real (in-memory) data sizes; 1 is full fidelity,
+// larger values run faster. Some experiments' simulated results move
+// with it (ROADMAP item 1 tracks the fix), so tables and traces are
+// reproducible only at a fixed -scale.
 //
 // -trace additionally records every deployment's span stream and writes
 // one Chrome trace_event JSON file (open it at chrome://tracing or
 // https://ui.perfetto.dev). All span timestamps come from the virtual
-// clock, so the file is byte-identical across runs, GOMAXPROCS values
-// and -scale settings.
+// clock, so at a given -scale the file is byte-identical across runs
+// and GOMAXPROCS values.
+//
+// -check runs each experiment's pinned-shape check. A failing check
+// still writes the -trace and -md files, then exits nonzero.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,23 +34,32 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in;
+// it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gflink-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list   = flag.Bool("list", false, "list experiments and exit")
-		exps   = flag.String("exp", "", "comma-separated experiment IDs to run")
-		all    = flag.Bool("all", false, "run every experiment")
-		scale  = flag.Int64("scale", 1, "real-data scale divisor multiplier (1 = full fidelity)")
-		mdPath = flag.String("md", "", "also write results as markdown to this file")
-		check  = flag.Bool("check", false, "run each experiment's pinned-shape check and exit nonzero on regression")
-		trace  = flag.String("trace", "", "write a Chrome trace_event JSON of every run to this file")
-		bjson  = flag.String("benchjson", "", "write the rendered tables (header, rows, notes) as machine-readable JSON to this file")
+		list   = fs.Bool("list", false, "list experiments and exit")
+		exps   = fs.String("exp", "", "comma-separated experiment IDs to run")
+		all    = fs.Bool("all", false, "run every experiment")
+		scale  = fs.Int64("scale", 1, "real-data scale divisor multiplier (1 = full fidelity)")
+		mdPath = fs.String("md", "", "also write results as markdown to this file")
+		check  = fs.Bool("check", false, "run each experiment's pinned-shape check and exit nonzero on regression")
+		trace  = fs.String("trace", "", "write a Chrome trace_event JSON of every run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range bench.All() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-14s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var ids []string
@@ -57,21 +71,20 @@ func main() {
 	case *exps != "":
 		ids = strings.Split(*exps, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -all, -exp or -list")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nothing to do: pass -all, -exp or -list")
+		fs.Usage()
+		return 2
 	}
 
 	var md strings.Builder
 	var failed bool
 	var procs []obs.TraceProcess
-	var tables []*bench.Table
 	md.WriteString("# GFlink reproduction results\n\n")
 	for _, id := range ids {
 		e, ok := bench.ByID(strings.TrimSpace(id))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
+			return 1
 		}
 		var t *bench.Table
 		if *trace != "" {
@@ -81,56 +94,46 @@ func main() {
 		} else {
 			t = e.Run(*scale)
 		}
-		fmt.Println(t.String())
+		fmt.Fprintln(stdout, t.String())
 		md.WriteString(t.Markdown())
-		tables = append(tables, t)
 		if *check {
 			if e.Check == nil {
-				fmt.Printf("check %s: no pinned-shape check\n\n", e.ID)
+				fmt.Fprintf(stdout, "check %s: no pinned-shape check\n\n", e.ID)
 			} else if err := e.Check(t); err != nil {
-				fmt.Fprintln(os.Stderr, "check failed:", err)
+				fmt.Fprintln(stderr, "check failed:", err)
 				failed = true
 			} else {
-				fmt.Printf("check %s: ok\n\n", e.ID)
+				fmt.Fprintf(stdout, "check %s: ok\n\n", e.ID)
 			}
 		}
 	}
-	if *bjson != "" {
-		data, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "marshaling bench json:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*bjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "writing bench json:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *bjson)
-	}
-	if failed {
-		os.Exit(1)
-	}
+	// The requested outputs are written even when a check failed: they
+	// are what debugging the failure needs.
 	if *trace != "" {
 		data, err := obs.ChromeTrace(procs...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "building trace:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "building trace:", err)
+			return 1
 		}
 		if err := obs.ValidateChromeTrace(data); err != nil {
-			fmt.Fprintln(os.Stderr, "trace failed schema validation:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "trace failed schema validation:", err)
+			return 1
 		}
 		if err := os.WriteFile(*trace, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "writing trace:", err)
+			return 1
 		}
-		fmt.Printf("wrote %s (%d events from %d runs)\n", *trace, strings.Count(string(data), `"ph"`), len(procs))
+		fmt.Fprintf(stdout, "wrote %s (%d events from %d runs)\n", *trace, strings.Count(string(data), `"ph"`), len(procs))
 	}
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "writing markdown:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "writing markdown:", err)
+			return 1
 		}
-		fmt.Println("wrote", *mdPath)
+		fmt.Fprintln(stdout, "wrote", *mdPath)
 	}
+	if failed {
+		return 1
+	}
+	return 0
 }

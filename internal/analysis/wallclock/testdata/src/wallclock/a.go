@@ -18,12 +18,13 @@ func bad() time.Time {
 	return time.Now() // want `time\.Now is wall-clock`
 }
 
-// Host time as the measurand itself (benchmark harnesses timing the
-// simulator) is waived explicitly, line-above or same-line.
-func okWaived() time.Duration {
+// There is no waiver: the retired allow-wallclock directive no longer
+// suppresses a finding.
+func badWaived() time.Duration {
 	//gflink:allow-wallclock host wall-clock is the measurand here
-	t0 := time.Now()
-	return time.Since(t0) //gflink:allow-wallclock host wall-clock is the measurand here
+	t0 := time.Now() // want `time\.Now is wall-clock`
+	//gflink:allow-wallclock host wall-clock is the measurand here
+	return time.Since(t0) // want `time\.Since is wall-clock`
 }
 
 func okDurations() time.Duration {

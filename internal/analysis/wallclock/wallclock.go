@@ -8,13 +8,13 @@
 // into a simulator package reintroduces host nondeterminism that no
 // test can reliably catch — runs would differ across machines while
 // each individual run looks plausible. This analyzer bans the time
-// package's clock-reading and timer functions outright; time.Duration
-// values and duration constants (the cost-model currency) remain legal.
+// package's clock-reading and timer functions outright, with no waiver
+// directive; time.Duration values and duration constants (the
+// cost-model currency) remain legal.
 package wallclock
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 
@@ -39,7 +39,7 @@ var banned = map[string]string{
 // Analyzer implements the wallclock check.
 var Analyzer = &analysis.Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...) in simulator packages; all time must flow through vclock.Clock (suppress with //gflink:allow-wallclock where host time is the measurand)",
+	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...) in simulator packages; all time must flow through vclock.Clock",
 	Run:  run,
 }
 
@@ -57,31 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Pos() < ids[j].Pos() })
-	// Directive indices are per-file (line numbers only make sense
-	// within one file), built lazily for files that contain findings.
-	idxs := map[*ast.File]map[string]map[int]bool{}
-	fileFor := func(pos token.Pos) *ast.File {
-		for _, f := range pass.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return f
-			}
-		}
-		return nil
-	}
 	for _, id := range ids {
-		// //gflink:allow-wallclock waives a use where host time is the
-		// measurand itself (the simulator-speed benchmark), never an
-		// input to simulated behavior.
-		if f := fileFor(id.Pos()); f != nil {
-			idx, ok := idxs[f]
-			if !ok {
-				idx = analysis.DirectiveIndex(pass.Fset, f)
-				idxs[f] = idx
-			}
-			if analysis.DirectiveAt(idx, pass.Fset, "allow-wallclock", id.Pos()) {
-				continue
-			}
-		}
 		fn := pass.TypesInfo.Uses[id].(*types.Func)
 		pass.Reportf(id.Pos(), "time.%s is wall-clock and breaks simulation determinism; %s", fn.Name(), banned[fn.Name()])
 	}

@@ -48,7 +48,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig8a", "fig8b", "fig8c", "fig8d", "table2",
 		"abl-layout", "abl-zerocopy", "abl-pipeline", "abl-locality", "abl-stealing", "abl-blocksize",
 		"abl-chaining", "abl-projection", "abl-chunking", "abl-oocore",
-		"abl-backpressure", "hotalloc-bench", "vclock-bench",
+		"abl-backpressure",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -295,21 +295,6 @@ func TestMarkdownRendering(t *testing.T) {
 	txt := tbl.String()
 	if !strings.Contains(txt, "abl-layout") || !strings.Contains(txt, "note:") {
 		t.Errorf("text rendering incomplete:\n%s", txt)
-	}
-}
-
-func TestHotAllocBenchUnderBudget(t *testing.T) {
-	tbl := runExp(t, "hotalloc-bench")
-	e, _ := ByID("hotalloc-bench")
-	if err := e.Check(tbl); err != nil {
-		t.Errorf("hotalloc-bench check rejected its own table: %v", err)
-	}
-	if err := e.Check(&Table{}); err == nil {
-		t.Error("hotalloc-bench check accepted an empty table")
-	}
-	bad := &Table{Notes: []string{"allocs/gwork = 85.00 (pinned ceiling 17; pre-optimization baseline 85)"}}
-	if err := e.Check(bad); err == nil {
-		t.Error("hotalloc-bench check accepted the pre-optimization allocation rate")
 	}
 }
 

@@ -16,7 +16,7 @@ func paperSpec(numWorkers, gpusPerWorker int, div int64) workloads.Spec {
 		GPUsPerWorker: gpusPerWorker,
 		Profile:       costmodel.C2050,
 		ScaleDivisor:  div,
-		OnBuild:       observeBuild,
+		OnBuild:       observeDeploy,
 	}
 }
 

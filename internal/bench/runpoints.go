@@ -25,7 +25,6 @@ import (
 func RunPoints[T any](n int, run func(i int, onBuild func(*core.GFlink)) T) []T {
 	out := make([]T, n)
 	builds := make([][]*core.GFlink, n)
-	configure := deployConfigure // snapshot: points must not race a swap
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -37,12 +36,6 @@ func RunPoints[T any](n int, run func(i int, onBuild func(*core.GFlink)) T) []T 
 		go func() {
 			defer wg.Done()
 			out[i] = run(i, func(g *core.GFlink) {
-				// Configuration (e.g. the legacy-dispatch flip of the
-				// engine-equivalence tests) must land before the point
-				// runs its clock; only observation waits for the barrier.
-				if configure != nil {
-					configure(g)
-				}
 				builds[i] = append(builds[i], g)
 			})
 		}()

@@ -17,25 +17,9 @@ import (
 // after the barrier.
 var deployObserver func(*core.GFlink)
 
-// deployConfigure, when non-nil, runs against every deployment at build
-// time — before the deployment's clock starts — unlike deployObserver,
-// which RunPoints defers to the post-barrier replay. Parallel points
-// call it concurrently for their own deployments, so an installed hook
-// must only touch the deployment it is handed (the engine-equivalence
-// tests use it to flip fresh clocks to the legacy dispatcher).
-var deployConfigure func(*core.GFlink)
-
-// observeBuild is the Spec.OnBuild hook paperSpec wires in on the
-// serial path: configure at build time, then observe.
-func observeBuild(g *core.GFlink) {
-	if deployConfigure != nil {
-		deployConfigure(g)
-	}
-	observeDeploy(g)
-}
-
-// observeDeploy feeds one deployment to the (sequential-only) observer;
-// RunPoints replays collected deployments through it in declared order.
+// observeDeploy feeds one deployment to the (sequential-only) observer.
+// paperSpec wires it in as Spec.OnBuild on the serial path; RunPoints
+// replays collected deployments through it in declared order.
 func observeDeploy(g *core.GFlink) {
 	if deployObserver != nil {
 		deployObserver(g)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,6 +50,27 @@ func TestFig8aTraceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(multi, repeat) {
 		t.Error("trace differs between repeat runs at the same GOMAXPROCS")
+	}
+}
+
+// TestGoldenTraceHashes pins the full-workload schedules: the SHA-256
+// of the fig8a and abl-backpressure Chrome traces at testScale. The
+// hashes were recorded while a second, one-timer-per-dispatch engine
+// still proved these traces equal to its own, so any change to a wake
+// order — in the vclock or above it — fails here. A change that moves
+// simulated behaviour on purpose re-records them and says why.
+func TestGoldenTraceHashes(t *testing.T) {
+	_, backpressure := backpressureTrace(t)
+	for id, c := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"fig8a":            {fig8aTrace(t), "b3bc14ea932a19fdaf61edc47d6dd047a81a18f514ac7c4277d1ab30db7d5152"},
+		"abl-backpressure": {backpressure, "ff523e0f65f8b0737be757558092816308ae2e45587a9a6db3da244600066ecc"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
+			t.Errorf("%s trace sha256 = %s, want %s (%d bytes)", id, got, c.want, len(c.data))
+		}
 	}
 }
 

@@ -12,16 +12,11 @@ import (
 	"gflink/internal/vclock"
 )
 
-// BenchmarkHotPath1MGWorks drives GWorks through the full
-// submit/exec/complete hot path — one benchmark op is one GWork — on a
-// tracing-off deployment (counters stay on, as in every real
-// deployment). Run with -benchmem: allocs/op is the per-GWork
-// allocation count the hotalloc analyzer locks in (0 at steady state
-// since command shells, futures and counter handles pooled), and
-// `-benchtime=1000000x` reproduces the scaled-up 1M-GWork sweep; the
-// canonical 100k-GWork scenario vclock-bench times in CI is the same
-// loop at `-benchtime=100000x`.
-func BenchmarkHotPath1MGWorks(b *testing.B) {
+// runHotPath builds a tracing-off single-GPU deployment (counters stay
+// on, as in every real deployment) and calls body inside clock.Run with
+// one, which drives one GWork through the full submit/exec/complete hot
+// path.
+func runHotPath(tb testing.TB, body func(one func())) {
 	clock := vclock.New()
 	model := costmodel.Default()
 	wrapper := NewCUDAWrapper(clock, model)
@@ -36,8 +31,6 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 	pool := membuf.NewPool(clock, model, membuf.Config{})
 	const n = 64
 	var kerr error
-	b.ReportAllocs()
-	b.ResetTimer()
 	clock.Run(func() {
 		in := pool.MustAllocate(4 * n)
 		out := pool.MustAllocate(4 * n)
@@ -45,7 +38,10 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 			binary.LittleEndian.PutUint32(in.Bytes()[i*4:], math.Float32bits(float32(i)))
 		}
 		wp := mgr.Pool()
-		for i := 0; i < b.N && kerr == nil; i++ {
+		body(func() {
+			if kerr != nil {
+				return
+			}
 			w := wp.Get()
 			w.ExecuteName = "core_test.double"
 			w.Size = n
@@ -58,11 +54,42 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 			mgr.Submit(w)
 			kerr = w.Wait()
 			wp.Put(w)
-		}
+		})
 		mgr.Close()
 		dev.Close()
 	})
 	if kerr != nil {
-		b.Fatal(kerr)
+		tb.Fatal(kerr)
+	}
+}
+
+// BenchmarkHotPath1MGWorks times the GWork hot path; one benchmark op
+// is one GWork. With -benchmem, allocs/op is the per-GWork allocation
+// count that TestHotPathZeroAllocsPerGWork pins at 0, and
+// `-benchtime=1000000x` reproduces the 1M-GWork sweep.
+func BenchmarkHotPath1MGWorks(b *testing.B) {
+	runHotPath(b, func(one func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			one()
+		}
+	})
+}
+
+// TestHotPathZeroAllocsPerGWork pins DESIGN.md invariant 10: once the
+// free lists are warm, a GWork costs no heap allocation at all on the
+// tracing-off path — pool shells, vclock parks, stream commands, launch
+// futures and device buffers are all recycled.
+func TestHotPathZeroAllocsPerGWork(t *testing.T) {
+	var allocs float64
+	runHotPath(t, func(one func()) {
+		for i := 0; i < 256; i++ {
+			one()
+		}
+		allocs = testing.AllocsPerRun(10000, one)
+	})
+	if allocs != 0 {
+		t.Fatalf("%.2f heap allocations per GWork at steady state, want 0", allocs)
 	}
 }

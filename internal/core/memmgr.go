@@ -185,15 +185,6 @@ func NewMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, op
 	return m
 }
 
-// NewGMemoryManager builds the manager from positional arguments.
-//
-// Deprecated: use NewMemoryManager with functional options
-// (WithPolicy, WithHostTierBytes, WithDiskBandwidth). This shim is
-// kept for one release, like the NewGStreamManager precedent.
-func NewGMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, policy CachePolicy) *GMemoryManager {
-	return NewMemoryManager(dev, wrapper, regionCap, WithPolicy(policy))
-}
-
 // observe directs the cache and tier counters to r and the tier spans
 // to tr (wired by NewStreamManager, which shares one registry and
 // tracer across a worker's devices).

@@ -348,8 +348,8 @@ func TestReclaimNeverDemotesPinned(t *testing.T) {
 	}
 }
 
-// TestMemOptionsAndShim checks the functional options and the
-// deprecated positional constructor.
+// TestMemOptionsAndShim checks the functional options, including a
+// WithPolicy build and the name of every CachePolicy.
 func TestMemOptionsAndShim(t *testing.T) {
 	model := costmodel.Default()
 	clock := vclock.New()
@@ -393,9 +393,9 @@ func TestMemOptionsAndShim(t *testing.T) {
 	}{
 		{EvictFIFO, "fifo"}, {StopWhenFull, "stop"}, {EvictLRU, "lru"}, {EvictCostAware, "cost"},
 	} {
-		shim := NewGMemoryManager(dev, wrapper, 1<<20, tc.pol)
-		if got := shim.Policy().Name(); got != tc.name {
-			t.Errorf("shim policy %v = %q, want %q", tc.pol, got, tc.name)
+		m := NewMemoryManager(dev, wrapper, 1<<20, WithPolicy(tc.pol))
+		if got := m.Policy().Name(); got != tc.name {
+			t.Errorf("WithPolicy(%v) policy = %q, want %q", tc.pol, got, tc.name)
 		}
 		if got := tc.pol.String(); got != tc.name {
 			t.Errorf("CachePolicy(%d).String() = %q, want %q", tc.pol, got, tc.name)

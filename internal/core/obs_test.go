@@ -37,18 +37,24 @@ func TestStreamOptions(t *testing.T) {
 	}
 }
 
-// TestDeprecatedNewGStreamManagerShim keeps the positional constructor
-// working: it must build the same manager the StreamConfig path does,
-// including the stealing flag's polarity.
-func TestDeprecatedNewGStreamManagerShim(t *testing.T) {
+// TestStreamManagerWithoutStealing builds a manager from a StreamConfig
+// plus WithStealing(false) and checks the stealing flag's polarity, the
+// policy, the streams per GPU and that no observability is wired.
+func TestStreamManagerWithoutStealing(t *testing.T) {
 	model := costmodel.Default()
 	clock := vclock.New()
 	wrapper := NewCUDAWrapper(clock, model)
 	dev := gpu.NewDevice(clock, 0, 0, costmodel.C2050, model.PCIe)
-	mem := NewGMemoryManager(dev, wrapper, costmodel.C2050.MemBytes/2, EvictFIFO)
-	m := NewGStreamManager(clock, wrapper, []*GMemoryManager{mem}, 2, RoundRobin, false)
+	mem := NewMemoryManager(dev, wrapper, costmodel.C2050.MemBytes/2, WithPolicy(EvictFIFO))
+	m := NewStreamManager(StreamConfig{
+		Clock:         clock,
+		Wrapper:       wrapper,
+		Memories:      []*GMemoryManager{mem},
+		StreamsPerGPU: 2,
+		Policy:        RoundRobin,
+	}, WithStealing(false))
 	if m.stealing {
-		t.Error("shim stealing=false must disable stealing")
+		t.Error("WithStealing(false) must disable stealing")
 	}
 	if m.policy != RoundRobin {
 		t.Errorf("policy = %v, want RoundRobin", m.policy)
@@ -57,7 +63,7 @@ func TestDeprecatedNewGStreamManagerShim(t *testing.T) {
 		t.Errorf("streams per GPU = %d, want 2", got)
 	}
 	if m.tracer != nil || m.metrics != nil {
-		t.Error("shim must not wire observability")
+		t.Error("a StreamConfig without Tracer or Metrics must not wire observability")
 	}
 	clock.Run(func() {
 		m.Close()

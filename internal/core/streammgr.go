@@ -235,20 +235,6 @@ func NewStreamManager(cfg StreamConfig, opts ...StreamOption) *GStreamManager {
 	return m
 }
 
-// NewGStreamManager builds the manager from positional arguments.
-//
-// Deprecated: use NewStreamManager with a StreamConfig plus functional
-// options. This shim is kept for one release.
-func NewGStreamManager(clock *vclock.Clock, wrapper *CUDAWrapper, mems []*GMemoryManager, streamsPerGPU int, policy SchedulerPolicy, stealing bool) *GStreamManager {
-	return NewStreamManager(StreamConfig{
-		Clock:         clock,
-		Wrapper:       wrapper,
-		Memories:      mems,
-		StreamsPerGPU: streamsPerGPU,
-		Policy:        policy,
-	}, WithStealing(stealing))
-}
-
 // Devices returns the number of GPUs managed.
 func (m *GStreamManager) Devices() int { return len(m.devs) }
 

@@ -2,125 +2,163 @@ package vclock
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// runOrder executes body under a fresh clock (legacy or batched
-// dispatch) where each spawned process appends its marks to a shared
-// log, and returns the log.
-func runOrder(legacy bool, body func(c *Clock, log *[]string)) []string {
-	c := New()
-	c.SetLegacyDispatch(legacy)
-	var log []string
-	c.Run(func() { body(c, &log) })
-	return log
+// seedPrograms are the hand-written schedules the batching tests pin.
+// Each is also committed, encoded, to FuzzSchedule's seed corpus under
+// testdata/fuzz/FuzzSchedule/<name>.
+var seedPrograms = map[string]*schedProgram{
+	// Eight processes sleep to one shared deadline.
+	"co-deadline-batch": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			repeatOp(8, schedOp{opSpawn, 1, 0}),
+			{{opSleep, 0, 3}},
+		},
+	},
+	// Three processes wait on an event; the first member of a
+	// four-timer batch sets it.
+	"batch-readies-waiters": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			append(append(repeatOp(3, schedOp{opSpawn, 1, 0}), schedOp{opSpawn, 2, 0}), repeatOp(3, schedOp{opSpawn, 3, 0})...),
+			{{opWait, 0, 0}},
+			{{opSleep, 0, 3}, {opSet, 0, 0}},
+			{{opSleep, 0, 3}},
+		},
+	},
+	// Three sleeping producers of a co-deadline batch each wake a
+	// blocked consumer; a later closer ends the stream.
+	"batch-queue-traffic": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			append(append([]schedOp{{opSpawn, 1, 0}}, repeatOp(3, schedOp{opSpawn, 2, 0})...), schedOp{opSpawn, 3, 0}),
+			repeatOp(4, schedOp{opGet, 0, 0}),
+			{{opSleep, 0, 3}, {opPut, 0, 0}, {opSleep, 0, 3}},
+			{{opSleep, 0, 3}, {opSleep, 0, 3}, {opSleep, 0, 3}, {opClose, 0, 0}},
+		},
+	},
+	// Two getters on a queue nobody fills, and a root that starves
+	// itself on a one-unit semaphore.
+	"deadlock-census": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSpawn, 1, 0}, {opAcquire, 0, 0}, {opAcquire, 0, 0}},
+			{{opGet, 0, 0}},
+		},
+	},
+}
+
+func repeatOp(n int, o schedOp) []schedOp {
+	ops := make([]schedOp, n)
+	for i := range ops {
+		ops[i] = o
+	}
+	return ops
+}
+
+// entriesAt returns the log entries stamped at virtual time at.
+func entriesAt(log []logEntry, at time.Duration) []logEntry {
+	var out []logEntry
+	for _, e := range log {
+		if e.at == at {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestCoDeadlineBatchFIFOBySeq pins the batching invariant: when many
 // timers share the earliest deadline, the whole batch is dispatched in
-// arm (seq) order — exactly the order the one-timer-per-dispatch legacy
-// engine produces.
+// arm (seq) order.
 func TestCoDeadlineBatchFIFOBySeq(t *testing.T) {
-	body := func(c *Clock, log *[]string) {
-		g := NewGroup(c)
-		for i := 0; i < 8; i++ {
-			i := i
-			g.Go(fmt.Sprintf("p%d", i), func() {
-				c.Sleep(10 * time.Millisecond) // all eight share one deadline
-				*log = append(*log, fmt.Sprintf("p%d", i))
-			})
-		}
-		g.Wait()
+	out := checkSchedule(t, seedPrograms["co-deadline-batch"])
+	woke := entriesAt(out.log, 3*time.Millisecond)
+	if len(woke) != 8 {
+		t.Fatalf("%d wakes at 3ms, want 8: %+v", len(woke), out.log)
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched wake order %v != legacy order %v", got, want)
-	}
-	for i, m := range got {
-		if m != fmt.Sprintf("p%d", i) {
-			t.Fatalf("wake order %v, want arm order p0..p7", got)
+	for i, e := range woke {
+		if e.pid != i+1 {
+			t.Fatalf("wake order %+v, want arm order pids 1..8", woke)
 		}
 	}
 }
 
-// TestBatchInterleavedWithReadyWakes covers the subtle half of the
-// equivalence proof: a process woken from a co-deadline batch readies
-// other processes (via an event) before the rest of the batch has run.
-// Those readied processes must run before the remaining batch members —
-// in legacy dispatch they become runnable before the next timer pops,
-// and batched dispatch preserves that by draining the run queue before
-// the wake queue.
+// TestBatchInterleavedWithReadyWakes covers the subtle half of batching:
+// a process woken from a co-deadline batch readies other processes (via
+// an event) before the rest of the batch has run. Those readied
+// processes run before the remaining batch members, because a
+// dispatcher drains the run queue before the wake queue.
 func TestBatchInterleavedWithReadyWakes(t *testing.T) {
-	body := func(c *Clock, log *[]string) {
-		g := NewGroup(c)
-		ev := NewEvent(c)
-		for i := 0; i < 3; i++ {
-			i := i
-			g.Go(fmt.Sprintf("waiter%d", i), func() {
-				ev.Wait()
-				*log = append(*log, fmt.Sprintf("waiter%d", i))
-			})
-		}
-		for i := 0; i < 4; i++ {
-			i := i
-			g.Go(fmt.Sprintf("sleeper%d", i), func() {
-				c.Sleep(5 * time.Millisecond)
-				if i == 0 {
-					// First member of the batch readies all three
-					// waiters mid-batch.
-					ev.Set()
-				}
-				*log = append(*log, fmt.Sprintf("sleeper%d", i))
-			})
-		}
-		g.Wait()
+	out := checkSchedule(t, seedPrograms["batch-readies-waiters"])
+	// pids 1-3 wait, pid 4 sleeps then sets, pids 5-7 only sleep.
+	var got []string
+	for _, e := range entriesAt(out.log, 3*time.Millisecond) {
+		got = append(got, fmt.Sprintf("%d.%d", e.pid, e.op))
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched order %v != legacy order %v", got, want)
+	want := "4.0,4.1,1.0,2.0,3.0,5.0,6.0,7.0"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("order at 3ms = %v, want %s", got, want)
 	}
 }
 
 // TestBatchMixedQueueTraffic mixes co-deadline timer batches with queue
-// handoffs — the sleeper-producer wakes a blocked consumer mid-batch —
-// and requires the execution order to match the legacy engine exactly.
+// handoffs: each sleeping producer wakes the blocked consumer mid-batch,
+// and the consumer takes the item before the next producer runs.
 func TestBatchMixedQueueTraffic(t *testing.T) {
-	body := func(c *Clock, log *[]string) {
-		g := NewGroup(c)
-		q := NewQueue[int](c)
-		g.Go("consumer", func() {
-			for {
-				v, ok := q.Get()
-				if !ok {
-					return
-				}
-				*log = append(*log, fmt.Sprintf("got%d", v))
-			}
-		})
-		for i := 0; i < 3; i++ {
-			i := i
-			g.Go(fmt.Sprintf("prod%d", i), func() {
-				c.Sleep(3 * time.Millisecond)
-				q.Put(i)
-				*log = append(*log, fmt.Sprintf("put%d", i))
-				c.Sleep(3 * time.Millisecond)
-				*log = append(*log, fmt.Sprintf("done%d", i))
-			})
+	out := checkSchedule(t, seedPrograms["batch-queue-traffic"])
+	// pid 1 consumes, pids 2-4 produce, pid 5 closes.
+	var got []string
+	for _, e := range out.log {
+		switch {
+		case e.pid == 1:
+			got = append(got, fmt.Sprintf("get%d@%v", e.val, e.at))
+		case e.pid >= 2 && e.pid <= 4 && e.op == 1:
+			got = append(got, fmt.Sprintf("put%d@%v", putValue(e.pid, 1), e.at))
 		}
-		g.Go("closer", func() {
-			c.Sleep(20 * time.Millisecond)
-			q.Close()
-		})
-		g.Wait()
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched order %v != legacy order %v", got, want)
+	want := "put513@3ms,get513@3ms,put769@3ms,get769@3ms,put1025@3ms,get1025@3ms,get-1@9ms"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("queue traffic = %v, want %s", got, want)
+	}
+}
+
+// TestScheduleSeedCorpus checks that the committed seed corpus holds
+// exactly the encoded seed programs, and that the deadlocking seed
+// reports the census both schedulers agree on without leaking the
+// parked coroutines.
+func TestScheduleSeedCorpus(t *testing.T) {
+	for name, p := range seedPrograms { //gflink:unordered — each entry is checked on its own
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSchedule", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		quoted := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(quoted)
+		if err != nil || data != string(encodeProgram(p)) {
+			t.Errorf("%s: corpus entry %q does not encode the seed program (%v)", name, quoted, err)
+		}
+		if !reflect.DeepEqual(decodeProgram([]byte(data)), p) {
+			t.Errorf("%s: corpus entry decodes to a different program", name)
+		}
+	}
+	before := runtime.NumGoroutine()
+	out := checkSchedule(t, seedPrograms["deadlock-census"])
+	want := []string{"virtual time: 0s", "processes alive: 3", "queue 2", "sem:s0 1"}
+	if !reflect.DeepEqual(out.deadlock, want) {
+		t.Fatalf("deadlock census = %q, want %q", out.deadlock, want)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after the deadlocked runs, %d before", after, before)
 	}
 }
 
@@ -225,20 +263,5 @@ func TestDeadlockDiagnosticCensus(t *testing.T) {
 			sem.Acquire(1) // starves itself: nobody releases
 		})
 		g.Wait()
-	})
-}
-
-// TestLegacyDispatchGuards pins the mode-switch contract: flipping
-// dispatch modes after the clock has started must panic rather than
-// silently mix engines.
-func TestLegacyDispatchGuards(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic from SetLegacyDispatch after Run")
-		}
-	}()
-	c := New()
-	c.Run(func() {
-		c.SetLegacyDispatch(true)
 	})
 }

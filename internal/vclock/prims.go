@@ -6,9 +6,8 @@ import (
 
 // waiter is a parked process waiting on a primitive: the process shell
 // to wake plus the semaphore units it requested. Wakes target the
-// process shell, so in the batched engine the waker recycles the waiter
-// shell the moment it leaves the wait queue; the legacy engine keeps the
-// pre-batching behavior of the woken process re-locking to recycle it.
+// process shell, so the waker recycles the waiter shell the moment it
+// leaves the wait queue.
 type waiter struct {
 	p *proc
 	n int64 // semaphore units requested
@@ -54,9 +53,7 @@ func (q *Queue[T]) Close() {
 			break
 		}
 		q.c.ready(reasonQueue, w.p)
-		if !q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
+		q.c.putWaiterLocked(w)
 	}
 }
 
@@ -76,18 +73,13 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 			return v, false
 		}
 		p := q.c.cur
-		w := q.c.takeWaiterLocked(p, 0)
-		q.waiters.Push(w)
+		q.waiters.Push(q.c.takeWaiterLocked(p, 0))
 		q.c.block(reasonQueue, nil)
 		q.c.mu.Unlock()
 		p.park()
 		// Resumed: re-lock and re-check. The waker already recycled the
-		// waiter shell (batched engine); the legacy engine recycles it
-		// here.
+		// waiter shell.
 		q.c.mu.Lock()
-		if q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
 	}
 }
 
@@ -113,9 +105,7 @@ func (q *Queue[T]) Len() int {
 func (q *Queue[T]) wakeOneLocked() {
 	if w, ok := q.waiters.Pop(); ok {
 		q.c.ready(reasonQueue, w.p)
-		if !q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
+		q.c.putWaiterLocked(w)
 	}
 }
 
@@ -156,18 +146,10 @@ func (s *Semaphore) Acquire(n int64) {
 		return
 	}
 	p := s.c.cur
-	w := s.c.takeWaiterLocked(p, n)
-	s.waiters.Push(w)
+	s.waiters.Push(s.c.takeWaiterLocked(p, n))
 	s.c.block(s.reasonIdx, nil)
 	s.c.mu.Unlock()
 	p.park()
-	if s.c.legacy {
-		// Pre-batching behavior: the woken process re-locks to recycle
-		// the waiter shell Release removed from the queue.
-		s.c.mu.Lock()
-		s.c.putWaiterLocked(w)
-		s.c.mu.Unlock()
-	}
 }
 
 // Release returns n units and wakes as many queued acquirers as now fit,
@@ -190,9 +172,7 @@ func (s *Semaphore) Release(n int64) {
 		s.waiters.Pop()
 		s.free -= w.n
 		s.c.ready(s.reasonIdx, w.p)
-		if !s.c.legacy {
-			s.c.putWaiterLocked(w)
-		}
+		s.c.putWaiterLocked(w)
 	}
 }
 
@@ -241,9 +221,7 @@ func (e *Event) Set() {
 			break
 		}
 		e.c.ready(reasonEvent, w.p)
-		if !e.c.legacy {
-			e.c.putWaiterLocked(w)
-		}
+		e.c.putWaiterLocked(w)
 	}
 }
 
@@ -257,18 +235,10 @@ func (e *Event) Wait() {
 		return
 	}
 	p := e.c.cur
-	w := e.c.takeWaiterLocked(p, 0)
-	e.waiters.Push(w)
+	e.waiters.Push(e.c.takeWaiterLocked(p, 0))
 	e.c.block(reasonEvent, nil)
 	e.c.mu.Unlock()
 	p.park()
-	if e.c.legacy {
-		// Pre-batching behavior: the woken process re-locks to recycle
-		// the waiter shell Set removed from the queue.
-		e.c.mu.Lock()
-		e.c.putWaiterLocked(w)
-		e.c.mu.Unlock()
-	}
 }
 
 // IsSet reports whether the event fired.

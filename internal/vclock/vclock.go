@@ -18,8 +18,10 @@
 // Dispatch is batched: when the clock advances, every timer sharing the
 // new instant is drained from the heap at once, in seq order, into a
 // wake batch; readied processes still run before the next batch member
-// fires, so the observable wake order is exactly the pre-batching
-// FIFO-by-seq order (see DESIGN.md "Simulator engine").
+// fires, so the observable wake order is exactly the textbook one —
+// next ready process, else one timer per step in (deadline, seq) order —
+// that the test-only reference scheduler checks (see DESIGN.md
+// "Simulator engine").
 //
 // If every process is blocked and no timer is pending, the simulation
 // cannot make progress; the kernel panics with a diagnostic listing the
@@ -97,11 +99,6 @@ type Clock struct {
 	// processes are parked for reasonLabels[i].
 	reasonLabels []string
 	blockedN     []int
-	// legacy selects the pre-batching dispatch engine (one timer per
-	// dispatch, census map, per-park recycle round trip) for speedup
-	// baselines and byte-identity tests. Immutable once Run starts.
-	legacy        bool
-	legacyBlocked map[string]int
 	// panicked records a panic raised inside a process so Run can
 	// re-raise it on the caller's goroutine.
 	panicked any
@@ -124,29 +121,9 @@ func New() *Clock {
 	}
 }
 
-// SetLegacyDispatch switches the clock to the pre-batching dispatch
-// engine: timers fire one per dispatch with a full handoff each, the
-// blocked census is a string-keyed map, and parked processes re-lock
-// after waking to recycle their park shells. Schedules and
-// traces are byte-identical to the batched engine — only the constant
-// factor differs — which is exactly what the vclock-bench speedup
-// baseline and the dispatch-equivalence tests need. It must be called
-// before Run.
-func (c *Clock) SetLegacyDispatch(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		panic("vclock: SetLegacyDispatch after Run started")
-	}
-	c.legacy = on
-	if on && c.legacyBlocked == nil {
-		c.legacyBlocked = make(map[string]int)
-	}
-}
-
 // RegisterReason interns a block-reason label for the deadlock census
 // and returns its fixed index. Labels are deduplicated, so primitives
-// sharing a name share a census row exactly as the map census did.
+// sharing a name share a census row.
 func (c *Clock) RegisterReason(label string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,18 +138,12 @@ func (c *Clock) RegisterReason(label string) int {
 }
 
 // Now reports the current virtual time as a duration since the start of
-// the simulation. The batched engine reads it lock-free: the dispatcher
-// publishes the instant atomically before any handoff, and only the
-// dispatcher — which runs while every other process is parked — ever
-// writes it.
+// the simulation. It reads lock-free: the dispatcher publishes the
+// instant atomically before any handoff, and only the dispatcher — which
+// runs while every other process is parked — ever writes it.
 //
 //gflink:hotpath
 func (c *Clock) Now() time.Duration {
-	if c.legacy {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.now
-	}
 	return time.Duration(atomic.LoadInt64(&c.nowNanos))
 }
 
@@ -278,22 +249,7 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.mu.Lock()
 	p := c.cur
-	t := c.takeTimerLocked(p, c.now+d)
-	heap.Push(&c.timers, t)
-	if c.legacy {
-		c.block(reasonSleep, nil)
-		c.mu.Unlock()
-		p.park()
-		// Resumed: t is off the heap, so the timer can be recycled. The
-		// extra lock round-trip changes no scheduling decision — this
-		// process already holds the execution slot. (The batched engine
-		// recycles the timer inside the dispatcher instead and skips this
-		// round trip.)
-		c.mu.Lock()
-		c.putTimerLocked(t)
-		c.mu.Unlock()
-		return
-	}
+	heap.Push(&c.timers, c.takeTimerLocked(p, c.now+d))
 	if c.block(reasonSleep, p) {
 		c.mu.Unlock()
 		return
@@ -343,8 +299,8 @@ func (c *Clock) takeTimerLocked(p *proc, deadline time.Duration) *timer {
 	return &timer{deadline: deadline, seq: c.seq, p: p}
 }
 
-// putTimerLocked recycles a fired timer. The batched dispatcher calls
-// it the moment a timer is drained from the heap — before the handoff —
+// putTimerLocked recycles a fired timer. The dispatcher calls it the
+// moment a timer is drained from the heap — before the handoff —
 // because the wake targets the process shell, not the timer.
 // Callers must hold c.mu.
 //
@@ -372,9 +328,9 @@ func (c *Clock) takeWaiterLocked(p *proc, n int64) *waiter {
 	return &waiter{p: p, n: n}
 }
 
-// putWaiterLocked recycles a waiter whose wake has been queued (batched
-// engine: the waker recycles it; legacy engine: the woken process does,
-// after re-locking). Callers must hold c.mu.
+// putWaiterLocked recycles a waiter whose wake has been queued: the
+// waker recycles it, since the wake targets the process shell. Callers
+// must hold c.mu.
 //
 //gflink:hotpath
 func (c *Clock) putWaiterLocked(w *waiter) {
@@ -395,13 +351,6 @@ func (c *Clock) putWaiterLocked(w *waiter) {
 //gflink:hotpath
 func (c *Clock) block(idx int, self *proc) bool {
 	c.running--
-	if c.legacy {
-		//gflink:allow-alloc legacy baseline engine keeps the pre-batching census map by design
-		c.legacyBlocked[c.reasonLabels[idx]]++
-		//gflink:allow-alloc legacy baseline engine: pre-batching one-timer dispatcher, off the production path
-		c.legacyDispatchLocked()
-		return false
-	}
 	c.blockedN[idx]++
 	return c.dispatchLocked(self)
 }
@@ -414,16 +363,7 @@ func (c *Clock) block(idx int, self *proc) bool {
 //
 //gflink:hotpath
 func (c *Clock) ready(idx int, p *proc) {
-	if c.legacy {
-		label := c.reasonLabels[idx]
-		//gflink:allow-alloc legacy baseline engine keeps the pre-batching census map by design
-		c.legacyBlocked[label]--
-		if c.legacyBlocked[label] == 0 {
-			delete(c.legacyBlocked, label)
-		}
-	} else {
-		c.blockedN[idx]--
-	}
+	c.blockedN[idx]--
 	c.runq.Push(p)
 }
 
@@ -433,7 +373,7 @@ func (c *Clock) ready(idx int, p *proc) {
 // drained from the timer heap. Draining every timer that shares the
 // earliest deadline in one locked sweep (seq order, which is FIFO
 // order) is what "batched dispatch" means; it is observationally
-// identical to the one-timer-per-dispatch engine because a timer armed
+// identical to firing one timer per dispatch because a timer armed
 // *after* the batch formed necessarily carries a larger seq and the
 // same instant, so it would have fired after the whole batch anyway.
 //
@@ -443,16 +383,6 @@ func (c *Clock) ready(idx int, p *proc) {
 //
 //gflink:hotpath
 func (c *Clock) dispatchLocked(self *proc) bool {
-	if c.legacy {
-		// Route every dispatch entry point (block, exit, Run) through the
-		// one-timer engine on a legacy clock. Mixing dispatchers corrupts
-		// the park machinery: this path recycles fired timers and forms
-		// wakeq batches, while legacy sleepers recycle their own timers
-		// and legacyDispatchLocked never drains wakeq.
-		//gflink:allow-alloc legacy baseline engine: pre-batching one-timer dispatcher, off the production path
-		c.legacyDispatchLocked()
-		return false
-	}
 	if !c.started || c.running > 0 || c.total == 0 {
 		return false
 	}
@@ -501,36 +431,6 @@ func (c *Clock) handoffLocked(p, self *proc) bool {
 	return false
 }
 
-// legacyDispatchLocked is the pre-batching dispatcher: next readied
-// process, else exactly one timer — the earliest pending (FIFO by seq
-// at equal deadlines) — fires per dispatch, with a full handoff each.
-// Co-deadline timers fire one by one as each woken process blocks
-// again; virtual time holds still in between. Callers must hold c.mu.
-func (c *Clock) legacyDispatchLocked() {
-	if !c.started || c.running > 0 || c.total == 0 {
-		return
-	}
-	if p, ok := c.runq.Pop(); ok {
-		c.running++
-		c.cur = p
-		c.nextp = p
-		return
-	}
-	if len(c.timers) == 0 {
-		c.deadlockLocked()
-		return
-	}
-	t := heap.Pop(&c.timers).(*timer)
-	c.setNowLocked(t.deadline)
-	c.legacyBlocked["sleep"]--
-	if c.legacyBlocked["sleep"] == 0 {
-		delete(c.legacyBlocked, "sleep")
-	}
-	c.running++
-	c.cur = t.p
-	c.nextp = t.p
-}
-
 // deadlockLocked ends the simulation with a deadlock diagnostic. Either
 // a process died by panic (simulation already compromised) or this is a
 // genuine deadlock. The error surfaces from Run on the caller's
@@ -554,15 +454,9 @@ func (c *Clock) diagnosticLocked() string {
 		n     int
 	}
 	var rows []row
-	if c.legacy {
-		for label, n := range c.legacyBlocked { //gflink:unordered — sorted below
-			rows = append(rows, row{label, n})
-		}
-	} else {
-		for i, n := range c.blockedN {
-			if n != 0 {
-				rows = append(rows, row{c.reasonLabels[i], n})
-			}
+	for i, n := range c.blockedN {
+		if n != 0 {
+			rows = append(rows, row{c.reasonLabels[i], n})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].label < rows[j].label })
