@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-baseline bench bench-test
+.PHONY: build test race vet vet-baseline bench bench-test results
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ vet-baseline:
 
 bench:
 	$(GO) run ./cmd/gflink-bench -list
+
+# Rewrite EXPERIMENTS.md's Full results from the code. TestResultsGolden
+# fails whenever the two disagree; after a change that moves a result on
+# purpose, run this and re-derive the scorecard from the new tables.
+results:
+	$(GO) test ./internal/bench -run '^TestResultsGolden$$' -count=1 -update
 
 # benchmark/ is a module of its own, so `go test ./...` at the root
 # never reaches its tests.

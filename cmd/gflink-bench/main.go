@@ -5,18 +5,17 @@
 //
 //	gflink-bench -list
 //	gflink-bench -exp fig5a,table2
-//	gflink-bench -all [-scale 4] [-md results.md] [-trace out.json]
+//	gflink-bench -all [-md results.md] [-trace out.json]
 //
-// -scale divides the real (in-memory) data sizes; 1 is full fidelity,
-// larger values run faster. Some experiments' simulated results move
-// with it (ROADMAP item 1 tracks the fix), so tables and traces are
-// reproducible only at a fixed -scale.
+// Every experiment runs at its own fixed data scale, so the tables are
+// the same on every run; EXPERIMENTS.md's Full results are the -all
+// output.
 //
 // -trace additionally records every deployment's span stream and writes
 // one Chrome trace_event JSON file (open it at chrome://tracing or
 // https://ui.perfetto.dev). All span timestamps come from the virtual
-// clock, so at a given -scale the file is byte-identical across runs
-// and GOMAXPROCS values.
+// clock, so the file is byte-identical across runs and GOMAXPROCS
+// values.
 //
 // -check runs each experiment's pinned-shape check. A failing check
 // still writes the -trace and -md files, then exits nonzero.
@@ -44,9 +43,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		list   = fs.Bool("list", false, "list experiments and exit")
-		exps   = fs.String("exp", "", "comma-separated experiment IDs to run")
+		expIDs = fs.String("exp", "", "comma-separated experiment IDs to run")
 		all    = fs.Bool("all", false, "run every experiment")
-		scale  = fs.Int64("scale", 1, "real-data scale divisor multiplier (1 = full fidelity)")
 		mdPath = fs.String("md", "", "also write results as markdown to this file")
 		check  = fs.Bool("check", false, "run each experiment's pinned-shape check and exit nonzero on regression")
 		trace  = fs.String("trace", "", "write a Chrome trace_event JSON of every run to this file")
@@ -62,14 +60,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var ids []string
+	var exps []*bench.Experiment
 	switch {
 	case *all:
-		for _, e := range bench.All() {
-			ids = append(ids, e.ID)
+		exps = bench.All()
+	case *expIDs != "":
+		// Resolve every ID before running anything, so a typo fails
+		// fast instead of after the experiments before it.
+		for _, id := range strings.Split(*expIDs, ",") {
+			e, ok := bench.ByID(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
+				return 2
+			}
+			exps = append(exps, e)
 		}
-	case *exps != "":
-		ids = strings.Split(*exps, ",")
 	default:
 		fmt.Fprintln(stderr, "nothing to do: pass -all, -exp or -list")
 		fs.Usage()
@@ -80,19 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var failed bool
 	var procs []obs.TraceProcess
 	md.WriteString("# GFlink reproduction results\n\n")
-	for _, id := range ids {
-		e, ok := bench.ByID(strings.TrimSpace(id))
-		if !ok {
-			fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
-			return 1
-		}
+	for _, e := range exps {
 		var t *bench.Table
 		if *trace != "" {
 			var ps []obs.TraceProcess
-			t, ps = bench.RunTraced(e, *scale)
+			t, ps = bench.RunTraced(e)
 			procs = append(procs, ps...)
 		} else {
-			t = e.Run(*scale)
+			t = e.Run()
 		}
 		fmt.Fprintln(stdout, t.String())
 		md.WriteString(t.Markdown())

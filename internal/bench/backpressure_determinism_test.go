@@ -18,7 +18,7 @@ func backpressureTrace(t *testing.T) (string, []byte) {
 	if !ok {
 		t.Fatal("abl-backpressure not registered")
 	}
-	tbl, procs := RunTraced(e, testScale)
+	tbl, procs := RunTraced(e)
 	if len(procs) != 6 {
 		t.Fatalf("abl-backpressure built %d deployments, want 6 (2 placements x 3 limits)", len(procs))
 	}

@@ -99,15 +99,14 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Experiment regenerates one paper artifact. Scale multiplies the
-// experiment's baseline scale divisor: 1 is the default fidelity, larger
-// values run faster on smaller real data without changing any simulated
-// cost.
+// Experiment regenerates one paper artifact. Each experiment fixes its
+// own real-data scale divisor, so Run always renders the same table;
+// EXPERIMENTS.md's Full results are that table set.
 type Experiment struct {
 	ID    string
 	Title string
 	Paper string
-	Run   func(scale int64) *Table
+	Run   func() *Table
 	// Check validates a rendered table against the experiment's pinned
 	// shape (nil = no machine check). The bench CLI's -check flag runs
 	// it so CI can fail on simulated-time regressions.
@@ -154,12 +153,3 @@ func parseSeconds(cell string) (float64, error) {
 
 // ratio formats a speedup.
 func ratio(x float64) string { return fmt.Sprintf("%.2fx", x) }
-
-// scaled applies the experiment scale to a baseline divisor, keeping at
-// least 1.
-func scaled(base, scale int64) int64 {
-	if scale < 1 {
-		scale = 1
-	}
-	return base * scale
-}

@@ -3,6 +3,7 @@ package bench
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,7 +27,24 @@ func secondsCell(t *testing.T, cell string) float64 {
 	return v
 }
 
-const testScale = 16 // aggressive scale-down keeps tests fast
+// tableOnce memoizes one experiment's table.
+type tableOnce struct {
+	once sync.Once
+	tbl  *Table
+}
+
+// tables maps an experiment ID to its *tableOnce, so each experiment
+// runs once per test process and the shape tests and TestResultsGolden
+// share the run. Callers must not modify the returned table.
+var tables sync.Map
+
+// table returns e's memoized table, running e on first use.
+func table(e *Experiment) *Table {
+	v, _ := tables.LoadOrStore(e.ID, new(tableOnce))
+	m := v.(*tableOnce)
+	m.once.Do(func() { m.tbl = e.Run() })
+	return m.tbl
+}
 
 func runExp(t *testing.T, id string) *Table {
 	t.Helper()
@@ -34,7 +52,7 @@ func runExp(t *testing.T, id string) *Table {
 	if !ok {
 		t.Fatalf("experiment %q missing", id)
 	}
-	tbl := e.Run(testScale)
+	tbl := table(e)
 	if len(tbl.Rows) == 0 {
 		t.Fatalf("%s produced no rows", id)
 	}
@@ -300,8 +318,8 @@ func TestMarkdownRendering(t *testing.T) {
 
 func TestDeterministicExperiment(t *testing.T) {
 	a := runExp(t, "abl-zerocopy")
-	b := runExp(t, "abl-zerocopy")
-	if a.String() != b.String() {
+	e, _ := ByID("abl-zerocopy")
+	if a.String() != e.Run().String() {
 		t.Error("experiment output differs across runs")
 	}
 }

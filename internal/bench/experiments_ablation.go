@@ -15,7 +15,7 @@ func init() {
 		ID:    "abl-layout",
 		Title: "Ablation: data layout (AoS vs SoA vs AoP) on a bandwidth-bound kernel",
 		Paper: "Section 2.1/3.2: columnar layouts coalesce global-memory accesses; AoS pays a bandwidth penalty",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-layout", Title: "Layout ablation", Paper: "SoA/AoP coalesced; AoS penalized",
 				Header: []string{"layout", "kernel time", "vs SoA"}}
 			g := paperSpec(1, 1, 1).Build()
@@ -49,7 +49,7 @@ func init() {
 		ID:    "abl-zerocopy",
 		Title: "Ablation: off-heap zero-copy transfer vs naive heap path",
 		Paper: "Section 4.1: the naive path adds JVM-heap-to-native copies and serialization; GFlink's off-heap layout removes both",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-zerocopy", Title: "Zero-copy ablation", Paper: "naive = serde + heap copy + DMA; GFlink = redirect + DMA",
 				Header: []string{"bytes", "naive path", "GFlink path", "saving"}}
 			g := paperSpec(1, 1, 1).Build()
@@ -92,14 +92,14 @@ func init() {
 		ID:    "abl-pipeline",
 		Title: "Ablation: three-stage pipelining (streams per GPU)",
 		Paper: "Section 5: asynchronous streams overlap H2D, kernel and D2H; one stream serializes the stages",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-pipeline", Title: "Pipelining ablation", Paper: "more streams -> overlap -> shorter makespan",
 				Header: []string{"streams/GPU", "PointAdd total", "vs 1 stream"}}
 			var base time.Duration
 			for _, streams := range []int{1, 2, 4, 8} {
 				// A K20 (two copy engines) so H2D and D2H of different
 				// streams genuinely overlap.
-				spec := paperSpec(1, 1, scaled(100_000, scale))
+				spec := paperSpec(1, 1, 100_000)
 				spec.Profile = costmodel.K20
 				spec.StreamsPerGPU = streams
 				g := spec.Build()
@@ -120,11 +120,11 @@ func init() {
 		ID:    "abl-locality",
 		Title: "Ablation: locality-aware scheduling (Algorithm 5.1) vs round-robin",
 		Paper: "Section 5.3: placing work on the GPU that caches its input avoids re-transfers; round-robin thrashes a capacity-limited cache",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-locality", Title: "Locality scheduling ablation", Paper: "locality-aware beats round-robin under cache pressure",
 				Header: []string{"scheduler", "SpMV total", "vs locality"}}
 			run := func(policy core.SchedulerPolicy) time.Duration {
-				spec := paperSpec(1, 2, scaled(50_000, scale))
+				spec := paperSpec(1, 2, 50_000)
 				spec.Scheduler = policy
 				// Cache sized to half the matrix per device: with locality
 				// each GPU keeps its half resident; round-robin placement
@@ -150,7 +150,7 @@ func init() {
 		ID:    "abl-stealing",
 		Title: "Ablation: locality-aware work stealing (Algorithm 5.2)",
 		Paper: "Section 5.3: when locality pins a queue to one GPU, idle streams on the other GPU steal from it",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-stealing", Title: "Work-stealing ablation", Paper: "stealing engages the idle GPU and shortens the makespan",
 				Header: []string{"stealing", "makespan", "vs on"}}
 			run := func(disable bool) time.Duration {
@@ -210,11 +210,11 @@ func init() {
 		ID:    "abl-blocksize",
 		Title: "Ablation: block (memory page) size for the pipeline",
 		Paper: "Section 5.1: blocks are memory pages; too small pays per-work overheads, too large starves the pipeline",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-blocksize", Title: "Block-size ablation", Paper: "per-work overhead vs pipeline granularity trade-off",
 				Header: []string{"block nominal", "PointAdd total"}}
 			for _, nom := range []int64{2 << 20, 16 << 20, 128 << 20, 1 << 30} {
-				spec := paperSpec(1, 2, scaled(50_000, scale))
+				spec := paperSpec(1, 2, 50_000)
 				spec.BlockNominal = nom
 				g := spec.Build()
 				var r workloads.Result

@@ -13,32 +13,21 @@ import (
 // (batches) per edge.
 var backpressureLimits = []int{1, 4, 16}
 
-// backpressureRecords returns the stream length at a given scale: the
-// full-fidelity run ingests 128Ki records; scale divides it, floored so
-// even -scale 16 fires a healthy window count.
-func backpressureRecords(scale int64) int64 {
-	if scale < 1 {
-		scale = 1
-	}
-	n := int64(131072) / scale
-	if n < 8192 {
-		n = 8192
-	}
-	return n
-}
+// backpressureRecords is the stream length each cell ingests.
+const backpressureRecords = 131072
 
 // backpressureRun drives one (consumer placement, buffer limit) cell on
 // a fresh two-worker deployment: the source on worker 0 outruns the
 // window consumer on worker 1, so throughput is governed by how much
 // pipeline overlap the credit limit allows.
-func backpressureRun(mode plan.Mode, limit int, scale int64, onBuild func(*core.GFlink)) stream.Result {
+func backpressureRun(mode plan.Mode, limit int, onBuild func(*core.GFlink)) stream.Result {
 	spec := paperSpec(2, 1, 1)
 	spec.OnBuild = onBuild
 	g := spec.Build()
 	var res stream.Result
 	g.Run(func() {
 		res = workloads.Backpressure(g, workloads.BackpressureParams{
-			Records:       backpressureRecords(scale),
+			Records:       backpressureRecords,
 			Mode:          mode,
 			BufferBatches: limit,
 		})
@@ -51,7 +40,7 @@ func init() {
 		ID:    "abl-backpressure",
 		Title: "Ablation: streaming credit-based backpressure — throughput vs buffer limit x consumer placement",
 		Paper: "bounded buffers under a rate mismatch: throughput rises monotonically with the credit limit as the credit round trip overlaps production, and the producer's credits-blocked time proves backpressure engaged at the smallest limit",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{
 				ID:     "abl-backpressure",
 				Title:  "Streaming backpressure ablation",
@@ -72,7 +61,7 @@ func init() {
 				}
 			}
 			run := RunPoints(len(pts), func(i int, onBuild func(*core.GFlink)) stream.Result {
-				return backpressureRun(pts[i].mode, pts[i].limit, scale, onBuild)
+				return backpressureRun(pts[i].mode, pts[i].limit, onBuild)
 			})
 			thr := map[string]map[int]float64{}
 			blocked1 := map[string]int64{}

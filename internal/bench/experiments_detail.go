@@ -14,10 +14,10 @@ func init() {
 		ID:    "fig7a",
 		Title: "KMeans per-iteration time (210M points, 3-slave cluster)",
 		Paper: "first iteration pays HDFS read, last pays the result write; middle iterations are fast and GPU-dominated",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig7a", Title: "KMeans per-iteration", Paper: "slow first/last iterations; fast cached middle", Header: []string{"iteration", "Flink(CPU)", "GFlink"}}
 			p := workloads.KMeansParams{Points: 210e6, Iterations: 10, UseCache: true, FromHDFS: true, WriteResult: true, Seed: 7}
-			g := paperSpec(3, 2, scaled(200_000, scale)).Build()
+			g := paperSpec(3, 2, 200_000).Build()
 			var cpu, gpuR workloads.Result
 			g.Run(func() {
 				cpu = workloads.KMeansCPU(g, p)
@@ -37,11 +37,11 @@ func init() {
 		ID:    "fig7b",
 		Title: "SpMV per-iteration time (1.0 GB matrix, 123 MB vector, single machine)",
 		Paper: "GPU ~2.5x over CPU in iteration 1, ~10x afterwards; 2 GPUs beat 1; last iteration writes to HDFS",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig7b", Title: "SpMV per-iteration, single machine", Paper: "first iter ~2.5x, steady ~10x, 2 GPUs < 1 GPU", Header: []string{"iteration", "CPU", "1 GPU", "2 GPUs"}}
 			p := workloads.SpMVParams{MatrixBytes: 1 << 30, NNZPerRow: 4, Iterations: 10, UseCache: true, FromHDFS: true, WriteResult: true, Seed: 7}
 			run := func(gpus int, gpuPath bool) workloads.Result {
-				g := paperSpec(1, max(gpus, 1), scaled(50_000, scale)).Build()
+				g := paperSpec(1, max(gpus, 1), 50_000).Build()
 				var r workloads.Result
 				g.Run(func() {
 					if gpuPath {
@@ -72,12 +72,12 @@ func init() {
 		ID:    "fig7c",
 		Title: "KMeans average time vs number of slave nodes (210M points)",
 		Paper: "CPU time falls quickly with more slaves; GPU time falls slowly (already communication-bound)",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig7c", Title: "KMeans scaling with slaves", Paper: "CPU scales ~linearly, GPU flattens", Header: []string{"slaves", "Flink(CPU)", "GFlink", "speedup"}}
 			p := workloads.KMeansParams{Points: 210e6, Iterations: 10, UseCache: true, Seed: 7}
 			var cpuTimes, gpuTimes []time.Duration
 			for _, w := range []int{1, 2, 4, 6, 8, 10} {
-				g := paperSpec(w, 2, scaled(200_000, scale)).Build()
+				g := paperSpec(w, 2, 200_000).Build()
 				var cpu, gpuR workloads.Result
 				g.Run(func() {
 					cpu = workloads.KMeansCPU(g, p)
@@ -98,12 +98,12 @@ func init() {
 		ID:    "fig7d",
 		Title: "SpMV average time vs number of slave nodes (10 GB matrix)",
 		Paper: "same shape as Fig 7c: the GPU side stops scaling once communication dominates",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig7d", Title: "SpMV scaling with slaves", Paper: "CPU scales ~linearly, GPU flattens", Header: []string{"slaves", "Flink(CPU)", "GFlink", "speedup"}}
 			p := workloads.SpMVParams{MatrixBytes: 10 << 30, FixedRows: 30_750_000, Iterations: 10, UseCache: true, Seed: 7}
 			var cpuTimes, gpuTimes []time.Duration
 			for _, w := range []int{1, 2, 4, 6, 8, 10} {
-				g := paperSpec(w, 2, scaled(200_000, scale)).Build()
+				g := paperSpec(w, 2, 200_000).Build()
 				var cpu, gpuR workloads.Result
 				g.Run(func() {
 					cpu = workloads.SpMVCPU(g, p)
@@ -124,7 +124,7 @@ func init() {
 		ID:    "table2",
 		Title: "Transfer-channel bandwidth, host to device",
 		Paper: "GFlink trails native for small transfers (JNI redirect) and matches it beyond ~256 KiB, plateauing near 3 GB/s",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "table2", Title: "Transfer-channel bandwidth H2D", Paper: "ramp to ~3 GB/s; native faster only for small transfers",
 				Header: []string{"bytes", "GFlink(MB/s)", "native(MB/s)", "paper GFlink", "paper native"}}
 			paperG := map[int64]string{2048: "776", 4096: "1241", 16384: "2196", 32768: "2556", 131072: "2858", 262144: "2968", 524288: "2960", 1048576: "2974"}

@@ -14,7 +14,7 @@ func init() {
 		ID:    "fig8a",
 		Title: "Effect of the GPU cache scheme (SpMV per-iteration, single machine)",
 		Paper: "without the cache the matrix re-crosses PCIe every iteration and per-iteration time rises",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig8a", Title: "GPU cache effect on SpMV", Paper: "uncached iterations pay the matrix transfer every time", Header: []string{"iteration", "with cache", "without cache"}}
 			p := workloads.SpMVParams{MatrixBytes: 1 << 30, NNZPerRow: 4, Iterations: 8, Seed: 7}
 			type cell struct {
@@ -24,7 +24,7 @@ func init() {
 			// The cached and uncached runs are independent deployments;
 			// declared order (with, without) fixes the trace numbering.
 			cells := RunPoints(2, func(i int, onBuild func(*core.GFlink)) cell {
-				spec := paperSpec(1, 2, scaled(50_000, scale))
+				spec := paperSpec(1, 2, 50_000)
 				spec.OnBuild = onBuild
 				g := spec.Build()
 				var r workloads.Result
@@ -48,7 +48,7 @@ func init() {
 			return t
 		},
 		Check: func(t *Table) error {
-			// Simulated times are scale-invariant, so the steady-state
+			// Simulated times are deterministic, so the steady-state
 			// ratio is pinned tightly: any drift means a cost-model or
 			// engine regression, not a noisy measurement.
 			if len(t.Notes) == 0 {
@@ -89,7 +89,7 @@ func init() {
 		ID:    "fig8b",
 		Title: "GMapper/GReducer kernel speedups per GPU generation (single node)",
 		Paper: "P100 fastest, then K20; C2050 and GTX750 comparable; GMapper speedups exceed end-to-end speedups; the GReducer gains little",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			profiles := []costmodel.GPUProfile{costmodel.GTX750, costmodel.C2050, costmodel.K20, costmodel.P100}
 			t := &Table{ID: "fig8b", Title: "Kernel speedups by GPU generation", Paper: "P100 > K20 > C2050 ~ GTX750; GReducer low",
 				Header: []string{"kernel", "GTX750", "C2050", "K20", "P100"}}
@@ -130,7 +130,7 @@ func init() {
 			// One deployment per GPU generation, fanned out across OS
 			// threads; each point returns its column of speedups.
 			cols := RunPoints(len(profiles), func(pi int, onBuild func(*core.GFlink)) []float64 {
-				spec := paperSpec(1, 2, scaled(100_000, scale))
+				spec := paperSpec(1, 2, 100_000)
 				spec.Profile = profiles[pi]
 				spec.OnBuild = onBuild
 				g := spec.Build()
@@ -168,10 +168,10 @@ func init() {
 		ID:    "fig8c",
 		Title: "Concurrent multi-application execution on a single node",
 		Paper: "running three apps concurrently takes slightly more than the sum of their exclusive times (the GPUs are shared)",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig8c", Title: "Concurrent apps, single node", Paper: "concurrent total slightly exceeds sum of exclusive runs",
 				Header: []string{"application", "exclusive", "concurrent"}}
-			div := scaled(100_000, scale)
+			const div = 100_000
 			// Transfer-heavy, uncached configurations: each application on
 			// its own saturates the node's GPUs, so sharing them cannot
 			// overlap (the paper's setting).
@@ -229,10 +229,10 @@ func init() {
 		ID:    "fig8d",
 		Title: "Concurrent multi-application execution on the 10-slave cluster",
 		Paper: "exclusive speedups are roughly 4x the speedups under 3-way concurrency",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "fig8d", Title: "Concurrent apps, cluster", Paper: "exclusive speedup ~4x the concurrent speedup",
 				Header: []string{"application", "CPU", "GPU exclusive", "speedup excl", "GPU concurrent", "speedup conc"}}
-			div := scaled(200_000, scale)
+			const div = 200_000
 			type app struct {
 				name string
 				cpu  func(g *core.GFlink) workloads.Result

@@ -107,11 +107,7 @@ func init() {
 		ID:    "abl-oocore",
 		Title: "Ablation: out-of-core tiered memory — eviction policy x working-set factor",
 		Paper: "Section 4.2.2 extended: with a host paging tier and spill disk, jobs larger than device memory still run; recency/cost-aware eviction keeps reused blocks resident where FIFO thrashes",
-		Run: func(scale int64) *Table {
-			// The sweep's cost is all simulated (tiny real buffers), so
-			// scale does not shrink it; the signature is kept for the
-			// harness.
-			_ = scale
+		Run: func() *Table {
 			t := &Table{
 				ID:    "abl-oocore",
 				Title: "Out-of-core tiered memory ablation",

@@ -14,12 +14,12 @@ func init() {
 		ID:    "abl-chaining",
 		Title: "Ablation: operator chaining in the plan layer",
 		Paper: "Flink's operator chaining: fusing narrow operators removes per-operator task deployment and downstream per-record iterator overhead",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-chaining", Title: "Operator chaining ablation",
 				Paper:  "fused chain = one deploy + one record-overhead pass; unfused pays both per operator",
 				Header: []string{"plan", "pipeline time", "vs chained"}}
-			chained := runChainPipeline(false, scale)
-			unchained := runChainPipeline(true, scale)
+			chained := runChainPipeline(false)
+			unchained := runChainPipeline(true)
 			t.AddRow("chained", secs(chained), "1.00x")
 			t.AddRow("unchained", secs(unchained), ratio(float64(unchained)/float64(chained)))
 			t.Note("unfused/fused = %.2fx", float64(unchained)/float64(chained))
@@ -50,8 +50,8 @@ func init() {
 // into a single task deployment; without it each runs as its own eager
 // operator, paying TaskDeploy and the iterator's per-record overhead
 // at every step.
-func runChainPipeline(disableChaining bool, scale int64) time.Duration {
-	g := paperSpec(2, 1, scaled(50_000, scale)).Build()
+func runChainPipeline(disableChaining bool) time.Duration {
+	g := paperSpec(2, 1, 50_000).Build()
 	var total time.Duration
 	g.Run(func() {
 		gr := plan.NewGraph(g, "chain-bench", plan.Options{Mode: plan.ForceCPU, DisableChaining: disableChaining})

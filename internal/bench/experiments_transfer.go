@@ -21,7 +21,7 @@ func init() {
 		ID:    "abl-projection",
 		Title: "Ablation: SoA column projection on the transfer channel",
 		Paper: "kernels declare the columns they read; unread metadata columns never cross PCIe, shrinking H2D volume and steady-state iteration time for transfer-bound workloads",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-projection", Title: "Column projection ablation",
 				Paper:  "ship referenced columns only: H2D bytes and steady iterations drop, outputs identical",
 				Header: []string{"workload", "H2D off", "H2D on", "steady off", "steady on", "speedup"}}
@@ -30,7 +30,7 @@ func init() {
 				h2d int64
 			}
 			run := func(project bool, drive func(g *core.GFlink) workloads.Result) outcome {
-				spec := paperSpec(1, 2, scaled(50_000, scale))
+				spec := paperSpec(1, 2, 50_000)
 				spec.Projection = project
 				g := spec.Build()
 				var r workloads.Result
@@ -103,7 +103,7 @@ func init() {
 		ID:    "abl-chunking",
 		Title: "Ablation: chunked double-buffered GWork pipelining",
 		Paper: "splitting a GWork into cost-model-chosen chunks across two streams overlaps the H2D of chunk i+1 with the kernel of chunk i, hiding kernel time behind the transfer on transfer-bound works",
-		Run: func(scale int64) *Table {
+		Run: func() *Table {
 			t := &Table{ID: "abl-chunking", Title: "Chunked pipelining ablation",
 				Paper:  "double-buffered chunks shorten the makespan of single large GWorks, outputs identical",
 				Header: []string{"workload", "metric", "chunking off", "chunking on", "saving"}}
@@ -117,7 +117,7 @@ func init() {
 				return n
 			}
 			run := func(chunk bool, drive func(g *core.GFlink) workloads.Result) (workloads.Result, int) {
-				spec := paperSpec(1, 2, scaled(50_000, scale))
+				spec := paperSpec(1, 2, 50_000)
 				spec.Chunking = chunk
 				g := spec.Build()
 				var r workloads.Result

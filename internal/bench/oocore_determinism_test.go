@@ -18,7 +18,7 @@ func oocoreTrace(t *testing.T) (string, []byte) {
 	if !ok {
 		t.Fatal("abl-oocore not registered")
 	}
-	tbl, procs := RunTraced(e, testScale)
+	tbl, procs := RunTraced(e)
 	want := 2 * len(oocoreFactors) * len(oocorePolicies)
 	if len(procs) != want {
 		t.Fatalf("abl-oocore built %d deployments, want %d (2 workloads x %d factors x %d policies)",

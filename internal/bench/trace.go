@@ -30,7 +30,7 @@ func observeDeploy(g *core.GFlink) {
 // TraceProcess per deployment the run built, named "<id>#<n>" in build
 // order. Tracing only reads the virtual clock, so the table is
 // byte-identical to an untraced run.
-func RunTraced(e *Experiment, scale int64) (*Table, []obs.TraceProcess) {
+func RunTraced(e *Experiment) (*Table, []obs.TraceProcess) {
 	var procs []obs.TraceProcess
 	deployObserver = func(g *core.GFlink) {
 		procs = append(procs, obs.TraceProcess{
@@ -39,5 +39,5 @@ func RunTraced(e *Experiment, scale int64) (*Table, []obs.TraceProcess) {
 		})
 	}
 	defer func() { deployObserver = nil }()
-	return e.Run(scale), procs
+	return e.Run(), procs
 }

@@ -22,7 +22,7 @@ func fig8aTrace(t *testing.T) []byte {
 	if !ok {
 		t.Fatal("fig8a not registered")
 	}
-	_, procs := RunTraced(e, testScale)
+	_, procs := RunTraced(e)
 	if len(procs) != 2 {
 		t.Fatalf("fig8a built %d deployments, want 2 (cached + uncached)", len(procs))
 	}
@@ -54,19 +54,20 @@ func TestFig8aTraceDeterministic(t *testing.T) {
 }
 
 // TestGoldenTraceHashes pins the full-workload schedules: the SHA-256
-// of the fig8a and abl-backpressure Chrome traces at testScale. The
-// hashes were recorded while a second, one-timer-per-dispatch engine
-// still proved these traces equal to its own, so any change to a wake
-// order — in the vclock or above it — fails here. A change that moves
-// simulated behaviour on purpose re-records them and says why.
+// of the fig8a and abl-backpressure Chrome traces. The hashes were
+// recorded from the harness as it stood before its scale multiplier was
+// deleted, run with the multiplier at 1: the same program this one
+// runs. Any change to a wake order — in the vclock or above it — fails
+// here. A change that moves simulated behaviour on purpose re-records
+// them and says why.
 func TestGoldenTraceHashes(t *testing.T) {
 	_, backpressure := backpressureTrace(t)
 	for id, c := range map[string]struct {
 		data []byte
 		want string
 	}{
-		"fig8a":            {fig8aTrace(t), "b3bc14ea932a19fdaf61edc47d6dd047a81a18f514ac7c4277d1ab30db7d5152"},
-		"abl-backpressure": {backpressure, "ff523e0f65f8b0737be757558092816308ae2e45587a9a6db3da244600066ecc"},
+		"fig8a":            {fig8aTrace(t), "98341a78ff7f96a12d450179d9b446622098190754290145574df9ec0c82d6f9"},
+		"abl-backpressure": {backpressure, "d2c3906ca75d8c2349d6b67fc3cfb0edc600e855e29acd0c8e994a3f448254d6"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
 			t.Errorf("%s trace sha256 = %s, want %s (%d bytes)", id, got, c.want, len(c.data))
@@ -107,8 +108,8 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	if !ok {
 		t.Fatal("fig8a not registered")
 	}
-	traced, procs := RunTraced(e, testScale)
-	plain := e.Run(testScale)
+	traced, procs := RunTraced(e)
+	plain := runExp(t, "fig8a")
 	if traced.String() != plain.String() {
 		t.Errorf("traced table differs from untraced:\n%s\nvs\n%s", traced.String(), plain.String())
 	}

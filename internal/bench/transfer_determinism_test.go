@@ -18,7 +18,7 @@ func ablTraceAndTable(t *testing.T, id string) (string, []byte) {
 	if !ok {
 		t.Fatalf("%s not registered", id)
 	}
-	tbl, procs := RunTraced(e, testScale)
+	tbl, procs := RunTraced(e)
 	if len(procs) == 0 {
 		t.Fatalf("%s built no deployments", id)
 	}
