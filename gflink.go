@@ -195,14 +195,13 @@ var (
 
 // Cache-eviction policies for the per-job GPU cache region
 // (Config.CachePolicy). FIFO and stop-when-full are the paper's two
-// schemes (Section 4.2.2); LRU and cost-aware belong to the tiered
-// memory subsystem, which can also back evictions with a host paging
-// tier and spill disk (Config.HostTierBytes, Config.SpillDisk).
+// schemes (Section 4.2.2); LRU belongs to the tiered memory subsystem,
+// which can also back evictions with a host paging tier and spill disk
+// (Config.HostTierBytes, Config.SpillDisk).
 const (
-	EvictFIFO      = core.EvictFIFO
-	StopWhenFull   = core.StopWhenFull
-	EvictLRU       = core.EvictLRU
-	EvictCostAware = core.EvictCostAware
+	EvictFIFO    = core.EvictFIFO
+	StopWhenFull = core.StopWhenFull
+	EvictLRU     = core.EvictLRU
 )
 
 // Observability: spans, metrics and trace export. Every deployment

@@ -13,12 +13,11 @@
 // clockgo, maporder, lockhold, lockorder, buflifecycle, bufescape,
 // spanpair, clockflow, counterkey, outputpurity, hotalloc and
 // poolsafe; cmd/gflink-vet wires them into a multichecker via the
-// suite subpackage. The flow-sensitive six (spanpair, clockflow,
-// counterkey, outputpurity, hotalloc, poolsafe) share the CFG/dataflow
-// core in cfg.go: per-function control-flow graphs with panic and
-// defer edges, a generic forward/backward worklist solver, and
-// reaching definitions with branch-guard tracking. See DESIGN.md "Concurrency & lifetime invariants" for the
-// invariants they enforce.
+// suite subpackage. The flow-sensitive four (spanpair, clockflow,
+// counterkey, poolsafe) share the CFG/dataflow core in cfg.go: per-function control-flow graphs with panic and defer edges,
+// a generic forward/backward worklist solver, and reaching
+// definitions. See DESIGN.md "Concurrency & lifetime invariants" for
+// the invariants they enforce.
 package analysis
 
 import (

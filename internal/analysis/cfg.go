@@ -37,11 +37,6 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs and Preds are the control-flow edges.
 	Succs, Preds []*Block
-	// Guard is the innermost branch condition this block is directly
-	// control-dependent on: an if's Cond for its then/else blocks, nil
-	// elsewhere. outputpurity uses it to recognize boundary-chunk
-	// guards; it is not a full control-dependence relation.
-	Guard ast.Expr
 }
 
 // A CFG is the control-flow graph of one function body. Entry has no
@@ -67,10 +62,10 @@ type CFG struct {
 // builtin.
 func BuildCFG(info *types.Info, body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{info: info, cfg: &CFG{}}
-	b.cfg.Entry = b.newBlock("entry", nil)
-	b.cfg.Exit = b.newBlock("exit", nil)
-	b.cfg.Panic = b.newBlock("panic", nil)
-	first := b.newBlock("body", nil)
+	b.cfg.Entry = b.newBlock("entry")
+	b.cfg.Exit = b.newBlock("exit")
+	b.cfg.Panic = b.newBlock("panic")
+	first := b.newBlock("body")
 	b.edge(b.cfg.Entry, first)
 	b.cur = first
 	b.stmtList(body.List)
@@ -110,8 +105,8 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-func (b *cfgBuilder) newBlock(kind string, guard ast.Expr) *Block {
-	blk := &Block{Index: len(b.cfg.Blocks), Kind: kind, Guard: guard}
+func (b *cfgBuilder) newBlock(kind string) *Block {
+	blk := &Block{Index: len(b.cfg.Blocks), Kind: kind}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -126,7 +121,7 @@ func (b *cfgBuilder) edge(from, to *Block) {
 // it has no predecessors, so dataflow assigns it the bottom value).
 func (b *cfgBuilder) add(n ast.Node) {
 	if b.cur == nil {
-		b.cur = b.newBlock("unreachable", nil)
+		b.cur = b.newBlock("unreachable")
 	}
 	b.cur.Nodes = append(b.cur.Nodes, n)
 }
@@ -184,14 +179,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.add(s.Cond)
 		head := b.cur
-		join := b.newBlock("if.join", nil)
-		then := b.newBlock("if.then", s.Cond)
+		join := b.newBlock("if.join")
+		then := b.newBlock("if.then")
 		b.edge(head, then)
 		b.cur = then
 		b.stmt(s.Body)
 		b.jumpTo(join)
 		if s.Else != nil {
-			els := b.newBlock("if.else", s.Cond)
+			els := b.newBlock("if.else")
 			b.edge(head, els)
 			b.cur = els
 			b.stmt(s.Else)
@@ -206,13 +201,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
-		head := b.newBlock("for.head", nil)
+		head := b.newBlock("for.head")
 		b.jumpTo(head)
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
 		}
-		body := b.newBlock("for.body", s.Cond)
-		exit := b.newBlock("for.exit", nil)
+		body := b.newBlock("for.body")
+		exit := b.newBlock("for.exit")
 		b.edge(head, body)
 		if s.Cond != nil {
 			b.edge(head, exit)
@@ -220,7 +215,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		cont := head
 		var post *Block
 		if s.Post != nil {
-			post = b.newBlock("for.post", nil)
+			post = b.newBlock("for.post")
 			cont = post
 		}
 		b.loops = append(b.loops, loopTarget{label: label, brk: exit, cont: cont})
@@ -239,11 +234,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.RangeStmt:
 		label := b.takeLabel()
-		head := b.newBlock("range.head", nil)
+		head := b.newBlock("range.head")
 		b.jumpTo(head)
 		head.Nodes = append(head.Nodes, s) // clients: do not descend into s.Body
-		body := b.newBlock("range.body", nil)
-		exit := b.newBlock("range.exit", nil)
+		body := b.newBlock("range.body")
+		exit := b.newBlock("range.exit")
 		b.edge(head, body)
 		b.edge(head, exit)
 		b.loops = append(b.loops, loopTarget{label: label, brk: exit, cont: head})
@@ -279,14 +274,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		label := b.takeLabel()
 		head := b.cur
 		if head == nil {
-			head = b.newBlock("unreachable", nil)
+			head = b.newBlock("unreachable")
 			b.cur = head
 		}
-		join := b.newBlock("select.join", nil)
+		join := b.newBlock("select.join")
 		b.loops = append(b.loops, loopTarget{label: label, brk: join})
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
-			blk := b.newBlock("select.case", nil)
+			blk := b.newBlock("select.case")
 			b.edge(head, blk)
 			b.cur = blk
 			if cc.Comm != nil {
@@ -303,7 +298,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = join
 
 	case *ast.LabeledStmt:
-		lb := b.newBlock("label."+s.Label.Name, nil)
+		lb := b.newBlock("label." + s.Label.Name)
 		b.jumpTo(lb)
 		b.cur = lb
 		if b.labels == nil {
@@ -396,14 +391,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 func (b *cfgBuilder) buildSwitch(label string, clauses []ast.Stmt, addScrutinee func(*ast.CaseClause, *Block)) {
 	head := b.cur
 	if head == nil {
-		head = b.newBlock("unreachable", nil)
+		head = b.newBlock("unreachable")
 		b.cur = head
 	}
-	join := b.newBlock("switch.join", nil)
+	join := b.newBlock("switch.join")
 	blocks := make([]*Block, len(clauses))
 	hasDefault := false
 	for i, c := range clauses {
-		blocks[i] = b.newBlock("switch.case", nil)
+		blocks[i] = b.newBlock("switch.case")
 		b.edge(head, blocks[i])
 		if cc, ok := c.(*ast.CaseClause); ok {
 			if cc.List == nil {
@@ -568,13 +563,7 @@ type Def struct {
 	Block *Block
 	// index is the def's dense id in its ReachingDefs universe.
 	index int
-	// guard caches Block.Guard at the definition point.
-	guard ast.Expr
 }
-
-// Guard returns the innermost branch condition the definition is
-// directly control-dependent on, or nil.
-func (d *Def) Guard() ast.Expr { return d.guard }
 
 // ReachingDefs is the classic forward may-analysis: for every use of a
 // local variable, which definitions can supply its value. Variables
@@ -633,7 +622,7 @@ func NewReachingDefs(info *types.Info, cfg *CFG, recv *ast.FieldList, fnType *as
 	for _, blk := range cfg.Blocks {
 		for _, n := range blk.Nodes {
 			b := blk
-			r.walkNode(n, nil, func(d *Def) { d.Block = b; d.guard = b.Guard })
+			r.walkNode(n, nil, func(d *Def) { d.Block = b })
 		}
 	}
 

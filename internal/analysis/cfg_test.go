@@ -113,9 +113,6 @@ func TestBranchJoin(t *testing.T) {
 		if d.Kind != DefAssign {
 			t.Errorf("def kind = %v, want DefAssign", d.Kind)
 		}
-		if d.Guard() == nil {
-			t.Errorf("branch def has no guard condition")
-		}
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package outputpurity enforces DESIGN.md invariant 9: code that is
-// reachable only when an opt-in transfer feature (SoA column
-// projection, chunked double-buffered pipelining) is enabled must not
-// write result buffers except through the sanctioned copy paths, so
-// enabling a feature can change *when* bytes move but never *which*
-// bytes the caller observes.
+// reachable only when an opt-in feature (SoA column projection, the
+// host paging tier) is enabled must not write result buffers unless
+// the copy is annotated as sanctioned, so enabling a feature can change
+// *when* bytes move but never *which* bytes the caller observes.
 //
 // A function is feature-gated when its declaration carries a
 // //gflink:gated <feature> directive (the annotation the gated entry
@@ -11,30 +10,16 @@
 // its in-package static callers is gated — helpers reachable only from
 // gated code inherit the obligation; a single ungated caller breaks
 // the inheritance because the helper then also runs on the default
-// path, where full copies are the norm.
+// path, where copies are the norm.
 //
-// Inside gated functions (function literals included) two things are
-// flagged:
-//
-//   - whole-buffer copies — the synchronous/async CUDAWrapper Memcpy
-//     entry points and the builtin copy — unless the site carries
-//     //gflink:real-copy;
-//   - ranged copies (Memcpy*RangesAsync) whose range-list argument
-//     cannot be proven to be either the empty shadow list
-//     ([]gpu.CopyRange{}, a charge-only op that moves no real bytes)
-//     or assigned under a chunk-boundary equality guard (k == 0 /
-//     k == chunks-1), the two sanctioned ways a chunked pipeline may
-//     move real bytes.
-//
-// The proof is flow-sensitive: each reaching definition of the range
-// list must individually be a shadow assignment or equality-guarded,
-// which is exactly the `ranges := shadow; if k == 0 { ranges = ... }`
-// idiom execChunked uses.
+// Inside gated functions (function literals included) every copy is
+// flagged — the CUDAWrapper Memcpy entry points, whole-buffer and
+// ranged alike, and the builtin copy — unless the site carries
+// //gflink:real-copy.
 package outputpurity
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -44,35 +29,27 @@ import (
 // Analyzer implements the outputpurity check.
 var Analyzer = &analysis.Analyzer{
 	Name: "outputpurity",
-	Doc:  "feature-gated code must not write result buffers outside the sanctioned shadow/chunk-boundary copy paths",
+	Doc:  "feature-gated code must not write result buffers except through //gflink:real-copy sites",
 	Run:  run,
 }
 
 const corePath = "gflink/internal/core"
 
-// wholeCopy lists the CUDAWrapper entry points that move a full
-// buffer in one call.
-var wholeCopy = map[string]bool{
-	"CUDAWrapper.MemcpyH2D":      true,
-	"CUDAWrapper.MemcpyD2H":      true,
-	"CUDAWrapper.MemcpyH2DAsync": true,
-	"CUDAWrapper.MemcpyD2HAsync": true,
-}
-
-// rangedCopy maps the ranged entry points to the index of their
-// range-list argument.
-var rangedCopy = map[string]int{
-	"CUDAWrapper.MemcpyH2DRangesAsync": 3,
-	"CUDAWrapper.MemcpyD2HRangesAsync": 3,
+// wrapperCopy lists the CUDAWrapper entry points that move buffer
+// bytes.
+var wrapperCopy = map[string]bool{
+	"CUDAWrapper.MemcpyH2D":            true,
+	"CUDAWrapper.MemcpyD2H":            true,
+	"CUDAWrapper.MemcpyH2DAsync":       true,
+	"CUDAWrapper.MemcpyD2HAsync":       true,
+	"CUDAWrapper.MemcpyH2DRangesAsync": true,
 }
 
 // scope is one declared function in a non-test file.
 type scope struct {
-	obj  *types.Func
-	fd   *ast.FuncDecl
-	rd   *analysis.ReachingDefs
-	idx  map[string]map[int]bool
-	info *types.Info
+	obj *types.Func
+	fd  *ast.FuncDecl
+	idx map[string]map[int]bool
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -93,14 +70,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				continue
 			}
-			cfg := analysis.BuildCFG(info, fd.Body)
-			scopes = append(scopes, &scope{
-				obj:  obj,
-				fd:   fd,
-				rd:   analysis.NewReachingDefs(info, cfg, fd.Recv, fd.Type),
-				idx:  idx,
-				info: info,
-			})
+			scopes = append(scopes, &scope{obj: obj, fd: fd, idx: idx})
 		}
 	}
 
@@ -168,8 +138,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // checkGated walks one gated function (nested literals included) and
-// flags unsanctioned buffer writes.
+// flags every unannotated copy.
 func checkGated(pass *analysis.Pass, sc *scope) {
+	info := pass.TypesInfo
 	ast.Inspect(sc.fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -178,98 +149,15 @@ func checkGated(pass *analysis.Pass, sc *scope) {
 		if analysis.DirectiveAt(sc.idx, pass.Fset, "real-copy", call.Pos()) {
 			return true
 		}
-		if isBuiltinCopy(sc.info, call) {
-			pass.Reportf(call.Pos(), "whole-buffer copy inside feature-gated code; gated paths must not write result buffers outside the sanctioned ranged-copy paths (invariant 9; //gflink:real-copy if the full copy is the sanctioned one)")
-			return true
-		}
-		fn := analysis.StaticCallee(sc.info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != corePath {
-			return true
-		}
-		key := analysis.ObjectKey(fn)
-		if wholeCopy[key] {
-			pass.Reportf(call.Pos(), "whole-buffer copy inside feature-gated code; gated paths must not write result buffers outside the sanctioned ranged-copy paths (invariant 9; //gflink:real-copy if the full copy is the sanctioned one)")
-			return true
-		}
-		if i, ok := rangedCopy[key]; ok && i < len(call.Args) {
-			if !sc.rangesSanctioned(call.Args[i]) {
-				pass.Reportf(call.Args[i].Pos(), "range list of a gated ranged copy is neither the empty shadow list nor assigned under a chunk-boundary equality guard; gated code must not perform unguarded full copies (invariant 9)")
+		if !isBuiltinCopy(info, call) {
+			fn := analysis.StaticCallee(info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != corePath || !wrapperCopy[analysis.ObjectKey(fn)] {
+				return true
 			}
 		}
+		pass.Reportf(call.Pos(), "copy inside feature-gated code; gated paths must not write result buffers (invariant 9; //gflink:real-copy if this copy is the sanctioned one)")
 		return true
 	})
-}
-
-// rangesSanctioned proves a range-list argument moves real bytes only
-// at chunk boundaries: every reaching definition is either a shadow
-// (empty) list or sits under an equality guard.
-func (sc *scope) rangesSanctioned(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if isEmptyComposite(e) {
-		return true
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	defs := sc.rd.DefsAt(id)
-	if len(defs) == 0 {
-		return false // untracked, or used inside a nested literal
-	}
-	for _, d := range defs {
-		if sc.defSanctioned(d, nil) {
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-func (sc *scope) defSanctioned(d *analysis.Def, visited map[*analysis.Def]bool) bool {
-	if g, ok := d.Guard().(*ast.BinaryExpr); ok && g.Op == token.EQL {
-		return true // chunk-boundary guard: k == 0 / k == chunks-1
-	}
-	if d.Kind != analysis.DefAssign || d.Multi || d.RHS == nil {
-		return false
-	}
-	return sc.shadowExpr(d.RHS, visited)
-}
-
-// shadowExpr reports whether an expression is provably the empty
-// shadow range list, directly or through tracked assignments.
-func (sc *scope) shadowExpr(e ast.Expr, visited map[*analysis.Def]bool) bool {
-	e = ast.Unparen(e)
-	if isEmptyComposite(e) {
-		return true
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	defs := sc.rd.DefsAt(id)
-	if len(defs) == 0 {
-		return false
-	}
-	for _, d := range defs {
-		if visited[d] {
-			return false
-		}
-		if visited == nil {
-			visited = make(map[*analysis.Def]bool)
-		}
-		visited[d] = true
-		ok := d.Kind == analysis.DefAssign && !d.Multi && d.RHS != nil && sc.shadowExpr(d.RHS, visited)
-		delete(visited, d)
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func isEmptyComposite(e ast.Expr) bool {
-	cl, ok := e.(*ast.CompositeLit)
-	return ok && len(cl.Elts) == 0
 }
 
 // isBuiltinCopy recognizes the builtin copy, which StaticCallee cannot

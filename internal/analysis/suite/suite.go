@@ -34,7 +34,7 @@ import (
 //     which constructs, destroys, and aliases HBuffer storage by
 //     definition.
 //   - the flow-sensitive observability analyzers (spanpair, clockflow,
-//     counterkey, outputpurity) run module-wide: they fire only on
+//     counterkey) and outputpurity run module-wide: they fire only on
 //     calls into the obs/core recording APIs or on //gflink:gated
 //     code, so an unrestricted scope costs nothing outside those and
 //     catches misuse wherever it appears (clockflow and counterkey

@@ -60,12 +60,11 @@ func TestSuiteCoversObsLayer(t *testing.T) {
 }
 
 // TestSuiteCoversTransferChannel pins the scoping rules to every
-// package the transfer-channel optimization touches: column projection
-// (gstruct column sets, the gpu field-use registry and range copies,
-// the cost model's projected-H2D estimate) and chunked double-buffered
-// pipelining (core's chunked exec path, the workloads/bench drivers).
-// All of them sit on the determinism and buffer-lifecycle invariants,
-// so every analyzer must apply.
+// package the column-projection transfer path touches: gstruct column
+// sets, the gpu field-use registry and range copies, the cost model's
+// projected-H2D estimate, core's projected inputs and the
+// workloads/bench drivers. All of them sit on the determinism and
+// buffer-lifecycle invariants, so every analyzer must apply.
 func TestSuiteCoversTransferChannel(t *testing.T) {
 	for _, pkg := range []string{
 		"gflink/internal/gstruct",

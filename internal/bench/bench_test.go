@@ -65,7 +65,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig7a", "fig7b", "fig7c", "fig7d",
 		"fig8a", "fig8b", "fig8c", "fig8d", "table2",
 		"abl-layout", "abl-zerocopy", "abl-pipeline", "abl-locality", "abl-stealing", "abl-blocksize",
-		"abl-chaining", "abl-projection", "abl-chunking", "abl-oocore",
+		"abl-chaining", "abl-projection", "abl-oocore",
 		"abl-backpressure",
 	}
 	for _, id := range want {
@@ -234,15 +234,13 @@ func TestAblChainingStrictWin(t *testing.T) {
 }
 
 func TestTransferAblationChecks(t *testing.T) {
-	for _, id := range []string{"abl-projection", "abl-chunking"} {
-		tbl := runExp(t, id)
-		e, _ := ByID(id)
-		if err := e.Check(tbl); err != nil {
-			t.Errorf("%s check rejected its own table: %v", id, err)
-		}
-		if err := e.Check(&Table{}); err == nil {
-			t.Errorf("%s check accepted an empty table", id)
-		}
+	tbl := runExp(t, "abl-projection")
+	e, _ := ByID("abl-projection")
+	if err := e.Check(tbl); err != nil {
+		t.Errorf("abl-projection check rejected its own table: %v", err)
+	}
+	if err := e.Check(&Table{}); err == nil {
+		t.Error("abl-projection check accepted an empty table")
 	}
 }
 

@@ -28,7 +28,7 @@ var oocoreFactors = []int{1, 2, 5, 10}
 
 // oocorePolicies is the sweep's policy axis, in table-column order.
 var oocorePolicies = []core.CachePolicy{
-	core.EvictFIFO, core.StopWhenFull, core.EvictLRU, core.EvictCostAware,
+	core.EvictFIFO, core.StopWhenFull, core.EvictLRU,
 }
 
 // oocoreCell is one (workload, factor, policy) run.
@@ -106,16 +106,16 @@ func init() {
 	register(&Experiment{
 		ID:    "abl-oocore",
 		Title: "Ablation: out-of-core tiered memory — eviction policy x working-set factor",
-		Paper: "Section 4.2.2 extended: with a host paging tier and spill disk, jobs larger than device memory still run; recency/cost-aware eviction keeps reused blocks resident where FIFO thrashes",
+		Paper: "Section 4.2.2 extended: with a host paging tier and spill disk, jobs larger than device memory still run; recency-aware eviction keeps reused blocks resident where FIFO thrashes",
 		Run: func() *Table {
 			t := &Table{
 				ID:    "abl-oocore",
 				Title: "Out-of-core tiered memory ablation",
-				Paper: "LRU/cost-aware keep the hot block under reuse; spills engage at 5x+",
+				Paper: "LRU keeps the hot block under reuse; spills engage at 5x+",
 				Header: []string{"workload", "working set",
-					"fifo", "stop-when-full", "lru", "cost-aware"},
+					"fifo", "stop-when-full", "lru"},
 			}
-			// The 32 (workload, factor, policy) cells are independent
+			// The 24 (workload, factor, policy) cells are independent
 			// deployments, so the sweep fans out across OS threads; the
 			// declared order below is the table's row-major order.
 			type point struct {

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"runtime"
-	"strings"
 	"testing"
 
 	"gflink/internal/obs"
@@ -30,54 +29,27 @@ func ablTraceAndTable(t *testing.T, id string) (string, []byte) {
 }
 
 // TestTransferAblationsDeterministic extends the byte-identity
-// guarantee to the new transfer-channel paths: the projection ranges
-// and the chunked double-buffered pipeline (two streams, per-chunk
-// spans) must yield the same table string and the same Chrome trace
-// bytes across repeat runs and GOMAXPROCS settings. The CI race job
-// runs this with -race.
+// guarantee to the projected transfer path: the projection ablation
+// must yield the same table string and the same Chrome trace bytes
+// across repeat runs and GOMAXPROCS settings. The CI race job runs this
+// with -race.
 func TestTransferAblationsDeterministic(t *testing.T) {
-	for _, id := range []string{"abl-projection", "abl-chunking"} {
-		t.Run(id, func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(1)
-			defer runtime.GOMAXPROCS(prev)
-			tbl1, trace1 := ablTraceAndTable(t, id)
-			runtime.GOMAXPROCS(4)
-			tbl4, trace4 := ablTraceAndTable(t, id)
-			tblR, traceR := ablTraceAndTable(t, id)
-			if tbl1 != tbl4 {
-				t.Errorf("%s table differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", id, tbl1, tbl4)
-			}
-			if !bytes.Equal(trace1, trace4) {
-				t.Errorf("%s trace differs between GOMAXPROCS=1 and 4", id)
-			}
-			if tbl4 != tblR || !bytes.Equal(trace4, traceR) {
-				t.Errorf("%s differs between repeat runs at the same GOMAXPROCS", id)
-			}
-		})
-	}
-}
-
-// TestChunkingTraceContent validates the chunked run's trace: it passes
-// schema validation, the double-buffer lane tracks appear, per-chunk
-// stage spans are present, and gwork spans carry the chunks/overlap
-// annotations only chunked works get.
-func TestChunkingTraceContent(t *testing.T) {
-	_, data := ablTraceAndTable(t, "abl-chunking")
-	if err := obs.ValidateChromeTrace(data); err != nil {
-		t.Fatalf("trace fails schema validation: %v", err)
-	}
-	s := string(data)
-	for _, want := range []string{
-		`/dbuf0`,          // double-buffer lane tracks
-		`/dbuf1`,          //
-		`"cat":"chunk"`,   // per-chunk spans
-		`"name":"h2d.c0"`, // chunk 0 carries the real copy
-		`"name":"kernel.c0"`,
-		`"chunks"`, // chunked gwork annotation
-		`"overlap"`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chunked trace missing %s", want)
+	const id = "abl-projection"
+	t.Run(id, func(t *testing.T) {
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		tbl1, trace1 := ablTraceAndTable(t, id)
+		runtime.GOMAXPROCS(4)
+		tbl4, trace4 := ablTraceAndTable(t, id)
+		tblR, traceR := ablTraceAndTable(t, id)
+		if tbl1 != tbl4 {
+			t.Errorf("%s table differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", id, tbl1, tbl4)
 		}
-	}
+		if !bytes.Equal(trace1, trace4) {
+			t.Errorf("%s trace differs between GOMAXPROCS=1 and 4", id)
+		}
+		if tbl4 != tblR || !bytes.Equal(trace4, traceR) {
+			t.Errorf("%s differs between repeat runs at the same GOMAXPROCS", id)
+		}
+	})
 }

@@ -7,10 +7,9 @@ package core
 // intrusive eviction list and answers victim queries. Every method is
 // called with the manager's mutex held.
 //
-// The four built-in implementations cover the paper's two schemes
-// (Section 4.2.2: FIFO eviction and stop-when-full) plus the tiered
-// subsystem's LRU and cost-aware policies; custom implementations plug
-// in through WithEvictionPolicy.
+// The three implementations cover the paper's two schemes (Section
+// 4.2.2: FIFO eviction and stop-when-full) plus the tiered subsystem's
+// LRU policy.
 type EvictionPolicy interface {
 	// Name identifies the policy in tables and experiment output.
 	Name() string
@@ -36,8 +35,6 @@ func policyFor(p CachePolicy) EvictionPolicy {
 		return stopPolicy{}
 	case EvictLRU:
 		return lruPolicy{}
-	case EvictCostAware:
-		return costPolicy{}
 	default:
 		return fifoPolicy{}
 	}
@@ -154,37 +151,3 @@ func (lruPolicy) Victim(r *cacheRegion) (*cacheEntry, bool) { return oldestUnpin
 
 //gflink:hotpath
 func (lruPolicy) Remove(r *cacheRegion, e *cacheEntry) { r.unlink(e) }
-
-// costPolicy evicts the entry with the lowest bytes-saved-per-
-// reload-byte score. Keeping an entry saves one transfer of its
-// nominal size per future hit, while evicting it costs one reload of
-// the same nominal size, so the ratio reduces to the entry's hit
-// count: evict the least-touched entry, breaking ties oldest-first
-// (insertion order, which the list preserves because Touch does not
-// reorder).
-type costPolicy struct{}
-
-func (costPolicy) Name() string { return "cost" }
-
-//gflink:hotpath
-func (costPolicy) Admit(r *cacheRegion, e *cacheEntry) { r.pushBack(e) }
-
-//gflink:hotpath
-func (costPolicy) Touch(r *cacheRegion, e *cacheEntry) { e.touches++ }
-
-//gflink:hotpath
-func (costPolicy) Victim(r *cacheRegion) (*cacheEntry, bool) {
-	var best *cacheEntry
-	for e := r.head; e != nil; e = e.next {
-		if e.refs > 0 {
-			continue
-		}
-		if best == nil || e.touches < best.touches {
-			best = e
-		}
-	}
-	return best, false
-}
-
-//gflink:hotpath
-func (costPolicy) Remove(r *cacheRegion, e *cacheEntry) { r.unlink(e) }

@@ -5,47 +5,75 @@ import (
 
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
+	"gflink/internal/membuf"
 )
 
-// TestFailedWorkEmitsSpans pins the fail-path trace contract on both
-// pipelines: a GWork that dies in setup (here: an input whose nominal
-// volume can never be allocated) still queued and still occupied a
-// stream, so it must leave a queue span and an error-annotated gwork
-// span instead of a hole in the trace.
+// TestFailedWorkEmitsSpans pins the fail-path contract: a GWork that
+// dies in setup (an input or output whose nominal volume can never be
+// allocated) still queued and still occupied a stream, so it must
+// leave a queue span and an error-annotated gwork span instead of a
+// hole in the trace. It must also give back every device buffer it
+// allocated before the failure — including a cache-flagged input that
+// missed and was waiting to be inserted — and leave no cache entry.
 func TestFailedWorkEmitsSpans(t *testing.T) {
+	const job = 1
+	missed := func(buf *membuf.HBuffer) Input {
+		return Input{Buf: buf, Nominal: 1 << 20, Cache: true, Key: CacheKey{JobID: job, Block: 0}}
+	}
 	for _, tc := range []struct {
-		name   string
-		chunks int
+		name string
+		// work returns the inputs and the output nominal of the failing
+		// work, given two host buffers to read from.
+		work func(a, b *membuf.HBuffer) ([]Input, int64)
 	}{
-		{"monolithic", 0},
-		{"chunked", 4},
+		{"monolithic", func(a, _ *membuf.HBuffer) ([]Input, int64) {
+			return []Input{{Buf: a, Nominal: 1 << 50}}, 64
+		}},
+		{"output-after-cache-miss", func(a, _ *membuf.HBuffer) ([]Input, int64) {
+			return []Input{missed(a)}, 1 << 50
+		}},
+		{"second-input-after-cache-miss", func(a, b *membuf.HBuffer) ([]Input, int64) {
+			return []Input{missed(a), {Buf: b, Nominal: 1 << 50}}, 64
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := New(Config{
-				Config:         flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
-				GPUsPerWorker:  1,
-				EnableChunking: true,
+				Config:        flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
+				GPUsPerWorker: 1,
 			})
+			dev := g.Manager(0).Devices[0]
+			mem := g.Manager(0).Streams.Memory(0)
+			var before, after int64
 			g.Run(func() {
 				pool := g.Cluster.TaskManagers[0].Pool
-				in := pool.MustAllocate(64)
+				a := pool.MustAllocate(64)
+				b := pool.MustAllocate(64)
 				out := pool.MustAllocate(64)
+				in, outNominal := tc.work(a, b)
 				w := &GWork{
 					ExecuteName: "core_test.double",
 					Size:        16,
 					Nominal:     16,
 					BlockSize:   256,
 					GridSize:    1,
-					Chunks:      tc.chunks,
-					In:          []Input{{Buf: in, Nominal: 1 << 50}},
+					In:          in,
 					Out:         out,
-					OutNominal:  64,
+					OutNominal:  outNominal,
+					JobID:       job,
 				}
+				before = dev.UsedBytes()
 				g.Manager(0).Streams.Submit(w)
 				if err := w.Wait(); err == nil {
-					t.Fatal("oversized input must fail allocation")
+					t.Fatal("oversized buffer must fail allocation")
 				}
+				after = dev.UsedBytes()
 			})
+			if after != before {
+				t.Errorf("device UsedBytes = %d after the failed work, want %d (leaked %d)", after, before, after-before)
+			}
+			if n, used := mem.Entries(job), mem.Used(job); n != 0 || used != 0 {
+				t.Errorf("failed work left %d cache entries (%d bytes) for job %d, want none", n, used, job)
+			}
 			spans := g.Obs.Tracer().Spans()
 			if len(spans) != 2 {
 				t.Fatalf("got %d spans, want 2 (queue + failed gwork)", len(spans))

@@ -153,10 +153,6 @@ type GPUMapSpec struct {
 	// BlockSize is the CUDA block size (default 256, as in
 	// Algorithm 3.1).
 	BlockSize int
-	// KernelPerRec is the kernel's per-record roofline demand, used by
-	// the chunked-pipelining policy to weigh kernel time against
-	// transfer time (zero disables cost-model chunking for these works).
-	KernelPerRec costmodel.Work
 	// ProducerWork is the per-record CPU cost of assembling the work
 	// (normally negligible: no serialization happens on this path).
 	ProducerWork costmodel.Work
@@ -241,9 +237,6 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 			w.Args = spec.Args
 			w.Coalesce = coalesce
 			w.JobID = jobID
-			if spec.KernelPerRec != (costmodel.Work{}) {
-				w.KernelWork = spec.KernelPerRec.Scale(float64(b.Nominal))
-			}
 			w.In = append(w.In, projectInput(g, spec.Kernel, b, Input{
 				Buf:     b.Buf,
 				Nominal: b.NominalBytes(),
@@ -278,7 +271,7 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 // copy all shrink together. Otherwise the input is returned unchanged,
 // keeping the default path byte-identical.
 //
-//gflink:gated projection -- effective only when projection is enabled; outputpurity holds it to shadow/boundary copies
+//gflink:gated projection -- effective only when projection is enabled; outputpurity flags any copy made here
 func projectInput(g *GFlink, kernel string, b *Block, in Input, args []int64) Input {
 	if !g.Cfg.EnableProjection || b.Layout != gstruct.SoA || b.Schema.NumFields() > gstruct.MaxCols {
 		return in

@@ -27,7 +27,7 @@ type Config struct {
 	// device memory.
 	CacheBytesPerJob int64
 	// CachePolicy selects FIFO eviction (default), StopWhenFull, or the
-	// tiered subsystem's EvictLRU / EvictCostAware.
+	// tiered subsystem's EvictLRU.
 	CachePolicy CachePolicy
 	// HostTierBytes caps each device's host paging tier in nominal
 	// bytes. 0 disables the tier (paper mode): evicted cache entries are
@@ -51,9 +51,6 @@ type Config struct {
 	// registered field-use declaration reads. Off by default (the
 	// paper-mode figures ship whole blocks).
 	EnableProjection bool
-	// EnableChunking turns on chunked double-buffered GWork pipelining
-	// in every worker's stream manager. Off by default.
-	EnableChunking bool
 }
 
 // GFlink is a cluster with one GPUManager per worker — the system of
@@ -113,7 +110,6 @@ func New(cfg Config) *GFlink {
 			NoStealing:    cfg.DisableStealing,
 			Tracer:        g.Obs.Tracer(),
 			Metrics:       g.Obs.Metrics(),
-			Chunking:      cfg.EnableChunking,
 		})
 		g.Managers = append(g.Managers, mgr)
 	}
@@ -151,7 +147,6 @@ func NewHetero(cfg Config, profiles [][]costmodel.GPUProfile) *GFlink {
 			NoStealing:    cfg.DisableStealing,
 			Tracer:        g.Obs.Tracer(),
 			Metrics:       g.Obs.Metrics(),
-			Chunking:      cfg.EnableChunking,
 		})
 		g.Managers = append(g.Managers, mgr)
 	}

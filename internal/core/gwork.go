@@ -23,7 +23,6 @@ package core
 import (
 	"time"
 
-	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
 	"gflink/internal/gstruct"
 	"gflink/internal/membuf"
@@ -86,16 +85,6 @@ type GWork struct {
 	Coalesce float64
 	// JobID scopes the cache region.
 	JobID int
-	// Chunks controls double-buffered chunked pipelining when the
-	// stream manager has chunking enabled: 0 lets the cost model pick
-	// the chunk count from KernelWork (monolithic when KernelWork is
-	// zero), 1 forces a monolithic pipeline, >1 forces that count. With
-	// chunking disabled the field is ignored.
-	Chunks int
-	// KernelWork is the kernel's total roofline demand for this work,
-	// used by the chunk policy to weigh kernel time against transfer
-	// time.
-	KernelWork costmodel.Work
 
 	done   *vclock.Event
 	err    error

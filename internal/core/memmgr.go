@@ -13,8 +13,8 @@ import (
 )
 
 // CachePolicy selects the garbage-collection scheme of a cache region
-// (Section 4.2.2 describes the first two; LRU and cost-aware belong to
-// the tiered-memory extension).
+// (Section 4.2.2 describes the first two; LRU belongs to the
+// tiered-memory extension).
 type CachePolicy int
 
 const (
@@ -27,9 +27,6 @@ const (
 	// EvictLRU evicts the least-recently-used object; hits refresh an
 	// entry's position, so hot blocks survive cyclic capacity pressure.
 	EvictLRU
-	// EvictCostAware evicts the object with the lowest bytes-saved-per-
-	// reload-byte score (its hit count; see costPolicy).
-	EvictCostAware
 )
 
 // String names the policy as experiments and tables render it.
@@ -127,8 +124,7 @@ type cacheEntry struct {
 	key     CacheKey
 	buf     *gpu.Buffer
 	nominal int64
-	refs    int   // in-flight kernels using the entry; evictable at 0
-	touches int64 // hits since insertion (the cost-aware policy's signal)
+	refs    int // in-flight kernels using the entry; evictable at 0
 	prev    *cacheEntry
 	next    *cacheEntry
 }
@@ -139,11 +135,6 @@ type MemOption func(*GMemoryManager)
 // WithPolicy selects a built-in eviction policy.
 func WithPolicy(p CachePolicy) MemOption {
 	return func(m *GMemoryManager) { m.pol = policyFor(p) }
-}
-
-// WithEvictionPolicy plugs a custom EvictionPolicy implementation.
-func WithEvictionPolicy(p EvictionPolicy) MemOption {
-	return func(m *GMemoryManager) { m.pol = p }
 }
 
 // WithHostTierBytes enables the host paging tier, capped at n nominal

@@ -67,52 +67,6 @@ func TestLRUEvictionKeepsTouchedEntry(t *testing.T) {
 	})
 }
 
-func TestCostAwareEvictionKeepsHighValueEntry(t *testing.T) {
-	g := New(Config{
-		Config:           flink.Config{Workers: 1, Model: costmodel.Default()},
-		GPUsPerWorker:    1,
-		CacheBytesPerJob: 100,
-		CachePolicy:      EvictCostAware,
-	})
-	g.Run(func() {
-		mem := g.Manager(0).Streams.Memory(0)
-		dev := g.Manager(0).Devices[0]
-		k1 := CacheKey{JobID: 1, Block: 1}
-		k2 := CacheKey{JobID: 1, Block: 2}
-		k3 := CacheKey{JobID: 1, Block: 3}
-		for _, k := range []CacheKey{k1, k2} {
-			b, _ := dev.Malloc(40, 0)
-			if !mem.Insert(k, b, 40) {
-				t.Fatalf("insert %v failed", k)
-			}
-			mem.Release(k)
-		}
-		// k1 earns three hits; k2 none. The cost-aware score (bytes
-		// saved per reload byte, i.e. the hit count at equal sizes)
-		// makes k2 the victim even though k1 is older.
-		for i := 0; i < 3; i++ {
-			if _, ok := mem.Acquire(k1); !ok {
-				t.Fatal("k1 not resident")
-			}
-			mem.Release(k1)
-		}
-		b3, _ := dev.Malloc(40, 0)
-		if !mem.Insert(k3, b3, 40) {
-			t.Fatal("insert k3 failed")
-		}
-		mem.Release(k3)
-		if _, ok := mem.Acquire(k2); ok {
-			t.Error("k2 survived cost-aware eviction despite zero hits")
-		}
-		if _, ok := mem.Acquire(k1); !ok {
-			t.Error("cost-aware policy evicted the high-hit-count k1")
-		} else {
-			mem.Release(k1)
-		}
-		g.ReleaseJobCaches(1)
-	})
-}
-
 // TestHostTierDemotePromoteRoundTrip pins invariant 11: a victim's
 // bytes demote into the host tier and a later Acquire promotes them
 // back bit-identical, at simulated transfer cost.
@@ -382,16 +336,11 @@ func TestMemOptionsAndShim(t *testing.T) {
 		t.Errorf("default spill disk = %+v, want DefaultSpillDisk", def.spillDisk)
 	}
 
-	custom := customPolicy{}
-	if got := NewMemoryManager(dev, wrapper, 1, WithEvictionPolicy(custom)).Policy(); got != custom {
-		t.Errorf("WithEvictionPolicy: policy = %#v, want the custom instance", got)
-	}
-
 	for _, tc := range []struct {
 		pol  CachePolicy
 		name string
 	}{
-		{EvictFIFO, "fifo"}, {StopWhenFull, "stop"}, {EvictLRU, "lru"}, {EvictCostAware, "cost"},
+		{EvictFIFO, "fifo"}, {StopWhenFull, "stop"}, {EvictLRU, "lru"},
 	} {
 		m := NewMemoryManager(dev, wrapper, 1<<20, WithPolicy(tc.pol))
 		if got := m.Policy().Name(); got != tc.name {
@@ -403,12 +352,3 @@ func TestMemOptionsAndShim(t *testing.T) {
 	}
 	clock.Run(func() { dev.Close() })
 }
-
-// customPolicy is a minimal EvictionPolicy for the plug-in test.
-type customPolicy struct{}
-
-func (customPolicy) Name() string                              { return "custom" }
-func (customPolicy) Admit(r *cacheRegion, e *cacheEntry)       { r.pushBack(e) }
-func (customPolicy) Touch(*cacheRegion, *cacheEntry)           {}
-func (customPolicy) Victim(r *cacheRegion) (*cacheEntry, bool) { return oldestUnpinned(r), false }
-func (customPolicy) Remove(r *cacheRegion, e *cacheEntry)      { r.unlink(e) }

@@ -31,7 +31,6 @@ type GStreamManager struct {
 	wrapper  *CUDAWrapper
 	policy   SchedulerPolicy
 	stealing bool
-	chunking bool
 	tracer   *obs.Tracer
 	metrics  *obs.Registry
 	node     int // worker index, used in metric names
@@ -82,13 +81,8 @@ type streamWorker struct {
 	mgr    *GStreamManager
 	ds     *deviceState
 	stream *gpu.Stream
-	// alt is the second CUDA stream of the double-buffered chunked
-	// pipeline; nil unless chunking is enabled (it would add a
-	// virtual-clock process and perturb the deterministic schedule of
-	// the pinned paper figures).
-	alt   *gpu.Stream
-	inbox *vclock.Queue[*GWork]
-	track string // trace track of this stream's pipeline spans
+	inbox  *vclock.Queue[*GWork]
+	track  string // trace track of this stream's pipeline spans
 
 	// Per-stream execution scratch, reused across the works this
 	// (single-process) stream executes so the three-stage pipeline is
@@ -129,11 +123,6 @@ type StreamConfig struct {
 	// Metrics, when set, receives the scheduler counters and every
 	// device's cache counters.
 	Metrics *obs.Registry
-	// Chunking enables chunked double-buffered GWork pipelining: the
-	// three stages split into cost-model-chosen chunks and H2D of chunk
-	// i+1 overlaps the kernel of chunk i on a second stream per worker.
-	// Off by default; the monolithic pipeline stays byte-identical.
-	Chunking bool
 }
 
 // StreamOption mutates a StreamConfig before construction.
@@ -166,11 +155,6 @@ func WithStreamsPerGPU(n int) StreamOption {
 	return func(c *StreamConfig) { c.StreamsPerGPU = n }
 }
 
-// WithChunking enables chunked double-buffered pipelining.
-func WithChunking(enabled bool) StreamOption {
-	return func(c *StreamConfig) { c.Chunking = enabled }
-}
-
 // NewStreamManager builds the manager from cfg with opts applied.
 // StreamsPerGPU streams are created per device; all start idle.
 func NewStreamManager(cfg StreamConfig, opts ...StreamOption) *GStreamManager {
@@ -183,8 +167,7 @@ func NewStreamManager(cfg StreamConfig, opts ...StreamOption) *GStreamManager {
 	m := &GStreamManager{
 		clock: cfg.Clock, wrapper: cfg.Wrapper,
 		policy: cfg.Policy, stealing: !cfg.NoStealing,
-		chunking: cfg.Chunking,
-		tracer:   cfg.Tracer, metrics: cfg.Metrics,
+		tracer: cfg.Tracer, metrics: cfg.Metrics,
 		workPool: NewWorkPool(cfg.Clock),
 	}
 	if len(cfg.Memories) > 0 {
@@ -219,13 +202,6 @@ func NewStreamManager(cfg StreamConfig, opts ...StreamOption) *GStreamManager {
 			}
 			sw.markH2D = func() { sw.tAfterH2D = sw.mgr.clock.Now() }
 			sw.fut = gpu.NewFuture(cfg.Clock)
-			if cfg.Chunking {
-				// The double-buffer lane. Created only when chunking is
-				// on: a stream is a virtual-clock process, and spawning
-				// it unconditionally would perturb the deterministic
-				// schedule of every pinned figure.
-				sw.alt = mem.Device().NewStream(cfg.Wrapper.model.CPU)
-			}
 			ds.streams = append(ds.streams, sw)
 			ds.idle.Push(sw)
 			cfg.Clock.Go(fmt.Sprintf("gstream-w%d-g%d-s%d", mem.Device().Node, i, s), sw.run)
@@ -474,15 +450,19 @@ func (sw *streamWorker) malloc(nominal int64, real int) (*gpu.Buffer, error) {
 	return b, err
 }
 
-// fail completes w with err after releasing pins and scratch buffers.
-// A failed work still queued and still occupied the stream, so the
-// trace records the queue wait and a failed gwork span instead of a
-// hole where the work died.
+// fail completes w with err after releasing pins and freeing every
+// device buffer allocated so far, including the inputs that missed the
+// cache and were waiting to be inserted. A failed work still queued
+// and still occupied the stream, so the trace records the queue wait
+// and a failed gwork span instead of a hole where the work died.
 func (sw *streamWorker) fail(w *GWork, tStart time.Duration, cacheHits, cacheMisses int, err error) {
 	mgr := sw.mgr
 	dev := sw.ds.dev
 	for _, k := range sw.acquired {
 		sw.ds.mem.Release(k)
+	}
+	for _, i := range sw.toCache {
+		mgr.wrapper.Free(dev, sw.devBufs[i])
 	}
 	for _, b := range sw.toFree {
 		mgr.wrapper.Free(dev, b)
@@ -506,18 +486,10 @@ func (sw *streamWorker) fail(w *GWork, tStart time.Duration, cacheHits, cacheMis
 	w.done.Set()
 }
 
-// exec runs one GWork through the three-stage pipeline on this stream,
-// or through the chunked double-buffered pipeline when chunking is
-// enabled and the cost model favours splitting.
+// exec runs one GWork through the three-stage pipeline on this stream.
 //
 //gflink:hotpath
 func (sw *streamWorker) exec(w *GWork) {
-	//gflink:allow-alloc chunked pipeline: opt-in path off the pinned hot route
-	if c := sw.chunkCount(w); c > 1 {
-		//gflink:allow-alloc chunked pipeline: opt-in path off the pinned hot route
-		sw.execChunked(w, c)
-		return
-	}
 	mgr := sw.mgr
 	dev := sw.ds.dev
 	mem := sw.ds.mem

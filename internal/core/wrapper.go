@@ -92,20 +92,6 @@ func (w *CUDAWrapper) MemcpyH2DRangesAsync(s *gpu.Stream, dst *gpu.Buffer, src *
 	s.H2DRangesAsync(dst, src, ranges, nominal)
 }
 
-// MemcpyD2HRangesAsync is the device-to-host counterpart.
-func (w *CUDAWrapper) MemcpyD2HRangesAsync(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer, ranges []gpu.CopyRange, nominal int64) {
-	w.redirect()
-	s.D2HRangesAsync(dst, src, ranges, nominal)
-}
-
-// LaunchChunkAsync enqueues one chunk of a chunked kernel launch
-// (see gpu.Stream.LaunchChunkAsync). One JNI control call per chunk —
-// each chunk is a real launch.
-func (w *CUDAWrapper) LaunchChunkAsync(s *gpu.Stream, name string, ctx *gpu.KernelCtx, k, chunks int, after *vclock.Event) *gpu.Future {
-	w.jni()
-	return s.LaunchChunkAsync(name, ctx, k, chunks, after)
-}
-
 // LaunchAsync enqueues a kernel launch on a stream.
 func (w *CUDAWrapper) LaunchAsync(s *gpu.Stream, name string, ctx *gpu.KernelCtx) *gpu.Future {
 	w.jni()

@@ -405,51 +405,6 @@ func (m Model) EstimateGPUStage(p GPUProfile, s StageCost) time.Duration {
 	return total
 }
 
-// chunkCandidates are the chunk counts the double-buffering policy
-// considers. Powers of two keep nominal shares exact and bound the
-// per-work launch overhead.
-var chunkCandidates = []int{1, 2, 4, 8, 16, 32}
-
-// ChunkCount picks the chunk count for a double-buffered GWork: split
-// the H2D / kernel / D2H stages into C equal chunks and overlap chunk
-// i+1's H2D with chunk i's kernel. Each chunk pays its own DMA setup
-// and launch overhead, so the policy trades pipelining gain against
-// fixed costs: estimated makespan is one pipeline fill (h2d + kern +
-// d2h of a single chunk) plus C-1 steady-state beats, where a beat is
-// the slowest stage — with one copy engine H2D and D2H serialize on the
-// same DMA unit and the beat is max(h2d+d2h, kern). Ties go to the
-// smaller count. work is the kernel's total roofline demand; h2dBytes
-// the (already projected) input volume; d2hBytes the result volume.
-func (m Model) ChunkCount(p GPUProfile, work Work, coalesce float64, h2dBytes, d2hBytes int64) int {
-	best, bestT := 1, time.Duration(0)
-	for _, c := range chunkCandidates {
-		h2d := m.PCIe.GFlinkTransferTime(h2dBytes / int64(c))
-		d2h := m.PCIe.GFlinkTransferTime(d2hBytes / int64(c))
-		kern := p.KernelTime(work.Scale(1/float64(c)), coalesce)
-		var beat time.Duration
-		if p.CopyEngines >= 2 {
-			beat = maxDur(h2d, kern, d2h)
-		} else {
-			beat = maxDur(h2d+d2h, kern)
-		}
-		t := h2d + kern + d2h + time.Duration(c-1)*beat
-		if c == 1 || t < bestT {
-			best, bestT = c, t
-		}
-	}
-	return best
-}
-
-func maxDur(ds ...time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // CoalesceFactor maps a data layout to the fraction of peak device
 // memory bandwidth its access pattern achieves (Section 2.1's AoS / SoA
 // / AoP discussion).

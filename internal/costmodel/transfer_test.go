@@ -1,9 +1,6 @@
 package costmodel
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestProjectedH2DFlipsPlacement builds a transfer-bound stage whose
 // GPU estimate loses to the CPU at full H2D volume but wins once the
@@ -43,40 +40,5 @@ func TestProjectedH2DNeverInflates(t *testing.T) {
 	s.ProjectedH2D = 1 << 24
 	if got := m.EstimateGPUStage(C2050, s); got != base {
 		t.Fatalf("oversized ProjectedH2D changed estimate: %v != %v", got, base)
-	}
-}
-
-func TestChunkCount(t *testing.T) {
-	m := Default()
-	// Transfer-dominated with a comparable kernel: chunking hides the
-	// kernel behind transfers (or vice versa), so the policy should pick
-	// more than one chunk.
-	big := Work{Flops: 1e11} // ~388 ms on C2050 roofline
-	c := m.ChunkCount(C2050, big, 1, 1<<30, 1<<20)
-	if c < 2 {
-		t.Fatalf("balanced kernel/transfer work got %d chunks, want >= 2", c)
-	}
-	// Tiny work: fixed per-chunk costs dominate, policy must stay
-	// monolithic.
-	tiny := Work{Flops: 1e3}
-	if got := m.ChunkCount(C2050, tiny, 1, 1<<10, 1<<8); got != 1 {
-		t.Fatalf("tiny work got %d chunks, want 1", got)
-	}
-	// The chosen count must actually minimize the policy's own estimate
-	// among the candidates (ties to the smaller count).
-	est := func(cc int) time.Duration {
-		h2d := m.PCIe.GFlinkTransferTime(int64(1<<30) / int64(cc))
-		d2h := m.PCIe.GFlinkTransferTime(int64(1<<20) / int64(cc))
-		kern := C2050.KernelTime(big.Scale(1/float64(cc)), 1)
-		beat := h2d + d2h
-		if kern > beat {
-			beat = kern
-		}
-		return h2d + kern + d2h + time.Duration(cc-1)*beat
-	}
-	for _, cc := range []int{1, 2, 4, 8, 16, 32} {
-		if est(cc) < est(c) {
-			t.Fatalf("candidate %d (%v) beats chosen %d (%v)", cc, est(cc), c, est(c))
-		}
 	}
 }

@@ -312,34 +312,6 @@ func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 	return dur, nil
 }
 
-// launchChunk runs chunk k of a chunks-way split launch (see
-// Stream.LaunchChunkAsync). The caller guarantees chunk k-1 completed,
-// so ctx.work already holds the demand chunk 0's real execution
-// charged.
-func (d *Device) launchChunk(name string, ctx *KernelCtx, k, chunks int) (time.Duration, error) {
-	fn, ok := Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("gpu: kernel %q not registered", name)
-	}
-	d.compute.Acquire(1)
-	defer d.compute.Release(1)
-	if k == 0 {
-		if err := fn(ctx); err != nil {
-			return 0, fmt.Errorf("gpu: kernel %q: %w", name, err)
-		}
-	}
-	coalesce := ctx.coalesce
-	if coalesce == 0 {
-		coalesce = 1
-	}
-	dur := d.Profile.KernelTime(ctx.work.Scale(1/float64(chunks)), coalesce)
-	d.clock.Sleep(dur)
-	d.mu.Lock()
-	d.kernels++
-	d.mu.Unlock()
-	return dur, nil
-}
-
 // Stats is a snapshot of device activity counters.
 type Stats struct {
 	Kernels              int64

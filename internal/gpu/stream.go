@@ -16,9 +16,7 @@ const (
 	opH2D cmdOp = iota
 	opH2DRanges
 	opD2H
-	opD2HRanges
 	opLaunch
-	opLaunchChunk
 	opCallback
 )
 
@@ -40,9 +38,6 @@ type cmd struct {
 	name    string
 	ctx     *KernelCtx
 	fut     *Future
-	k       int
-	chunks  int
-	after   *vclock.Event
 	fn      func()
 }
 
@@ -136,12 +131,8 @@ func (s *Stream) exec(c *cmd) {
 		s.dev.h2d.Acquire(1)
 		s.dev.clock.Sleep(s.dev.pcie.TransferTime(c.nominal))
 		s.dev.h2d.Release(1)
-		if c.ranges == nil {
-			copy(c.dbuf.data, c.hbuf.Bytes())
-		} else {
-			for _, r := range c.ranges {
-				clampCopy(c.dbuf.data, c.hbuf.Bytes(), r)
-			}
+		for _, r := range c.ranges {
+			clampCopy(c.dbuf.data, c.hbuf.Bytes(), r)
 		}
 		s.dev.count(&s.dev.h2dCopies, &s.dev.h2dBytes, c.nominal)
 	case opD2H:
@@ -150,26 +141,8 @@ func (s *Stream) exec(c *cmd) {
 		s.dev.d2h.Release(1)
 		copy(c.hbuf.Bytes(), c.dbuf.data)
 		s.dev.count(&s.dev.d2hCopies, &s.dev.d2hBytes, c.nominal)
-	case opD2HRanges:
-		s.dev.d2h.Acquire(1)
-		s.dev.clock.Sleep(s.dev.pcie.TransferTime(c.nominal))
-		s.dev.d2h.Release(1)
-		if c.ranges == nil {
-			copy(c.hbuf.Bytes(), c.dbuf.data)
-		} else {
-			for _, r := range c.ranges {
-				clampCopy(c.hbuf.Bytes(), c.dbuf.data, r)
-			}
-		}
-		s.dev.count(&s.dev.d2hCopies, &s.dev.d2hBytes, c.nominal)
 	case opLaunch:
 		c.fut.dur, c.fut.err = s.dev.Launch(c.name, c.ctx)
-		c.fut.ev.Set()
-	case opLaunchChunk:
-		if c.after != nil {
-			c.after.Wait()
-		}
-		c.fut.dur, c.fut.err = s.dev.launchChunk(c.name, c.ctx, c.k, c.chunks)
 		c.fut.ev.Set()
 	case opCallback:
 		c.fn()
@@ -200,9 +173,8 @@ func (s *Stream) H2DAsync(dst *Buffer, src *membuf.HBuffer, nominal int64) {
 }
 
 // CopyRange is one byte range of a host/device buffer pair, used by the
-// projected and chunked transfer paths. Off/Len address the *real*
-// backing bytes; the virtual-time charge comes from the separate
-// nominal argument.
+// projected transfer path. Off/Len address the *real* backing bytes;
+// the virtual-time charge comes from the separate nominal argument.
 type CopyRange struct {
 	Off, Len int
 }
@@ -228,8 +200,7 @@ func clampCopy(dst, src []byte, r CopyRange) {
 // moves only the given real byte ranges (at their original offsets, so
 // device-side column addressing is unchanged) while charging nominal
 // bytes of PCIe time — the projected-column transfer of the paper's
-// transfer channel. A nil ranges slice copies everything, which makes a
-// zero-range call a pure timing charge (used by chunk shadows).
+// transfer channel.
 //
 //gflink:hotpath
 func (s *Stream) H2DRangesAsync(dst *Buffer, src *membuf.HBuffer, ranges []CopyRange, nominal int64) {
@@ -238,16 +209,6 @@ func (s *Stream) H2DRangesAsync(dst *Buffer, src *membuf.HBuffer, ranges []CopyR
 	}
 	c := s.takeCmd()
 	c.op, c.dbuf, c.hbuf, c.ranges, c.nominal = opH2DRanges, dst, src, ranges, nominal
-	s.q.Put(c)
-}
-
-// D2HRangesAsync is the device-to-host counterpart of H2DRangesAsync.
-func (s *Stream) D2HRangesAsync(dst *membuf.HBuffer, src *Buffer, ranges []CopyRange, nominal int64) {
-	if !dst.Pinned() {
-		panic("gpu: D2HRangesAsync requires a page-locked host buffer")
-	}
-	c := s.takeCmd()
-	c.op, c.dbuf, c.hbuf, c.ranges, c.nominal = opD2HRanges, src, dst, ranges, nominal
 	s.q.Put(c)
 }
 
@@ -294,28 +255,6 @@ func (s *Stream) launch(f *Future, name string, ctx *KernelCtx) {
 	c.op, c.fut, c.name, c.ctx = opLaunch, f, name, ctx
 	s.q.Put(c)
 }
-
-// LaunchChunkAsync enqueues chunk k of a chunks-way split kernel
-// launch. The chunk first waits for the after event (the previous
-// chunk's future, giving cross-stream chunk ordering), then occupies
-// the compute engine for its share of the roofline time. Only chunk 0
-// executes the kernel function for real — over the full buffers, so
-// results are bit-identical to a monolithic launch; later chunks are
-// timing shadows that re-charge the recorded demand divided by chunks.
-// Every chunk pays its own launch overhead, which is exactly the
-// overhead the chunk policy trades against transfer/kernel overlap.
-func (s *Stream) LaunchChunkAsync(name string, ctx *KernelCtx, k, chunks int, after *vclock.Event) *Future {
-	f := &Future{ev: vclock.NewEvent(s.dev.clock)}
-	c := s.takeCmd()
-	c.op, c.fut, c.name, c.ctx = opLaunchChunk, f, name, ctx
-	c.k, c.chunks, c.after = k, chunks, after
-	s.q.Put(c)
-	return f
-}
-
-// Done returns the future's completion event, usable as the after
-// dependency of a later chunk.
-func (f *Future) Done() *vclock.Event { return f.ev }
 
 // Callback enqueues fn to run in stream order (cudaStreamAddCallback).
 //

@@ -231,14 +231,6 @@ type WorkReport struct {
 	// StolenFrom is the device ID whose queue the work was stolen from
 	// (Algorithm 5.2), or -1 when it was dispatched normally.
 	StolenFrom int
-	// Chunks is the chunk count the double-buffered pipeline split this
-	// work into (0 or 1 means the monolithic three-stage pipeline).
-	Chunks int
-	// Overlap is the transfer/kernel time hidden by chunked
-	// double-buffering: the serialized sum of every DMA and kernel
-	// charge minus the pipeline's wall time, clamped at zero. Always 0
-	// for monolithic works.
-	Overlap time.Duration
 }
 
 // Pipeline returns the summed H2D + kernel + D2H time.
@@ -260,13 +252,6 @@ func (t *Tracer) RecordGWork(streamTrack, queueTrack, name string, submit, start
 		Int("cache_hits", int64(r.CacheHits)),
 		Int("cache_misses", int64(r.CacheMisses)),
 		Int("stolen_from", int64(r.StolenFrom)),
-	}
-	if r.Chunks > 1 {
-		// Only chunked works carry these, so monolithic traces stay
-		// byte-identical to the pre-chunking format. The stage children
-		// below then tile the wall clock: h2d runs to the first chunk's
-		// kernel start, kernel to the last chunk's kernel end.
-		base = append(base, Int("chunks", int64(r.Chunks)), Dur("overlap", r.Overlap))
 	}
 	all := append(base, attrs...)
 	t.Record(streamTrack, "gwork", name, start, start+r.Pipeline(), all...)

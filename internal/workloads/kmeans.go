@@ -212,14 +212,13 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 				}
 				tm0 := c.Clock.Now()
 				partials := core.GPUReducePartition(g, ds, core.GPUMapSpec{
-					Name:         "kmeansAssign",
-					Kernel:       kernels.KMeansAssignKernel,
-					OutSchema:    partialSchema,
-					OutLayout:    gstruct.AoS,
-					CacheInput:   p.UseCache,
-					Args:         []int64{int64(p.K), int64(p.D)},
-					KernelPerRec: kernels.KMeansWork(p.K, p.D),
-					Extra:        func(b *core.Block) []core.Input { return centIn[b.Partition%workers] },
+					Name:       "kmeansAssign",
+					Kernel:     kernels.KMeansAssignKernel,
+					OutSchema:  partialSchema,
+					OutLayout:  gstruct.AoS,
+					CacheInput: p.UseCache,
+					Args:       []int64{int64(p.K), int64(p.D)},
+					Extra:      func(b *core.Block) []core.Input { return centIn[b.Partition%workers] },
 				}, 1)
 				merged := make([]float32, p.K*(p.D+1))
 				for _, blk := range core.CollectBlocks(partials) {

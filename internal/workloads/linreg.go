@@ -158,13 +158,12 @@ func LinRegGPU(g *core.GFlink, p LinRegParams) Result {
 		perWorker := core.BroadcastBuffer(g, j, wBuf, int64(4*(p.D+1)))
 		tm0 := c.Clock.Now()
 		partials := core.GPUReducePartition(g, ds, core.GPUMapSpec{
-			Name:         "linregGrad",
-			Kernel:       kernels.LinRegGradKernel,
-			OutSchema:    partialSchema,
-			OutLayout:    gstruct.AoS,
-			CacheInput:   p.UseCache,
-			Args:         []int64{int64(p.D)},
-			KernelPerRec: kernels.LinRegWork(p.D),
+			Name:       "linregGrad",
+			Kernel:     kernels.LinRegGradKernel,
+			OutSchema:  partialSchema,
+			OutLayout:  gstruct.AoS,
+			CacheInput: p.UseCache,
+			Args:       []int64{int64(p.D)},
 			Extra: func(b *core.Block) []core.Input {
 				return []core.Input{{
 					Buf:     perWorker[b.Partition%workers],

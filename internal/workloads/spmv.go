@@ -338,7 +338,6 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 							Out:        outBuf,
 							OutNominal: nomRows * 4,
 							Args:       []int64{nomRows * int64(p.NNZPerRow), nomRows},
-							KernelWork: kernels.SpMVWork(nomRows*int64(p.NNZPerRow), nomRows),
 							JobID:      j.ID,
 						}
 						g.Manager(worker).Streams.Submit(w)

@@ -196,7 +196,6 @@ func tokenizeGPU(g *core.GFlink, j *flink.Job, lines *flink.Dataset[string], p W
 			Out:         outBuf,
 			OutNominal:  int64(4 * p.Vocab),
 			Args:        []int64{int64(p.Vocab)},
-			KernelWork:  kernels.WordCountWork(nominalBytes),
 			JobID:       j.ID,
 		}
 		g.Manager(worker).Streams.Submit(w)

@@ -48,9 +48,6 @@ type Spec struct {
 	// Projection enables SoA column projection on the transfer channel
 	// (the abl-projection ablation). Off in paper mode.
 	Projection bool
-	// Chunking enables chunked double-buffered GWork pipelining (the
-	// abl-chunking ablation). Off in paper mode.
-	Chunking bool
 	// OnBuild, when set, sees every deployment Build constructs before
 	// the workload runs — the hook the bench harness uses to collect
 	// tracers and metric registries without threading observability
@@ -81,7 +78,6 @@ func (s Spec) Build() *core.GFlink {
 		DisableStealing:  s.NoStealing,
 		MaxBlockNominal:  s.BlockNominal,
 		EnableProjection: s.Projection,
-		EnableChunking:   s.Chunking,
 	})
 	if s.OnBuild != nil {
 		s.OnBuild(g)
