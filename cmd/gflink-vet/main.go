@@ -1,6 +1,6 @@
-// Command gflink-vet runs the repository's custom static analyzers
-// (wallclock, clockgo, maporder, lockhold, lockorder, buflifecycle,
-// bufescape, plus the flow-sensitive spanpair, clockflow, counterkey,
+// Command gflink-vet runs the repository's eleven custom static
+// analyzers (wallclock, maporder, lockorder, buflifecycle, bufescape,
+// plus the observability checks spanpair, clockflow, counterkey,
 // outputpurity and the allocation-discipline pair hotalloc and
 // poolsafe) over the module. See DESIGN.md "Concurrency & lifetime
 // invariants" for what each enforces and why `go test -race` cannot.

@@ -197,7 +197,7 @@ var (
 // (Config.CachePolicy). FIFO and stop-when-full are the paper's two
 // schemes (Section 4.2.2); LRU belongs to the tiered memory subsystem,
 // which can also back evictions with a host paging tier and spill disk
-// (Config.HostTierBytes, Config.SpillDisk).
+// (Config.HostTierBytes; the disk is costmodel.DefaultSpillDisk).
 const (
 	EvictFIFO    = core.EvictFIFO
 	StopWhenFull = core.StopWhenFull

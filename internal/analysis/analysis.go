@@ -9,15 +9,16 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The thirteen production analyzers live in the subpackages wallclock,
-// clockgo, maporder, lockhold, lockorder, buflifecycle, bufescape,
-// spanpair, clockflow, counterkey, outputpurity, hotalloc and
-// poolsafe; cmd/gflink-vet wires them into a multichecker via the
-// suite subpackage. The flow-sensitive four (spanpair, clockflow,
-// counterkey, poolsafe) share the CFG/dataflow core in cfg.go: per-function control-flow graphs with panic and defer edges,
-// a generic forward/backward worklist solver, and reaching
-// definitions. See DESIGN.md "Concurrency & lifetime invariants" for
-// the invariants they enforce.
+// The eleven production analyzers live in the subpackages wallclock,
+// maporder, lockorder, buflifecycle, bufescape, spanpair, clockflow,
+// counterkey, outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
+// them into a multichecker via the suite subpackage. The flow-sensitive
+// four (spanpair, poolsafe, clockflow, counterkey) share the
+// CFG/dataflow core in cfg.go and scope.go: per-function control-flow
+// graphs with panic and defer edges, a generic forward/backward
+// worklist solver, reaching definitions, one function-scope builder
+// and one forward may-solver. See DESIGN.md "Concurrency & lifetime
+// invariants" for the invariants they enforce.
 package analysis
 
 import (

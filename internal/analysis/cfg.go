@@ -4,8 +4,8 @@ package analysis
 // per-function control-flow graphs built over the AST loader, a generic
 // forward/backward worklist solver, and a reaching-definitions lattice
 // with per-use def resolution. The AST-walking analyzers (wallclock,
-// lockhold, ...) check properties of individual expressions; the CFG
-// analyzers (spanpair, clockflow, counterkey, outputpurity) check
+// lockorder, ...) check properties of individual expressions; the CFG
+// analyzers (spanpair, poolsafe, clockflow, counterkey) check
 // properties of *paths* — "ended on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this
 // argument" — which no single-pass walk can express.
@@ -74,15 +74,6 @@ func BuildCFG(info *types.Info, body *ast.BlockStmt) *CFG {
 		b.edge(b.cur, b.cfg.Exit)
 	}
 	return b.cfg
-}
-
-// FuncCFG builds the CFG of a declared function, or returns nil for
-// bodyless declarations.
-func FuncCFG(info *types.Info, fd *ast.FuncDecl) *CFG {
-	if fd.Body == nil {
-		return nil
-	}
-	return BuildCFG(info, fd.Body)
 }
 
 // loopTarget records where break/continue jump for one enclosing
@@ -686,10 +677,6 @@ func (r *ReachingDefs) Tracked(v *types.Var) bool {
 	return v != nil && !r.untracked[v] && len(r.byVar[v]) > 0
 }
 
-// Defs returns every definition of v in this function, in discovery
-// order (params first, then source order).
-func (r *ReachingDefs) Defs(v *types.Var) []*Def { return r.byVar[v] }
-
 func (r *ReachingDefs) newDef(v *types.Var, kind DefKind, node ast.Node, rhs ast.Expr, multi bool, blk *Block) *Def {
 	d := &Def{Var: v, Kind: kind, Node: node, RHS: rhs, Multi: multi, Block: blk, index: len(r.defs)}
 	r.defs = append(r.defs, d)
@@ -703,21 +690,6 @@ func (r *ReachingDefs) apply(cur bitset, d *Def) {
 		cur.clear(o.index)
 	}
 	cur.set(d.index)
-}
-
-// defVar resolves an identifier on the left of a definition to its
-// variable object (Defs for :=, Uses for =).
-func (r *ReachingDefs) defVar(id *ast.Ident) *types.Var {
-	if id.Name == "_" {
-		return nil
-	}
-	if v, ok := r.info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := r.info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 // useVar resolves an identifier in value position to a variable.
@@ -740,7 +712,7 @@ func (r *ReachingDefs) scanUntracked(n ast.Node, inLit bool) {
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-					if v := r.defVar(id); v != nil {
+					if v := DefVar(r.info, id); v != nil {
 						r.untracked[v] = true
 					}
 				}
@@ -749,7 +721,7 @@ func (r *ReachingDefs) scanUntracked(n ast.Node, inLit bool) {
 			if inLit {
 				for _, l := range n.Lhs {
 					if id, ok := ast.Unparen(l).(*ast.Ident); ok {
-						if v := r.defVar(id); v != nil {
+						if v := DefVar(r.info, id); v != nil {
 							r.untracked[v] = true
 						}
 					}
@@ -758,7 +730,7 @@ func (r *ReachingDefs) scanUntracked(n ast.Node, inLit bool) {
 		case *ast.IncDecStmt:
 			if inLit {
 				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-					if v := r.defVar(id); v != nil {
+					if v := DefVar(r.info, id); v != nil {
 						r.untracked[v] = true
 					}
 				}
@@ -805,7 +777,7 @@ func (r *ReachingDefs) walkNode(n ast.Node, use func(*ast.Ident), def func(*Def)
 		})
 	}
 	mkDef := func(id *ast.Ident, kind DefKind, node ast.Node, rhs ast.Expr, multi bool) {
-		v := r.defVar(id)
+		v := DefVar(r.info, id)
 		if v == nil {
 			return
 		}

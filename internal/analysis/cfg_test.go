@@ -35,7 +35,7 @@ func buildFixture(t *testing.T, src, fn string) (*types.Info, *CFG, *ReachingDef
 		if !ok || fd.Name.Name != fn {
 			continue
 		}
-		cfg := FuncCFG(info, fd)
+		cfg := BuildCFG(info, fd.Body)
 		rd := NewReachingDefs(info, cfg, fd.Recv, fd.Type)
 		return info, cfg, rd, fd
 	}
@@ -349,6 +349,59 @@ func f(c bool) {
 	}
 	if out[cfg.Entry] {
 		t.Error("the else path skips done(); entry must not satisfy the property")
+	}
+}
+
+// TestSolveMay runs the shared forward may-solver over a diamond with
+// two bits, both set before the branch: bit 0 is killed on the then arm
+// only, bit 1 on both arms. A may-fact survives a join when any arm
+// keeps it, so bit 0 must still hold at exit and bit 1 must not.
+func TestSolveMay(t *testing.T) {
+	src := `package fixture
+func gen()   {}
+func kill0() {}
+func kill1() {}
+func f(c bool) {
+	gen()
+	if c {
+		kill0()
+		kill1()
+	} else {
+		kill1()
+	}
+}`
+	_, cfg, _, _ := buildFixture(t, src, "f")
+	in := SolveMay(cfg, 2, func(b *Block, bits []bool) {
+		for _, n := range b.Nodes {
+			ast.Inspect(n, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch call.Fun.(*ast.Ident).Name {
+				case "gen":
+					bits[0], bits[1] = true, true
+				case "kill0":
+					bits[0] = false
+				case "kill1":
+					bits[1] = false
+				}
+				return true
+			})
+		}
+	})
+	if got := in[cfg.Entry]; got[0] || got[1] {
+		t.Errorf("entry bits = %v, want none set", got)
+	}
+	if got := in[callBlock(cfg, "kill0")]; !got[0] || !got[1] {
+		t.Errorf("then-arm entry bits = %v, want both set", got)
+	}
+	exit := in[cfg.Exit]
+	if !exit[0] {
+		t.Error("bit 0 survives the else arm; it must be live at exit")
+	}
+	if exit[1] {
+		t.Error("bit 1 is killed on both arms; it must not be live at exit")
 	}
 }
 

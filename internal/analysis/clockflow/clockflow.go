@@ -98,61 +98,19 @@ func (t *taint) join(o taint) {
 	}
 }
 
-// fnScope is one analyzed function or function literal.
-type fnScope struct {
-	obj  *types.Func // nil for literals
-	sig  *types.Signature
-	body *ast.BlockStmt
-	rd   *analysis.ReachingDefs
-	idx  map[string]map[int]bool // directives of the enclosing file
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	info := pass.TypesInfo
-	var scopes []*fnScope
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+	var scopes []*analysis.FuncScope
+	for _, sc := range analysis.FuncScopes(pass) {
+		if !strings.HasSuffix(pass.Position(sc.Body.Pos()).Filename, "_test.go") {
+			scopes = append(scopes, sc)
 		}
-		idx := analysis.DirectiveIndex(pass.Fset, f)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := info.Defs[fd.Name].(*types.Func)
-			cfg := analysis.BuildCFG(info, fd.Body)
-			scopes = append(scopes, &fnScope{
-				obj:  obj,
-				sig:  sigOf(obj),
-				body: fd.Body,
-				rd:   analysis.NewReachingDefs(info, cfg, fd.Recv, fd.Type),
-				idx:  idx,
-			})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			sig, _ := info.Types[lit].Type.(*types.Signature)
-			cfg := analysis.BuildCFG(info, lit.Body)
-			scopes = append(scopes, &fnScope{
-				sig:  sig,
-				body: lit.Body,
-				rd:   analysis.NewReachingDefs(info, cfg, nil, lit.Type),
-				idx:  idx,
-			})
-			return true
-		})
 	}
 
 	st := &state{
-		pass:   pass,
-		sinks:  make(map[*types.Func]map[int]bool),
-		vsrc:   make(map[*types.Func]bool),
-		scopes: scopes,
+		pass:  pass,
+		sinks: make(map[*types.Func]map[int]bool),
+		vsrc:  make(map[*types.Func]bool),
 	}
 
 	// Summary fixpoint: derived sinks and vclock sources feed each
@@ -161,28 +119,28 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for changed := true; changed; {
 		changed = false
 		for _, sc := range scopes {
-			if sc.obj == nil {
+			if sc.Obj == nil {
 				continue // literals carry no exportable obligations
 			}
-			forEachCall(sc.body, func(call *ast.CallExpr) {
+			analysis.ForEachCall(sc.Body, func(call *ast.CallExpr) {
 				for _, i := range st.calleeSinks(analysis.StaticCallee(info, call)) {
 					if i >= len(call.Args) {
 						continue
 					}
 					t := st.classify(sc, call.Args[i], nil)
 					for p := range t.params {
-						if st.sinks[sc.obj] == nil {
-							st.sinks[sc.obj] = make(map[int]bool)
+						if st.sinks[sc.Obj] == nil {
+							st.sinks[sc.Obj] = make(map[int]bool)
 						}
-						if !st.sinks[sc.obj][p] {
-							st.sinks[sc.obj][p] = true
+						if !st.sinks[sc.Obj][p] {
+							st.sinks[sc.Obj][p] = true
 							changed = true
 						}
 					}
 				}
 			})
-			if !st.vsrc[sc.obj] && sc.sig != nil && sc.sig.Results().Len() > 0 && st.returnsVClock(sc) {
-				st.vsrc[sc.obj] = true
+			if !st.vsrc[sc.Obj] && sc.Sig != nil && sc.Sig.Results().Len() > 0 && st.returnsVClock(sc) {
+				st.vsrc[sc.Obj] = true
 				changed = true
 			}
 		}
@@ -190,7 +148,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	// Report pass.
 	for _, sc := range scopes {
-		forEachCall(sc.body, func(call *ast.CallExpr) {
+		analysis.ForEachCall(sc.Body, func(call *ast.CallExpr) {
 			for _, i := range st.calleeSinks(analysis.StaticCallee(info, call)) {
 				if i >= len(call.Args) {
 					continue
@@ -200,8 +158,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if !t.wall && !(t.konst && !t.vclock && !t.other && len(t.params) == 0) {
 					continue
 				}
-				if analysis.DirectiveAt(sc.idx, pass.Fset, "vclock-derived", arg.Pos()) ||
-					analysis.DirectiveAt(sc.idx, pass.Fset, "vclock-derived", call.Pos()) {
+				if analysis.DirectiveAt(sc.Idx, pass.Fset, "vclock-derived", arg.Pos()) ||
+					analysis.DirectiveAt(sc.Idx, pass.Fset, "vclock-derived", call.Pos()) {
 					continue
 				}
 				if t.wall {
@@ -231,10 +189,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 type state struct {
-	pass   *analysis.Pass
-	sinks  map[*types.Func]map[int]bool
-	vsrc   map[*types.Func]bool
-	scopes []*fnScope
+	pass  *analysis.Pass
+	sinks map[*types.Func]map[int]bool
+	vsrc  map[*types.Func]bool
 }
 
 // calleeSinks resolves the timestamp-parameter indices of a call
@@ -284,10 +241,10 @@ func (st *state) isVClockCall(fn *types.Func) bool {
 
 // returnsVClock reports whether every return value of the scope
 // classifies as vclock-derived (and nothing else).
-func (st *state) returnsVClock(sc *fnScope) bool {
+func (st *state) returnsVClock(sc *analysis.FuncScope) bool {
 	found := false
 	ok := true
-	forEachReturn(sc.body, func(ret *ast.ReturnStmt) {
+	forEachReturn(sc.Body, func(ret *ast.ReturnStmt) {
 		if len(ret.Results) == 0 {
 			ok = false // named results assigned elsewhere: too opaque
 			return
@@ -306,7 +263,7 @@ func (st *state) returnsVClock(sc *fnScope) bool {
 // classify computes the taint of one expression in a scope. visited
 // guards against definition cycles (loop-carried values contribute
 // nothing on the back edge).
-func (st *state) classify(sc *fnScope, e ast.Expr, visited map[*analysis.Def]bool) taint {
+func (st *state) classify(sc *analysis.FuncScope, e ast.Expr, visited map[*analysis.Def]bool) taint {
 	info := st.pass.TypesInfo
 	e = ast.Unparen(e)
 	if tv, ok := info.Types[e]; ok && tv.Value != nil {
@@ -343,10 +300,10 @@ func (st *state) classify(sc *fnScope, e ast.Expr, visited map[*analysis.Def]boo
 		return taint{other: true}
 	case *ast.Ident:
 		v, _ := info.Uses[e].(*types.Var)
-		if v == nil || !sc.rd.Tracked(v) {
+		if v == nil || !sc.RD.Tracked(v) {
 			return taint{other: true}
 		}
-		defs := sc.rd.DefsAt(e)
+		defs := sc.RD.DefsAt(e)
 		if defs == nil {
 			return taint{other: true}
 		}
@@ -359,7 +316,7 @@ func (st *state) classify(sc *fnScope, e ast.Expr, visited map[*analysis.Def]boo
 	return taint{other: true}
 }
 
-func (st *state) classifyDef(sc *fnScope, d *analysis.Def, visited map[*analysis.Def]bool) taint {
+func (st *state) classifyDef(sc *analysis.FuncScope, d *analysis.Def, visited map[*analysis.Def]bool) taint {
 	if visited[d] {
 		return taint{} // cycle: the other defs decide
 	}
@@ -370,8 +327,8 @@ func (st *state) classifyDef(sc *fnScope, d *analysis.Def, visited map[*analysis
 	defer delete(visited, d)
 	switch d.Kind {
 	case analysis.DefParam:
-		if sc.sig != nil {
-			params := sc.sig.Params()
+		if sc.Sig != nil {
+			params := sc.Sig.Params()
 			for i := 0; i < params.Len(); i++ {
 				if params.At(i) == d.Var {
 					return taint{params: map[int]bool{i: true}}
@@ -396,28 +353,6 @@ func (st *state) classifyDef(sc *fnScope, d *analysis.Def, visited map[*analysis
 		return t
 	}
 	return taint{other: true}
-}
-
-func sigOf(fn *types.Func) *types.Signature {
-	if fn == nil {
-		return nil
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	return sig
-}
-
-// forEachCall visits every call expression in a body, excluding nested
-// function literals (they are separate scopes).
-func forEachCall(body *ast.BlockStmt, fn func(*ast.CallExpr)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
-		}
-		return true
-	})
 }
 
 // forEachReturn visits every return statement in a body, excluding

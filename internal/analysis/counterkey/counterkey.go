@@ -115,15 +115,6 @@ type part struct {
 	expr ast.Expr // non-nil marks a wildcard
 }
 
-// fnScope is one analyzed function or function literal.
-type fnScope struct {
-	obj  *types.Func // nil for literals
-	sig  *types.Signature
-	body *ast.BlockStmt
-	rd   *analysis.ReachingDefs
-	idx  map[string]map[int]bool
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	info := pass.TypesInfo
 	st := &state{
@@ -132,44 +123,19 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		fields:   make(map[*types.Var][]ast.Expr),
 		visiting: make(map[*types.Var]bool),
 	}
-	var scopes []*fnScope
+	inTest := func(n ast.Node) bool {
+		return strings.HasSuffix(pass.Position(n.Pos()).Filename, "_test.go")
+	}
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+		if !inTest(f) {
+			collectFieldInits(info, f, st.fields)
 		}
-		collectFieldInits(info, f, st.fields)
-		idx := analysis.DirectiveIndex(pass.Fset, f)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := info.Defs[fd.Name].(*types.Func)
-			cfg := analysis.BuildCFG(info, fd.Body)
-			scopes = append(scopes, &fnScope{
-				obj:  obj,
-				sig:  sigOf(obj),
-				body: fd.Body,
-				rd:   analysis.NewReachingDefs(info, cfg, fd.Recv, fd.Type),
-				idx:  idx,
-			})
+	}
+	var scopes []*analysis.FuncScope
+	for _, sc := range analysis.FuncScopes(pass) {
+		if !inTest(sc.Body) {
+			scopes = append(scopes, sc)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			sig, _ := info.Types[lit].Type.(*types.Signature)
-			cfg := analysis.BuildCFG(info, lit.Body)
-			scopes = append(scopes, &fnScope{
-				sig:  sig,
-				body: lit.Body,
-				rd:   analysis.NewReachingDefs(info, cfg, nil, lit.Type),
-				idx:  idx,
-			})
-			return true
-		})
 	}
 
 	// Obligation fixpoint: a function whose parameter roots a key at a
@@ -177,10 +143,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for changed := true; changed; {
 		changed = false
 		for _, sc := range scopes {
-			if sc.obj == nil {
+			if sc.Obj == nil {
 				continue
 			}
-			forEachCall(sc.body, func(call *ast.CallExpr) {
+			analysis.ForEachCall(sc.Body, func(call *ast.CallExpr) {
 				for _, i := range st.calleeKeyed(analysis.StaticCallee(info, call)) {
 					if i >= len(call.Args) {
 						continue
@@ -193,11 +159,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					if !ok {
 						continue
 					}
-					if st.keyed[sc.obj] == nil {
-						st.keyed[sc.obj] = make(map[int]bool)
+					if st.keyed[sc.Obj] == nil {
+						st.keyed[sc.Obj] = make(map[int]bool)
 					}
-					if !st.keyed[sc.obj][p] {
-						st.keyed[sc.obj][p] = true
+					if !st.keyed[sc.Obj][p] {
+						st.keyed[sc.Obj][p] = true
 						changed = true
 					}
 				}
@@ -207,7 +173,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	// Report pass.
 	for _, sc := range scopes {
-		forEachCall(sc.body, func(call *ast.CallExpr) {
+		analysis.ForEachCall(sc.Body, func(call *ast.CallExpr) {
 			for _, i := range st.calleeKeyed(analysis.StaticCallee(info, call)) {
 				if i >= len(call.Args) {
 					continue
@@ -218,8 +184,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if msg == "" {
 					continue
 				}
-				if analysis.DirectiveAt(sc.idx, pass.Fset, "counter-key", arg.Pos()) ||
-					analysis.DirectiveAt(sc.idx, pass.Fset, "counter-key", call.Pos()) {
+				if analysis.DirectiveAt(sc.Idx, pass.Fset, "counter-key", arg.Pos()) ||
+					analysis.DirectiveAt(sc.Idx, pass.Fset, "counter-key", call.Pos()) {
 					continue
 				}
 				pass.Reportf(arg.Pos(), "%s", msg)
@@ -309,7 +275,7 @@ func collectFieldInits(info *types.Info, f *ast.File, fields map[*types.Var][]as
 // assignment evaluates to an acceptable pattern, the first one stands
 // in for the read; otherwise the first failing assignment does, so the
 // use site reports the underlying defect.
-func (st *state) fieldParts(sc *fnScope, sel *ast.SelectorExpr) []part {
+func (st *state) fieldParts(sc *analysis.FuncScope, sel *ast.SelectorExpr) []part {
 	s, ok := st.pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return nil
@@ -370,7 +336,7 @@ func (st *state) calleeKeyed(fn *types.Func) []int {
 // check validates an evaluated key pattern. It returns a diagnostic
 // message, or "" when the pattern is acceptable (possibly by moving
 // the obligation to callers via the fixpoint above).
-func (st *state) check(sc *fnScope, parts []part) string {
+func (st *state) check(sc *analysis.FuncScope, parts []part) string {
 	if len(parts) == 0 {
 		return "counter name is not a compile-time constant format string; counter keys must be statically enumerable"
 	}
@@ -415,16 +381,16 @@ func badKey(pattern string) string {
 
 // rootParam reports whether an expression is (transitively) a read of
 // one of the enclosing function's parameters, and which one.
-func (st *state) rootParam(sc *fnScope, e ast.Expr) (int, bool) {
+func (st *state) rootParam(sc *analysis.FuncScope, e ast.Expr) (int, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || sc.sig == nil {
+	if !ok || sc.Sig == nil {
 		return 0, false
 	}
 	v, _ := st.pass.TypesInfo.Uses[id].(*types.Var)
-	if v == nil || !sc.rd.Tracked(v) {
+	if v == nil || !sc.RD.Tracked(v) {
 		return 0, false
 	}
-	defs := sc.rd.DefsAt(id)
+	defs := sc.RD.DefsAt(id)
 	if len(defs) == 0 {
 		return 0, false
 	}
@@ -433,7 +399,7 @@ func (st *state) rootParam(sc *fnScope, e ast.Expr) (int, bool) {
 			return 0, false
 		}
 	}
-	params := sc.sig.Params()
+	params := sc.Sig.Params()
 	for i := 0; i < params.Len(); i++ {
 		if params.At(i) == v {
 			return i, true
@@ -444,7 +410,7 @@ func (st *state) rootParam(sc *fnScope, e ast.Expr) (int, bool) {
 
 // eval symbolically evaluates a key expression into literal/wildcard
 // parts. visited guards definition cycles.
-func (st *state) eval(sc *fnScope, e ast.Expr, visited map[*analysis.Def]bool) []part {
+func (st *state) eval(sc *analysis.FuncScope, e ast.Expr, visited map[*analysis.Def]bool) []part {
 	info := st.pass.TypesInfo
 	e = ast.Unparen(e)
 	if tv, ok := info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
@@ -468,10 +434,10 @@ func (st *state) eval(sc *fnScope, e ast.Expr, visited map[*analysis.Def]bool) [
 		}
 	case *ast.Ident:
 		v, _ := info.Uses[e].(*types.Var)
-		if v == nil || !sc.rd.Tracked(v) {
+		if v == nil || !sc.RD.Tracked(v) {
 			return []part{{expr: e}}
 		}
-		defs := sc.rd.DefsAt(e)
+		defs := sc.RD.DefsAt(e)
 		if len(defs) == 1 && defs[0].Kind == analysis.DefAssign && !defs[0].Multi && defs[0].RHS != nil {
 			d := defs[0]
 			if visited[d] {
@@ -533,26 +499,4 @@ func sprintfParts(format string, args []ast.Expr) []part {
 
 func isVerbLetter(c byte) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func sigOf(fn *types.Func) *types.Signature {
-	if fn == nil {
-		return nil
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	return sig
-}
-
-// forEachCall visits every call expression in a body, excluding nested
-// function literals (they are separate scopes).
-func forEachCall(body *ast.BlockStmt, fn func(*ast.CallExpr)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
-		}
-		return true
-	})
 }

@@ -1,19 +1,37 @@
-// Package lockorder builds a whole-program lock-acquisition graph and
-// reports cycles — the classic ABBA deadlock that `go test -race`
+// Package lockorder checks the scheduler's locking discipline with one
+// source-order walk of every function body, tracking the set of held
+// sync mutexes. It reports two deadlock classes that `go test -race`
 // only catches if the fatal interleaving happens to run.
 //
-// Locks are identified structurally, not by instance: a mutex field is
-// "pkgpath.Type.field", a package-level mutex is "pkgpath.var", and a
-// type that embeds its mutex is "pkgpath.Type". Within one function the
-// analyzer tracks the held set in source order (deferred Unlocks hold
-// to exit, function literals start fresh — they run on other vclock
-// processes); acquiring L2 while holding L1 records the edge L1 → L2.
+// Blocking under a lock. Under the virtual clock, a process that
+// blocks on Queue.Get / Semaphore.Acquire / Clock.Sleep while holding a
+// mutex prevents the process that would wake it from ever taking that
+// mutex — but because the clock serializes execution, the schedule that
+// triggers it may never occur on the test machine while occurring
+// deterministically on another. GStreamManager and GMemoryManager are
+// written to release mu before touching any blocking primitive; the
+// walk reports every blocking vclock/membuf call made while any mutex
+// is held, local mutexes included (matched by the receiver's expression
+// text).
+//
+// Lock order cycles. The walk also builds a whole-program
+// lock-acquisition graph. Locks are identified structurally, not by
+// instance: a mutex field is "pkgpath.Type.field", a package-level
+// mutex is "pkgpath.var", and a type that embeds its mutex is
+// "pkgpath.Type"; local mutexes have no identity and stay out of the
+// graph. Acquiring L2 while holding L1 records the edge L1 → L2.
 // Calls made under a held lock contribute edges to everything the
 // callee may transitively acquire: each function's transitive acquire
 // set is computed over the package call graph and exported as a LockSet
 // object fact, and each package's accumulated edges are exported as a
 // LockGraph package fact, so the graph spans membuf, core and flink no
 // matter which package introduces the ordering.
+//
+// In both checks a deferred Unlock holds the lock to function exit, and
+// function literals start with nothing held: their bodies run on other
+// vclock processes (clock.Go) or after the lock is released, and
+// charging them with the enclosing lock set would flag the common
+// worker-spawn idiom.
 //
 // A cycle is reported at every *locally introduced* edge that
 // participates in it (the packages that merely established the opposite
@@ -29,6 +47,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,9 +85,26 @@ type LockEdge struct {
 // Analyzer implements the lockorder check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "build the whole-program lock-acquisition graph across packages and report cycles (potential ABBA deadlocks); suppress one edge with //gflink:lock-order",
+	Doc:       "flag blocking vclock primitives (Queue.Get, Semaphore.Acquire, Clock.Sleep, Event.Wait, ...) called while a sync mutex is held, and build the whole-program lock-acquisition graph across packages to report cycles (potential ABBA deadlocks); suppress one edge with //gflink:lock-order",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*LockSet)(nil), (*LockGraph)(nil)},
+}
+
+// blocking maps package path -> receiver type name -> methods that can
+// park the calling process on the virtual clock.
+var blocking = map[string]map[string]map[string]bool{
+	"gflink/internal/vclock": {
+		"Clock":     {"Sleep": true, "Run": true},
+		"Queue":     {"Get": true},
+		"Semaphore": {"Acquire": true, "Use": true},
+		"Event":     {"Wait": true},
+		"Group":     {"Wait": true},
+	},
+	// HBuffer.Pin charges the page-registration cost with Clock.Sleep,
+	// so it is transitively blocking.
+	"gflink/internal/membuf": {
+		"HBuffer": {"Pin": true},
+	},
 }
 
 // localEdge is an edge introduced by the package under analysis, with a
@@ -113,26 +149,27 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil
 	}
 
-	// Collect this package's own edges, in source order.
-	var local []localEdge
+	// Walk every body: report blocking calls under a held mutex and
+	// collect this package's own edges, in source order.
+	w := &walker{pass: pass, calleeAcquires: calleeAcquires}
 	suppressed := make(map[token.Pos]bool)
 	for _, f := range pass.Files {
 		idx := analysis.DirectiveIndex(pass.Fset, f)
-		start := len(local)
+		start := len(w.edges)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					collectEdges(pass, n.Body, calleeAcquires, &local)
+					w.walk(n.Body)
 				}
 				return false
 			case *ast.FuncLit:
-				collectEdges(pass, n.Body, calleeAcquires, &local)
+				w.walk(n.Body)
 				return false
 			}
 			return true
 		})
-		for _, e := range local[start:] {
+		for _, e := range w.edges[start:] {
 			if analysis.DirectiveAt(idx, pass.Fset, "lock-order", e.pos) {
 				suppressed[e.pos] = true
 			}
@@ -165,7 +202,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for e := range merged {
 		addAdj(e.From, e.To)
 	}
-	for _, e := range local {
+	for _, e := range w.edges {
 		addAdj(e.from, e.to)
 		pos := pass.Position(e.pos)
 		merged[LockEdge{From: e.from, To: e.to, Pos: pos.Filename + ":" + strconv.Itoa(pos.Line)}] = true
@@ -191,7 +228,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	// Report every locally introduced edge that closes a cycle.
-	for _, e := range local {
+	for _, e := range w.edges {
 		if e.from == e.to || suppressed[e.pos] {
 			continue
 		}
@@ -214,8 +251,8 @@ func directAcquires(pass *analysis.Pass, body *ast.BlockStmt) []string {
 		if !ok {
 			return true
 		}
-		if id, op, ok := mutexOp(pass, call); ok && (op == "Lock" || op == "RLock") {
-			seen[id] = true
+		if recv, op, ok := mutexOp(pass, call); ok && (op == "Lock" || op == "RLock") {
+			seen[lockID(pass, recv)] = true
 		}
 		return true
 	})
@@ -227,26 +264,37 @@ func directAcquires(pass *analysis.Pass, body *ast.BlockStmt) []string {
 	return out
 }
 
-// collectEdges walks one function body in source order tracking the
-// held set, recording an edge for every acquisition and every
-// transitive acquisition (via static calls) made under a held lock.
-func collectEdges(pass *analysis.Pass, body *ast.BlockStmt, calleeAcquires func(*types.Func) []string, edges *[]localEdge) {
-	held := []string{} // acquisition order
-	isHeld := func(id string) bool {
-		for _, h := range held {
-			if h == id {
-				return true
-			}
-		}
-		return false
-	}
+// walker runs the held-set walk over a package's function bodies.
+type walker struct {
+	pass           *analysis.Pass
+	calleeAcquires func(*types.Func) []string
+	edges          []localEdge
+}
+
+// heldMutex is one mutex held by the walk, keyed by its receiver's
+// expression text.
+type heldMutex struct {
+	recv string
+	lock token.Pos
+}
+
+// walk scans one function body in source order. It keeps two held
+// sets: every mutex by receiver text, for the blocking check, and the
+// structural lock IDs, for order edges. It reports blocking calls made
+// under any held mutex and records an edge for every acquisition and
+// every transitive acquisition (via static calls) made under a held
+// lock.
+func (w *walker) walk(body *ast.BlockStmt) {
+	pass := w.pass
+	var held []heldMutex // acquisition order
+	var ids []string     // acquisition order
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			// Fresh held set: literals run on other vclock processes or
-			// after the enclosing lock is released (same stance as
-			// lockhold); their own acquisitions still produce edges.
-			collectEdges(pass, n.Body, calleeAcquires, edges)
+			// Fresh held sets: literals run on other vclock processes
+			// or after the enclosing lock is released; their own
+			// acquisitions still produce edges.
+			w.walk(n.Body)
 			return false
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the lock to function exit.
@@ -255,43 +303,54 @@ func collectEdges(pass *analysis.Pass, body *ast.BlockStmt, calleeAcquires func(
 			}
 			return true
 		case *ast.CallExpr:
-			if id, op, ok := mutexOp(pass, n); ok {
+			if x, op, ok := mutexOp(pass, n); ok {
+				recv, id := types.ExprString(x), lockID(pass, x)
+				i := slices.IndexFunc(held, func(h heldMutex) bool { return h.recv == recv })
 				switch op {
 				case "Lock", "RLock":
+					if i < 0 {
+						held = append(held, heldMutex{recv: recv, lock: n.Pos()})
+					}
 					if id != "" {
-						for _, h := range held {
+						for _, h := range ids {
 							// h == id is two instances of one structural
 							// lock; identity conflation makes any order
 							// claim meaningless, so no edge.
 							if h != id {
-								*edges = append(*edges, localEdge{from: h, to: id, pos: n.Pos()})
+								w.edges = append(w.edges, localEdge{from: h, to: id, pos: n.Pos()})
 							}
 						}
-						if !isHeld(id) {
-							held = append(held, id)
+						if !slices.Contains(ids, id) {
+							ids = append(ids, id)
 						}
 					}
 				case "Unlock", "RUnlock":
-					for i, h := range held {
-						if h == id {
-							held = append(held[:i], held[i+1:]...)
-							break
-						}
+					if i >= 0 {
+						held = slices.Delete(held, i, i+1)
+					}
+					if j := slices.Index(ids, id); j >= 0 {
+						ids = slices.Delete(ids, j, j+1)
 					}
 				}
 				return true
 			}
-			if len(held) == 0 {
+			if len(held) > 0 {
+				if desc, ok := blockingCall(pass, n); ok {
+					h := held[len(held)-1]
+					pass.Reportf(n.Pos(), "%s may block the virtual clock while %s is held (locked at line %d); release the mutex before calling blocking vclock primitives", desc, h.recv, pass.Position(h.lock).Line)
+				}
+			}
+			if len(ids) == 0 {
 				return true
 			}
 			callee := analysis.StaticCallee(pass.TypesInfo, n)
 			if callee == nil {
 				return true
 			}
-			for _, to := range calleeAcquires(callee) {
-				for _, h := range held {
+			for _, to := range w.calleeAcquires(callee) {
+				for _, h := range ids {
 					if h != to {
-						*edges = append(*edges, localEdge{from: h, to: to, pos: n.Pos()})
+						w.edges = append(w.edges, localEdge{from: h, to: to, pos: n.Pos()})
 					}
 				}
 			}
@@ -301,27 +360,62 @@ func collectEdges(pass *analysis.Pass, body *ast.BlockStmt, calleeAcquires func(
 }
 
 // mutexOp reports whether call is Lock/Unlock/RLock/RUnlock on a
-// sync.Mutex or sync.RWMutex, returning the structural lock ID ("" when
-// the lock is a local and therefore unordered by construction).
-func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (id, op string, ok bool) {
+// sync.Mutex or sync.RWMutex, returning the receiver expression and the
+// method name.
+func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (recv ast.Expr, op string, ok bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", "", false
+		return nil, "", false
 	}
-	var fn *types.Func
-	if s, ok := pass.TypesInfo.Selections[sel]; ok {
-		fn, _ = s.Obj().(*types.Func)
-	} else if f, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok {
-		fn = f
-	}
+	fn := calleeFunc(pass, sel)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+		return nil, "", false
 	}
 	switch fn.Name() {
 	case "Lock", "Unlock", "RLock", "RUnlock":
-		return lockID(pass, sel.X), fn.Name(), true
+		return sel.X, fn.Name(), true
 	}
-	return "", "", false
+	return nil, "", false
+}
+
+// blockingCall reports whether call parks the process on the virtual
+// clock, returning a printable description of the callee.
+func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	fn := calleeFunc(pass, sel)
+	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	byType, ok := blocking[fn.Pkg().Path()]
+	if !ok {
+		return "", false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return "", false
+	}
+	named := namedOf(sig.Recv().Type())
+	if named == nil {
+		return "", false
+	}
+	if byType[named.Obj().Name()][fn.Name()] {
+		return "(" + fn.Pkg().Name() + "." + named.Obj().Name() + ")." + fn.Name(), true
+	}
+	return "", false
+}
+
+// calleeFunc resolves the function or method a selector call binds to:
+// a method value, a package-qualified function or a method expression.
+func calleeFunc(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Func {
+	if s, ok := pass.TypesInfo.Selections[sel]; ok {
+		fn, _ := s.Obj().(*types.Func)
+		return fn
+	}
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return fn
 }
 
 // lockID names a lock structurally: "pkg.Type.field" for mutex fields,

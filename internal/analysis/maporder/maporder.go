@@ -9,7 +9,7 @@
 // slice, sends on a channel, accumulates floating-point values, or
 // calls into the clock makes results differ between two runs of the
 // *same binary* — the one nondeterminism class that survives vclock,
-// -race and the wallclock/clockgo analyzers.
+// -race and the wallclock analyzer.
 //
 // An effect is order-observable when the loop body
 //

@@ -82,13 +82,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			c.checkFunc(fd.Body, fd.Recv, fd.Type)
+	// Only declared functions are checked; a literal's acquisitions
+	// are its enclosing function's business.
+	for _, sc := range analysis.FuncScopes(pass) {
+		if sc.Decl != nil {
+			c.checkFunc(sc)
 		}
 	}
 	return nil, nil
@@ -112,6 +110,11 @@ func (c *checker) isSource(call *ast.CallExpr) (*types.Named, bool) {
 		return nil, false
 	}
 	return recvNamed(fn), true
+}
+
+func (c *checker) isSourceCall(call *ast.CallExpr) bool {
+	_, ok := c.isSource(call)
+	return ok
 }
 
 // retains reports whether fn keeps a reference to its i'th parameter:
@@ -241,19 +244,18 @@ type acq struct {
 	pool *types.Named
 }
 
-func (c *checker) checkFunc(body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) {
-	info := c.pass.TypesInfo
-	cfg := analysis.BuildCFG(info, body)
-	rd := analysis.NewReachingDefs(info, cfg, recv, ftype)
+func (c *checker) checkFunc(sc *analysis.FuncScope) {
+	cfg, rd := sc.CFG, sc.RD
 
 	var acqs []acq
 	acqID := make(map[*analysis.Def]int)
 	for _, blk := range cfg.Blocks {
 		for _, n := range blk.Nodes {
-			c.collectAcqs(rd, n, func(d *analysis.Def, call *ast.CallExpr, pool *types.Named) {
+			rd.CallDefs(n, c.isSourceCall, func(d *analysis.Def, call *ast.CallExpr) {
 				if _, seen := acqID[d]; seen {
 					return
 				}
+				pool, _ := c.isSource(call)
 				acqID[d] = len(acqs)
 				acqs = append(acqs, acq{def: d, call: call, pool: pool})
 			})
@@ -271,33 +273,10 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recv *ast.FieldList, ftype *ast
 		return
 	}
 
-	st := func() []bool { return make([]bool, 3*len(acqs)) }
-	in, _ := analysis.Solve(cfg, analysis.FlowProblem[[]bool]{
-		Dir:      analysis.Forward,
-		Boundary: st(),
-		Init:     st,
-		Meet: func(a, b []bool) []bool {
-			m := make([]bool, len(a))
-			for i := range a {
-				m[i] = a[i] || b[i]
-			}
-			return m
-		},
-		Transfer: func(blk *analysis.Block, in []bool) []bool {
-			s := append([]bool(nil), in...)
-			for _, n := range blk.Nodes {
-				c.process(rd, acqs, acqID, n, s, nil)
-			}
-			return s
-		},
-		Equal: func(a, b []bool) bool {
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		},
+	in := analysis.SolveMay(cfg, 3*len(acqs), func(blk *analysis.Block, s []bool) {
+		for _, n := range blk.Nodes {
+			c.process(rd, acqs, acqID, n, s, nil)
+		}
 	})
 
 	// Reporting pass: re-walk each block once from its solved entry
@@ -331,46 +310,13 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recv *ast.FieldList, ftype *ast
 	}
 }
 
-// collectAcqs finds definitions of trackable locals whose RHS is a
-// source call.
-func (c *checker) collectAcqs(rd *analysis.ReachingDefs, n ast.Node, fn func(*analysis.Def, *ast.CallExpr, *types.Named)) {
-	assign, ok := n.(*ast.AssignStmt)
-	if !ok || (assign.Tok != token.ASSIGN && assign.Tok != token.DEFINE) {
-		return
-	}
-	info := c.pass.TypesInfo
-	for i, l := range assign.Lhs {
-		id, ok := ast.Unparen(l).(*ast.Ident)
-		if !ok || i >= len(assign.Rhs) {
-			continue
-		}
-		call, ok := ast.Unparen(assign.Rhs[i]).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		pool, src := c.isSource(call)
-		if !src {
-			continue
-		}
-		v := defVar(info, id)
-		if v == nil || !rd.Tracked(v) {
-			continue
-		}
-		for _, d := range rd.Defs(v) {
-			if d.Node == n && d.RHS != nil && ast.Unparen(d.RHS) == call {
-				fn(d, call, pool)
-			}
-		}
-	}
-}
-
 // process applies one statement's effect to the state vector s
 // (layout: [live... done... retained...]); with a non-nil reporter it
 // also emits findings.
 func (c *checker) process(rd *analysis.ReachingDefs, acqs []acq, acqID map[*analysis.Def]int, node ast.Node, s []bool, rep func(token.Pos, string, string)) {
 	info := c.pass.TypesInfo
 	n := len(acqs)
-	nilCmp := nilComparisonIdents(node)
+	nilCmp := analysis.NilComparisonIdents(node)
 	consumed := make(map[*ast.Ident]bool)
 
 	// applyPut resolves one call as a Put of tracked values. asDefer
@@ -507,7 +453,7 @@ func (c *checker) process(rd *analysis.ReachingDefs, acqs []acq, acqID map[*anal
 
 	// Gen after kills, strong update: a fresh acquisition resets all
 	// three bits for its definition.
-	c.collectAcqs(rd, node, func(d *analysis.Def, _ *ast.CallExpr, _ *types.Named) {
+	rd.CallDefs(node, c.isSourceCall, func(d *analysis.Def, _ *ast.CallExpr) {
 		if i, ok := acqID[d]; ok {
 			s[i] = true
 			s[n+i] = false
@@ -591,34 +537,6 @@ func (c *checker) classifyUse(stack []ast.Node, id *ast.Ident) useKind {
 	return useTransfer
 }
 
-func nilComparisonIdents(n ast.Node) map[*ast.Ident]bool {
-	out := make(map[*ast.Ident]bool)
-	ast.Inspect(n, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return true
-		}
-		x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-		if isNil(x) {
-			if id, ok := y.(*ast.Ident); ok {
-				out[id] = true
-			}
-		}
-		if isNil(y) {
-			if id, ok := x.(*ast.Ident); ok {
-				out[id] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
 // staticOrigin resolves a call's static callee, canonicalized to its
 // generic origin so local lookups and facts line up for instantiated
 // methods.
@@ -628,14 +546,4 @@ func staticOrigin(info *types.Info, call *ast.CallExpr) *types.Func {
 		fn = fn.Origin()
 	}
 	return fn
-}
-
-func defVar(info *types.Info, id *ast.Ident) *types.Var {
-	if v, ok := info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }

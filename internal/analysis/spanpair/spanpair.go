@@ -27,7 +27,6 @@ package spanpair
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"gflink/internal/analysis"
@@ -43,23 +42,10 @@ var Analyzer = &analysis.Analyzer{
 const obsPath = "gflink/internal/obs"
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	for _, f := range pass.Files {
-		idx := analysis.DirectiveIndex(pass.Fset, f)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, idx, fd.Body, fd.Recv, fd.Type)
-		}
-		// Function literals are separate functions: a Begin inside a
-		// closure must be closed by the closure (or escape from it).
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkFunc(pass, idx, lit.Body, nil, lit.Type)
-			}
-			return true
-		})
+	// Function literals are scopes of their own: a Begin inside a
+	// closure must be closed by the closure (or escape from it).
+	for _, sc := range analysis.FuncScopes(pass) {
+		checkFunc(pass, sc)
 	}
 	return nil, nil
 }
@@ -87,10 +73,10 @@ func endReceiver(info *types.Info, call *ast.CallExpr) *ast.Ident {
 	return id
 }
 
-func checkFunc(pass *analysis.Pass, idx map[string]map[int]bool, body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) {
+func checkFunc(pass *analysis.Pass, sc *analysis.FuncScope) {
 	info := pass.TypesInfo
-	cfg := analysis.BuildCFG(info, body)
-	rd := analysis.NewReachingDefs(info, cfg, recv, ftype)
+	cfg, rd, idx := sc.CFG, sc.RD, sc.Idx
+	isBegin := func(call *ast.CallExpr) bool { return isBeginCall(info, call) }
 
 	// Span facts: one per Begin call whose result lands in a trackable
 	// local. Begin results that are immediately discarded are reported
@@ -104,7 +90,7 @@ func checkFunc(pass *analysis.Pass, idx map[string]map[int]bool, body *ast.Block
 	spanID := make(map[*analysis.Def]int)
 	for _, blk := range cfg.Blocks {
 		for _, n := range blk.Nodes {
-			collectSpanDefs(info, rd, n, func(d *analysis.Def, call *ast.CallExpr) {
+			rd.CallDefs(n, isBegin, func(d *analysis.Def, call *ast.CallExpr) {
 				if _, seen := spanID[d]; seen {
 					return
 				}
@@ -127,7 +113,7 @@ func checkFunc(pass *analysis.Pass, idx map[string]map[int]bool, body *ast.Block
 	// transfers. Evaluated inside the transfer function so the result
 	// respects each path's reaching definitions.
 	kills := func(n ast.Node, live []bool) {
-		nilCmp := nilComparisonIdents(n)
+		nilCmp := analysis.NilComparisonIdents(n)
 		ast.Inspect(n, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if recvID := endReceiver(info, call); recvID != nil {
@@ -179,79 +165,22 @@ func checkFunc(pass *analysis.Pass, idx map[string]map[int]bool, body *ast.Block
 		})
 	}
 
-	boundary := make([]bool, len(spans))
-	in, _ := analysis.Solve(cfg, analysis.FlowProblem[[]bool]{
-		Dir:      analysis.Forward,
-		Boundary: boundary,
-		Init:     func() []bool { return make([]bool, len(spans)) },
-		Meet: func(a, b []bool) []bool {
-			m := make([]bool, len(a))
-			for i := range a {
-				m[i] = a[i] || b[i]
-			}
-			return m
-		},
-		Transfer: func(blk *analysis.Block, in []bool) []bool {
-			live := append([]bool(nil), in...)
-			for _, n := range blk.Nodes {
-				kills(n, live)
-				collectSpanDefs(info, rd, n, func(d *analysis.Def, _ *ast.CallExpr) {
-					if id, ok := spanID[d]; ok {
-						live[id] = true
-					}
-				})
-			}
-			return live
-		},
-		Equal: func(a, b []bool) bool {
-			for i := range a {
-				if a[i] != b[i] {
-					return false
+	in := analysis.SolveMay(cfg, len(spans), func(blk *analysis.Block, live []bool) {
+		for _, n := range blk.Nodes {
+			kills(n, live)
+			rd.CallDefs(n, isBegin, func(d *analysis.Def, _ *ast.CallExpr) {
+				if id, ok := spanID[d]; ok {
+					live[id] = true
 				}
-			}
-			return true
-		},
+			})
+		}
 	})
 
-	leaked := make([]bool, len(spans))
-	for _, exit := range []*analysis.Block{cfg.Exit, cfg.Panic} {
-		for i, open := range in[exit] {
-			if open {
-				leaked[i] = true
-			}
-		}
-	}
-	for i, s := range spans {
-		if leaked[i] {
-			report(pass, idx, s.call)
-		}
-	}
-}
-
-// collectSpanDefs finds definitions of trackable locals whose RHS is a
-// Begin call.
-func collectSpanDefs(info *types.Info, rd *analysis.ReachingDefs, n ast.Node, fn func(*analysis.Def, *ast.CallExpr)) {
-	assign, ok := n.(*ast.AssignStmt)
-	if !ok || (assign.Tok != token.ASSIGN && assign.Tok != token.DEFINE) {
-		return
-	}
-	for i, l := range assign.Lhs {
-		id, ok := ast.Unparen(l).(*ast.Ident)
-		if !ok || i >= len(assign.Rhs) {
-			continue
-		}
-		call, ok := ast.Unparen(assign.Rhs[i]).(*ast.CallExpr)
-		if !ok || !isBeginCall(info, call) {
-			continue
-		}
-		v := defVar(info, id)
-		if v == nil || !rd.Tracked(v) {
-			continue
-		}
-		for _, d := range rd.Defs(v) {
-			if d.Node == n && d.RHS != nil && ast.Unparen(d.RHS) == call {
-				fn(d, call)
-			}
+	// The panic exit counts: deferred Ends run there too, and a span
+	// still open on it is never recorded.
+	for i, sp := range spans {
+		if in[cfg.Exit][i] || in[cfg.Panic][i] {
+			report(pass, idx, sp.call)
 		}
 	}
 }
@@ -273,46 +202,6 @@ func escapeVisit(n ast.Node, rd *analysis.ReachingDefs, spanID map[*analysis.Def
 		}
 	}
 	return true
-}
-
-// nilComparisonIdents collects identifiers compared against nil within
-// n: those uses neither close nor transfer a span.
-func nilComparisonIdents(n ast.Node) map[*ast.Ident]bool {
-	out := make(map[*ast.Ident]bool)
-	ast.Inspect(n, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return true
-		}
-		x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-		if isNil(x) {
-			if id, ok := y.(*ast.Ident); ok {
-				out[id] = true
-			}
-		}
-		if isNil(y) {
-			if id, ok := x.(*ast.Ident); ok {
-				out[id] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func defVar(info *types.Info, id *ast.Ident) *types.Var {
-	if v, ok := info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 func report(pass *analysis.Pass, idx map[string]map[int]bool, call *ast.CallExpr) {

@@ -8,10 +8,8 @@ import (
 	"gflink/internal/analysis/bufescape"
 	"gflink/internal/analysis/buflifecycle"
 	"gflink/internal/analysis/clockflow"
-	"gflink/internal/analysis/clockgo"
 	"gflink/internal/analysis/counterkey"
 	"gflink/internal/analysis/hotalloc"
-	"gflink/internal/analysis/lockhold"
 	"gflink/internal/analysis/lockorder"
 	"gflink/internal/analysis/maporder"
 	"gflink/internal/analysis/outputpurity"
@@ -20,13 +18,15 @@ import (
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite.
+// Rules returns the production analyzer suite of eleven analyzers.
 //
-//   - wallclock, clockgo and maporder guard every simulator package
-//     under gflink/internal (the public API and examples only assemble
-//     configurations, but the internal packages are where virtual time
-//     and result ordering live).
-//   - lockhold and lockorder are exempt in internal/vclock itself: the
+//   - wallclock (wall-clock time sources and bare go statements) and
+//     maporder guard every simulator package under gflink/internal
+//     (the public API and examples only assemble configurations, but
+//     the internal packages are where virtual time and result ordering
+//     live).
+//   - lockorder (blocking calls under a held mutex, and lock order
+//     cycles) runs module-wide except internal/vclock itself: the
 //     primitives' implementation necessarily manipulates the clock's
 //     own mutex around the park/wake protocol, and its ordering is the
 //     scheduler's concern, not the lock graph's.
@@ -53,9 +53,7 @@ func Rules() []analysis.Rule {
 	internal := analysis.Under("gflink/internal")
 	return []analysis.Rule{
 		{Analyzer: wallclock.Analyzer, Applies: internal},
-		{Analyzer: clockgo.Analyzer, Applies: internal},
 		{Analyzer: maporder.Analyzer, Applies: internal},
-		{Analyzer: lockhold.Analyzer, Applies: analysis.Except(internal, "gflink/internal/vclock")},
 		{Analyzer: lockorder.Analyzer, Applies: analysis.Except(nil, "gflink/internal/vclock")},
 		{Analyzer: buflifecycle.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},

@@ -33,10 +33,6 @@ type Config struct {
 	// bytes. 0 disables the tier (paper mode): evicted cache entries are
 	// freed instead of demoted.
 	HostTierBytes int64
-	// SpillDisk overrides the simulated disk host pages spill to when
-	// the host tier overflows; the zero value selects
-	// costmodel.DefaultSpillDisk.
-	SpillDisk costmodel.Disk
 	// Scheduler selects Algorithm 5.1 (default) or the RoundRobin
 	// ablation.
 	Scheduler SchedulerPolicy
@@ -76,7 +72,8 @@ type GPUManager struct {
 	Streams *GStreamManager
 }
 
-// New builds a GFlink deployment.
+// New builds a GFlink deployment of GPUsPerWorker identical
+// GPUProfile devices per worker.
 func New(cfg Config) *GFlink {
 	if cfg.GPUsPerWorker <= 0 {
 		cfg.GPUsPerWorker = 1
@@ -84,36 +81,18 @@ func New(cfg Config) *GFlink {
 	if cfg.GPUProfile.Name == "" {
 		cfg.GPUProfile = costmodel.C2050
 	}
-	cluster := flink.NewCluster(cfg.Config)
-	cfg.Config = cluster.Cfg
 	if cfg.CacheBytesPerJob <= 0 {
 		cfg.CacheBytesPerJob = cfg.GPUProfile.MemBytes * 6 / 10
 	}
-	g := &GFlink{Cluster: cluster, Cfg: cfg, Obs: obs.New()}
-	devID := 0
-	for w := 0; w < cfg.Config.Workers; w++ {
-		wrapper := NewCUDAWrapper(cluster.Clock, cfg.Config.Model)
-		mgr := &GPUManager{Worker: w, Wrapper: wrapper}
-		var mems []*GMemoryManager
-		for k := 0; k < cfg.GPUsPerWorker; k++ {
-			dev := gpu.NewDevice(cluster.Clock, devID, w, cfg.GPUProfile, cfg.Config.Model.PCIe)
-			devID++
-			mgr.Devices = append(mgr.Devices, dev)
-			mems = append(mems, NewMemoryManager(dev, wrapper, cfg.CacheBytesPerJob, memOptions(cfg)...))
+	// flink.NewCluster deploys at least one worker.
+	profiles := make([][]costmodel.GPUProfile, max(cfg.Workers, 1))
+	for w := range profiles {
+		profiles[w] = make([]costmodel.GPUProfile, cfg.GPUsPerWorker)
+		for k := range profiles[w] {
+			profiles[w][k] = cfg.GPUProfile
 		}
-		mgr.Streams = NewStreamManager(StreamConfig{
-			Clock:         cluster.Clock,
-			Wrapper:       wrapper,
-			Memories:      mems,
-			StreamsPerGPU: cfg.StreamsPerGPU,
-			Policy:        cfg.Scheduler,
-			NoStealing:    cfg.DisableStealing,
-			Tracer:        g.Obs.Tracer(),
-			Metrics:       g.Obs.Metrics(),
-		})
-		g.Managers = append(g.Managers, mgr)
 	}
-	return g
+	return NewHetero(cfg, profiles)
 }
 
 // NewHetero builds a GFlink deployment whose workers carry the given
@@ -159,9 +138,6 @@ func memOptions(cfg Config) []MemOption {
 	opts := []MemOption{WithPolicy(cfg.CachePolicy)}
 	if cfg.HostTierBytes > 0 {
 		opts = append(opts, WithHostTierBytes(cfg.HostTierBytes))
-	}
-	if cfg.SpillDisk != (costmodel.Disk{}) {
-		opts = append(opts, WithDiskBandwidth(cfg.SpillDisk))
 	}
 	return opts
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,6 +57,40 @@ func TestHeteroCacheCapacityFollowsDevice(t *testing.T) {
 		t.Errorf("GTX750 region (%d) not smaller than P100's (%d)", small, big)
 	}
 	g.Run(func() {})
+}
+
+// TestNewIsUniformHetero pins New to NewHetero over a uniform profile
+// matrix: New fills its defaults (one C2050 per worker, 60% of device
+// memory as the cache region) and both constructors then yield the
+// same Cfg and the same devices and cache capacities.
+func TestNewIsUniformHetero(t *testing.T) {
+	base := flink.Config{Workers: 2, Model: costmodel.Default()}
+	a := New(Config{Config: base})
+	b := NewHetero(Config{
+		Config:           base,
+		GPUsPerWorker:    1,
+		GPUProfile:       costmodel.C2050,
+		CacheBytesPerJob: costmodel.C2050.MemBytes * 6 / 10,
+	}, [][]costmodel.GPUProfile{{costmodel.C2050}, {costmodel.C2050}})
+	if !reflect.DeepEqual(a.Cfg, b.Cfg) {
+		t.Errorf("New Cfg = %+v\nNewHetero Cfg = %+v", a.Cfg, b.Cfg)
+	}
+	for w := range b.Managers {
+		ma, mb := a.Manager(w), b.Manager(w)
+		if len(ma.Devices) != len(mb.Devices) {
+			t.Fatalf("worker %d: %d devices, want %d", w, len(ma.Devices), len(mb.Devices))
+		}
+		for k, d := range mb.Devices {
+			if da := ma.Devices[k]; da.ID != d.ID || da.Profile != d.Profile {
+				t.Errorf("w%dd%d: device %d/%s, want %d/%s", w, k, da.ID, da.Profile.Name, d.ID, d.Profile.Name)
+			}
+			if got, want := ma.Streams.Memory(k).RegionCap(), mb.Streams.Memory(k).RegionCap(); got != want {
+				t.Errorf("w%dd%d: region cap %d, want %d", w, k, got, want)
+			}
+		}
+	}
+	a.Run(func() {})
+	b.Run(func() {})
 }
 
 func TestCUDAWrapperChargesControlChannel(t *testing.T) {

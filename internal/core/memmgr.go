@@ -144,12 +144,6 @@ func WithHostTierBytes(n int64) MemOption {
 	return func(m *GMemoryManager) { m.hostTierBytes = n }
 }
 
-// WithDiskBandwidth sets the simulated disk host pages spill to when
-// the host tier overflows (default costmodel.DefaultSpillDisk).
-func WithDiskBandwidth(d costmodel.Disk) MemOption {
-	return func(m *GMemoryManager) { m.spillDisk = d }
-}
-
 // NewMemoryManager builds the manager for one device. Without options
 // it reproduces the paper's configuration: FIFO eviction, no host
 // tier.
@@ -272,7 +266,7 @@ func (m *GMemoryManager) Release(key CacheKey) {
 // triggered the transfer; the caller must Release it. With the host
 // tier enabled, victims demote to host pages after the lock is
 // dropped — demotion charges simulated time, so it never runs under mu
-// (the lockhold invariant).
+// (lockorder's no-blocking-under-lock rule).
 //
 //gflink:hotpath
 func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bool {

@@ -18,8 +18,9 @@ import (
 // bytes are copied verbatim at each hop, so a promoted buffer is
 // bit-identical to the one that was evicted and output bytes never
 // change (invariant 11). None of these functions may be entered while
-// m.mu is held: they sleep on the virtual clock (the lockhold
-// invariant), taking the mutex themselves only around bookkeeping.
+// m.mu is held: they sleep on the virtual clock (lockorder's
+// no-blocking-under-lock rule), taking the mutex themselves only
+// around bookkeeping.
 
 // hostPage is one demoted cache object. Resident pages hold their real
 // bytes in an off-heap HBuffer from the host pool and sit on the

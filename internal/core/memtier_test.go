@@ -309,17 +309,13 @@ func TestMemOptionsAndShim(t *testing.T) {
 	clock := vclock.New()
 	wrapper := NewCUDAWrapper(clock, model)
 	dev := gpu.NewDevice(clock, 0, 0, costmodel.C2050, model.PCIe)
-	disk := costmodel.Disk{ReadMBps: 42, WriteMBps: 24, Seek: time.Millisecond}
 	m := NewMemoryManager(dev, wrapper, 1<<20,
-		WithPolicy(EvictLRU), WithHostTierBytes(4096), WithDiskBandwidth(disk))
+		WithPolicy(EvictLRU), WithHostTierBytes(4096))
 	if got := m.Policy().Name(); got != "lru" {
 		t.Errorf("WithPolicy: policy = %q, want lru", got)
 	}
 	if m.HostTierBytes() != 4096 {
 		t.Errorf("WithHostTierBytes: %d, want 4096", m.HostTierBytes())
-	}
-	if m.spillDisk != disk {
-		t.Errorf("WithDiskBandwidth: %+v, want %+v", m.spillDisk, disk)
 	}
 	if m.hostPool == nil || m.hostPages == nil {
 		t.Error("host tier enabled but pool/pages not initialised")

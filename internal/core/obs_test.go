@@ -6,39 +6,11 @@ import (
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
-	"gflink/internal/obs"
 	"gflink/internal/vclock"
 )
 
-// TestStreamOptions checks the functional options mutate a
-// StreamConfig the way their names promise.
-func TestStreamOptions(t *testing.T) {
-	tr := obs.NewTracer()
-	reg := obs.NewRegistry()
-	var cfg StreamConfig
-	for _, o := range []StreamOption{
-		WithTracer(tr), WithMetrics(reg), WithStealing(false),
-		WithScheduler(RoundRobin), WithStreamsPerGPU(7),
-	} {
-		o(&cfg)
-	}
-	if cfg.Tracer != tr || cfg.Metrics != reg {
-		t.Error("WithTracer/WithMetrics did not set the sinks")
-	}
-	if !cfg.NoStealing {
-		t.Error("WithStealing(false) must set NoStealing")
-	}
-	WithStealing(true)(&cfg)
-	if cfg.NoStealing {
-		t.Error("WithStealing(true) must clear NoStealing")
-	}
-	if cfg.Policy != RoundRobin || cfg.StreamsPerGPU != 7 {
-		t.Errorf("policy/streams = %v/%d", cfg.Policy, cfg.StreamsPerGPU)
-	}
-}
-
 // TestStreamManagerWithoutStealing builds a manager from a StreamConfig
-// plus WithStealing(false) and checks the stealing flag's polarity, the
+// with NoStealing set and checks the stealing flag's polarity, the
 // policy, the streams per GPU and that no observability is wired.
 func TestStreamManagerWithoutStealing(t *testing.T) {
 	model := costmodel.Default()
@@ -52,9 +24,10 @@ func TestStreamManagerWithoutStealing(t *testing.T) {
 		Memories:      []*GMemoryManager{mem},
 		StreamsPerGPU: 2,
 		Policy:        RoundRobin,
-	}, WithStealing(false))
+		NoStealing:    true,
+	})
 	if m.stealing {
-		t.Error("WithStealing(false) must disable stealing")
+		t.Error("NoStealing must disable stealing")
 	}
 	if m.policy != RoundRobin {
 		t.Errorf("policy = %v, want RoundRobin", m.policy)

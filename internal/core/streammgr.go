@@ -125,42 +125,9 @@ type StreamConfig struct {
 	Metrics *obs.Registry
 }
 
-// StreamOption mutates a StreamConfig before construction.
-type StreamOption func(*StreamConfig)
-
-// WithTracer directs per-GWork span trees to t.
-func WithTracer(t *obs.Tracer) StreamOption {
-	return func(c *StreamConfig) { c.Tracer = t }
-}
-
-// WithMetrics directs scheduler and cache counters to r.
-func WithMetrics(r *obs.Registry) StreamOption {
-	return func(c *StreamConfig) { c.Metrics = r }
-}
-
-// WithStealing enables or disables Algorithm 5.2.
-func WithStealing(enabled bool) StreamOption {
-	return func(c *StreamConfig) { c.NoStealing = !enabled }
-}
-
-// WithScheduler selects the scheduling policy. (Formerly WithPolicy;
-// renamed when the memory manager's WithPolicy eviction option took
-// the name.)
-func WithScheduler(p SchedulerPolicy) StreamOption {
-	return func(c *StreamConfig) { c.Policy = p }
-}
-
-// WithStreamsPerGPU sizes each GStream Pool bulk.
-func WithStreamsPerGPU(n int) StreamOption {
-	return func(c *StreamConfig) { c.StreamsPerGPU = n }
-}
-
-// NewStreamManager builds the manager from cfg with opts applied.
-// StreamsPerGPU streams are created per device; all start idle.
-func NewStreamManager(cfg StreamConfig, opts ...StreamOption) *GStreamManager {
-	for _, o := range opts {
-		o(&cfg)
-	}
+// NewStreamManager builds the manager from cfg. StreamsPerGPU streams
+// are created per device; all start idle.
+func NewStreamManager(cfg StreamConfig) *GStreamManager {
 	if cfg.StreamsPerGPU <= 0 {
 		cfg.StreamsPerGPU = 4
 	}

@@ -107,12 +107,6 @@ func (w *CUDAWrapper) LaunchAsyncInto(s *gpu.Stream, f *gpu.Future, name string,
 	s.LaunchAsyncInto(f, name, ctx)
 }
 
-// StreamCreate creates a CUDA stream (cudaStreamCreate).
-func (w *CUDAWrapper) StreamCreate(d *gpu.Device) *gpu.Stream {
-	w.jni()
-	return d.NewStream(w.model.CPU)
-}
-
 // StreamSynchronize waits for a stream to drain
 // (cudaStreamSynchronize).
 func (w *CUDAWrapper) StreamSynchronize(s *gpu.Stream) {

@@ -214,9 +214,9 @@ type Disk struct {
 var DefaultDisk = Disk{ReadMBps: 150, WriteMBps: 120, Seek: 8 * time.Millisecond}
 
 // DefaultSpillDisk is the node-local scratch SSD the tiered memory
-// subsystem spills host pages to when the host tier overflows
-// (core.WithDiskBandwidth overrides it): much faster than the
-// HDFS-era DefaultDisk, still an order of magnitude under PCIe.
+// subsystem spills host pages to when the host tier overflows: much
+// faster than the HDFS-era DefaultDisk, still an order of magnitude
+// under PCIe.
 var DefaultSpillDisk = Disk{ReadMBps: 500, WriteMBps: 450, Seek: 100 * time.Microsecond}
 
 // ReadTime returns the time to stream-read n bytes.

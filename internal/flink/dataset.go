@@ -223,19 +223,6 @@ func Map[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes i
 	return FromPartitions(d.job, outBytes, out)
 }
 
-// MapPartition applies f to each whole partition (Flink's mapPartition;
-// this is the operator GFlink's block-processing model accelerates).
-func MapPartition[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes int, f func(worker int, in []T) []U) *Dataset[U] {
-	out := make([]Partition[U], len(d.parts))
-	d.job.runTasks("mapPartition:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
-		in := d.parts[p]
-		d.job.ChargeCompute(in.Nominal, perRec)
-		items := f(in.Worker, in.Items)
-		out[p] = Partition[U]{Worker: in.Worker, Items: items, Nominal: scaleNominal(in.Nominal, int64(len(in.Items)), int64(len(items)))}
-	})
-	return FromPartitions(d.job, outBytes, out)
-}
-
 // Filter keeps records satisfying pred; nominal counts shrink by the
 // observed selectivity.
 func Filter[T any](d *Dataset[T], name string, perRec costmodel.Work, pred func(T) bool) *Dataset[T] {

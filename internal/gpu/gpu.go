@@ -94,9 +94,6 @@ type Buffer struct {
 	freed   bool
 }
 
-// NominalSize returns the capacity-accounting size in bytes.
-func (b *Buffer) NominalSize() int64 { return b.nominal }
-
 // Bytes returns the real backing storage kernels compute on.
 func (b *Buffer) Bytes() []byte { return b.data }
 

@@ -189,25 +189,11 @@ func roundUp(x, a int) int { return (x + a - 1) / a * a }
 // Name returns the schema name.
 func (s *Schema) Name() string { return s.name }
 
-// Align returns the pack alignment.
-func (s *Schema) Align() int { return s.align }
-
 // NumFields returns the number of declared fields.
 func (s *Schema) NumFields() int { return len(s.fields) }
 
 // Field returns field i in declaration order.
 func (s *Schema) Field(i int) Field { return s.fields[i] }
-
-// FieldIndex resolves a field name to its declaration index; ok is
-// false for unknown names.
-func (s *Schema) FieldIndex(name string) (int, bool) {
-	for i, f := range s.fields {
-		if f.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
 
 // Stride returns the AoS element size including padding — the sizeof of
 // the matching CUDA struct.

@@ -22,16 +22,12 @@ import (
 //	Args   — [d]
 const LinRegGradKernel = "gflink.linregGrad"
 
-// SampleSchema returns the GStruct for d features plus a label: d+1
-// scalar fields so the SoA layout yields one contiguous column per
-// feature, with the label as the last column (offset d*n).
-func SampleSchema(d int) *gstruct.Schema {
-	return SampleSchemaMeta(d, 0)
-}
-
-// SampleSchemaMeta widens SampleSchema with meta unread float32
-// metadata columns after the label — columns the gradient kernel never
-// touches, which column projection can keep off the transfer channel.
+// SampleSchemaMeta returns the GStruct for d features plus a label,
+// followed by meta unread float32 metadata columns: scalar fields so
+// the SoA layout yields one contiguous column per feature, with the
+// label at offset d*n. The metadata columns are ones the gradient
+// kernel never touches, which column projection can keep off the
+// transfer channel.
 func SampleSchemaMeta(d, meta int) *gstruct.Schema {
 	fields := make([]gstruct.Field, d+1+meta)
 	for j := 0; j < d; j++ {

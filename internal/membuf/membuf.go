@@ -210,7 +210,8 @@ func (b *HBuffer) Pin() {
 	}
 	p.mu.Unlock()
 	// Charge registration time before publishing the pin; the clock
-	// must not be blocked on while holding p.mu (lockhold invariant).
+	// must not be blocked on while holding p.mu (lockorder's
+	// no-blocking-under-lock rule).
 	p.clock.Sleep(p.model.Overheads.PinPage * time.Duration(b.pages))
 	p.mu.Lock()
 	if b.freed {

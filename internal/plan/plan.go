@@ -57,6 +57,23 @@ func (m Mode) String() string {
 	}
 }
 
+// Place is the placement rule of the plan and stream layers: forced
+// modes pin the device; Auto takes the GPU only when its estimate is
+// strictly lower, so ties go to the CPU (the conservative choice — no
+// PCIe dependence).
+func (m Mode) Place(cpu, gpu time.Duration) Device {
+	switch m {
+	case ForceCPU:
+		return CPU
+	case ForceGPU:
+		return GPU
+	}
+	if gpu < cpu {
+		return GPU
+	}
+	return CPU
+}
+
 // Device is a placement decision.
 type Device int
 
@@ -287,28 +304,17 @@ func (st *state) place(group string) Device {
 	return d
 }
 
-// decide is the placement rule: forced modes pin the device; Auto
-// compares the cost-model estimates and takes the cheaper path, CPU on
-// ties (the conservative choice — no PCIe dependence). The estimates
-// are recorded (for Explain and spans) even when the mode forces the
-// decision — they are pure functions of the cost model, so recording
-// them perturbs nothing.
+// decide applies Mode.Place to the cost-model estimates of one group.
+// The estimates are recorded (for Explain and spans) even when the mode
+// forces the decision — they are pure functions of the cost model, so
+// recording them perturbs nothing.
 func (st *state) decide(group string, cost costmodel.StageCost) Device {
 	m := st.g.Cfg.Config.Model
 	cpuT := m.EstimateCPUStage(cost)
 	gpuT := m.EstimateGPUStage(st.g.Cfg.GPUProfile, cost)
 	forced := st.opts.Mode == ForceCPU || st.opts.Mode == ForceGPU
 	st.ests[group] = stageEst{cpu: cpuT, gpu: gpuT, forced: forced}
-	switch st.opts.Mode {
-	case ForceCPU:
-		return CPU
-	case ForceGPU:
-		return GPU
-	}
-	if gpuT < cpuT {
-		return GPU
-	}
-	return CPU
+	return st.opts.Mode.Place(cpuT, gpuT)
 }
 
 // Execute materializes the graph: submit the job (charging the usual

@@ -120,6 +120,27 @@ func TestChainedNominalAndRecordBytesMatchEager(t *testing.T) {
 	}
 }
 
+// TestModePlace pins the placement rule the plan and stream layers
+// share: forced modes ignore the estimates, and Auto takes the GPU only
+// when it is strictly cheaper.
+func TestModePlace(t *testing.T) {
+	for _, tc := range []struct {
+		mode     Mode
+		cpu, gpu time.Duration
+		want     Device
+	}{
+		{ForceCPU, 2, 1, CPU},
+		{ForceGPU, 1, 2, GPU},
+		{Auto, 2, 1, GPU},
+		{Auto, 1, 2, CPU},
+		{Auto, 1, 1, CPU},
+	} {
+		if got := tc.mode.Place(tc.cpu, tc.gpu); got != tc.want {
+			t.Errorf("%v.Place(cpu %v, gpu %v) = %v, want %v", tc.mode, tc.cpu, tc.gpu, got, tc.want)
+		}
+	}
+}
+
 func TestForcedPlacementSelectsBody(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode

@@ -82,7 +82,7 @@ type Options struct {
 }
 
 // Option mutates Options before construction (the same functional-
-// option shape as core.NewStreamManager and core.NewMemoryManager).
+// option shape as core.NewMemoryManager's MemOption).
 type Option func(*Options)
 
 // WithMode pins window placement (plan.ForceCPU / plan.ForceGPU) or
@@ -387,10 +387,9 @@ func (p *Pipeline) connect(from, to *stage) {
 	to.in = from.out
 }
 
-// decide mirrors plan's placement rule for one window stage: forced
-// modes pin the device; Auto compares one window's cost-model estimate
-// on a CPU slot against the GPU path (packed H2D, windowAgg kernel,
-// slot-table D2H) and takes the cheaper, CPU on ties.
+// decide places one window stage by plan's rule (plan.Mode.Place),
+// comparing one window's cost-model estimate on a CPU slot against the
+// GPU path (packed H2D, windowAgg kernel, slot-table D2H).
 func (p *Pipeline) decide(s *stage) plan.Device {
 	if d, ok := p.decisions[s.win.Group]; ok {
 		return d
@@ -409,17 +408,7 @@ func (p *Pipeline) decide(s *stage) plan.Device {
 		gpu: m.EstimateGPUStage(p.g.Cfg.GPUProfile, cost),
 	}
 	p.ests[s.win.Group] = est
-	d := plan.CPU
-	switch p.opts.Mode {
-	case plan.ForceGPU:
-		d = plan.GPU
-	case plan.ForceCPU:
-		d = plan.CPU
-	default:
-		if est.gpu < est.cpu {
-			d = plan.GPU
-		}
-	}
+	d := p.opts.Mode.Place(est.cpu, est.gpu)
 	p.decisions[s.win.Group] = d
 	return d
 }

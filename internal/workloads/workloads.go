@@ -37,12 +37,9 @@ type Spec struct {
 	// HostTierBytes caps the per-device host paging tier (0 = disabled,
 	// the paper-mode default).
 	HostTierBytes int64
-	// SpillDisk overrides the simulated spill disk (zero value =
-	// costmodel.DefaultSpillDisk).
-	SpillDisk  costmodel.Disk
-	Scheduler  core.SchedulerPolicy
-	NoStealing bool
-	PageSize   int
+	Scheduler     core.SchedulerPolicy
+	NoStealing    bool
+	PageSize      int
 	// BlockNominal bounds the nominal bytes per GDST block (0 = 128 MiB).
 	BlockNominal int64
 	// Projection enables SoA column projection on the transfer channel
@@ -73,7 +70,6 @@ func (s Spec) Build() *core.GFlink {
 		CacheBytesPerJob: s.CacheBytes,
 		CachePolicy:      s.CachePolicy,
 		HostTierBytes:    s.HostTierBytes,
-		SpillDisk:        s.SpillDisk,
 		Scheduler:        s.Scheduler,
 		DisableStealing:  s.NoStealing,
 		MaxBlockNominal:  s.BlockNominal,
