@@ -26,7 +26,8 @@
 // AllocFree fact (exported by this analyzer when it analyzed that
 // package as a dependency) or belong to a small allowlist of known
 // non-allocating runtime entry points (sync mutex operations,
-// container/heap, atomic loads/stores). Calls through function values
+// container/heap, atomic loads/stores, float32 bit casts and
+// little-endian fixed-width loads/stores). Calls through function values
 // or interface methods have unknown behavior and are reported. A
 // //gflink:allow-alloc <reason> directive on (or above) the offending
 // line waives one site or call — that is the sanctioned escape hatch
@@ -93,6 +94,14 @@ var allowlist = map[string]bool{
 	"sync/atomic.LoadInt64":  true,
 	"sync/atomic.StoreInt64": true,
 	"sync/atomic.AddInt64":   true,
+	// Pure bit casts and fixed-width little-endian loads/stores back
+	// the kernel bodies and the stream layer's packing loops.
+	"math.Float32bits":                       true,
+	"math.Float32frombits":                   true,
+	"encoding/binary.littleEndian.Uint32":    true,
+	"encoding/binary.littleEndian.Uint64":    true,
+	"encoding/binary.littleEndian.PutUint32": true,
+	"encoding/binary.littleEndian.PutUint64": true,
 }
 
 // site is one unwaived allocation inside a function body.

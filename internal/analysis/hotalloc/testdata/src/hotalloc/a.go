@@ -2,7 +2,12 @@
 // paths must not heap-allocate; cold code may.
 package hotalloc
 
-import "hotalloc/dep"
+import (
+	"encoding/binary"
+	"math"
+
+	"hotalloc/dep"
+)
 
 type point struct{ x, y int }
 
@@ -218,4 +223,15 @@ func hotEnabledGuard(g *gate, ng notGate, xs []int) int {
 		return len(make([]int, 4)) // want `make allocates`
 	}
 	return append(xs, 1)[0] // want `append may grow`
+}
+
+// Bit casts and little-endian loads/stores are allowlisted; other
+// byte orders are not.
+//
+//gflink:hotpath
+func hotPack(b []byte, v float32) float32 {
+	binary.LittleEndian.PutUint64(b, uint64(math.Float32bits(v)))
+	binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b))
+	binary.BigEndian.PutUint32(b, 1) // want `not proven allocation-free`
+	return math.Float32frombits(uint32(binary.LittleEndian.Uint64(b)))
 }

@@ -70,6 +70,7 @@ func (n *Network) Stats() (transfers, bytes int64) {
 
 func (n *Network) checkNode(id int) {
 	if id < 0 || id >= len(n.up) {
+		//gflink:allow-alloc error diagnostic: an out-of-range node ends the simulation
 		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", id, len(n.up)))
 	}
 }

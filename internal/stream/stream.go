@@ -288,6 +288,7 @@ type stage struct {
 	// sums emitted when it fires
 	fill int
 	sums []float32
+	slot modulus
 	dev  plan.Device
 	// GPU-path staging: host buffers reused across windows, plus the
 	// one-element Args backing (WorkPool.Put drops Args, whose backing
@@ -512,12 +513,15 @@ func (e *edge) take() *batch {
 		b.recs = b.recs[:0]
 		return b
 	}
+	//gflink:allow-alloc cold start: at most BufferBatches+1 shells per edge, recycled by the courier thereafter
 	return &batch{recs: make([]Record, 0, e.p.opts.BatchRecords)}
 }
 
 // send ships one batch downstream: acquire a credit (blocking on the
 // virtual clock when the buffer is full — the metered backpressure
 // signal), pay the network transfer at nominal record size, enqueue.
+//
+//gflink:hotpath
 func (e *edge) send(b *batch) {
 	clock := e.p.g.Cluster.Clock
 	t0 := clock.Now()
@@ -551,6 +555,8 @@ func (e *edge) ack(b *batch) { e.grants.Put(b) }
 // courier is the per-edge credit-return process: for every processed
 // batch it pays the control-message transfer back to the producer,
 // recycles the shell and releases the credit.
+//
+//gflink:hotpath
 func (e *edge) courier() {
 	for {
 		b, ok := e.grants.Get()
@@ -591,17 +597,13 @@ func (s *stage) run() {
 func (s *stage) runSource() {
 	clock := s.p.g.Cluster.Clock
 	model := s.p.g.Cfg.Config.Model
-	keys, seed := uint64(s.src.Keys), s.src.Seed
+	keys, z := newModulus(uint64(s.src.Keys)), s.src.Seed
 	total, batchLen := s.src.Records, int64(s.p.opts.BatchRecords)
 	for i := int64(0); i < total; {
 		n := min(batchLen, total-i)
 		b := s.out.take()
-		recs := b.recs[:n]
-		for j := range recs {
-			h := mix(seed, uint64(i)+uint64(j))
-			recs[j] = Record{Key: h % keys, Val: unit(h)}
-		}
-		b.recs = recs
+		b.recs = b.recs[:n]
+		z = generate(b.recs, z, keys)
 		i += n
 		clock.Sleep(model.CPU.SlotTime(n, s.src.PerRecord.Scale(float64(n))))
 		s.records += n
@@ -659,18 +661,20 @@ func (s *stage) runWindow() {
 // as kernels.CPUWindowAgg over the packed window. A GPU window writes
 // each record once, straight from the batch, as the kernel's packed
 // pair: one little-endian uint64, slot | float32 bits << 32.
+//
+//gflink:hotpath
 func (s *stage) fold(recs []Record) {
-	slots := uint64(s.win.Slots)
+	slot := s.slot
 	if s.dev == plan.GPU {
 		in := s.inBuf.Bytes()[s.fill*packedRecordBytes:]
 		in = in[:len(recs)*packedRecordBytes]
 		for i, r := range recs {
-			binary.LittleEndian.PutUint64(in[i*packedRecordBytes:], r.Key%slots|uint64(math.Float32bits(r.Val))<<32)
+			binary.LittleEndian.PutUint64(in[i*packedRecordBytes:], slot.reduce(r.Key)|uint64(math.Float32bits(r.Val))<<32)
 		}
 	} else {
 		sums := s.sums
 		for _, r := range recs {
-			sums[r.Key%slots] += r.Val
+			sums[slot.reduce(r.Key)] += r.Val
 		}
 	}
 	s.fill += len(recs)
@@ -681,6 +685,7 @@ func (s *stage) fold(recs []Record) {
 // table both paths emit from.
 func (s *stage) prepareWindow(jobID int) {
 	s.sums = make([]float32, s.win.Slots)
+	s.slot = newModulus(uint64(s.win.Slots))
 	pool := s.p.g.Cluster.TaskManagers[s.worker].Pool
 	s.inBuf = pool.MustAllocate(s.win.Trigger.records * packedRecordBytes)
 	s.outBuf = pool.MustAllocate(s.win.Slots * 4)
@@ -693,6 +698,8 @@ func (s *stage) prepareWindow(jobID int) {
 // window runs the kernel over the packed pairs. Both add the same
 // values in the same order, so the emitted aggregates are bit-identical
 // across placements.
+//
+//gflink:hotpath
 func (s *stage) fireWindow() {
 	clock := s.p.g.Cluster.Clock
 	n := s.fill
@@ -707,9 +714,11 @@ func (s *stage) fireWindow() {
 
 	s.windows++
 	s.cntWindows.Add(1)
-	s.p.tracer.Record(s.track, "window", "window", t0, clock.Now(),
-		obs.Int("records", int64(n)),
-		obs.Str("placed", s.dev.String()))
+	if s.p.tracer.Enabled() {
+		s.p.tracer.Record(s.track, "window", "window", t0, clock.Now(),
+			obs.Int("records", int64(n)),
+			obs.Str("placed", s.dev.String()))
+	}
 	s.emitAggregates()
 	clear(s.sums)
 	s.fill = 0
@@ -730,6 +739,7 @@ func (s *stage) aggGPU(n int) {
 	w.Nominal = int64(n)
 	w.BlockSize = 256
 	w.GridSize = (n + 255) / 256
+	//gflink:allow-alloc the pooled In backing keeps its capacity, so only a fresh shell grows it
 	w.In = append(w.In, core.Input{Buf: s.inBuf, Nominal: int64(n) * packedRecordBytes})
 	w.Out = s.outBuf
 	w.OutNominal = int64(s.win.Slots) * 4
@@ -739,6 +749,7 @@ func (s *stage) aggGPU(n int) {
 	err := w.Wait()
 	wp.Put(w)
 	if err != nil {
+		//gflink:allow-alloc error diagnostic: a failed kernel ends the simulation
 		panic(fmt.Sprintf("stream: window %q kernel failed: %v", s.name, err))
 	}
 	for i := range s.sums {
@@ -748,6 +759,8 @@ func (s *stage) aggGPU(n int) {
 
 // emitAggregates streams the window's slot sums downstream as one
 // record per slot, batched like any other traffic.
+//
+//gflink:hotpath
 func (s *stage) emitAggregates() {
 	e := s.out
 	var b *batch
@@ -755,6 +768,7 @@ func (s *stage) emitAggregates() {
 		if b == nil {
 			b = e.take()
 		}
+		//gflink:allow-alloc never grows: take's shells hold BatchRecords and a full batch is sent
 		b.recs = append(b.recs, Record{Key: uint64(slot), Val: sum})
 		if len(b.recs) == s.p.opts.BatchRecords {
 			e.send(b)
@@ -790,16 +804,48 @@ func (s *stage) runSink() {
 	}
 }
 
-// mix is splitmix64 (the workloads package's generator), keyed by
-// (seed, ordinal) so sources are deterministic at any batch size.
-func mix(seed, x uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(x+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// generate fills recs from splitmix64 (the workloads package's
+// generator) and returns the advanced state. Record i of a source
+// keyed by seed is drawn at state seed + γ·(i+1); advancing the state
+// by γ per record is the same uint64 value as recomputing the product,
+// so sources are deterministic at any batch size.
+func generate(recs []Record, z uint64, keys modulus) uint64 {
+	for j := range recs {
+		z += 0x9e3779b97f4a7c15
+		h := (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+		recs[j] = Record{Key: keys.reduce(h), Val: unit(h)}
+	}
+	return z
 }
 
-// unit maps a mixed hash to a float32 in [0, 1).
+// unit maps a mixed hash to a float32 in [0, 1). h>>40 is below 2^24,
+// so the int32 conversion is exact and cheaper than one from uint64.
 func unit(h uint64) float32 {
-	return float32(h>>40) / float32(1<<24)
+	return float32(int32(h>>40)) / float32(1<<24)
+}
+
+// modulus reduces x mod n exactly: with a mask when n is a power of
+// two, with plain % otherwise. Stages build it once, so the per-record
+// loops pay no 64-bit division in the common power-of-two shapes.
+type modulus struct {
+	// n is the divisor, or 0 when n is a power of two and mask (n-1)
+	// does the reduction.
+	n, mask uint64
+}
+
+// newModulus returns the reduction by n, which must be positive.
+func newModulus(n uint64) modulus {
+	if n&(n-1) == 0 {
+		return modulus{mask: n - 1}
+	}
+	return modulus{n: n}
+}
+
+func (m modulus) reduce(x uint64) uint64 {
+	if m.n == 0 {
+		return x & m.mask
+	}
+	return x % m.n
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -194,6 +195,109 @@ func TestWindowMatchesReference(t *testing.T) {
 					t.Errorf("edge depth %d exceeds %d credits", res.MaxDepth, tc.credits)
 				}
 			})
+		}
+	}
+}
+
+// checkPipeline runs a two-worker source→window→sink pipeline and
+// checks it against the reference replay: the sink checksum bit for
+// bit, record and window conservation at every stage, the credit cap
+// on edge depth, and one credit grant per batch sent on each edge.
+func checkPipeline(t *testing.T, seed uint64, records int64, keys, batch, width, slots, credits int, mode plan.Mode) {
+	t.Helper()
+	want, windows := referenceChecksum(seed, records, keys, width, slots)
+	g := build(2)
+	var res stream.Result
+	g.Run(func() {
+		p := stream.New(g, "test", stream.WithMode(mode),
+			stream.WithBatchRecords(batch), stream.WithBufferBatches(credits))
+		p.Source("gen", 0, stream.SourceSpec{Records: records, Keys: keys, Seed: seed}).
+			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: slots}).
+			Sink("out", 0)
+		res = p.Run()
+	})
+	if math.Float64bits(res.Checksum) != math.Float64bits(want) {
+		t.Errorf("checksum %v, reference %v", res.Checksum, want)
+	}
+	if res.Records != records || res.Windows != windows {
+		t.Errorf("records/windows = %d/%d, want %d/%d", res.Records, res.Windows, records, windows)
+	}
+	m := g.Obs.Metrics()
+	if got := m.Get("stream.records.s1"); got != records {
+		t.Errorf("window stage consumed %d records, source produced %d", got, records)
+	}
+	if got, want := m.Get("stream.records.s2"), windows*int64(slots); got != want {
+		t.Errorf("sink received %d aggregates, want %d windows x %d slots", got, windows, slots)
+	}
+	if res.MaxDepth > int64(credits) {
+		t.Errorf("edge depth %d exceeds %d credits", res.MaxDepth, credits)
+	}
+	for _, s := range []string{"s0", "s1"} {
+		if grants, batches := m.Get("stream.grants."+s), m.Get("stream.batches."+s); grants != batches {
+			t.Errorf("stream.grants.%s = %d, stream.batches.%s = %d; a credit was lost or duplicated", s, grants, s, batches)
+		}
+	}
+}
+
+// FuzzPipeline randomizes the pipeline's shape and placement and holds
+// every run to checkPipeline. The seed corpus covers the
+// TestWindowMatchesReference shapes, the power-of-two shape of the
+// stream-window benchmark, and one key and one slot, so the slot and
+// key reductions run both their mask and their % branch.
+func FuzzPipeline(f *testing.F) {
+	for _, gpu := range []bool{false, true} {
+		f.Add(uint64(7), uint16(4000), uint16(1024), uint16(97), uint16(1000), uint16(100), uint8(3), gpu)
+		f.Add(uint64(7), uint16(2048), uint16(1000), uint16(256), uint16(100), uint16(7), uint8(1), gpu)
+		f.Add(uint64(7), uint16(4321), uint16(1024), uint16(256), uint16(1024), uint16(256), uint8(3), gpu)
+		f.Add(uint64(7), uint16(50), uint16(13), uint16(1), uint16(7), uint16(5), uint8(1), gpu)
+		f.Add(uint64(7), uint16(8192), uint16(1024), uint16(256), uint16(1024), uint16(256), uint8(4), gpu)
+		f.Add(uint64(3), uint16(3000), uint16(1), uint16(64), uint16(512), uint16(1), uint8(2), gpu)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, records, keys, batch, width, slots uint16, credits uint8, gpu bool) {
+		// span maps v onto [1, hi], leaving values already in range
+		// unchanged, so the seed shapes run as written.
+		span := func(v, hi int) int { return 1 + (max(v, 1)-1)%hi }
+		n, w := span(int(records), 8192), span(int(width), 2048)
+		sl := span(int(slots), 512)
+		// Bound the sink's traffic (windows x slots aggregates) so one
+		// input stays a few milliseconds.
+		if windows := (n + w - 1) / w; windows*sl > 1<<15 {
+			sl = max(1, (1<<15)/windows)
+		}
+		mode := plan.ForceCPU
+		if gpu {
+			mode = plan.ForceGPU
+		}
+		checkPipeline(t, seed, int64(n), span(int(keys), 1<<16), span(int(batch), 512), w, sl, span(int(credits), 8), mode)
+	})
+}
+
+// TestStreamSteadyStateZeroAllocs pins the tracing-off record path as
+// allocation-free at steady state under both placements: quadrupling
+// the windows a run fires may add fewer than one heap allocation per
+// hundred extra windows.
+func TestStreamSteadyStateZeroAllocs(t *testing.T) {
+	const width, windows = 1024, 100
+	mallocs := func(mode plan.Mode, w int64) int64 {
+		g := build(2)
+		g.Obs.Tracer().SetEnabled(false)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g.Run(func() {
+			p := stream.New(g, "test", stream.WithMode(mode))
+			p.Source("gen", 0, stream.SourceSpec{Records: w * width, Seed: 7}).
+				Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: 256}).
+				Sink("out", 0)
+			p.Run()
+		})
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
+		short, long := mallocs(mode, windows), mallocs(mode, 4*windows)
+		if extra := int64(3 * windows); (long-short)*100 >= extra {
+			t.Errorf("%v: %d windows made %d allocations, %d windows %d: %d more for %d extra windows, want fewer than %d",
+				mode, windows, short, 4*windows, long, long-short, extra, extra/100)
 		}
 	}
 }
