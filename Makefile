@@ -11,10 +11,10 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# go vet's standard checks plus the repo's own eleven-analyzer suite
-# (wallclock, maporder, lockorder, buflifecycle, bufescape, spanpair,
-# clockflow, counterkey, outputpurity, hotalloc, poolsafe — see
-# DESIGN.md "Concurrency & lifetime invariants").
+# go vet's standard checks plus the repo's own ten-analyzer suite
+# (wallclock, maporder, lockorder, bufescape, spanpair, clockflow,
+# counterkey, outputpurity, hotalloc, poolsafe — see DESIGN.md
+# "Concurrency & lifetime invariants").
 # Findings recorded in vet-baseline.json are suppressed: CI ratchets
 # on NEW findings only; the examples tree is vetted alongside the
 # module.

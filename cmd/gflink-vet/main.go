@@ -1,8 +1,8 @@
-// Command gflink-vet runs the repository's eleven custom static
-// analyzers (wallclock, maporder, lockorder, buflifecycle, bufescape,
-// plus the observability checks spanpair, clockflow, counterkey,
-// outputpurity and the allocation-discipline pair hotalloc and
-// poolsafe) over the module. See DESIGN.md "Concurrency & lifetime
+// Command gflink-vet runs the repository's ten custom static analyzers
+// (wallclock, maporder, lockorder, bufescape, plus the observability
+// checks spanpair, clockflow, counterkey, outputpurity and the
+// allocation-discipline pair hotalloc and poolsafe, the latter also
+// owning HBuffer lifetimes) over the module. See DESIGN.md "Concurrency & lifetime
 // invariants" for what each enforces and why `go test -race` cannot.
 //
 // Usage:

@@ -9,9 +9,9 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The eleven production analyzers live in the subpackages wallclock,
-// maporder, lockorder, buflifecycle, bufescape, spanpair, clockflow,
-// counterkey, outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
+// The ten production analyzers live in the subpackages wallclock,
+// maporder, lockorder, bufescape, spanpair, clockflow, counterkey,
+// outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
 // them into a multichecker via the suite subpackage. The flow-sensitive
 // four (spanpair, poolsafe, clockflow, counterkey) share the
 // CFG/dataflow core in cfg.go and scope.go: per-function control-flow

@@ -4,12 +4,12 @@
 // HBuffer.Bytes() and HBuffer.Raw() return slices aliasing the
 // buffer's backing array — the whole point of the zero-copy transfer
 // path. The contract is that such a view is transient: read or written
-// in place, then dropped before the buffer's Free (which buflifecycle
-// enforces separately). A view stored into a struct field, a global, a
-// long-lived slice, or a channel — or captured by a closure that may
-// run later — silently becomes a dangling window once the pool reuses
-// the pages, the classic use-after-free that Go's GC hides until the
-// data is *wrong* rather than crashing.
+// in place, then dropped before the buffer's Free (whose exactly-once
+// discipline poolsafe enforces). A view stored into a struct field, a
+// global, a long-lived slice, or a channel — or captured by a closure
+// that may run later — silently becomes a dangling window once the
+// pool reuses the pages, the classic use-after-free that Go's GC hides
+// until the data is *wrong* rather than crashing.
 //
 // The analysis tracks each view (and every local alias or re-slice of
 // it) through the function: returning it, storing it anywhere that
@@ -374,30 +374,12 @@ func lvalueKind(pass *analysis.Pass, lhs ast.Expr) (string, bool) {
 
 // isViewCall reports whether call is HBuffer.Bytes() or HBuffer.Raw().
 func isViewCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	var fn *types.Func
-	if s, ok := pass.TypesInfo.Selections[sel]; ok {
-		fn, _ = s.Obj().(*types.Func)
-	}
+	fn := analysis.StaticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != membufPath {
 		return false
 	}
-	if fn.Name() != "Bytes" && fn.Name() != "Raw" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	named := sig.Recv().Type()
-	if p, ok := named.(*types.Pointer); ok {
-		named = p.Elem()
-	}
-	n, ok := named.(*types.Named)
-	return ok && n.Obj().Name() == "HBuffer"
+	key := analysis.ObjectKey(fn)
+	return key == "HBuffer.Bytes" || key == "HBuffer.Raw"
 }
 
 func isSlice(t types.Type) bool {

@@ -30,7 +30,7 @@ type Block struct {
 	// Index is the block's position in CFG.Blocks (dense, stable).
 	Index int
 	// Kind labels the block's origin ("entry", "if.then", "for.body",
-	// ...) for debugging and tests.
+	// ...); NonNilOnEntry tells an if from a loop or switch by it.
 	Kind string
 	// Nodes are the statements and scrutinee expressions executed in
 	// this block, in order.

@@ -559,3 +559,36 @@ func TestBlockKindsAreLabeled(t *testing.T) {
 		}
 	}
 }
+
+// TestNonNilOnEntry pins which branch blocks name an identifier as
+// non-nil: only the single-predecessor arms of an if on a plain nil
+// comparison.
+func TestNonNilOnEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"neq then", "if x != nil { mark() }", "x"},
+		{"eq else", "if x == nil { other() } else { mark() }", "x"},
+		{"eq fallthrough", "if x == nil { return }; mark()", "x"},
+		{"mirrored neq", "if nil != x { mark() }", "x"},
+		{"parenthesized", "if (x != nil) { mark() }", "x"},
+		{"eq then", "if x == nil { mark() }", ""},
+		{"compound", "if x != nil && ok { mark() }", ""},
+		{"switch", "switch { case x != nil: mark() }", ""},
+		{"loop", "for x != nil { mark(); x = nil }", ""},
+		{"join", "if x != nil { other() }; mark()", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "package p\nfunc mark() {}\nfunc other() {}\nfunc f(x *int, ok bool) {\n" + tc.body + "\n}\n"
+			_, cfg, _, _ := buildFixture(t, src, "f")
+			blk := callBlock(cfg, "mark")
+			got := ""
+			if id := NonNilOnEntry(blk); id != nil {
+				got = id.Name
+			}
+			if got != tc.want {
+				t.Errorf("NonNilOnEntry = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

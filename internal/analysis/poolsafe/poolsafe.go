@@ -1,39 +1,45 @@
-// Package poolsafe proves the pool discipline behind allocation-free
-// hot paths: a value obtained from a //gflink:pool-annotated source (a
-// Get-like method of a free-list type) must reach exactly one matching
-// Put on every non-panicking path out of the acquiring function, and
-// must not be referenced — directly or through a reference retained by
-// an earlier call — after it has been returned to the pool.
+// Package poolsafe proves buffer ownership: a value from an owning
+// source must be released exactly once on every non-panicking path out
+// of the acquiring function, and must not be referenced — directly or
+// through a reference retained by an earlier call — once released.
+// The sources are //gflink:pool-annotated Get-like methods (released
+// with the pool's Put; the discipline behind allocation-free hot
+// paths) and membuf's Pool.Allocate and Pool.MustAllocate (released
+// with HBuffer.Free, recognized by type: membuf is outside the suite's
+// scope). The paper's GMemoryManager owns each buffer's lifetime
+// exactly once (Section 4.1.2); a leaked HBuffer stays charged against
+// the off-heap pool, a failure Go's GC cannot see ("Garbage Collection
+// or Serialization?" in PAPERS.md). HBuffer.Pin opens a second
+// obligation, dropped by Unpin, Free or a transfer: pinned pages are
+// excluded from cache reclaim.
 //
-// The analysis is a forward may-problem over the function's CFG (the
-// same path-pair machinery as spanpair), with three bits per
-// acquisition: live (acquired, not yet returned), done (returned), and
-// retained (an earlier call kept a reference, per bufescape-style
-// retention: imported Retains facts cross-package, a lexical scan for
-// same-package callees). Findings:
+// Each function body — declared or literal — is a forward may-problem
+// over its CFG with four bits per obligation: live (not yet released),
+// done (released), retained (an earlier call kept a reference: by
+// imported bufescape Retains facts, or a lexical scan of same-package
+// callees) and bare (some path has no deferred release armed).
+// Findings: live at the exit (panic exits are exempt: an abandoned
+// value on a dying path costs one recycle, not correctness); a release
+// while done; any use while done; a release while retained; and an
+// acquisition discarded outright (a bare call, or assigned to _).
 //
-//   - live at the exit block: the value leaks on some path (panic
-//     exits are deliberately exempt — an abandoned pooled object on a
-//     dying path costs one recycle, not correctness);
-//   - Put while done: the value may be returned twice;
-//   - any use while done: use after Put;
-//   - Put while retained: the retained reference escapes the Put.
-//
-// Ownership transfer is the escape hatch, exactly as in spanpair:
-// storing the value (into a slice, field, channel, or another
-// variable), returning it, appending it, or capturing it in a closure
-// hands the Put obligation to the new owner and ends tracking. Plain
-// uses — field reads and writes, indexing, nil comparisons, passing to
-// a non-retaining callee — keep the obligation in place. A Put inside
-// a defer discharges the obligation on both the return and panic edges
-// without marking the value done at the defer statement itself, so
-// uses between the defer and the return stay legal.
+// Storing the value (into a slice, field, channel, or another
+// variable), returning, appending or capturing it transfers the
+// obligation and ends tracking; field access, indexing, nil
+// comparisons and non-retaining callees keep it. A deferred release
+// discharges the obligation without marking the value done, so later
+// uses stay legal. Where the error returned with an acquisition is
+// known non-nil (if err != nil { ... }) there is nothing to release. A
+// transfer the analysis cannot see is documented with
+// //gflink:owns-buffer on (or above) the acquisition or Pin line.
 package poolsafe
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/bufescape"
@@ -50,10 +56,12 @@ func (*PoolSource) AFact() {}
 // Analyzer is the poolsafe analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "poolsafe",
-	Doc:       "values from //gflink:pool sources must reach exactly one Put on every path and not escape after Put",
+	Doc:       "values from //gflink:pool sources and membuf HBuffers (and HBuffer pins) must be released exactly once on every path and not used after release (suppress leaks with //gflink:owns-buffer)",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*PoolSource)(nil)},
 }
+
+const membufPath = "gflink/internal/membuf"
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	c := &checker{
@@ -62,32 +70,24 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		sources: make(map[*types.Func]bool),
 		retain:  make(map[*types.Func][]bool),
 	}
-	for _, f := range pass.Files {
-		idx := analysis.DirectiveIndex(pass.Fset, f)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			c.decls[obj] = fd
-			if analysis.DirectiveAt(idx, pass.Fset, "pool", fd.Pos()) {
-				c.sources[obj] = true
-				if analysis.ObjectKey(obj) != "" {
-					pass.ExportObjectFact(obj, &PoolSource{})
-				}
+	scopes := analysis.FuncScopes(pass)
+	for _, sc := range scopes {
+		if sc.Obj == nil {
+			continue
+		}
+		c.decls[sc.Obj] = sc.Decl
+		if analysis.DirectiveAt(sc.Idx, pass.Fset, "pool", sc.Decl.Pos()) {
+			c.sources[sc.Obj] = true
+			if analysis.ObjectKey(sc.Obj) != "" {
+				pass.ExportObjectFact(sc.Obj, &PoolSource{})
 			}
 		}
 	}
-	// Only declared functions are checked; a literal's acquisitions
-	// are its enclosing function's business.
-	for _, sc := range analysis.FuncScopes(pass) {
-		if sc.Decl != nil {
-			c.checkFunc(sc)
-		}
+	// A literal's free variables are untracked inside it, so a value
+	// acquired outside and released inside stays the enclosing
+	// scope's business (capturing it is a transfer there).
+	for _, sc := range scopes {
+		c.checkFunc(sc)
 	}
 	return nil, nil
 }
@@ -99,22 +99,78 @@ type checker struct {
 	retain  map[*types.Func][]bool // lexical retention cache, by param
 }
 
-// isSource reports whether a call acquires from an annotated pool, and
-// if so which pool type owns the value (the source's receiver type).
-func (c *checker) isSource(call *ast.CallExpr) (*types.Named, bool) {
+// source reports whether a call acquires a tracked value, returning
+// the kind and the source function.
+func (c *checker) source(call *ast.CallExpr) (kind, *types.Func, bool) {
 	fn := staticOrigin(c.pass.TypesInfo, call)
-	if fn == nil {
-		return nil, false
+	if key := membufKey(fn); key == "Pool.Allocate" || key == "Pool.MustAllocate" {
+		return hbuffer, fn, true
 	}
-	if !c.sources[fn] && !c.pass.ImportObjectFact(fn, &PoolSource{}) {
-		return nil, false
-	}
-	return recvNamed(fn), true
+	return pooled, fn, fn != nil && (c.sources[fn] || c.pass.ImportObjectFact(fn, &PoolSource{}))
 }
 
 func (c *checker) isSourceCall(call *ast.CallExpr) bool {
-	_, ok := c.isSource(call)
+	_, _, ok := c.source(call)
 	return ok
+}
+
+// membufKey is the "Type.Method" key of a membuf method, else "".
+func membufKey(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != membufPath {
+		return ""
+	}
+	return analysis.ObjectKey(fn)
+}
+
+// released resolves a call as a release: pool.Put(x) returns pooled
+// x, x.Free() frees HBuffer x and drops its pins, x.Unpin() drops
+// x's pins. It returns the released identifiers and which
+// obligations on them the call discharges.
+func (c *checker) released(call *ast.CallExpr) ([]*ast.Ident, func(acq) bool) {
+	fn := staticOrigin(c.pass.TypesInfo, call)
+	switch key := membufKey(fn); {
+	case key == "HBuffer.Free" || key == "HBuffer.Unpin":
+		return receiver(call), func(a acq) bool { return a.kind == pinned || key == "HBuffer.Free" && a.kind == hbuffer }
+	case fn != nil && fn.Name() == "Put":
+		var ids []*ast.Ident
+		for _, a := range call.Args {
+			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
+				ids = append(ids, id)
+			}
+		}
+		rn := recvNamed(fn)
+		return ids, func(a acq) bool { return a.kind == pooled && sameNamed(rn, a.pool) }
+	}
+	return nil, nil
+}
+
+// receiver returns the identifier a method is called on, if any.
+func receiver(call *ast.CallExpr) []*ast.Ident {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+			return []*ast.Ident{id}
+		}
+	}
+	return nil
+}
+
+// discarded returns the acquisition a block node throws away: a bare
+// call statement, or an assignment of the acquired value to _.
+func (c *checker) discarded(n ast.Node) *ast.CallExpr {
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && c.isSourceCall(call) {
+			return call
+		}
+	case *ast.AssignStmt:
+		for i, r := range n.Rhs {
+			call, ok := ast.Unparen(r).(*ast.CallExpr)
+			if id, _ := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok && id != nil && id.Name == "_" && c.isSourceCall(call) {
+				return call
+			}
+		}
+	}
+	return nil
 }
 
 // retains reports whether fn keeps a reference to its i'th parameter:
@@ -236,163 +292,238 @@ func sameNamed(a, b *types.Named) bool {
 	return ao.Name() == bo.Name() && ao.Pkg().Path() == bo.Pkg().Path()
 }
 
-// acq is one tracked acquisition: a definition whose RHS is a source
-// call.
+// kind is what an obligation tracks and what discharges it.
+type kind int
+
+const (
+	pooled  kind = iota // a //gflink:pool value, returned with Put
+	hbuffer             // a membuf HBuffer, released with Free
+	pinned              // a Pin on an HBuffer, dropped by Unpin or Free
+)
+
+// wording is a kind's text for the findings a release or use makes.
+type wording struct{ double, useAfter, retained string }
+
+var words = [...]wording{
+	pooled: {
+		double:   "pooled value may already have been returned; a second Put corrupts the free list",
+		useAfter: "pooled value used after being returned to the pool",
+		retained: "pooled value was retained by an earlier call and is returned to the pool while still referenced (escape after Put)",
+	},
+	hbuffer: {
+		double:   "HBuffer may already have been freed; a second Free panics",
+		useAfter: "HBuffer used after Free; its pages may already back another buffer",
+		retained: "HBuffer was retained by an earlier call and is freed while still referenced",
+	},
+}
+
+// acq is one obligation: an acquisition (a definition whose RHS is a
+// source call) or a Pin of a tracked buffer.
 type acq struct {
-	def  *analysis.Def
-	call *ast.CallExpr
-	pool *types.Named
+	kind kind
+	def  *analysis.Def // the acquisition's definition; nil for a pin
+	v    *types.Var
+	call *ast.CallExpr // the acquiring or Pin call
+	fn   *types.Func   // the source; nil for a pin
+	pool *types.Named  // the pool type of a pooled value
+}
+
+// leak is the finding for an obligation still live at the exit.
+func (a acq) leak() string {
+	switch a.kind {
+	case hbuffer:
+		return fmt.Sprintf("HBuffer %q from Pool.%s is never freed or transferred in this function; call Free, or annotate the transfer with //gflink:owns-buffer", a.v.Name(), a.fn.Name())
+	case pinned:
+		return fmt.Sprintf("HBuffer %q is pinned but never unpinned, freed or transferred in this function; pinned pages are excluded from cache reclaim", a.v.Name())
+	}
+	return "pooled value is not returned with Put on every path out of the function (store or hand it off to transfer the obligation)"
+}
+
+// scope is one function's obligations, indexed by the definitions
+// their value flows through and by the block node that opens them.
+type scope struct {
+	*checker
+	entry *analysis.Block
+	rd    *analysis.ReachingDefs
+	acqs  []acq
+	byDef map[*analysis.Def][]int
+	gens  map[ast.Node][]int
+}
+
+func (f *scope) add(n ast.Node, a acq, defs ...*analysis.Def) {
+	for _, d := range defs {
+		f.byDef[d] = append(f.byDef[d], len(f.acqs))
+	}
+	f.gens[n] = append(f.gens[n], len(f.acqs))
+	f.acqs = append(f.acqs, a)
 }
 
 func (c *checker) checkFunc(sc *analysis.FuncScope) {
-	cfg, rd := sc.CFG, sc.RD
-
-	var acqs []acq
-	acqID := make(map[*analysis.Def]int)
+	cfg, info := sc.CFG, c.pass.TypesInfo
+	f := &scope{checker: c, entry: cfg.Entry, rd: sc.RD, byDef: make(map[*analysis.Def][]int), gens: make(map[ast.Node][]int)}
+	owned := func(call *ast.CallExpr) bool {
+		return analysis.DirectiveAt(sc.Idx, c.pass.Fset, "owns-buffer", call.Pos())
+	}
 	for _, blk := range cfg.Blocks {
 		for _, n := range blk.Nodes {
-			rd.CallDefs(n, c.isSourceCall, func(d *analysis.Def, call *ast.CallExpr) {
-				if _, seen := acqID[d]; seen {
-					return
-				}
-				pool, _ := c.isSource(call)
-				acqID[d] = len(acqs)
-				acqs = append(acqs, acq{def: d, call: call, pool: pool})
+			f.rd.CallDefs(n, c.isSourceCall, func(d *analysis.Def, call *ast.CallExpr) {
+				k, fn, _ := c.source(call)
+				f.add(n, acq{kind: k, def: d, v: d.Var, call: call, fn: fn, pool: recvNamed(fn)}, d)
 			})
-			// A discarded acquisition leaks immediately.
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
-					if _, src := c.isSource(call); src {
-						c.pass.Reportf(call.Pos(), "pooled value is discarded; acquire into a variable and return it with Put (or don't acquire)")
-					}
+			if call := c.discarded(n); call != nil && !owned(call) {
+				if k, fn, _ := c.source(call); k == hbuffer {
+					c.pass.Reportf(call.Pos(), "result of Pool.%s is discarded; the HBuffer leaks pool pages until off-heap exhaustion", fn.Name())
+				} else {
+					c.pass.Reportf(call.Pos(), "pooled value is discarded; acquire into a variable and return it with Put (or don't acquire)")
 				}
 			}
+			analysis.ForEachCall(header(n), func(call *ast.CallExpr) {
+				if membufKey(staticOrigin(info, call)) != "HBuffer.Pin" {
+					return
+				}
+				for _, id := range receiver(call) {
+					if v, _ := info.Uses[id].(*types.Var); len(f.rd.DefsAt(id)) > 0 {
+						f.add(n, acq{kind: pinned, v: v, call: call}, f.rd.DefsAt(id)...)
+					}
+				}
+			})
 		}
 	}
-	if len(acqs) == 0 {
+	if len(f.acqs) == 0 {
 		return
 	}
 
-	in := analysis.SolveMay(cfg, 3*len(acqs), func(blk *analysis.Block, s []bool) {
-		for _, n := range blk.Nodes {
-			c.process(rd, acqs, acqID, n, s, nil)
-		}
+	in := analysis.SolveMay(cfg, 4*len(f.acqs), func(blk *analysis.Block, s []bool) {
+		f.block(blk, s, nil)
 	})
 
 	// Reporting pass: re-walk each block once from its solved entry
 	// state (the solver's transfer must stay silent — it runs to
 	// fixpoint).
-	seen := make(map[token.Pos]map[string]bool)
-	rep := func(pos token.Pos, kind, msg string) {
-		if seen[pos] == nil {
-			seen[pos] = make(map[string]bool)
+	type finding struct {
+		pos token.Pos
+		msg string
+	}
+	seen := make(map[finding]bool)
+	rep := func(pos token.Pos, msg string) {
+		if !seen[finding{pos, msg}] {
+			seen[finding{pos, msg}] = true
+			c.pass.Reportf(pos, "%s", msg)
 		}
-		if seen[pos][kind] {
-			return
-		}
-		seen[pos][kind] = true
-		c.pass.Reportf(pos, "%s", msg)
 	}
 	for _, blk := range cfg.Blocks {
-		s := append([]bool(nil), in[blk]...)
-		for _, n := range blk.Nodes {
-			c.process(rd, acqs, acqID, n, s, rep)
-		}
+		f.block(blk, slices.Clone(in[blk]), rep)
 	}
 
-	// Exactly-one-Put: still live at the exit block means some
+	// Exactly one release: still live at the exit block means some
 	// non-panicking path abandons the value.
-	for i, open := range in[cfg.Exit][:len(acqs)] {
-		if open {
-			rep(acqs[i].call.Pos(), "leak",
-				"pooled value is not returned with Put on every path out of the function (store or hand it off to transfer the obligation)")
+	for i, open := range in[cfg.Exit][:len(f.acqs)] {
+		if a := f.acqs[i]; open && !owned(a.call) {
+			rep(a.call.Pos(), a.leak())
 		}
 	}
 }
 
-// process applies one statement's effect to the state vector s
-// (layout: [live... done... retained...]); with a non-nil reporter it
-// also emits findings.
-func (c *checker) process(rd *analysis.ReachingDefs, acqs []acq, acqID map[*analysis.Def]int, node ast.Node, s []bool, rep func(token.Pos, string, string)) {
-	info := c.pass.TypesInfo
-	n := len(acqs)
+// header is the part of a block node that runs in its block: a range
+// statement's body is other blocks.
+func header(n ast.Node) ast.Node {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		return rs.X
+	}
+	return n
+}
+
+// block applies one block to the state vector s (layout: [live...
+// done... retained... bare...]); with a non-nil reporter it also emits
+// findings. Every path starts bare. On a branch where the error
+// defined with an acquisition is non-nil, there is nothing to release.
+func (f *scope) block(blk *analysis.Block, s []bool, rep func(token.Pos, string)) {
+	n := len(f.acqs)
+	if blk == f.entry {
+		for i := range f.acqs {
+			s[3*n+i] = true
+		}
+	}
+	if x := analysis.NonNilOnEntry(blk); x != nil {
+		for i, a := range f.acqs {
+			if a.def != nil && errOf(f.rd.DefsAt(x), a.def) {
+				s[i] = false
+			}
+		}
+	}
+	for _, node := range blk.Nodes {
+		f.process(node, s, rep)
+	}
+}
+
+// errOf reports whether defs are all a sibling result of acquisition
+// def's call (the err of b, err := p.Allocate(n)).
+func errOf(defs []*analysis.Def, def *analysis.Def) bool {
+	for _, d := range defs {
+		if d.Node != def.Node || d.Var == def.Var {
+			return false
+		}
+	}
+	return len(defs) > 0
+}
+
+// process applies one block node's effect to s.
+func (f *scope) process(node ast.Node, s []bool, rep func(token.Pos, string)) {
+	info := f.pass.TypesInfo
+	n := len(f.acqs)
+	gens := f.gens[node]
+	node = header(node)
 	nilCmp := analysis.NilComparisonIdents(node)
 	consumed := make(map[*ast.Ident]bool)
 
-	// applyPut resolves one call as a Put of tracked values. asDefer
-	// discharges the obligation without marking the value done — a
-	// deferred Put runs at function exit, so later uses stay legal.
-	applyPut := func(call *ast.CallExpr, asDefer bool) {
-		fn := staticOrigin(info, call)
-		if fn == nil || fn.Name() != "Put" {
-			return
-		}
-		rn := recvNamed(fn)
-		for _, a := range call.Args {
-			id, ok := ast.Unparen(a).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			for _, d := range rd.DefsAt(id) {
-				i, ok := acqID[d]
-				if !ok || !sameNamed(rn, acqs[i].pool) {
-					continue
-				}
-				consumed[id] = true
-				if rep != nil && s[n+i] {
-					rep(call.Pos(), "double", "pooled value may already have been returned; a second Put corrupts the free list")
-				}
-				if rep != nil && s[2*n+i] {
-					rep(call.Pos(), "retained", "pooled value was retained by an earlier call and is returned to the pool while still referenced (escape after Put)")
-				}
-				s[i] = false
-				if !asDefer {
-					s[n+i] = true
+	// release applies one call's releases. A deferred release
+	// discharges the obligation without marking the value done: it
+	// runs at function exit, so later uses stay legal.
+	release := func(call *ast.CallExpr, deferred bool) {
+		ids, match := f.released(call)
+		for _, id := range ids {
+			for _, d := range f.rd.DefsAt(id) {
+				for _, i := range f.byDef[d] {
+					a := f.acqs[i]
+					if !match(a) {
+						continue
+					}
+					consumed[id] = true
+					s[i], s[3*n+i] = false, s[3*n+i] && !deferred
+					if a.kind == pinned {
+						continue
+					}
+					if rep != nil && s[n+i] {
+						rep(call.Pos(), words[a.kind].double)
+					}
+					if rep != nil && s[2*n+i] {
+						rep(call.Pos(), words[a.kind].retained)
+					}
+					s[n+i] = s[n+i] || !deferred
 				}
 			}
 		}
 	}
 
-	// handleDefer covers defer p.Put(w) and deferred closures that put
-	// captured values (matched by variable, as in spanpair).
+	// handleDefer covers a deferred release and deferred closures that
+	// release captured values (matched by variable, as in spanpair).
 	handleDefer := func(def *ast.DeferStmt) {
-		applyPut(def.Call, true)
+		release(def.Call, true)
 		lit, ok := ast.Unparen(def.Call.Fun).(*ast.FuncLit)
 		if !ok {
 			return
 		}
-		ast.Inspect(lit.Body, func(y ast.Node) bool {
-			call, ok := y.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := staticOrigin(info, call)
-			if fn == nil || fn.Name() != "Put" {
-				return true
-			}
-			rn := recvNamed(fn)
-			for _, a := range call.Args {
-				id, ok := ast.Unparen(a).(*ast.Ident)
-				if !ok {
-					continue
-				}
+		analysis.ForEachCall(lit.Body, func(call *ast.CallExpr) {
+			ids, match := f.released(call)
+			for _, id := range ids {
 				v, _ := info.Uses[id].(*types.Var)
-				if v == nil {
-					continue
-				}
-				for i, ac := range acqs {
-					if ac.def.Var == v && sameNamed(rn, ac.pool) {
-						s[i] = false
+				for i, a := range f.acqs {
+					if v != nil && a.v == v && match(a) {
+						s[i], s[3*n+i] = false, false
 					}
 				}
 			}
-			return true
 		})
-	}
-
-	if def, ok := node.(*ast.DeferStmt); ok {
-		handleDefer(def)
-		return
 	}
 
 	var stack []ast.Node
@@ -416,8 +547,8 @@ func (c *checker) process(rd *analysis.ReachingDefs, acqs []acq, acqID map[*anal
 			ast.Inspect(x.Body, func(y ast.Node) bool {
 				if id, ok := y.(*ast.Ident); ok {
 					if v, _ := info.Uses[id].(*types.Var); v != nil {
-						for i, ac := range acqs {
-							if ac.def.Var == v {
+						for i, a := range f.acqs {
+							if a.v == v {
 								s[i] = false
 							}
 						}
@@ -427,39 +558,33 @@ func (c *checker) process(rd *analysis.ReachingDefs, acqs []acq, acqID map[*anal
 			})
 			return false
 		case *ast.CallExpr:
-			applyPut(x, false)
+			release(x, false)
 		case *ast.Ident:
 			if consumed[x] || nilCmp[x] {
 				return true
 			}
-			for _, d := range rd.DefsAt(x) {
-				i, ok := acqID[d]
-				if !ok {
-					continue
-				}
-				if rep != nil && s[n+i] {
-					rep(x.Pos(), "useafter", "pooled value used after being returned to the pool")
-				}
-				switch c.classifyUse(stack, x) {
-				case useRetain:
-					s[2*n+i] = true
-				case useTransfer:
-					s[i] = false
+			for _, d := range f.rd.DefsAt(x) {
+				for _, i := range f.byDef[d] {
+					if rep != nil && s[n+i] {
+						rep(x.Pos(), words[f.acqs[i].kind].useAfter)
+					}
+					switch f.classifyUse(stack, x) {
+					case useRetain:
+						s[2*n+i] = true
+					case useTransfer:
+						s[i] = false
+					}
 				}
 			}
 		}
 		return true
 	})
 
-	// Gen after kills, strong update: a fresh acquisition resets all
-	// three bits for its definition.
-	rd.CallDefs(node, c.isSourceCall, func(d *analysis.Def, _ *ast.CallExpr) {
-		if i, ok := acqID[d]; ok {
-			s[i] = true
-			s[n+i] = false
-			s[2*n+i] = false
-		}
-	})
+	// Gen after kills, strong update: an acquisition or Pin resets its
+	// bits, and is live unless a deferred release already covers it.
+	for _, i := range gens {
+		s[i], s[n+i], s[2*n+i] = s[3*n+i], false, false
+	}
 }
 
 type useKind int
@@ -471,11 +596,11 @@ const (
 )
 
 // classifyUse decides what one occurrence of a tracked value does to
-// the Put obligation. Field access, indexing, dereference, nil
-// comparison and reassignment are neutral; a call argument retains or
-// stays neutral depending on the callee; everything else (stores,
-// returns, sends, composite literals, address-of, dynamic calls)
-// transfers ownership.
+// its obligation. Field access, indexing, dereference, nil comparison
+// and reassignment are neutral; a call argument retains or stays
+// neutral depending on the callee; everything else (stores, returns,
+// sends, composite literals, address-of, dynamic calls) transfers
+// ownership.
 func (c *checker) classifyUse(stack []ast.Node, id *ast.Ident) useKind {
 	switch p := parentOf(stack).(type) {
 	case *ast.SelectorExpr:

@@ -3,8 +3,9 @@ package analysis
 // This file holds what the CFG analyzers (spanpair, poolsafe, clockflow,
 // counterkey) share on top of cfg.go: one builder that turns a package
 // into function scopes, one forward may-solver over bit vectors, one
-// collector for locals defined by a matching call, and the small AST
-// helpers they would otherwise each carry.
+// collector for locals defined by a matching call, the nil-ness a
+// branch proves, and the small AST helpers they would otherwise each
+// carry.
 
 import (
 	"go/ast"
@@ -141,10 +142,10 @@ func SigOf(fn *types.Func) *types.Signature {
 	return sig
 }
 
-// ForEachCall visits every call expression in body, skipping nested
+// ForEachCall visits every call expression in n, skipping nested
 // function literals (they are scopes of their own).
-func ForEachCall(body *ast.BlockStmt, fn func(*ast.CallExpr)) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func ForEachCall(n ast.Node, fn func(*ast.CallExpr)) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -160,24 +161,51 @@ func ForEachCall(body *ast.BlockStmt, fn func(*ast.CallExpr)) {
 func NilComparisonIdents(n ast.Node) map[*ast.Ident]bool {
 	out := make(map[*ast.Ident]bool)
 	ast.Inspect(n, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return true
-		}
-		x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-		if isNil(x) {
-			if id, ok := y.(*ast.Ident); ok {
-				out[id] = true
-			}
-		}
-		if isNil(y) {
-			if id, ok := x.(*ast.Ident); ok {
+		if be, ok := n.(*ast.BinaryExpr); ok {
+			if id := nilOperand(be); id != nil {
 				out[id] = true
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// NonNilOnEntry names the identifier known to be non-nil on entry to
+// blk: blk is the then-branch of if x != nil (or nil != x), or the
+// else-branch of if x == nil, and the if's head is its only
+// predecessor. It reads the builder's Succs order (an if's head leads
+// to its then-block first); a compound condition, a switch or a loop
+// condition names nothing.
+func NonNilOnEntry(blk *Block) *ast.Ident {
+	if len(blk.Preds) != 1 {
+		return nil
+	}
+	head := blk.Preds[0]
+	if len(head.Succs) != 2 || head.Succs[0].Kind != "if.then" {
+		return nil
+	}
+	be, ok := ast.Unparen(head.Nodes[len(head.Nodes)-1].(ast.Expr)).(*ast.BinaryExpr)
+	if !ok || (be.Op == token.NEQ) != (blk == head.Succs[0]) {
+		return nil
+	}
+	return nilOperand(be)
+}
+
+// nilOperand returns x when be is x == nil, x != nil or the mirrored
+// form, and nil otherwise.
+func nilOperand(be *ast.BinaryExpr) *ast.Ident {
+	if be.Op != token.EQL && be.Op != token.NEQ {
+		return nil
+	}
+	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
+	if isNil(x) {
+		x = y
+	} else if !isNil(y) {
+		return nil
+	}
+	id, _ := x.(*ast.Ident)
+	return id
 }
 
 func isNil(e ast.Expr) bool {

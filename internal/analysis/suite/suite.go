@@ -6,7 +6,6 @@ package suite
 import (
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/bufescape"
-	"gflink/internal/analysis/buflifecycle"
 	"gflink/internal/analysis/clockflow"
 	"gflink/internal/analysis/counterkey"
 	"gflink/internal/analysis/hotalloc"
@@ -18,7 +17,7 @@ import (
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of eleven analyzers.
+// Rules returns the production analyzer suite of ten analyzers.
 //
 //   - wallclock (wall-clock time sources and bare go statements) and
 //     maporder guard every simulator package under gflink/internal
@@ -30,9 +29,10 @@ import (
 //     primitives' implementation necessarily manipulates the clock's
 //     own mutex around the park/wake protocol, and its ordering is the
 //     scheduler's concern, not the lock graph's.
-//   - buflifecycle and bufescape run module-wide except internal/membuf,
+//   - bufescape and poolsafe (HBuffer views and lifetimes, plus
+//     //gflink:pool values) run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
-//     definition.
+//     definition and declares no //gflink:pool source.
 //   - the flow-sensitive observability analyzers (spanpair, clockflow,
 //     counterkey) and outputpurity run module-wide: they fire only on
 //     calls into the obs/core recording APIs or on //gflink:gated
@@ -40,9 +40,8 @@ import (
 //     catches misuse wherever it appears (clockflow and counterkey
 //     skip _test.go files themselves — fixtures pin literal
 //     timestamps and probe counters by design).
-//   - the allocation-discipline analyzers (hotalloc, poolsafe) run
-//     module-wide too: they fire only on //gflink:hotpath and
-//     //gflink:pool annotations (invariant 10), so unannotated
+//   - hotalloc runs module-wide too: it fires only on
+//     //gflink:hotpath annotations (invariant 10), so unannotated
 //     packages cost nothing.
 //
 // maporder, lockorder, bufescape, clockflow, counterkey, hotalloc and
@@ -55,14 +54,13 @@ func Rules() []analysis.Rule {
 		{Analyzer: wallclock.Analyzer, Applies: internal},
 		{Analyzer: maporder.Analyzer, Applies: internal},
 		{Analyzer: lockorder.Analyzer, Applies: analysis.Except(nil, "gflink/internal/vclock")},
-		{Analyzer: buflifecycle.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: spanpair.Analyzer},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: counterkey.Analyzer},
 		{Analyzer: outputpurity.Analyzer},
 		{Analyzer: hotalloc.Analyzer},
-		{Analyzer: poolsafe.Analyzer},
+		{Analyzer: poolsafe.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 	}
 }
 

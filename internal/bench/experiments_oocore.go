@@ -93,6 +93,7 @@ func oocoreRun(kind string, factor int, policy core.CachePolicy, onBuild func(*c
 		}
 		cell.makespan = g.Clock.Now() - t0
 		g.ReleaseJobCaches(1)
+		in.Free()
 	})
 	m := g.Obs.Metrics()
 	cell.demotions = m.Get("mem.demotions.gpu0")

@@ -85,6 +85,7 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 	var elapsed time.Duration
 	c.Run(func() {
 		h := p.MustAllocate(8)
+		defer h.Free()
 		copy(h.Bytes(), []byte("gpudata!"))
 		h.Pin()
 		buf, _ := d.Malloc(1<<20, 8)
@@ -95,6 +96,7 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 			t.Errorf("device bytes = %q", buf.Bytes())
 		}
 		out := p.MustAllocate(8)
+		defer out.Free()
 		out.Pin()
 		d.MemcpyD2H(out, buf, 1<<20, cpu)
 		if string(out.Bytes()) != "gpudata!" {
@@ -113,11 +115,13 @@ func TestUnpinnedSyncCopyPaysStaging(t *testing.T) {
 	c.Run(func() {
 		buf, _ := d.Malloc(1<<20, 0)
 		hp := p.MustAllocate(8)
+		defer hp.Free()
 		hp.Pin()
 		t0 := c.Now()
 		d.MemcpyH2D(buf, hp, 1<<20, cpu)
 		pinned = c.Now() - t0
 		hu := p.MustAllocate(8)
+		defer hu.Free()
 		t1 := c.Now()
 		d.MemcpyH2D(buf, hu, 1<<20, cpu)
 		unpinned = c.Now() - t1
@@ -210,6 +214,8 @@ func TestStreamOrderingAndOverlap(t *testing.T) {
 		s2 := d.NewStream(cpu)
 		h1 := p.MustAllocate(4)
 		h2 := p.MustAllocate(4)
+		defer h1.Free()
+		defer h2.Free()
 		h1.Pin()
 		h2.Pin()
 		b1, _ := d.Malloc(100<<20, 4)
@@ -240,6 +246,8 @@ func TestHalfDuplexSerializesDirections(t *testing.T) {
 		s2 := d.NewStream(cpu)
 		h1 := p.MustAllocate(4)
 		h2 := p.MustAllocate(4)
+		defer h1.Free()
+		defer h2.Free()
 		h1.Pin()
 		h2.Pin()
 		b1, _ := d.Malloc(100<<20, 4)
@@ -267,6 +275,7 @@ func TestAsyncCopyRequiresPinnedBuffer(t *testing.T) {
 		defer d.Close()
 		s := d.NewStream(costmodel.DefaultCPU)
 		h := p.MustAllocate(4)
+		defer h.Free()
 		b, _ := d.Malloc(100, 4)
 		s.H2DAsync(b, h, 100)
 	})
@@ -295,6 +304,7 @@ func TestThreeStagePipelineOverlaps(t *testing.T) {
 		for i := 0; i < blocks; i++ {
 			s := streams[i%len(streams)]
 			h := p.MustAllocate(8)
+			defer h.Free()
 			h.Pin()
 			in, err := d.Malloc(nominal, 8)
 			if err != nil {
@@ -327,6 +337,7 @@ func TestThreeStagePipelineOverlaps(t *testing.T) {
 		s := d2.NewStream(cpu)
 		for i := 0; i < blocks; i++ {
 			h := p2.MustAllocate(8)
+			defer h.Free()
 			h.Pin()
 			in, _ := d2.Malloc(nominal, 8)
 			out, _ := d2.Malloc(nominal, 8)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gflink/internal/core"
 	"gflink/internal/costmodel"
 )
 
@@ -252,5 +253,54 @@ func TestDeterministicWorkloads(t *testing.T) {
 	c2, t2 := run()
 	if c1 != c2 || t1 != t2 {
 		t.Errorf("nondeterminism: (%v,%v) vs (%v,%v)", c1, t1, c2, t2)
+	}
+}
+
+// TestWorkloadsReturnEveryHostPage is the runtime half of invariant 4
+// (DESIGN.md): after each GPU workload, every TaskManager's off-heap
+// pool has no page in use or pinned and has seen one Free per
+// Allocate. poolsafe proves the same contract statically.
+func TestWorkloadsReturnEveryHostPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		div  int64
+		run  func(*core.GFlink)
+	}{
+		{"kmeans", 2000, func(g *core.GFlink) {
+			KMeansGPU(g, KMeansParams{Points: 2_000_000, K: 4, D: 8, Iterations: 3, Parallelism: 8, UseCache: true, Seed: 1})
+		}},
+		{"linreg", 2000, func(g *core.GFlink) {
+			LinRegGPU(g, LinRegParams{Samples: 2_000_000, D: 8, Iterations: 3, Parallelism: 8, UseCache: true, Seed: 3})
+		}},
+		{"pointadd", 1000, func(g *core.GFlink) {
+			PointAddGPU(g, PointAddParams{Points: 1_000_000, Iterations: 2, Parallelism: 8, Seed: 4})
+		}},
+		{"spmv", 1000, func(g *core.GFlink) {
+			SpMVGPU(g, SpMVParams{MatrixBytes: 256 << 20, NNZPerRow: 8, Iterations: 3, Parallelism: 8, UseCache: true, Seed: 5})
+		}},
+		{"pagerank", 2000, func(g *core.GFlink) {
+			PageRankGPU(g, PageRankParams{Pages: 1_000_000, EdgesPerPage: 8, Iterations: 3, Parallelism: 8, UseCache: true, Seed: 8})
+		}},
+		{"concomp", 2000, func(g *core.GFlink) {
+			ConnCompGPU(g, ConnCompParams{Pages: 1_000_000, EdgesPerPage: 8, Iterations: 3, Parallelism: 8, UseCache: true, Seed: 9})
+		}},
+		{"wordcount", 4000, func(g *core.GFlink) {
+			WordCountGPU(g, WordCountParams{Bytes: 512 << 20, Parallelism: 8, Seed: 10})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testSpec(tc.div).Build()
+			g.Run(func() { tc.run(g) })
+			for w, tm := range g.Cluster.TaskManagers {
+				st := tm.Pool.Stats()
+				if st.Allocs == 0 {
+					t.Errorf("worker %d pool saw no allocation; the balance check is vacuous", w)
+				}
+				if st.InUsePages != 0 || st.PinnedPages != 0 || st.Allocs != st.Frees {
+					t.Errorf("worker %d pool: %d pages in use, %d pinned, %d allocs vs %d frees",
+						w, st.InUsePages, st.PinnedPages, st.Allocs, st.Frees)
+				}
+			}
+		})
 	}
 }
