@@ -35,6 +35,12 @@
 // and a waived site does not stop the function from exporting
 // AllocFree.
 //
+// A function declared without a body has its body in assembly, which
+// reaches the Go heap only by calling into the runtime; the module's
+// assembly bodies (the SSE2 KMeans assign group) never do, so such a
+// declaration counts as allocation-free. One that a //go:linkname
+// directive binds to some other function stays unknown.
+//
 // Observability gates are recognized structurally: the body of an
 // `if x.Enabled() { ... }` statement — where Enabled is any niladic
 // method returning bool, the convention obs.Tracer and obs.Registry
@@ -50,6 +56,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"gflink/internal/analysis"
 )
@@ -131,9 +138,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	byObj := make(map[*types.Func]*fnScan)
 	for _, f := range pass.Files {
 		idx := analysis.DirectiveIndex(pass.Fset, f)
+		linked := linknamed(f)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || (fd.Body == nil && linked[fd.Name.Name]) {
 				continue
 			}
 			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -142,7 +150,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 			sc := &fnScan{obj: obj, decl: fd, idx: idx,
 				hot: analysis.DirectiveAt(idx, pass.Fset, "hotpath", fd.Pos())}
-			scanBody(pass, sc)
+			if fd.Body != nil {
+				scanBody(pass, sc)
+			}
 			scans = append(scans, sc)
 			byObj[obj] = sc
 		}
@@ -226,6 +236,21 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	return nil, nil
+}
+
+// linknamed returns the local names f's //go:linkname directives bind.
+func linknamed(f *ast.File) map[string]bool {
+	out := make(map[string]bool)
+	for _, g := range f.Comments {
+		for _, c := range g.List {
+			if rest, ok := strings.CutPrefix(c.Text, "//go:linkname "); ok {
+				if name, _, _ := strings.Cut(strings.TrimSpace(rest), " "); name != "" {
+					out[name] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 // externClean reports whether a callee declared outside this package is

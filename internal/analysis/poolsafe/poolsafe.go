@@ -377,7 +377,7 @@ func (c *checker) checkFunc(sc *analysis.FuncScope) {
 					c.pass.Reportf(call.Pos(), "pooled value is discarded; acquire into a variable and return it with Put (or don't acquire)")
 				}
 			}
-			analysis.ForEachCall(header(n), func(call *ast.CallExpr) {
+			analysis.ForEachCall(analysis.Header(n), func(call *ast.CallExpr) {
 				if membufKey(staticOrigin(info, call)) != "HBuffer.Pin" {
 					return
 				}
@@ -424,15 +424,6 @@ func (c *checker) checkFunc(sc *analysis.FuncScope) {
 	}
 }
 
-// header is the part of a block node that runs in its block: a range
-// statement's body is other blocks.
-func header(n ast.Node) ast.Node {
-	if rs, ok := n.(*ast.RangeStmt); ok {
-		return rs.X
-	}
-	return n
-}
-
 // block applies one block to the state vector s (layout: [live...
 // done... retained... bare...]); with a non-nil reporter it also emits
 // findings. Every path starts bare. On a branch where the error
@@ -472,7 +463,7 @@ func (f *scope) process(node ast.Node, s []bool, rep func(token.Pos, string)) {
 	info := f.pass.TypesInfo
 	n := len(f.acqs)
 	gens := f.gens[node]
-	node = header(node)
+	node = analysis.Header(node)
 	nilCmp := analysis.NilComparisonIdents(node)
 	consumed := make(map[*ast.Ident]bool)
 

@@ -142,6 +142,15 @@ func SigOf(fn *types.Func) *types.Signature {
 	return sig
 }
 
+// Header is the part of a block node that runs in its block: a range
+// statement's body is other blocks, so only its range expression is.
+func Header(n ast.Node) ast.Node {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		return rs.X
+	}
+	return n
+}
+
 // ForEachCall visits every call expression in n, skipping nested
 // function literals (they are scopes of their own).
 func ForEachCall(n ast.Node, fn func(*ast.CallExpr)) {

@@ -111,8 +111,11 @@ func checkFunc(pass *analysis.Pass, sc *analysis.FuncScope) {
 
 	// kills resolves, for one node, which span facts it closes or
 	// transfers. Evaluated inside the transfer function so the result
-	// respects each path's reaching definitions.
+	// respects each path's reaching definitions. A range statement's
+	// body is other blocks, so only its header is walked here: an End
+	// in the body does not close the span on the zero-iteration path.
 	kills := func(n ast.Node, live []bool) {
+		n = analysis.Header(n)
 		nilCmp := analysis.NilComparisonIdents(n)
 		ast.Inspect(n, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -303,39 +304,66 @@ func FuzzKMeansAssign(f *testing.F) {
 	})
 }
 
-// TestDistColsMatchesPortable holds the distCols body of this
-// architecture to distColsGo bit for bit, on random d, column strides,
-// byte offsets (so unaligned loads too) and a mix of normal and special
-// values. Any two NaNs count as equal: only < ever reads a distance.
-func TestDistColsMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	value := func() float32 {
-		if rng.Intn(4) == 0 {
-			return specialF32[rng.Intn(len(specialF32))]
-		}
-		return (rng.Float32() - 0.5) * 200
-	}
-	for iter := 0; iter < 2000; iter++ {
-		d := 1 + rng.Intn(gstruct.MaxCols)
+// TestAssignGroupMatchesPortable holds the assignGroup body of this
+// architecture to assignGroupGo bit for bit. Both add into the same
+// starting partials, NaN sums with their own payloads among them, and
+// each point lands in the sums of the centroid it picks, so a wrong
+// index, tie-break or NaN operand order changes the bits. Shapes draw k
+// in 1..16, d in 1..64, m in 1..16, a column stride and a byte offset
+// (so loads are unaligned too). The value mode cycles through plain
+// values, a mix with specialF32, small-integer grids with a duplicated
+// centroid row (exact distance ties) and an all-NaN point group.
+func TestAssignGroupMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 4000; iter++ {
+		k, d, m := 1+rng.Intn(16), 1+rng.Intn(gstruct.MaxCols), 1+rng.Intn(kmeansLanes)
 		stride := kmeansLanes + rng.Intn(48)
 		off := rng.Intn(64)
-		buf := make([]byte, off+4*((d-1)*stride+kmeansLanes))
-		for i := off; i+4 <= len(buf); i += 4 {
-			putF32(buf[off:], (i-off)/4, value())
-		}
-		cent := make([]byte, 4*d)
-		for j := 0; j < d; j++ {
-			putF32(cent, j, value())
-		}
-		var got, want [kmeansLanes]float32
-		distCols(&got, buf[off:], stride, cent)
-		distColsGo(&want, buf[off:], stride, cent)
-		for l := range got {
-			g, w := got[l], want[l]
-			if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-				t.Fatalf("d=%d stride=%d off=%d lane %d: %v (%#x), want %v (%#x)",
-					d, stride, off, l, g, math.Float32bits(g), w, math.Float32bits(w))
+		mode := iter % 4
+		value := func() float32 {
+			switch {
+			case mode == 1 && rng.Intn(4) == 0:
+				return specialF32[rng.Intn(len(specialF32))]
+			case mode == 2:
+				return float32(rng.Intn(9) - 4)
 			}
+			return (rng.Float32() - 0.5) * 200
+		}
+		span := make([]byte, off+4*((d-1)*stride+kmeansLanes))[off:]
+		for i := 0; i < len(span)/4; i++ {
+			if mode == 3 {
+				putF32(span, i, math.Float32frombits(0x7fc00000|uint32(rng.Intn(1<<22))))
+			} else {
+				putF32(span, i, value())
+			}
+		}
+		cents := make([]byte, 4*k*d)
+		for i := 0; i < k*d; i++ {
+			putF32(cents, i, value())
+		}
+		if mode == 2 && k > 1 {
+			c := 1 + rng.Intn(k-1)
+			copy(cents[4*c*d:4*(c+1)*d], cents[:4*d])
+		}
+		start := make([]float32, k*(d+1))
+		for i := range start {
+			if rng.Intn(8) == 0 {
+				start[i] = math.Float32frombits(0xffc00000 | uint32(rng.Intn(1<<22)))
+			} else {
+				start[i] = float32(rng.Intn(100))
+			}
+		}
+		got, want := slices.Clone(start), slices.Clone(start)
+		assignGroup(got, span, stride, m, cents, k, d)
+		assignGroupGo(want, span, stride, m, cents, k, d)
+		for i := range got {
+			if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+				t.Fatalf("iter %d k=%d d=%d m=%d stride=%d off=%d: partial[%d] = %#x, want %#x",
+					iter, k, d, m, stride, off, i, g, w)
+			}
+		}
+		if mode == 3 && start[d] == start[d] && got[d] != start[d]+float32(m) {
+			t.Fatalf("iter %d: centroid 0 count %v, want %v: an all-NaN group goes to centroid 0", iter, got[d], start[d]+float32(m))
 		}
 	}
 }

@@ -89,8 +89,8 @@ func init() {
 	})
 }
 
-// kmeansLanes is how many points one distCols call scores against one
-// centroid row: four SSE2 registers of four float32 lanes each.
+// kmeansLanes is how many points one assignGroup call assigns: four SSE2
+// registers of four float32 lanes each.
 const kmeansLanes = 16
 
 // kmeansScratch is how many float32 partials kmeansAssign keeps on the
@@ -102,17 +102,20 @@ const kmeansScratch = 1024
 // each (point, centroid) distance sums j = 0..d-1 in order from +0 with
 // the same float32 operations, the best centroid is the first strict
 // minimum over ascending c, and the partials accumulate in point order.
-// What differs is only the host cost: distCols scores sixteen points per
-// centroid row straight from the SoA bytes (the n mod 16 leftover points
+// What differs is only the host cost: assignGroup assigns sixteen points
+// at a time straight from the SoA bytes (the n mod 16 leftover points
 // from a zero-padded copy), the partials are summed as float32 and
 // encoded into out once, and nothing is heap-allocated unless k·(d+1)
 // exceeds kmeansScratch.
+//
+//gflink:hotpath
 func kmeansAssign(points, cents, out []byte, n, k, d int) {
 	var scratch [kmeansScratch]float32
 	var acc []float32
 	if w := k * (d + 1); w <= len(scratch) {
 		acc = scratch[:w]
 	} else {
+		//gflink:allow-alloc partials wider than kmeansScratch sum on the heap
 		acc = make([]float32, w)
 	}
 	i0 := 0
@@ -120,7 +123,7 @@ func kmeansAssign(points, cents, out []byte, n, k, d int) {
 		// SoA: coordinate j of point i is at column j, row i, so the
 		// group's d columns of sixteen rows start at i0 with stride n.
 		span := points[4*i0 : 4*((d-1)*n+i0+kmeansLanes)]
-		assignLanes(acc, span, n, kmeansLanes, cents, k, d)
+		assignGroup(acc, span, n, kmeansLanes, cents, k, d)
 	}
 	if m := n - i0; m > 0 {
 		// The leftovers' d columns, each padded with zero points to
@@ -129,7 +132,7 @@ func kmeansAssign(points, cents, out []byte, n, k, d int) {
 		for j := 0; j < d; j++ {
 			copy(pad[4*j*kmeansLanes:], points[4*(j*n+i0):4*(j*n+n)])
 		}
-		assignLanes(acc, pad[:4*d*kmeansLanes], kmeansLanes, m, cents, k, d)
+		assignGroup(acc, pad[:4*d*kmeansLanes], kmeansLanes, m, cents, k, d)
 	}
 	for i, v := range acc {
 		putF32(out, i, v)
@@ -137,21 +140,48 @@ func kmeansAssign(points, cents, out []byte, n, k, d int) {
 	clear(out[4*len(acc):])
 }
 
-// assignLanes assigns the first m of the sixteen points whose coordinate
-// j is float32 number j·stride+l of span to the first centroid of k at
-// the least distance, and adds each to that centroid's partial sums in
-// acc (coordinate sums, then the member count) in point order.
-func assignLanes(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
+// assignGroup assigns the first m of the sixteen points whose coordinate
+// j is float32 number j·stride+l of span to the first of the k centroid
+// rows in cents at the least squared distance, and adds each, in point
+// order, to that centroid's partial sums in acc (d coordinate sums, then
+// the member count). It checks, in Go, that span holds the whole column
+// span, cents k rows of d and acc k partial rows, and that 1 ≤ m ≤ 16,
+// before it calls assignGroupBody, so that body never reaches outside
+// its slices.
+//
+//gflink:hotpath
+func assignGroup(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
+	room := len(span)/4 - kmeansLanes // float32s the span holds past column 0
+	if m < 1 || m > kmeansLanes || k < 1 || d < 1 ||
+		stride < 0 || room < 0 || (d > 1 && stride > room/(d-1)) ||
+		k > len(cents)/4/d || k > len(acc)/(d+1) {
+		panic("kernels: assignGroup arguments outside their slices")
+	}
+	assignGroupBody(acc, span, stride, m, cents, k, d)
+}
+
+// assignGroupGo is the portable assignGroup body: the only one on
+// architectures without an assembly body, and the reference
+// TestAssignGroupMatchesPortable holds the assembly to.
+func assignGroupGo(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
 	var (
 		best     [kmeansLanes]int
 		bestDist [kmeansLanes]float32
-		dist     [kmeansLanes]float32
 	)
 	for l := range bestDist {
 		bestDist[l] = math.MaxFloat32
 	}
-	for c := 0; c < k; c++ {
-		distCols(&dist, span, stride, cents[4*c*d:4*(c+1)*d])
+	for c := range k {
+		var dist [kmeansLanes]float32
+		cent := cents[4*c*d : 4*(c+1)*d]
+		for j := range d {
+			cj := f32(cent, j)
+			col := span[4*j*stride : 4*(j*stride+kmeansLanes)]
+			for l := range dist {
+				diff := f32(col, l) - cj
+				dist[l] += diff * diff
+			}
+		}
 		for l, x := range dist {
 			if x < bestDist[l] {
 				best[l], bestDist[l] = c, x
@@ -178,37 +208,6 @@ func assignLanes(acc []float32, span []byte, stride, m int, cents []byte, k, d i
 			}
 		}
 		part[d]++
-	}
-}
-
-// distCols sets dist[l] to the squared distance between point l and the
-// centroid row cent, for the sixteen points whose coordinate j is float32
-// number j·stride+l of pts; d = len(cent)/4. Each lane sums j = 0..d-1 from
-// +0 with diff := p-c; dist += diff*diff, exactly as CPUKMeansAssign
-// does. It checks, in Go, that pts holds the whole column span and cent a
-// whole row before it calls distColsBody, so that body never reads
-// outside its slices.
-func distCols(dist *[kmeansLanes]float32, pts []byte, stride int, cent []byte) {
-	d := len(cent) / 4
-	room := len(pts)/4 - kmeansLanes // float32s the span holds past column 0
-	if d == 0 || stride < 0 || room < 0 || (d > 1 && stride > room/(d-1)) {
-		panic(fmt.Sprintf("kernels: distCols span of %d bytes, stride %d, row of %d bytes", len(pts), stride, len(cent)))
-	}
-	distColsBody(dist, pts, stride, cent)
-}
-
-// distColsGo is the portable distCols body: the only one on architectures
-// without an assembly body, and the reference TestDistColsMatchesPortable
-// holds the assembly to.
-func distColsGo(dist *[kmeansLanes]float32, pts []byte, stride int, cent []byte) {
-	*dist = [kmeansLanes]float32{}
-	for j := range len(cent) / 4 {
-		cj := f32(cent, j)
-		col := pts[4*j*stride : 4*(j*stride+kmeansLanes)]
-		for l := range dist {
-			diff := f32(col, l) - cj
-			dist[l] += diff * diff
-		}
 	}
 }
 

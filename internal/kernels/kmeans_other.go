@@ -2,7 +2,8 @@
 
 package kernels
 
-// distColsBody is distColsGo on architectures without an assembly body.
-func distColsBody(dist *[kmeansLanes]float32, pts []byte, stride int, cent []byte) {
-	distColsGo(dist, pts, stride, cent)
+// assignGroupBody is assignGroupGo on architectures without an assembly
+// body.
+func assignGroupBody(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
+	assignGroupGo(acc, span, stride, m, cents, k, d)
 }
