@@ -1,6 +1,6 @@
-// Command gflink-vet runs the repository's ten custom static analyzers
+// Command gflink-vet runs the repository's nine custom static analyzers
 // (wallclock, maporder, lockorder, bufescape, plus the observability
-// checks spanpair, clockflow, counterkey, outputpurity and the
+// checks clockflow, counterkey, outputpurity and the
 // allocation-discipline pair hotalloc and poolsafe, the latter also
 // owning HBuffer lifetimes) over the module. See DESIGN.md "Concurrency & lifetime
 // invariants" for what each enforces and why `go test -race` cannot.

@@ -81,8 +81,6 @@ type (
 	StreamConfig = core.StreamConfig
 	// WorkReport is a completed GWork's execution report.
 	WorkReport = obs.WorkReport
-	// SchedulerStats are a GStreamManager's scheduling counters.
-	SchedulerStats = obs.SchedulerStats
 )
 
 // Deployment constructors.

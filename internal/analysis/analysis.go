@@ -9,13 +9,13 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The ten production analyzers live in the subpackages wallclock,
-// maporder, lockorder, bufescape, spanpair, clockflow, counterkey,
+// The nine production analyzers live in the subpackages wallclock,
+// maporder, lockorder, bufescape, clockflow, counterkey,
 // outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
 // them into a multichecker via the suite subpackage. The flow-sensitive
-// four (spanpair, poolsafe, clockflow, counterkey) share the
+// three (poolsafe, clockflow, counterkey) share the
 // CFG/dataflow core in cfg.go and scope.go: per-function control-flow
-// graphs with panic and defer edges, a generic forward/backward
+// graphs with panic edges, a generic forward/backward
 // worklist solver, reaching definitions, one function-scope builder
 // and one forward may-solver. See DESIGN.md "Concurrency & lifetime
 // invariants" for the invariants they enforce.

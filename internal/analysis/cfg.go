@@ -5,8 +5,8 @@ package analysis
 // forward/backward worklist solver, and a reaching-definitions lattice
 // with per-use def resolution. The AST-walking analyzers (wallclock,
 // lockorder, ...) check properties of individual expressions; the CFG
-// analyzers (spanpair, poolsafe, clockflow, counterkey) check
-// properties of *paths* — "ended on every way out of the function",
+// analyzers (poolsafe, clockflow, counterkey) check
+// properties of *paths* — "freed on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this
 // argument" — which no single-pass walk can express.
 //
@@ -50,10 +50,6 @@ type CFG struct {
 	Entry  *Block
 	Exit   *Block
 	Panic  *Block
-	// Defers lists every defer statement in source order. Deferred
-	// calls execute on both Exit and Panic paths; analyzers that model
-	// cleanup (spanpair) consult this list rather than edges.
-	Defers []*ast.DeferStmt
 }
 
 // BuildCFG constructs the CFG of one function body. info (optional) is
@@ -363,9 +359,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.DeferStmt:
 		// The defer's arguments are evaluated here; the call itself
-		// runs at function exit, which analyses model via cfg.Defers.
+		// runs at function exit, which analyses model from this node.
 		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 
 	default:
 		// Assignments, declarations, inc/dec, go, send, empty: straight

@@ -189,30 +189,6 @@ func TestPanicEdges(t *testing.T) {
 	}
 }
 
-const deferSrc = `package fixture
-func cleanup() {}
-func other()   {}
-func withDefer(c bool) {
-	defer cleanup()
-	if c {
-		defer other()
-		return
-	}
-}`
-
-// TestDeferCollection: defer statements are listed in source order for
-// exit-path modeling (they run on return and panic alike).
-func TestDeferCollection(t *testing.T) {
-	_, cfg, _, _ := buildFixture(t, deferSrc, "withDefer")
-	if len(cfg.Defers) != 2 {
-		t.Fatalf("got %d defers, want 2", len(cfg.Defers))
-	}
-	first, ok := cfg.Defers[0].Call.Fun.(*ast.Ident)
-	if !ok || first.Name != "cleanup" {
-		t.Errorf("first defer = %v, want cleanup", cfg.Defers[0].Call.Fun)
-	}
-}
-
 const rangeSrc = `package fixture
 func sink(int) {}
 func iterate(xs []int) {
@@ -304,7 +280,7 @@ func TestSwitchFallthrough(t *testing.T) {
 
 // TestBackwardSolve runs a backward must-analysis over a diamond: "every
 // path from here to exit calls done()". The lattice is bool with AND
-// meet — exactly the shape spanpair uses.
+// meet — the shape of an "on every path out" obligation check.
 func TestBackwardSolve(t *testing.T) {
 	src := `package fixture
 func done()  {}
@@ -438,18 +414,11 @@ func deferInLoop(n int) {
 	sink(x)
 }`
 
-// TestDeferInLoop: a defer inside a loop body is collected once (it is
-// one static site, however many times it arms at run time), and the
-// loop's dataflow is unaffected: init and body defs both reach the
-// sink past the defer.
+// TestDeferInLoop: a defer inside a loop body leaves the loop's
+// dataflow unaffected: init and body defs both reach the sink past the
+// defer.
 func TestDeferInLoop(t *testing.T) {
 	_, cfg, rd, _ := buildFixture(t, deferLoopSrc, "deferInLoop")
-	if len(cfg.Defers) != 1 {
-		t.Fatalf("got %d defers, want 1 (one static site in the loop body)", len(cfg.Defers))
-	}
-	if id, ok := cfg.Defers[0].Call.Fun.(*ast.Ident); !ok || id.Name != "release" {
-		t.Errorf("loop defer = %v, want release", cfg.Defers[0].Call.Fun)
-	}
 	id := useOf(t, rd.info, cfg, "sink", "x")
 	defs := rd.DefsAt(id)
 	if len(defs) != 2 {

@@ -10,8 +10,8 @@
 // forwards its argument into Record moves the obligation to its callers
 // — across package boundaries. clockflow runs a taint analysis over
 // each function's CFG and reaching definitions: timestamp sinks are the
-// obs recording methods (Tracer.Record, Tracer.RecordGWork,
-// Tracer.Begin, OpenSpan.End — fixed roots), plus any function through
+// obs recording methods (Tracer.Record and Tracer.RecordGWork — fixed
+// roots), plus any function through
 // which a parameter provably flows into a sink. Those derived sinks are
 // exported as TimestampSink facts, so the check follows helpers across
 // packages exactly like the maporder/lockorder fact flows. Functions
@@ -72,8 +72,6 @@ const (
 var rootSinks = map[string][]int{
 	"Tracer.Record":      {3, 4},
 	"Tracer.RecordGWork": {3, 4},
-	"Tracer.Begin":       {3},
-	"OpenSpan.End":       {0},
 }
 
 // wallFuncs are time-package functions whose results are wall-derived.

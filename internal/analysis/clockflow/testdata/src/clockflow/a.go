@@ -23,10 +23,9 @@ func wallDirect(tr *obs.Tracer, epoch time.Time) {
 }
 
 func literalStamp(tr *obs.Tracer) {
-	s := tr.Begin("t", "c", "n",
-		5*time.Millisecond) // want `compile-time constant`
-	s.End(
-		time.Duration(42)) // want `compile-time constant`
+	tr.Record("t", "c", "n",
+		5*time.Millisecond, // want `compile-time constant`
+		time.Duration(42))  // want `compile-time constant`
 }
 
 func mixedBranch(tr *obs.Tracer, c *vclock.Clock, epoch time.Time, cond bool) {
@@ -70,8 +69,44 @@ func viaHelper(tr *obs.Tracer, c *vclock.Clock, epoch time.Time) {
 }
 
 func viaSource(tr *obs.Tracer, c *vclock.Clock) {
-	s := tr.Begin("t", "c", "n", dep.Reading(c))
-	s.End(dep.Reading(c))
+	tr.Record("t", "c", "n", dep.Reading(c), dep.Reading(c))
+}
+
+// startCarried is the span idiom: read the clock when the interval
+// opens, carry the reading across the work (a loop and a branch here),
+// and hand it to Record when the interval closes.
+func startCarried(tr *obs.Tracer, c *vclock.Clock, n int, cond bool) {
+	t0 := c.Now()
+	for i := 0; i < n; i++ {
+		if cond {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	tr.Record("t", "c", "n", t0, c.Now())
+}
+
+func startLiteral(tr *obs.Tracer, c *vclock.Clock, n int, cond bool) {
+	t0 := time.Millisecond
+	for i := 0; i < n; i++ {
+		if cond {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	tr.Record("t", "c", "n",
+		t0, // want `compile-time constant`
+		c.Now())
+}
+
+func startWall(tr *obs.Tracer, c *vclock.Clock, epoch time.Time, n int, cond bool) {
+	t0 := time.Since(epoch)
+	for i := 0; i < n; i++ {
+		if cond {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	tr.Record("t", "c", "n",
+		t0, // want `wall-clock`
+		c.Now())
 }
 
 func localStamp(tr *obs.Tracer, t time.Duration) {

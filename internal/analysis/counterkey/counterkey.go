@@ -1,9 +1,7 @@
 // Package counterkey enforces the metric-name half of DESIGN.md
-// invariant 8: every counter name passed to (*obs.Registry).Add,
-// (*obs.Registry).Max or (*obs.Registry).Counter (the preregistered
-// lock-free handle constructor) must be a compile-time constant format
-// string
-// that matches the metrics grammar, so dashboards and the repository
+// invariant 8: every counter name passed to (*obs.Registry).Counter
+// (the registry's only way to name a counter) must be a compile-time
+// constant format string that matches the metrics grammar, so dashboards and the repository
 // self-checks can enumerate every counter the simulator can ever emit
 // by reading the source.
 //
@@ -29,12 +27,12 @@
 //
 // Reads of unexported struct fields are resolved through field
 // provenance: hot paths precompute their counter names once (a
-// per-Add fmt.Sprintf is an allocation the hotalloc analyzer
+// fmt.Sprintf per registration is an allocation the hotalloc analyzer
 // forbids), so a field read is an acceptable key exactly when every
 // package-local assignment to that field — plain assignments and
 // composite-literal entries alike — evaluates to a grammar-valid
 // pattern. The counters stay statically enumerable: the enumeration
-// just reads the field's initializers instead of the Add site.
+// just reads the field's initializers instead of the Counter call.
 //
 // Test files are exempt (they probe the registry with throwaway
 // names). Suppress a single site with //gflink:counter-key.
@@ -307,13 +305,13 @@ func (st *state) fieldParts(sc *analysis.FuncScope, sel *ast.SelectorExpr) []par
 }
 
 // calleeKeyed resolves the key-parameter indices of a call target:
-// the Registry.Add root, package-local obligations, or imported facts.
+// the Registry.Counter root, package-local obligations, or imported facts.
 func (st *state) calleeKeyed(fn *types.Func) []int {
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
 	if fn.Pkg().Path() == obsPath {
-		if k := analysis.ObjectKey(fn); k == "Registry.Add" || k == "Registry.Max" || k == "Registry.Counter" {
+		if analysis.ObjectKey(fn) == "Registry.Counter" {
 			return []int{0}
 		}
 	}

@@ -12,71 +12,71 @@ import (
 )
 
 func good(r *obs.Registry) {
-	r.Add("cache.hits", 1)
-	r.Add("sched.steals.w3", 1)
-	r.Add(fmt.Sprintf("xfer.h2d.bytes.gpu%d", 2), 64)
-	r.Add("cache.evictions.gpu11", 1)
-	r.Add("sched.direct", 1) // prefix of a valid key is valid
-	r.Add("mem.demotions.gpu0", 1)
-	r.Add("mem.spills", 1) // tier totals before the device suffix is appended
-	r.Add(fmt.Sprintf("mem.promotions.gpu%d", 1), 1)
-	r.Add("mem.reloads.gpu7", 1)
-	r.Add("stream.records.s0", 1)
-	r.Add(fmt.Sprintf("stream.blockedns.s%d", 2), 1)
-	r.Add("stream.grants", 1) // edge totals before the stage suffix is appended
+	r.Counter("cache.hits").Add(1)
+	r.Counter("sched.steals.w3").Add(1)
+	r.Counter(fmt.Sprintf("xfer.h2d.bytes.gpu%d", 2)).Add(64)
+	r.Counter("cache.evictions.gpu11").Add(1)
+	r.Counter("sched.direct").Add(1) // prefix of a valid key is valid
+	r.Counter("mem.demotions.gpu0").Add(1)
+	r.Counter("mem.spills").Add(1) // tier totals before the device suffix is appended
+	r.Counter(fmt.Sprintf("mem.promotions.gpu%d", 1)).Add(1)
+	r.Counter("mem.reloads.gpu7").Add(1)
+	r.Counter("stream.records.s0").Add(1)
+	r.Counter(fmt.Sprintf("stream.blockedns.s%d", 2)).Add(1)
+	r.Counter("stream.grants").Add(1) // edge totals before the stage suffix is appended
 }
 
-// maxIsKeyed: Registry.Max shares Add's key obligation — high-watermark
-// gauges live in the same grammar-checked namespace.
+// maxIsKeyed: high-watermark gauges are Counter handles bumped with
+// Max, so they live in the same grammar-checked namespace.
 func maxIsKeyed(r *obs.Registry, stage int) {
-	r.Max("stream.depthmax.s1", 4)
-	r.Max(fmt.Sprintf("stream.depthmax.s%d", stage), 4)
-	r.Max("stream.credits", 1) // want `does not match the metrics grammar`
-	r.Max("queue.depth", 1)    // want `does not match the metrics grammar`
+	r.Counter("stream.depthmax.s1").Max(4)
+	r.Counter(fmt.Sprintf("stream.depthmax.s%d", stage)).Max(4)
+	r.Counter("stream.credits").Max(1) // want `does not match the metrics grammar`
+	r.Counter("queue.depth").Max(1)    // want `does not match the metrics grammar`
 }
 
 func typos(r *obs.Registry) {
-	r.Add("cache.hit", 1)           // want `does not match the metrics grammar`
-	r.Add("xfer.h2d.gpu0", 1)       // want `does not match the metrics grammar`
-	r.Add("queue.depth", 1)         // want `does not match the metrics grammar`
-	r.Add("sched.w3", 1)            // want `does not match the metrics grammar`
-	r.Add("cache.hits.cpu", 1)      // want `does not match the metrics grammar`
-	r.Add("mem.evictions", 1)       // want `does not match the metrics grammar`
-	r.Add("mem.spills.w2", 1)       // want `does not match the metrics grammar`
-	r.Add("stream.credits", 1)      // want `does not match the metrics grammar`
-	r.Add("stream.records.gpu0", 1) // want `does not match the metrics grammar`
+	r.Counter("cache.hit").Add(1)           // want `does not match the metrics grammar`
+	r.Counter("xfer.h2d.gpu0").Add(1)       // want `does not match the metrics grammar`
+	r.Counter("queue.depth").Add(1)         // want `does not match the metrics grammar`
+	r.Counter("sched.w3").Add(1)            // want `does not match the metrics grammar`
+	r.Counter("cache.hits.cpu").Add(1)      // want `does not match the metrics grammar`
+	r.Counter("mem.evictions").Add(1)       // want `does not match the metrics grammar`
+	r.Counter("mem.spills.w2").Add(1)       // want `does not match the metrics grammar`
+	r.Counter("stream.credits").Add(1)      // want `does not match the metrics grammar`
+	r.Counter("stream.records.gpu0").Add(1) // want `does not match the metrics grammar`
 }
 
 func tooLong(r *obs.Registry) {
-	r.Add("sched.pooled.w1.extra", 1) // want `does not match the metrics grammar`
+	r.Counter("sched.pooled.w1.extra").Add(1) // want `does not match the metrics grammar`
 }
 
 func formattedTail(r *obs.Registry, event string, gpu int) {
 	// A literal root with a formatted tail is accepted: the producers
 	// of the dynamic pieces are validated at their own call sites.
-	r.Add("cache."+event+fmt.Sprintf(".gpu%d", gpu), 1)
-	r.Add(fmt.Sprintf("xfer.d2h.bytes.gpu%d", gpu), 1)
+	r.Counter("cache." + event + fmt.Sprintf(".gpu%d", gpu)).Add(1)
+	r.Counter(fmt.Sprintf("xfer.d2h.bytes.gpu%d", gpu)).Add(1)
 }
 
 func dynamicRoot(r *obs.Registry, parts []string) {
-	r.Add(strings.Join(parts, "."), 1) // want `not a compile-time constant`
+	r.Counter(strings.Join(parts, ".")).Add(1) // want `not a compile-time constant`
 }
 
 func badRootFormat(r *obs.Registry) {
-	r.Add(fmt.Sprintf("%d.hits", 3), 1) // want `not a compile-time constant`
+	r.Counter(fmt.Sprintf("%d.hits", 3)).Add(1) // want `not a compile-time constant`
 }
 
 func viaLocal(r *obs.Registry) {
 	key := "sched.oops"
-	r.Add(key, 1) // want `does not match the metrics grammar`
+	r.Counter(key).Add(1) // want `does not match the metrics grammar`
 	ok := "cache.misses"
-	r.Add(ok, 1)
+	r.Counter(ok).Add(1)
 }
 
 // helper roots its key at a parameter, so it acquires a CounterKey
 // obligation and its callers are checked instead.
 func helper(r *obs.Registry, name string) {
-	r.Add(fmt.Sprintf("%s.w%d", name, 3), 1)
+	r.Counter(fmt.Sprintf("%s.w%d", name, 3)).Add(1)
 }
 
 func callsHelper(r *obs.Registry) {
@@ -101,7 +101,7 @@ func crossPackage(r *obs.Registry) {
 }
 
 func waived(r *obs.Registry, key string) {
-	r.Add(key, 1) //gflink:counter-key -- bridge for externally-namespaced metrics
+	r.Counter(key).Add(1) //gflink:counter-key -- bridge for externally-namespaced metrics
 }
 
 // keyFields exercises field provenance: hot paths precompute counter
@@ -130,11 +130,11 @@ func newKeyFields(node, gpu int, parts []string) *keyFields {
 }
 
 func usesKeyFields(r *obs.Registry, k *keyFields) {
-	r.Add(k.direct, 1)
-	r.Add(k.h2dName, 1)
-	r.Add(k.typo, 1)     // want `does not match the metrics grammar`
-	r.Add(k.dynamic, 1)  // want `not a compile-time constant`
-	r.Add(k.poisoned, 1) // want `does not match the metrics grammar`
+	r.Counter(k.direct).Add(1)
+	r.Counter(k.h2dName).Add(1)
+	r.Counter(k.typo).Add(1)     // want `does not match the metrics grammar`
+	r.Counter(k.dynamic).Add(1)  // want `not a compile-time constant`
+	r.Counter(k.poisoned).Add(1) // want `does not match the metrics grammar`
 }
 
 func poisons(k *keyFields) {

@@ -13,5 +13,5 @@ import (
 // KeyedCount bumps name for one worker; name must be a valid key
 // prefix at every caller.
 func KeyedCount(r *obs.Registry, name string, worker int) {
-	r.Add(fmt.Sprintf("%s.w%d", name, worker), 1)
+	r.Counter(fmt.Sprintf("%s.w%d", name, worker)).Add(1)
 }

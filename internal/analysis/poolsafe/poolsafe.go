@@ -497,7 +497,7 @@ func (f *scope) process(node ast.Node, s []bool, rep func(token.Pos, string)) {
 	}
 
 	// handleDefer covers a deferred release and deferred closures that
-	// release captured values (matched by variable, as in spanpair).
+	// release captured values (matched by variable).
 	handleDefer := func(def *ast.DeferStmt) {
 		release(def.Call, true)
 		lit, ok := ast.Unparen(def.Call.Fun).(*ast.FuncLit)

@@ -1,6 +1,6 @@
 package analysis
 
-// This file holds what the CFG analyzers (spanpair, poolsafe, clockflow,
+// This file holds what the CFG analyzers (poolsafe, clockflow,
 // counterkey) share on top of cfg.go: one builder that turns a package
 // into function scopes, one forward may-solver over bit vectors, one
 // collector for locals defined by a matching call, the nil-ness a

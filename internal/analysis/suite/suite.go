@@ -13,11 +13,10 @@ import (
 	"gflink/internal/analysis/maporder"
 	"gflink/internal/analysis/outputpurity"
 	"gflink/internal/analysis/poolsafe"
-	"gflink/internal/analysis/spanpair"
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of ten analyzers.
+// Rules returns the production analyzer suite of nine analyzers.
 //
 //   - wallclock (wall-clock time sources and bare go statements) and
 //     maporder guard every simulator package under gflink/internal
@@ -33,7 +32,7 @@ import (
 //     //gflink:pool values) run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
 //     definition and declares no //gflink:pool source.
-//   - the flow-sensitive observability analyzers (spanpair, clockflow,
+//   - the flow-sensitive observability analyzers (clockflow,
 //     counterkey) and outputpurity run module-wide: they fire only on
 //     calls into the obs/core recording APIs or on //gflink:gated
 //     code, so an unrestricted scope costs nothing outside those and
@@ -55,7 +54,6 @@ func Rules() []analysis.Rule {
 		{Analyzer: maporder.Analyzer, Applies: internal},
 		{Analyzer: lockorder.Analyzer, Applies: analysis.Except(nil, "gflink/internal/vclock")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
-		{Analyzer: spanpair.Analyzer},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: counterkey.Analyzer},
 		{Analyzer: outputpurity.Analyzer},

@@ -8,14 +8,14 @@ import (
 	"gflink/internal/analysis/suite"
 )
 
-// TestSuiteHasTenAnalyzers pins the suite's composition: the four
+// TestSuiteHasNineAnalyzers pins the suite's composition: the four
 // lexical/interprocedural checks of DESIGN.md "Concurrency & lifetime
-// invariants" (wallclock, maporder, lockorder, bufescape), the four
-// observability analyzers that enforce invariants 8–9 (spanpair,
-// clockflow, counterkey, outputpurity), and the two
-// allocation-discipline analyzers that enforce invariant 10 (hotalloc,
-// and poolsafe, which also owns HBuffer lifetimes for invariant 4).
-func TestSuiteHasTenAnalyzers(t *testing.T) {
+// invariants" (wallclock, maporder, lockorder, bufescape), the three
+// observability analyzers that enforce invariants 8–9 (clockflow,
+// counterkey, outputpurity), and the two allocation-discipline
+// analyzers that enforce invariant 10 (hotalloc, and poolsafe, which
+// also owns HBuffer lifetimes for invariant 4).
+func TestSuiteHasNineAnalyzers(t *testing.T) {
 	var names []string
 	for _, a := range suite.Analyzers() {
 		names = append(names, a.Name)
@@ -23,7 +23,7 @@ func TestSuiteHasTenAnalyzers(t *testing.T) {
 	want := []string{
 		"wallclock", "maporder", "lockorder",
 		"bufescape",
-		"spanpair", "clockflow", "counterkey", "outputpurity",
+		"clockflow", "counterkey", "outputpurity",
 		"hotalloc", "poolsafe",
 	}
 	if !slices.Equal(names, want) {

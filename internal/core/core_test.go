@@ -377,7 +377,7 @@ func TestWorkStealingDrainsForeignQueue(t *testing.T) {
 		if len(devs) != 2 {
 			t.Errorf("stealing did not engage the second GPU: %v", devs)
 		}
-		if st := g.Manager(0).Streams.Stats(); st.Steals == 0 {
+		if g.Obs.Metrics().Total("sched.steals") == 0 {
 			t.Error("no steals recorded")
 		}
 		g.ReleaseJobCaches(1)
@@ -419,8 +419,8 @@ func TestStealingDisabledKeepsWorkHome(t *testing.T) {
 			// pool-queued work must only drain on the cache-owning GPU.
 			_ = cacheDev
 		}
-		if st := g.Manager(0).Streams.Stats(); st.Steals != 0 {
-			t.Errorf("stealing disabled but %d steals happened", st.Steals)
+		if n := g.Obs.Metrics().Total("sched.steals"); n != 0 {
+			t.Errorf("stealing disabled but %d steals happened", n)
 		}
 		g.ReleaseJobCaches(1)
 	})

@@ -89,8 +89,8 @@ func TestDeploymentObservability(t *testing.T) {
 	if got := m.Total("sched."); got == 0 {
 		t.Error("no scheduler counters recorded")
 	}
-	st := g.Manager(0).Streams.Stats()
-	if st.Direct+st.Pooled != 2 {
-		t.Errorf("Stats() = %+v, want direct+pooled == 2", st)
+	direct, pooled := m.Total("sched.direct"), m.Total("sched.pooled")
+	if direct+pooled != 2 {
+		t.Errorf("sched.direct = %d, sched.pooled = %d, want direct+pooled == 2", direct, pooled)
 	}
 }

@@ -49,11 +49,6 @@ type GStreamManager struct {
 	// scratchKeys is the reusable cache-key scratch of pickGPULocked,
 	// guarded by mu like the rest of the scheduler state.
 	scratchKeys []CacheKey
-
-	// counters
-	directDispatch int64
-	pooled         int64
-	steals         int64
 }
 
 type deviceState struct {
@@ -210,14 +205,6 @@ func (m *GStreamManager) Close() {
 	}
 }
 
-// Stats reports the scheduling counters (direct dispatches to idle
-// streams, GWork Pool enqueues, steals) as one snapshot.
-func (m *GStreamManager) Stats() obs.SchedulerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return obs.SchedulerStats{Direct: m.directDispatch, Pooled: m.pooled, Steals: m.steals}
-}
-
 // Submit schedules w per Algorithm 5.1. It never blocks the producer:
 // when every stream is busy the work parks in the GWork Pool.
 //
@@ -249,12 +236,10 @@ func (m *GStreamManager) Submit(w *GWork) {
 			q = m.queueWithLeastWorkLocked()
 		}
 		m.devs[q].queue.Push(w)
-		m.pooled++
 		m.mu.Unlock()
 		m.cntPooled.Add(1)
 		return
 	}
-	m.directDispatch++
 	m.mu.Unlock()
 	m.cntDirect.Add(1)
 	sw.inbox.Put(w)
@@ -342,7 +327,6 @@ func (m *GStreamManager) stealLocked(gid int) *GWork {
 		return nil
 	}
 	w, _ := m.devs[best].queue.Pop()
-	m.steals++
 	w.stolenFrom = m.devs[best].dev.ID
 	m.cntSteals.Add(1)
 	return w

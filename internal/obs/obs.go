@@ -75,7 +75,7 @@ func NewTracer() *Tracer { return &Tracer{} }
 // Enabled reports whether recording is on. It is the hot-path gate for
 // span call sites: the hotalloc analyzer treats the body of an
 // `if t.Enabled() { ... }` statement as observability-cold, so attr
-// slices and Begin/Record calls built inside one cost nothing — not
+// slices and Record calls built inside one cost nothing — not
 // even their argument construction — when tracing is off or the tracer
 // is nil.
 //
@@ -83,7 +83,7 @@ func NewTracer() *Tracer { return &Tracer{} }
 func (t *Tracer) Enabled() bool { return t != nil && !t.disabled }
 
 // SetEnabled turns recording on or off. A disabled tracer drops
-// Record, and Begin hands out the shared no-op OpenSpan. Flip it only
+// Record and RecordGWork. Flip it only
 // while the simulation is quiescent (before Run, or between runs):
 // the flag is read lock-free on the hot path.
 func (t *Tracer) SetEnabled(on bool) {
@@ -155,64 +155,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// OpenSpan is a span opened by Tracer.Begin and still awaiting its end
-// timestamp. Nothing is recorded until End runs — an OpenSpan that is
-// dropped leaves no trace, which is why the gflink-vet spanpair
-// analyzer proves every Begin reaches an End (or a visible ownership
-// transfer) on all paths out of the opening function.
-type OpenSpan struct {
-	t     *Tracer
-	track string
-	cat   string
-	name  string
-	start time.Duration
-	attrs []Attr
-}
-
-// noopOpen is the sentinel OpenSpan Begin hands out when tracing is
-// off: shared, immutable, and with no tracer attached, so End on it
-// returns immediately. Handing out a sentinel instead of nil keeps the
-// whole Begin/End pair allocation-free with tracing off without
-// forcing call sites to branch.
-var noopOpen = &OpenSpan{}
-
-// Begin opens a span at a virtual-clock timestamp. The span is recorded
-// when End is called; until then it is invisible to Spans/Len. Begin on
-// a nil or disabled tracer returns the shared no-op OpenSpan — zero
-// allocations — and End on a nil or no-op OpenSpan is a no-op, so the
-// pair is as thread-through-able as Record. Attr arguments still cost
-// a variadic slice at the call site even when tracing is off; hot
-// paths wrap attr-carrying Begins in an `if t.Enabled()` guard.
-//
-//gflink:hotpath
-func (t *Tracer) Begin(track, cat, name string, start time.Duration, attrs ...Attr) *OpenSpan {
-	if !t.Enabled() {
-		return noopOpen
-	}
-	//gflink:allow-alloc tracing-on span shell; the disabled path returns the shared sentinel
-	return &OpenSpan{t: t, track: track, cat: cat, name: name, start: start, attrs: attrs}
-}
-
-// End completes the span at a virtual-clock timestamp, appending any
-// extra attributes after the ones given to Begin. The recording order
-// (and with it the span's Seq) is the order of End calls, exactly as if
-// the caller had invoked Record at this point. End on a nil or no-op
-// OpenSpan touches nothing and allocates nothing.
-//
-//gflink:hotpath
-func (s *OpenSpan) End(end time.Duration, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	if s.t.Enabled() {
-		all := s.attrs
-		if len(attrs) > 0 {
-			all = append(append([]Attr(nil), s.attrs...), attrs...)
-		}
-		s.t.Record(s.track, s.cat, s.name, s.start, end, all...)
-	}
-}
-
 // WorkReport is the per-GWork execution report: where the work ran and
 // what each pipeline stage cost. GWork.Report returns it; RecordGWork
 // turns it into a span tree.
@@ -260,12 +202,6 @@ func (t *Tracer) RecordGWork(streamTrack, queueTrack, name string, submit, start
 	t.Record(streamTrack, "stage", "d2h", start+r.H2D+r.Kernel, start+r.Pipeline())
 }
 
-// SchedulerStats is one snapshot of a GStreamManager's counters:
-// direct dispatches to idle streams, GWork Pool enqueues, and steals.
-type SchedulerStats struct {
-	Direct, Pooled, Steals int64
-}
-
 // Metric is one named counter value.
 type Metric struct {
 	Name  string
@@ -274,21 +210,19 @@ type Metric struct {
 
 // Registry is a set of named monotonic counters. Like the tracer it is
 // nil-safe, and snapshots are sorted so consumers never observe map
-// order. Hot producers preregister a Counter handle once and bump it
-// lock-free; ad-hoc producers use Add/Max, which pay a mutex and a map
-// probe per call.
+// order. Producers preregister a Counter handle once and bump it
+// lock-free; the registry's lock guards only registration and reads.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	handles  map[string]*Counter
-	// disabled is set before the simulation runs and never written
-	// during it, so the Enabled fast path reads it without the lock.
+	mu      sync.Mutex
+	handles map[string]*Counter
+	// disabled is copied into each handle Counter registers, so a
+	// handle registered after SetEnabled(false) starts silenced.
 	disabled bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]int64), handles: make(map[string]*Counter)}
+	return &Registry{handles: make(map[string]*Counter)}
 }
 
 // Counter is a preregistered handle on one named counter: a direct
@@ -298,7 +232,6 @@ func NewRegistry() *Registry {
 // handoff — which is the same discipline the stream-worker scratch
 // buffers rely on. A nil Counter (from a nil registry) drops writes.
 type Counter struct {
-	name     string
 	v        int64
 	disabled bool
 }
@@ -316,7 +249,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.handles[name]; ok {
 		return c
 	}
-	c := &Counter{name: name, disabled: r.disabled}
+	c := &Counter{disabled: r.disabled}
 	r.handles[name] = c
 	return c
 }
@@ -354,13 +287,6 @@ func (c *Counter) Get() int64 {
 	return c.v
 }
 
-// Enabled reports whether the registry accepts writes; like
-// Tracer.Enabled it is the zero-cost gate for metric call sites that
-// would otherwise build names or values just to record them.
-//
-//gflink:hotpath
-func (r *Registry) Enabled() bool { return r != nil && !r.disabled }
-
 // SetEnabled turns recording on or off, including every handle already
 // registered. Flip it only while the simulation is quiescent (before
 // Run, or between runs): the flag is read lock-free on the hot path.
@@ -376,38 +302,7 @@ func (r *Registry) SetEnabled(on bool) {
 	}
 }
 
-// Add increments the named counter by delta.
-//
-//gflink:hotpath
-func (r *Registry) Add(name string, delta int64) {
-	if !r.Enabled() {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	//gflink:allow-alloc bounded counter set; steady-state writes hit existing buckets
-	r.counters[name] += delta
-}
-
-// Max raises the named counter to v if v exceeds its current value — a
-// high-watermark gauge (queue depths, buffer occupancy) stored in the
-// same namespace-checked counter set as Add.
-//
-//gflink:hotpath
-func (r *Registry) Max(name string, v int64) {
-	if !r.Enabled() {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v > r.counters[name] {
-		//gflink:allow-alloc bounded counter set; steady-state writes hit existing buckets
-		r.counters[name] = v
-	}
-}
-
-// Get returns the named counter's value (0 when never incremented),
-// whether it lives in a preregistered handle or the ad-hoc map.
+// Get returns the named counter's value (0 when never registered).
 //
 //gflink:hotpath
 func (r *Registry) Get(name string) int64 {
@@ -416,10 +311,7 @@ func (r *Registry) Get(name string) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.handles[name]; ok {
-		return c.v + r.counters[name]
-	}
-	return r.counters[name]
+	return r.handles[name].Get()
 }
 
 // Total sums every counter whose name starts with prefix — e.g.
@@ -432,11 +324,6 @@ func (r *Registry) Total(prefix string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var n int64
-	for name, v := range r.counters { //gflink:unordered — summing ints
-		if strings.HasPrefix(name, prefix) {
-			n += v
-		}
-	}
 	for name, c := range r.handles { //gflink:unordered — summing ints
 		if strings.HasPrefix(name, prefix) {
 			n += c.v
@@ -445,34 +332,21 @@ func (r *Registry) Total(prefix string) int64 {
 	return n
 }
 
-// Snapshot returns every nonzero-or-map-resident counter sorted by
-// name, merging preregistered handles with the ad-hoc map. A handle
-// that was never bumped stays out of the snapshot, matching the map
-// counters' never-incremented behavior.
+// Snapshot returns every nonzero counter sorted by name. A handle that
+// was never bumped stays out of the snapshot.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	totals := make(map[string]int64, len(r.counters)+len(r.handles))
-	for name, v := range r.counters { //gflink:unordered — merged into totals, sorted below
-		totals[name] = v
-	}
-	for name, c := range r.handles { //gflink:unordered — merged into totals, sorted below
+	out := make([]Metric, 0, len(r.handles))
+	for name, c := range r.handles { //gflink:unordered — sorted below
 		if c.v != 0 {
-			totals[name] += c.v
+			out = append(out, Metric{Name: name, Value: c.v})
 		}
 	}
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Metric, 0, len(names))
-	for _, name := range names {
-		out = append(out, Metric{Name: name, Value: totals[name]})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,65 +37,21 @@ func TestTracerRecordsInOrder(t *testing.T) {
 	}
 }
 
-// TestBeginEndRecordsAtEnd checks that an open span is invisible until
-// End, that End merges Begin-time and End-time attrs in order, and that
-// Seq is assigned by End order — i.e. Begin/End is sequencing-identical
-// to calling Record at the End site.
-func TestBeginEndRecordsAtEnd(t *testing.T) {
-	tr := NewTracer()
-	open := tr.Begin("driver", "plan", "a", 10, Str("k", "v"))
-	if tr.Len() != 0 {
-		t.Fatal("Begin must not record anything")
-	}
-	tr.Record("driver", "plan", "b", 11, 12)
-	open.End(20, Int("n", 3))
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Name != "b" || spans[0].Seq != 0 {
-		t.Errorf("first recorded span = %+v, want b with Seq 0", spans[0])
-	}
-	a := spans[1]
-	if a.Name != "a" || a.Start != 10 || a.End != 20 || a.Seq != 1 {
-		t.Errorf("span a = %+v", a)
-	}
-	if len(a.Attrs) != 2 || a.Attrs[0].Key != "k" || a.Attrs[1].Key != "n" {
-		t.Errorf("a.Attrs = %+v, want Begin attrs then End attrs", a.Attrs)
-	}
-}
-
-// TestBeginEndDoesNotAliasBeginAttrs ensures ending a span with extra
-// attrs never mutates the slice handed to Begin (two spans from one
-// Begin-attr slice must not corrupt each other).
-func TestBeginEndDoesNotAliasBeginAttrs(t *testing.T) {
-	tr := NewTracer()
-	base := make([]Attr, 1, 4)
-	base[0] = Str("k", "v")
-	s1 := tr.Begin("t", "c", "one", 0, base...)
-	s1.End(1, Str("end", "one"))
-	if base[:cap(base)][1] == (Attr{Key: "end", Val: "one"}) {
-		t.Error("End wrote into the Begin attr slice's spare capacity")
-	}
-	spans := tr.Spans()
-	if len(spans[0].Attrs) != 2 {
-		t.Errorf("span attrs = %+v", spans[0].Attrs)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Record("x", "y", "z", 0, 1)
 	tr.RecordGWork("s", "q", "w", 0, 1, WorkReport{})
-	tr.Begin("x", "y", "z", 0).End(1)
-	var open *OpenSpan
-	open.End(1)
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Error("nil tracer is not a no-op")
 	}
 	var r *Registry
-	r.Add("c", 1)
-	if r.Get("c") != 0 || r.Total("c") != 0 || r.Snapshot() != nil {
+	c := r.Counter("c")
+	if c != nil {
+		t.Error("nil registry handed out a live counter")
+	}
+	c.Add(1)
+	c.Max(2)
+	if c.Get() != 0 || r.Get("c") != 0 || r.Total("c") != 0 || r.Snapshot() != nil {
 		t.Error("nil registry is not a no-op")
 	}
 	var o *Observability
@@ -104,7 +61,7 @@ func TestNilSafety(t *testing.T) {
 	// And the nil components those getters return must themselves be
 	// usable, closing the chain.
 	o.Tracer().Record("x", "y", "z", 0, 1)
-	o.Metrics().Add("c", 1)
+	o.Metrics().Counter("c").Add(1)
 }
 
 func TestAttrConstructors(t *testing.T) {
@@ -179,28 +136,62 @@ func TestRecordGWorkSpanTree(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Add("cache.hits.gpu0", 3)
-	r.Add("cache.hits.gpu1", 4)
-	r.Add("cache.misses.gpu0", 1)
-	r.Add("cache.hits.gpu0", 2)
+	hits0 := r.Counter("cache.hits.gpu0")
+	if again := r.Counter("cache.hits.gpu0"); again != hits0 {
+		t.Error("two handles for one name must share a slot")
+	}
+	hits0.Add(3)
+	r.Counter("cache.hits.gpu1").Add(4)
+	r.Counter("cache.misses.gpu0").Add(1)
+	r.Counter("cache.hits.gpu0").Add(2)
+	r.Counter("sched.direct") // registered, never bumped
 	if got := r.Get("cache.hits.gpu0"); got != 5 {
 		t.Errorf("Get = %d, want 5", got)
 	}
 	if got := r.Get("absent"); got != 0 {
 		t.Errorf("Get(absent) = %d, want 0", got)
 	}
+	depth := r.Counter("stream.depthmax.s1")
+	depth.Max(4)
+	depth.Max(2)
+	if got := depth.Get(); got != 4 {
+		t.Errorf("Max kept %d, want the high watermark 4", got)
+	}
 	if got := r.Total("cache.hits"); got != 9 {
 		t.Errorf("Total(cache.hits) = %d, want 9", got)
 	}
-	snap := r.Snapshot()
-	wantNames := []string{"cache.hits.gpu0", "cache.hits.gpu1", "cache.misses.gpu0"}
-	if len(snap) != len(wantNames) {
-		t.Fatalf("snapshot has %d entries, want %d", len(snap), len(wantNames))
+	if got := r.Total("cache"); got != 10 {
+		t.Errorf("Total(cache) = %d, want 10", got)
 	}
-	for i, m := range snap {
-		if m.Name != wantNames[i] {
-			t.Errorf("snapshot[%d] = %s, want %s (sorted)", i, m.Name, wantNames[i])
-		}
+	snap := r.Snapshot()
+	want := []Metric{
+		{"cache.hits.gpu0", 5}, {"cache.hits.gpu1", 4},
+		{"cache.misses.gpu0", 1}, {"stream.depthmax.s1", 4},
+	}
+	if !slices.Equal(snap, want) {
+		t.Errorf("Snapshot = %v, want %v (sorted, never-bumped handles left out)", snap, want)
+	}
+}
+
+// TestRegistrySetEnabled checks that SetEnabled(false) silences handles
+// registered both before and after the flip, and that turning the
+// registry back on revives them.
+func TestRegistrySetEnabled(t *testing.T) {
+	r := NewRegistry()
+	before := r.Counter("sched.direct")
+	r.SetEnabled(false)
+	after := r.Counter("sched.pooled")
+	before.Add(1)
+	after.Add(1)
+	after.Max(7)
+	if r.Total("sched") != 0 || len(r.Snapshot()) != 0 {
+		t.Errorf("disabled registry recorded: %v", r.Snapshot())
+	}
+	r.SetEnabled(true)
+	before.Add(1)
+	after.Add(2)
+	if before.Get() != 1 || after.Get() != 2 {
+		t.Errorf("re-enabled handles = %d, %d, want 1, 2", before.Get(), after.Get())
 	}
 }
 

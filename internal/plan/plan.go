@@ -330,17 +330,17 @@ func (gr *Graph) Execute() {
 	}
 	gr.executed = true
 	clock := st.g.Cluster.Clock
-	sp := st.tracer.Begin(driverTrack, "plan", "plan:"+gr.name, clock.Now(),
-		obs.Str("mode", st.opts.Mode.String()),
-		obs.Bool("chaining", !st.opts.DisableChaining),
-		obs.Int("nodes", int64(len(gr.nodes))))
+	t0 := clock.Now()
 	st.job = st.g.Cluster.NewJob(gr.name)
 	ctx := &Ctx{G: st.g, Job: st.job, st: st}
 	for _, group := range st.groupOrder {
 		st.place(group)
 	}
 	gr.runNodes(ctx)
-	sp.End(clock.Now())
+	st.tracer.Record(driverTrack, "plan", "plan:"+gr.name, t0, clock.Now(),
+		obs.Str("mode", st.opts.Mode.String()),
+		obs.Bool("chaining", !st.opts.DisableChaining),
+		obs.Int("nodes", int64(len(gr.nodes))))
 }
 
 // driverTrack is the trace track plan-layer spans land on: the driver
@@ -420,16 +420,15 @@ func Iterate(gr *Graph, name string, n int, body func(it int, sub *Graph)) *Iter
 			clock := ctx.G.Cluster.Clock
 			for it := 0; it < n; it++ {
 				t0 := clock.Now()
-				sp := gr.st.tracer.Begin(driverTrack, "iteration",
-					fmt.Sprintf("%s#%d", name, it), t0,
-					obs.Int("iteration", int64(it)))
 				sub := &Graph{st: gr.st, name: gr.name}
 				body(it, sub)
 				sub.runNodes(ctx)
 				ctx.Job.Superstep()
 				t1 := clock.Now()
 				stats.Durations = append(stats.Durations, t1-t0)
-				sp.End(t1)
+				gr.st.tracer.Record(driverTrack, "iteration",
+					fmt.Sprintf("%s#%d", name, it), t0, t1,
+					obs.Int("iteration", int64(it)))
 			}
 			return nil
 		},

@@ -427,11 +427,7 @@ func (p *Pipeline) Run() Result {
 		panic("stream: a pipeline needs a Source, optional Windows, and a Sink")
 	}
 	clock := p.g.Cluster.Clock
-	sp := p.tracer.Begin("driver", "stream", "stream:"+p.name, clock.Now(),
-		obs.Str("mode", p.opts.Mode.String()),
-		obs.Int("batch_records", int64(p.opts.BatchRecords)),
-		obs.Int("buffer_batches", int64(p.opts.BufferBatches)),
-		obs.Int("stages", int64(len(p.stages))))
+	start := clock.Now()
 	job := p.g.Cluster.NewJob(p.name)
 	for _, s := range p.stages {
 		if s.kind == kWindow {
@@ -468,7 +464,11 @@ func (p *Pipeline) Run() Result {
 	if makespan > 0 {
 		res.Throughput = float64(res.Records) / makespan.Seconds()
 	}
-	sp.End(clock.Now(),
+	p.tracer.Record("driver", "stream", "stream:"+p.name, start, clock.Now(),
+		obs.Str("mode", p.opts.Mode.String()),
+		obs.Int("batch_records", int64(p.opts.BatchRecords)),
+		obs.Int("buffer_batches", int64(p.opts.BufferBatches)),
+		obs.Int("stages", int64(len(p.stages))),
 		obs.Int("records", res.Records),
 		obs.Dur("blocked", res.Blocked))
 	return res
@@ -573,9 +573,7 @@ func (e *edge) courier() {
 // run executes the stage's process until its input drains.
 func (s *stage) run() {
 	clock := s.p.g.Cluster.Clock
-	sp := s.p.tracer.Begin(s.track, "stage", s.name, clock.Now(),
-		obs.Str("kind", s.kind.String()),
-		obs.Int("worker", int64(s.worker)))
+	start := clock.Now()
 	switch s.kind {
 	case kSource:
 		s.runSource()
@@ -584,11 +582,15 @@ func (s *stage) run() {
 	case kSink:
 		s.runSink()
 	}
-	attrs := []obs.Attr{obs.Int("records", s.records)}
+	attrs := []obs.Attr{
+		obs.Str("kind", s.kind.String()),
+		obs.Int("worker", int64(s.worker)),
+		obs.Int("records", s.records),
+	}
 	if s.kind == kWindow {
 		attrs = append(attrs, obs.Str("placed", s.dev.String()))
 	}
-	sp.End(clock.Now(), attrs...)
+	s.p.tracer.Record(s.track, "stage", s.name, start, clock.Now(), attrs...)
 }
 
 // runSource generates records batch by batch, charging the production

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
 	"gflink/internal/kernels"
+	"gflink/internal/obs"
 	"gflink/internal/plan"
 	"gflink/internal/stream"
 )
@@ -378,6 +380,51 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Error("span streams differ across identical runs")
+	}
+}
+
+// TestSpanAttrsInOrder pins the attributes of a CPU-placed window's
+// stage span and of the pipeline span, keys and values in order, so a
+// reordering fails here by name rather than only as a golden trace
+// hash mismatch.
+func TestSpanAttrsInOrder(t *testing.T) {
+	g := build(2)
+	var res stream.Result
+	g.Run(func() {
+		p := stream.New(g, "test", stream.WithMode(plan.ForceCPU), stream.WithBufferBatches(2))
+		p.Source("gen", 0, stream.SourceSpec{Records: 4096, Seed: 7}).
+			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Sink("out", 0)
+		res = p.Run()
+	})
+	want := map[string][]obs.Attr{
+		"agg": {
+			obs.Str("kind", "window"),
+			obs.Int("worker", 1),
+			obs.Int("records", 4096),
+			obs.Str("placed", "CPU"),
+		},
+		"stream:test": {
+			obs.Str("mode", "cpu"),
+			obs.Int("batch_records", 256),
+			obs.Int("buffer_batches", 2),
+			obs.Int("stages", 3),
+			obs.Int("records", 4096),
+			obs.Dur("blocked", res.Blocked),
+		},
+	}
+	for _, sp := range g.Obs.Tracer().Spans() {
+		attrs, ok := want[sp.Name]
+		if !ok {
+			continue
+		}
+		delete(want, sp.Name)
+		if !slices.Equal(sp.Attrs, attrs) {
+			t.Errorf("span %s attrs:\n got  %v\n want %v", sp.Name, sp.Attrs, attrs)
+		}
+	}
+	for name := range want {
+		t.Errorf("no span named %s", name)
 	}
 }
 
