@@ -25,9 +25,8 @@
 // set and is checked in place; a cross-package callee must carry an
 // AllocFree fact (exported by this analyzer when it analyzed that
 // package as a dependency) or belong to a small allowlist of known
-// non-allocating runtime entry points (sync mutex operations,
-// container/heap, atomic loads/stores, float32 bit casts and
-// little-endian fixed-width loads/stores). Calls through function values
+// non-allocating runtime entry points (sync mutex operations, float32
+// bit casts and little-endian fixed-width loads/stores). Calls through function values
 // or interface methods have unknown behavior and are reported. A
 // //gflink:allow-alloc <reason> directive on (or above) the offending
 // line waives one site or call — that is the sanctioned escape hatch
@@ -93,14 +92,6 @@ var allowlist = map[string]bool{
 	"sync.RWMutex.Unlock":  true,
 	"sync.RWMutex.RLock":   true,
 	"sync.RWMutex.RUnlock": true,
-	"container/heap.Init":  true,
-	"container/heap.Push":  true,
-	"container/heap.Pop":   true,
-	"container/heap.Fix":   true,
-	// Atomic loads/stores back the vclock's lock-free Now fast path.
-	"sync/atomic.LoadInt64":  true,
-	"sync/atomic.StoreInt64": true,
-	"sync/atomic.AddInt64":   true,
 	// Pure bit casts and fixed-width little-endian loads/stores back
 	// the kernel bodies and the stream layer's packing loops.
 	"math.Float32bits":                       true,

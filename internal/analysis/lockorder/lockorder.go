@@ -8,11 +8,12 @@
 // mutex prevents the process that would wake it from ever taking that
 // mutex — but because the clock serializes execution, the schedule that
 // triggers it may never occur on the test machine while occurring
-// deterministically on another. GStreamManager and GMemoryManager are
-// written to release mu before touching any blocking primitive; the
-// walk reports every blocking vclock/membuf call made while any mutex
-// is held, local mutexes included (matched by the receiver's expression
-// text).
+// deterministically on another. Per-deployment state (GStreamManager,
+// GMemoryManager, gpu.Device, ...) has no mutex at all, since the clock
+// runs one process at a time; the locks left are process-global
+// registries. The walk reports every blocking vclock/membuf call made
+// while any mutex is held, local mutexes included (matched by the
+// receiver's expression text).
 //
 // Lock order cycles. The walk also builds a whole-program
 // lock-acquisition graph. Locks are identified structurally, not by

@@ -24,10 +24,9 @@ import (
 //     the internal packages are where virtual time and result ordering
 //     live).
 //   - lockorder (blocking calls under a held mutex, and lock order
-//     cycles) runs module-wide except internal/vclock itself: the
-//     primitives' implementation necessarily manipulates the clock's
-//     own mutex around the park/wake protocol, and its ordering is the
-//     scheduler's concern, not the lock graph's.
+//     cycles) runs module-wide. Per-deployment state has no mutex (the
+//     virtual clock runs one process at a time), so it checks the
+//     process-global locks that remain.
 //   - bufescape and poolsafe (HBuffer views and lifetimes, plus
 //     //gflink:pool values) run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
@@ -52,7 +51,7 @@ func Rules() []analysis.Rule {
 	return []analysis.Rule{
 		{Analyzer: wallclock.Analyzer, Applies: internal},
 		{Analyzer: maporder.Analyzer, Applies: internal},
-		{Analyzer: lockorder.Analyzer, Applies: analysis.Except(nil, "gflink/internal/vclock")},
+		{Analyzer: lockorder.Analyzer},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: counterkey.Analyzer},

@@ -90,7 +90,7 @@ type GWork struct {
 	err    error
 	device *gpu.Device
 	// scheduler bookkeeping: submission time and steal origin (set by
-	// Submit / stealLocked), folded into report by the stream worker.
+	// Submit / steal), folded into report by the stream worker.
 	submitT    time.Duration
 	stolenFrom int
 	report     obs.WorkReport

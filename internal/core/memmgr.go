@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
@@ -89,19 +88,18 @@ type GMemoryManager struct {
 	hostPool *membuf.Pool
 	diskPool *membuf.Pool
 
-	mu      sync.Mutex
 	regions map[int]*cacheRegion // by job ID
 	// freeEntries recycles cacheEntry shells (which double as eviction
 	// list nodes) so steady-state insert-after-evict allocates nothing.
 	freeEntries []*cacheEntry
 	// pendHead/pendTail chain, through their next fields, the entries
-	// evicted under mu whose demotion (which charges simulated time and
-	// therefore must not run under the mutex) is still owed;
-	// takePendingLocked hands the chain to settle after the lock is
-	// released.
+	// evicted by Insert whose demotion (which charges simulated time and
+	// therefore must not run inside Insert's mutation of the region) is
+	// still owed; takePending hands the chain to settle once the region
+	// is consistent again.
 	pendHead, pendTail *cacheEntry
 
-	// Host tier state (all guarded by mu). hostHead/hostTail order the
+	// Host tier state. hostHead/hostTail order the
 	// resident pages oldest-first for spilling; spilled pages stay in
 	// hostPages but leave the resident list.
 	hostPages          map[CacheKey]*hostPage
@@ -226,24 +224,20 @@ func (m *GMemoryManager) region(jobID int) *cacheRegion {
 //
 //gflink:hotpath
 func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
-	m.mu.Lock()
 	r := m.region(key.JobID)
 	if e, ok := r.entries[key]; ok {
 		e.refs++
 		//gflink:allow-alloc policy dispatch: built-in Touch is pointer-only bookkeeping, verified hotalloc-clean in evict.go
 		m.pol.Touch(r, e)
 		m.cntHits.Add(1)
-		m.mu.Unlock()
 		return e.buf, true
 	}
 	if m.hostTierBytes > 0 {
-		if pg := m.takePageLocked(key); pg != nil {
-			m.mu.Unlock()
+		if pg := m.takePage(key); pg != nil {
 			return m.promote(key, pg)
 		}
 	}
 	m.cntMisses.Add(1)
-	m.mu.Unlock()
 	return nil, false
 }
 
@@ -251,8 +245,6 @@ func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
 //
 //gflink:hotpath
 func (m *GMemoryManager) Release(key CacheKey) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r := m.region(key.JobID)
 	if e, ok := r.entries[key]; ok && e.refs > 0 {
 		e.refs--
@@ -264,22 +256,20 @@ func (m *GMemoryManager) Release(key CacheKey) {
 // cannot hold the object; on success the region owns buf. The new entry
 // starts pinned with one reference, matching the in-flight kernel that
 // triggered the transfer; the caller must Release it. With the host
-// tier enabled, victims demote to host pages after the lock is
-// dropped — demotion charges simulated time, so it never runs under mu
-// (lockorder's no-blocking-under-lock rule).
+// tier enabled, victims demote to host pages once the new entry is in
+// place — demotion charges simulated time, so it never runs in the
+// middle of the region update, where another process could observe it
+// half done.
 //
 //gflink:hotpath
 func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bool {
-	m.mu.Lock()
 	r := m.region(key.JobID)
 	if _, dup := r.entries[key]; dup {
 		m.cntRejects.Add(1)
-		m.mu.Unlock()
 		return false
 	}
 	if nominal > r.capacity {
 		m.cntRejects.Add(1)
-		m.mu.Unlock()
 		return false
 	}
 	for r.used+nominal > r.capacity {
@@ -287,17 +277,15 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 		v, stop := m.pol.Victim(r)
 		if stop {
 			m.cntStop.Add(1)
-			m.mu.Unlock()
 			return false
 		}
 		if v == nil {
 			m.cntRejects.Add(1)
-			m.mu.Unlock()
 			return false // everything pinned
 		}
-		m.evictLocked(r, v)
+		m.evict(r, v)
 	}
-	e := m.entryLocked()
+	e := m.entryShell()
 	e.key, e.buf, e.nominal, e.refs = key, buf, nominal, 1
 	//gflink:allow-alloc policy dispatch: built-in Admit is a pointer-only list push, verified hotalloc-clean in evict.go
 	m.pol.Admit(r, e)
@@ -305,20 +293,18 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 	r.entries[key] = e
 	r.used += nominal
 	m.cntInserts.Add(1)
-	pend := m.takePendingLocked()
-	m.mu.Unlock()
-	if pend != nil {
+	if pend := m.takePending(); pend != nil {
 		m.settle(pend)
 	}
 	return true
 }
 
-// evictLocked detaches a chosen victim from its region and either
-// frees its device buffer (no host tier) or chains it onto the pending
-// demotions for once the caller drops mu.
+// evict detaches a chosen victim from its region and either frees its
+// device buffer (no host tier) or chains it onto the pending demotions
+// for once the caller's region update is complete.
 //
 //gflink:hotpath
-func (m *GMemoryManager) evictLocked(r *cacheRegion, e *cacheEntry) {
+func (m *GMemoryManager) evict(r *cacheRegion, e *cacheEntry) {
 	//gflink:allow-alloc policy dispatch: built-in Remove is a pointer-only list unlink, verified hotalloc-clean in evict.go
 	m.pol.Remove(r, e)
 	delete(r.entries, e.key)
@@ -338,13 +324,13 @@ func (m *GMemoryManager) evictLocked(r *cacheRegion, e *cacheEntry) {
 	}
 	m.dev.Free(e.buf)
 	m.cntEvictions.Add(1)
-	m.recycleEntryLocked(e)
+	m.recycleEntry(e)
 }
 
-// entryLocked returns a zeroed cacheEntry shell from the free list.
+// entryShell returns a zeroed cacheEntry shell from the free list.
 //
 //gflink:hotpath
-func (m *GMemoryManager) entryLocked() *cacheEntry {
+func (m *GMemoryManager) entryShell() *cacheEntry {
 	if n := len(m.freeEntries); n > 0 {
 		e := m.freeEntries[n-1]
 		m.freeEntries[n-1] = nil
@@ -355,20 +341,21 @@ func (m *GMemoryManager) entryLocked() *cacheEntry {
 	return &cacheEntry{}
 }
 
-// recycleEntryLocked zeroes a shell and returns it to the free list.
+// recycleEntry zeroes a shell and returns it to the free list.
 //
 //gflink:hotpath
-func (m *GMemoryManager) recycleEntryLocked(e *cacheEntry) {
+func (m *GMemoryManager) recycleEntry(e *cacheEntry) {
 	*e = cacheEntry{}
 	//gflink:allow-alloc amortized free-list growth, bounded by the peak entry count
 	m.freeEntries = append(m.freeEntries, e)
 }
 
-// takePendingLocked hands the chain of owed demotions (nil if none) to
-// the caller, which must run settle on it after releasing mu.
+// takePending hands the chain of owed demotions (nil if none) to the
+// caller, which must run settle on it once its region update is
+// complete.
 //
 //gflink:hotpath
-func (m *GMemoryManager) takePendingLocked() *cacheEntry {
+func (m *GMemoryManager) takePending() *cacheEntry {
 	e := m.pendHead
 	m.pendHead, m.pendTail = nil, nil
 	return e
@@ -380,8 +367,6 @@ func (m *GMemoryManager) takePendingLocked() *cacheEntry {
 //
 //gflink:hotpath
 func (m *GMemoryManager) CachedBytes(keys []CacheKey) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var n int64
 	for _, k := range keys {
 		if r, ok := m.regions[k.JobID]; ok {
@@ -395,8 +380,6 @@ func (m *GMemoryManager) CachedBytes(keys []CacheKey) int64 {
 
 // Used reports the region occupancy for a job.
 func (m *GMemoryManager) Used(jobID int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r, ok := m.regions[jobID]; ok {
 		return r.used
 	}
@@ -405,8 +388,6 @@ func (m *GMemoryManager) Used(jobID int) int64 {
 
 // Entries reports the number of cached objects for a job.
 func (m *GMemoryManager) Entries(jobID int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r, ok := m.regions[jobID]; ok {
 		return len(r.entries)
 	}
@@ -416,8 +397,6 @@ func (m *GMemoryManager) Entries(jobID int) int {
 // HostPages reports the number of host-tier pages (resident plus
 // spilled) held for a job.
 func (m *GMemoryManager) HostPages(jobID int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for k := range m.hostPages {
 		if k.JobID == jobID {
@@ -434,13 +413,11 @@ func (m *GMemoryManager) HostPages(jobID int) int {
 // Memory pressure overrides StopWhenFull: the policy's victim is freed
 // even though the policy forbids evict-to-admit. Pinned entries
 // (refs > 0) are never victims, never demoted, never spilled. With the
-// host tier enabled each victim demotes (charging simulated time) with
-// the mutex released.
+// host tier enabled each victim demotes (charging simulated time) once
+// it has left its region.
 func (m *GMemoryManager) Reclaim(need int64) {
 	for {
-		m.mu.Lock()
 		if m.dev.FreeBytes() >= need {
-			m.mu.Unlock()
 			return
 		}
 		var victim *cacheEntry
@@ -460,19 +437,15 @@ func (m *GMemoryManager) Reclaim(need int64) {
 			}
 		}
 		if victim == nil {
-			m.mu.Unlock()
 			return
 		}
+		m.cntEvictions.Add(1)
 		if m.hostTierBytes > 0 {
-			m.cntEvictions.Add(1)
-			m.mu.Unlock()
 			m.demote(victim)
 			continue
 		}
 		m.dev.Free(victim.buf)
-		m.cntEvictions.Add(1)
-		m.recycleEntryLocked(victim)
-		m.mu.Unlock()
+		m.recycleEntry(victim)
 	}
 }
 
@@ -481,8 +454,6 @@ func (m *GMemoryManager) Reclaim(need int64) {
 // job demoted. Releasing with in-flight references panics: the job
 // cannot finish while its work is still running.
 func (m *GMemoryManager) ReleaseJob(jobID int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r, ok := m.regions[jobID]; ok {
 		keys := make([]CacheKey, 0, len(r.entries))
 		for key := range r.entries {
@@ -502,9 +473,9 @@ func (m *GMemoryManager) ReleaseJob(jobID int) {
 			}
 			m.dev.Free(e.buf)
 			m.pol.Remove(r, e)
-			m.recycleEntryLocked(e)
+			m.recycleEntry(e)
 		}
 		delete(m.regions, jobID)
 	}
-	m.releaseJobPagesLocked(jobID)
+	m.releaseJobPages(jobID)
 }

@@ -17,10 +17,10 @@ import (
 // Every movement charges only simulated time — the real (scaled-down)
 // bytes are copied verbatim at each hop, so a promoted buffer is
 // bit-identical to the one that was evicted and output bytes never
-// change (invariant 11). None of these functions may be entered while
-// m.mu is held: they sleep on the virtual clock (lockorder's
-// no-blocking-under-lock rule), taking the mutex themselves only
-// around bookkeeping.
+// change (invariant 11). These functions sleep on the virtual clock, so
+// none may be called in the middle of a cache-region update; each
+// updates the tier's bookkeeping only between its sleeps, where no
+// other process can run.
 
 // hostPage is one demoted cache object. Resident pages hold their real
 // bytes in an off-heap HBuffer from the host pool and sit on the
@@ -37,8 +37,8 @@ type hostPage struct {
 	next    *hostPage
 }
 
-// pagePushBackLocked appends p as the newest resident page.
-func (m *GMemoryManager) pagePushBackLocked(p *hostPage) {
+// pagePushBack appends p as the newest resident page.
+func (m *GMemoryManager) pagePushBack(p *hostPage) {
 	p.prev = m.hostTail
 	p.next = nil
 	if m.hostTail != nil {
@@ -49,8 +49,8 @@ func (m *GMemoryManager) pagePushBackLocked(p *hostPage) {
 	m.hostTail = p
 }
 
-// pageUnlinkLocked removes p from the resident list.
-func (m *GMemoryManager) pageUnlinkLocked(p *hostPage) {
+// pageUnlink removes p from the resident list.
+func (m *GMemoryManager) pageUnlink(p *hostPage) {
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
@@ -64,8 +64,8 @@ func (m *GMemoryManager) pageUnlinkLocked(p *hostPage) {
 	p.prev, p.next = nil, nil
 }
 
-// pageLocked returns a zeroed hostPage shell from the free list.
-func (m *GMemoryManager) pageLocked() *hostPage {
+// pageShell returns a zeroed hostPage shell from the free list.
+func (m *GMemoryManager) pageShell() *hostPage {
 	if n := len(m.freePages); n > 0 {
 		p := m.freePages[n-1]
 		m.freePages[n-1] = nil
@@ -76,9 +76,9 @@ func (m *GMemoryManager) pageLocked() *hostPage {
 	return &hostPage{}
 }
 
-// recyclePageLocked releases a page's backing (host buffer or disk
+// recyclePage releases a page's backing (host buffer or disk
 // blob) and returns the shell to the free list.
-func (m *GMemoryManager) recyclePageLocked(p *hostPage) {
+func (m *GMemoryManager) recyclePage(p *hostPage) {
 	if p.hbuf != nil {
 		p.hbuf.Free()
 	}
@@ -90,25 +90,23 @@ func (m *GMemoryManager) recyclePageLocked(p *hostPage) {
 	m.freePages = append(m.freePages, p)
 }
 
-// takePageLocked removes and returns the page cached under key, or nil.
-// Called with m.mu held (from Acquire); the caller promotes the page
-// after dropping the lock.
-func (m *GMemoryManager) takePageLocked(key CacheKey) *hostPage {
+// takePage removes and returns the page cached under key, or nil. The
+// caller (Acquire) promotes the page.
+func (m *GMemoryManager) takePage(key CacheKey) *hostPage {
 	pg, ok := m.hostPages[key]
 	if !ok {
 		return nil
 	}
 	delete(m.hostPages, key)
 	if !pg.spilled {
-		m.pageUnlinkLocked(pg)
+		m.pageUnlink(pg)
 		m.hostUsed -= pg.nominal
 	}
 	return pg
 }
 
-// settle demotes, in eviction order, a chain of entries evicted under
-// the lock. Runs without m.mu held; only reachable with the host tier
-// enabled.
+// settle demotes, in eviction order, a chain of entries evicted by
+// Insert. Only reachable with the host tier enabled.
 func (m *GMemoryManager) settle(e *cacheEntry) {
 	for e != nil {
 		next := e.next
@@ -123,7 +121,7 @@ func (m *GMemoryManager) settle(e *cacheEntry) {
 // (GFlinkTransferTime covers the JNI redirect and DMA setup), then the
 // device buffer is freed. Overflowing the host tier spills the oldest
 // resident pages to disk. The entry must already be detached from its
-// region and unpinned; m.mu must not be held.
+// region and unpinned.
 //
 //gflink:gated hosttier -- reachable only when the host paging tier is enabled; invariant 11 holds it to byte-preserving copies
 func (m *GMemoryManager) demote(e *cacheEntry) {
@@ -147,28 +145,27 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 	// Overflow victims leave the resident list oldest first and chain
 	// through their next fields until they are spilled.
 	var spillHead, spillTail *hostPage
-	m.mu.Lock()
-	m.recycleEntryLocked(e)
+	m.recycleEntry(e)
 	if old, ok := m.hostPages[key]; ok {
 		// A stale copy of the same key: the block was re-inserted and
 		// re-evicted while an earlier demotion or spill was in flight.
 		// The bytes we carry are the newest.
 		delete(m.hostPages, key)
 		if !old.spilled {
-			m.pageUnlinkLocked(old)
+			m.pageUnlink(old)
 			m.hostUsed -= old.nominal
 		}
-		m.recyclePageLocked(old)
+		m.recyclePage(old)
 	}
-	pg := m.pageLocked()
+	pg := m.pageShell()
 	pg.key, pg.nominal, pg.real, pg.hbuf = key, nominal, real, hb
 	//gflink:allow-alloc page registration: the table grows only to the peak page count
 	m.hostPages[key] = pg
-	m.pagePushBackLocked(pg)
+	m.pagePushBack(pg)
 	m.hostUsed += nominal
 	for m.hostUsed > m.hostTierBytes && m.hostHead != nil {
 		p := m.hostHead
-		m.pageUnlinkLocked(p)
+		m.pageUnlink(p)
 		delete(m.hostPages, p.key)
 		m.hostUsed -= p.nominal
 		if spillTail != nil {
@@ -178,7 +175,6 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 		}
 		spillTail = p
 	}
-	m.mu.Unlock()
 	for p := spillHead; p != nil; {
 		next := p.next
 		p.next = nil
@@ -208,16 +204,14 @@ func (m *GMemoryManager) spill(p *hostPage) {
 	if m.tracer.Enabled() {
 		m.tracer.Record(m.memTrack, "mem", "spill", t0, m.clock.Now(), obs.Int("nominal", p.nominal))
 	}
-	m.mu.Lock()
 	if _, dup := m.hostPages[p.key]; dup {
 		// A fresher copy of the key re-entered the tier while the disk
 		// write was in flight; ours is stale.
-		m.recyclePageLocked(p)
+		m.recyclePage(p)
 	} else {
 		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[p.key] = p
 	}
-	m.mu.Unlock()
 }
 
 // promote moves a page's bytes back onto the device: a disk read first
@@ -226,7 +220,7 @@ func (m *GMemoryManager) spill(p *hostPage) {
 // pinned with one reference like any fresh insertion, so the caller
 // must Release it. On failure (device exhausted even after Reclaim, or
 // the region refuses the entry) the lookup degrades to a plain miss
-// and the caller re-transfers as usual. m.mu must not be held.
+// and the caller re-transfers as usual.
 //
 //gflink:gated hosttier -- reachable only when the host paging tier is enabled; invariant 11 holds it to byte-preserving copies
 func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool) {
@@ -255,9 +249,7 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 		copy(buf.Bytes(), pg.disk.Bytes())
 	}
 	nominal := pg.nominal
-	m.mu.Lock()
-	m.recyclePageLocked(pg)
-	m.mu.Unlock()
+	m.recyclePage(pg)
 	if !m.Insert(key, buf, nominal) {
 		// The region cannot take the entry back (stop policy, all
 		// pinned, or a racing insert won); degrade to a miss.
@@ -282,24 +274,21 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 // restorePage puts a page back into the tier after a failed promotion,
 // charging nothing (the bytes never left the host).
 func (m *GMemoryManager) restorePage(pg *hostPage) {
-	m.mu.Lock()
 	if _, dup := m.hostPages[pg.key]; dup {
-		m.recyclePageLocked(pg)
+		m.recyclePage(pg)
 	} else {
 		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[pg.key] = pg
 		if !pg.spilled {
-			m.pagePushBackLocked(pg)
+			m.pagePushBack(pg)
 			m.hostUsed += pg.nominal
 		}
 	}
-	m.mu.Unlock()
 }
 
-// releaseJobPagesLocked drops every host-tier page and spilled blob a
-// job owns, in deterministic key order. Called with m.mu held from
-// ReleaseJob.
-func (m *GMemoryManager) releaseJobPagesLocked(jobID int) {
+// releaseJobPages drops every host-tier page and spilled blob a
+// job owns, in deterministic key order. Called from ReleaseJob.
+func (m *GMemoryManager) releaseJobPages(jobID int) {
 	if len(m.hostPages) == 0 {
 		return
 	}
@@ -320,9 +309,9 @@ func (m *GMemoryManager) releaseJobPagesLocked(jobID int) {
 		pg := m.hostPages[k]
 		delete(m.hostPages, k)
 		if !pg.spilled {
-			m.pageUnlinkLocked(pg)
+			m.pageUnlink(pg)
 			m.hostUsed -= pg.nominal
 		}
-		m.recyclePageLocked(pg)
+		m.recyclePage(pg)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"gflink/internal/gpu"
@@ -43,11 +42,9 @@ type GStreamManager struct {
 	// lock.
 	cntDirect, cntPooled, cntSteals *obs.Counter
 
-	mu   sync.Mutex
 	devs []*deviceState
 	rr   int // round-robin cursor
-	// scratchKeys is the reusable cache-key scratch of pickGPULocked,
-	// guarded by mu like the rest of the scheduler state.
+	// scratchKeys is the reusable cache-key scratch of pickGPU.
 	scratchKeys []CacheKey
 }
 
@@ -189,16 +186,12 @@ func (m *GStreamManager) Pool() *WorkPool { return m.workPool }
 // any GWork is still queued in the GWork Pool, since work parked there
 // would otherwise be silently dropped.
 func (m *GStreamManager) Close() {
-	m.mu.Lock()
 	for _, ds := range m.devs {
 		if ds.queue.Len() > 0 {
-			m.mu.Unlock()
 			panic("core: GStreamManager.Close with queued GWork")
 		}
 	}
-	devs := m.devs
-	m.mu.Unlock()
-	for _, ds := range devs {
+	for _, ds := range m.devs {
 		for _, sw := range ds.streams {
 			sw.inbox.Close()
 		}
@@ -216,42 +209,39 @@ func (m *GStreamManager) Submit(w *GWork) {
 	}
 	w.submitT = m.clock.Now()
 	w.stolenFrom = -1
-	m.mu.Lock()
-	gid := m.pickGPULocked(w)
+	gid := m.pickGPU(w)
 
 	var sw *streamWorker
 	if gid >= 0 && m.devs[gid].idle.Len() > 0 {
 		// Line 6: an idle stream on the locality-preferred GPU.
-		sw = m.popIdleLocked(gid)
+		sw = m.popIdle(gid)
 	} else {
 		// Lines 3-4 / 8-9: the bulk with the most idle streams.
-		if b := m.bulkWithMostIdleLocked(); b >= 0 {
-			sw = m.popIdleLocked(b)
+		if b := m.bulkWithMostIdle(); b >= 0 {
+			sw = m.popIdle(b)
 		}
 	}
 	if sw == nil {
 		// Lines 11-18: no idle stream anywhere; park in the pool.
 		q := gid
 		if q < 0 {
-			q = m.queueWithLeastWorkLocked()
+			q = m.queueWithLeastWork()
 		}
 		m.devs[q].queue.Push(w)
-		m.mu.Unlock()
 		m.cntPooled.Add(1)
 		return
 	}
-	m.mu.Unlock()
 	m.cntDirect.Add(1)
 	sw.inbox.Put(w)
 }
 
-// pickGPULocked implements the GMemoryManager consultation of
+// pickGPU implements the GMemoryManager consultation of
 // Algorithm 5.1: the GPU with the biggest sum of the work's cached
 // input bytes resident in device memory, or -1 when nothing is cached
 // anywhere (GID null). Under RoundRobin it cycles through devices.
 //
 //gflink:hotpath
-func (m *GStreamManager) pickGPULocked(w *GWork) int {
+func (m *GStreamManager) pickGPU(w *GWork) int {
 	if m.policy == RoundRobin {
 		gid := m.rr % len(m.devs)
 		m.rr++
@@ -260,7 +250,7 @@ func (m *GStreamManager) pickGPULocked(w *GWork) int {
 	keys := m.scratchKeys[:0]
 	for _, in := range w.In {
 		if in.Cache {
-			//gflink:allow-alloc amortized growth of the key scratch, reused under mu
+			//gflink:allow-alloc amortized growth of the key scratch, reused across submissions
 			keys = append(keys, in.Key)
 		}
 	}
@@ -278,13 +268,13 @@ func (m *GStreamManager) pickGPULocked(w *GWork) int {
 }
 
 //gflink:hotpath
-func (m *GStreamManager) popIdleLocked(gid int) *streamWorker {
+func (m *GStreamManager) popIdle(gid int) *streamWorker {
 	sw, _ := m.devs[gid].idle.Pop()
 	return sw
 }
 
 //gflink:hotpath
-func (m *GStreamManager) bulkWithMostIdleLocked() int {
+func (m *GStreamManager) bulkWithMostIdle() int {
 	best, most := -1, 0
 	for i, ds := range m.devs {
 		if ds.idle.Len() > most {
@@ -295,7 +285,7 @@ func (m *GStreamManager) bulkWithMostIdleLocked() int {
 }
 
 //gflink:hotpath
-func (m *GStreamManager) queueWithLeastWorkLocked() int {
+func (m *GStreamManager) queueWithLeastWork() int {
 	best, least := 0, int(^uint(0)>>1)
 	for i, ds := range m.devs {
 		if ds.queue.Len() < least {
@@ -305,12 +295,12 @@ func (m *GStreamManager) queueWithLeastWorkLocked() int {
 	return best
 }
 
-// stealLocked implements Algorithm 5.2 for a stream of GPU gid: first
+// steal implements Algorithm 5.2 for a stream of GPU gid: first
 // the GPU's own queue, then (when stealing is enabled) the queue with
 // the most pending GWork.
 //
 //gflink:hotpath
-func (m *GStreamManager) stealLocked(gid int) *GWork {
+func (m *GStreamManager) steal(gid int) *GWork {
 	if w, ok := m.devs[gid].queue.Pop(); ok {
 		return w
 	}
@@ -332,15 +322,13 @@ func (m *GStreamManager) stealLocked(gid int) *GWork {
 	return w
 }
 
-// nextOrIdle atomically either takes more work for sw or parks it on
-// the idle list, so no submission can fall between the check and the
-// park.
+// nextOrIdle either takes more work for sw or parks it on the idle
+// list. Nothing between the check and the park blocks, so no submission
+// can fall between them.
 //
 //gflink:hotpath
 func (m *GStreamManager) nextOrIdle(sw *streamWorker) *GWork {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if w := m.stealLocked(sw.ds.idx); w != nil {
+	if w := m.steal(sw.ds.idx); w != nil {
 		return w
 	}
 	sw.ds.idle.Push(sw)

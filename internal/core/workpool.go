@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"gflink/internal/vclock"
-)
+import "gflink/internal/vclock"
 
 // WorkPool recycles GWork shells so that steady-state submission —
 // the producer half of the paper's producer-consumer execution model —
@@ -18,7 +14,6 @@ import (
 // next user, which panics if anything is still blocked on it).
 type WorkPool struct {
 	clock *vclock.Clock
-	mu    sync.Mutex
 	free  []*GWork
 }
 
@@ -35,15 +30,12 @@ func NewWorkPool(clock *vclock.Clock) *WorkPool {
 //gflink:hotpath
 //gflink:pool
 func (p *WorkPool) Get() *GWork {
-	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		w := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.mu.Unlock()
 		return w
 	}
-	p.mu.Unlock()
 	//gflink:allow-alloc pool cold start: shell and completion event are created once, then recycled
 	return &GWork{done: vclock.NewEvent(p.clock)}
 }
@@ -67,8 +59,6 @@ func (p *WorkPool) Put(w *GWork) {
 		w.In[i] = Input{}
 	}
 	*w = GWork{done: ev, In: w.In[:0]}
-	p.mu.Lock()
 	//gflink:allow-alloc amortized free-list growth, bounded by peak in-flight works
 	p.free = append(p.free, w)
-	p.mu.Unlock()
 }

@@ -18,7 +18,6 @@ package flink
 
 import (
 	"fmt"
-	"sync"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/hdfs"
@@ -139,7 +138,6 @@ type Job struct {
 
 	// failures maps operator name to the number of task attempts that
 	// should be failed (test hook for the retry path).
-	failMu   sync.Mutex
 	failures map[string]int
 	retries  int
 }
@@ -163,22 +161,14 @@ func (c *Cluster) NewJob(name string) *Job {
 // (exercising the reliability path the paper cites as the reason to
 // build on Flink).
 func (j *Job) InjectTaskFailures(operator string, n int) {
-	j.failMu.Lock()
 	j.failures[operator] += n
-	j.failMu.Unlock()
 }
 
 // Retries reports how many task attempts were retried so far.
-func (j *Job) Retries() int {
-	j.failMu.Lock()
-	defer j.failMu.Unlock()
-	return j.retries
-}
+func (j *Job) Retries() int { return j.retries }
 
 // shouldFail consumes one injected failure for operator, if any.
 func (j *Job) shouldFail(operator string) bool {
-	j.failMu.Lock()
-	defer j.failMu.Unlock()
 	if j.failures[operator] > 0 {
 		j.failures[operator]--
 		j.retries++

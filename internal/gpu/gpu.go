@@ -43,7 +43,6 @@ type Device struct {
 	h2d     *vclock.Semaphore
 	d2h     *vclock.Semaphore
 
-	mu        sync.Mutex
 	usedBytes int64 // nominal
 	nextBuf   int64
 	streams   []*Stream
@@ -111,12 +110,9 @@ func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("gpu: malloc nominal=%d real=%d", nominal, real)
 	}
-	d.mu.Lock()
 	if d.usedBytes+nominal > d.Profile.MemBytes {
-		free := d.Profile.MemBytes - d.usedBytes
-		d.mu.Unlock()
 		//gflink:allow-alloc error diagnostic: out-of-memory cold path
-		return nil, fmt.Errorf("gpu%d: out of device memory: need %d, free %d", d.ID, nominal, free)
+		return nil, fmt.Errorf("gpu%d: out of device memory: need %d, free %d", d.ID, nominal, d.Profile.MemBytes-d.usedBytes)
 	}
 	d.usedBytes += nominal
 	d.nextBuf++
@@ -127,7 +123,6 @@ func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 		d.freeBufs[n-1] = nil
 		d.freeBufs = d.freeBufs[:n-1]
 	}
-	d.mu.Unlock()
 	d.clock.Sleep(MallocOverhead)
 	if b == nil {
 		//gflink:allow-alloc cold start: the device buffer free list amortizes this away
@@ -159,24 +154,16 @@ func (d *Device) Free(b *Buffer) {
 		panic("gpu: double free of device buffer")
 	}
 	b.freed = true
-	d.mu.Lock()
 	d.usedBytes -= b.nominal
 	//gflink:allow-alloc amortized growth of the device buffer free list
 	d.freeBufs = append(d.freeBufs, b)
-	d.mu.Unlock()
 }
 
 // UsedBytes reports allocated nominal device memory.
-func (d *Device) UsedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.usedBytes
-}
+func (d *Device) UsedBytes() int64 { return d.usedBytes }
 
 // FreeBytes reports remaining nominal device memory.
-func (d *Device) FreeBytes() int64 {
-	return d.Profile.MemBytes - d.UsedBytes()
-}
+func (d *Device) FreeBytes() int64 { return d.Profile.MemBytes - d.usedBytes }
 
 // MemcpyH2D synchronously copies src's logical bytes into dst,
 // charging nominal bytes of PCIe time on the H2D engine. Unpinned
@@ -205,10 +192,8 @@ func (d *Device) MemcpyD2H(dst *membuf.HBuffer, src *Buffer, nominal int64, cpu 
 }
 
 func (d *Device) count(ops, bytes *int64, n int64) {
-	d.mu.Lock()
 	*ops++
 	*bytes += n
-	d.mu.Unlock()
 }
 
 // KernelCtx is what a kernel invocation sees: device buffers, launch
@@ -303,9 +288,7 @@ func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 	}
 	dur := d.Profile.KernelTime(ctx.work, coalesce)
 	d.clock.Sleep(dur)
-	d.mu.Lock()
 	d.kernels++
-	d.mu.Unlock()
 	return dur, nil
 }
 
@@ -318,8 +301,6 @@ type Stats struct {
 
 // Stats returns the device counters.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Stats{
 		Kernels:   d.kernels,
 		H2DCopies: d.h2dCopies,
@@ -333,11 +314,9 @@ func (d *Device) Stats() Stats {
 // device accepts no stream operations; it must be called before the
 // simulation ends so stream executor processes terminate.
 func (d *Device) Close() {
-	d.mu.Lock()
 	streams := d.streams
 	d.streams = nil
 	d.closed = true
-	d.mu.Unlock()
 	for _, s := range streams {
 		s.close()
 	}

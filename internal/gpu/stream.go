@@ -66,9 +66,7 @@ type Stream struct {
 // must be closed via Device.Close (or Stream.close) before the
 // simulation ends.
 func (d *Device) NewStream(cpu costmodel.CPU) *Stream {
-	d.mu.Lock()
 	if d.closed {
-		d.mu.Unlock()
 		panic("gpu: NewStream on closed device")
 	}
 	s := &Stream{
@@ -81,7 +79,6 @@ func (d *Device) NewStream(cpu costmodel.CPU) *Stream {
 	s.syncEv = vclock.NewEvent(d.clock)
 	s.syncSet = s.syncEv.Set
 	d.streams = append(d.streams, s)
-	d.mu.Unlock()
 	d.clock.Go(fmt.Sprintf("gpu%d-stream%d", d.ID, s.id), s.run)
 	return s
 }

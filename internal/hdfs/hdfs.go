@@ -12,7 +12,6 @@ package hdfs
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/netsim"
@@ -37,7 +36,6 @@ type FS struct {
 	cfg   Config
 	disks []*vclock.Semaphore
 
-	mu    sync.Mutex
 	files map[string]*File
 	// nextNode rotates block placement.
 	nextNode int
@@ -82,8 +80,6 @@ func (fs *FS) Create(name string, size int64) *File {
 		panic("hdfs: negative file size")
 	}
 	f := &File{Name: name, Size: size}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	remaining := size
 	for remaining > 0 || len(f.blocks) == 0 {
 		b := block{size: fs.cfg.BlockSize}
@@ -106,8 +102,6 @@ func (fs *FS) Create(name string, size int64) *File {
 
 // Open resolves a file by name.
 func (fs *FS) Open(name string) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("hdfs: file %q not found", name)
@@ -208,13 +202,10 @@ func (fs *FS) Write(node int, name string, n int64) {
 		fs.clock.Sleep(fs.disk.WriteTime(n))
 		fs.disks[peer].Release(1)
 	}
-	fs.mu.Lock()
 	if f, ok := fs.files[name]; ok {
 		f.Size += n
-		fs.mu.Unlock()
 		return
 	}
-	fs.mu.Unlock()
 	fs.Create(name, n)
 }
 

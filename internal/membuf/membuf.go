@@ -19,7 +19,6 @@ package membuf
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"gflink/internal/costmodel"
@@ -45,7 +44,6 @@ type Pool struct {
 	pageSize int
 	capacity int // pages; 0 = unbounded
 
-	mu      sync.Mutex
 	inUse   int // pages
 	peak    int
 	allocs  int64
@@ -83,12 +81,9 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 		return nil, fmt.Errorf("membuf: allocate %d bytes", n)
 	}
 	pages := (n + p.pageSize - 1) / p.pageSize
-	p.mu.Lock()
 	if p.capacity > 0 && p.inUse+pages > p.capacity {
-		avail := p.capacity - p.inUse
-		p.mu.Unlock()
 		//gflink:allow-alloc error diagnostic: off-heap exhaustion cold path
-		return nil, fmt.Errorf("membuf: off-heap exhausted: need %d pages, %d available", pages, avail)
+		return nil, fmt.Errorf("membuf: off-heap exhausted: need %d pages, %d available", pages, p.capacity-p.inUse)
 	}
 	p.inUse += pages
 	if p.inUse > p.peak {
@@ -106,7 +101,6 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 		p.spareTotal -= pages
 		p.reused++
 	}
-	p.mu.Unlock()
 	if data == nil {
 		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
 		data = make([]byte, pages*p.pageSize)
@@ -146,8 +140,6 @@ type Stats struct {
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return Stats{
 		PageSize:    p.pageSize,
 		InUsePages:  p.inUse,
@@ -170,9 +162,6 @@ type HBuffer struct {
 	size  int // requested size
 	pages int
 
-	// pinned and freed are guarded by pool.mu: buffers are handed
-	// between stream workers, so their lifecycle flags must be as
-	// race-free as the pool counters they mirror.
 	pinned bool
 	freed  bool
 }
@@ -199,23 +188,17 @@ func (b *HBuffer) Pages() int { return b.pages }
 // the virtual clock. Pinning a pinned buffer is a no-op.
 func (b *HBuffer) Pin() {
 	p := b.pool
-	p.mu.Lock()
 	if b.freed {
-		p.mu.Unlock()
 		panic("membuf: Pin on freed HBuffer")
 	}
 	if b.pinned {
-		p.mu.Unlock()
 		return
 	}
-	p.mu.Unlock()
-	// Charge registration time before publishing the pin; the clock
-	// must not be blocked on while holding p.mu (lockorder's
-	// no-blocking-under-lock rule).
+	// Charge registration time before publishing the pin. Other
+	// processes run during the sleep, so the buffer's state is checked
+	// again after it.
 	p.clock.Sleep(p.model.Overheads.PinPage * time.Duration(b.pages))
-	p.mu.Lock()
 	if b.freed {
-		p.mu.Unlock()
 		panic("membuf: Pin on freed HBuffer")
 	}
 	if !b.pinned {
@@ -223,26 +206,18 @@ func (b *HBuffer) Pin() {
 		p.pinned += b.pages
 		p.pinOps++
 	}
-	p.mu.Unlock()
 }
 
 // Unpin releases the page lock.
 func (b *HBuffer) Unpin() {
-	p := b.pool
-	p.mu.Lock()
 	if b.pinned {
 		b.pinned = false
-		p.pinned -= b.pages
+		b.pool.pinned -= b.pages
 	}
-	p.mu.Unlock()
 }
 
 // Pinned reports whether the buffer is page-locked.
-func (b *HBuffer) Pinned() bool {
-	b.pool.mu.Lock()
-	defer b.pool.mu.Unlock()
-	return b.pinned
-}
+func (b *HBuffer) Pinned() bool { return b.pinned }
 
 // Free returns the pages to the pool, releasing any page lock first,
 // and keeps their span for the next Allocate of the same page count.
@@ -252,9 +227,7 @@ func (b *HBuffer) Pinned() bool {
 //gflink:hotpath
 func (b *HBuffer) Free() {
 	p := b.pool
-	p.mu.Lock()
 	if b.freed {
-		p.mu.Unlock()
 		panic("membuf: double free of HBuffer")
 	}
 	b.freed = true
@@ -278,16 +251,11 @@ func (b *HBuffer) Free() {
 	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this page count ever live at once
 	*st = append(*st, b.data)
 	p.spareTotal += b.pages
-	p.mu.Unlock()
 	b.data = nil
 }
 
 // Freed reports whether the buffer was released.
-func (b *HBuffer) Freed() bool {
-	b.pool.mu.Lock()
-	defer b.pool.mu.Unlock()
-	return b.freed
-}
+func (b *HBuffer) Freed() bool { return b.freed }
 
 // ElemsPerPage returns how many elements of the given stride fit in one
 // page under the no-straddling rule (Section 5.1: "the content of a

@@ -6,7 +6,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/vclock"
@@ -20,7 +19,6 @@ type Network struct {
 	up    []*vclock.Semaphore
 	down  []*vclock.Semaphore
 
-	mu        sync.Mutex
 	transfers int64
 	bytes     int64
 }
@@ -55,16 +53,12 @@ func (n *Network) Transfer(src, dst int, bytes int64) {
 	n.clock.Sleep(d)
 	n.down[dst].Release(1)
 	n.up[src].Release(1)
-	n.mu.Lock()
 	n.transfers++
 	n.bytes += bytes
-	n.mu.Unlock()
 }
 
 // Stats reports cumulative transfer counters.
 func (n *Network) Stats() (transfers, bytes int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.transfers, n.bytes
 }
 

@@ -59,13 +59,14 @@ func (s Span) Dur() time.Duration { return s.End - s.Start }
 
 // Tracer collects spans. All methods are nil-safe no-ops, so producers
 // can thread an optional tracer without guards; SetEnabled(false)
-// additionally turns a live tracer into a zero-cost sink.
+// additionally turns a live tracer into a zero-cost sink. A tracer
+// belongs to one deployment: only that deployment's processes record
+// into it, one at a time, so it needs no lock.
 type Tracer struct {
-	mu    sync.Mutex
 	spans []Span
 	seq   uint64
 	// disabled is set before the simulation runs and never written
-	// during it, so the Enabled fast path reads it without the lock.
+	// during it.
 	disabled bool
 }
 
@@ -84,14 +85,11 @@ func (t *Tracer) Enabled() bool { return t != nil && !t.disabled }
 
 // SetEnabled turns recording on or off. A disabled tracer drops
 // Record and RecordGWork. Flip it only
-// while the simulation is quiescent (before Run, or between runs):
-// the flag is read lock-free on the hot path.
+// while the simulation is quiescent (before Run, or between runs).
 func (t *Tracer) SetEnabled(on bool) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.disabled = !on
 }
 
@@ -108,8 +106,6 @@ func (t *Tracer) Record(track, cat, name string, start, end time.Duration, attrs
 	if !t.Enabled() {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	//gflink:allow-alloc amortized span-storage growth; Reserve preallocates it
 	t.spans = append(t.spans, Span{
 		Track: track, Cat: cat, Name: name,
@@ -124,8 +120,6 @@ func (t *Tracer) Reserve(n int) {
 	if t == nil || n <= 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if free := cap(t.spans) - len(t.spans); free < n {
 		grown := make([]Span, len(t.spans), len(t.spans)+n)
 		copy(grown, t.spans)
@@ -138,8 +132,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.spans)
 }
 
@@ -148,8 +140,6 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out

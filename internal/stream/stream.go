@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"gflink/internal/core"
@@ -498,12 +499,15 @@ type edge struct {
 	depthMax int
 }
 
+// open creates the edge's queues and credit semaphore when Run starts.
+// It names the semaphore without fmt, whose printer pool makes the
+// allocation count of Run vary under the race detector.
 func (e *edge) open(clock *vclock.Clock) {
 	e.q = vclock.NewQueue[*batch](clock)
 	e.grants = vclock.NewQueue[*batch](clock)
 	e.free = vclock.NewQueue[*batch](clock)
 	e.credits = vclock.NewSemaphore(clock,
-		fmt.Sprintf("stream-credits-s%d", e.from.idx), int64(e.p.opts.BufferBatches))
+		"stream-credits-s"+strconv.Itoa(e.from.idx), int64(e.p.opts.BufferBatches))
 }
 
 // take returns an empty batch shell, reusing one returned by a credit

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -277,26 +278,35 @@ func FuzzPipeline(f *testing.F) {
 // TestStreamSteadyStateZeroAllocs pins the tracing-off record path as
 // allocation-free at steady state under both placements: quadrupling
 // the windows a run fires may add fewer than one heap allocation per
-// hundred extra windows.
+// hundred extra windows. Both measured pipelines run inside one
+// deployment, after a warm-up pipeline, and each is counted from its
+// Run alone. Under the race detector, sync.Pool drops a random share of
+// its Puts, so construction code that formats names with fmt allocates
+// a varying number of objects; and a collection cycle that starts
+// mid-Run adds allocations of its own. Counting Run alone, with the
+// collector off, leaves only the growth with the window count.
 func TestStreamSteadyStateZeroAllocs(t *testing.T) {
 	const width, windows = 1024, 100
-	mallocs := func(mode plan.Mode, w int64) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
 		g := build(2)
 		g.Obs.Tracer().SetEnabled(false)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		var short, long int64
 		g.Run(func() {
-			p := stream.New(g, "test", stream.WithMode(mode))
-			p.Source("gen", 0, stream.SourceSpec{Records: w * width, Seed: 7}).
-				Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: 256}).
-				Sink("out", 0)
-			p.Run()
+			mallocs := func(w int64) int64 {
+				p := stream.New(g, "test", stream.WithMode(mode))
+				p.Source("gen", 0, stream.SourceSpec{Records: w * width, Seed: 7}).
+					Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: 256}).
+					Sink("out", 0)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				p.Run()
+				runtime.ReadMemStats(&after)
+				return int64(after.Mallocs - before.Mallocs)
+			}
+			mallocs(windows)
+			short, long = mallocs(windows), mallocs(4*windows)
 		})
-		runtime.ReadMemStats(&after)
-		return int64(after.Mallocs - before.Mallocs)
-	}
-	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
-		short, long := mallocs(mode, windows), mallocs(mode, 4*windows)
 		if extra := int64(3 * windows); (long-short)*100 >= extra {
 			t.Errorf("%v: %d windows made %d allocations, %d windows %d: %d more for %d extra windows, want fewer than %d",
 				mode, windows, short, 4*windows, long, long-short, extra, extra/100)

@@ -2,10 +2,12 @@ package vclock
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -215,6 +217,57 @@ func TestRingGrowthPreservesOrder(t *testing.T) {
 	}
 	if _, ok := r.Pop(); ok {
 		t.Fatal("Pop on empty ring returned ok")
+	}
+}
+
+// TestTimerHeapPopsInDeadlineSeqOrder fills the timer heap with random
+// timers whose deadlines collide often and checks that pop returns them
+// in exactly sorted (deadline, seq) order; a second phase interleaves
+// pushes and pops against a linear-scan reference.
+func TestTimerHeapPopsInDeadlineSeqOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		n := 1 + rng.Intn(300)
+		var h timerHeap
+		want := make([]timer, 0, n)
+		for _, seq := range rng.Perm(n) {
+			tm := timer{deadline: time.Duration(rng.Intn(8)), seq: uint64(seq)}
+			h.push(tm)
+			want = append(want, tm)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
+		for i, w := range want {
+			if got := h.pop(); got != w {
+				t.Fatalf("round %d, pop %d = (%v, %d), want (%v, %d)", round, i, got.deadline, got.seq, w.deadline, w.seq)
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("round %d: %d timers left after popping all", round, len(h))
+		}
+	}
+
+	var h timerHeap
+	var ref []timer
+	var seq uint64
+	for op := 0; op < 5000; op++ {
+		if len(ref) == 0 || rng.Intn(5) < 3 {
+			seq++
+			tm := timer{deadline: time.Duration(rng.Intn(16)), seq: seq}
+			h.push(tm)
+			ref = append(ref, tm)
+			continue
+		}
+		min := 0
+		for i := range ref {
+			if ref[i].before(&ref[min]) {
+				min = i
+			}
+		}
+		w := ref[min]
+		ref = append(ref[:min], ref[min+1:]...)
+		if got := h.pop(); got != w {
+			t.Fatalf("op %d: pop = (%v, %d), want (%v, %d)", op, got.deadline, got.seq, w.deadline, w.seq)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ package vclock
 // which keeps steady-state producers/consumers — the scheduler run
 // queue, stream inboxes, per-device work queues — allocation-free.
 //
-// A FIFO is not safe for concurrent use; callers provide their own
-// locking (the vclock kernel uses it under Clock.mu).
+// A FIFO is not safe for concurrent use: like every primitive of
+// this package it relies on the clock running one process at a time.
 type FIFO[T any] struct {
 	buf  []T
 	head int

@@ -32,20 +32,19 @@ func NewQueue[T any](c *Clock) *Queue[T] {
 //
 //gflink:hotpath
 func (q *Queue[T]) Put(v T) {
-	q.c.mu.Lock()
-	defer q.c.mu.Unlock()
 	if q.closed {
 		panic("vclock: Put on closed Queue")
 	}
 	q.items.Push(v)
-	q.wakeOneLocked()
+	if w, ok := q.waiters.Pop(); ok {
+		q.c.ready(reasonQueue, w.p)
+		q.c.putWaiter(w)
+	}
 }
 
 // Close marks the queue closed; blocked and future Gets observe ok=false
 // once the buffered items drain.
 func (q *Queue[T]) Close() {
-	q.c.mu.Lock()
-	defer q.c.mu.Unlock()
 	q.closed = true
 	for {
 		w, ok := q.waiters.Pop()
@@ -53,7 +52,7 @@ func (q *Queue[T]) Close() {
 			break
 		}
 		q.c.ready(reasonQueue, w.p)
-		q.c.putWaiterLocked(w)
+		q.c.putWaiter(w)
 	}
 }
 
@@ -62,52 +61,30 @@ func (q *Queue[T]) Close() {
 //
 //gflink:hotpath
 func (q *Queue[T]) Get() (v T, ok bool) {
-	q.c.mu.Lock()
 	for {
 		if v, ok = q.items.Pop(); ok {
-			q.c.mu.Unlock()
 			return v, true
 		}
 		if q.closed {
-			q.c.mu.Unlock()
 			return v, false
 		}
 		p := q.c.cur
-		q.waiters.Push(q.c.takeWaiterLocked(p, 0))
+		q.waiters.Push(q.c.takeWaiter(p, 0))
 		q.c.block(reasonQueue, nil)
-		q.c.mu.Unlock()
 		p.park()
-		// Resumed: re-lock and re-check. The waker already recycled the
-		// waiter shell.
-		q.c.mu.Lock()
+		// Resumed: re-check. The waker already recycled the waiter shell.
 	}
 }
 
 // TryGet removes and returns the oldest item without blocking.
 //
 //gflink:hotpath
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	q.c.mu.Lock()
-	defer q.c.mu.Unlock()
-	return q.items.Pop()
-}
+func (q *Queue[T]) TryGet() (v T, ok bool) { return q.items.Pop() }
 
 // Len reports the number of buffered items.
 //
 //gflink:hotpath
-func (q *Queue[T]) Len() int {
-	q.c.mu.Lock()
-	defer q.c.mu.Unlock()
-	return q.items.Len()
-}
-
-//gflink:hotpath
-func (q *Queue[T]) wakeOneLocked() {
-	if w, ok := q.waiters.Pop(); ok {
-		q.c.ready(reasonQueue, w.p)
-		q.c.putWaiterLocked(w)
-	}
-}
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Semaphore is a counting semaphore used to model contended hardware
 // resources (CPU cores, DMA engines, device compute). Acquire order is
@@ -138,17 +115,14 @@ func (s *Semaphore) Acquire(n int64) {
 		//gflink:allow-alloc panic diagnostic on an impossible acquire
 		panic("vclock: semaphore acquire exceeds capacity: " + s.name)
 	}
-	s.c.mu.Lock()
 	// FIFO: only take fast path if nobody is already queued.
 	if s.waiters.Len() == 0 && s.free >= n {
 		s.free -= n
-		s.c.mu.Unlock()
 		return
 	}
 	p := s.c.cur
-	s.waiters.Push(s.c.takeWaiterLocked(p, n))
+	s.waiters.Push(s.c.takeWaiter(p, n))
 	s.c.block(s.reasonIdx, nil)
-	s.c.mu.Unlock()
 	p.park()
 }
 
@@ -157,8 +131,6 @@ func (s *Semaphore) Acquire(n int64) {
 //
 //gflink:hotpath
 func (s *Semaphore) Release(n int64) {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
 	s.free += n
 	if s.free > s.cap {
 		//gflink:allow-alloc panic diagnostic on over-release
@@ -172,19 +144,15 @@ func (s *Semaphore) Release(n int64) {
 		s.waiters.Pop()
 		s.free -= w.n
 		s.c.ready(s.reasonIdx, w.p)
-		s.c.putWaiterLocked(w)
+		s.c.putWaiter(w)
 	}
 }
 
-// Free reports the available units (racy outside quiescence; intended
-// for scheduler heuristics and tests).
+// Free reports the available units (intended for scheduler heuristics
+// and tests).
 //
 //gflink:hotpath
-func (s *Semaphore) Free() int64 {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	return s.free
-}
+func (s *Semaphore) Free() int64 { return s.free }
 
 // Use runs fn while holding n units.
 func (s *Semaphore) Use(n int64, fn func()) {
@@ -209,8 +177,6 @@ func NewEvent(c *Clock) *Event { return &Event{c: c} }
 //
 //gflink:hotpath
 func (e *Event) Set() {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
 	if e.set {
 		return
 	}
@@ -221,7 +187,7 @@ func (e *Event) Set() {
 			break
 		}
 		e.c.ready(reasonEvent, w.p)
-		e.c.putWaiterLocked(w)
+		e.c.putWaiter(w)
 	}
 }
 
@@ -229,26 +195,19 @@ func (e *Event) Set() {
 //
 //gflink:hotpath
 func (e *Event) Wait() {
-	e.c.mu.Lock()
 	if e.set {
-		e.c.mu.Unlock()
 		return
 	}
 	p := e.c.cur
-	e.waiters.Push(e.c.takeWaiterLocked(p, 0))
+	e.waiters.Push(e.c.takeWaiter(p, 0))
 	e.c.block(reasonEvent, nil)
-	e.c.mu.Unlock()
 	p.park()
 }
 
 // IsSet reports whether the event fired.
 //
 //gflink:hotpath
-func (e *Event) IsSet() bool {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	return e.set
-}
+func (e *Event) IsSet() bool { return e.set }
 
 // Reset returns a fired event to the unset state so the same Event can
 // be reused (e.g., the completion event of a pooled GWork). Resetting
@@ -257,8 +216,6 @@ func (e *Event) IsSet() bool {
 //
 //gflink:hotpath
 func (e *Event) Reset() {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
 	if e.waiters.Len() > 0 {
 		panic("vclock: Event.Reset with blocked waiters")
 	}
@@ -281,20 +238,14 @@ func NewGroup(c *Clock) *Group {
 
 // Go spawns fn as a process tracked by the group.
 func (g *Group) Go(name string, fn func()) {
-	g.c.mu.Lock()
 	if g.ended {
-		g.c.mu.Unlock()
 		panic("vclock: Group.Go after Wait returned")
 	}
 	g.n++
-	g.c.mu.Unlock()
 	g.c.Go(name, func() {
 		defer func() {
-			g.c.mu.Lock()
 			g.n--
-			fire := g.n == 0
-			g.c.mu.Unlock()
-			if fire {
+			if g.n == 0 {
 				g.done.Set()
 			}
 		}()
@@ -305,17 +256,10 @@ func (g *Group) Go(name string, fn func()) {
 // Wait blocks until every spawned process has finished. A group with no
 // processes returns immediately.
 func (g *Group) Wait() {
-	g.c.mu.Lock()
-	if g.n == 0 {
-		g.ended = true
-		g.c.mu.Unlock()
-		return
+	if g.n > 0 {
+		g.done.Wait()
 	}
-	g.c.mu.Unlock()
-	g.done.Wait()
-	g.c.mu.Lock()
 	g.ended = true
-	g.c.mu.Unlock()
 }
 
 // AfterFunc schedules fn to run as a new process at now+d.
@@ -332,18 +276,14 @@ func (c *Clock) AfterFunc(name string, d time.Duration, fn func()) {
 type Deadline struct {
 	ev        *Event
 	cancelled bool
-	c         *Clock
 }
 
 // NewDeadline arms a deadline d in the future.
 func NewDeadline(c *Clock, d time.Duration) *Deadline {
-	dl := &Deadline{ev: NewEvent(c), c: c}
+	dl := &Deadline{ev: NewEvent(c)}
 	c.Go("deadline", func() {
 		c.Sleep(d)
-		c.mu.Lock()
-		cancelled := dl.cancelled
-		c.mu.Unlock()
-		if !cancelled {
+		if !dl.cancelled {
 			dl.ev.Set()
 		}
 	})
@@ -351,11 +291,7 @@ func NewDeadline(c *Clock, d time.Duration) *Deadline {
 }
 
 // Cancel disarms the deadline if it has not fired.
-func (d *Deadline) Cancel() {
-	d.c.mu.Lock()
-	d.cancelled = true
-	d.c.mu.Unlock()
-}
+func (d *Deadline) Cancel() { d.cancelled = true }
 
 // Fired reports whether the deadline elapsed before cancellation.
 func (d *Deadline) Fired() bool { return d.ev.IsSet() }

@@ -13,8 +13,8 @@ package vclock
 // carry sustained traffic for the whole simulation and must not copy or
 // allocate per event.
 //
-// A Ring is not safe for concurrent use; callers provide their own
-// locking (the vclock kernel uses it under Clock.mu).
+// A Ring is not safe for concurrent use: like every primitive of
+// this package it relies on the clock running one process at a time.
 type Ring[T any] struct {
 	buf  []T
 	head int

@@ -15,6 +15,12 @@
 // processes wake at the same instant — deterministic and independent of
 // host scheduling, GOMAXPROCS, or wall time.
 //
+// The clock is the lock: because exactly one process runs at a time,
+// and every switch between processes is a coroutine handoff on Run's
+// goroutine, the clock's state and the state of every primitive need
+// no mutex. The code between two blocking calls of a process runs
+// atomically with respect to every other process of the same clock.
+//
 // Dispatch is batched: when the clock advances, every timer sharing the
 // new instant is drained from the heap at once, in seq order, into a
 // wake batch; readied processes still run before the next batch member
@@ -29,12 +35,9 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -50,8 +53,7 @@ type proc struct {
 
 // park gives up the execution slot: the coroutine switches back to the
 // dispatch loop in Run, which resumes it once a dispatch selects it
-// again. Callers must have released c.mu after block chose the next
-// process.
+// again. Callers must have let block choose the next process first.
 //
 //gflink:hotpath
 func (p *proc) park() {
@@ -72,16 +74,16 @@ const (
 
 // Clock is a virtual-time scheduler. The zero value is not usable; use
 // New.
+//
+// A Clock and everything bound to it are owned by one goroutine: the
+// one that builds the simulation and calls Run. During Run only the
+// running process touches them, and Run resumes processes one at a
+// time on that same goroutine.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
-	// nowNanos mirrors now for lock-free Now(): it is written under mu,
-	// always before the handoff that lets another process run, and read
-	// atomically by everyone else.
-	nowNanos int64
-	running  int   // processes currently executing: 0 or 1 once Run starts
-	total    int   // registered processes alive
-	cur      *proc // the process holding the execution slot
+	now     time.Duration
+	running int   // processes currently executing: 0 or 1 once Run starts
+	total   int   // registered processes alive
+	cur     *proc // the process holding the execution slot
 	// nextp is the process the last dispatch chose, for Run's loop to
 	// resume once the current process has parked or exited; nil when
 	// the dispatch kept the slot with its caller or found nothing to run.
@@ -104,12 +106,11 @@ type Clock struct {
 	panicked any
 	hasPanic bool
 	// Free lists recycling park machinery across blocks: a wake-up
-	// targets the process shell, so timer and waiter shells are
-	// reusable the moment their wake is queued. This keeps the park/wake
-	// cycle in Sleep and the primitives allocation-free at steady state
-	// (invariant 10).
+	// targets the process shell, so waiter shells are reusable the
+	// moment their wake is queued. Timers live by value in the heap and
+	// need no free list. This keeps the park/wake cycle in Sleep and the
+	// primitives allocation-free at steady state (invariant 10).
 	freeWaiters []*waiter
-	freeTimers  []*timer
 	freeProcs   []*proc
 }
 
@@ -125,8 +126,6 @@ func New() *Clock {
 // and returns its fixed index. Labels are deduplicated, so primitives
 // sharing a name share a census row.
 func (c *Clock) RegisterReason(label string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, l := range c.reasonLabels {
 		if l == label {
 			return i
@@ -138,44 +137,25 @@ func (c *Clock) RegisterReason(label string) int {
 }
 
 // Now reports the current virtual time as a duration since the start of
-// the simulation. It reads lock-free: the dispatcher publishes the
-// instant atomically before any handoff, and only the dispatcher — which
-// runs while every other process is parked — ever writes it.
+// the simulation. Only the dispatcher writes it, and only while every
+// process is parked, so a process reads it as a plain field.
 //
 //gflink:hotpath
-func (c *Clock) Now() time.Duration {
-	return time.Duration(atomic.LoadInt64(&c.nowNanos))
-}
+func (c *Clock) Now() time.Duration { return c.now }
 
-// setNowLocked advances the clock, publishing the new instant for
-// lock-free Now readers. Callers must hold c.mu and must not have
-// handed the slot to any process for the new instant yet.
-//
-//gflink:hotpath
-func (c *Clock) setNowLocked(d time.Duration) {
-	c.now = d
-	atomic.StoreInt64(&c.nowNanos, int64(d))
-}
-
-// Go spawns fn as a new registered process. It may be called from any
-// goroutine, including non-process goroutines, before or during Run.
-// The new process does not run immediately: it joins the ready queue
-// and is dispatched when the current process blocks or exits, so spawn
-// order — not host scheduling — decides execution order.
+// Go spawns fn as a new registered process. Only a process of this
+// clock may call Go, or — before Run — the goroutine that will call
+// Run. The new process does not run immediately: it joins the ready
+// queue and is dispatched when the current process blocks or exits, so
+// spawn order — not host scheduling — decides execution order.
 func (c *Clock) Go(name string, fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.takeProcLocked(name)
+	p := c.takeProc(name)
 	p.next = coroutine(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				c.mu.Lock()
-				if !c.hasPanic {
-					c.hasPanic = true
-					c.panicked = fmt.Errorf("process %q panicked: %v", p.name, r)
-				}
-				c.mu.Unlock()
+			if r := recover(); r != nil && !c.hasPanic {
+				c.hasPanic = true
+				c.panicked = fmt.Errorf("process %q panicked: %v", p.name, r)
 			}
 			c.exit(p)
 		}()
@@ -199,21 +179,17 @@ func (c *Clock) Go(name string, fn func()) {
 // advances nor declares deadlock until Run starts.
 func (c *Clock) Run(root func()) time.Duration {
 	c.Go("root", root)
-	c.mu.Lock()
 	c.started = true
 	// Kick the dispatcher: processes spawned before Run (including root)
 	// are parked in the ready queue and run from here on, one at a time.
-	c.dispatchLocked(nil)
+	c.dispatch(nil)
 	// No process left to resume means every process exited, or the last
 	// dispatch found a deadlock (possibly after a process panicked).
 	for c.nextp != nil {
 		next := c.nextp.next
 		c.nextp = nil
-		c.mu.Unlock()
 		next()
-		c.mu.Lock()
 	}
-	defer c.mu.Unlock()
 	if c.hasPanic {
 		panic(c.panicked)
 	}
@@ -224,12 +200,10 @@ func (c *Clock) Run(root func()) time.Duration {
 // the next process to run. Nothing references the shell once its
 // coroutine returns, so it is immediately reusable by a future Go.
 func (c *Clock) exit(p *proc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.running--
 	c.total--
-	c.putProcLocked(p)
-	c.dispatchLocked(nil)
+	c.putProc(p)
+	c.dispatch(nil)
 }
 
 // Sleep blocks the calling process for d of virtual time. A negative
@@ -239,28 +213,25 @@ func (c *Clock) exit(p *proc) {
 //
 // When the sleeper's own timer heads the next dispatch batch — common
 // when one worker races ahead of every other process — block reports a
-// self-wake and Sleep returns without parking at all: one locked
-// section, no coroutine switch.
+// self-wake and Sleep returns without parking at all: no coroutine
+// switch.
 //
 //gflink:hotpath
 func (c *Clock) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	c.mu.Lock()
 	p := c.cur
-	heap.Push(&c.timers, c.takeTimerLocked(p, c.now+d))
+	c.seq++
+	c.timers.push(timer{deadline: c.now + d, seq: c.seq, p: p})
 	if c.block(reasonSleep, p) {
-		c.mu.Unlock()
 		return
 	}
-	c.mu.Unlock()
 	p.park()
 }
 
-// takeProcLocked returns a recycled (or new) process shell. Callers
-// must hold c.mu.
-func (c *Clock) takeProcLocked(name string) *proc {
+// takeProc returns a recycled (or new) process shell.
+func (c *Clock) takeProc(name string) *proc {
 	if n := len(c.freeProcs); n > 0 {
 		p := c.freeProcs[n-1]
 		c.freeProcs[n-1] = nil
@@ -271,51 +242,18 @@ func (c *Clock) takeProcLocked(name string) *proc {
 	return &proc{name: name}
 }
 
-// putProcLocked recycles an exited process's shell. Callers must hold
-// c.mu.
-func (c *Clock) putProcLocked(p *proc) {
+// putProc recycles an exited process's shell.
+func (c *Clock) putProc(p *proc) {
 	p.next, p.yield = nil, nil
 	p.name = ""
 	c.freeProcs = append(c.freeProcs, p)
 }
 
-// takeTimerLocked returns a recycled (or new) timer armed for deadline
-// on behalf of p, with the global wake sequence already assigned.
-// Callers must hold c.mu.
+// takeWaiter returns a recycled (or new) waiter parked for p with n
+// units requested.
 //
 //gflink:hotpath
-func (c *Clock) takeTimerLocked(p *proc, deadline time.Duration) *timer {
-	c.seq++
-	if n := len(c.freeTimers); n > 0 {
-		t := c.freeTimers[n-1]
-		c.freeTimers[n-1] = nil
-		c.freeTimers = c.freeTimers[:n-1]
-		t.deadline = deadline
-		t.seq = c.seq
-		t.p = p
-		return t
-	}
-	//gflink:allow-alloc cold start: the free list amortizes this away at steady state
-	return &timer{deadline: deadline, seq: c.seq, p: p}
-}
-
-// putTimerLocked recycles a fired timer. The dispatcher calls it the
-// moment a timer is drained from the heap — before the handoff —
-// because the wake targets the process shell, not the timer.
-// Callers must hold c.mu.
-//
-//gflink:hotpath
-func (c *Clock) putTimerLocked(t *timer) {
-	t.p = nil
-	//gflink:allow-alloc amortized growth of the timer free list
-	c.freeTimers = append(c.freeTimers, t)
-}
-
-// takeWaiterLocked returns a recycled (or new) waiter parked for p with
-// n units requested. Callers must hold c.mu.
-//
-//gflink:hotpath
-func (c *Clock) takeWaiterLocked(p *proc, n int64) *waiter {
+func (c *Clock) takeWaiter(p *proc, n int64) *waiter {
 	if l := len(c.freeWaiters); l > 0 {
 		w := c.freeWaiters[l-1]
 		c.freeWaiters[l-1] = nil
@@ -328,12 +266,11 @@ func (c *Clock) takeWaiterLocked(p *proc, n int64) *waiter {
 	return &waiter{p: p, n: n}
 }
 
-// putWaiterLocked recycles a waiter whose wake has been queued: the
-// waker recycles it, since the wake targets the process shell. Callers
-// must hold c.mu.
+// putWaiter recycles a waiter whose wake has been queued: the waker
+// recycles it, since the wake targets the process shell.
 //
 //gflink:hotpath
-func (c *Clock) putWaiterLocked(w *waiter) {
+func (c *Clock) putWaiter(w *waiter) {
 	w.p = nil
 	w.n = 0
 	//gflink:allow-alloc amortized growth of the waiter free list
@@ -345,21 +282,20 @@ func (c *Clock) putWaiterLocked(w *waiter) {
 // clock if none is ready). self is the calling process when the caller
 // can be woken by a timer it just armed; block returns true when the
 // dispatcher re-selected self, in which case the caller keeps the slot
-// and must NOT park. Callers must hold c.mu and, unless block reports a
-// self-wake, must park (p.park) after releasing it.
+// and must NOT park. Otherwise the caller must park (p.park) next.
 //
 //gflink:hotpath
 func (c *Clock) block(idx int, self *proc) bool {
 	c.running--
 	c.blockedN[idx]++
-	return c.dispatchLocked(self)
+	return c.dispatch(self)
 }
 
 // ready marks one process blocked for the given census reason as ready
 // to run again. It joins the ready queue but does not execute until
 // dispatched — the waker keeps the execution slot until it blocks or
 // exits, and queued wake order is what makes contended admissions
-// deterministic. Callers must hold c.mu.
+// deterministic.
 //
 //gflink:hotpath
 func (c *Clock) ready(idx int, p *proc) {
@@ -367,61 +303,55 @@ func (c *Clock) ready(idx int, p *proc) {
 	c.runq.Push(p)
 }
 
-// dispatchLocked hands the execution slot to the next process in wake
-// order: a readied process first, then the rest of the current
-// co-deadline batch, then — with both queues empty — a fresh batch
-// drained from the timer heap. Draining every timer that shares the
-// earliest deadline in one locked sweep (seq order, which is FIFO
-// order) is what "batched dispatch" means; it is observationally
-// identical to firing one timer per dispatch because a timer armed
-// *after* the batch formed necessarily carries a larger seq and the
-// same instant, so it would have fired after the whole batch anyway.
+// dispatch hands the execution slot to the next process in wake order:
+// a readied process first, then the rest of the current co-deadline
+// batch, then — with both queues empty — a fresh batch drained from the
+// timer heap. Draining every timer that shares the earliest deadline in
+// one sweep (seq order, which is FIFO order) is what "batched dispatch"
+// means; it is observationally identical to firing one timer per
+// dispatch because a timer armed *after* the batch formed necessarily
+// carries a larger seq and the same instant, so it would have fired
+// after the whole batch anyway.
 //
-// dispatchLocked returns true when the selected process is self: the
-// caller keeps the execution slot and does not park. Callers must hold
-// c.mu.
+// dispatch returns true when the selected process is self: the caller
+// keeps the execution slot and does not park.
 //
 //gflink:hotpath
-func (c *Clock) dispatchLocked(self *proc) bool {
+func (c *Clock) dispatch(self *proc) bool {
 	if !c.started || c.running > 0 || c.total == 0 {
 		return false
 	}
 	if p, ok := c.runq.Pop(); ok {
-		return c.handoffLocked(p, self)
+		return c.handoff(p, self)
 	}
 	if p, ok := c.wakeq.Pop(); ok {
-		return c.handoffLocked(p, self)
+		return c.handoff(p, self)
 	}
 	if len(c.timers) == 0 {
 		//gflink:allow-alloc deadlock diagnostics: cold path that ends the simulation
-		c.deadlockLocked()
+		c.deadlock()
 		return false
 	}
 	// Form the batch: pop every timer sharing the earliest deadline, in
 	// seq order. The first wakes now; the rest wait in wakeq behind any
 	// processes the woken ones ready (virtual time holds still for the
 	// whole batch).
-	t := heap.Pop(&c.timers).(*timer)
-	c.setNowLocked(t.deadline)
+	t := c.timers.pop()
+	c.now = t.deadline
 	c.blockedN[reasonSleep]--
-	p := t.p
-	c.putTimerLocked(t)
 	for len(c.timers) > 0 && c.timers[0].deadline == c.now {
-		t2 := heap.Pop(&c.timers).(*timer)
 		c.blockedN[reasonSleep]--
-		c.wakeq.Push(t2.p)
-		c.putTimerLocked(t2)
+		c.wakeq.Push(c.timers.pop().p)
 	}
-	return c.handoffLocked(p, self)
+	return c.handoff(t.p, self)
 }
 
-// handoffLocked gives p the execution slot. A handoff to self is the
-// fast path: the caller just keeps running. Otherwise p becomes the
-// process Run's loop resumes once the caller parks or exits. Callers
-// must hold c.mu.
+// handoff gives p the execution slot. A handoff to self is the fast
+// path: the caller just keeps running. Otherwise p becomes the process
+// Run's loop resumes once the caller parks or exits.
 //
 //gflink:hotpath
-func (c *Clock) handoffLocked(p, self *proc) bool {
+func (c *Clock) handoff(p, self *proc) bool {
 	c.running++
 	c.cur = p
 	if p == self {
@@ -431,22 +361,22 @@ func (c *Clock) handoffLocked(p, self *proc) bool {
 	return false
 }
 
-// deadlockLocked ends the simulation with a deadlock diagnostic. Either
-// a process died by panic (simulation already compromised) or this is a
+// deadlock ends the simulation with a deadlock diagnostic. Either a
+// process died by panic (simulation already compromised) or this is a
 // genuine deadlock. The error surfaces from Run on the caller's
-// goroutine: panicking here would unwind with c.mu held and wedge the
-// recover path. No process is chosen, so Run's loop ends; the parked
-// coroutines are never resumed and are leaked.
-func (c *Clock) deadlockLocked() {
+// goroutine rather than as a panic inside the dispatching process. No
+// process is chosen, so Run's loop ends; the parked coroutines are
+// never resumed and are leaked.
+func (c *Clock) deadlock() {
 	if !c.hasPanic {
 		c.hasPanic = true
-		c.panicked = fmt.Errorf("vclock: deadlock: all processes blocked with no pending timer\n%s", c.diagnosticLocked())
+		c.panicked = fmt.Errorf("vclock: deadlock: all processes blocked with no pending timer\n%s", c.diagnostic())
 	}
 }
 
-// diagnosticLocked renders the blocked-process census for deadlock
-// panics: the nonzero reasons, sorted by label.
-func (c *Clock) diagnosticLocked() string {
+// diagnostic renders the blocked-process census for deadlock panics:
+// the nonzero reasons, sorted by label.
+func (c *Clock) diagnostic() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  virtual time: %v\n  processes alive: %d\n  blocked on:\n", c.now, c.total)
 	type row struct {
@@ -466,31 +396,73 @@ func (c *Clock) diagnosticLocked() string {
 	return b.String()
 }
 
-// timer is one pending Sleep deadline; the wake targets the parked
-// process's shell, so the dispatcher recycles the timer the moment it
-// leaves the heap.
+// timer is one pending Sleep deadline, held by value in the heap; the
+// wake targets the parked process's shell.
 type timer struct {
 	deadline time.Duration
 	seq      uint64
 	p        *proc
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
-	}
-	return h[i].seq < h[j].seq
+// before orders timers by (deadline, seq). Sequence numbers are unique,
+// so the order is total and the heap pops timers in exactly one order.
+//
+//gflink:hotpath
+func (t *timer) before(u *timer) bool {
+	return t.deadline < u.deadline || t.deadline == u.deadline && t.seq < u.seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+
+// timerHeap is a binary min-heap of timers ordered by before.
+type timerHeap []timer
+
+// push inserts t, sifting it up from the new leaf.
+//
+//gflink:hotpath
+func (h *timerHeap) push(t timer) {
+	//gflink:allow-alloc amortized growth of the timer heap
+	s := append(*h, t)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = t
+	*h = s
+}
+
+// pop removes and returns the earliest timer; the heap must be
+// non-empty. The last leaf sifts down from the root into the hole.
+//
+//gflink:hotpath
+func (h *timerHeap) pop() timer {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = timer{}
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && s[r].before(&s[child]) {
+				child = r
+			}
+			if !s[child].before(&last) {
+				break
+			}
+			s[i] = s[child]
+			i = child
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }

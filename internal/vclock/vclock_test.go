@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,7 +64,6 @@ func TestSequentialSleepsAccumulate(t *testing.T) {
 
 func TestTimeMonotonicAcrossProcesses(t *testing.T) {
 	c := New()
-	var mu sync.Mutex
 	var seen []time.Duration
 	c.Run(func() {
 		g := NewGroup(c)
@@ -73,9 +71,7 @@ func TestTimeMonotonicAcrossProcesses(t *testing.T) {
 			d := time.Duration(i) * 100 * time.Millisecond
 			g.Go("p", func() {
 				c.Sleep(d)
-				mu.Lock()
 				seen = append(seen, c.Now())
-				mu.Unlock()
 			})
 		}
 		g.Wait()
@@ -527,10 +523,12 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// BenchmarkHandoff measures one handoff of the execution slot between two
-// processes that ping-pong, each parking as it wakes the other. The
-// semaphore case passes a one-unit Semaphore back and forth; the queue
-// case bounces a value over two Queues.
+// BenchmarkHandoff measures one handoff of the execution slot between
+// processes. In the semaphore and queue cases two processes ping-pong,
+// each parking as it wakes the other: the semaphore case passes a
+// one-unit Semaphore back and forth, the queue case bounces a value over
+// two Queues. In the timers case every handoff goes through the timer
+// heap instead.
 func BenchmarkHandoff(b *testing.B) {
 	// pingPong runs root as the root process after spawning peer and
 	// letting it run until it parks, so every timed iteration is two
@@ -576,5 +574,29 @@ func BenchmarkHandoff(b *testing.B) {
 				pong.Put(v)
 			}
 		})
+	})
+	b.Run("timers", func(b *testing.B) {
+		// Sleeper i wakes at i, i+procs, i+2*procs, ...: every Sleep arms
+		// a timer behind the other sleepers' and parks, and every wake
+		// pops the heap.
+		const procs = 12
+		b.ReportAllocs()
+		c := New()
+		c.Run(func() {
+			g := NewGroup(c)
+			for i := 0; i < procs; i++ {
+				offset := time.Duration(i)
+				g.Go("sleeper", func() {
+					c.Sleep(offset)
+					for n := 0; n < b.N; n++ {
+						c.Sleep(procs)
+					}
+				})
+			}
+			b.ResetTimer()
+			g.Wait()
+			b.StopTimer()
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(procs*b.N), "ns/handoff")
 	})
 }
