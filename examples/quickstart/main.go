@@ -43,14 +43,21 @@ func main() {
 		gr = gflink.NewPlan(g, "quickstart", gflink.PlanOptions{})
 
 		// Source node: a GDST of Point3 records — raw bytes in off-heap
-		// blocks, ready for DMA without serialization.
+		// blocks, ready for DMA without serialization. The fill runs once
+		// per block, and element i of the block's view stands for nominal
+		// record ord0 + i*step. Point3 blocks are AoS, so this fill writes
+		// element by element; a SoA fill writes each field as one run
+		// through v.Column.
 		var ds gflink.GDST
 		src := plan.Source(gr, "points", func(ctx *plan.Ctx) gflink.GDST {
 			ds = gflink.NewGDST(g, ctx.Job, kernels.Point3Schema, gflink.AoS, points, 0,
-				func(part int, v gstruct.View, i int, ord int64) {
-					v.PutFloat32At(i, 0, 0, float32(ord%100))
-					v.PutFloat32At(i, 1, 0, float32(ord%10))
-					v.PutFloat32At(i, 2, 0, 1)
+				func(part int, v gstruct.View, ord0, step int64) {
+					for i := 0; i < v.Len(); i++ {
+						ord := ord0 + int64(i)*step
+						v.PutFloat32At(i, 0, 0, float32(ord%100))
+						v.PutFloat32At(i, 1, 0, float32(ord%10))
+						v.PutFloat32At(i, 2, 0, 1)
+					}
 				})
 			return ds
 		})

@@ -24,10 +24,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	g.Run(func() {
 		job := g.Cluster.NewJob("facade")
 		ds := NewGDST(g, job, kernels.Point3Schema, AoS, points, 0,
-			func(part int, v gstruct.View, i int, ord int64) {
-				v.PutFloat32At(i, 0, 0, float32(ord%7))
-				v.PutFloat32At(i, 1, 0, float32(ord%5))
-				v.PutFloat32At(i, 2, 0, float32(ord%3))
+			func(part int, v gstruct.View, ord0, step int64) {
+				for i := 0; i < v.Len(); i++ {
+					ord := ord0 + int64(i)*step
+					v.PutFloat32At(i, 0, 0, float32(ord%7))
+					v.PutFloat32At(i, 1, 0, float32(ord%5))
+					v.PutFloat32At(i, 2, 0, float32(ord%3))
+				}
 			})
 		if ds.NominalCount() != points {
 			t.Fatalf("nominal = %d", ds.NominalCount())

@@ -458,8 +458,11 @@ func TestNewGDSTBlocking(t *testing.T) {
 	})
 	g.Run(func() {
 		j := g.Cluster.NewJob("gdst")
-		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 40_000, 4, func(part int, v gstruct.View, i int, ord int64) {
-			v.PutFloat32At(i, 0, 0, float32(ord))
+		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 40_000, 4, func(part int, v gstruct.View, ord0, step int64) {
+			for i := 0; i < v.Len(); i++ {
+				ord := ord0 + int64(i)*step
+				v.PutFloat32At(i, 0, 0, float32(ord))
+			}
 		})
 		if ds.NominalCount() != 40_000 {
 			t.Errorf("nominal = %d", ds.NominalCount())
@@ -496,8 +499,11 @@ func TestGPUMapPartitionCorrectness(t *testing.T) {
 	})
 	g.Run(func() {
 		j := g.Cluster.NewJob("map")
-		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 16_000, 4, func(part int, v gstruct.View, i int, ord int64) {
-			v.PutFloat32At(i, 0, 0, float32(ord)+0.5)
+		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 16_000, 4, func(part int, v gstruct.View, ord0, step int64) {
+			for i := 0; i < v.Len(); i++ {
+				ord := ord0 + int64(i)*step
+				v.PutFloat32At(i, 0, 0, float32(ord)+0.5)
+			}
 		})
 		out := GPUMapPartition(g, ds, GPUMapSpec{
 			Name:      "double",
@@ -532,8 +538,10 @@ func TestGPUReducePartition(t *testing.T) {
 	g.Run(func() {
 		j := g.Cluster.NewJob("reduce")
 		const n = 1000
-		ds := NewGDST(g, j, f32Schema, gstruct.AoS, n, 2, func(part int, v gstruct.View, i int, ord int64) {
-			v.PutFloat32At(i, 0, 0, 1.0)
+		ds := NewGDST(g, j, f32Schema, gstruct.AoS, n, 2, func(part int, v gstruct.View, ord0, step int64) {
+			for i := 0; i < v.Len(); i++ {
+				v.PutFloat32At(i, 0, 0, 1.0)
+			}
 		})
 		partials := GPUReducePartition(g, ds, GPUMapSpec{
 			Name:      "sum",
@@ -561,8 +569,11 @@ func TestPipeliningBeatsSingleStream(t *testing.T) {
 		var elapsed time.Duration
 		g.Run(func() {
 			j := g.Cluster.NewJob("pipe")
-			ds := NewGDST(g, j, f32Schema, gstruct.AoS, 64<<20, 1, func(part int, v gstruct.View, i int, ord int64) {
-				v.PutFloat32At(i, 0, 0, float32(ord))
+			ds := NewGDST(g, j, f32Schema, gstruct.AoS, 64<<20, 1, func(part int, v gstruct.View, ord0, step int64) {
+				for i := 0; i < v.Len(); i++ {
+					ord := ord0 + int64(i)*step
+					v.PutFloat32At(i, 0, 0, float32(ord))
+				}
 			})
 			t0 := g.Clock.Now()
 			GPUMapPartition(g, ds, GPUMapSpec{

@@ -49,10 +49,11 @@ type GDST = *flink.Dataset[*Block]
 
 // NewGDST creates a GDST of nominal records of the given schema spread
 // over parallelism partitions, splitting each partition into page-sized
-// blocks. fill populates real record ord (the element's index within
-// the block view) given its nominal ordinal, keeping generation
-// deterministic under any scale divisor.
-func NewGDST(g *GFlink, j *flink.Job, schema *gstruct.Schema, layout gstruct.Layout, nominal int64, parallelism int, fill func(part int, v gstruct.View, i int, ordinal int64)) GDST {
+// blocks. fill populates one whole block: element i of the view stands
+// for nominal ordinal ord0 + i*step, which keeps generation
+// deterministic under any scale divisor. Called once per block, a fill
+// can write SoA blocks column by column (gstruct.View.Column).
+func NewGDST(g *GFlink, j *flink.Job, schema *gstruct.Schema, layout gstruct.Layout, nominal int64, parallelism int, fill func(part int, v gstruct.View, ord0, step int64)) GDST {
 	if parallelism <= 0 {
 		parallelism = g.Cluster.Parallelism()
 	}
@@ -111,10 +112,7 @@ func NewGDST(g *GFlink, j *flink.Job, schema *gstruct.Schema, layout gstruct.Lay
 			}
 			buf := pool.MustAllocate(schema.Size(layout, int(n)))
 			b := &Block{Schema: schema, Layout: layout, Buf: buf, N: int(n), Nominal: nom, Partition: p, Index: bi}
-			v := b.View()
-			for i := 0; i < int(n); i++ {
-				fill(p, v, i, (done+int64(i))*div)
-			}
+			fill(p, b.View(), done*div, div)
 			blocks = append(blocks, b)
 			done += n
 			nomDone += nom

@@ -127,8 +127,11 @@ func TestGPUPathSurvivesProducerTaskRetry(t *testing.T) {
 	g.Run(func() {
 		j := g.Cluster.NewJob("flaky")
 		j.InjectTaskFailures("gpu:double", 2)
-		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 8000, 2, func(part int, v gstruct.View, i int, ord int64) {
-			v.PutFloat32At(i, 0, 0, float32(ord))
+		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 8000, 2, func(part int, v gstruct.View, ord0, step int64) {
+			for i := 0; i < v.Len(); i++ {
+				ord := ord0 + int64(i)*step
+				v.PutFloat32At(i, 0, 0, float32(ord))
+			}
 		})
 		out := GPUMapPartition(g, ds, GPUMapSpec{
 			Name: "double", Kernel: "core_test.double",

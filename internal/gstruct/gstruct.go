@@ -450,6 +450,38 @@ func (v View) addr(elem, field, idx int) int {
 	}
 }
 
+// Column returns field's values for every element of the view as one
+// contiguous little-endian run: element e's value idx sits at
+// (e*Len+idx)*k.Size(). That holds for any SoA view and for an AoS view
+// of at most one element (a per-block reduction partial); Column
+// panics on any other view and when the field is not of kind k. The
+// kind and span are checked once here, so a fill or merge loop over the
+// run pays no per-value dispatch. The run aliases the view's bytes, and
+// its capacity ends at the column's end.
+//
+//gflink:hotpath
+func (v View) Column(field int, k Kind) []byte {
+	f := v.s.fields[field]
+	if f.Kind != k || !(v.layout == SoA || v.layout == AoS && v.n <= 1) {
+		//gflink:allow-alloc panic diagnostic: a misused accessor is a bug, never a hot-path state
+		panic(v.columnMisuse(field, k))
+	}
+	lo := v.s.soaCol[field] * v.n
+	if v.layout == AoS {
+		lo = v.s.offsets[field]
+	}
+	hi := lo + (v.s.soaCol[field+1]-v.s.soaCol[field])*v.n
+	return v.buf[lo:hi:hi]
+}
+
+func (v View) columnMisuse(field int, k Kind) string {
+	f := v.s.fields[field]
+	if f.Kind != k {
+		return fmt.Sprintf("gstruct: field %q is %s, accessed as %s", f.Name, f.Kind, k)
+	}
+	return fmt.Sprintf("gstruct: field %q of %d %s elements is not one contiguous run", f.Name, v.n, v.layout)
+}
+
 func (v View) kindCheck(field int, k Kind) {
 	if got := v.s.fields[field].Kind; got != k {
 		panic(fmt.Sprintf("gstruct: field %q is %s, accessed as %s", v.s.fields[field].Name, got, k))

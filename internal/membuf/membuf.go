@@ -70,9 +70,11 @@ func NewPool(clock *vclock.Clock, model costmodel.Model, cfg Config) *Pool {
 func (p *Pool) PageSize() int { return p.pageSize }
 
 // Allocate returns an HBuffer of at least n bytes (rounded up to whole
-// pages), zeroed like fresh memory. It reuses a freed span of the same
-// page count when the pool holds one. It fails when the pool's page
-// budget is exhausted, modelling an off-heap OutOfMemory condition.
+// pages), zeroed across its whole span like fresh memory. It reuses a
+// freed span of the same page count when the pool holds one, clearing
+// only the prefix the span's last owner could have written. It fails
+// when the pool's page budget is exhausted, modelling an off-heap
+// OutOfMemory condition.
 //
 //gflink:hotpath
 func (p *Pool) Allocate(n int) (*HBuffer, error) {
@@ -105,7 +107,10 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
 		data = make([]byte, pages*p.pageSize)
 	} else {
+		// A spare span is stored cut to the prefix its last owner could
+		// have written (see Free); past it the span is still zero.
 		clear(data)
+		data = data[:cap(data)]
 	}
 	// The handle stays fresh so that a stale *HBuffer still sees its own
 	// freed flag and a double free still panics; only the span recycles.
@@ -164,6 +169,9 @@ type HBuffer struct {
 
 	pinned bool
 	freed  bool
+	// raw records that Raw handed out the whole span, so Free cannot
+	// assume the bytes past size are still zero.
+	raw bool
 }
 
 // ID returns a pool-unique buffer identity (used as default cache key
@@ -171,11 +179,17 @@ type HBuffer struct {
 func (b *HBuffer) ID() int64 { return b.id }
 
 // Bytes returns the logical contents (requested size, not the padded
-// page span).
-func (b *HBuffer) Bytes() []byte { return b.data[:b.size] }
+// page span). Its capacity ends at size too, so only Raw reaches the
+// padding.
+func (b *HBuffer) Bytes() []byte { return b.data[:b.size:b.size] }
 
-// Raw returns the whole page span, as a DMA engine would see it.
-func (b *HBuffer) Raw() []byte { return b.data }
+// Raw returns the whole page span, as a DMA engine would see it. A
+// buffer whose span went out through Raw has its whole span cleared
+// when the span is next allocated.
+func (b *HBuffer) Raw() []byte {
+	b.raw = true
+	return b.data
+}
 
 // Size returns the requested byte size.
 func (b *HBuffer) Size() int { return b.size }
@@ -248,8 +262,14 @@ func (b *HBuffer) Free() {
 		//gflink:allow-alloc one spare list per distinct buffer page count
 		p.spare[b.pages] = st
 	}
+	// Keep only the prefix this owner could have written: Bytes stops at
+	// size, so the rest of the span is still zero unless Raw exposed it.
+	written := b.data[:b.size]
+	if b.raw {
+		written = b.data
+	}
 	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this page count ever live at once
-	*st = append(*st, b.data)
+	*st = append(*st, written)
 	p.spareTotal += b.pages
 	b.data = nil
 }

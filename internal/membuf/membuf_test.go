@@ -313,3 +313,79 @@ func TestBufferIDUniqueness(t *testing.T) {
 		}
 	})
 }
+
+// FuzzPoolSpansZeroed runs random Allocate, write and Free sequences
+// over buffers of one to four pages and checks, after every Allocate,
+// that the new buffer's whole span is zero and that Bytes stops at
+// Size. Writes go through Bytes (only the requested prefix) and through
+// Raw (the whole span, which Free must then clear in full). The span is
+// read from the buffer's field, not through Raw, so the check itself
+// does not mark the buffer.
+func FuzzPoolSpansZeroed(f *testing.F) {
+	// Allocate 301 bytes, write its span through Raw, free it, and
+	// allocate 301 bytes again on the recycled span.
+	f.Add([]byte{0, 0x2c, 0x01, 2, 0, 0x11, 0x33, 3, 0, 0, 0x2c, 0x01})
+	// The same through Bytes, then a smaller reuse of the span.
+	f.Add([]byte{0, 0xff, 0x03, 1, 0, 0x40, 0x77, 3, 0, 0, 0x00, 0x03, 0, 0x10, 0x00})
+	// Mixed sizes, writes and frees.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 0x7f, 2, 0, 0x55, 3, 1, 3, 0, 0, 5, 0, 0, 6, 0})
+	const pageSize = 256
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		_, p := newPool(Config{PageSize: pageSize})
+		var live []*HBuffer
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		for len(ops) > 0 {
+			switch op := next(); op % 4 {
+			case 0:
+				n := 1 + (next()|next()<<8)%(4*pageSize)
+				b := p.MustAllocate(n)
+				if cap(b.Bytes()) != b.Size() {
+					t.Fatalf("Allocate(%d): cap(Bytes()) = %d, want Size() = %d", n, cap(b.Bytes()), b.Size())
+				}
+				if len(b.data) != b.Pages()*pageSize {
+					t.Fatalf("Allocate(%d): span is %d bytes, want %d pages of %d", n, len(b.data), b.Pages(), pageSize)
+				}
+				for i, v := range b.data {
+					if v != 0 {
+						t.Fatalf("Allocate(%d) (reused %d): span byte %d = %#x, want 0", n, p.Stats().Reused, i, v)
+					}
+				}
+				if len(live) < 8 {
+					live = append(live, b)
+				} else {
+					b.Free()
+				}
+			case 1, 2:
+				if len(live) == 0 {
+					continue
+				}
+				b := live[next()%len(live)]
+				buf := b.Bytes()
+				if op%4 == 2 {
+					buf = b.Raw()
+				}
+				from, val := next()%len(buf), byte(next()|1)
+				for i := from; i < len(buf); i++ {
+					buf[i] = val
+				}
+			case 3:
+				if len(live) == 0 {
+					continue
+				}
+				k := next() % len(live)
+				live[k].Free()
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+		for _, b := range live {
+			b.Free()
+		}
+	})
+}

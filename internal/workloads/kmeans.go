@@ -57,22 +57,78 @@ func (p *KMeansParams) defaults() {
 // pointBytes is the on-wire record size (coordinates plus metadata).
 func (p KMeansParams) pointBytes() int { return 4 * (p.D + p.MetaCols) }
 
-// kmeansCoord generates coordinate j of nominal point ord: points
-// cluster around K true centers so the algorithm has real structure.
-func kmeansCoord(seed uint64, ord int64, j, k int) float32 {
-	center := mix(seed, uint64(ord)) % uint64(k)
-	base := unit(seed+uint64(center)*977+uint64(j)*31, 0) * 100
-	noise := unit(seed+123457, uint64(ord)*29+uint64(j))*4 - 2
-	return base + noise
+// kmeansGen generates the KMeans points: nominal point ord belongs to
+// one of K true centers, drawn once per point, and coordinate j sits at
+// that center's base value plus per-coordinate noise, so the algorithm
+// has real structure. The K×D base table is drawn once per job.
+type kmeansGen struct {
+	seed       uint64
+	k, d, meta int
+	base       []float32 // base[c*d+j]
+}
+
+func newKMeansGen(p KMeansParams) *kmeansGen {
+	g := &kmeansGen{seed: p.Seed, k: p.K, d: p.D, meta: p.MetaCols, base: make([]float32, p.K*p.D)}
+	for c := 0; c < p.K; c++ {
+		for j := 0; j < p.D; j++ {
+			g.base[c*p.D+j] = float32(unit(p.Seed+uint64(c)*977+uint64(j)*31, 0) * 100)
+		}
+	}
+	return g
+}
+
+func (g *kmeansGen) center(ord int64) int { return int(mix(g.seed, uint64(ord)) % uint64(g.k)) }
+
+// coord returns coordinate j of nominal point ord, whose center is c.
+func (g *kmeansGen) coord(c int, ord int64, j int) float32 {
+	return g.base[c*g.d+j] + float32(unit(g.seed+123457, uint64(ord)*29+uint64(j))*4-2)
+}
+
+// point writes the D coordinates of nominal point ord into dst.
+func (g *kmeansGen) point(ord int64, dst []float32) {
+	c := g.center(ord)
+	for j := range dst {
+		dst[j] = g.coord(c, ord, j)
+	}
+}
+
+// fillChunk is how many elements a column fill handles per pass: their
+// per-element draws stay on the stack while each column is written.
+const fillChunk = 128
+
+// fill writes one SoA block of points column by column (the GDST fill):
+// element i is nominal point ord0 + i*step, followed by the MetaCols
+// metadata columns.
+//
+//gflink:hotpath
+func (g *kmeansGen) fill(_ int, v gstruct.View, ord0, step int64) {
+	n := v.Len()
+	var centers [fillChunk]int
+	for lo := 0; lo < n; lo += fillChunk {
+		hi := min(lo+fillChunk, n)
+		for i := lo; i < hi; i++ {
+			centers[i-lo] = g.center(ord0 + int64(i)*step)
+		}
+		for j := 0; j < g.d; j++ {
+			col := v.Column(j, gstruct.Float32)
+			for i := lo; i < hi; i++ {
+				putRawF32(col, i, g.coord(centers[i-lo], ord0+int64(i)*step, j))
+			}
+		}
+	}
+	for j := g.d; j < g.d+g.meta; j++ {
+		col := v.Column(j, gstruct.Float32)
+		for i := 0; i < n; i++ {
+			putRawF32(col, i, unit(g.seed+777, uint64(ord0+int64(i)*step)*53+uint64(j)))
+		}
+	}
 }
 
 // initialCentroids derives the deterministic starting centroids.
-func initialCentroids(seed uint64, k, d int) []float32 {
-	cents := make([]float32, k*d)
-	for c := 0; c < k; c++ {
-		for j := 0; j < d; j++ {
-			cents[c*d+j] = kmeansCoord(seed, int64(c)*7919, j, k)
-		}
+func (g *kmeansGen) initialCentroids() []float32 {
+	cents := make([]float32, g.k*g.d)
+	for c := 0; c < g.k; c++ {
+		g.point(int64(c)*7919, cents[c*g.d:(c+1)*g.d])
 	}
 	return cents
 }
@@ -132,7 +188,8 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
 	res := Result{}
-	cents := initialCentroids(p.Seed, p.K, p.D)
+	gen := newKMeansGen(p)
+	cents := gen.initialCentroids()
 	perRec := kernels.KMeansWork(p.K, p.D)
 	workers := g.Cfg.Config.Workers
 
@@ -148,9 +205,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 		func(ctx *plan.Ctx) {
 			points = flink.Generate(ctx.Job, "points", p.Points, p.pointBytes(), p.Parallelism, func(part int, ord int64) []float32 {
 				pt := make([]float32, p.D)
-				for jj := 0; jj < p.D; jj++ {
-					pt[jj] = kmeansCoord(p.Seed, ord, jj, p.K)
-				}
+				gen.point(ord, pt)
 				return pt
 			})
 		},
@@ -158,14 +213,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 			// MetaCols > 0 widens the schema with trailing metadata columns
 			// the assign kernel never reads.
 			schema := kernels.PointSchema(p.D + p.MetaCols)
-			ds = core.NewGDST(g, ctx.Job, schema, gstruct.SoA, p.Points, p.Parallelism, func(part int, v gstruct.View, i int, ord int64) {
-				for jj := 0; jj < p.D; jj++ {
-					v.PutFloat32At(i, jj, 0, kmeansCoord(p.Seed, ord, jj, p.K))
-				}
-				for jj := p.D; jj < p.D+p.MetaCols; jj++ {
-					v.PutFloat32At(i, jj, 0, unit(p.Seed+777, uint64(ord)*53+uint64(jj)))
-				}
-			})
+			ds = core.NewGDST(g, ctx.Job, schema, gstruct.SoA, p.Points, p.Parallelism, gen.fill)
 			partialSchema = gstruct.MustNew(fmt.Sprintf("KPartial%dx%d", p.K, p.D), 4,
 				gstruct.Field{Name: "sums", Kind: gstruct.Float32, Len: p.K * (p.D + 1)})
 		})
@@ -222,9 +270,9 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 				}, 1)
 				merged := make([]float32, p.K*(p.D+1))
 				for _, blk := range core.CollectBlocks(partials) {
-					v := blk.View()
+					col := blk.View().Column(0, gstruct.Float32)
 					for i := range merged {
-						merged[i] += v.Float32At(0, 0, i)
+						merged[i] += rawF32(col, i)
 					}
 				}
 				res.MapPhase = c.Clock.Now() - tm0

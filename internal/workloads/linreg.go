@@ -42,27 +42,77 @@ func (p *LinRegParams) defaults() {
 	}
 }
 
-// trueWeights is the planted model the generator samples from.
-func linregTrueWeights(seed uint64, d int) []float32 {
-	w := make([]float32, d+1)
-	for j := range w {
-		w[j] = unit(seed+555, uint64(j))*2 - 1
-	}
-	return w
+// linregGen generates the regression samples: d features uniform in
+// [-1, 1), then a label from the planted model (truth·x + bias) plus
+// small noise, then the MetaCols metadata columns. Each feature is drawn
+// once and reused for the label.
+type linregGen struct {
+	seed    uint64
+	d, meta int
+	truth   []float32 // d weights, then the bias
 }
 
-// linregSample generates feature j (j<d) or the label (j==d) of sample
-// ord.
-func linregSample(seed uint64, truth []float32, ord int64, j, d int) float32 {
-	if j < d {
-		return unit(seed, uint64(ord)*uint64(d+1)+uint64(j))*2 - 1
+func newLinRegGen(p LinRegParams) *linregGen {
+	truth := make([]float32, p.D+1)
+	for j := range truth {
+		truth[j] = unit(p.Seed+555, uint64(j))*2 - 1
 	}
-	// Label: truth·x + bias + small noise.
-	var y float32 = truth[d]
-	for jj := 0; jj < d; jj++ {
-		y += truth[jj] * (unit(seed, uint64(ord)*uint64(d+1)+uint64(jj))*2 - 1)
+	return &linregGen{seed: p.Seed, d: p.D, meta: p.MetaCols, truth: truth}
+}
+
+// feature returns feature j of nominal sample ord.
+func (g *linregGen) feature(ord int64, j int) float32 {
+	return float32(unit(g.seed, uint64(ord)*uint64(g.d+1)+uint64(j))*2 - 1)
+}
+
+// label adds sample ord's noise to its model value y.
+func (g *linregGen) label(ord int64, y float32) float32 {
+	return y + float32(unit(g.seed+999, uint64(ord))*0.02-0.01)
+}
+
+// sample writes the d features and the label of nominal sample ord into
+// dst.
+func (g *linregGen) sample(ord int64, dst []float32) {
+	y := g.truth[g.d]
+	for j := 0; j < g.d; j++ {
+		x := g.feature(ord, j)
+		dst[j] = x
+		y += g.truth[j] * x
 	}
-	return y + (unit(seed+999, uint64(ord))*0.02 - 0.01)
+	dst[g.d] = g.label(ord, y)
+}
+
+// fill writes one SoA block of samples column by column (the GDST
+// fill): element i is nominal sample ord0 + i*step.
+//
+//gflink:hotpath
+func (g *linregGen) fill(_ int, v gstruct.View, ord0, step int64) {
+	n := v.Len()
+	var ys [fillChunk]float32
+	for lo := 0; lo < n; lo += fillChunk {
+		hi := min(lo+fillChunk, n)
+		for i := lo; i < hi; i++ {
+			ys[i-lo] = g.truth[g.d]
+		}
+		for j := 0; j < g.d; j++ {
+			col, w := v.Column(j, gstruct.Float32), g.truth[j]
+			for i := lo; i < hi; i++ {
+				x := g.feature(ord0+int64(i)*step, j)
+				putRawF32(col, i, x)
+				ys[i-lo] += w * x
+			}
+		}
+		col := v.Column(g.d, gstruct.Float32)
+		for i := lo; i < hi; i++ {
+			putRawF32(col, i, g.label(ord0+int64(i)*step, ys[i-lo]))
+		}
+	}
+	for m := 0; m < g.meta; m++ {
+		col := v.Column(g.d+1+m, gstruct.Float32)
+		for i := 0; i < n; i++ {
+			putRawF32(col, i, unit(g.seed+888, uint64(ord0+int64(i)*step)*59+uint64(m)))
+		}
+	}
 }
 
 func weightsChecksum(w []float32) float64 {
@@ -79,12 +129,10 @@ func LinRegCPU(g *core.GFlink, p LinRegParams) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
 	j := c.NewJob("linreg-cpu")
-	truth := linregTrueWeights(p.Seed, p.D)
+	gen := newLinRegGen(p)
 	samples := flink.Generate(j, "samples", p.Samples, 4*(p.D+1), p.Parallelism, func(part int, ord int64) []float32 {
 		s := make([]float32, p.D+1)
-		for jj := 0; jj <= p.D; jj++ {
-			s[jj] = linregSample(p.Seed, truth, ord, jj, p.D)
-		}
+		gen.sample(ord, s)
 		return s
 	})
 	weights := make([]float32, p.D+1)
@@ -124,18 +172,10 @@ func LinRegGPU(g *core.GFlink, p LinRegParams) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
 	j := c.NewJob("linreg-gpu")
-	truth := linregTrueWeights(p.Seed, p.D)
 	// MetaCols > 0 widens the schema with trailing metadata columns the
 	// gradient kernel never reads.
 	schema := kernels.SampleSchemaMeta(p.D, p.MetaCols)
-	ds := core.NewGDST(g, j, schema, gstruct.SoA, p.Samples, p.Parallelism, func(part int, v gstruct.View, i int, ord int64) {
-		for jj := 0; jj <= p.D; jj++ {
-			v.PutFloat32At(i, jj, 0, linregSample(p.Seed, truth, ord, jj, p.D))
-		}
-		for m := 0; m < p.MetaCols; m++ {
-			v.PutFloat32At(i, p.D+1+m, 0, unit(p.Seed+888, uint64(ord)*59+uint64(m)))
-		}
-	})
+	ds := core.NewGDST(g, j, schema, gstruct.SoA, p.Samples, p.Parallelism, newLinRegGen(p).fill)
 	partialSchema := gstruct.MustNew("LRPartial", 4,
 		gstruct.Field{Name: "grad", Kind: gstruct.Float32, Len: p.D + 2})
 	weights := make([]float32, p.D+1)
@@ -173,9 +213,9 @@ func LinRegGPU(g *core.GFlink, p LinRegParams) Result {
 		}, 1)
 		grad := make([]float32, p.D+2)
 		for _, blk := range core.CollectBlocks(partials) {
-			v := blk.View()
+			col := blk.View().Column(0, gstruct.Float32)
 			for i := range grad {
-				grad[i] += v.Float32At(0, 0, i)
+				grad[i] += rawF32(col, i)
 			}
 		}
 		res.MapPhase = c.Clock.Now() - tm0

@@ -73,9 +73,11 @@ func PointAddGPU(g *core.GFlink, p PointAddParams) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
 	j := c.NewJob("pointadd-gpu")
-	ds := core.NewGDST(g, j, kernels.Point3Schema, gstruct.AoS, p.Points, p.Parallelism, func(part int, v gstruct.View, i int, ord int64) {
-		for jj := 0; jj < 3; jj++ {
-			v.PutFloat32At(i, jj, 0, pointAddCoord(p.Seed, ord, jj))
+	ds := core.NewGDST(g, j, kernels.Point3Schema, gstruct.AoS, p.Points, p.Parallelism, func(part int, v gstruct.View, ord0, step int64) {
+		for i := 0; i < v.Len(); i++ {
+			for jj := 0; jj < 3; jj++ {
+				v.PutFloat32At(i, jj, 0, pointAddCoord(p.Seed, ord0+int64(i)*step, jj))
+			}
 		}
 	})
 	res := Result{}
