@@ -9,11 +9,10 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The nine production analyzers live in the subpackages wallclock,
-// maporder, lockorder, bufescape, clockflow, counterkey,
-// outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
-// them into a multichecker via the suite subpackage. The flow-sensitive
-// three (poolsafe, clockflow, counterkey) share the
+// The seven production analyzers live in the subpackages wallclock,
+// maporder, bufescape, clockflow, outputpurity, hotalloc and poolsafe;
+// cmd/gflink-vet wires them into a multichecker via the suite
+// subpackage. The flow-sensitive two (poolsafe, clockflow) share the
 // CFG/dataflow core in cfg.go and scope.go: per-function control-flow
 // graphs with panic edges, a generic forward/backward
 // worklist solver, reaching definitions, one function-scope builder
@@ -64,9 +63,8 @@ type Pass struct {
 	// Report emits one finding.
 	Report func(Diagnostic)
 
-	// facts is the run-wide store backing the
-	// Export/ImportObjectFact and Export/ImportPackageFact methods;
-	// nil when the driver runs without fact support.
+	// facts is the run-wide store backing the Export/ImportObjectFact
+	// methods; nil when the driver runs without fact support.
 	facts *FactStore
 }
 

@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// A Fact is a serializable observation one analyzer run exports about a
-// package or one of its package-level objects, to be imported when a
+// A Fact is a serializable observation one analyzer run exports about
+// one of a package's package-level objects, to be imported when a
 // dependent package is analyzed — the mechanism that turns the suite's
 // single-package analyzers into interprocedural, whole-program ones
 // (mirroring golang.org/x/tools/go/analysis facts).
@@ -17,8 +17,8 @@ import (
 // Facts must be JSON-marshalable structs; implement the marker method
 // on the pointer type:
 //
-//	type LockSet struct{ Locks []string }
-//	func (*LockSet) AFact() {}
+//	type Retains struct{ Params []int }
+//	func (*Retains) AFact() {}
 //
 // Identity is structural, not pointer-based: facts are keyed by
 // (package path, object key, fact type), where the object key is a
@@ -30,8 +30,7 @@ type Fact interface {
 	AFact() // dummy marker method
 }
 
-// factKey addresses one fact in a store. obj == "" denotes a package
-// fact.
+// factKey addresses one fact in a store.
 type factKey struct {
 	pkg string
 	obj string
@@ -188,23 +187,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.facts.get(obj.Pkg().Path(), key, fact)
-}
-
-// ExportPackageFact associates fact with the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts == nil || p.Pkg == nil {
-		return
-	}
-	if err := p.facts.put(p.Pkg.Path(), "", fact); err != nil {
-		panic(err)
-	}
-}
-
-// ImportPackageFact copies the fact previously exported for the package
-// with the given import path, reporting whether one was found.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.get(path, "", fact)
 }

@@ -25,8 +25,8 @@
 // set and is checked in place; a cross-package callee must carry an
 // AllocFree fact (exported by this analyzer when it analyzed that
 // package as a dependency) or belong to a small allowlist of known
-// non-allocating runtime entry points (sync mutex operations, float32
-// bit casts and little-endian fixed-width loads/stores). Calls through function values
+// non-allocating runtime entry points (float32 bit casts and
+// little-endian fixed-width loads/stores). Calls through function values
 // or interface methods have unknown behavior and are reported. A
 // //gflink:allow-alloc <reason> directive on (or above) the offending
 // line waives one site or call — that is the sanctioned escape hatch
@@ -85,13 +85,6 @@ var Analyzer = &analysis.Analyzer{
 // allowlist names stdlib functions trusted not to allocate on the
 // caller's behalf, keyed by "pkgpath.ObjectKey".
 var allowlist = map[string]bool{
-	"sync.Mutex.Lock":      true,
-	"sync.Mutex.Unlock":    true,
-	"sync.Mutex.TryLock":   true,
-	"sync.RWMutex.Lock":    true,
-	"sync.RWMutex.Unlock":  true,
-	"sync.RWMutex.RLock":   true,
-	"sync.RWMutex.RUnlock": true,
 	// Pure bit casts and fixed-width little-endian loads/stores back
 	// the kernel bodies and the stream layer's packing loops.
 	"math.Float32bits":                       true,

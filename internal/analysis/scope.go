@@ -1,7 +1,7 @@
 package analysis
 
-// This file holds what the CFG analyzers (poolsafe, clockflow,
-// counterkey) share on top of cfg.go: one builder that turns a package
+// This file holds what the CFG analyzers (poolsafe, clockflow) share
+// on top of cfg.go: one builder that turns a package
 // into function scopes, one forward may-solver over bit vectors, one
 // collector for locals defined by a matching call, the nil-ness a
 // branch proves, and the small AST helpers they would otherwise each

@@ -7,54 +7,49 @@ import (
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/bufescape"
 	"gflink/internal/analysis/clockflow"
-	"gflink/internal/analysis/counterkey"
 	"gflink/internal/analysis/hotalloc"
-	"gflink/internal/analysis/lockorder"
 	"gflink/internal/analysis/maporder"
 	"gflink/internal/analysis/outputpurity"
 	"gflink/internal/analysis/poolsafe"
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of nine analyzers.
+// Rules returns the production analyzer suite of seven analyzers.
 //
-//   - wallclock (wall-clock time sources and bare go statements) and
-//     maporder guard every simulator package under gflink/internal
+//   - wallclock (wall-clock time sources, bare go statements and
+//     mutexes) runs module-wide except the gflink/benchmark module,
+//     the harness that measures host time on purpose. Per-deployment
+//     state needs no mutex (the virtual clock runs one process at a
+//     time), so none may appear anywhere in the simulator, cmd/,
+//     examples/ or the root package.
+//   - maporder guards every simulator package under gflink/internal
 //     (the public API and examples only assemble configurations, but
-//     the internal packages are where virtual time and result ordering
-//     live).
-//   - lockorder (blocking calls under a held mutex, and lock order
-//     cycles) runs module-wide. Per-deployment state has no mutex (the
-//     virtual clock runs one process at a time), so it checks the
-//     process-global locks that remain.
+//     the internal packages are where result ordering lives).
 //   - bufescape and poolsafe (HBuffer views and lifetimes, plus
 //     //gflink:pool values) run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
 //     definition and declares no //gflink:pool source.
-//   - the flow-sensitive observability analyzers (clockflow,
-//     counterkey) and outputpurity run module-wide: they fire only on
-//     calls into the obs/core recording APIs or on //gflink:gated
-//     code, so an unrestricted scope costs nothing outside those and
-//     catches misuse wherever it appears (clockflow and counterkey
-//     skip _test.go files themselves — fixtures pin literal
-//     timestamps and probe counters by design).
+//   - the flow-sensitive observability analyzer clockflow and
+//     outputpurity run module-wide: they fire only on calls into the
+//     obs/core recording APIs or on //gflink:gated code, so an
+//     unrestricted scope costs nothing outside those and catches
+//     misuse wherever it appears (clockflow skips _test.go files
+//     itself — fixtures pin literal timestamps by design).
 //   - hotalloc runs module-wide too: it fires only on
 //     //gflink:hotpath annotations (invariant 10), so unannotated
 //     packages cost nothing.
 //
-// maporder, lockorder, bufescape, clockflow, counterkey, hotalloc and
-// poolsafe carry fact types, so the driver also runs them over
-// module-internal dependencies of the requested packages (facts only)
-// before analyzing the targets.
+// maporder, bufescape, clockflow, hotalloc and poolsafe carry fact
+// types, so the driver also runs them over module-internal
+// dependencies of the requested packages (facts only) before analyzing
+// the targets.
 func Rules() []analysis.Rule {
-	internal := analysis.Under("gflink/internal")
+	benchmark := analysis.Under("gflink/benchmark")
 	return []analysis.Rule{
-		{Analyzer: wallclock.Analyzer, Applies: internal},
-		{Analyzer: maporder.Analyzer, Applies: internal},
-		{Analyzer: lockorder.Analyzer},
+		{Analyzer: wallclock.Analyzer, Applies: func(path string) bool { return !benchmark(path) }},
+		{Analyzer: maporder.Analyzer, Applies: analysis.Under("gflink/internal")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: clockflow.Analyzer},
-		{Analyzer: counterkey.Analyzer},
 		{Analyzer: outputpurity.Analyzer},
 		{Analyzer: hotalloc.Analyzer},
 		{Analyzer: poolsafe.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},

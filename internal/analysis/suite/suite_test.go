@@ -8,22 +8,21 @@ import (
 	"gflink/internal/analysis/suite"
 )
 
-// TestSuiteHasNineAnalyzers pins the suite's composition: the four
+// TestSuiteHasSevenAnalyzers pins the suite's composition: the three
 // lexical/interprocedural checks of DESIGN.md "Concurrency & lifetime
-// invariants" (wallclock, maporder, lockorder, bufescape), the three
-// observability analyzers that enforce invariants 8–9 (clockflow,
-// counterkey, outputpurity), and the two allocation-discipline
-// analyzers that enforce invariant 10 (hotalloc, and poolsafe, which
-// also owns HBuffer lifetimes for invariant 4).
-func TestSuiteHasNineAnalyzers(t *testing.T) {
+// invariants" (wallclock, maporder, bufescape), the two observability
+// analyzers that enforce invariants 8–9 (clockflow, outputpurity), and
+// the two allocation-discipline analyzers that enforce invariant 10
+// (hotalloc, and poolsafe, which also owns HBuffer lifetimes for
+// invariant 4).
+func TestSuiteHasSevenAnalyzers(t *testing.T) {
 	var names []string
 	for _, a := range suite.Analyzers() {
 		names = append(names, a.Name)
 	}
 	want := []string{
-		"wallclock", "maporder", "lockorder",
-		"bufescape",
-		"clockflow", "counterkey", "outputpurity",
+		"wallclock", "maporder", "bufescape",
+		"clockflow", "outputpurity",
 		"hotalloc", "poolsafe",
 	}
 	if !slices.Equal(names, want) {
@@ -80,7 +79,7 @@ func TestSuiteCoversTransferChannel(t *testing.T) {
 
 // TestRepositoryIsClean runs the full gflink-vet suite over the module
 // (test files included), so `go test ./...` fails the moment a
-// determinism, lock-discipline or buffer-lifecycle violation lands.
+// determinism, no-mutex or buffer-lifecycle violation lands.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source; skipped in -short mode")

@@ -1,5 +1,7 @@
 // Package wallclock forbids the two ways host time leaks into simulator
-// packages: wall-clock time sources and bare go statements.
+// packages, wall-clock time sources and bare go statements, and the one
+// host synchronisation primitive the virtual clock makes redundant, the
+// mutex.
 //
 // Every paper figure the repo reproduces is a deterministic function of
 // the virtual clock (internal/vclock): the simulation advances only
@@ -24,10 +26,19 @@
 // independent sweep points (each with its own clock) out across OS
 // threads; such sites are annotated //gflink:allow-go, which this
 // analyzer honours on the go statement's line or the line above.
+//
+// The virtual clock runs exactly one process at a time, so simulator
+// state needs no lock, and a mutex held across a blocking vclock call
+// is a circular wait the race detector cannot see. Any use of the types
+// sync.Mutex and sync.RWMutex — a field, a variable, an embedding, a
+// pointer — is reported, with no waiver directive; sync.WaitGroup and
+// sync.Once stay legal.
 package wallclock
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 
@@ -49,30 +60,42 @@ var banned = map[string]string{
 	"Tick":      "use (*vclock.Clock).Sleep in a process loop",
 }
 
+// bannedSync lists the sync types simulator code may not use.
+var bannedSync = map[string]bool{"Mutex": true, "RWMutex": true}
+
 // Analyzer implements the wallclock check.
 var Analyzer = &analysis.Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...) and bare go statements in simulator packages; all time must flow through vclock.Clock and every process through (*vclock.Clock).Go (suppress a go statement with //gflink:allow-go)",
+	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...), bare go statements and sync.Mutex/RWMutex in simulator packages; all time must flow through vclock.Clock, every process through (*vclock.Clock).Go (suppress a go statement with //gflink:allow-go), and no state needs a lock",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// Collect offending idents first so reports come out in source
-	// order regardless of map iteration order.
-	var ids []*ast.Ident
+	// Collect findings first so reports come out in source order
+	// regardless of map iteration order.
+	type finding struct {
+		pos token.Pos
+		msg string
+	}
+	var found []finding
 	for id, obj := range pass.TypesInfo.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
+		if obj.Pkg() == nil {
 			continue
 		}
-		if _, bad := banned[fn.Name()]; bad {
-			ids = append(ids, id)
+		switch obj := obj.(type) {
+		case *types.Func:
+			if fix, bad := banned[obj.Name()]; bad && obj.Pkg().Path() == "time" {
+				found = append(found, finding{id.Pos(), fmt.Sprintf("time.%s is wall-clock and breaks simulation determinism; %s", obj.Name(), fix)})
+			}
+		case *types.TypeName:
+			if bannedSync[obj.Name()] && obj.Pkg().Path() == "sync" {
+				found = append(found, finding{id.Pos(), fmt.Sprintf("sync.%s in simulator code: the virtual clock runs one process at a time, so state needs no lock; keep each mutation free of blocking calls instead", obj.Name())})
+			}
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Pos() < ids[j].Pos() })
-	for _, id := range ids {
-		fn := pass.TypesInfo.Uses[id].(*types.Func)
-		pass.Reportf(id.Pos(), "time.%s is wall-clock and breaks simulation determinism; %s", fn.Name(), banned[fn.Name()])
+	sort.Slice(found, func(i, j int) bool { return found[i].pos < found[j].pos })
+	for _, f := range found {
+		pass.Reportf(f.pos, "%s", f.msg)
 	}
 
 	for _, f := range pass.Files {

@@ -1,11 +1,12 @@
 package core
 
 // EvictionPolicy decides which cached entries a region gives up under
-// capacity pressure. The GMemoryManager owns all locking and all
-// side effects (freeing or demoting the victim's device buffer,
-// counters): a policy only maintains ordering metadata on the region's
-// intrusive eviction list and answers victim queries. Every method is
-// called with the manager's mutex held.
+// capacity pressure. The GMemoryManager owns all side effects (freeing
+// or demoting the victim's device buffer, counters): a policy only
+// maintains ordering metadata on the region's intrusive eviction list
+// and answers victim queries. Every method runs inside one of the
+// manager's region updates, which make no blocking call, so no other
+// process observes the list half changed.
 //
 // The three implementations cover the paper's two schemes (Section
 // 4.2.2: FIFO eviction and stop-when-full) plus the tiered subsystem's

@@ -55,8 +55,7 @@ type GMemoryManager struct {
 	// tier counters ("mem.<event>.gpu<ID>"); nil until observe wires a
 	// registry. The counter handles are preregistered per device so
 	// hot-path cache events neither concatenate strings nor hash a
-	// counter name (the counterkey analyzer validates the names through
-	// the Registry.Counter call sites in observe).
+	// counter name; their names come from obs's closed Kind table.
 	metrics      *obs.Registry
 	cntHits      *obs.Counter
 	cntMisses    *obs.Counter
@@ -174,17 +173,17 @@ func NewMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, op
 func (m *GMemoryManager) observe(r *obs.Registry, tr *obs.Tracer) {
 	m.metrics = r
 	m.tracer = tr
-	suffix := fmt.Sprintf(".gpu%d", m.dev.ID)
-	m.cntHits = r.Counter("cache.hits" + suffix)
-	m.cntMisses = r.Counter("cache.misses" + suffix)
-	m.cntInserts = r.Counter("cache.inserts" + suffix)
-	m.cntRejects = r.Counter("cache.rejects" + suffix)
-	m.cntStop = r.Counter("cache.stop" + suffix)
-	m.cntEvictions = r.Counter("cache.evictions" + suffix)
-	m.cntDemotions = r.Counter("mem.demotions" + suffix)
-	m.cntPromotions = r.Counter("mem.promotions" + suffix)
-	m.cntSpills = r.Counter("mem.spills" + suffix)
-	m.cntReloads = r.Counter("mem.reloads" + suffix)
+	id := m.dev.ID
+	m.cntHits = r.Counter(obs.CacheHits, id)
+	m.cntMisses = r.Counter(obs.CacheMisses, id)
+	m.cntInserts = r.Counter(obs.CacheInserts, id)
+	m.cntRejects = r.Counter(obs.CacheRejects, id)
+	m.cntStop = r.Counter(obs.CacheStop, id)
+	m.cntEvictions = r.Counter(obs.CacheEvictions, id)
+	m.cntDemotions = r.Counter(obs.MemDemotions, id)
+	m.cntPromotions = r.Counter(obs.MemPromotions, id)
+	m.cntSpills = r.Counter(obs.MemSpills, id)
+	m.cntReloads = r.Counter(obs.MemReloads, id)
 }
 
 // Device returns the managed device.

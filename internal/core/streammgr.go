@@ -38,8 +38,7 @@ type GStreamManager struct {
 	// producer side of the pipeline allocation-free).
 	workPool *WorkPool
 	// Preregistered per-worker counter handles, so the scheduling hot
-	// path never formats strings, hashes a name or takes the registry
-	// lock.
+	// path never formats strings or hashes a name.
 	cntDirect, cntPooled, cntSteals *obs.Counter
 
 	devs []*deviceState
@@ -132,9 +131,9 @@ func NewStreamManager(cfg StreamConfig) *GStreamManager {
 	if len(cfg.Memories) > 0 {
 		m.node = cfg.Memories[0].Device().Node
 	}
-	m.cntDirect = m.metrics.Counter(fmt.Sprintf("sched.direct.w%d", m.node))
-	m.cntPooled = m.metrics.Counter(fmt.Sprintf("sched.pooled.w%d", m.node))
-	m.cntSteals = m.metrics.Counter(fmt.Sprintf("sched.steals.w%d", m.node))
+	m.cntDirect = m.metrics.Counter(obs.SchedDirect, m.node)
+	m.cntPooled = m.metrics.Counter(obs.SchedPooled, m.node)
+	m.cntSteals = m.metrics.Counter(obs.SchedSteals, m.node)
 	for i, mem := range cfg.Memories {
 		mem.observe(cfg.Metrics, cfg.Tracer)
 		budgetCap := mem.Device().Profile.MemBytes - mem.RegionCap()
@@ -146,8 +145,8 @@ func NewStreamManager(cfg StreamConfig) *GStreamManager {
 			queueTrack: fmt.Sprintf("w%d/gpu%d/queue", mem.Device().Node, i),
 			budget:     vclock.NewSemaphore(cfg.Clock, fmt.Sprintf("gpu%d-membudget", mem.Device().ID), budgetCap),
 			budgetCap:  budgetCap,
-			cntH2D:     m.metrics.Counter(fmt.Sprintf("xfer.h2d.bytes.gpu%d", mem.Device().ID)),
-			cntD2H:     m.metrics.Counter(fmt.Sprintf("xfer.d2h.bytes.gpu%d", mem.Device().ID)),
+			cntH2D:     m.metrics.Counter(obs.XferH2DBytes, mem.Device().ID),
+			cntD2H:     m.metrics.Counter(obs.XferD2HBytes, mem.Device().ID),
 		}
 		for s := 0; s < cfg.StreamsPerGPU; s++ {
 			sw := &streamWorker{

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"sync"
-
-	"gflink/internal/gstruct"
-)
+import "gflink/internal/gstruct"
 
 // FieldUse declares which GStruct columns of a kernel's primary input a
 // launch actually touches. It is the registry-level analogue of reading
@@ -19,24 +15,20 @@ type FieldUse struct {
 	Writes func(s *gstruct.Schema, args []int64) (gstruct.ColSet, bool)
 }
 
-var (
-	fieldUseMu  sync.RWMutex
-	fieldUseReg = make(map[string]FieldUse)
-)
+// fieldUseReg maps kernel names to their field-use declarations. Like
+// the kernel registry it is filled from init functions only and read
+// without a lock afterwards.
+var fieldUseReg = make(map[string]FieldUse)
 
 // RegisterFieldUse installs the field-use declaration for a kernel name,
 // replacing any previous one. Kernels without a declaration are treated
-// as reading every column.
+// as reading every column. Call it only from an init function.
 func RegisterFieldUse(name string, u FieldUse) {
-	fieldUseMu.Lock()
-	defer fieldUseMu.Unlock()
 	fieldUseReg[name] = u
 }
 
 // LookupFieldUse resolves a kernel's field-use declaration.
 func LookupFieldUse(name string) (FieldUse, bool) {
-	fieldUseMu.RLock()
-	defer fieldUseMu.RUnlock()
 	u, ok := fieldUseReg[name]
 	return u, ok
 }

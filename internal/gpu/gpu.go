@@ -20,7 +20,6 @@ package gpu
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"gflink/internal/costmodel"
@@ -229,32 +228,26 @@ func (k *KernelCtx) SetCoalesce(f float64) { k.coalesce = f }
 type Func func(ctx *KernelCtx) error
 
 // registry maps kernel names (the paper's ptx entry names) to
-// implementations.
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Func)
-)
+// implementations. It is filled from init functions only, so every
+// lookup after init is a read of a map nothing writes to, and sweep
+// points running on separate goroutines need no lock to share it.
+var registry = make(map[string]Func)
 
 // Register installs a kernel under name, replacing any previous
-// registration (mirrors loading a ptx module).
+// registration (mirrors loading a ptx module). Call it only from an
+// init function.
 func Register(name string, fn Func) {
-	regMu.Lock()
-	defer regMu.Unlock()
 	registry[name] = fn
 }
 
 // Lookup resolves a kernel by name.
 func Lookup(name string) (Func, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	fn, ok := registry[name]
 	return fn, ok
 }
 
 // RegisteredKernels lists kernel names, sorted (for docs and tests).
 func RegisteredKernels() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)

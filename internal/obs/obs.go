@@ -14,9 +14,10 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -198,12 +199,73 @@ type Metric struct {
 	Value int64
 }
 
+// Kind is one counter family. The set is closed: every counter a
+// registry hands out is a Kind plus a scope index, so the metrics
+// grammar is exactly the kinds table below and nothing at a call site
+// can name a counter outside it.
+type Kind uint8
+
+// The counter families. The cache and mem kinds count one GPU's cache
+// and tier events, the xfer kinds its transfer bytes, the sched kinds
+// one worker's GWork dispatch, and the stream kinds one pipeline stage.
+const (
+	CacheHits Kind = iota
+	CacheMisses
+	CacheInserts
+	CacheRejects
+	CacheStop
+	CacheEvictions
+	MemDemotions
+	MemPromotions
+	MemSpills
+	MemReloads
+	XferH2DBytes
+	XferD2HBytes
+	SchedDirect
+	SchedPooled
+	SchedSteals
+	StreamRecords
+	StreamBatches
+	StreamWindows
+	StreamBlockedNs
+	StreamGrants
+	StreamDepthMax
+	numKinds
+)
+
+// kinds maps each Kind to its name and the letter of its scope index:
+// gpu for a device ID, w for a worker node, s for a stream stage.
+var kinds = [numKinds]struct{ name, scope string }{
+	CacheHits:       {"cache.hits", "gpu"},
+	CacheMisses:     {"cache.misses", "gpu"},
+	CacheInserts:    {"cache.inserts", "gpu"},
+	CacheRejects:    {"cache.rejects", "gpu"},
+	CacheStop:       {"cache.stop", "gpu"},
+	CacheEvictions:  {"cache.evictions", "gpu"},
+	MemDemotions:    {"mem.demotions", "gpu"},
+	MemPromotions:   {"mem.promotions", "gpu"},
+	MemSpills:       {"mem.spills", "gpu"},
+	MemReloads:      {"mem.reloads", "gpu"},
+	XferH2DBytes:    {"xfer.h2d.bytes", "gpu"},
+	XferD2HBytes:    {"xfer.d2h.bytes", "gpu"},
+	SchedDirect:     {"sched.direct", "w"},
+	SchedPooled:     {"sched.pooled", "w"},
+	SchedSteals:     {"sched.steals", "w"},
+	StreamRecords:   {"stream.records", "s"},
+	StreamBatches:   {"stream.batches", "s"},
+	StreamWindows:   {"stream.windows", "s"},
+	StreamBlockedNs: {"stream.blockedns", "s"},
+	StreamGrants:    {"stream.grants", "s"},
+	StreamDepthMax:  {"stream.depthmax", "s"},
+}
+
 // Registry is a set of named monotonic counters. Like the tracer it is
 // nil-safe, and snapshots are sorted so consumers never observe map
-// order. Producers preregister a Counter handle once and bump it
-// lock-free; the registry's lock guards only registration and reads.
+// order. A registry belongs to one deployment: only that deployment's
+// processes register and read counters, one at a time, so it needs no
+// lock. Producers preregister a Counter handle once and bump it
+// directly.
 type Registry struct {
-	mu      sync.Mutex
 	handles map[string]*Counter
 	// disabled is copied into each handle Counter registers, so a
 	// handle registered after SetEnabled(false) starts silenced.
@@ -216,26 +278,30 @@ func NewRegistry() *Registry {
 }
 
 // Counter is a preregistered handle on one named counter: a direct
-// slot pointer, bumped without hashing the name or taking the registry
-// lock. Safe under the cooperative virtual-clock scheduler — exactly
-// one process runs at a time, with happens-before edges through every
-// handoff — which is the same discipline the stream-worker scratch
-// buffers rely on. A nil Counter (from a nil registry) drops writes.
+// slot pointer, bumped without hashing the name. Safe under the
+// cooperative virtual-clock scheduler — exactly one process runs at a
+// time, with happens-before edges through every handoff — which is the
+// same discipline the stream-worker scratch buffers rely on. A nil
+// Counter (from a nil registry) drops writes.
 type Counter struct {
 	v        int64
 	disabled bool
 }
 
-// Counter interns name and returns its handle. Handles registered for
-// the same name share a slot. Registering on a nil registry returns
-// nil, whose methods are no-ops, so construction-time wiring needs no
-// guards.
-func (r *Registry) Counter(name string) *Counter {
+// Counter returns the handle of kind k at scope index idx, named
+// "<kind name>.<scope><idx>" (e.g. "cache.hits.gpu0"). Handles
+// registered for the same kind and index share a slot. A kind outside
+// the table panics, on a nil registry too. Registering on a nil
+// registry returns nil, whose methods are no-ops, so construction-time
+// wiring needs no guards.
+func (r *Registry) Counter(k Kind, idx int) *Counter {
+	if k >= numKinds {
+		panic(fmt.Sprintf("obs: counter kind %d is not in the kinds table", k))
+	}
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	name := kinds[k].name + "." + kinds[k].scope + strconv.Itoa(idx)
 	if c, ok := r.handles[name]; ok {
 		return c
 	}
@@ -279,13 +345,11 @@ func (c *Counter) Get() int64 {
 
 // SetEnabled turns recording on or off, including every handle already
 // registered. Flip it only while the simulation is quiescent (before
-// Run, or between runs): the flag is read lock-free on the hot path.
+// Run, or between runs): the hot path reads the flag unsynchronized.
 func (r *Registry) SetEnabled(on bool) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.disabled = !on
 	for _, c := range r.handles { //gflink:unordered — flag write, no observable order
 		c.disabled = !on
@@ -299,8 +363,6 @@ func (r *Registry) Get(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.handles[name].Get()
 }
 
@@ -311,8 +373,6 @@ func (r *Registry) Total(prefix string) int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var n int64
 	for name, c := range r.handles { //gflink:unordered — summing ints
 		if strings.HasPrefix(name, prefix) {
@@ -328,8 +388,6 @@ func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Metric, 0, len(r.handles))
 	for name, c := range r.handles { //gflink:unordered — sorted below
 		if c.v != 0 {

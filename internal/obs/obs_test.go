@@ -45,7 +45,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil tracer is not a no-op")
 	}
 	var r *Registry
-	c := r.Counter("c")
+	c := r.Counter(CacheHits, 0)
 	if c != nil {
 		t.Error("nil registry handed out a live counter")
 	}
@@ -61,7 +61,7 @@ func TestNilSafety(t *testing.T) {
 	// And the nil components those getters return must themselves be
 	// usable, closing the chain.
 	o.Tracer().Record("x", "y", "z", 0, 1)
-	o.Metrics().Counter("c").Add(1)
+	o.Metrics().Counter(CacheHits, 0).Add(1)
 }
 
 func TestAttrConstructors(t *testing.T) {
@@ -136,22 +136,22 @@ func TestRecordGWorkSpanTree(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	hits0 := r.Counter("cache.hits.gpu0")
-	if again := r.Counter("cache.hits.gpu0"); again != hits0 {
-		t.Error("two handles for one name must share a slot")
+	hits0 := r.Counter(CacheHits, 0)
+	if again := r.Counter(CacheHits, 0); again != hits0 {
+		t.Error("two handles for one kind and index must share a slot")
 	}
 	hits0.Add(3)
-	r.Counter("cache.hits.gpu1").Add(4)
-	r.Counter("cache.misses.gpu0").Add(1)
-	r.Counter("cache.hits.gpu0").Add(2)
-	r.Counter("sched.direct") // registered, never bumped
+	r.Counter(CacheHits, 1).Add(4)
+	r.Counter(CacheMisses, 0).Add(1)
+	r.Counter(CacheHits, 0).Add(2)
+	r.Counter(SchedDirect, 0) // registered, never bumped
 	if got := r.Get("cache.hits.gpu0"); got != 5 {
 		t.Errorf("Get = %d, want 5", got)
 	}
 	if got := r.Get("absent"); got != 0 {
 		t.Errorf("Get(absent) = %d, want 0", got)
 	}
-	depth := r.Counter("stream.depthmax.s1")
+	depth := r.Counter(StreamDepthMax, 1)
 	depth.Max(4)
 	depth.Max(2)
 	if got := depth.Get(); got != 4 {
@@ -173,14 +173,69 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestCounterNames pins the metrics grammar: every Kind registered at
+// scope index 3, read back sorted. A change to the kinds table shows up
+// here as a diff of this list.
+func TestCounterNames(t *testing.T) {
+	r := NewRegistry()
+	for k := Kind(0); k < numKinds; k++ {
+		r.Counter(k, 3).Add(1)
+	}
+	var got []string
+	for _, m := range r.Snapshot() {
+		got = append(got, m.Name)
+	}
+	want := []string{
+		"cache.evictions.gpu3",
+		"cache.hits.gpu3",
+		"cache.inserts.gpu3",
+		"cache.misses.gpu3",
+		"cache.rejects.gpu3",
+		"cache.stop.gpu3",
+		"mem.demotions.gpu3",
+		"mem.promotions.gpu3",
+		"mem.reloads.gpu3",
+		"mem.spills.gpu3",
+		"sched.direct.w3",
+		"sched.pooled.w3",
+		"sched.steals.w3",
+		"stream.batches.s3",
+		"stream.blockedns.s3",
+		"stream.depthmax.s3",
+		"stream.grants.s3",
+		"stream.records.s3",
+		"stream.windows.s3",
+		"xfer.d2h.bytes.gpu3",
+		"xfer.h2d.bytes.gpu3",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("counter names = %q, want %q", got, want)
+	}
+}
+
+// TestCounterKindOutOfRange checks that a Kind outside the table panics
+// at registration, on a live and on a nil registry.
+func TestCounterKindOutOfRange(t *testing.T) {
+	for i, r := range []*Registry{NewRegistry(), nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registry %d: Counter(numKinds, 0) did not panic", i)
+				}
+			}()
+			r.Counter(numKinds, 0)
+		}()
+	}
+}
+
 // TestRegistrySetEnabled checks that SetEnabled(false) silences handles
 // registered both before and after the flip, and that turning the
 // registry back on revives them.
 func TestRegistrySetEnabled(t *testing.T) {
 	r := NewRegistry()
-	before := r.Counter("sched.direct")
+	before := r.Counter(SchedDirect, 0)
 	r.SetEnabled(false)
-	after := r.Counter("sched.pooled")
+	after := r.Counter(SchedPooled, 0)
 	before.Add(1)
 	after.Add(1)
 	after.Max(7)

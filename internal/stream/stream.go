@@ -313,12 +313,12 @@ func (p *Pipeline) addStage(kind stageKind, name string, worker int) *stage {
 		p: p, idx: len(p.stages), kind: kind, name: name, worker: worker,
 		track: fmt.Sprintf("stream/%s/%s", p.name, name),
 	}
-	s.cntRecords = p.metrics.Counter(fmt.Sprintf("stream.records.s%d", s.idx))
-	s.cntBatches = p.metrics.Counter(fmt.Sprintf("stream.batches.s%d", s.idx))
-	s.cntWindows = p.metrics.Counter(fmt.Sprintf("stream.windows.s%d", s.idx))
-	s.cntBlocked = p.metrics.Counter(fmt.Sprintf("stream.blockedns.s%d", s.idx))
-	s.cntGrants = p.metrics.Counter(fmt.Sprintf("stream.grants.s%d", s.idx))
-	s.cntDepth = p.metrics.Counter(fmt.Sprintf("stream.depthmax.s%d", s.idx))
+	s.cntRecords = p.metrics.Counter(obs.StreamRecords, s.idx)
+	s.cntBatches = p.metrics.Counter(obs.StreamBatches, s.idx)
+	s.cntWindows = p.metrics.Counter(obs.StreamWindows, s.idx)
+	s.cntBlocked = p.metrics.Counter(obs.StreamBlockedNs, s.idx)
+	s.cntGrants = p.metrics.Counter(obs.StreamGrants, s.idx)
+	s.cntDepth = p.metrics.Counter(obs.StreamDepthMax, s.idx)
 	p.stages = append(p.stages, s)
 	return s
 }
