@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
+	"gflink/internal/gpu"
 	"gflink/internal/membuf"
 )
 
@@ -103,5 +107,77 @@ func TestFailedWorkEmitsSpans(t *testing.T) {
 				t.Errorf("span categories missing: queue=%v gwork=%v", queue, gwork)
 			}
 		})
+	}
+}
+
+func init() {
+	gpu.Register("core_test.fail", func(ctx *gpu.KernelCtx) error {
+		return errors.New("bad block")
+	})
+}
+
+// TestKernelErrorFailsWork runs a pooled GWork whose kernel fails after
+// its inputs (one cache-flagged, one not) have moved: Wait returns the
+// kernel's error, every device byte outside the cache returns to its
+// start value, the gwork span carries the error, and the shell goes
+// back to the pool for the next work.
+func TestKernelErrorFailsWork(t *testing.T) {
+	const job = 1
+	g := New(Config{
+		Config:        flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
+		GPUsPerWorker: 1,
+	})
+	dev := g.Manager(0).Devices[0]
+	mem := g.Manager(0).Streams.Memory(0)
+	wp := g.Manager(0).Streams.Pool()
+	var before, after int64
+	var werr error
+	var reused bool
+	g.Run(func() {
+		pool := g.Cluster.TaskManagers[0].Pool
+		a := pool.MustAllocate(64)
+		b := pool.MustAllocate(64)
+		out := pool.MustAllocate(64)
+		defer a.Free()
+		defer b.Free()
+		defer out.Free()
+		before = dev.UsedBytes()
+		w := wp.Get()
+		w.ExecuteName = "core_test.fail"
+		w.Size, w.Nominal = 16, 16
+		w.BlockSize, w.GridSize = 256, 1
+		w.In = append(w.In,
+			Input{Buf: a, Nominal: 64, Cache: true, Key: CacheKey{JobID: job, Block: 0}},
+			Input{Buf: b, Nominal: 64})
+		w.Out, w.OutNominal, w.JobID = out, 64, job
+		g.Manager(0).Streams.Submit(w)
+		werr = w.Wait()
+		after = dev.UsedBytes() - mem.Used(job)
+		free := len(wp.free)
+		wp.Put(w)
+		reused = len(wp.free) == free+1
+	})
+	if werr == nil || !strings.Contains(werr.Error(), "bad block") {
+		t.Fatalf("Wait = %v, want the kernel's error", werr)
+	}
+	if after != before {
+		t.Errorf("device bytes outside the cache = %d after the failed kernel, want %d", after, before)
+	}
+	if !reused {
+		t.Error("the failed work's shell did not go back to the pool")
+	}
+	var errAttr string
+	for _, s := range g.Obs.Tracer().Spans() {
+		if s.Cat != "gwork" {
+			continue
+		}
+		for _, a := range s.Attrs {
+			if a.Key == "error" {
+				errAttr = fmt.Sprint(a.Val)
+			}
+		}
+	}
+	if !strings.Contains(errAttr, "bad block") {
+		t.Errorf("failed kernel's gwork span has error attribute %q, want the kernel's error", errAttr)
 	}
 }

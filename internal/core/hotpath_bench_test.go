@@ -14,9 +14,9 @@ import (
 
 // runHotPath builds a tracing-off single-GPU deployment (counters stay
 // on, as in every real deployment) and calls body inside clock.Run with
-// one, which drives one GWork through the full submit/exec/complete hot
+// the deployment's clock and one, which drives one GWork through the full submit/exec/complete hot
 // path.
-func runHotPath(tb testing.TB, body func(one func())) {
+func runHotPath(tb testing.TB, body func(clock *vclock.Clock, one func())) {
 	clock := vclock.New()
 	model := costmodel.Default()
 	wrapper := NewCUDAWrapper(clock, model)
@@ -38,7 +38,7 @@ func runHotPath(tb testing.TB, body func(one func())) {
 			binary.LittleEndian.PutUint32(in.Bytes()[i*4:], math.Float32bits(float32(i)))
 		}
 		wp := mgr.Pool()
-		body(func() {
+		body(clock, func() {
 			if kerr != nil {
 				return
 			}
@@ -68,7 +68,7 @@ func runHotPath(tb testing.TB, body func(one func())) {
 // count that TestHotPathZeroAllocsPerGWork pins at 0, and
 // `-benchtime=1000000x` reproduces the 1M-GWork sweep.
 func BenchmarkHotPath1MGWorks(b *testing.B) {
-	runHotPath(b, func(one func()) {
+	runHotPath(b, func(_ *vclock.Clock, one func()) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -83,7 +83,7 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 // futures and device buffers are all recycled.
 func TestHotPathZeroAllocsPerGWork(t *testing.T) {
 	var allocs float64
-	runHotPath(t, func(one func()) {
+	runHotPath(t, func(_ *vclock.Clock, one func()) {
 		for i := 0; i < 256; i++ {
 			one()
 		}
@@ -91,5 +91,27 @@ func TestHotPathZeroAllocsPerGWork(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%.2f heap allocations per GWork at steady state, want 0", allocs)
+	}
+}
+
+// TestHotPathParksPerGWork pins the coroutine switches a GWork costs at
+// steady state: 1 in the driver and 6 in the gstream worker. The GPU
+// stream executors are vclock tasks, stepped in place without a park;
+// with stackful executors the count was 12.
+func TestHotPathParksPerGWork(t *testing.T) {
+	const works = 1000
+	var parks uint64
+	runHotPath(t, func(clock *vclock.Clock, one func()) {
+		for i := 0; i < 256; i++ {
+			one()
+		}
+		before := clock.Parks()
+		for i := 0; i < works; i++ {
+			one()
+		}
+		parks = clock.Parks() - before
+	})
+	if parks != 7*works {
+		t.Fatalf("%.2f parks per GWork at steady state, want 7", float64(parks)/works)
 	}
 }

@@ -565,7 +565,13 @@ func (sw *streamWorker) exec(w *GWork) {
 	w.err = kerr
 	w.device = dev
 	if mgr.tracer.Enabled() {
-		mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, tStart, w.report, obs.Int("job", int64(w.JobID)))
+		job := obs.Int("job", int64(w.JobID))
+		if kerr != nil {
+			// A failed kernel's span says so, as fail's spans do.
+			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, tStart, w.report, job, obs.Str("error", kerr.Error()))
+		} else {
+			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, tStart, w.report, job)
+		}
 	}
 	w.done.Set()
 }

@@ -256,20 +256,47 @@ func RegisteredKernels() []string {
 	return names
 }
 
+// lookupKernel resolves a kernel by name, failing for an unregistered
+// one.
+//
+//gflink:hotpath
+func lookupKernel(name string) (Func, error) {
+	fn, ok := registry[name]
+	if !ok {
+		//gflink:allow-alloc error diagnostic: unregistered-kernel cold path
+		return nil, fmt.Errorf("gpu: kernel %q not registered", name)
+	}
+	return fn, nil
+}
+
 // Launch executes the named kernel synchronously on the calling
 // process: it waits for the device's compute engine, really runs the
 // kernel function, and charges the reported cost. It returns the
-// virtual duration of the kernel (excluding queueing).
+// virtual duration of the kernel (excluding queueing). A stream's
+// executor makes the same calls in the same order through its task.
 //
 //gflink:hotpath
 func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
-	fn, ok := Lookup(name)
-	if !ok {
-		//gflink:allow-alloc error diagnostic: unregistered-kernel cold path
-		return 0, fmt.Errorf("gpu: kernel %q not registered", name)
+	fn, err := lookupKernel(name)
+	if err != nil {
+		return 0, err
 	}
 	d.compute.Acquire(1)
 	defer d.compute.Release(1)
+	dur, err := d.runKernel(name, fn, ctx)
+	if err != nil {
+		return 0, err
+	}
+	d.clock.Sleep(dur)
+	d.kernels++
+	return dur, nil
+}
+
+// runKernel runs kernel fn over ctx while its caller holds the compute
+// engine and returns the kernel's modelled duration.
+//
+//gflink:hotpath
+func (d *Device) runKernel(name string, fn Func, ctx *KernelCtx) (time.Duration, error) {
 	//gflink:allow-alloc kernel bodies are user code; the launch machinery itself is allocation-free
 	if err := fn(ctx); err != nil {
 		//gflink:allow-alloc error diagnostic: kernel-failure cold path
@@ -279,10 +306,7 @@ func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 	if coalesce == 0 {
 		coalesce = 1
 	}
-	dur := d.Profile.KernelTime(ctx.work, coalesce)
-	d.clock.Sleep(dur)
-	d.kernels++
-	return dur, nil
+	return d.Profile.KernelTime(ctx.work, coalesce), nil
 }
 
 // Stats is a snapshot of device activity counters.
@@ -305,7 +329,7 @@ func (d *Device) Stats() Stats {
 
 // Close shuts down every stream created on the device. After Close the
 // device accepts no stream operations; it must be called before the
-// simulation ends so stream executor processes terminate.
+// simulation ends so stream executor tasks terminate.
 func (d *Device) Close() {
 	streams := d.streams
 	d.streams = nil

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -199,6 +200,83 @@ func TestKernelsSerializeOnComputeEngine(t *testing.T) {
 
 func init() {
 	Register("test.noop", func(ctx *KernelCtx) error { return nil })
+	// test.fail charges a second of compute, then fails: a failed
+	// launch must charge nothing.
+	Register("test.fail", func(ctx *KernelCtx) error {
+		ctx.Charge(costmodel.Work{Flops: 1e12})
+		return errors.New("bad input")
+	})
+}
+
+// TestLaunchAsyncFailures covers the executor's two failing launch
+// paths: a kernel that is not registered and a kernel whose body
+// fails. Each future carries its error, neither holds the compute
+// engine past the failure (a launch from another stream finishes at
+// exactly its modelled time), and the failing stream goes on to run its
+// later commands in order.
+func TestLaunchAsyncFailures(t *testing.T) {
+	c, d, p := testRig()
+	cpu := costmodel.DefaultCPU
+	var order []string
+	var elapsed time.Duration
+	c.Run(func() {
+		defer d.Close()
+		s1, s2 := d.NewStream(cpu), d.NewStream(cpu)
+		h := p.MustAllocate(16)
+		defer h.Free()
+		h.Pin()
+		for i := 0; i < 4; i++ {
+			binary.LittleEndian.PutUint32(h.Bytes()[i*4:], math.Float32bits(float32(i+1)))
+		}
+		in, _ := d.Malloc(16, 16)
+		out, _ := d.Malloc(16, 16)
+		defer d.Free(in)
+		defer d.Free(out)
+
+		t0 := c.Now()
+		unknown := s1.LaunchAsync("nope", &KernelCtx{})
+		failed := s1.LaunchAsync("test.fail", &KernelCtx{})
+		s1.Callback(func() { order = append(order, "after-failures") })
+		s1.H2DAsync(in, h, 16)
+		reused := NewFuture(c)
+		reused.err = errors.New("stale")
+		s1.LaunchAsyncInto(reused, "test.double", &KernelCtx{In: []*Buffer{in}, Out: []*Buffer{out}, N: 4, Nominal: 4})
+		s1.Callback(func() { order = append(order, "after-launch") })
+
+		ctx := &KernelCtx{Nominal: 1}
+		ctx.Charge(costmodel.Work{Flops: d.Profile.SPGFLOPS * 1e9 * d.Profile.Efficiency}) // exactly 1s
+		other := s2.LaunchAsync("test.noop", ctx)
+
+		if _, err := unknown.Wait(); err == nil || !strings.Contains(err.Error(), `kernel "nope" not registered`) {
+			t.Errorf("unregistered launch: err = %v", err)
+		}
+		if dur, err := failed.Wait(); err == nil || !strings.Contains(err.Error(), "bad input") || dur != 0 {
+			t.Errorf("failing launch: dur %v, err %v; want 0 and the kernel's error", dur, err)
+		}
+		if _, err := other.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		elapsed = c.Now() - t0
+		if _, err := reused.Wait(); err != nil {
+			t.Errorf("launch after the failures: %v", err)
+		}
+		s1.Synchronize()
+		order = append(order, "synchronized")
+		for i := 0; i < 4; i++ {
+			if got := math.Float32frombits(binary.LittleEndian.Uint32(out.Bytes()[i*4:])); got != float32(i+1)*2 {
+				t.Errorf("out[%d] = %v after the failures, want %v", i, got, float32(i+1)*2)
+			}
+		}
+	})
+	if want := time.Second + d.Profile.LaunchOverhead; elapsed != want {
+		t.Errorf("launch beside the failing stream took %v, want %v", elapsed, want)
+	}
+	if got := strings.Join(order, ","); got != "after-failures,after-launch,synchronized" {
+		t.Errorf("command order %s", got)
+	}
+	if n := d.Stats().Kernels; n != 2 {
+		t.Errorf("kernel count = %d, want 2 (failed launches are not counted)", n)
+	}
 }
 
 func TestStreamOrderingAndOverlap(t *testing.T) {

@@ -24,11 +24,10 @@ const (
 // closures — one per async op, which made every GWork pay three
 // closure allocations on the pinned hot route. Shells now recycle
 // through a per-stream free list: the submitting process takes a shell,
-// the stream's executor process returns it after running the command.
-// The two processes share the free list without locking for the same
-// reason every other cooperative-scheduler scratch does: the virtual
-// clock runs exactly one process at a time, with happens-before edges
-// through the clock's own synchronization.
+// the stream's executor task returns it after running the command.
+// Both share the free list without locking for the same reason every
+// other cooperative-scheduler scratch does: the virtual clock runs
+// exactly one process or task at a time.
 type cmd struct {
 	op      cmdOp
 	dbuf    *Buffer         // device side of a copy
@@ -36,15 +35,26 @@ type cmd struct {
 	ranges  []CopyRange
 	nominal int64
 	name    string
+	kernel  Func // the launch's kernel, resolved once when it starts
 	ctx     *KernelCtx
 	fut     *Future
 	fn      func()
 }
 
-// Stream is a CUDA stream: a FIFO command queue executed by its own
-// virtual-time process. Commands within one stream run in order;
-// commands on different streams overlap, which is what the three-stage
-// H2D / kernel / D2H pipeline exploits (Section 5).
+// execPhase is where a stream's executor stands in its current command.
+type execPhase uint8
+
+const (
+	phaseIdle    execPhase = iota // no command: take the next one
+	phaseGranted                  // holds the command's engine: start its busy time
+	phaseSlept                    // the busy time has passed: release and complete
+)
+
+// Stream is a CUDA stream: a FIFO command queue run by its own
+// virtual-time executor, a vclock.Task the dispatcher steps in place.
+// Commands within one stream run in order; commands on different
+// streams overlap, which is what the three-stage H2D / kernel / D2H
+// pipeline exploits (Section 5).
 type Stream struct {
 	dev  *Device
 	id   int
@@ -58,11 +68,17 @@ type Stream struct {
 	syncEv  *vclock.Event
 	syncSet func()
 	// freeCmds recycles command shells between the submitter and the
-	// executor process (see cmd).
+	// executor (see cmd).
 	freeCmds []*cmd
+	// The executor's state between steps: its task, its phase, the
+	// command in flight and the engine that command holds.
+	task   *vclock.Task
+	phase  execPhase
+	cur    *cmd
+	engine *vclock.Semaphore
 }
 
-// NewStream creates a stream and starts its executor process. Streams
+// NewStream creates a stream and starts its executor task. Streams
 // must be closed via Device.Close (or Stream.close) before the
 // simulation ends.
 func (d *Device) NewStream(cpu costmodel.CPU) *Stream {
@@ -79,7 +95,7 @@ func (d *Device) NewStream(cpu costmodel.CPU) *Stream {
 	s.syncEv = vclock.NewEvent(d.clock)
 	s.syncSet = s.syncEv.Set
 	d.streams = append(d.streams, s)
-	d.clock.Go(fmt.Sprintf("gpu%d-stream%d", d.ID, s.id), s.run)
+	s.task = d.clock.Spawn(fmt.Sprintf("gpu%d-stream%d", d.ID, s.id), s.step)
 	return s
 }
 
@@ -96,54 +112,113 @@ func (s *Stream) takeCmd() *cmd {
 	return &cmd{}
 }
 
-// recycle clears a shell's references and returns it to the free list.
-// Only the executor process calls this, after the command has run.
-func (s *Stream) recycle(c *cmd) {
-	*c = cmd{}
-	s.freeCmds = append(s.freeCmds, c)
-}
-
-func (s *Stream) run() {
-	defer s.done.Set()
+// step is the executor task's step. It runs the queued commands in
+// FIFO order, one phase at a time, and returns whenever the task
+// parks: on the empty queue, on the command's engine, or for the
+// command's busy time. Across its calls it makes the primitive calls of
+// the blocking loop "Get; engine Acquire; Sleep; Release" in the same
+// order, so wake order and simulated time are those of that loop. A
+// launch runs its kernel body once the compute engine is granted.
+func (s *Stream) step() {
 	for {
-		c, ok := s.q.Get()
-		if !ok {
-			return
+		c := s.cur
+		switch s.phase {
+		case phaseIdle:
+			var ok, wait bool
+			if c, ok, wait = s.q.GetTask(s.task); wait {
+				return
+			}
+			if !ok {
+				s.done.Set()
+				s.task.Exit()
+				return
+			}
+			engine := s.engineFor(c)
+			if engine == nil {
+				s.complete(c)
+				continue
+			}
+			s.cur, s.engine, s.phase = c, engine, phaseGranted
+			if !engine.AcquireTask(s.task, 1) {
+				return
+			}
+		case phaseGranted:
+			var busy time.Duration
+			if c.op == opLaunch {
+				var err error
+				busy, err = s.dev.runKernel(c.name, c.kernel, c.ctx)
+				c.fut.dur, c.fut.err = busy, err
+				if err != nil {
+					s.engine.Release(1)
+					s.complete(c)
+					continue
+				}
+			} else {
+				busy = s.dev.pcie.TransferTime(c.nominal)
+			}
+			s.phase = phaseSlept
+			if !s.task.Sleep(busy) {
+				return
+			}
+		case phaseSlept:
+			s.engine.Release(1)
+			s.complete(c)
 		}
-		s.exec(c)
-		s.recycle(c)
 	}
 }
 
-// exec runs one command on the executor process.
-func (s *Stream) exec(c *cmd) {
+// engineFor returns the engine c runs on: the copy engine of its
+// direction, or the compute engine for a launch of a registered
+// kernel. It returns nil for a command that needs no engine: a
+// callback, or a launch whose kernel is not registered (its future
+// then carries the error).
+func (s *Stream) engineFor(c *cmd) *vclock.Semaphore {
+	switch c.op {
+	case opH2D, opH2DRanges:
+		return s.dev.h2d
+	case opD2H:
+		return s.dev.d2h
+	case opLaunch:
+		fn, err := lookupKernel(c.name)
+		if err != nil {
+			c.fut.dur, c.fut.err = 0, err
+			return nil
+		}
+		c.kernel = fn
+		return s.dev.compute
+	}
+	return nil
+}
+
+// complete finishes c once its engine is released (or it needed none):
+// it moves a copy's bytes and counts it, counts a successful launch and
+// sets its future, or runs a callback. Then it recycles the shell and
+// leaves the executor idle.
+func (s *Stream) complete(c *cmd) {
+	d := s.dev
 	switch c.op {
 	case opH2D:
-		s.dev.h2d.Acquire(1)
-		s.dev.clock.Sleep(s.dev.pcie.TransferTime(c.nominal))
-		s.dev.h2d.Release(1)
 		copy(c.dbuf.data, c.hbuf.Bytes())
-		s.dev.count(&s.dev.h2dCopies, &s.dev.h2dBytes, c.nominal)
+		d.count(&d.h2dCopies, &d.h2dBytes, c.nominal)
 	case opH2DRanges:
-		s.dev.h2d.Acquire(1)
-		s.dev.clock.Sleep(s.dev.pcie.TransferTime(c.nominal))
-		s.dev.h2d.Release(1)
 		for _, r := range c.ranges {
 			clampCopy(c.dbuf.data, c.hbuf.Bytes(), r)
 		}
-		s.dev.count(&s.dev.h2dCopies, &s.dev.h2dBytes, c.nominal)
+		d.count(&d.h2dCopies, &d.h2dBytes, c.nominal)
 	case opD2H:
-		s.dev.d2h.Acquire(1)
-		s.dev.clock.Sleep(s.dev.pcie.TransferTime(c.nominal))
-		s.dev.d2h.Release(1)
 		copy(c.hbuf.Bytes(), c.dbuf.data)
-		s.dev.count(&s.dev.d2hCopies, &s.dev.d2hBytes, c.nominal)
+		d.count(&d.d2hCopies, &d.d2hBytes, c.nominal)
 	case opLaunch:
-		c.fut.dur, c.fut.err = s.dev.Launch(c.name, c.ctx)
+		if c.fut.err == nil {
+			d.kernels++
+		}
 		c.fut.ev.Set()
 	case opCallback:
 		c.fn()
 	}
+	*c = cmd{}
+	s.freeCmds = append(s.freeCmds, c)
+	s.cur, s.engine, s.phase = nil, nil, phaseIdle
 }
 
 func (s *Stream) close() {

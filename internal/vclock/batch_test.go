@@ -48,6 +48,42 @@ var seedPrograms = map[string]*schedProgram{
 			{{opSleep, 0, 3}, {opSleep, 0, 3}, {opSleep, 0, 3}, {opClose, 0, 0}},
 		},
 	},
+	// Four processes and four tasks, spawned alternately, sleep to one
+	// shared deadline.
+	"tasks-co-deadline-batch": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 2, 0}},
+			{{opSleep, 0, 3}},
+			{{opSleep, 0, 3}},
+		},
+		tasks: 1 << 2,
+	},
+	// Tasks and processes queue at a two-unit FIFO semaphore whose
+	// root holds one unit: a two-unit process waits first, so the
+	// one-unit tasks behind it queue too although a unit is free.
+	"tasks-contended-semaphore": {
+		semCaps: []int64{2}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opAcquire, 0, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 1, 0}, {opSpawn, 3, 0}, {opSleep, 0, 1}, {opRelease, 0, 0}},
+			{{opAcquire, 0, 0}, {opSleep, 0, 2}, {opRelease, 0, 0}},
+			{{opAcquire, 0, 1}, {opSleep, 0, 1}, {opRelease, 0, 1}},
+			{{opAcquire, 0, 1}, {opRelease, 0, 1}},
+		},
+		tasks: 1<<1 | 1<<3,
+	},
+	// Task and process getters share a queue that gets two items and
+	// is then closed under the remaining waiters.
+	"tasks-queue-close": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 3, 0}},
+			{{opGet, 0, 0}, {opGet, 0, 0}},
+			{{opGet, 0, 0}, {opGet, 0, 0}},
+			{{opPut, 0, 0}, {opSleep, 0, 1}, {opPut, 0, 0}, {opSleep, 0, 1}, {opClose, 0, 0}},
+		},
+		tasks: 1 << 1,
+	},
 	// Two getters on a queue nobody fills, and a root that starves
 	// itself on a one-unit semaphore.
 	"deadlock-census": {
@@ -130,6 +166,28 @@ func TestBatchMixedQueueTraffic(t *testing.T) {
 	want := "put513@3ms,get513@3ms,put769@3ms,get769@3ms,put1025@3ms,get1025@3ms,get-1@9ms"
 	if strings.Join(got, ",") != want {
 		t.Fatalf("queue traffic = %v, want %s", got, want)
+	}
+}
+
+// TestTasksShareWaitQueuesWithProcesses runs the seeds that mix tasks
+// and processes through the oracle and pins the contended one: the
+// semaphore grants in FIFO order across both kinds, so the one-unit
+// tasks queued behind the two-unit process wait for it although a unit
+// is free from the start.
+func TestTasksShareWaitQueuesWithProcesses(t *testing.T) {
+	checkSchedule(t, seedPrograms["tasks-co-deadline-batch"])
+	checkSchedule(t, seedPrograms["tasks-queue-close"])
+	out := checkSchedule(t, seedPrograms["tasks-contended-semaphore"])
+	// pid 1 is the two-unit process, pids 2 and 3 one-unit tasks and
+	// pid 4 a two-unit task; op 0 is each one's acquire.
+	var got []string
+	for _, e := range out.log {
+		if e.pid > 0 && e.op == 0 {
+			got = append(got, fmt.Sprintf("%d@%v", e.pid, e.at))
+		}
+	}
+	if want := "1@1ms,2@2ms,3@2ms,4@4ms"; strings.Join(got, ",") != want {
+		t.Fatalf("grants = %v, want %s", got, want)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"time"
 )
 
-// waiter is a parked process waiting on a primitive: the process shell
+// waiter is a parked process or task waiting on a primitive: the shell
 // to wake plus the semaphore units it requested. Wakes target the
 // process shell, so the waker recycles the waiter shell the moment it
 // leaves the wait queue.
@@ -68,10 +68,10 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 		if q.closed {
 			return v, false
 		}
-		p := q.c.cur
+		p := q.c.parker()
 		q.waiters.Push(q.c.takeWaiter(p, 0))
 		q.c.block(reasonQueue, nil)
-		p.park()
+		q.c.park(p)
 		// Resumed: re-check. The waker already recycled the waiter shell.
 	}
 }
@@ -120,10 +120,10 @@ func (s *Semaphore) Acquire(n int64) {
 		s.free -= n
 		return
 	}
-	p := s.c.cur
+	p := s.c.parker()
 	s.waiters.Push(s.c.takeWaiter(p, n))
 	s.c.block(s.reasonIdx, nil)
-	p.park()
+	s.c.park(p)
 }
 
 // Release returns n units and wakes as many queued acquirers as now fit,
@@ -198,10 +198,10 @@ func (e *Event) Wait() {
 	if e.set {
 		return
 	}
-	p := e.c.cur
+	p := e.c.parker()
 	e.waiters.Push(e.c.takeWaiter(p, 0))
 	e.c.block(reasonEvent, nil)
-	p.park()
+	e.c.park(p)
 }
 
 // IsSet reports whether the event fired.

@@ -40,11 +40,15 @@ type schedOp struct {
 }
 
 // schedProgram is one scenario: the primitives it uses and one op list
-// per body. The root process runs body 0.
+// per body. The root process runs body 0. Bit b of tasks makes the
+// real Clock run each spawn of body b as a Task; bit 0 is never set,
+// and a task body holds no opWait (an Event has no task form). The
+// reference scheduler ignores tasks: to it a task is a process.
 type schedProgram struct {
 	semCaps        []int64
 	queues, events int
 	bodies         [][]schedOp
+	tasks          uint32
 }
 
 type logEntry struct {
@@ -114,7 +118,35 @@ func runReal(p *schedProgram) (out schedOutcome) {
 		events[i] = NewEvent(c)
 	}
 	dead := false
-	var run func(pid, body int)
+	var run, spawnTask func(pid, body int)
+	// apply runs op i of body for pid when o is an op that never blocks.
+	apply := func(pid, body, i int, o schedOp) {
+		switch o.kind {
+		case opRelease:
+			if n := st.releaseUnits(pid, o); n > 0 {
+				st.held[pid][o.obj] -= n
+				sems[o.obj].Release(n)
+			}
+		case opPut:
+			if !st.closed[o.obj] {
+				queues[o.obj].Put(putValue(pid, i))
+			}
+		case opClose:
+			st.closed[o.obj] = true
+			queues[o.obj].Close()
+		case opSet:
+			events[o.obj].Set()
+		case opSpawn:
+			if st.spawnable(body, o) {
+				child := st.newPid()
+				if p.tasks&(1<<o.obj) != 0 {
+					spawnTask(child, o.obj)
+				} else {
+					c.Go("proc", func() { run(child, o.obj) })
+				}
+			}
+		}
+	}
 	run = func(pid, body int) {
 		for i, o := range p.bodies[body] {
 			val := 0
@@ -125,39 +157,63 @@ func runReal(p *schedProgram) (out schedOutcome) {
 				n := st.acquireUnits(o)
 				sems[o.obj].Acquire(n)
 				st.held[pid][o.obj] += n
-			case opRelease:
-				if n := st.releaseUnits(pid, o); n > 0 {
-					st.held[pid][o.obj] -= n
-					sems[o.obj].Release(n)
-				}
-			case opPut:
-				if !st.closed[o.obj] {
-					queues[o.obj].Put(putValue(pid, i))
-				}
 			case opGet:
 				v, ok := queues[o.obj].Get()
 				if !ok {
 					v = -1
 				}
 				val = v
-			case opClose:
-				st.closed[o.obj] = true
-				queues[o.obj].Close()
-			case opSet:
-				events[o.obj].Set()
 			case opWait:
 				events[o.obj].Wait()
-			case opSpawn:
-				if st.spawnable(body, o) {
-					child := st.newPid()
-					c.Go("proc", func() { run(child, o.obj) })
-				}
+			default:
+				apply(pid, body, i, o)
 			}
 			if dead {
 				return
 			}
 			st.record(pid, i, c.Now(), val)
 		}
+	}
+	// spawnTask runs body as a step machine: pc is the op in progress,
+	// and resumed says the task parked in it, so a Sleep or Acquire has
+	// completed when the step runs next (a Get retries, as Get does).
+	spawnTask = func(pid, body int) {
+		ops := p.bodies[body]
+		pc, resumed := 0, false
+		var t *Task
+		t = c.Spawn("task", func() {
+			for ; pc < len(ops); pc++ {
+				o, val := ops[pc], 0
+				switch o.kind {
+				case opSleep:
+					if !resumed && !t.Sleep(time.Duration(o.arg%4)*time.Millisecond) {
+						resumed = true
+						return
+					}
+				case opAcquire:
+					n := st.acquireUnits(o)
+					if !resumed && !sems[o.obj].AcquireTask(t, n) {
+						resumed = true
+						return
+					}
+					st.held[pid][o.obj] += n
+				case opGet:
+					v, ok, wait := queues[o.obj].GetTask(t)
+					if wait {
+						return
+					}
+					if !ok {
+						v = -1
+					}
+					val = v
+				default:
+					apply(pid, body, pc, o)
+				}
+				resumed = false
+				st.record(pid, pc, c.Now(), val)
+			}
+			t.Exit()
+		})
 	}
 	defer func() {
 		r := recover()
@@ -179,12 +235,14 @@ func runReal(p *schedProgram) (out schedOutcome) {
 // reapParked finishes the coroutines a deadlock leaves parked, so that
 // fuzzing does not leak one goroutine per blocked process: with every
 // queue closed, each parked process returns from its primitive, sees
-// dead and exits.
+// dead and exits. A parked task has no coroutine to finish.
 func reapParked(dead *bool, sems []*Semaphore, queues []*Queue[int], events []*Event) {
 	var parked []*proc
 	collect := func(f *FIFO[*waiter]) {
 		for i := 0; i < f.Len(); i++ {
-			parked = append(parked, f.At(i).p)
+			if p := f.At(i).p; p.yield != nil {
+				parked = append(parked, p)
+			}
 		}
 	}
 	for _, s := range sems {
@@ -393,7 +451,8 @@ func checkSchedule(t *testing.T, p *schedProgram) schedOutcome {
 
 // decodeProgram turns fuzz bytes into a program; missing bytes read as
 // zero. Every field is a byte taken modulo its range, so encodeProgram
-// is its inverse.
+// is its inverse. A body's length byte carries its task flag in bit 4;
+// a task body reads opWait as opSet.
 func decodeProgram(data []byte) *schedProgram {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -411,9 +470,17 @@ func decodeProgram(data []byte) *schedProgram {
 	p.bodies = make([][]schedOp, 1+next(4))
 	counts := [numOpKinds]int{len(p.semCaps), len(p.semCaps), len(p.semCaps), p.queues, p.queues, p.queues, p.events, p.events, len(p.bodies)}
 	for b := range p.bodies {
-		p.bodies[b] = make([]schedOp, next(16))
+		n := next(32)
+		task := b > 0 && n >= 16
+		if task {
+			p.tasks |= 1 << b
+		}
+		p.bodies[b] = make([]schedOp, n%16)
 		for i := range p.bodies[b] {
 			k := opKind(next(int(numOpKinds)))
+			if task && k == opWait {
+				k = opSet
+			}
 			p.bodies[b][i] = schedOp{k, next(counts[k]), next(256)}
 		}
 	}
@@ -426,8 +493,8 @@ func encodeProgram(p *schedProgram) []byte {
 		out = append(out, byte(c-1))
 	}
 	out = append(out, byte(p.queues-1), byte(p.events-1), byte(len(p.bodies)-1))
-	for _, ops := range p.bodies {
-		out = append(out, byte(len(ops)))
+	for b, ops := range p.bodies {
+		out = append(out, byte(len(ops))|byte(p.tasks>>b&1)<<4)
 		for _, o := range ops {
 			out = append(out, byte(o.kind), byte(o.obj), byte(o.arg))
 		}
@@ -436,10 +503,10 @@ func encodeProgram(p *schedProgram) []byte {
 }
 
 // FuzzSchedule checks the Clock against the reference scheduler on
-// random programs: identical (process, op, time) logs, and a deadlock
-// reported exactly when the model deadlocks, with the same census. The
-// committed seed corpus holds the hand-written programs of
-// batch_test.go.
+// random programs that mix processes and tasks: identical (process,
+// op, time) logs, and a deadlock reported exactly when the model
+// deadlocks, with the same census. The committed seed corpus holds the
+// hand-written programs of batch_test.go.
 func FuzzSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSchedule(t, decodeProgram(data))

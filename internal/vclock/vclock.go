@@ -2,24 +2,28 @@
 // GFlink simulator.
 //
 // Every concurrent component of the simulated cluster (task slots, CUDA
-// streams, DMA engines, network transfers, disks) runs as a coroutine
-// registered with a Clock. Such a coroutine is called a process.
-// Processes may block only through the primitives provided by this
-// package (Sleep, Queue, Semaphore, Event, ...). Scheduling is
-// cooperative: Run resumes one process at a time on its caller's
-// goroutine, and when that process blocks it yields back to Run, which
-// resumes the next ready process in FIFO wake order. The clock advances
-// to the earliest pending deadline exactly when no process is ready,
-// which makes simulated schedules —
+// streams, DMA engines, network transfers, disks) runs as a process
+// registered with a Clock: a coroutine (Go), or a stackless Task
+// (Spawn) whose step function the dispatcher calls in place. Processes
+// may block only through the primitives provided by this package
+// (Sleep, Queue, Semaphore, Event, ...); a task uses their task forms.
+// Scheduling is cooperative: Run resumes one process at a time on its
+// caller's goroutine, and when that process blocks it yields back to
+// Run, which resumes the next ready process in FIFO wake order. The
+// clock advances to the earliest pending deadline exactly when no
+// process is ready, which makes simulated schedules —
 // including the admission order at contended semaphores when several
 // processes wake at the same instant — deterministic and independent of
-// host scheduling, GOMAXPROCS, or wall time.
+// host scheduling, GOMAXPROCS, or wall time. A task waits in the same
+// queues as a process, so whether a waiter is a task or a coroutine
+// never changes when it wakes.
 //
 // The clock is the lock: because exactly one process runs at a time,
-// and every switch between processes is a coroutine handoff on Run's
-// goroutine, the clock's state and the state of every primitive need
-// no mutex. The code between two blocking calls of a process runs
-// atomically with respect to every other process of the same clock.
+// and every switch between processes is a coroutine handoff (or a step
+// call) on Run's goroutine, the clock's state and the state of every
+// primitive need no mutex. The code between two blocking calls of a
+// process runs atomically with respect to every other process of the
+// same clock.
 //
 // Dispatch is batched: when the clock advances, every timer sharing the
 // new instant is drained from the heap at once, in seq order, into a
@@ -43,23 +47,31 @@ import (
 
 // proc is one registered process: its coroutine (next resumes it until
 // it parks or exits; yield, captured when it first runs, parks it) plus
-// the process name for diagnostics. The shell is recycled through a free
-// list when the process exits.
+// the process name for diagnostics. A task's shell (see Task) has no
+// coroutine: its next calls the step in place, and its yield stays nil.
+// A process shell is recycled through a free list when the process
+// exits.
 type proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	name  string
 }
 
-// park gives up the execution slot: the coroutine switches back to the
+// park gives up p's execution slot: the coroutine switches back to the
 // dispatch loop in Run, which resumes it once a dispatch selects it
 // again. Callers must have let block choose the next process first.
 //
 //gflink:hotpath
-func (p *proc) park() {
+func (c *Clock) park(p *proc) {
+	c.parks++
 	//gflink:allow-alloc a coroutine switch through iter.Pull's yield allocates nothing
 	p.yield(struct{}{})
 }
+
+// Parks reports how many times a process has parked its coroutine: the
+// count of coroutine round trips the run has paid. Task waits and
+// self-waking sleeps do not park.
+func (c *Clock) Parks() uint64 { return c.parks }
 
 // Census indices for the closed set of built-in block reasons. The
 // blocked-process census is a fixed-index counter array — not a map —
@@ -96,6 +108,7 @@ type Clock struct {
 	wakeq   Ring[*proc]
 	timers  timerHeap
 	seq     uint64 // tie-break for identical deadlines; preserves FIFO order
+	parks   uint64 // coroutine parks so far (Parks)
 	started bool   // set by Run; no advancement/deadlock checks before it
 	// Fixed-index blocked census for deadlock diagnostics: blockedN[i]
 	// processes are parked for reasonLabels[i].
@@ -143,9 +156,9 @@ func (c *Clock) RegisterReason(label string) int {
 //gflink:hotpath
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Go spawns fn as a new registered process. Only a process of this
-// clock may call Go, or — before Run — the goroutine that will call
-// Run. The new process does not run immediately: it joins the ready
+// Go spawns fn as a new registered process. Only a process (or task)
+// of this clock may call Go, or — before Run — the goroutine that will
+// call Run. The new process does not run immediately: it joins the ready
 // queue and is dispatched when the current process blocks or exits, so
 // spawn order — not host scheduling — decides execution order.
 func (c *Clock) Go(name string, fn func()) {
@@ -153,9 +166,8 @@ func (c *Clock) Go(name string, fn func()) {
 	p.next = coroutine(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil && !c.hasPanic {
-				c.hasPanic = true
-				c.panicked = fmt.Errorf("process %q panicked: %v", p.name, r)
+			if r := recover(); r != nil {
+				c.recordPanic(p, r)
 			}
 			c.exit(p)
 		}()
@@ -173,9 +185,10 @@ func (c *Clock) Go(name string, fn func()) {
 // dispatch chooses and regains control when that process parks or
 // exits, so exactly one process executes at a time by construction and
 // a handoff is a coroutine switch, not a wake-up of another goroutine.
+// A task's step is called in place, with no switch at all.
 //
-// Processes spawned before Run (e.g., stream executors created during
-// deployment construction) may block on primitives; the clock neither
+// Processes spawned before Run (e.g., stream executor tasks created
+// during deployment construction) may block on primitives; the clock neither
 // advances nor declares deadlock until Run starts.
 func (c *Clock) Run(root func()) time.Duration {
 	c.Go("root", root)
@@ -183,17 +196,39 @@ func (c *Clock) Run(root func()) time.Duration {
 	// Kick the dispatcher: processes spawned before Run (including root)
 	// are parked in the ready queue and run from here on, one at a time.
 	c.dispatch(nil)
-	// No process left to resume means every process exited, or the last
-	// dispatch found a deadlock (possibly after a process panicked).
-	for c.nextp != nil {
-		next := c.nextp.next
-		c.nextp = nil
-		next()
-	}
+	c.loop()
 	if c.hasPanic {
 		panic(c.panicked)
 	}
 	return c.now
+}
+
+// loop resumes the process each dispatch chooses until none is left:
+// every process exited, or the last dispatch found a deadlock (possibly
+// after a process panicked). A process recovers its own panic; a
+// task's panic is recovered here and ends the run.
+func (c *Clock) loop() {
+	var p *proc
+	defer func() {
+		if r := recover(); r != nil {
+			c.nextp = nil
+			c.recordPanic(p, r)
+		}
+	}()
+	for c.nextp != nil {
+		p = c.nextp
+		c.nextp = nil
+		p.next()
+	}
+}
+
+// recordPanic keeps the first panic raised inside a process or step,
+// naming it, for Run to re-raise on its caller's goroutine.
+func (c *Clock) recordPanic(p *proc, r any) {
+	if !c.hasPanic {
+		c.hasPanic = true
+		c.panicked = fmt.Errorf("process %q panicked: %v", p.name, r)
+	}
 }
 
 // exit unregisters the calling process, recycles its shell and chooses
@@ -221,13 +256,13 @@ func (c *Clock) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p := c.cur
+	p := c.parker()
 	c.seq++
 	c.timers.push(timer{deadline: c.now + d, seq: c.seq, p: p})
 	if c.block(reasonSleep, p) {
 		return
 	}
-	p.park()
+	c.park(p)
 }
 
 // takeProc returns a recycled (or new) process shell.
@@ -282,7 +317,8 @@ func (c *Clock) putWaiter(w *waiter) {
 // clock if none is ready). self is the calling process when the caller
 // can be woken by a timer it just armed; block returns true when the
 // dispatcher re-selected self, in which case the caller keeps the slot
-// and must NOT park. Otherwise the caller must park (p.park) next.
+// and must NOT park. Otherwise the caller must park (c.park) next, or,
+// for a task, return from its step.
 //
 //gflink:hotpath
 func (c *Clock) block(idx int, self *proc) bool {

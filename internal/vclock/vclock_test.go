@@ -332,7 +332,7 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 
 // TestRunLeavesNoGoroutines checks that every process's coroutine has
 // finished by the time Run returns, for processes spawned both before
-// and during the run.
+// and during the run, with a task alive beside them.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := New()
@@ -342,6 +342,20 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		for {
 			v, ok := q.Get()
 			if !ok {
+				return
+			}
+			sum += v
+		}
+	})
+	var task *Task
+	task = c.Spawn("task-consumer", func() {
+		for {
+			v, ok, wait := q.GetTask(task)
+			if wait {
+				return
+			}
+			if !ok {
+				task.Exit()
 				return
 			}
 			sum += v
@@ -359,7 +373,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		q.Close()
 	})
 	if sum != 10 {
-		t.Fatalf("consumer summed %d, want 10", sum)
+		t.Fatalf("consumers summed %d, want 10", sum)
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after Run, %d before", after, before)
@@ -527,16 +541,17 @@ func TestDeterminism(t *testing.T) {
 // processes. In the semaphore and queue cases two processes ping-pong,
 // each parking as it wakes the other: the semaphore case passes a
 // one-unit Semaphore back and forth, the queue case bounces a value over
-// two Queues. In the timers case every handoff goes through the timer
-// heap instead.
+// two Queues. The task case passes the semaphore between a process and
+// a task, so only the process's half is a coroutine switch. In the
+// timers case every handoff goes through the timer heap instead.
 func BenchmarkHandoff(b *testing.B) {
-	// pingPong runs root as the root process after spawning peer and
-	// letting it run until it parks, so every timed iteration is two
+	// pingPong runs root as the root process after spawning the peer
+	// and letting it run until it parks, so every timed iteration is two
 	// handoffs: root to peer and back.
-	pingPong := func(b *testing.B, c *Clock, root, peer func()) {
+	pingPong := func(b *testing.B, c *Clock, root, spawnPeer func()) {
 		b.ReportAllocs()
 		c.Run(func() {
-			c.Go("peer", peer)
+			spawnPeer()
 			c.Sleep(0)
 			b.ResetTimer()
 			root()
@@ -544,20 +559,47 @@ func BenchmarkHandoff(b *testing.B) {
 		})
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/handoff")
 	}
-	b.Run("semaphore", func(b *testing.B) {
-		c := New()
-		sem := NewSemaphore(c, "slot", 1)
-		sem.Acquire(1) // the root starts out holding the unit
-		pingPong(b, c, func() {
+	// semRoot starts out holding sem's unit and hands it to the peer and
+	// back b.N times.
+	semRoot := func(b *testing.B, sem *Semaphore) func() {
+		return func() {
 			for i := 0; i < b.N; i++ {
 				sem.Release(1) // hands the unit to the parked peer
 				sem.Acquire(1) // parks until the peer releases it
 			}
-		}, func() {
-			for i := 0; i < b.N; i++ {
-				sem.Acquire(1)
-				sem.Release(1)
-			}
+		}
+	}
+	b.Run("semaphore", func(b *testing.B) {
+		c := New()
+		sem := NewSemaphore(c, "slot", 1)
+		sem.Acquire(1)
+		pingPong(b, c, semRoot(b, sem), func() {
+			c.Go("peer", func() {
+				for i := 0; i < b.N; i++ {
+					sem.Acquire(1)
+					sem.Release(1)
+				}
+			})
+		})
+	})
+	b.Run("task", func(b *testing.B) {
+		c := New()
+		sem := NewSemaphore(c, "slot", 1)
+		sem.Acquire(1)
+		pingPong(b, c, semRoot(b, sem), func() {
+			var peer *Task
+			n, granted := 0, false
+			peer = c.Spawn("peer", func() {
+				for ; n < b.N; n++ {
+					if !granted && !sem.AcquireTask(peer, 1) {
+						granted = true // charged when the step runs next
+						return
+					}
+					granted = false
+					sem.Release(1)
+				}
+				peer.Exit()
+			})
 		})
 	})
 	b.Run("queue", func(b *testing.B) {
@@ -569,10 +611,12 @@ func BenchmarkHandoff(b *testing.B) {
 				pong.Get()
 			}
 		}, func() {
-			for i := 0; i < b.N; i++ {
-				v, _ := ping.Get()
-				pong.Put(v)
-			}
+			c.Go("peer", func() {
+				for i := 0; i < b.N; i++ {
+					v, _ := ping.Get()
+					pong.Put(v)
+				}
+			})
 		})
 	})
 	b.Run("timers", func(b *testing.B) {
