@@ -13,9 +13,9 @@
 // path, where copies are the norm.
 //
 // Inside gated functions (function literals included) every copy is
-// flagged — the CUDAWrapper Memcpy entry points, whole-buffer and
-// ranged alike, and the builtin copy — unless the site carries
-// //gflink:real-copy.
+// flagged — the CUDAWrapper's synchronous Memcpy, the stream copies a
+// gstream worker enqueues, whole-buffer and ranged alike, and the
+// builtin copy — unless the site carries //gflink:real-copy.
 package outputpurity
 
 import (
@@ -33,16 +33,17 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const corePath = "gflink/internal/core"
-
-// wrapperCopy lists the CUDAWrapper entry points that move buffer
-// bytes.
-var wrapperCopy = map[string]bool{
-	"CUDAWrapper.MemcpyH2D":            true,
-	"CUDAWrapper.MemcpyD2H":            true,
-	"CUDAWrapper.MemcpyH2DAsync":       true,
-	"CUDAWrapper.MemcpyD2HAsync":       true,
-	"CUDAWrapper.MemcpyH2DRangesAsync": true,
+// copyCalls lists the entry points that move buffer bytes, by package
+// path and then object key.
+var copyCalls = map[string]map[string]bool{
+	"gflink/internal/core": {
+		"CUDAWrapper.MemcpyH2D": true,
+	},
+	"gflink/internal/gpu": {
+		"Stream.H2DAsync":       true,
+		"Stream.H2DRangesAsync": true,
+		"Stream.D2HAsync":       true,
+	},
 }
 
 // scope is one declared function in a non-test file.
@@ -151,7 +152,7 @@ func checkGated(pass *analysis.Pass, sc *scope) {
 		}
 		if !isBuiltinCopy(info, call) {
 			fn := analysis.StaticCallee(info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != corePath || !wrapperCopy[analysis.ObjectKey(fn)] {
+			if fn == nil || fn.Pkg() == nil || !copyCalls[fn.Pkg().Path()][analysis.ObjectKey(fn)] {
 				return true
 			}
 		}

@@ -9,28 +9,34 @@ import (
 )
 
 //gflink:gated projection
-func rangedNilInGated(w *core.CUDAWrapper, s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer) {
-	w.MemcpyH2DRangesAsync(s, dst, in, nil, 10) // want `copy inside feature-gated code`
+func rangedNilInGated(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer) {
+	s.H2DRangesAsync(dst, in, nil, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated projection
-func rangedVarInGated(w *core.CUDAWrapper, s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer, k int) {
+func rangedVarInGated(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer, k int) {
 	ranges := []gpu.CopyRange{{Off: 0, Len: 4}}
 	if k == 0 { // an equality guard does not sanction the copy
 		ranges = nil
 	}
-	w.MemcpyH2DRangesAsync(s, dst, in, ranges, 10) // want `copy inside feature-gated code`
+	s.H2DRangesAsync(dst, in, ranges, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated projection
-func rangedEmptyInGated(w *core.CUDAWrapper, s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer) {
-	w.MemcpyH2DRangesAsync(s, dst, in, []gpu.CopyRange{}, 10) // want `copy inside feature-gated code`
+func rangedEmptyInGated(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer) {
+	s.H2DRangesAsync(dst, in, []gpu.CopyRange{}, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated projection
-func rangedSanctioned(w *core.CUDAWrapper, s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer, ranges []gpu.CopyRange) {
+func rangedSanctioned(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer, ranges []gpu.CopyRange) {
 	//gflink:real-copy -- the projected columns are the sanctioned copy here
-	w.MemcpyH2DRangesAsync(s, dst, in, ranges, 10)
+	s.H2DRangesAsync(dst, in, ranges, 10)
+}
+
+//gflink:gated hosttier
+func streamCopiesInGated(s *gpu.Stream, dev *gpu.Buffer, host *membuf.HBuffer) {
+	s.H2DAsync(dev, host, 10) // want `copy inside feature-gated code`
+	s.D2HAsync(host, dev, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated hosttier
@@ -59,18 +65,18 @@ func insideClosure(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *mem
 
 // inheritsGate is reachable only from gated code, so it inherits the
 // obligation through the caller fixpoint.
-func inheritsGate(w *core.CUDAWrapper, d *gpu.Device, dst *membuf.HBuffer, src *gpu.Buffer) {
-	w.MemcpyD2H(d, dst, src, 10) // want `copy inside feature-gated code`
+func inheritsGate(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer) {
+	s.D2HAsync(dst, src, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated projection
-func gatedCallerA(w *core.CUDAWrapper, d *gpu.Device, dst *membuf.HBuffer, src *gpu.Buffer) {
-	inheritsGate(w, d, dst, src)
+func gatedCallerA(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer) {
+	inheritsGate(s, dst, src)
 }
 
 //gflink:gated hosttier
-func gatedCallerB(w *core.CUDAWrapper, d *gpu.Device, dst *membuf.HBuffer, src *gpu.Buffer) {
-	inheritsGate(w, d, dst, src)
+func gatedCallerB(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer) {
+	inheritsGate(s, dst, src)
 }
 
 // sharedHelper also runs on the default path (one ungated caller), so
@@ -86,6 +92,6 @@ func gatedMixedCaller(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *
 
 func ungatedMixedCaller(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer, s *gpu.Stream) {
 	sharedHelper(w, d, dst, src)
-	w.MemcpyD2H(d, nil, nil, 10)                 // ungated code copies freely
-	w.MemcpyH2DRangesAsync(s, dst, src, nil, 10) // ranged copies too
+	s.D2HAsync(nil, nil, 10)            // ungated code copies freely
+	s.H2DRangesAsync(dst, src, nil, 10) // ranged copies too
 }

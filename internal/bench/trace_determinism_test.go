@@ -54,20 +54,25 @@ func TestFig8aTraceDeterministic(t *testing.T) {
 }
 
 // TestGoldenTraceHashes pins the full-workload schedules: the SHA-256
-// of the fig8a and abl-backpressure Chrome traces. The hashes were
-// recorded from the harness as it stood before its scale multiplier was
-// deleted, run with the multiplier at 1: the same program this one
-// runs. Any change to a wake order — in the vclock or above it — fails
-// here. A change that moves simulated behaviour on purpose re-records
-// them and says why.
+// of the fig8a, abl-backpressure and abl-oocore Chrome traces. The
+// fig8a and abl-backpressure hashes were recorded from the harness as
+// it stood before its scale multiplier was deleted, run with the
+// multiplier at 1: the same program this one runs. The abl-oocore hash
+// pins the host-tier path (demotion, spill and promotion inside the
+// gstream workers) and was recorded while the workers were still
+// coroutines. Any change to a wake order — in the vclock or above it —
+// fails here. A change that moves simulated behaviour on purpose
+// re-records them and says why.
 func TestGoldenTraceHashes(t *testing.T) {
 	_, backpressure := backpressureTrace(t)
+	_, oocore := oocoreTrace(t)
 	for id, c := range map[string]struct {
 		data []byte
 		want string
 	}{
 		"fig8a":            {fig8aTrace(t), "98341a78ff7f96a12d450179d9b446622098190754290145574df9ec0c82d6f9"},
 		"abl-backpressure": {backpressure, "d2c3906ca75d8c2349d6b67fc3cfb0edc600e855e29acd0c8e994a3f448254d6"},
+		"abl-oocore":       {oocore, "fe139492deaeb225c1030c9165ea5c3ad9414abed137fc9b8960793521f53a5f"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
 			t.Errorf("%s trace sha256 = %s, want %s (%d bytes)", id, got, c.want, len(c.data))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -179,5 +181,141 @@ func TestKernelErrorFailsWork(t *testing.T) {
 	}
 	if !strings.Contains(errAttr, "bad block") {
 		t.Errorf("failed kernel's gwork span has error attribute %q, want the kernel's error", errAttr)
+	}
+}
+
+// TestAllocReclaimRetry covers the cache-reclaim retry of a stream
+// worker's cudaMalloc, with the host tier off and on (where Reclaim
+// demotes its victims through the worker's Task.Call). Two works fill
+// the cache with unpinned 1.2 GiB entries, leaving 0.6 GiB of the
+// C2050's 3 GiB free. A work whose output needs 1.5 GiB then fails its
+// first output allocation; Reclaim evicts one entry and the retry
+// succeeds with the right bytes. A work whose output needs 4 GiB fails
+// its retry too: Wait returns the error, both of its spans are closed,
+// every device byte outside the cache comes back and its shell goes
+// back to the pool.
+func TestAllocReclaimRetry(t *testing.T) {
+	const (
+		job   = 1
+		n     = 16
+		entry = 1200 << 20
+	)
+	for _, tier := range []int64{0, 8 << 30} {
+		for _, tc := range []struct {
+			name       string
+			outNominal int64
+			evictions  int64
+			fail       bool
+		}{
+			{"retry-succeeds", 1500 << 20, 1, false},
+			{"retry-fails", 4 << 30, 2, true},
+		} {
+			t.Run(fmt.Sprintf("%s/tier=%v", tc.name, tier > 0), func(t *testing.T) {
+				g := New(Config{
+					Config:           flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
+					GPUsPerWorker:    1,
+					StreamsPerGPU:    1,
+					CacheBytesPerJob: 2500 << 20,
+					HostTierBytes:    tier,
+				})
+				dev := g.Manager(0).Devices[0]
+				mem := g.Manager(0).Streams.Memory(0)
+				wp := g.Manager(0).Streams.Pool()
+				metrics := g.Obs.Metrics()
+				var before, after, evicted, demoted int64
+				var werr error
+				var outBytes []byte
+				var reused bool
+				var free int64
+				g.Run(func() {
+					pool := g.Cluster.TaskManagers[0].Pool
+					in := pool.MustAllocate(4 * n)
+					out := pool.MustAllocate(4 * n)
+					defer in.Free()
+					defer out.Free()
+					for b := 0; b < 2; b++ {
+						w := &GWork{
+							ExecuteName: "core_test.double",
+							Size:        n, Nominal: n,
+							BlockSize: 256, GridSize: 1,
+							In:  []Input{{Buf: in, Nominal: entry, Cache: true, Key: CacheKey{JobID: job, Block: b}}},
+							Out: out, OutNominal: 4 * n, JobID: job,
+						}
+						g.Manager(0).Streams.Submit(w)
+						if err := w.Wait(); err != nil {
+							werr = err
+							return
+						}
+					}
+					free = dev.FreeBytes()
+					for i := 0; i < n; i++ {
+						binary.LittleEndian.PutUint32(in.Bytes()[i*4:], math.Float32bits(float32(i)))
+					}
+					evicted = metrics.Get("cache.evictions.gpu0")
+					demoted = metrics.Get("mem.demotions.gpu0")
+					before = dev.UsedBytes() - mem.Used(job)
+					w := wp.Get()
+					w.ExecuteName = "core_test.double"
+					w.Size, w.Nominal = n, n
+					w.BlockSize, w.GridSize = 256, 1
+					w.In = append(w.In, Input{Buf: in, Nominal: 4 * n})
+					w.Out, w.OutNominal, w.JobID = out, tc.outNominal, job
+					g.Manager(0).Streams.Submit(w)
+					werr = w.Wait()
+					after = dev.UsedBytes() - mem.Used(job)
+					outBytes = append(outBytes, out.Bytes()...)
+					free := len(wp.free)
+					wp.Put(w)
+					reused = len(wp.free) == free+1
+				})
+				if free >= tc.outNominal {
+					t.Fatalf("device has %d bytes free before the work (fill error %v), want fewer than its output's %d", free, werr, tc.outNominal)
+				}
+				evicted = metrics.Get("cache.evictions.gpu0") - evicted
+				demoted = metrics.Get("mem.demotions.gpu0") - demoted
+				if evicted != tc.evictions {
+					t.Errorf("Reclaim evicted %d cache entries, want %d", evicted, tc.evictions)
+				}
+				if want := evicted; tier == 0 {
+					if demoted != 0 {
+						t.Errorf("%d demotions without a host tier", demoted)
+					}
+				} else if demoted != want {
+					t.Errorf("%d demotions, want one per eviction (%d)", demoted, want)
+				}
+				if after != before {
+					t.Errorf("device bytes outside the cache = %d after the work, want %d", after, before)
+				}
+				if !reused {
+					t.Error("the work's shell did not go back to the pool")
+				}
+				if !tc.fail {
+					if werr != nil {
+						t.Fatalf("Wait = %v, want the retry to succeed", werr)
+					}
+					for i := 0; i < n; i++ {
+						if got := math.Float32frombits(binary.LittleEndian.Uint32(outBytes[i*4:])); got != float32(2*i) {
+							t.Fatalf("out[%d] = %v, want %v", i, got, float32(2*i))
+						}
+					}
+					return
+				}
+				if werr == nil || !strings.Contains(werr.Error(), "allocating output") {
+					t.Fatalf("Wait = %v, want the output allocation's error", werr)
+				}
+				// The failed work records its spans last: the queue wait,
+				// then the error-annotated gwork span.
+				spans := g.Obs.Tracer().Spans()
+				queue := spans[len(spans)-2].Cat == "queue" && spans[len(spans)-2].End >= spans[len(spans)-2].Start
+				last := spans[len(spans)-1]
+				gwork := false
+				for _, a := range last.Attrs {
+					gwork = gwork || last.Cat == "gwork" && a.Key == "error" && last.End >= last.Start
+				}
+				if !queue || !gwork {
+					t.Errorf("failed work's spans: queue=%v error-annotated gwork=%v, want both", queue, gwork)
+				}
+			})
+		}
 	}
 }

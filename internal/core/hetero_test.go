@@ -93,25 +93,39 @@ func TestNewIsUniformHetero(t *testing.T) {
 	b.Run(func() {})
 }
 
+// TestCUDAWrapperChargesControlChannel pins what each CUDA entry point
+// charges before its action: one JNI round trip on the control channel,
+// the JNI redirect on the transfer channel. A stackful entry point
+// sleeps exactly its charge before acting: registering an already
+// pinned buffer costs the JNI call alone.
 func TestCUDAWrapperChargesControlChannel(t *testing.T) {
 	g := newGFlink(1, 1)
 	m := costmodel.Default()
+	wr := g.Manager(0).Wrapper
+	for _, c := range []struct {
+		call cudaCall
+		want time.Duration
+	}{
+		{callMalloc, m.Overheads.JNICall},
+		{callFree, m.Overheads.JNICall},
+		{callHostRegister, m.Overheads.JNICall},
+		{callLaunch, m.Overheads.JNICall},
+		{callStreamSynchronize, m.Overheads.JNICall},
+		{callMemcpyH2D, m.PCIe.JNIRedirect},
+		{callMemcpyD2H, m.PCIe.JNIRedirect},
+	} {
+		if got := wr.charge(c.call); got != c.want {
+			t.Errorf("charge(%d) = %v, want %v", c.call, got, c.want)
+		}
+	}
 	g.Run(func() {
-		dev := g.Manager(0).Devices[0]
-		wr := g.Manager(0).Wrapper
+		h := g.Cluster.TaskManagers[0].Pool.MustAllocate(64)
+		defer h.Free()
+		h.Pin()
 		t0 := g.Clock.Now()
-		b, err := wr.Malloc(dev, 1024, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One JNI round trip plus the driver's allocation overhead.
-		if got := g.Clock.Now() - t0; got <= m.Overheads.JNICall {
-			t.Errorf("Malloc charged %v, want > JNI %v", got, m.Overheads.JNICall)
-		}
-		t1 := g.Clock.Now()
-		wr.Free(dev, b)
-		if got := g.Clock.Now() - t1; got != m.Overheads.JNICall {
-			t.Errorf("Free charged %v, want %v", got, m.Overheads.JNICall)
+		wr.HostRegister(h)
+		if got := g.Clock.Now() - t0; got != m.Overheads.JNICall {
+			t.Errorf("HostRegister of a pinned buffer charged %v, want %v", got, m.Overheads.JNICall)
 		}
 	})
 }

@@ -95,9 +95,9 @@ func TestHotPathZeroAllocsPerGWork(t *testing.T) {
 }
 
 // TestHotPathParksPerGWork pins the coroutine switches a GWork costs at
-// steady state: 1 in the driver and 6 in the gstream worker. The GPU
-// stream executors are vclock tasks, stepped in place without a park;
-// with stackful executors the count was 12.
+// steady state: 1, the driver's Wait. The gstream worker and the GPU
+// stream executors are vclock tasks, stepped in place without a park,
+// and with no host tier the worker never borrows a stack for Task.Call.
 func TestHotPathParksPerGWork(t *testing.T) {
 	const works = 1000
 	var parks uint64
@@ -111,7 +111,7 @@ func TestHotPathParksPerGWork(t *testing.T) {
 		}
 		parks = clock.Parks() - before
 	})
-	if parks != 7*works {
-		t.Fatalf("%.2f parks per GWork at steady state, want 7", float64(parks)/works)
+	if parks != works {
+		t.Fatalf("%.2f parks per GWork at steady state, want 1", float64(parks)/works)
 	}
 }

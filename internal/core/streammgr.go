@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gflink/internal/gpu"
+	"gflink/internal/membuf"
 	"gflink/internal/obs"
 	"gflink/internal/vclock"
 )
@@ -68,16 +69,43 @@ type deviceState struct {
 	budgetCap int64
 }
 
+// streamWorker feeds one CUDA stream: a vclock.Task whose step drives
+// one GWork at a time through admission, the H2D / kernel / D2H
+// pipeline and its bookkeeping (see step).
 type streamWorker struct {
 	mgr    *GStreamManager
 	ds     *deviceState
 	stream *gpu.Stream
 	inbox  *vclock.Queue[*GWork]
 	track  string // trace track of this stream's pipeline spans
+	task   *vclock.Task
+	// tiered is set when the device's memory manager has a host tier:
+	// its Acquire, Insert and Reclaim then sleep inside promote, demote
+	// and spill, so the step makes them through Task.Call, with the
+	// prebuilt bodies lookupFn, insertFn and reclaimFn.
+	tiered                        bool
+	lookupFn, insertFn, reclaimFn func()
 
-	// Per-stream execution scratch, reused across the works this
-	// (single-process) stream executes so the three-stage pipeline is
-	// allocation-free at steady state. Reset by exec before each work.
+	// The work in flight and where the step machine stands in it.
+	w         *GWork
+	phase     workPhase
+	footprint int64         // admitted budget units, released at finish
+	tStart    time.Duration // the pipeline's start, after admission
+	// i indexes the loop of the current phase: the input being moved
+	// (len(w.In) stands for the output), the toCache entry being
+	// inserted, or the buffer being freed.
+	i           int
+	buf         *gpu.Buffer // the buffer being allocated
+	hit         bool        // the last cache lookup hit
+	cacheHits   int
+	cacheMisses int
+	kernelDur   time.Duration
+	kerr        error // the kernel's error
+	allocErr    error // the allocation failure that ended the work
+
+	// Per-stream execution scratch, reused across the works this stream
+	// executes so the three-stage pipeline is allocation-free at steady
+	// state. Reset by start before each work.
 	devBufs  []*gpu.Buffer
 	acquired []CacheKey
 	toCache  []int
@@ -90,9 +118,39 @@ type streamWorker struct {
 	tAfterH2D time.Duration
 	markH2D   func()
 	// fut is the reusable launch future (one per stream, not per work;
-	// safe because exec waits on each launch before issuing the next).
+	// safe because the step synchronizes on each launch before issuing
+	// the next).
 	fut *gpu.Future
 }
+
+// workPhase is where a stream worker's step stands. A phase that
+// follows a charge runs the action the charge pays for, so a step that
+// parked in the charge resumes exactly there.
+type workPhase uint8
+
+const (
+	phaseIdle       workPhase = iota // no work: take the next from the inbox
+	phaseAdmitted                    // the work's budget is held: start its pipeline
+	phaseInput                       // input i or the output: look a cached input up, or charge cudaMalloc
+	phaseLookedUp                    // input i's lookup is done: a miss charges cudaMalloc
+	phaseMalloc                      // reserve device memory; a failure reclaims the cache
+	phaseReclaimed                   // the cache was reclaimed: charge cudaMalloc again
+	phaseRetry                       // reserve again; a second failure fails the work
+	phaseFill                        // MallocOverhead passed: back the buffer, charge cudaHostRegister
+	phaseRegister                    // charge the pin, if the host buffer has none
+	phasePinned                      // the pin's charge passed: publish it
+	phaseRegistered                  // charge the input's copy, or set up the launch
+	phaseCopy                        // enqueue input i's H2D copy
+	phaseLaunch                      // enqueue the launch, charge the D2H copy
+	phaseD2H                         // enqueue the D2H copy, charge the synchronize
+	phaseDrain                       // a failed work charges the synchronize of its queued copies
+	phaseSync                        // synchronize the stream
+	phaseSynced                      // the stream drained: read the launch's result, or fail the work
+	phaseSettle                      // insert missed cache-flagged inputs into the cache
+	phaseRelease                     // drop the cache pins
+	phaseFree                        // free loop: charge cudaFree for buffer i, or finish
+	phaseFreed                       // free buffer i
+)
 
 // StreamConfig configures a GStreamManager. Clock, Wrapper and
 // Memories are required; the zero value of every other field selects
@@ -160,9 +218,11 @@ func NewStreamManager(cfg StreamConfig) *GStreamManager {
 			}
 			sw.markH2D = func() { sw.tAfterH2D = sw.mgr.clock.Now() }
 			sw.fut = gpu.NewFuture(cfg.Clock)
+			sw.tiered = mem.HostTierBytes() > 0
+			sw.lookupFn, sw.insertFn, sw.reclaimFn = sw.lookup, sw.insert, sw.reclaim
 			ds.streams = append(ds.streams, sw)
 			ds.idle.Push(sw)
-			cfg.Clock.Go(fmt.Sprintf("gstream-w%d-g%d-s%d", mem.Device().Node, i, s), sw.run)
+			sw.task = cfg.Clock.Spawn(fmt.Sprintf("gstream-w%d-g%d-s%d", mem.Device().Node, i, s), sw.step)
 		}
 		m.devs = append(m.devs, ds)
 	}
@@ -334,108 +394,232 @@ func (m *GStreamManager) nextOrIdle(sw *streamWorker) *GWork {
 	return nil
 }
 
-// run is a stream worker's consumer loop: execute directly handed work,
-// then keep pulling from the GWork Pool until it runs dry, then go
-// idle. (This is the event-driven equivalent of the paper's periodic
-// Stealing poll with an idle-timeout thread release.)
+// step is the stream worker task's step: a stream worker's consumer
+// loop. It executes directly handed work, then keeps pulling from the
+// GWork Pool until it runs dry, then goes idle on its inbox. (This is
+// the event-driven equivalent of the paper's periodic Stealing poll
+// with an idle-timeout thread release.)
+//
+// Each CUDAWrapper call is the call's charge, slept through the task,
+// followed by a phase that runs its action, so the step returns
+// wherever the task parks and resumes at that phase. Across its calls
+// it makes the primitive calls of the blocking pipeline — admission,
+// then per input a cache lookup, cudaMalloc (with one cache-reclaim
+// retry), cudaHostRegister and the H2D copy; the same for the output;
+// the launch, the D2H copy and cudaStreamSynchronize; then cache
+// inserts, cudaFree of every scratch buffer, completion and the budget
+// release — in that order, so wake order and simulated time are those
+// of that pipeline. The three memory-manager calls that can sleep with
+// a host tier run through Task.Call when the manager has one.
 //
 //gflink:hotpath
-func (sw *streamWorker) run() {
+func (sw *streamWorker) step() {
+	wr := sw.mgr.wrapper
 	for {
-		w, ok := sw.inbox.Get()
-		if !ok {
-			return
+		w := sw.w
+		switch sw.phase {
+		case phaseIdle:
+			next, ok, wait := sw.inbox.GetTask(sw.task)
+			if wait {
+				return
+			}
+			if !ok {
+				//gflink:allow-alloc the worker ends: once per stream, when the manager closes
+				sw.task.Exit()
+				return
+			}
+			if !sw.admit(next) {
+				return
+			}
+		case phaseAdmitted:
+			sw.start()
+		case phaseInput:
+			if sw.i < len(w.In) && w.In[sw.i].Cache {
+				sw.phase = phaseLookedUp
+				if sw.tiered {
+					if !sw.tierCall(sw.lookupFn) {
+						return
+					}
+				} else {
+					sw.lookup()
+				}
+				continue
+			}
+			if !sw.sleep(wr.charge(callMalloc), phaseMalloc) {
+				return
+			}
+		case phaseLookedUp:
+			if sw.hit {
+				sw.i++
+				sw.phase = phaseInput
+				continue
+			}
+			if !sw.sleep(wr.charge(callMalloc), phaseMalloc) {
+				return
+			}
+		case phaseMalloc, phaseRetry:
+			nominal, real := sw.sizes()
+			b, err := sw.ds.dev.MallocReserve(nominal, real)
+			if err != nil {
+				if sw.phase == phaseRetry {
+					//gflink:allow-alloc failure diagnostic: cold path that ends the work
+					sw.allocFailed(err)
+					continue
+				}
+				sw.phase = phaseReclaimed
+				if sw.tiered {
+					if !sw.tierCall(sw.reclaimFn) {
+						return
+					}
+				} else {
+					//gflink:allow-alloc cache-reclaim retry: memory-pressure cold path
+					sw.reclaim()
+				}
+				continue
+			}
+			sw.buf = b
+			if !sw.sleep(gpu.MallocOverhead, phaseFill) {
+				return
+			}
+		case phaseReclaimed:
+			if !sw.sleep(wr.charge(callMalloc), phaseRetry) {
+				return
+			}
+		case phaseFill:
+			_, real := sw.sizes()
+			sw.ds.dev.MallocFill(sw.buf, real)
+			sw.place(sw.buf)
+			if !sw.sleep(wr.charge(callHostRegister), phaseRegister) {
+				return
+			}
+		case phaseRegister:
+			sw.phase = phaseRegistered
+			if d, ok := sw.host().PinCharge(); ok {
+				if !sw.sleep(d, phasePinned) {
+					return
+				}
+			}
+		case phasePinned:
+			sw.host().PinPublish()
+			sw.phase = phaseRegistered
+		case phaseRegistered:
+			if sw.i < len(w.In) {
+				if !sw.sleep(wr.charge(callMemcpyH2D), phaseCopy) {
+					return
+				}
+				continue
+			}
+			sw.tAfterH2D = 0
+			sw.stream.Callback(sw.markH2D)
+			sw.prepareLaunch()
+			if !sw.sleep(wr.charge(callLaunch), phaseLaunch) {
+				return
+			}
+		case phaseCopy:
+			in := &w.In[sw.i]
+			if in.Ranges != nil {
+				// Column projection: ship only the referenced byte ranges,
+				// charged at the (projected) nominal volume.
+				sw.stream.H2DRangesAsync(sw.devBufs[sw.i], in.Buf, in.Ranges, in.Nominal)
+			} else {
+				sw.stream.H2DAsync(sw.devBufs[sw.i], in.Buf, in.Nominal)
+			}
+			sw.ds.cntH2D.Add(in.Nominal)
+			sw.i++
+			sw.phase = phaseInput
+		case phaseLaunch:
+			sw.stream.LaunchAsyncInto(sw.fut, w.ExecuteName, &sw.ctx)
+			if !sw.sleep(wr.charge(callMemcpyD2H), phaseD2H) {
+				return
+			}
+		case phaseD2H:
+			sw.stream.D2HAsync(w.Out, sw.outArr[0], w.OutNominal)
+			sw.ds.cntD2H.Add(w.OutNominal)
+			if !sw.sleep(wr.charge(callStreamSynchronize), phaseSync) {
+				return
+			}
+		case phaseDrain:
+			if !sw.sleep(wr.charge(callStreamSynchronize), phaseSync) {
+				return
+			}
+		case phaseSync:
+			sw.phase = phaseSynced
+			if !sw.stream.SynchronizeTask(sw.task) {
+				return
+			}
+		case phaseSynced:
+			if sw.allocErr != nil {
+				sw.i, sw.phase = 0, phaseRelease
+				continue
+			}
+			sw.kernelDur, sw.kerr = sw.fut.Result()
+			sw.i, sw.phase = 0, phaseSettle
+		case phaseSettle:
+			if sw.i == len(sw.toCache) {
+				// Every missed input is now cached or queued for cudaFree.
+				sw.toCache = sw.toCache[:0]
+				sw.phase = phaseRelease
+				continue
+			}
+			if sw.tiered {
+				if !sw.tierCall(sw.insertFn) {
+					return
+				}
+			} else {
+				sw.insert()
+			}
+		case phaseRelease:
+			for _, k := range sw.acquired {
+				sw.ds.mem.Release(k)
+			}
+			sw.i, sw.phase = 0, phaseFree
+		case phaseFree:
+			if _, ok := sw.freeTarget(); !ok {
+				if !sw.finish() {
+					return
+				}
+				continue
+			}
+			if !sw.sleep(wr.charge(callFree), phaseFreed) {
+				return
+			}
+		case phaseFreed:
+			b, _ := sw.freeTarget()
+			sw.ds.dev.Free(b)
+			sw.i++
+			sw.phase = phaseFree
 		}
-		for w != nil {
-			sw.exec(w)
-			w = sw.mgr.nextOrIdle(sw)
-		}
 	}
 }
 
-// scratchBufs prepares the per-stream scratch for a work with n inputs
-// and returns the zeroed device-buffer slot slice. The scratch slices
-// only grow to the widest work this stream has seen, so steady-state
-// executions reuse them allocation-free.
+// sleep charges d through the task, to be followed by phase next. It
+// reports whether the step keeps the slot; when it does not, the step
+// must return and resumes at next.
 //
 //gflink:hotpath
-func (sw *streamWorker) scratchBufs(n int) []*gpu.Buffer {
-	if cap(sw.devBufs) < n {
-		//gflink:allow-alloc scratch growth to the widest GWork this stream has seen
-		sw.devBufs = make([]*gpu.Buffer, n)
-	}
-	s := sw.devBufs[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	sw.acquired = sw.acquired[:0]
-	sw.toCache = sw.toCache[:0]
-	sw.toFree = sw.toFree[:0]
-	return s
+func (sw *streamWorker) sleep(d time.Duration, next workPhase) bool {
+	sw.phase = next
+	return sw.task.Sleep(d)
 }
 
-// malloc allocates device memory with a cache-reclaim fallback: when
-// device memory is tight, evict unpinned cache entries and retry once.
+// tierCall runs fn, one of the memory-manager calls that sleep inside
+// the host tier, on the stack the task borrows, and reports whether it
+// finished in place (see vclock.Task.Call).
 //
 //gflink:hotpath
-func (sw *streamWorker) malloc(nominal int64, real int) (*gpu.Buffer, error) {
-	b, err := sw.mgr.wrapper.Malloc(sw.ds.dev, nominal, real)
-	if err != nil {
-		//gflink:allow-alloc cache-reclaim retry: memory-pressure cold path
-		sw.ds.mem.Reclaim(nominal)
-		b, err = sw.mgr.wrapper.Malloc(sw.ds.dev, nominal, real)
-	}
-	return b, err
+func (sw *streamWorker) tierCall(fn func()) bool {
+	//gflink:allow-alloc host-tier path: the borrowed stack is created once per worker, and the bodies are the manager's own calls
+	return sw.task.Call(fn)
 }
 
-// fail completes w with err after releasing pins and freeing every
-// device buffer allocated so far, including the inputs that missed the
-// cache and were waiting to be inserted. A failed work still queued
-// and still occupied the stream, so the trace records the queue wait
-// and a failed gwork span instead of a hole where the work died.
-func (sw *streamWorker) fail(w *GWork, tStart time.Duration, cacheHits, cacheMisses int, err error) {
-	mgr := sw.mgr
-	dev := sw.ds.dev
-	for _, k := range sw.acquired {
-		sw.ds.mem.Release(k)
-	}
-	for _, i := range sw.toCache {
-		mgr.wrapper.Free(dev, sw.devBufs[i])
-	}
-	for _, b := range sw.toFree {
-		mgr.wrapper.Free(dev, b)
-	}
-	w.err = err
-	w.device = dev
-	w.report = obs.WorkReport{
-		DeviceID: dev.ID, Worker: dev.Node,
-		QueueWait:   tStart - w.submitT,
-		CacheHits:   cacheHits,
-		CacheMisses: cacheMisses,
-		StolenFrom:  w.stolenFrom,
-	}
-	mgr.tracer.Record(sw.ds.queueTrack, "queue", "queue:"+w.ExecuteName,
-		w.submitT, tStart, obs.Int("device", int64(dev.ID)))
-	mgr.tracer.Record(sw.track, "gwork", w.ExecuteName,
-		tStart, mgr.clock.Now(),
-		obs.Int("device", int64(dev.ID)),
-		obs.Int("job", int64(w.JobID)),
-		obs.Str("error", err.Error()))
-	w.done.Set()
-}
-
-// exec runs one GWork through the three-stage pipeline on this stream.
+// admit makes w the worker's current work and applies admission
+// control: it reserves the work's worst-case transient device memory
+// atomically, so concurrent streams throttle instead of failing
+// allocations mid-flight. It reports whether the step keeps the slot;
+// a work queued on the budget starts once the budget is granted.
 //
 //gflink:hotpath
-func (sw *streamWorker) exec(w *GWork) {
-	mgr := sw.mgr
-	dev := sw.ds.dev
-	mem := sw.ds.mem
-	wr := mgr.wrapper
-
-	// Admission control: reserve the work's worst-case transient device
-	// memory atomically so concurrent streams throttle instead of
-	// failing allocations mid-flight.
+func (sw *streamWorker) admit(w *GWork) bool {
 	footprint := w.OutNominal
 	for _, in := range w.In {
 		footprint += in.Nominal
@@ -443,72 +627,131 @@ func (sw *streamWorker) exec(w *GWork) {
 	if footprint > sw.ds.budgetCap {
 		footprint = sw.ds.budgetCap
 	}
-	if footprint > 0 {
-		sw.ds.budget.Acquire(footprint)
-		defer sw.ds.budget.Release(footprint)
+	sw.w, sw.footprint, sw.phase = w, footprint, phaseAdmitted
+	return footprint <= 0 || sw.ds.budget.AcquireTask(sw.task, footprint)
+}
+
+// start resets the per-stream scratch for the admitted work and starts
+// its pipeline at the first input. The scratch slices only grow to the
+// widest work this stream has seen, so steady-state executions reuse
+// them allocation-free.
+//
+//gflink:hotpath
+func (sw *streamWorker) start() {
+	n := len(sw.w.In)
+	if cap(sw.devBufs) < n {
+		//gflink:allow-alloc scratch growth to the widest GWork this stream has seen
+		sw.devBufs = make([]*gpu.Buffer, n)
 	}
-
-	devBufs := sw.scratchBufs(len(w.In))
-	var cacheHits, cacheMisses int
-
-	tStart := mgr.clock.Now()
-	// Stage 1: host-to-device input transfers, skipping cache hits.
-	for i, in := range w.In {
-		if in.Cache {
-			if buf, ok := mem.Acquire(in.Key); ok {
-				devBufs[i] = buf
-				//gflink:allow-alloc amortized growth of the pin scratch
-				sw.acquired = append(sw.acquired, in.Key)
-				cacheHits++
-				continue
-			}
-			cacheMisses++
-		}
-		buf, err := sw.malloc(in.Nominal, len(in.Buf.Bytes()))
-		if err != nil {
-			//gflink:allow-alloc failure diagnostic: cold path that ends the work
-			sw.fail(w, tStart, cacheHits, cacheMisses, fmt.Errorf("allocating input %d of %q: %w", i, w.ExecuteName, err))
-			return
-		}
-		devBufs[i] = buf
-		if in.Cache {
-			//gflink:allow-alloc amortized growth of the cache-insert scratch
-			sw.toCache = append(sw.toCache, i)
-		} else {
-			//gflink:allow-alloc amortized growth of the free-list scratch
-			sw.toFree = append(sw.toFree, buf)
-		}
-		wr.HostRegister(in.Buf)
-		if in.Ranges != nil {
-			// Column projection: ship only the referenced byte ranges,
-			// charged at the (projected) nominal volume.
-			wr.MemcpyH2DRangesAsync(sw.stream, buf, in.Buf, in.Ranges, in.Nominal)
-		} else {
-			wr.MemcpyH2DAsync(sw.stream, buf, in.Buf, in.Nominal)
-		}
-		sw.ds.cntH2D.Add(in.Nominal)
+	sw.devBufs = sw.devBufs[:n]
+	for i := range sw.devBufs {
+		sw.devBufs[i] = nil
 	}
+	sw.acquired = sw.acquired[:0]
+	sw.toCache = sw.toCache[:0]
+	sw.toFree = sw.toFree[:0]
+	sw.cacheHits, sw.cacheMisses = 0, 0
+	sw.tStart = sw.mgr.clock.Now()
+	sw.i, sw.phase = 0, phaseInput
+}
 
-	outBuf, err := sw.malloc(w.OutNominal, len(w.Out.Bytes()))
-	if err != nil {
-		//gflink:allow-alloc failure diagnostic: cold path that ends the work
-		sw.fail(w, tStart, cacheHits, cacheMisses, fmt.Errorf("allocating output of %q: %w", w.ExecuteName, err))
+// sizes returns the nominal and real byte sizes of the buffer being
+// allocated: input i's, or the output's.
+//
+//gflink:hotpath
+func (sw *streamWorker) sizes() (nominal int64, real int) {
+	w := sw.w
+	if sw.i < len(w.In) {
+		return w.In[sw.i].Nominal, len(w.In[sw.i].Buf.Bytes())
+	}
+	return w.OutNominal, len(w.Out.Bytes())
+}
+
+// host returns the host buffer being registered: input i's, or the
+// output.
+//
+//gflink:hotpath
+func (sw *streamWorker) host() *membuf.HBuffer {
+	if sw.i < len(sw.w.In) {
+		return sw.w.In[sw.i].Buf
+	}
+	return sw.w.Out
+}
+
+// place records a freshly allocated buffer: a cache-flagged input's
+// waits to be inserted into the cache, every other one to be freed.
+//
+//gflink:hotpath
+func (sw *streamWorker) place(b *gpu.Buffer) {
+	w := sw.w
+	if sw.i == len(w.In) {
+		sw.outArr[0] = b
+		//gflink:allow-alloc amortized growth of the free-list scratch
+		sw.toFree = append(sw.toFree, b)
 		return
 	}
-	//gflink:allow-alloc amortized growth of the free-list scratch
-	sw.toFree = append(sw.toFree, outBuf)
-	wr.HostRegister(w.Out)
+	sw.devBufs[sw.i] = b
+	if w.In[sw.i].Cache {
+		//gflink:allow-alloc amortized growth of the cache-insert scratch
+		sw.toCache = append(sw.toCache, sw.i)
+	} else {
+		//gflink:allow-alloc amortized growth of the free-list scratch
+		sw.toFree = append(sw.toFree, b)
+	}
+}
 
-	sw.tAfterH2D = 0
-	sw.stream.Callback(sw.markH2D)
+// lookup looks input i up in the device cache: a hit pins the entry
+// and binds its buffer, a miss counts.
+//
+//gflink:hotpath
+func (sw *streamWorker) lookup() {
+	in := &sw.w.In[sw.i]
+	buf, ok := sw.ds.mem.Acquire(in.Key)
+	sw.hit = ok
+	if !ok {
+		sw.cacheMisses++
+		return
+	}
+	sw.devBufs[sw.i] = buf
+	//gflink:allow-alloc amortized growth of the pin scratch
+	sw.acquired = append(sw.acquired, in.Key)
+	sw.cacheHits++
+}
 
-	// Stage 2: kernel execution, on the stream's reusable launch
-	// context (safe: a stream runs one work at a time, and exec waits
-	// on the launch future before returning).
-	sw.outArr[0] = outBuf
+// insert offers the i-th missed input to the cache: the cache keeps it
+// pinned, or it joins the buffers to free.
+//
+//gflink:hotpath
+func (sw *streamWorker) insert() {
+	i := sw.toCache[sw.i]
+	in := &sw.w.In[i]
+	if sw.ds.mem.Insert(in.Key, sw.devBufs[i], in.Nominal) {
+		//gflink:allow-alloc amortized growth of the pin scratch
+		sw.acquired = append(sw.acquired, in.Key)
+	} else {
+		//gflink:allow-alloc amortized growth of the free-list scratch
+		sw.toFree = append(sw.toFree, sw.devBufs[i])
+	}
+	sw.i++
+}
+
+// reclaim evicts unpinned cache entries until the buffer being
+// allocated fits, for the one retry.
+func (sw *streamWorker) reclaim() {
+	nominal, _ := sw.sizes()
+	sw.ds.mem.Reclaim(nominal)
+}
+
+// prepareLaunch binds the work to the stream's reusable launch context
+// (safe: a stream runs one work at a time, and the step synchronizes on
+// the launch before the next work starts).
+//
+//gflink:hotpath
+func (sw *streamWorker) prepareLaunch() {
+	w := sw.w
 	ctx := &sw.ctx
 	*ctx = gpu.KernelCtx{
-		In:        devBufs,
+		In:        sw.devBufs,
 		Out:       sw.outArr[:],
 		N:         w.Size,
 		Nominal:   w.Nominal,
@@ -519,59 +762,127 @@ func (sw *streamWorker) exec(w *GWork) {
 	if w.Coalesce > 0 {
 		ctx.SetCoalesce(w.Coalesce)
 	}
-	wr.LaunchAsyncInto(sw.stream, sw.fut, w.ExecuteName, ctx)
+}
 
-	// Stage 3: device-to-host output transfer.
-	wr.MemcpyD2HAsync(sw.stream, w.Out, outBuf, w.OutNominal)
-	sw.ds.cntD2H.Add(w.OutNominal)
-	wr.StreamSynchronize(sw.stream)
-	kernelDur, kerr := sw.fut.Wait()
+// freeTarget returns the i-th buffer the free loop gives back: the
+// missed inputs still waiting for the cache (only a failed work has
+// any), then the scratch buffers. ok is false past the last one.
+//
+//gflink:hotpath
+func (sw *streamWorker) freeTarget() (b *gpu.Buffer, ok bool) {
+	if sw.i < len(sw.toCache) {
+		return sw.devBufs[sw.toCache[sw.i]], true
+	}
+	if j := sw.i - len(sw.toCache); j < len(sw.toFree) {
+		return sw.toFree[j], true
+	}
+	return nil, false
+}
 
-	// Post-execution bookkeeping: cache fresh inputs, then drop pins and
-	// scratch allocations.
-	for _, i := range sw.toCache {
-		in := w.In[i]
-		if mem.Insert(in.Key, devBufs[i], in.Nominal) {
-			//gflink:allow-alloc amortized growth of the pin scratch
-			sw.acquired = append(sw.acquired, in.Key)
-		} else {
-			//gflink:allow-alloc amortized growth of the free-list scratch
-			sw.toFree = append(sw.toFree, devBufs[i])
-		}
+// allocFailed ends the work on an allocation that failed after its
+// cache-reclaim retry. The step goes on to release its pins and free
+// every device buffer allocated so far, including the inputs that
+// missed the cache and were waiting to be inserted. Each of those
+// buffers has its H2D copy queued on the stream, so the step first
+// synchronizes the stream (cudaStreamSynchronize) to let the copies
+// finish before their buffers are freed.
+func (sw *streamWorker) allocFailed(err error) {
+	w := sw.w
+	if sw.i < len(w.In) {
+		sw.allocErr = fmt.Errorf("allocating input %d of %q: %w", sw.i, w.ExecuteName, err)
+	} else {
+		sw.allocErr = fmt.Errorf("allocating output of %q: %w", w.ExecuteName, err)
 	}
-	for _, k := range sw.acquired {
-		mem.Release(k)
+	if len(sw.toCache)+len(sw.toFree) > 0 {
+		sw.phase = phaseDrain
+		return
 	}
-	for _, b := range sw.toFree {
-		wr.Free(dev, b)
-	}
+	sw.i, sw.phase = 0, phaseRelease
+}
 
+// finish completes the current work: it reports and traces it, sets
+// its completion event and releases its budget. Then the worker takes
+// the next work from the GWork Pool or goes idle. finish reports
+// whether the step keeps the slot.
+//
+//gflink:hotpath
+func (sw *streamWorker) finish() bool {
+	w := sw.w
+	if sw.allocErr != nil {
+		//gflink:allow-alloc failure report: cold path of a work whose allocation failed
+		sw.reportFailure()
+	} else {
+		sw.report()
+	}
+	w.done.Set()
+	if sw.footprint > 0 {
+		sw.ds.budget.Release(sw.footprint)
+	}
+	sw.w, sw.buf, sw.kerr, sw.allocErr = nil, nil, nil, nil
+	if next := sw.mgr.nextOrIdle(sw); next != nil {
+		return sw.admit(next)
+	}
+	sw.phase = phaseIdle
+	return true
+}
+
+// report fills the completed work's report and records its spans.
+//
+//gflink:hotpath
+func (sw *streamWorker) report() {
+	mgr := sw.mgr
+	w := sw.w
+	dev := sw.ds.dev
 	tEnd := mgr.clock.Now()
-	tAfterH2D := sw.tAfterH2D
-	d2h := tEnd - tAfterH2D - kernelDur
+	d2h := tEnd - sw.tAfterH2D - sw.kernelDur
 	if d2h < 0 {
 		d2h = 0
 	}
 	w.report = obs.WorkReport{
 		DeviceID: dev.ID, Worker: dev.Node,
-		QueueWait:   tStart - w.submitT,
-		H2D:         tAfterH2D - tStart,
-		Kernel:      kernelDur,
+		QueueWait:   sw.tStart - w.submitT,
+		H2D:         sw.tAfterH2D - sw.tStart,
+		Kernel:      sw.kernelDur,
 		D2H:         d2h,
-		CacheHits:   cacheHits,
-		CacheMisses: cacheMisses,
+		CacheHits:   sw.cacheHits,
+		CacheMisses: sw.cacheMisses,
 		StolenFrom:  w.stolenFrom,
 	}
-	w.err = kerr
+	w.err = sw.kerr
 	w.device = dev
 	if mgr.tracer.Enabled() {
 		job := obs.Int("job", int64(w.JobID))
-		if kerr != nil {
-			// A failed kernel's span says so, as fail's spans do.
-			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, tStart, w.report, job, obs.Str("error", kerr.Error()))
+		if sw.kerr != nil {
+			// A failed kernel's span says so, as a failed allocation's does.
+			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, sw.tStart, w.report, job, obs.Str("error", sw.kerr.Error()))
 		} else {
-			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, tStart, w.report, job)
+			mgr.tracer.RecordGWork(sw.track, sw.ds.queueTrack, w.ExecuteName, w.submitT, sw.tStart, w.report, job)
 		}
 	}
-	w.done.Set()
+}
+
+// reportFailure fills the report of a work whose allocation failed and
+// records its spans. A failed work still queued and still occupied the
+// stream, so the trace records the queue wait and a failed gwork span
+// instead of a hole where the work died.
+func (sw *streamWorker) reportFailure() {
+	mgr := sw.mgr
+	w := sw.w
+	dev := sw.ds.dev
+	w.err = sw.allocErr
+	w.device = dev
+	w.report = obs.WorkReport{
+		DeviceID: dev.ID, Worker: dev.Node,
+		QueueWait:   sw.tStart - w.submitT,
+		CacheHits:   sw.cacheHits,
+		CacheMisses: sw.cacheMisses,
+		StolenFrom:  w.stolenFrom,
+	}
+	mgr.tracer.Record(sw.ds.queueTrack, "queue", "queue:"+w.ExecuteName,
+		w.submitT, sw.tStart, obs.Int("device", int64(dev.ID)))
+	mgr.tracer.Record(sw.track, "gwork", w.ExecuteName,
+		sw.tStart, mgr.clock.Now(),
+		obs.Int("device", int64(dev.ID)),
+		obs.Int("job", int64(w.JobID)),
+		obs.Str("error", sw.allocErr.Error()))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
 	"gflink/internal/membuf"
@@ -30,29 +32,39 @@ func NewCUDAWrapper(clock *vclock.Clock, model costmodel.Model) *CUDAWrapper {
 	return &CUDAWrapper{clock: clock, model: model}
 }
 
-// jni charges one control-channel round trip.
-func (w *CUDAWrapper) jni() { w.clock.Sleep(w.model.Overheads.JNICall) }
+// cudaCall names a CUDA entry point the wrapper redirects through the
+// CUDAStub, for the charge it pays on top of its action.
+type cudaCall uint8
 
-// redirect charges the transfer-channel JNI redirect.
-func (w *CUDAWrapper) redirect() { w.clock.Sleep(w.model.PCIe.JNIRedirect) }
+const (
+	// Control-channel calls: one JNI round trip each.
+	callMalloc cudaCall = iota
+	callFree
+	callHostRegister
+	callLaunch
+	callStreamSynchronize
+	// Transfer-channel calls: the JNI redirect, on top of the DMA.
+	callMemcpyH2D
+	callMemcpyD2H
+)
 
-// Malloc allocates device memory (cudaMalloc through JNI).
-func (w *CUDAWrapper) Malloc(d *gpu.Device, nominal int64, real int) (*gpu.Buffer, error) {
-	w.jni()
-	return d.Malloc(nominal, real)
-}
-
-// Free releases device memory (cudaFree through JNI).
-func (w *CUDAWrapper) Free(d *gpu.Device, b *gpu.Buffer) {
-	w.jni()
-	d.Free(b)
+// charge returns what entry point c costs before its action runs. The
+// stackful entry points below sleep it; a stream worker's step sleeps
+// it through its task and then runs the action itself.
+//
+//gflink:hotpath
+func (w *CUDAWrapper) charge(c cudaCall) time.Duration {
+	if c >= callMemcpyH2D {
+		return w.model.PCIe.JNIRedirect
+	}
+	return w.model.Overheads.JNICall
 }
 
 // HostRegister page-locks a direct buffer (cudaHostRegister). The pin
 // is released by the buffer's owner: Free unpins implicitly, so the
 // registration lives exactly as long as the buffer.
 func (w *CUDAWrapper) HostRegister(b *membuf.HBuffer) {
-	w.jni()
+	w.clock.Sleep(w.charge(callHostRegister))
 	//gflink:owns-buffer -- caller keeps ownership; Free() unpins
 	b.Pin()
 }
@@ -60,56 +72,6 @@ func (w *CUDAWrapper) HostRegister(b *membuf.HBuffer) {
 // MemcpyH2D is the synchronous transfer-channel host-to-device copy
 // (cudaMemcpyH2D): JNI redirect plus DMA.
 func (w *CUDAWrapper) MemcpyH2D(d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer, nominal int64) {
-	w.redirect()
+	w.clock.Sleep(w.charge(callMemcpyH2D))
 	d.MemcpyH2D(dst, src, nominal, w.model.CPU)
-}
-
-// MemcpyD2H is the synchronous device-to-host copy.
-func (w *CUDAWrapper) MemcpyD2H(d *gpu.Device, dst *membuf.HBuffer, src *gpu.Buffer, nominal int64) {
-	w.redirect()
-	d.MemcpyD2H(dst, src, nominal, w.model.CPU)
-}
-
-// MemcpyH2DAsync enqueues an asynchronous copy on a stream
-// (cudaMemcpyH2DAsync); the source must be page-locked.
-func (w *CUDAWrapper) MemcpyH2DAsync(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer, nominal int64) {
-	w.redirect()
-	s.H2DAsync(dst, src, nominal)
-}
-
-// MemcpyD2HAsync enqueues an asynchronous device-to-host copy.
-func (w *CUDAWrapper) MemcpyD2HAsync(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer, nominal int64) {
-	w.redirect()
-	s.D2HAsync(dst, src, nominal)
-}
-
-// MemcpyH2DRangesAsync enqueues an asynchronous projected host-to-device
-// copy: only the given real byte ranges move, charged at nominal bytes
-// (the column-projection transfer). One JNI redirect per call, like any
-// other transfer-channel entry point.
-func (w *CUDAWrapper) MemcpyH2DRangesAsync(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer, ranges []gpu.CopyRange, nominal int64) {
-	w.redirect()
-	s.H2DRangesAsync(dst, src, ranges, nominal)
-}
-
-// LaunchAsync enqueues a kernel launch on a stream.
-func (w *CUDAWrapper) LaunchAsync(s *gpu.Stream, name string, ctx *gpu.KernelCtx) *gpu.Future {
-	w.jni()
-	return s.LaunchAsync(name, ctx)
-}
-
-// LaunchAsyncInto enqueues a kernel launch that completes through a
-// caller-owned reusable future (see gpu.Stream.LaunchAsyncInto), so a
-// stream worker that waits on each launch before the next one launches
-// kernels without allocating.
-func (w *CUDAWrapper) LaunchAsyncInto(s *gpu.Stream, f *gpu.Future, name string, ctx *gpu.KernelCtx) {
-	w.jni()
-	s.LaunchAsyncInto(f, name, ctx)
-}
-
-// StreamSynchronize waits for a stream to drain
-// (cudaStreamSynchronize).
-func (w *CUDAWrapper) StreamSynchronize(s *gpu.Stream) {
-	w.jni()
-	s.Synchronize()
 }

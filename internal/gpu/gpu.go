@@ -101,10 +101,28 @@ func (b *Buffer) Device() *Device { return b.dev }
 // Malloc allocates nominal bytes of device memory backed by real bytes
 // of host storage. It fails when device memory is exhausted. Buffer
 // shells and backing arrays are recycled from freed buffers, so a
-// steady-state Malloc/Free cycle does not touch the host heap.
+// steady-state Malloc/Free cycle does not touch the host heap. Malloc
+// is MallocReserve, the MallocOverhead driver cost, then MallocFill.
 //
 //gflink:hotpath
 func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
+	b, err := d.MallocReserve(nominal, real)
+	if err != nil {
+		return nil, err
+	}
+	d.clock.Sleep(MallocOverhead)
+	d.MallocFill(b, real)
+	return b, nil
+}
+
+// MallocReserve is the first half of Malloc: it checks the request,
+// accounts its nominal bytes (visible to every other process from here
+// on) and takes a buffer shell with its id. The caller charges
+// MallocOverhead and then backs the shell with MallocFill; the shell is
+// not a usable buffer before that.
+//
+//gflink:hotpath
+func (d *Device) MallocReserve(nominal int64, real int) (*Buffer, error) {
 	if nominal <= 0 || real < 0 {
 		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("gpu: malloc nominal=%d real=%d", nominal, real)
@@ -115,18 +133,25 @@ func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 	}
 	d.usedBytes += nominal
 	d.nextBuf++
-	id := d.nextBuf
 	var b *Buffer
 	if n := len(d.freeBufs); n > 0 {
 		b = d.freeBufs[n-1]
 		d.freeBufs[n-1] = nil
 		d.freeBufs = d.freeBufs[:n-1]
-	}
-	d.clock.Sleep(MallocOverhead)
-	if b == nil {
+	} else {
 		//gflink:allow-alloc cold start: the device buffer free list amortizes this away
 		b = &Buffer{}
 	}
+	b.dev, b.id, b.nominal = d, d.nextBuf, nominal
+	return b, nil
+}
+
+// MallocFill is the second half of Malloc: it backs a reserved shell
+// with real zeroed bytes, reusing the shell's recycled backing when it
+// is large enough.
+//
+//gflink:hotpath
+func (d *Device) MallocFill(b *Buffer, real int) {
 	if cap(b.data) < real {
 		//gflink:allow-alloc backing growth to the largest transfer seen on this device
 		b.data = make([]byte, real)
@@ -137,8 +162,7 @@ func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 		b.data = b.data[:real]
 		clear(b.data)
 	}
-	b.dev, b.id, b.nominal, b.freed = d, id, nominal, false
-	return b, nil
+	b.freed = false
 }
 
 // Free releases the buffer into the device's recycle list. Double frees

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -439,5 +440,72 @@ func TestRegisteredKernelsSorted(t *testing.T) {
 	}
 	if _, ok := Lookup("test.double"); !ok {
 		t.Error("test.double not found")
+	}
+}
+
+// TestMallocSplitMatchesMalloc holds the split form a stream worker's
+// step uses — MallocReserve, the MallocOverhead sleep, MallocFill — to
+// Malloc: the same buffer ids, the same simulated time, the same
+// zeroed recycled backing, and the same failure. The reserved bytes
+// are visible to other processes during the sleep.
+func TestMallocSplitMatchesMalloc(t *testing.T) {
+	type trace struct {
+		ids    []int64
+		data   [][]byte
+		end    time.Duration
+		during int64
+		err    string
+	}
+	run := func(split bool) trace {
+		c, d, _ := testRig()
+		var tr trace
+		malloc := func(nominal int64, real int) (*Buffer, error) {
+			if !split {
+				return d.Malloc(nominal, real)
+			}
+			b, err := d.MallocReserve(nominal, real)
+			if err != nil {
+				return nil, err
+			}
+			c.Sleep(MallocOverhead)
+			d.MallocFill(b, real)
+			return b, nil
+		}
+		tr.end = c.Run(func() {
+			c.Go("observer", func() {
+				c.Sleep(MallocOverhead / 2)
+				tr.during = d.UsedBytes()
+			})
+			a, err := malloc(1<<20, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Bytes() {
+				a.Bytes()[i] = 0xff
+			}
+			d.Free(a)
+			// The recycled shell comes back with a smaller, zeroed backing.
+			b, err := malloc(1<<10, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := malloc(d.Profile.MemBytes, 0); err != nil {
+				tr.err = err.Error()
+			}
+			tr.ids = append(tr.ids, a.id, b.id)
+			tr.data = append(tr.data, append([]byte(nil), b.Bytes()...))
+			d.Free(b)
+		})
+		return tr
+	}
+	whole, split := run(false), run(true)
+	if !reflect.DeepEqual(whole, split) {
+		t.Fatalf("split malloc = %+v, want Malloc's %+v", split, whole)
+	}
+	if whole.during != 1<<20 {
+		t.Errorf("UsedBytes during the first malloc's overhead = %d, want the reserved %d", whole.during, 1<<20)
+	}
+	if want := make([]byte, 8); !reflect.DeepEqual(whole.data[0], want) || whole.err == "" {
+		t.Errorf("recycled backing = %v (want zeroed), over-capacity error %q (want one)", whole.data[0], whole.err)
 	}
 }

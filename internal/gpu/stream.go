@@ -344,11 +344,29 @@ func (s *Stream) Callback(fn func()) {
 //
 //gflink:hotpath
 func (s *Stream) Synchronize() {
+	s.markSync()
+	s.syncEv.Wait()
+}
+
+// SynchronizeTask is Synchronize for a task. It returns true when the
+// stream had already drained. It returns false when t was parked: the
+// step must return, and when it runs again the stream has drained.
+//
+//gflink:hotpath
+func (s *Stream) SynchronizeTask(t *vclock.Task) bool {
+	s.markSync()
+	return s.syncEv.WaitTask(t)
+}
+
+// markSync rearms the rendezvous event and enqueues the command that
+// sets it once every earlier command has completed.
+//
+//gflink:hotpath
+func (s *Stream) markSync() {
 	s.syncEv.Reset()
 	c := s.takeCmd()
 	c.op, c.fn = opCallback, s.syncSet
 	s.q.Put(c)
-	s.syncEv.Wait()
 }
 
 // Future is the completion handle of an asynchronous launch.
@@ -367,5 +385,17 @@ func NewFuture(c *vclock.Clock) *Future {
 // duration and error.
 func (f *Future) Wait() (time.Duration, error) {
 	f.ev.Wait()
+	return f.Result()
+}
+
+// Result returns the kernel duration and error of a completed launch,
+// for a caller that already knows the launch is done (a Synchronize of
+// its stream returned). It panics on a launch still in flight.
+//
+//gflink:hotpath
+func (f *Future) Result() (time.Duration, error) {
+	if !f.ev.IsSet() {
+		panic("gpu: Future.Result on a launch still in flight")
+	}
 	return f.dur, f.err
 }

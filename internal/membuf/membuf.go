@@ -199,23 +199,44 @@ func (b *HBuffer) Pages() int { return b.pages }
 
 // Pin page-locks the buffer (cudaHostRegister), a prerequisite for
 // asynchronous DMA. Pinning charges the per-page registration cost on
-// the virtual clock. Pinning a pinned buffer is a no-op.
+// the virtual clock. Pinning a pinned buffer is a no-op. Pin is
+// PinCharge, a sleep for the charge, then PinPublish.
 func (b *HBuffer) Pin() {
-	p := b.pool
+	d, ok := b.PinCharge()
+	if !ok {
+		return
+	}
+	b.pool.clock.Sleep(d)
+	b.PinPublish()
+}
+
+// PinCharge is the first half of Pin: it returns the registration time
+// to charge, and ok=false when the buffer is already pinned and Pin
+// charges nothing. Pinning a freed buffer panics.
+//
+//gflink:hotpath
+func (b *HBuffer) PinCharge() (d time.Duration, ok bool) {
 	if b.freed {
 		panic("membuf: Pin on freed HBuffer")
 	}
 	if b.pinned {
-		return
+		return 0, false
 	}
-	// Charge registration time before publishing the pin. Other
-	// processes run during the sleep, so the buffer's state is checked
-	// again after it.
-	p.clock.Sleep(p.model.Overheads.PinPage * time.Duration(b.pages))
+	return b.pool.model.Overheads.PinPage * time.Duration(b.pages), true
+}
+
+// PinPublish is the second half of Pin, once the charge has elapsed: it
+// publishes the page lock. Other processes ran during the charge, so
+// the buffer's state is checked again: a buffer freed meanwhile panics,
+// and one pinned meanwhile stays pinned once.
+//
+//gflink:hotpath
+func (b *HBuffer) PinPublish() {
 	if b.freed {
 		panic("membuf: Pin on freed HBuffer")
 	}
 	if !b.pinned {
+		p := b.pool
 		b.pinned = true
 		p.pinned += b.pages
 		p.pinOps++

@@ -1,6 +1,8 @@
 package membuf
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -387,5 +389,78 @@ func FuzzPoolSpansZeroed(f *testing.F) {
 		for _, b := range live {
 			b.Free()
 		}
+	})
+}
+
+// TestPinSplitMatchesPin holds the split form a stream worker's step
+// uses — PinCharge, a sleep for the charge, PinPublish — to Pin: the
+// same charge and pool counters, no charge for a pinned buffer, and the
+// same panic for a buffer freed during the charge or before it.
+func TestPinSplitMatchesPin(t *testing.T) {
+	type outcome struct {
+		end   string
+		stats Stats
+		panic string
+	}
+	pin := func(c *vclock.Clock, b *HBuffer, split bool) {
+		if !split {
+			b.Pin()
+			return
+		}
+		if d, ok := b.PinCharge(); ok {
+			c.Sleep(d)
+			b.PinPublish()
+		}
+	}
+	for name, scenario := range map[string]func(c *vclock.Clock, p *Pool, split bool){ //gflink:unordered — each case runs on its own
+		"pin-twice": func(c *vclock.Clock, p *Pool, split bool) {
+			b := p.MustAllocate(3 * 1024)
+			pin(c, b, split)
+			pin(c, b, split)
+			b.Free()
+		},
+		"freed-during-charge": func(c *vclock.Clock, p *Pool, split bool) {
+			b := p.MustAllocate(2 * 1024)
+			c.Go("freer", func() { b.Free() })
+			pin(c, b, split)
+		},
+		"freed-before": func(c *vclock.Clock, p *Pool, split bool) {
+			b := p.MustAllocate(1024)
+			b.Free()
+			pin(c, b, split)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(split bool) (out outcome) {
+				c, p := newPool(Config{PageSize: 1024})
+				defer func() {
+					if r := recover(); r != nil {
+						out.panic = fmt.Sprint(r)
+					}
+					out.stats = p.Stats()
+				}()
+				out.end = c.Run(func() { scenario(c, p, split) }).String()
+				return out
+			}
+			whole, split := run(false), run(true)
+			if whole != split {
+				t.Fatalf("split pin = %+v, want Pin's %+v", split, whole)
+			}
+			if freed := name != "pin-twice"; freed != strings.Contains(whole.panic, "membuf: Pin on freed HBuffer") {
+				t.Fatalf("Pin panicked with %q", whole.panic)
+			}
+		})
+	}
+	c, p := newPool(Config{PageSize: 1024})
+	c.Run(func() {
+		b := p.MustAllocate(3 * 1024)
+		if d, ok := b.PinCharge(); !ok || d != 3*costmodel.Default().Overheads.PinPage {
+			t.Errorf("PinCharge of an unpinned 3-page buffer = %v, %v; want 3 pages' charge", d, ok)
+		}
+		b.Pin()
+		if d, ok := b.PinCharge(); ok || d != 0 {
+			t.Errorf("PinCharge of a pinned buffer = %v, %v; want none", d, ok)
+		}
+		b.Free()
 	})
 }

@@ -84,6 +84,43 @@ var seedPrograms = map[string]*schedProgram{
 		},
 		tasks: 1 << 1,
 	},
+	// A calling task acquires a free unit and sleeps zero inside one
+	// Call, then does the same again after a release: its own timer
+	// heads every dispatch, so both Calls finish in place.
+	"calls-in-place": {
+		semCaps: []int64{2}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSleep, 0, 3}},
+			{{opAcquire, 0, 0}, {opSleep, 0, 0}, {opRelease, 0, 0}, {opAcquire, 0, 0}, {opSleep, 0, 0}, {opRelease, 0, 0}},
+		},
+		tasks: 1 << 1, calls: 1 << 1,
+	},
+	// Processes and calling tasks, spawned alternately, sleep to one
+	// shared deadline and then queue at a one-unit FIFO semaphore, all
+	// inside one Call per task: the Calls park on the timer, then on
+	// the semaphore in the middle of the co-deadline batch.
+	"calls-contended-semaphore": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 1, 0}, {opSpawn, 2, 0}},
+			{{opSleep, 0, 3}, {opAcquire, 0, 0}, {opSleep, 0, 1}, {opRelease, 0, 0}},
+			{{opSleep, 0, 3}, {opAcquire, 0, 0}, {opSleep, 0, 1}, {opRelease, 0, 0}},
+		},
+		tasks: 1 << 2, calls: 1 << 2,
+	},
+	// A task waits on an event through WaitTask and a calling task
+	// inside Call; a process sets it. A task spawned after the set
+	// finds it set and does not wait.
+	"calls-event-wait": {
+		semCaps: []int64{1}, queues: 1, events: 1,
+		bodies: [][]schedOp{
+			{{opSpawn, 1, 0}, {opSpawn, 2, 0}, {opSpawn, 3, 0}, {opSleep, 0, 3}, {opSpawn, 1, 0}},
+			{{opWait, 0, 0}, {opSleep, 0, 1}},
+			{{opSleep, 0, 2}, {opSet, 0, 0}},
+			{{opWait, 0, 0}, {opSleep, 0, 1}},
+		},
+		tasks: 1<<1 | 1<<3, calls: 1 << 3,
+	},
 	// Two getters on a queue nobody fills, and a root that starves
 	// itself on a one-unit semaphore.
 	"deadlock-census": {
@@ -188,6 +225,38 @@ func TestTasksShareWaitQueuesWithProcesses(t *testing.T) {
 	}
 	if want := "1@1ms,2@2ms,3@2ms,4@4ms"; strings.Join(got, ",") != want {
 		t.Fatalf("grants = %v, want %s", got, want)
+	}
+}
+
+// TestCallsShareWaitQueuesWithProcesses runs the seeds in which tasks
+// block inside Task.Call or through Event.WaitTask, and pins what they
+// show: the semaphore grants in FIFO order across processes and
+// calling tasks, and both kinds of task waiter wake at the Set.
+func TestCallsShareWaitQueuesWithProcesses(t *testing.T) {
+	checkSchedule(t, seedPrograms["calls-in-place"])
+	// pids 1 and 3 are processes, 2 and 4 calling tasks; op 1 is each
+	// one's acquire.
+	out := checkSchedule(t, seedPrograms["calls-contended-semaphore"])
+	var got []string
+	for _, e := range out.log {
+		if e.pid > 0 && e.op == 1 {
+			got = append(got, fmt.Sprintf("%d@%v", e.pid, e.at))
+		}
+	}
+	if want := "1@3ms,2@4ms,3@5ms,4@6ms"; strings.Join(got, ",") != want {
+		t.Fatalf("grants = %v, want %s", got, want)
+	}
+	// pid 1 waits through WaitTask, pid 3 inside Call, and pid 4,
+	// spawned after the Set, does not wait; op 0 is each one's wait.
+	out = checkSchedule(t, seedPrograms["calls-event-wait"])
+	got = got[:0]
+	for _, e := range out.log {
+		if e.pid != 0 && e.pid != 2 && e.op == 0 {
+			got = append(got, fmt.Sprintf("%d@%v", e.pid, e.at))
+		}
+	}
+	if want := "1@2ms,3@2ms,4@3ms"; strings.Join(got, ",") != want {
+		t.Fatalf("wakes = %v, want %s", got, want)
 	}
 }
 

@@ -7,12 +7,12 @@ package vclock
 
 import "iter"
 
-// coroutine returns the resume function of a coroutine running body. The
-// coroutine does not start until the first resume, and each call of
-// body's yield switches back to the resumer. A process always runs to
-// completion on a normal Run, so the coroutine's stop function is never
-// needed.
-func coroutine(body func(yield func(struct{}) bool)) func() (struct{}, bool) {
-	next, _ := iter.Pull(body)
-	return next
+// coroutine returns the resume and stop functions of a coroutine
+// running body. The coroutine does not start until the first resume,
+// and each call of body's yield switches back to the resumer. A process
+// always runs to completion on a normal Run, so it never needs stop; a
+// task's borrowed stack (Task.Call) loops forever and is stopped when
+// the task exits.
+func coroutine(body func(yield func(struct{}) bool)) (resume func() (struct{}, bool), stop func()) {
+	return iter.Pull(body)
 }

@@ -41,14 +41,16 @@ type schedOp struct {
 
 // schedProgram is one scenario: the primitives it uses and one op list
 // per body. The root process runs body 0. Bit b of tasks makes the
-// real Clock run each spawn of body b as a Task; bit 0 is never set,
-// and a task body holds no opWait (an Event has no task form). The
-// reference scheduler ignores tasks: to it a task is a process.
+// real Clock run each spawn of body b as a Task; bit 0 is never set.
+// Bit b of calls, set only with bit b of tasks, makes that task run
+// each run of consecutive blocking ops (sleep, acquire, get, wait)
+// through the stackful primitives inside one Task.Call. The reference
+// scheduler ignores both: to it a task is a process.
 type schedProgram struct {
 	semCaps        []int64
 	queues, events int
 	bodies         [][]schedOp
-	tasks          uint32
+	tasks, calls   uint32
 }
 
 type logEntry struct {
@@ -119,6 +121,27 @@ func runReal(p *schedProgram) (out schedOutcome) {
 	}
 	dead := false
 	var run, spawnTask func(pid, body int)
+	// block runs op i of body for pid when o is a blocking op, through
+	// the stackful primitives, and returns the value to log.
+	block := func(pid int, o schedOp) (val int) {
+		switch o.kind {
+		case opSleep:
+			c.Sleep(time.Duration(o.arg%4) * time.Millisecond)
+		case opAcquire:
+			n := st.acquireUnits(o)
+			sems[o.obj].Acquire(n)
+			st.held[pid][o.obj] += n
+		case opGet:
+			v, ok := queues[o.obj].Get()
+			if !ok {
+				v = -1
+			}
+			val = v
+		case opWait:
+			events[o.obj].Wait()
+		}
+		return val
+	}
 	// apply runs op i of body for pid when o is an op that never blocks.
 	apply := func(pid, body, i int, o schedOp) {
 		switch o.kind {
@@ -150,22 +173,9 @@ func runReal(p *schedProgram) (out schedOutcome) {
 	run = func(pid, body int) {
 		for i, o := range p.bodies[body] {
 			val := 0
-			switch o.kind {
-			case opSleep:
-				c.Sleep(time.Duration(o.arg%4) * time.Millisecond)
-			case opAcquire:
-				n := st.acquireUnits(o)
-				sems[o.obj].Acquire(n)
-				st.held[pid][o.obj] += n
-			case opGet:
-				v, ok := queues[o.obj].Get()
-				if !ok {
-					v = -1
-				}
-				val = v
-			case opWait:
-				events[o.obj].Wait()
-			default:
+			if blocking(o.kind) {
+				val = block(pid, o)
+			} else {
 				apply(pid, body, i, o)
 			}
 			if dead {
@@ -175,14 +185,41 @@ func runReal(p *schedProgram) (out schedOutcome) {
 		}
 	}
 	// spawnTask runs body as a step machine: pc is the op in progress,
-	// and resumed says the task parked in it, so a Sleep or Acquire has
-	// completed when the step runs next (a Get retries, as Get does).
+	// and resumed says the task parked in it, so a Sleep, Acquire or
+	// Wait has completed when the step runs next (a Get retries, as Get
+	// does). A calling task runs each run of blocking ops, pc up to
+	// end, in one Call, which logs every op as it completes.
 	spawnTask = func(pid, body int) {
 		ops := p.bodies[body]
-		pc, resumed := 0, false
+		pc, end, resumed := 0, 0, false
+		stackful := func() {
+			for ; pc < end; pc++ {
+				val := block(pid, ops[pc])
+				if dead {
+					return
+				}
+				st.record(pid, pc, c.Now(), val)
+			}
+		}
 		var t *Task
 		t = c.Spawn("task", func() {
-			for ; pc < len(ops); pc++ {
+			for pc < len(ops) {
+				if dead {
+					// A deadlocked run is being reaped: the Call it
+					// parked in has returned.
+					t.Exit()
+					return
+				}
+				if p.calls&(1<<body) != 0 && blocking(ops[pc].kind) {
+					end = pc + 1
+					for end < len(ops) && blocking(ops[end].kind) {
+						end++
+					}
+					if !t.Call(stackful) {
+						return
+					}
+					continue
+				}
 				o, val := ops[pc], 0
 				switch o.kind {
 				case opSleep:
@@ -206,11 +243,17 @@ func runReal(p *schedProgram) (out schedOutcome) {
 						v = -1
 					}
 					val = v
+				case opWait:
+					if !resumed && !events[o.obj].WaitTask(t) {
+						resumed = true
+						return
+					}
 				default:
 					apply(pid, body, pc, o)
 				}
 				resumed = false
 				st.record(pid, pc, c.Now(), val)
+				pc++
 			}
 			t.Exit()
 		})
@@ -235,7 +278,9 @@ func runReal(p *schedProgram) (out schedOutcome) {
 // reapParked finishes the coroutines a deadlock leaves parked, so that
 // fuzzing does not leak one goroutine per blocked process: with every
 // queue closed, each parked process returns from its primitive, sees
-// dead and exits. A parked task has no coroutine to finish.
+// dead and exits. A task parked inside Call returns from its Call, and
+// its next step exits, stopping the stack it borrowed; a task parked
+// outside Call has no coroutine to finish.
 func reapParked(dead *bool, sems []*Semaphore, queues []*Queue[int], events []*Event) {
 	var parked []*proc
 	collect := func(f *FIFO[*waiter]) {
@@ -449,10 +494,15 @@ func checkSchedule(t *testing.T, p *schedProgram) schedOutcome {
 	return got
 }
 
+// blocking reports whether an op of kind k can block.
+func blocking(k opKind) bool {
+	return k == opSleep || k == opAcquire || k == opGet || k == opWait
+}
+
 // decodeProgram turns fuzz bytes into a program; missing bytes read as
 // zero. Every field is a byte taken modulo its range, so encodeProgram
-// is its inverse. A body's length byte carries its task flag in bit 4;
-// a task body reads opWait as opSet.
+// is its inverse. A body's length byte carries its task flag in bit 4
+// and, for a task, its call flag in bit 5.
 func decodeProgram(data []byte) *schedProgram {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -470,17 +520,16 @@ func decodeProgram(data []byte) *schedProgram {
 	p.bodies = make([][]schedOp, 1+next(4))
 	counts := [numOpKinds]int{len(p.semCaps), len(p.semCaps), len(p.semCaps), p.queues, p.queues, p.queues, p.events, p.events, len(p.bodies)}
 	for b := range p.bodies {
-		n := next(32)
-		task := b > 0 && n >= 16
-		if task {
+		n := next(64)
+		if b > 0 && n&16 != 0 {
 			p.tasks |= 1 << b
+			if n&32 != 0 {
+				p.calls |= 1 << b
+			}
 		}
 		p.bodies[b] = make([]schedOp, n%16)
 		for i := range p.bodies[b] {
 			k := opKind(next(int(numOpKinds)))
-			if task && k == opWait {
-				k = opSet
-			}
 			p.bodies[b][i] = schedOp{k, next(counts[k]), next(256)}
 		}
 	}
@@ -494,7 +543,7 @@ func encodeProgram(p *schedProgram) []byte {
 	}
 	out = append(out, byte(p.queues-1), byte(p.events-1), byte(len(p.bodies)-1))
 	for b, ops := range p.bodies {
-		out = append(out, byte(len(ops))|byte(p.tasks>>b&1)<<4)
+		out = append(out, byte(len(ops))|byte(p.tasks>>b&1)<<4|byte(p.calls>>b&1)<<5)
 		for _, o := range ops {
 			out = append(out, byte(o.kind), byte(o.obj), byte(o.arg))
 		}
@@ -503,7 +552,8 @@ func encodeProgram(p *schedProgram) []byte {
 }
 
 // FuzzSchedule checks the Clock against the reference scheduler on
-// random programs that mix processes and tasks: identical (process,
+// random programs that mix processes, tasks and tasks that block
+// inside Task.Call: identical (process,
 // op, time) logs, and a deadlock reported exactly when the model
 // deadlocks, with the same census. The committed seed corpus holds the
 // hand-written programs of batch_test.go.

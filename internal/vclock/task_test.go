@@ -75,8 +75,10 @@ func TestTaskDeadlockCensus(t *testing.T) {
 }
 
 // TestStepCallingStackfulPrimitivePanics checks that a step reaching a
-// blocking stackful primitive fails naming the task, before it touches
-// any clock state, instead of parking a coroutine it does not have.
+// blocking stackful primitive outside Call fails naming the task,
+// before it touches any clock state, instead of parking a coroutine it
+// does not have — also once an earlier Call has created the stack Call
+// lends, which is lent only for the Call.
 func TestStepCallingStackfulPrimitivePanics(t *testing.T) {
 	for name, block := range map[string]func(c *Clock) func(){ //gflink:unordered — each case runs on its own
 		"Clock.Sleep": func(c *Clock) func() {
@@ -102,6 +104,181 @@ func TestStepCallingStackfulPrimitivePanics(t *testing.T) {
 				t.Fatalf("Run panicked with %q, want it to contain %q", msg, want)
 			}
 		})
+		t.Run(name+"/after-Call", func(t *testing.T) {
+			msg := runPanic(t, func(c *Clock) {
+				var task *Task
+				bad := block(c)
+				task = c.Spawn("stepper", func() {
+					if !task.Call(func() { c.Sleep(0) }) {
+						t.Error("Call of a self-waking sleep parked")
+					}
+					bad()
+				})
+			})
+			if want := `process "stepper" panicked: vclock: task "stepper" called a stackful blocking primitive`; !strings.Contains(msg, want) {
+				t.Fatalf("Run panicked with %q, want it to contain %q", msg, want)
+			}
+		})
+	}
+}
+
+// TestTaskCall runs stackful primitives inside Call. A Call whose
+// function never parks finishes in place, and costs no park; one whose
+// function parks returns false, and the task's step runs again only
+// once the function has finished, at the virtual time it finished.
+// Both Calls share one borrowed stack.
+func TestTaskCall(t *testing.T) {
+	c := New()
+	sem := NewSemaphore(c, "gate", 1)
+	var task *Task
+	var log []string
+	phase := 0
+	step := func() {
+		for {
+			switch phase {
+			case 0:
+				phase = 1
+				inPlace := task.Call(func() {
+					sem.Acquire(1)
+					c.Sleep(0)
+				})
+				log = append(log, fmt.Sprintf("in-place=%v@%v", inPlace, c.Now()))
+				if !inPlace {
+					return
+				}
+			case 1:
+				phase = 2
+				sem.Release(1)
+				if !task.Call(func() {
+					c.Sleep(time.Millisecond)
+					sem.Acquire(1)
+					log = append(log, fmt.Sprintf("granted@%v", c.Now()))
+				}) {
+					log = append(log, fmt.Sprintf("parked@%v", c.Now()))
+					return
+				}
+			case 2:
+				log = append(log, fmt.Sprintf("stepped@%v", c.Now()))
+				sem.Release(1)
+				task.Exit()
+				return
+			}
+		}
+	}
+	c.Run(func() {
+		// The task runs once the root sleeps, so its zero sleep heads
+		// the timer heap and the first Call never parks. The root holds
+		// the gate from 1ms to 3ms, so the second Call parks twice: on
+		// its sleep, then on the semaphore.
+		task = c.Spawn("caller", step)
+		c.Sleep(time.Millisecond)
+		sem.Acquire(1)
+		c.Sleep(2 * time.Millisecond)
+		sem.Release(1)
+	})
+	// The dispatch that parks the second Call has already moved the
+	// clock to the root's 1ms timer when Call returns.
+	want := []string{"in-place=true@0s", "parked@1ms", "granted@3ms", "stepped@3ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+	// The root parks on its two sleeps and the second Call twice.
+	if got := c.Parks(); got != 4 {
+		t.Fatalf("Parks = %d, want 4", got)
+	}
+}
+
+// TestTaskCallPanicNamesTask checks that a panic inside a Call's
+// function surfaces from Run naming the task, whether the function
+// panics at once or after it parked.
+func TestTaskCallPanicNamesTask(t *testing.T) {
+	for name, fn := range map[string]func(c *Clock) func(){ //gflink:unordered — each case runs on its own
+		"in place": func(c *Clock) func() {
+			return func() { panic("boom") }
+		},
+		"after a park": func(c *Clock) func() {
+			return func() {
+				c.Sleep(time.Second)
+				panic("boom")
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			msg := runPanic(t, func(c *Clock) {
+				var task *Task
+				body := fn(c)
+				task = c.Spawn("caller", func() {
+					if task.Call(body) {
+						task.Exit()
+					}
+				})
+				c.Sleep(2 * time.Second)
+			})
+			if want := `process "caller" panicked: boom`; !strings.Contains(msg, want) {
+				t.Fatalf("Run panicked with %q, want it to contain %q", msg, want)
+			}
+		})
+	}
+}
+
+// TestTaskCallDeadlockCensus checks that a task parked inside Call is
+// counted in the deadlock diagnostic under the reason its function
+// waits for, like a process.
+func TestTaskCallDeadlockCensus(t *testing.T) {
+	msg := runPanic(t, func(c *Clock) {
+		sem := NewSemaphore(c, "gate", 1)
+		ev := NewEvent(c)
+		sem.Acquire(1) // never released
+		var acquirer, waiter *Task
+		acquirer = c.Spawn("acquirer", func() {
+			if acquirer.Call(func() { sem.Acquire(1) }) {
+				t.Error("Call of an acquire on a held semaphore finished in place")
+			}
+		})
+		waiter = c.Spawn("waiter", func() {
+			if waiter.Call(func() { ev.Wait() }) {
+				t.Error("Call of a wait on an unset event finished in place")
+			}
+		})
+	})
+	if !strings.Contains(msg, "vclock: deadlock") {
+		t.Fatalf("Run panicked with %q, want a deadlock", msg)
+	}
+	want := []string{"virtual time: 0s", "processes alive: 2", "event 1", "sem:gate 1"}
+	if got := parseCensus(msg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("census = %q, want %q", got, want)
+	}
+}
+
+// TestEventWaitTask checks WaitTask: true on a set event, and on an
+// unset one a wait that the setter's Set ends, after which the step
+// runs at the setter's time.
+func TestEventWaitTask(t *testing.T) {
+	c := New()
+	ev := NewEvent(c)
+	var task *Task
+	var woke time.Duration
+	waited := false
+	task = c.Spawn("waiter", func() {
+		if !waited {
+			waited = true
+			if ev.WaitTask(task) {
+				t.Error("WaitTask on an unset event did not wait")
+			}
+			return
+		}
+		woke = c.Now()
+		if !ev.WaitTask(task) {
+			t.Error("WaitTask on a set event waited")
+		}
+		task.Exit()
+	})
+	c.Run(func() {
+		c.Sleep(5 * time.Millisecond)
+		ev.Set()
+	})
+	if woke != 5*time.Millisecond {
+		t.Fatalf("waiter stepped again at %v, want 5ms", woke)
 	}
 }
 

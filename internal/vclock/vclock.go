@@ -6,7 +6,8 @@
 // registered with a Clock: a coroutine (Go), or a stackless Task
 // (Spawn) whose step function the dispatcher calls in place. Processes
 // may block only through the primitives provided by this package
-// (Sleep, Queue, Semaphore, Event, ...); a task uses their task forms.
+// (Sleep, Queue, Semaphore, Event, ...); a task uses their task forms,
+// or runs stackful code on a stack it borrows for one Task.Call.
 // Scheduling is cooperative: Run resumes one process at a time on its
 // caller's goroutine, and when that process blocks it yields back to
 // Run, which resumes the next ready process in FIFO wake order. The
@@ -70,7 +71,7 @@ func (c *Clock) park(p *proc) {
 
 // Parks reports how many times a process has parked its coroutine: the
 // count of coroutine round trips the run has paid. Task waits and
-// self-waking sleeps do not park.
+// self-waking sleeps do not park; a wait inside a task's Call does.
 func (c *Clock) Parks() uint64 { return c.parks }
 
 // Census indices for the closed set of built-in block reasons. The
@@ -163,7 +164,7 @@ func (c *Clock) Now() time.Duration { return c.now }
 // spawn order — not host scheduling — decides execution order.
 func (c *Clock) Go(name string, fn func()) {
 	p := c.takeProc(name)
-	p.next = coroutine(func(yield func(struct{}) bool) {
+	p.next, _ = coroutine(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {

@@ -332,7 +332,8 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 
 // TestRunLeavesNoGoroutines checks that every process's coroutine has
 // finished by the time Run returns, for processes spawned both before
-// and during the run, with a task alive beside them.
+// and during the run, with a task alive beside them and a task that
+// blocked inside Call and exited: Exit stops the stack Call lent.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := New()
@@ -360,6 +361,17 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			}
 			sum += v
 		}
+	})
+	var caller *Task
+	called := false
+	caller = c.Spawn("task-caller", func() {
+		if !called {
+			called = true
+			if !caller.Call(func() { c.Sleep(time.Millisecond) }) {
+				return
+			}
+		}
+		caller.Exit()
 	})
 	c.Run(func() {
 		g := NewGroup(c)
