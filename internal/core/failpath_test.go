@@ -7,11 +7,13 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
 	"gflink/internal/gpu"
 	"gflink/internal/membuf"
+	"gflink/internal/vclock"
 )
 
 // TestFailedWorkEmitsSpans pins the fail-path contract: a GWork that
@@ -316,6 +318,64 @@ func TestAllocReclaimRetry(t *testing.T) {
 					t.Errorf("failed work's spans: queue=%v error-annotated gwork=%v, want both", queue, gwork)
 				}
 			})
+		}
+	}
+}
+
+// TestWaitTaskMatchesWait: a task waiting on a GWork through WaitTask
+// resumes at the virtual time, and with the error, that a process's
+// Wait returns, for a kernel that succeeds and for one that fails.
+func TestWaitTaskMatchesWait(t *testing.T) {
+	wait := func(kernel string, task bool) (time.Duration, error) {
+		g := newGFlink(1, 1)
+		clock := g.Cluster.Clock
+		var at time.Duration
+		var err error
+		g.Run(func() {
+			pool := g.Cluster.TaskManagers[0].Pool
+			in := pool.MustAllocate(64)
+			out := pool.MustAllocate(64)
+			defer in.Free()
+			defer out.Free()
+			w := &GWork{
+				ExecuteName: kernel,
+				Size:        16,
+				Nominal:     16,
+				BlockSize:   256,
+				GridSize:    1,
+				In:          []Input{{Buf: in, Nominal: 64}},
+				Out:         out,
+				OutNominal:  64,
+			}
+			g.Manager(0).Streams.Submit(w)
+			if !task {
+				err = w.Wait()
+				at = clock.Now()
+				return
+			}
+			done := vclock.NewEvent(clock)
+			var waiter *vclock.Task
+			waiter = clock.Spawn("waiter", func() {
+				ok, e := w.WaitTask(waiter)
+				if !ok {
+					return
+				}
+				at, err = clock.Now(), e
+				done.Set()
+				waiter.Exit()
+			})
+			done.Wait()
+		})
+		return at, err
+	}
+	for _, kernel := range []string{"core_test.double", "core_test.fail"} {
+		wantAt, wantErr := wait(kernel, false)
+		at, err := wait(kernel, true)
+		if at != wantAt || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: WaitTask returned at %v with %v; Wait at %v with %v", kernel, at, err, wantAt, wantErr)
+		}
+		if (wantErr != nil) != (kernel == "core_test.fail") || wantAt <= 0 {
+			t.Errorf("%s: Wait returned at %v with %v", kernel, wantAt, wantErr)
 		}
 	}
 }

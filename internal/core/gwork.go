@@ -102,6 +102,19 @@ func (w *GWork) Wait() error {
 	return w.err
 }
 
+// WaitTask is Wait for a vclock task. It returns true and the work's
+// error once the work is complete. It returns false when t was parked
+// on the work's completion: the step must return, and call WaitTask
+// again when it runs next.
+//
+//gflink:hotpath
+func (w *GWork) WaitTask(t *vclock.Task) (bool, error) {
+	if !w.done.WaitTask(t) {
+		return false, nil
+	}
+	return true, w.err
+}
+
 // Device returns the GPU that executed the work (after Wait).
 func (w *GWork) Device() *gpu.Device { return w.device }
 

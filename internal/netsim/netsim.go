@@ -6,6 +6,7 @@ package netsim
 
 import (
 	"fmt"
+	"time"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/vclock"
@@ -40,21 +41,104 @@ func (n *Network) Nodes() int { return len(n.up) }
 // process for the transfer duration. A same-node transfer is a memory
 // copy and costs nothing on the network.
 func (n *Network) Transfer(src, dst int, bytes int64) {
-	if src == dst || bytes <= 0 {
+	d, ok := n.begin(src, dst, bytes)
+	if !ok {
 		return
 	}
-	n.checkNode(src)
-	n.checkNode(dst)
-	d := n.model.TransferTime(bytes)
 	// Acquire in fixed global order (uplink then downlink, by index) to
 	// avoid lock cycles between opposing transfers.
 	n.up[src].Acquire(1)
 	n.down[dst].Acquire(1)
 	n.clock.Sleep(d)
+	n.end(src, dst, bytes)
+}
+
+// begin checks a transfer and prices it. ok is false for a same-node
+// or empty transfer, which touches neither link.
+func (n *Network) begin(src, dst int, bytes int64) (d time.Duration, ok bool) {
+	if src == dst || bytes <= 0 {
+		return 0, false
+	}
+	n.checkNode(src)
+	n.checkNode(dst)
+	return n.model.TransferTime(bytes), true
+}
+
+// end releases a finished transfer's links and counts it.
+func (n *Network) end(src, dst int, bytes int64) {
 	n.down[dst].Release(1)
 	n.up[src].Release(1)
 	n.transfers++
 	n.bytes += bytes
+}
+
+// xferPhase is where an Xfer stands in its transfer.
+type xferPhase uint8
+
+const (
+	xferIdle  xferPhase = iota // no transfer in flight
+	xferUp                     // take the uplink
+	xferDown                   // take the downlink
+	xferWire                   // hold both links for the transfer time
+	xferSlept                  // the transfer time has passed: release
+)
+
+// Xfer is Transfer for a vclock task: a state machine the task embeds
+// and drives from its step. Across its Step calls it makes Transfer's
+// primitive calls in the same order (uplink, downlink, sleep, the
+// releases), so a task's transfer contends and finishes exactly as a
+// process's does. The zero value is idle.
+type Xfer struct {
+	n        *Network
+	src, dst int
+	bytes    int64
+	d        time.Duration
+	phase    xferPhase
+}
+
+// Start begins moving bytes from node src to node dst. A same-node or
+// empty transfer leaves x idle, so the next Step completes in place.
+//
+//gflink:hotpath
+func (x *Xfer) Start(n *Network, src, dst int, bytes int64) {
+	d, ok := n.begin(src, dst, bytes)
+	if !ok {
+		return
+	}
+	*x = Xfer{n: n, src: src, dst: dst, bytes: bytes, d: d, phase: xferUp}
+}
+
+// Step drives the transfer Start began. It returns true once the
+// transfer is done. It returns false when t was parked on a link or for
+// the transfer time: the step must return, and call Step again when it
+// runs next.
+//
+//gflink:hotpath
+func (x *Xfer) Step(t *vclock.Task) bool {
+	for {
+		switch x.phase {
+		case xferIdle:
+			return true
+		case xferUp:
+			x.phase = xferDown
+			if !x.n.up[x.src].AcquireTask(t, 1) {
+				return false
+			}
+		case xferDown:
+			x.phase = xferWire
+			if !x.n.down[x.dst].AcquireTask(t, 1) {
+				return false
+			}
+		case xferWire:
+			x.phase = xferSlept
+			if !t.Sleep(x.d) {
+				return false
+			}
+		case xferSlept:
+			x.n.end(x.src, x.dst, x.bytes)
+			x.phase = xferIdle
+		}
+	}
 }
 
 // Stats reports cumulative transfer counters.

@@ -1,8 +1,8 @@
 // Package stream is GFlink's DataStream layer: the unbounded-source
 // counterpart to package plan's one-shot batch graphs. A Pipeline is a
 // linear chain of stages — a generator source, tumbling-window keyed
-// aggregations, a sink — each running as its own virtual-time process
-// on a worker node, connected by bounded edges with credit-based
+// aggregations, a sink — each running as its own virtual-time task on
+// a worker node, connected by bounded edges with credit-based
 // backpressure:
 //
 //   - records are micro-batched into fixed-size batches; a full batch
@@ -23,10 +23,14 @@
 //     both bodies replay the same float additions in the same order, so
 //     results are bit-identical across placements.
 //
-// Determinism is inherited from the substrate: stages are cooperative
-// vclock processes, edges are FIFO queues and semaphores, and every
-// span/counter timestamp is a virtual-clock reading — a pipeline run is
-// byte-identical across GOMAXPROCS settings and repeat runs.
+// Stages and the edges' credit couriers are stackless vclock tasks:
+// each step is a state machine that makes the primitive calls of a
+// blocking loop (credit acquire, transfer, queue put and get, sleep) in
+// that loop's order through the task forms, so no stage parks a
+// coroutine. Determinism is inherited from the substrate: tasks are
+// dispatched cooperatively, edges are FIFO queues and semaphores, and
+// every span/counter timestamp is a virtual-clock reading — a pipeline
+// run is byte-identical across GOMAXPROCS settings and repeat runs.
 package stream
 
 import (
@@ -40,6 +44,7 @@ import (
 	"gflink/internal/costmodel"
 	"gflink/internal/kernels"
 	"gflink/internal/membuf"
+	"gflink/internal/netsim"
 	"gflink/internal/obs"
 	"gflink/internal/plan"
 	"gflink/internal/vclock"
@@ -183,7 +188,7 @@ type Result struct {
 }
 
 // Pipeline is a deferred stream topology: stage constructors append
-// stages, Run spawns them as virtual-time processes and waits for the
+// stages, Run spawns them as virtual-time tasks and waits for the
 // bounded stream to drain. Mirrors plan.Graph: construction never
 // touches the clock.
 type Pipeline struct {
@@ -197,6 +202,10 @@ type Pipeline struct {
 	decisions map[string]plan.Device
 	ests      map[string]ratePair
 	ran       bool
+	// live counts the run's tasks still alive; the last to exit sets
+	// done, which Run waits on.
+	live int
+	done *vclock.Event
 }
 
 type ratePair struct{ cpu, gpu time.Duration }
@@ -260,8 +269,8 @@ func (k stageKind) String() string {
 	}
 }
 
-// stage is one pipeline stage. Each stage runs as a single virtual-time
-// process, so its mutable fields need no locking.
+// stage is one pipeline stage. Each stage runs as a single vclock
+// task, so its mutable fields need no locking.
 type stage struct {
 	p      *Pipeline
 	idx    int
@@ -280,23 +289,42 @@ type stage struct {
 	cntRecords, cntBatches, cntWindows *obs.Counter
 	cntBlocked, cntGrants, cntDepth    *obs.Counter
 
-	// run measurements, aggregated into Result after the group joins.
+	// run measurements, aggregated into Result after the run drains.
 	records, batches, windows int64
 	blocked                   time.Duration
 	checksum                  float64
 
+	// The task and where its step stands: the time it first ran, and
+	// the input batch in hand (window, sink) with its records not yet
+	// folded (window).
+	task  *vclock.Task
+	phase stagePhase
+	began time.Duration
+	cur   *batch
+	rest  []Record
+
+	// source state: records generated so far, the generator state and
+	// the key reduction
+	made int64
+	z    uint64
+	keys modulus
+
 	// window state: fill records folded into the open window, the slot
-	// sums emitted when it fires
-	fill int
-	sums []float32
-	slot modulus
-	dev  plan.Device
+	// sums emitted when it fires, when it fired, and the sums already
+	// emitted
+	fill    int
+	sums    []float32
+	slot    modulus
+	dev     plan.Device
+	t0      time.Duration
+	emitted int
 	// GPU-path staging: host buffers reused across windows, plus the
 	// one-element Args backing (WorkPool.Put drops Args, whose backing
-	// belongs to the submitter).
+	// belongs to the submitter), and the GWork in flight.
 	inBuf, outBuf *membuf.HBuffer
 	args          [1]int64
 	jobID         int
+	work          *core.GWork
 }
 
 // Stage is the exported handle stage constructors chain on.
@@ -340,6 +368,7 @@ func (p *Pipeline) Source(name string, worker int, spec SourceSpec) *Stage {
 	}
 	s := p.addStage(kSource, name, worker)
 	s.src = spec
+	s.keys, s.z = newModulus(uint64(spec.Keys)), spec.Seed
 	return &Stage{s: s}
 }
 
@@ -416,8 +445,8 @@ func (p *Pipeline) decide(s *stage) plan.Device {
 }
 
 // Run materializes the pipeline: submit the job (charging the usual
-// submission overhead), decide window placements, spawn one process
-// per stage plus one credit courier per edge, and wait for the bounded
+// submission overhead), decide window placements, spawn one task per
+// stage plus one credit courier per edge, and wait for the bounded
 // stream to drain. Must be called inside g.Run, like plan.Execute.
 func (p *Pipeline) Run() Result {
 	if p.ran {
@@ -437,16 +466,26 @@ func (p *Pipeline) Run() Result {
 		}
 	}
 	t0 := clock.Now()
-	grp := vclock.NewGroup(clock)
+	p.done = vclock.NewEvent(clock)
 	for _, s := range p.stages {
-		s := s
 		if s.out != nil {
 			s.out.open(clock)
-			grp.Go(s.track+"/credits", s.out.courier)
+			s.out.courier = clock.Spawn(s.track+"/credits", s.out.courierStep)
+			p.live++
 		}
-		grp.Go(s.track, s.run)
+		var step func()
+		switch s.kind {
+		case kSource:
+			step = s.sourceStep
+		case kWindow:
+			step = s.windowStep
+		default:
+			step = s.sinkStep
+		}
+		s.task = clock.Spawn(s.track, step)
+		p.live++
 	}
-	grp.Wait()
+	p.done.Wait()
 	makespan := clock.Now() - t0
 
 	res := Result{Makespan: makespan}
@@ -475,12 +514,32 @@ func (p *Pipeline) Run() Result {
 	return res
 }
 
+// exit ends one of the pipeline's tasks. The last one to finish wakes
+// Run before its task exits, the order a vclock.Group member's exit
+// keeps.
+func (p *Pipeline) exit(t *vclock.Task) {
+	if p.live--; p.live == 0 {
+		p.done.Set()
+	}
+	//gflink:allow-alloc once per task per run
+	t.Exit()
+}
+
 // batch is the unit of transfer and credit accounting. Shells circulate
 // producer -> consumer -> (with the credit grant) back to the producer,
 // so a stage allocates at most BufferBatches+1 of them.
 type batch struct {
 	recs []Record
 }
+
+// sendPhase is where an edge's send stands.
+type sendPhase uint8
+
+const (
+	sendIdle   sendPhase = iota // no send in flight: take a credit
+	sendCredit                  // the credit is held: start the transfer
+	sendWire                    // the transfer is in flight
+)
 
 // edge is one bounded producer-consumer link: a FIFO of in-flight
 // batches, a credit semaphore sized to the buffer limit, and the grant
@@ -495,8 +554,21 @@ type edge struct {
 	grants  *vclock.Queue[*batch]
 	free    *vclock.Queue[*batch]
 	// depthMax is the buffer-occupancy high watermark, written only by
-	// the producing stage's process.
+	// the producing stage's task.
 	depthMax int
+
+	// The producer's send: the batch it ships (nil when none is
+	// pending), when its credit wait began, where it stands, and its
+	// transfer.
+	b     *batch
+	t0    time.Duration
+	phase sendPhase
+	wire  netsim.Xfer
+	// The courier task, the grant it is returning and the grant's
+	// transfer back to the producer.
+	courier *vclock.Task
+	grant   *batch
+	back    netsim.Xfer
 }
 
 // open creates the edge's queues and credit semaphore when Run starts.
@@ -521,28 +593,47 @@ func (e *edge) take() *batch {
 	return &batch{recs: make([]Record, 0, e.p.opts.BatchRecords)}
 }
 
-// send ships one batch downstream: acquire a credit (blocking on the
-// virtual clock when the buffer is full — the metered backpressure
-// signal), pay the network transfer at nominal record size, enqueue.
+// send ships e.b downstream from the producing stage's task t: acquire
+// a credit (waiting on the virtual clock when the buffer is full — the
+// metered backpressure signal), pay the network transfer at nominal
+// record size, enqueue. It returns true once the batch is enqueued. It
+// returns false when t parked: the step must return, and call send
+// again when it runs next.
 //
 //gflink:hotpath
-func (e *edge) send(b *batch) {
+func (e *edge) send(t *vclock.Task) bool {
 	clock := e.p.g.Cluster.Clock
-	t0 := clock.Now()
-	e.credits.Acquire(1)
-	if blocked := clock.Now() - t0; blocked > 0 {
-		e.from.blocked += blocked
-		e.from.cntBlocked.Add(int64(blocked))
-		e.p.tracer.Record(e.from.track, "backpressure", "credit-wait", t0, clock.Now())
+	switch e.phase {
+	case sendIdle:
+		e.t0 = clock.Now()
+		e.phase = sendCredit
+		if !e.credits.AcquireTask(t, 1) {
+			return false
+		}
+		fallthrough
+	case sendCredit:
+		if blocked := clock.Now() - e.t0; blocked > 0 {
+			e.from.blocked += blocked
+			e.from.cntBlocked.Add(int64(blocked))
+			e.p.tracer.Record(e.from.track, "backpressure", "credit-wait", e.t0, clock.Now())
+		}
+		e.wire.Start(e.p.g.Cluster.Net, e.from.worker, e.to.worker, int64(len(e.b.recs))*e.p.opts.RecordBytes)
+		e.phase = sendWire
+		fallthrough
+	case sendWire:
+		if !e.wire.Step(t) {
+			return false
+		}
 	}
-	e.p.g.Cluster.Net.Transfer(e.from.worker, e.to.worker, int64(len(b.recs))*e.p.opts.RecordBytes)
-	e.q.Put(b)
+	e.q.Put(e.b)
 	if d := e.q.Len(); d > e.depthMax {
 		e.depthMax = d
 		e.from.cntDepth.Max(int64(d))
 	}
 	e.from.batches++
 	e.from.cntBatches.Add(1)
+	e.b, e.phase = nil, sendIdle
+	return true
 }
 
 // closeSend marks the stream drained: consumers observe end-of-stream
@@ -551,115 +642,279 @@ func (e *edge) send(b *batch) {
 func (e *edge) closeSend() { e.q.Close() }
 
 // ack returns the consumed batch's credit (and its shell) to the
-// producer. The grant itself is carried by the edge's courier process
-// so the network latency of the control message never stalls the
+// producer. The grant itself is carried by the edge's courier task so
+// the network latency of the control message never stalls the
 // consumer.
 func (e *edge) ack(b *batch) { e.grants.Put(b) }
 
-// courier is the per-edge credit-return process: for every processed
-// batch it pays the control-message transfer back to the producer,
-// recycles the shell and releases the credit.
+// courierStep is the step of the edge's credit-return task: for every
+// processed batch it pays the control-message transfer back to the
+// producer, recycles the shell and releases the credit.
 //
 //gflink:hotpath
-func (e *edge) courier() {
+func (e *edge) courierStep() {
+	t := e.courier
 	for {
-		b, ok := e.grants.Get()
-		if !ok {
+		if e.grant == nil {
+			b, ok, wait := e.grants.GetTask(t)
+			if wait {
+				return
+			}
+			if !ok {
+				e.p.exit(t)
+				return
+			}
+			e.grant = b
+			e.back.Start(e.p.g.Cluster.Net, e.to.worker, e.from.worker, costmodel.StreamCreditBytes)
+		}
+		if !e.back.Step(t) {
 			return
 		}
-		e.p.g.Cluster.Net.Transfer(e.to.worker, e.from.worker, costmodel.StreamCreditBytes)
-		e.free.Put(b)
+		e.free.Put(e.grant)
+		e.grant = nil
 		e.credits.Release(1)
 		e.from.cntGrants.Add(1)
 	}
 }
 
-// run executes the stage's process until its input drains.
-func (s *stage) run() {
-	clock := s.p.g.Cluster.Clock
-	start := clock.Now()
-	switch s.kind {
-	case kSource:
-		s.runSource()
-	case kWindow:
-		s.runWindow()
-	case kSink:
-		s.runSink()
+// stagePhase is where a stage's task stands in its loop.
+type stagePhase uint8
+
+const (
+	phStart   stagePhase = iota // first step: note the start time
+	phNext                      // produce (source) or take (window, sink) the next batch
+	phCharged                   // the batch's CPU time has passed
+	phSend                      // source: the batch is on its way downstream
+	phFold                      // window: fold the batch in hand up to the trigger
+	phFire                      // window: aggregate the full window
+	phGPU                       // window: the window's GWork is in flight
+	phFired                     // window: the window's sums are ready
+	phEmit                      // window: the sums are on their way downstream
+	phClose                     // close the output and wait for every credit
+	phDrained                   // every credit came home
+)
+
+// sourceStep is the source task's step: it generates records batch by
+// batch, charging the production cost on the source worker's CPU and
+// pushing each batch through the credit-bounded edge.
+//
+//gflink:hotpath
+func (s *stage) sourceStep() {
+	t, e := s.task, s.out
+	for {
+		switch s.phase {
+		case phStart:
+			s.start()
+		case phNext:
+			if s.made == s.src.Records {
+				s.phase = phClose
+				continue
+			}
+			n := min(int64(s.p.opts.BatchRecords), s.src.Records-s.made)
+			e.b = e.take()
+			e.b.recs = e.b.recs[:n]
+			s.z = generate(e.b.recs, s.z, s.keys)
+			s.made += n
+			s.phase = phCharged
+			if !t.Sleep(s.p.g.Cfg.Config.Model.CPU.SlotTime(n, s.src.PerRecord.Scale(float64(n)))) {
+				return
+			}
+		case phCharged:
+			n := int64(len(e.b.recs))
+			s.records += n
+			s.cntRecords.Add(n)
+			s.phase = phSend
+		case phSend:
+			if !e.send(t) {
+				return
+			}
+			s.phase = phNext
+		default:
+			s.closeOut()
+			return
+		}
 	}
+}
+
+// windowStep is the window task's step. It consumes batches in chunks
+// up to the window boundary, folding each chunk into the open window as
+// it arrives, and on every trigger fires the aggregation on the placed
+// device, emits one aggregate record per slot downstream, and resumes
+// folding the rest of the batch.
+//
+//gflink:hotpath
+func (s *stage) windowStep() {
+	t := s.task
+	clock := s.p.g.Cluster.Clock
+	for {
+		switch s.phase {
+		case phStart:
+			s.start()
+		case phNext:
+			b, ok, wait := s.in.q.GetTask(t)
+			if wait {
+				return
+			}
+			if !ok {
+				s.phase = phClose
+				if s.fill > 0 {
+					s.phase = phFire
+				}
+				continue
+			}
+			s.cur, s.rest = b, b.recs
+			s.phase = phFold
+		case phFold:
+			if len(s.rest) == 0 {
+				n := int64(len(s.cur.recs))
+				s.records += n
+				s.cntRecords.Add(n)
+				s.in.ack(s.cur)
+				s.cur = nil
+				s.phase = phNext
+				continue
+			}
+			k := min(len(s.rest), s.win.Trigger.records-s.fill)
+			s.fold(s.rest[:k])
+			s.rest = s.rest[k:]
+			if s.fill == s.win.Trigger.records {
+				s.phase = phFire
+			}
+		case phFire:
+			// A CPU window charges the slot time of the sums fold
+			// already applied; a GPU window runs the kernel over the
+			// packed pairs. Both add the same values in the same order,
+			// so the emitted aggregates are bit-identical across
+			// placements.
+			s.t0 = clock.Now()
+			if s.dev == plan.GPU {
+				s.submitGPU()
+				s.phase = phGPU
+				continue
+			}
+			n := s.fill
+			s.phase = phFired
+			if !t.Sleep(s.p.g.Cfg.Config.Model.CPU.SlotTime(int64(n), s.win.PerRecordCPU.Scale(float64(n)))) {
+				return
+			}
+		case phGPU:
+			done, err := s.work.WaitTask(t)
+			if !done {
+				return
+			}
+			s.collectGPU(err)
+			s.phase = phFired
+		case phFired:
+			s.windows++
+			s.cntWindows.Add(1)
+			if s.p.tracer.Enabled() {
+				s.p.tracer.Record(s.track, "window", "window", s.t0, clock.Now(),
+					obs.Int("records", int64(s.fill)),
+					obs.Str("placed", s.dev.String()))
+			}
+			s.phase = phEmit
+		case phEmit:
+			if !s.emit() {
+				return
+			}
+			clear(s.sums)
+			s.fill, s.emitted = 0, 0
+			s.phase = phFold
+			if s.cur == nil {
+				s.phase = phClose
+			}
+		default:
+			s.closeOut()
+			return
+		}
+	}
+}
+
+// sinkPerRecord is the sink's per-record folding demand.
+var sinkPerRecord = costmodel.Work{Flops: 2, BytesRead: 8}
+
+// sinkStep is the sink task's step: it drains the final edge, charging
+// a small folding cost and accumulating the checksum.
+//
+//gflink:hotpath
+func (s *stage) sinkStep() {
+	t := s.task
+	for {
+		switch s.phase {
+		case phStart:
+			s.start()
+		case phNext:
+			b, ok, wait := s.in.q.GetTask(t)
+			if wait {
+				return
+			}
+			if !ok {
+				s.finish()
+				return
+			}
+			s.cur = b
+			n := int64(len(b.recs))
+			s.phase = phCharged
+			if !t.Sleep(s.p.g.Cfg.Config.Model.CPU.SlotTime(n, sinkPerRecord.Scale(float64(n)))) {
+				return
+			}
+		case phCharged:
+			// Fold the batch in a local, so the loop neither loads
+			// nor stores the running total per record.
+			sum := s.checksum
+			for _, r := range s.cur.recs {
+				sum += float64(r.Val) * float64(r.Key+1)
+			}
+			s.checksum = sum
+			n := int64(len(s.cur.recs))
+			s.records += n
+			s.cntRecords.Add(n)
+			s.in.ack(s.cur)
+			s.cur = nil
+			s.phase = phNext
+		}
+	}
+}
+
+// start notes the time the stage's task first ran, for its stage span.
+func (s *stage) start() {
+	s.began = s.p.g.Cluster.Clock.Now()
+	s.phase = phNext
+}
+
+// closeOut ends a producing stage: it closes the output edge, waits on
+// the credit semaphore's capacity to observe every batch acked, closes
+// the grant path so the courier exits after its last grant, and
+// finishes the stage. The step returns after it either way; when the
+// credit wait parks, the next step calls closeOut again.
+func (s *stage) closeOut() {
+	e, all := s.out, int64(s.p.opts.BufferBatches)
+	if s.phase == phClose {
+		e.closeSend()
+		s.phase = phDrained
+		if !e.credits.AcquireTask(s.task, all) {
+			return
+		}
+	}
+	e.credits.Release(all)
+	e.grants.Close()
+	s.finish()
+}
+
+// finish records the stage's span and ends its task.
+func (s *stage) finish() {
+	//gflink:allow-alloc once per stage per run
 	attrs := []obs.Attr{
 		obs.Str("kind", s.kind.String()),
 		obs.Int("worker", int64(s.worker)),
 		obs.Int("records", s.records),
 	}
 	if s.kind == kWindow {
+		//gflink:allow-alloc once per stage per run
 		attrs = append(attrs, obs.Str("placed", s.dev.String()))
 	}
-	s.p.tracer.Record(s.track, "stage", s.name, start, clock.Now(), attrs...)
-}
-
-// runSource generates records batch by batch, charging the production
-// cost on the source worker's CPU and pushing each batch through the
-// credit-bounded edge.
-func (s *stage) runSource() {
-	clock := s.p.g.Cluster.Clock
-	model := s.p.g.Cfg.Config.Model
-	keys, z := newModulus(uint64(s.src.Keys)), s.src.Seed
-	total, batchLen := s.src.Records, int64(s.p.opts.BatchRecords)
-	for i := int64(0); i < total; {
-		n := min(batchLen, total-i)
-		b := s.out.take()
-		b.recs = b.recs[:n]
-		z = generate(b.recs, z, keys)
-		i += n
-		clock.Sleep(model.CPU.SlotTime(n, s.src.PerRecord.Scale(float64(n))))
-		s.records += n
-		s.cntRecords.Add(n)
-		s.out.send(b)
-	}
-	s.out.closeSend()
-	s.ackGrantsClosed()
-}
-
-// ackGrantsClosed closes the grant path once every credit came home, so
-// the courier exits after its last grant. Called by the producer after
-// closeSend: all batches are acked by then or still in flight, and
-// waiting on the credit semaphore's capacity observes the drain.
-func (s *stage) ackGrantsClosed() {
-	e := s.out
-	e.credits.Acquire(int64(s.p.opts.BufferBatches))
-	e.credits.Release(int64(s.p.opts.BufferBatches))
-	e.grants.Close()
-}
-
-// runWindow consumes batches in chunks up to the window boundary,
-// folding each chunk into the open window as it arrives, and on every
-// trigger fires the aggregation on the placed device, emitting one
-// aggregate record per slot downstream.
-func (s *stage) runWindow() {
-	width := s.win.Trigger.records
-	for {
-		b, ok := s.in.q.Get()
-		if !ok {
-			break
-		}
-		for recs := b.recs; len(recs) > 0; {
-			k := min(len(recs), width-s.fill)
-			s.fold(recs[:k])
-			recs = recs[k:]
-			if s.fill == width {
-				s.fireWindow()
-			}
-		}
-		n := int64(len(b.recs))
-		s.records += n
-		s.cntRecords.Add(n)
-		s.in.ack(b)
-	}
-	if s.fill > 0 {
-		s.fireWindow()
-	}
-	s.out.closeSend()
-	s.ackGrantsClosed()
+	s.p.tracer.Record(s.track, "stage", s.name, s.began, s.p.g.Cluster.Clock.Now(), attrs...)
+	s.p.exit(s.task)
 }
 
 // fold adds recs to the open window in one pass. A CPU window adds each
@@ -677,10 +932,13 @@ func (s *stage) fold(recs []Record) {
 		for i, r := range recs {
 			binary.LittleEndian.PutUint64(in[i*packedRecordBytes:], slot.reduce(r.Key)|uint64(math.Float32bits(r.Val))<<32)
 		}
-	} else {
-		sums := s.sums
+	} else if sums := s.sums; slot.n == 0 {
 		for _, r := range recs {
-			sums[slot.reduce(r.Key)] += r.Val
+			sums[r.Key&slot.mask] += r.Val
+		}
+	} else {
+		for _, r := range recs {
+			sums[r.Key%slot.n] += r.Val
 		}
 	}
 	s.fill += len(recs)
@@ -699,47 +957,15 @@ func (s *stage) prepareWindow(jobID int) {
 	s.args[0] = int64(s.win.Slots)
 }
 
-// fireWindow completes the open window on the placed device: a CPU
-// window charges the slot time of the sums fold already applied, a GPU
-// window runs the kernel over the packed pairs. Both add the same
-// values in the same order, so the emitted aggregates are bit-identical
-// across placements.
-//
-//gflink:hotpath
-func (s *stage) fireWindow() {
-	clock := s.p.g.Cluster.Clock
+// submitGPU lowers the open window onto the GPU path: a pooled GWork
+// (shell, In backing and completion event recycled through
+// core.WorkPool, so steady-state submission allocates nothing) running
+// the windowAgg kernel over the packed pairs.
+func (s *stage) submitGPU() {
 	n := s.fill
-	t0 := clock.Now()
-
-	if s.dev == plan.GPU {
-		s.aggGPU(n)
-	} else {
-		model := s.p.g.Cfg.Config.Model
-		clock.Sleep(model.CPU.SlotTime(int64(n), s.win.PerRecordCPU.Scale(float64(n))))
-	}
-
-	s.windows++
-	s.cntWindows.Add(1)
-	if s.p.tracer.Enabled() {
-		s.p.tracer.Record(s.track, "window", "window", t0, clock.Now(),
-			obs.Int("records", int64(n)),
-			obs.Str("placed", s.dev.String()))
-	}
-	s.emitAggregates()
-	clear(s.sums)
-	s.fill = 0
-}
-
-// aggGPU lowers one window onto the GPU path: a pooled GWork (shell,
-// In backing and completion event recycled through core.WorkPool, so
-// steady-state submission allocates nothing) running the windowAgg
-// kernel over the packed pairs.
-func (s *stage) aggGPU(n int) {
 	mgr := s.p.g.Manager(s.worker).Streams
-	wp := mgr.Pool()
-	out := s.outBuf.Bytes()[:s.win.Slots*4]
-	clear(out)
-	w := wp.Get()
+	clear(s.outBuf.Bytes()[:s.win.Slots*4])
+	w := mgr.Pool().Get()
 	w.ExecuteName = kernels.WindowAggKernel
 	w.Size = n
 	w.Nominal = int64(n)
@@ -752,61 +978,46 @@ func (s *stage) aggGPU(n int) {
 	w.Args = s.args[:1]
 	w.JobID = s.jobID
 	mgr.Submit(w)
-	err := w.Wait()
-	wp.Put(w)
+	s.work = w
+}
+
+// collectGPU returns the window's completed GWork to the pool and reads
+// its slot table into the sums.
+func (s *stage) collectGPU(err error) {
+	s.p.g.Manager(s.worker).Streams.Pool().Put(s.work)
+	s.work = nil
 	if err != nil {
 		//gflink:allow-alloc error diagnostic: a failed kernel ends the simulation
 		panic(fmt.Sprintf("stream: window %q kernel failed: %v", s.name, err))
 	}
+	out := s.outBuf.Bytes()[:s.win.Slots*4]
 	for i := range s.sums {
 		s.sums[i] = math.Float32frombits(binary.LittleEndian.Uint32(out[i*4:]))
 	}
 }
 
-// emitAggregates streams the window's slot sums downstream as one
-// record per slot, batched like any other traffic.
+// emit streams the fired window's slot sums downstream as one record
+// per slot, batched like any other traffic. It returns true once every
+// sum is sent, and false when the task parked in a send; the next call
+// resumes that send.
 //
 //gflink:hotpath
-func (s *stage) emitAggregates() {
-	e := s.out
-	var b *batch
-	for slot, sum := range s.sums {
-		if b == nil {
-			b = e.take()
-		}
-		//gflink:allow-alloc never grows: take's shells hold BatchRecords and a full batch is sent
-		b.recs = append(b.recs, Record{Key: uint64(slot), Val: sum})
-		if len(b.recs) == s.p.opts.BatchRecords {
-			e.send(b)
-			b = nil
-		}
-	}
-	if b != nil {
-		e.send(b)
-	}
-}
-
-// sinkPerRecord is the sink's per-record folding demand.
-var sinkPerRecord = costmodel.Work{Flops: 2, BytesRead: 8}
-
-// runSink drains the final edge, charging a small folding cost and
-// accumulating the checksum.
-func (s *stage) runSink() {
-	clock := s.p.g.Cluster.Clock
-	model := s.p.g.Cfg.Config.Model
+func (s *stage) emit() bool {
+	e, batchLen := s.out, s.p.opts.BatchRecords
 	for {
-		b, ok := s.in.q.Get()
-		if !ok {
-			return
+		if e.b != nil && !e.send(s.task) {
+			return false
 		}
-		n := int64(len(b.recs))
-		clock.Sleep(model.CPU.SlotTime(n, sinkPerRecord.Scale(float64(n))))
-		for _, r := range b.recs {
-			s.checksum += float64(r.Val) * float64(r.Key+1)
+		if s.emitted == len(s.sums) {
+			return true
 		}
-		s.records += n
-		s.cntRecords.Add(n)
-		s.in.ack(b)
+		e.b = e.take()
+		end := min(len(s.sums), s.emitted+batchLen)
+		for slot := s.emitted; slot < end; slot++ {
+			//gflink:allow-alloc never grows: take's shells hold BatchRecords
+			e.b.recs = append(e.b.recs, Record{Key: uint64(slot), Val: s.sums[slot]})
+		}
+		s.emitted = end
 	}
 }
 
@@ -814,16 +1025,33 @@ func (s *stage) runSink() {
 // generator) and returns the advanced state. Record i of a source
 // keyed by seed is drawn at state seed + γ·(i+1); advancing the state
 // by γ per record is the same uint64 value as recomputing the product,
-// so sources are deterministic at any batch size.
+// so sources are deterministic at any batch size. The mask and %
+// reductions run as separate loops, and generate stays out of the
+// source's step, whose loop index would otherwise spill per record.
+//
+//go:noinline
 func generate(recs []Record, z uint64, keys modulus) uint64 {
+	if keys.n == 0 {
+		for j := range recs {
+			z += 0x9e3779b97f4a7c15
+			h := mix(z)
+			recs[j] = Record{Key: h & keys.mask, Val: unit(h)}
+		}
+		return z
+	}
 	for j := range recs {
 		z += 0x9e3779b97f4a7c15
-		h := (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-		recs[j] = Record{Key: keys.reduce(h), Val: unit(h)}
+		h := mix(z)
+		recs[j] = Record{Key: h % keys.n, Val: unit(h)}
 	}
 	return z
+}
+
+// mix is splitmix64's output function.
+func mix(z uint64) uint64 {
+	h := (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ (h >> 31)
 }
 
 // unit maps a mixed hash to a float32 in [0, 1). h>>40 is below 2^24,

@@ -202,23 +202,37 @@ func TestWindowMatchesReference(t *testing.T) {
 	}
 }
 
+// runParks bounds the coroutine parks of one Pipeline.Run, all of them
+// its caller's: it may park in the job submission, and it parks
+// waiting for the drain. Every stage and courier is a task, so none of
+// them parks, and the bound does not grow with the records.
+const runParks = 2
+
 // checkPipeline runs a two-worker source→window→sink pipeline and
 // checks it against the reference replay: the sink checksum bit for
 // bit, record and window conservation at every stage, the credit cap
-// on edge depth, and one credit grant per batch sent on each edge.
+// on edge depth, one credit grant per batch sent on each edge, and at
+// most runParks coroutine parks in Run.
 func checkPipeline(t *testing.T, seed uint64, records int64, keys, batch, width, slots, credits int, mode plan.Mode) {
 	t.Helper()
 	want, windows := referenceChecksum(seed, records, keys, width, slots)
 	g := build(2)
+	clock := g.Cluster.Clock
 	var res stream.Result
+	var parks uint64
 	g.Run(func() {
 		p := stream.New(g, "test", stream.WithMode(mode),
 			stream.WithBatchRecords(batch), stream.WithBufferBatches(credits))
 		p.Source("gen", 0, stream.SourceSpec{Records: records, Keys: keys, Seed: seed}).
 			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: slots}).
 			Sink("out", 0)
+		parks = clock.Parks()
 		res = p.Run()
+		parks = clock.Parks() - parks
 	})
+	if parks > runParks {
+		t.Errorf("Run parked %d times, want at most %d: a stage or courier parks", parks, runParks)
+	}
 	if math.Float64bits(res.Checksum) != math.Float64bits(want) {
 		t.Errorf("checksum %v, reference %v", res.Checksum, want)
 	}
@@ -255,6 +269,7 @@ func FuzzPipeline(f *testing.F) {
 		f.Add(uint64(7), uint16(50), uint16(13), uint16(1), uint16(7), uint16(5), uint8(1), gpu)
 		f.Add(uint64(7), uint16(8192), uint16(1024), uint16(256), uint16(1024), uint16(256), uint8(4), gpu)
 		f.Add(uint64(3), uint16(3000), uint16(1), uint16(64), uint16(512), uint16(1), uint8(2), gpu)
+		f.Add(uint64(11), uint16(777), uint16(1), uint16(1), uint16(100), uint16(1), uint8(1), gpu)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, records, keys, batch, width, slots uint16, credits uint8, gpu bool) {
 		// span maps v onto [1, hi], leaving values already in range
@@ -316,11 +331,13 @@ func TestStreamSteadyStateZeroAllocs(t *testing.T) {
 
 // BenchmarkPipelineRecords measures the host cost of the stream layer
 // per record on the backpressure shape (1024-record windows over 256
-// slots, default batches and credits), tracing off.
+// slots, default batches and credits), tracing off, and the coroutine
+// parks per record of the whole deployment run.
 func BenchmarkPipelineRecords(b *testing.B) {
 	const records = 1_000_000
 	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
 		b.Run(mode.String(), func(b *testing.B) {
+			var parks uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				g := build(2)
@@ -333,9 +350,37 @@ func BenchmarkPipelineRecords(b *testing.B) {
 						Sink("out", 0)
 					p.Run()
 				})
+				parks += g.Cluster.Clock.Parks()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+			b.ReportMetric(float64(parks)/float64(b.N*records), "parks/record")
 		})
+	}
+}
+
+// TestStreamParksNothing pins that no stage or courier parks: under
+// both placements and at one and four credits, a deployment run parks
+// its coroutines as often at 4N records as at N.
+func TestStreamParksNothing(t *testing.T) {
+	const n = 8 * 1024
+	parks := func(mode plan.Mode, credits int, records int64) uint64 {
+		g := build(2)
+		g.Obs.Tracer().SetEnabled(false)
+		g.Run(func() {
+			p := stream.New(g, "test", stream.WithMode(mode), stream.WithBufferBatches(credits))
+			p.Source("gen", 0, stream.SourceSpec{Records: records, Seed: 7}).
+				Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(1024), Slots: 256}).
+				Sink("out", 0)
+			p.Run()
+		})
+		return g.Cluster.Clock.Parks()
+	}
+	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
+		for _, credits := range []int{1, 4} {
+			if short, long := parks(mode, credits, n), parks(mode, credits, 4*n); short != long {
+				t.Errorf("%v, %d credits: %d parks at %d records, %d at %d", mode, credits, short, n, long, 4*n)
+			}
+		}
 	}
 }
 

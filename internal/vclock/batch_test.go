@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -280,13 +279,13 @@ func TestScheduleSeedCorpus(t *testing.T) {
 			t.Errorf("%s: corpus entry decodes to a different program", name)
 		}
 	}
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	out := checkSchedule(t, seedPrograms["deadlock-census"])
 	want := []string{"virtual time: 0s", "processes alive: 3", "queue 2", "sem:s0 1"}
 	if !reflect.DeepEqual(out.deadlock, want) {
 		t.Fatalf("deadlock census = %q, want %q", out.deadlock, want)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := goroutines(); after != before {
 		t.Fatalf("%d goroutines after the deadlocked runs, %d before", after, before)
 	}
 }

@@ -335,7 +335,7 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 // and during the run, with a task alive beside them and a task that
 // blocked inside Call and exited: Exit stops the stack Call lent.
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	c := New()
 	q := NewQueue[int](c)
 	sum := 0
@@ -387,8 +387,63 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	if sum != 10 {
 		t.Fatalf("consumers summed %d, want 10", sum)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := goroutines(); after != before {
 		t.Fatalf("%d goroutines after Run, %d before", after, before)
+	}
+}
+
+// goroutines returns runtime.NumGoroutine once the count has settled.
+// A goroutine an earlier test left exiting (its test runner, or a
+// coroutine it stopped) may still be counted when a test starts; the
+// goroutines polls, yielding the processor between reads, until the
+// count has held for settleReads reads in a row, within at most
+// maxPolls reads. A leaked goroutine never exits, so it stays in the
+// settled count.
+func goroutines() int {
+	const settleReads, maxPolls = 200_000, 2_000_000
+	n, steady := runtime.NumGoroutine(), 0
+	for i := 0; i < maxPolls && steady < settleReads; i++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m != n {
+			n, steady = m, 0
+		} else {
+			steady++
+		}
+	}
+	return n
+}
+
+// parkOne leaves one coroutine parked, as a deadlocked Run leaves its
+// blocked processes, and returns the function that finishes it.
+func parkOne() (finish func()) {
+	c := New()
+	q := NewQueue[int](c)
+	func() {
+		defer func() { _ = recover() }()
+		c.Run(func() { q.Get() })
+	}()
+	w, _ := q.waiters.Front()
+	p := w.p
+	return func() {
+		q.Close()
+		p.next()
+	}
+}
+
+// TestGoroutineCountSeesLeak proves that the settled count goroutines
+// returns still catches a real leak: with one coroutine left parked,
+// the count after is one above the count before, and it falls back
+// once the coroutine finishes.
+func TestGoroutineCountSeesLeak(t *testing.T) {
+	before := goroutines()
+	finish := parkOne()
+	leaked := goroutines()
+	finish()
+	if leaked != before+1 {
+		t.Fatalf("%d goroutines with one coroutine parked, %d before; the check would miss the leak", leaked, before)
+	}
+	if after := goroutines(); after != before {
+		t.Fatalf("%d goroutines after the parked coroutine finished, %d before", after, before)
 	}
 }
 
