@@ -36,9 +36,10 @@
 //
 // A function declared without a body has its body in assembly, which
 // reaches the Go heap only by calling into the runtime; the module's
-// assembly bodies (the SSE2 KMeans assign group) never do, so such a
-// declaration counts as allocation-free. One that a //go:linkname
-// directive binds to some other function stays unknown.
+// assembly bodies (the SSE2 and AVX2 KMeans assign groups and the CPUID
+// and XGETBV reads) never do, so such a declaration counts as
+// allocation-free. One that a //go:linkname directive binds to some
+// other function stays unknown.
 //
 // Observability gates are recognized structurally: the body of an
 // `if x.Enabled() { ... }` statement — where Enabled is any niladic

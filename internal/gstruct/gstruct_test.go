@@ -1,6 +1,8 @@
 package gstruct
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,12 +226,56 @@ func TestCLayoutRendering(t *testing.T) {
 	}
 }
 
+// rawAt returns the bits of value idx of field fi of element e of v.
+func rawAt(v View, e, fi, idx int) uint64 {
+	switch v.s.fields[fi].Kind {
+	case Uint8:
+		return uint64(v.Uint8At(e, fi, idx))
+	case Int32:
+		return uint64(uint32(v.Int32At(e, fi, idx)))
+	case Uint32:
+		return uint64(v.Uint32At(e, fi, idx))
+	case Int64:
+		return uint64(v.Int64At(e, fi, idx))
+	case Float32:
+		return uint64(math.Float32bits(v.Float32At(e, fi, idx)))
+	case Float64:
+		return math.Float64bits(v.Float64At(e, fi, idx))
+	}
+	panic("rawAt: unknown kind")
+}
+
+// putRawAt stores the low bits of x as value idx of field fi of element
+// e of v.
+func putRawAt(v View, e, fi, idx int, x uint64) {
+	switch v.s.fields[fi].Kind {
+	case Uint8:
+		v.PutUint8At(e, fi, idx, uint8(x))
+	case Int32:
+		v.PutInt32At(e, fi, idx, int32(x))
+	case Uint32:
+		v.PutUint32At(e, fi, idx, uint32(x))
+	case Int64:
+		v.PutInt64At(e, fi, idx, int64(x))
+	case Float32:
+		v.PutFloat32At(e, fi, idx, math.Float32frombits(uint32(x)))
+	case Float64:
+		v.PutFloat64At(e, fi, idx, math.Float64frombits(x))
+	default:
+		panic("putRawAt: unknown kind")
+	}
+}
+
 // Property: for random schemas, offsets are aligned, non-overlapping and
-// within stride; SoA and AoS round-trip losslessly.
+// within stride; AoS, SoA and AoP round-trip losslessly through Convert;
+// and for a random column set, SoAColumnRanges covers every byte of the
+// selected columns exactly once, with sorted, disjoint, merged ranges
+// whose lengths sum to n·ProjectedElemBytes (so no other byte is
+// covered).
 func TestLayoutInvariantsProperty(t *testing.T) {
 	kinds := []Kind{Uint8, Int32, Uint32, Int64, Float32, Float64}
 	aligns := []int{1, 2, 4, 8, 16}
-	f := func(spec []uint8, alignSel uint8, n uint8) bool {
+	f := func(spec []uint8, alignSel uint8, n uint8, colSel uint64) bool {
 		if len(spec) == 0 {
 			spec = []uint8{0}
 		}
@@ -265,78 +311,98 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 		if s.Stride() < end {
 			return false
 		}
-		// Round trip AoS -> SoA -> AoS for a few elements.
 		cnt := int(n%5) + 1
+		each := func(fn func(e, fi, idx int) bool) bool {
+			for e := 0; e < cnt; e++ {
+				for fi, fl := range fields {
+					for idx := 0; idx < fl.Len; idx++ {
+						if !fn(e, fi, idx) {
+							return false
+						}
+					}
+				}
+			}
+			return true
+		}
 		src := MustView(s, AoS, make([]byte, s.Size(AoS, cnt)), cnt)
-		for e := 0; e < cnt; e++ {
-			for fi, fl := range fields {
-				for idx := 0; idx < fl.Len; idx++ {
-					seed := uint64(e*1000 + fi*10 + idx + 1)
-					switch fl.Kind {
-					case Uint8:
-						src.PutUint8At(e, fi, idx, uint8(seed))
-					case Int32:
-						src.PutInt32At(e, fi, idx, int32(seed))
-					case Uint32:
-						src.PutUint32At(e, fi, idx, uint32(seed))
-					case Int64:
-						src.PutInt64At(e, fi, idx, int64(seed))
-					case Float32:
-						src.PutFloat32At(e, fi, idx, float32(seed))
-					case Float64:
-						src.PutFloat64At(e, fi, idx, float64(seed))
-					}
-				}
-			}
-		}
+		each(func(e, fi, idx int) bool {
+			putRawAt(src, e, fi, idx, uint64(e*1000+fi*10+idx+1))
+			return true
+		})
+
+		// AoS -> SoA -> AoS. Padding bytes are unspecified, so compare
+		// values.
 		soa := MustView(s, SoA, make([]byte, s.Size(SoA, cnt)), cnt)
-		if Convert(soa, src) != nil {
-			return false
-		}
 		back := MustView(s, AoS, make([]byte, s.Size(AoS, cnt)), cnt)
-		if Convert(back, soa) != nil {
+		if Convert(soa, src) != nil || Convert(back, soa) != nil {
 			return false
 		}
-		for i := range src.Bytes() {
-			// Compare only field bytes (padding bytes are unspecified);
-			// easiest: compare via accessors.
-			_ = i
+		if !each(func(e, fi, idx int) bool { return rawAt(back, e, fi, idx) == rawAt(src, e, fi, idx) }) {
+			return false
 		}
-		for e := 0; e < cnt; e++ {
-			for fi, fl := range fields {
-				for idx := 0; idx < fl.Len; idx++ {
-					switch fl.Kind {
-					case Uint8:
-						if back.Uint8At(e, fi, idx) != src.Uint8At(e, fi, idx) {
-							return false
-						}
-					case Int32:
-						if back.Int32At(e, fi, idx) != src.Int32At(e, fi, idx) {
-							return false
-						}
-					case Uint32:
-						if back.Uint32At(e, fi, idx) != src.Uint32At(e, fi, idx) {
-							return false
-						}
-					case Int64:
-						if back.Int64At(e, fi, idx) != src.Int64At(e, fi, idx) {
-							return false
-						}
-					case Float32:
-						if back.Float32At(e, fi, idx) != src.Float32At(e, fi, idx) {
-							return false
-						}
-					case Float64:
-						if back.Float64At(e, fi, idx) != src.Float64At(e, fi, idx) {
-							return false
-						}
-					}
+
+		// AoP: one buffer per field, sized by AoPSizes, holding src's
+		// values; back to back they are the SoA buffer. Each round-trips
+		// through an AoS view of its own one-field schema.
+		var joined []byte
+		for fi, size := range s.AoPSizes(cnt) {
+			aop, err := AoPField(s, fi, make([]byte, size), cnt)
+			if err != nil {
+				return false
+			}
+			for e := 0; e < cnt; e++ {
+				for idx := 0; idx < fields[fi].Len; idx++ {
+					putRawAt(aop, e, 0, idx, rawAt(src, e, fi, idx))
 				}
 			}
+			aos := MustView(aop.Schema(), AoS, make([]byte, aop.Schema().Size(AoS, cnt)), cnt)
+			again := MustView(aop.Schema(), SoA, make([]byte, size), cnt)
+			if Convert(aos, aop) != nil || Convert(again, aos) != nil || !bytes.Equal(again.Bytes(), aop.Bytes()) {
+				return false
+			}
+			joined = append(joined, aop.Bytes()...)
 		}
-		return true
+		if len(joined) != s.Size(AoP, cnt) || !bytes.Equal(joined, soa.Bytes()) {
+			return false
+		}
+
+		// SoAColumnRanges against the per-element addresses.
+		cols := ColSet(colSel) & s.AllCols()
+		sel := cols
+		if sel == 0 {
+			sel = s.AllCols()
+		}
+		ranges := s.SoAColumnRanges(cols, cnt)
+		total := 0
+		for i, r := range ranges {
+			if r.Len != r.PerElem*cnt || i > 0 && ranges[i-1].Off+ranges[i-1].Len >= r.Off {
+				return false // not sorted, overlapping, or adjacent runs left unmerged
+			}
+			total += r.Len
+		}
+		if total != cnt*s.ProjectedElemBytes(cols) {
+			return false
+		}
+		return each(func(e, fi, idx int) bool {
+			if !sel.Has(fi) {
+				return true
+			}
+			a := soa.addr(e, fi, idx)
+			for b := a; b < a+fields[fi].Kind.Size(); b++ {
+				in := 0
+				for _, r := range ranges {
+					if r.Off <= b && b < r.Off+r.Len {
+						in++
+					}
+				}
+				if in != 1 {
+					return false
+				}
+			}
+			return true
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

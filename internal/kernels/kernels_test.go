@@ -141,24 +141,38 @@ func randPoints(rng *rand.Rand, n, d int) [][]float32 {
 	return points
 }
 
-// assertKMeansBitExact launches the kmeans kernel on points and cents,
-// requires its partials to equal CPUKMeansAssign's byte for byte, and
-// returns them.
+// forEachKMeansBody calls fn with each assignGroupBody body this CPU runs
+// selected in turn, and restores the one init chose.
+func forEachKMeansBody(fn func(body string)) {
+	for _, body := range kmeansBodies() {
+		func() {
+			defer useKMeansBody(body)()
+			fn(body)
+		}()
+	}
+}
+
+// assertKMeansBitExact launches the kmeans kernel on points and cents
+// with each assignGroupBody body this CPU runs, requires its partials to
+// equal CPUKMeansAssign's byte for byte, and returns them.
 func assertKMeansBitExact(t *testing.T, points [][]float32, cents []float32, k, d int) []float32 {
 	t.Helper()
 	n := len(points)
-	got := launch(t, KMeansAssignKernel,
-		[][]byte{soaPoints(points, d), packF32(cents)},
-		4*k*(d+1), n, int64(n), []int64{int64(k), int64(d)})
 	want := packF32(CPUKMeansAssign(points, cents, k, d))
-	if !bytes.Equal(got, want) {
-		for i := 0; i < k*(d+1); i++ {
-			if g, w := f32(got, i), f32(want, i); math.Float32bits(g) != math.Float32bits(w) {
-				t.Fatalf("n=%d k=%d d=%d: partial[%d] = %v (%#x), want %v (%#x)",
-					n, k, d, i, g, math.Float32bits(g), w, math.Float32bits(w))
+	var got []byte
+	forEachKMeansBody(func(body string) {
+		got = launch(t, KMeansAssignKernel,
+			[][]byte{soaPoints(points, d), packF32(cents)},
+			4*k*(d+1), n, int64(n), []int64{int64(k), int64(d)})
+		if !bytes.Equal(got, want) {
+			for i := 0; i < k*(d+1); i++ {
+				if g, w := f32(got, i), f32(want, i); math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%s n=%d k=%d d=%d: partial[%d] = %v (%#x), want %v (%#x)",
+						body, n, k, d, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
 			}
 		}
-	}
+	})
 	return unpackF32(got)
 }
 
@@ -269,10 +283,11 @@ var specialF32 = []float32{
 	1e20, -1e20, math.MaxFloat32, -math.MaxFloat32,
 }
 
-// FuzzKMeansAssign compares the kernel with CPUKMeansAssign byte for byte
-// on random shapes. With grid set, coordinates are small integers, so
-// exact distance ties are common. With special set, about one value in
-// four is drawn from specialF32 instead.
+// FuzzKMeansAssign compares the kernel, under every assignGroupBody body
+// this CPU runs, with CPUKMeansAssign byte for byte on random shapes.
+// With grid set, coordinates are small integers, so exact distance ties
+// are common. With special set, about one value in four is drawn from
+// specialF32 instead.
 func FuzzKMeansAssign(f *testing.F) {
 	f.Add(uint16(33), uint8(5), uint8(20), int64(1), false, false)
 	f.Add(uint16(7), uint8(3), uint8(2), int64(2), true, false)
@@ -304,16 +319,28 @@ func FuzzKMeansAssign(f *testing.F) {
 	})
 }
 
-// TestAssignGroupMatchesPortable holds the assignGroup body of this
-// architecture to assignGroupGo bit for bit. Both add into the same
-// starting partials, NaN sums with their own payloads among them, and
-// each point lands in the sums of the centroid it picks, so a wrong
-// index, tie-break or NaN operand order changes the bits. Shapes draw k
-// in 1..16, d in 1..64, m in 1..16, a column stride and a byte offset
-// (so loads are unaligned too). The value mode cycles through plain
-// values, a mix with specialF32, small-integer grids with a duplicated
-// centroid row (exact distance ties) and an all-NaN point group.
+// TestAssignGroupMatchesPortable holds every assignGroup body this CPU
+// runs, one subtest each, to assignGroupGo bit for bit. Both add into
+// the same starting partials, NaN sums with their own payloads among
+// them, and each point lands in the sums of the centroid it picks, so a
+// wrong index, tie-break or NaN operand order changes the bits. Shapes
+// draw k in 1..16 (so both the AVX2 two-row passes and its one-row tail
+// run), d in 1..64, m in 1..16, a column stride and a byte offset (so
+// loads are unaligned too). The value mode cycles through plain values,
+// a mix with specialF32, small-integer grids with a duplicated centroid
+// row (exact distance ties) and an all-NaN point group.
 func TestAssignGroupMatchesPortable(t *testing.T) {
+	for _, body := range kmeansBodies() {
+		t.Run(body, func(t *testing.T) {
+			defer useKMeansBody(body)()
+			testAssignGroupMatchesPortable(t)
+		})
+	}
+}
+
+// testAssignGroupMatchesPortable is TestAssignGroupMatchesPortable for
+// the body selected now.
+func testAssignGroupMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 4000; iter++ {
 		k, d, m := 1+rng.Intn(16), 1+rng.Intn(gstruct.MaxCols), 1+rng.Intn(kmeansLanes)
@@ -379,35 +406,54 @@ func kmeansAssignInputs(n, k, d int) (points, cents, out []byte) {
 	return soaPoints(randPoints(rng, n, d), d), packF32(cs), make([]byte, 4*k*(d+1))
 }
 
-// TestKMeansAssignAllocatesNothing pins kmeansAssign at zero heap
-// allocations for the KMeans workloads' shape and for the largest
-// k·(d+1) its stack scratch holds.
+// TestKMeansAssignAllocatesNothing pins kmeansAssign, under every
+// assignGroupBody body this CPU runs, at zero heap allocations for the
+// KMeans workloads' shape and for the largest k·(d+1) its stack scratch
+// holds.
 func TestKMeansAssignAllocatesNothing(t *testing.T) {
-	for _, tc := range []struct{ n, k, d int }{
-		{200, 10, 20},
-		{200, 16, kmeansScratch/16 - 1}, // k·(d+1) = kmeansScratch
-	} {
-		points, cents, out := kmeansAssignInputs(tc.n, tc.k, tc.d)
-		if a := testing.AllocsPerRun(20, func() { kmeansAssign(points, cents, out, tc.n, tc.k, tc.d) }); a != 0 {
-			t.Errorf("n=%d k=%d d=%d: %v allocations per call, want 0", tc.n, tc.k, tc.d, a)
+	forEachKMeansBody(func(body string) {
+		for _, tc := range []struct{ n, k, d int }{
+			{200, 10, 20},
+			{200, 16, kmeansScratch/16 - 1}, // k·(d+1) = kmeansScratch
+		} {
+			points, cents, out := kmeansAssignInputs(tc.n, tc.k, tc.d)
+			if a := testing.AllocsPerRun(20, func() { kmeansAssign(points, cents, out, tc.n, tc.k, tc.d) }); a != 0 {
+				t.Errorf("%s n=%d k=%d d=%d: %v allocations per call, want 0", body, tc.n, tc.k, tc.d, a)
+			}
 		}
-	}
+	})
 }
 
-// BenchmarkKMeansAssign times the assign body at the KMeans workloads'
-// k=10, d=20, at a typical launch size and at a 64k-point block, in
-// host nanoseconds per point.
+// BenchmarkKMeansAssign times each assignGroupBody body this CPU runs at
+// the KMeans workloads' k=10, d=20, in host nanoseconds per point: at a
+// typical launch size and at a 64k-point block, each launch on the same
+// cached block, and at kmeans-cluster's launch of 375 points rotating
+// over 360 blocks (10.8 MB), so that each launch reads its block from
+// beyond L2 as that workload's launches do.
 func BenchmarkKMeansAssign(b *testing.B) {
 	const k, d = 10, 20
-	for _, n := range []int{400, 1 << 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			points, cents, out := kmeansAssignInputs(n, k, d)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kmeansAssign(points, cents, out, n, k, d)
+	for _, body := range kmeansBodies() {
+		for _, shape := range []struct{ n, blocks int }{{400, 1}, {1 << 16, 1}, {375, 360}} {
+			name := fmt.Sprintf("%s/n=%d", body, shape.n)
+			if shape.blocks > 1 {
+				name += fmt.Sprintf("/blocks=%d", shape.blocks)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/point")
-		})
+			b.Run(name, func(b *testing.B) {
+				defer useKMeansBody(body)()
+				n := shape.n
+				points, cents, out := kmeansAssignInputs(n, k, d)
+				blocks := [][]byte{points}
+				rng := rand.New(rand.NewSource(1))
+				for len(blocks) < shape.blocks {
+					blocks = append(blocks, soaPoints(randPoints(rng, n, d), d))
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kmeansAssign(blocks[i%len(blocks)], cents, out, n, k, d)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/point")
+			})
+		}
 	}
 }
 

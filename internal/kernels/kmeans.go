@@ -90,7 +90,7 @@ func init() {
 }
 
 // kmeansLanes is how many points one assignGroup call assigns: four SSE2
-// registers of four float32 lanes each.
+// registers of four float32 lanes each, or two AVX2 registers of eight.
 const kmeansLanes = 16
 
 // kmeansScratch is how many float32 partials kmeansAssign keeps on the
@@ -146,8 +146,8 @@ func kmeansAssign(points, cents, out []byte, n, k, d int) {
 // order, to that centroid's partial sums in acc (d coordinate sums, then
 // the member count). It checks, in Go, that span holds the whole column
 // span, cents k rows of d and acc k partial rows, and that 1 ≤ m ≤ 16,
-// before it calls assignGroupBody, so that body never reaches outside
-// its slices.
+// before it calls assignGroupBody, so that no body reaches outside its
+// slices.
 //
 //gflink:hotpath
 func assignGroup(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
