@@ -202,18 +202,6 @@ func (d *Device) MemcpyH2D(dst *Buffer, src *membuf.HBuffer, nominal int64, cpu 
 	d.count(&d.h2dCopies, &d.h2dBytes, nominal)
 }
 
-// MemcpyD2H synchronously copies src device bytes back into dst.
-func (d *Device) MemcpyD2H(dst *membuf.HBuffer, src *Buffer, nominal int64, cpu costmodel.CPU) {
-	d.d2h.Acquire(1)
-	d.clock.Sleep(d.pcie.TransferTime(nominal))
-	d.d2h.Release(1)
-	if !dst.Pinned() {
-		d.clock.Sleep(cpu.HeapCopy(nominal))
-	}
-	copy(dst.Bytes(), src.data)
-	d.count(&d.d2hCopies, &d.d2hBytes, nominal)
-}
-
 func (d *Device) count(ops, bytes *int64, n int64) {
 	*ops++
 	*bytes += n

@@ -100,7 +100,12 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 		out := p.MustAllocate(8)
 		defer out.Free()
 		out.Pin()
-		d.MemcpyD2H(out, buf, 1<<20, cpu)
+		s := d.NewStream(cpu)
+		defer d.Close()
+		s.D2HAsync(out, buf, 1<<20)
+		if t := c.Process(); !s.SynchronizeTask(t) {
+			t.Park()
+		}
 		if string(out.Bytes()) != "gpudata!" {
 			t.Errorf("host bytes = %q", out.Bytes())
 		}
@@ -235,8 +240,9 @@ func TestLaunchAsyncFailures(t *testing.T) {
 		defer d.Free(out)
 
 		t0 := c.Now()
-		unknown := s1.LaunchAsync("nope", &KernelCtx{})
-		failed := s1.LaunchAsync("test.fail", &KernelCtx{})
+		unknown, failed, other := NewFuture(c), NewFuture(c), NewFuture(c)
+		s1.LaunchAsyncInto(unknown, "nope", &KernelCtx{})
+		s1.LaunchAsyncInto(failed, "test.fail", &KernelCtx{})
 		s1.Callback(func() { order = append(order, "after-failures") })
 		s1.H2DAsync(in, h, 16)
 		reused := NewFuture(c)
@@ -246,23 +252,26 @@ func TestLaunchAsyncFailures(t *testing.T) {
 
 		ctx := &KernelCtx{Nominal: 1}
 		ctx.Charge(costmodel.Work{Flops: d.Profile.SPGFLOPS * 1e9 * d.Profile.Efficiency}) // exactly 1s
-		other := s2.LaunchAsync("test.noop", ctx)
+		s2.LaunchAsyncInto(other, "test.noop", ctx)
 
-		if _, err := unknown.Wait(); err == nil || !strings.Contains(err.Error(), `kernel "nope" not registered`) {
+		other.ev.Wait()
+		elapsed = c.Now() - t0
+		if t := c.Process(); !s1.SynchronizeTask(t) {
+			t.Park()
+		}
+		order = append(order, "synchronized")
+		if _, err := unknown.Result(); err == nil || !strings.Contains(err.Error(), `kernel "nope" not registered`) {
 			t.Errorf("unregistered launch: err = %v", err)
 		}
-		if dur, err := failed.Wait(); err == nil || !strings.Contains(err.Error(), "bad input") || dur != 0 {
+		if dur, err := failed.Result(); err == nil || !strings.Contains(err.Error(), "bad input") || dur != 0 {
 			t.Errorf("failing launch: dur %v, err %v; want 0 and the kernel's error", dur, err)
 		}
-		if _, err := other.Wait(); err != nil {
+		if _, err := other.Result(); err != nil {
 			t.Fatal(err)
 		}
-		elapsed = c.Now() - t0
-		if _, err := reused.Wait(); err != nil {
+		if _, err := reused.Result(); err != nil {
 			t.Errorf("launch after the failures: %v", err)
 		}
-		s1.Synchronize()
-		order = append(order, "synchronized")
 		for i := 0; i < 4; i++ {
 			if got := math.Float32frombits(binary.LittleEndian.Uint32(out.Bytes()[i*4:])); got != float32(i+1)*2 {
 				t.Errorf("out[%d] = %v after the failures, want %v", i, got, float32(i+1)*2)
@@ -304,8 +313,11 @@ func TestStreamOrderingAndOverlap(t *testing.T) {
 		// these overlap.
 		s1.H2DAsync(b1, h1, 100<<20)
 		s2.D2HAsync(h2, b2, 100<<20)
-		s1.Synchronize()
-		s2.Synchronize()
+		for _, s := range []*Stream{s1, s2} {
+			if t := c.Process(); !s.SynchronizeTask(t) {
+				t.Park()
+			}
+		}
 		elapsed = c.Now() - t0
 	})
 	if want := costmodel.DefaultPCIe.TransferTime(100 << 20); elapsed != want {
@@ -334,8 +346,11 @@ func TestHalfDuplexSerializesDirections(t *testing.T) {
 		t0 := c.Now()
 		s1.H2DAsync(b1, h1, 100<<20)
 		s2.D2HAsync(h2, b2, 100<<20)
-		s1.Synchronize()
-		s2.Synchronize()
+		for _, s := range []*Stream{s1, s2} {
+			if t := c.Process(); !s.SynchronizeTask(t) {
+				t.Park()
+			}
+		}
 		elapsed = c.Now() - t0
 	})
 	if want := 2 * costmodel.DefaultPCIe.TransferTime(100<<20); elapsed != want {
@@ -394,14 +409,18 @@ func TestThreeStagePipelineOverlaps(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.H2DAsync(in, h, nominal)
-			futs = append(futs, s.LaunchAsync("test.sleepy", &KernelCtx{In: []*Buffer{in}, Out: []*Buffer{out}, Nominal: 1}))
+			f := NewFuture(c)
+			s.LaunchAsyncInto(f, "test.sleepy", &KernelCtx{In: []*Buffer{in}, Out: []*Buffer{out}, Nominal: 1})
+			futs = append(futs, f)
 			s.D2HAsync(h, out, nominal)
 		}
 		for _, s := range streams {
-			s.Synchronize()
+			if t := c.Process(); !s.SynchronizeTask(t) {
+				t.Park()
+			}
 		}
 		for _, f := range futs {
-			if _, err := f.Wait(); err != nil {
+			if _, err := f.Result(); err != nil {
 				t.Error(err)
 			}
 		}
@@ -421,9 +440,11 @@ func TestThreeStagePipelineOverlaps(t *testing.T) {
 			in, _ := d2.Malloc(nominal, 8)
 			out, _ := d2.Malloc(nominal, 8)
 			s.H2DAsync(in, h, nominal)
-			s.LaunchAsync("test.sleepy", &KernelCtx{In: []*Buffer{in}, Out: []*Buffer{out}, Nominal: 1})
+			s.LaunchAsyncInto(NewFuture(c2), "test.sleepy", &KernelCtx{In: []*Buffer{in}, Out: []*Buffer{out}, Nominal: 1})
 			s.D2HAsync(h, out, nominal)
-			s.Synchronize()
+			if t := c2.Process(); !s.SynchronizeTask(t) {
+				t.Park()
+			}
 		}
 	})
 	if float64(pipelined) > 0.55*float64(serial) {

@@ -61,10 +61,10 @@ type Stream struct {
 	cpu  costmodel.CPU
 	q    *vclock.Queue[*cmd]
 	done *vclock.Event
-	// syncEv/syncSet are the reusable Synchronize rendezvous: one event,
-	// reset per call, plus its prebuilt Set closure, so synchronizing a
-	// stream allocates nothing. Safe because a stream has one
-	// synchronizer at a time (its owning stream worker).
+	// syncEv/syncSet are the reusable SynchronizeTask rendezvous: one
+	// event, reset per call, plus its prebuilt Set closure, so
+	// synchronizing a stream allocates nothing. Safe because a stream
+	// has one synchronizer at a time (its owning stream worker).
 	syncEv  *vclock.Event
 	syncSet func()
 	// freeCmds recycles command shells between the submitter and the
@@ -297,17 +297,6 @@ func (s *Stream) D2HAsync(dst *membuf.HBuffer, src *Buffer, nominal int64) {
 	s.q.Put(c)
 }
 
-// LaunchAsync enqueues a kernel launch. Errors surface through the
-// returned future. Each call allocates a fresh future, so callers may
-// hold any number of them outstanding; hot paths that launch one
-// kernel at a time should use LaunchAsyncInto with a reusable Future
-// instead.
-func (s *Stream) LaunchAsync(name string, ctx *KernelCtx) *Future {
-	f := &Future{ev: vclock.NewEvent(s.dev.clock)}
-	s.launch(f, name, ctx)
-	return f
-}
-
 // LaunchAsyncInto enqueues a kernel launch that completes through the
 // caller-owned reusable future f (see NewFuture). The future is valid
 // until the caller's next LaunchAsyncInto with the same future; a
@@ -337,36 +326,19 @@ func (s *Stream) Callback(fn func()) {
 	s.q.Put(c)
 }
 
-// Synchronize blocks the calling process until every previously
-// enqueued command has completed (cudaStreamSynchronize). It reuses the
-// stream's rendezvous event, so it allocates nothing; a stream supports
-// one synchronizer at a time (its owning stream worker).
-//
-//gflink:hotpath
-func (s *Stream) Synchronize() {
-	s.markSync()
-	s.syncEv.Wait()
-}
-
-// SynchronizeTask is Synchronize for a task. It returns true when the
+// SynchronizeTask waits for t until every previously enqueued command
+// has completed (cudaStreamSynchronize). It returns true when the
 // stream had already drained. It returns false when t was parked: the
-// step must return, and when it runs again the stream has drained.
+// step must return, and when it runs again the stream has drained. It
+// reuses the stream's rendezvous event, so it allocates nothing; a
+// stream supports one synchronizer at a time (its owning stream
+// worker).
 //
 //gflink:hotpath
 func (s *Stream) SynchronizeTask(t *vclock.Task) bool {
-	s.markSync()
-	return s.syncEv.WaitTask(t)
-}
-
-// markSync rearms the rendezvous event and enqueues the command that
-// sets it once every earlier command has completed.
-//
-//gflink:hotpath
-func (s *Stream) markSync() {
 	s.syncEv.Reset()
-	c := s.takeCmd()
-	c.op, c.fn = opCallback, s.syncSet
-	s.q.Put(c)
+	s.Callback(s.syncSet)
+	return s.syncEv.WaitTask(t)
 }
 
 // Future is the completion handle of an asynchronous launch.
@@ -381,15 +353,8 @@ func NewFuture(c *vclock.Clock) *Future {
 	return &Future{ev: vclock.NewEvent(c)}
 }
 
-// Wait blocks until the launch completes and returns its kernel
-// duration and error.
-func (f *Future) Wait() (time.Duration, error) {
-	f.ev.Wait()
-	return f.Result()
-}
-
 // Result returns the kernel duration and error of a completed launch,
-// for a caller that already knows the launch is done (a Synchronize of
+// for a caller that already knows the launch is done (a synchronize of
 // its stream returned). It panics on a launch still in flight.
 //
 //gflink:hotpath

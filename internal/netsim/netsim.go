@@ -38,38 +38,15 @@ func New(clock *vclock.Clock, model costmodel.Net, numNodes int) *Network {
 func (n *Network) Nodes() int { return len(n.up) }
 
 // Transfer moves bytes from node src to node dst, blocking the calling
-// process for the transfer duration. A same-node transfer is a memory
-// copy and costs nothing on the network.
+// process for the transfer duration: an Xfer driven to completion. A
+// same-node transfer is a memory copy and costs nothing on the network.
 func (n *Network) Transfer(src, dst int, bytes int64) {
-	d, ok := n.begin(src, dst, bytes)
-	if !ok {
-		return
+	t := n.clock.Process()
+	var x Xfer
+	x.Start(n, src, dst, bytes)
+	for !x.Step(t) {
+		t.Park()
 	}
-	// Acquire in fixed global order (uplink then downlink, by index) to
-	// avoid lock cycles between opposing transfers.
-	n.up[src].Acquire(1)
-	n.down[dst].Acquire(1)
-	n.clock.Sleep(d)
-	n.end(src, dst, bytes)
-}
-
-// begin checks a transfer and prices it. ok is false for a same-node
-// or empty transfer, which touches neither link.
-func (n *Network) begin(src, dst int, bytes int64) (d time.Duration, ok bool) {
-	if src == dst || bytes <= 0 {
-		return 0, false
-	}
-	n.checkNode(src)
-	n.checkNode(dst)
-	return n.model.TransferTime(bytes), true
-}
-
-// end releases a finished transfer's links and counts it.
-func (n *Network) end(src, dst int, bytes int64) {
-	n.down[dst].Release(1)
-	n.up[src].Release(1)
-	n.transfers++
-	n.bytes += bytes
 }
 
 // xferPhase is where an Xfer stands in its transfer.
@@ -83,11 +60,11 @@ const (
 	xferSlept                  // the transfer time has passed: release
 )
 
-// Xfer is Transfer for a vclock task: a state machine the task embeds
-// and drives from its step. Across its Step calls it makes Transfer's
-// primitive calls in the same order (uplink, downlink, sleep, the
-// releases), so a task's transfer contends and finishes exactly as a
-// process's does. The zero value is idle.
+// Xfer is one transfer as a state machine a vclock task embeds and
+// drives from its step: the uplink, the downlink (in that fixed global
+// order, so opposing transfers never hold each other's link), the
+// transfer time, then both releases and the counters. The zero value
+// is idle.
 type Xfer struct {
 	n        *Network
 	src, dst int
@@ -97,15 +74,17 @@ type Xfer struct {
 }
 
 // Start begins moving bytes from node src to node dst. A same-node or
-// empty transfer leaves x idle, so the next Step completes in place.
+// empty transfer touches neither link and leaves x idle, so the next
+// Step completes in place.
 //
 //gflink:hotpath
 func (x *Xfer) Start(n *Network, src, dst int, bytes int64) {
-	d, ok := n.begin(src, dst, bytes)
-	if !ok {
+	if src == dst || bytes <= 0 {
 		return
 	}
-	*x = Xfer{n: n, src: src, dst: dst, bytes: bytes, d: d, phase: xferUp}
+	n.checkNode(src)
+	n.checkNode(dst)
+	*x = Xfer{n: n, src: src, dst: dst, bytes: bytes, d: n.model.TransferTime(bytes), phase: xferUp}
 }
 
 // Step drives the transfer Start began. It returns true once the
@@ -135,7 +114,11 @@ func (x *Xfer) Step(t *vclock.Task) bool {
 				return false
 			}
 		case xferSlept:
-			x.n.end(x.src, x.dst, x.bytes)
+			n := x.n
+			n.down[x.dst].Release(1)
+			n.up[x.src].Release(1)
+			n.transfers++
+			n.bytes += x.bytes
 			x.phase = xferIdle
 		}
 	}

@@ -1,15 +1,11 @@
 package vclock
 
-import (
-	"time"
-)
-
 // waiter is a parked process or task waiting on a primitive: the shell
 // to wake plus the semaphore units it requested. Wakes target the
 // process shell, so the waker recycles the waiter shell the moment it
 // leaves the wait queue.
 type waiter struct {
-	p *proc
+	p *Task
 	n int64 // semaphore units requested
 }
 
@@ -57,22 +53,18 @@ func (q *Queue[T]) Close() {
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
-// open and empty. ok is false if the queue is closed and drained.
+// open and empty: GetTask, re-checked each time the process wakes. ok
+// is false if the queue is closed and drained.
 //
 //gflink:hotpath
-func (q *Queue[T]) Get() (v T, ok bool) {
+func (q *Queue[T]) Get() (T, bool) {
+	t := q.c.Process()
 	for {
-		if v, ok = q.items.Pop(); ok {
-			return v, true
+		v, ok, wait := q.GetTask(t)
+		if !wait {
+			return v, ok
 		}
-		if q.closed {
-			return v, false
-		}
-		p := q.c.parker()
-		q.waiters.Push(q.c.takeWaiter(p, 0))
-		q.c.block(reasonQueue, nil)
-		q.c.park(p)
-		// Resumed: re-check. The waker already recycled the waiter shell.
+		t.Park()
 	}
 }
 
@@ -106,24 +98,15 @@ func NewSemaphore(c *Clock, name string, capacity int64) *Semaphore {
 	return &Semaphore{c: c, name: name, reasonIdx: c.RegisterReason("sem:" + name), free: capacity, cap: capacity}
 }
 
-// Acquire blocks until n units are available and takes them. n greater
-// than the capacity panics (it could never succeed).
+// Acquire blocks until n units are available and takes them:
+// AcquireTask, parking the process while it waits. n greater than the
+// capacity panics (it could never succeed).
 //
 //gflink:hotpath
 func (s *Semaphore) Acquire(n int64) {
-	if n > s.cap {
-		//gflink:allow-alloc panic diagnostic on an impossible acquire
-		panic("vclock: semaphore acquire exceeds capacity: " + s.name)
+	if t := s.c.Process(); !s.AcquireTask(t, n) {
+		t.Park()
 	}
-	// FIFO: only take fast path if nobody is already queued.
-	if s.waiters.Len() == 0 && s.free >= n {
-		s.free -= n
-		return
-	}
-	p := s.c.parker()
-	s.waiters.Push(s.c.takeWaiter(p, n))
-	s.c.block(s.reasonIdx, nil)
-	s.c.park(p)
 }
 
 // Release returns n units and wakes as many queued acquirers as now fit,
@@ -153,13 +136,6 @@ func (s *Semaphore) Release(n int64) {
 //
 //gflink:hotpath
 func (s *Semaphore) Free() int64 { return s.free }
-
-// Use runs fn while holding n units.
-func (s *Semaphore) Use(n int64, fn func()) {
-	s.Acquire(n)
-	defer s.Release(n)
-	fn()
-}
 
 // Event is a one-shot broadcast: Wait blocks until Set is called; after
 // Set, Wait returns immediately. Reset rearms a set event for reuse.
@@ -191,17 +167,14 @@ func (e *Event) Set() {
 	}
 }
 
-// Wait blocks until the event is set.
+// Wait blocks until the event is set: WaitTask, parking the process
+// while it waits.
 //
 //gflink:hotpath
 func (e *Event) Wait() {
-	if e.set {
-		return
+	if t := e.c.Process(); !e.WaitTask(t) {
+		t.Park()
 	}
-	p := e.c.parker()
-	e.waiters.Push(e.c.takeWaiter(p, 0))
-	e.c.block(reasonEvent, nil)
-	e.c.park(p)
 }
 
 // IsSet reports whether the event fired.
@@ -261,37 +234,3 @@ func (g *Group) Wait() {
 	}
 	g.ended = true
 }
-
-// AfterFunc schedules fn to run as a new process at now+d.
-func (c *Clock) AfterFunc(name string, d time.Duration, fn func()) {
-	c.Go(name, func() {
-		c.Sleep(d)
-		fn()
-	})
-}
-
-// Deadline is a cancellable timer used for timeouts (e.g., the work
-// stealing idle timeout). Elapsed reports whether d passed without
-// Cancel.
-type Deadline struct {
-	ev        *Event
-	cancelled bool
-}
-
-// NewDeadline arms a deadline d in the future.
-func NewDeadline(c *Clock, d time.Duration) *Deadline {
-	dl := &Deadline{ev: NewEvent(c)}
-	c.Go("deadline", func() {
-		c.Sleep(d)
-		if !dl.cancelled {
-			dl.ev.Set()
-		}
-	})
-	return dl
-}
-
-// Cancel disarms the deadline if it has not fired.
-func (d *Deadline) Cancel() { d.cancelled = true }
-
-// Fired reports whether the deadline elapsed before cancellation.
-func (d *Deadline) Fired() bool { return d.ev.IsSet() }

@@ -282,7 +282,7 @@ func runReal(p *schedProgram) (out schedOutcome) {
 // its next step exits, stopping the stack it borrowed; a task parked
 // outside Call has no coroutine to finish.
 func reapParked(dead *bool, sems []*Semaphore, queues []*Queue[int], events []*Event) {
-	var parked []*proc
+	var parked []*Task
 	collect := func(f *FIFO[*waiter]) {
 		for i := 0; i < f.Len(); i++ {
 			if p := f.At(i).p; p.yield != nil {

@@ -5,25 +5,32 @@ import (
 	"time"
 )
 
-// Task is a stackless process: a step function the dispatcher calls in
-// place, on Run's goroutine, wherever it would resume a process's
-// coroutine. A task sits exactly where a parked process would (the
-// ready queue, a semaphore or queue waiter FIFO, the timer heap), so
-// the dispatcher's wake order does not depend on which kind it wakes.
+// Task is a registered process. A coroutine process (Go) is a task
+// with a stack: its next resumes the coroutine until it parks or exits,
+// and yield, captured when it first runs, parks it. A stackless task
+// (Spawn) is a step function the dispatcher calls in place, on Run's
+// goroutine, wherever it would resume a coroutine; its yield stays nil
+// except inside Call. Either kind sits in the same places while it
+// waits (the ready queue, a semaphore or queue waiter FIFO, the timer
+// heap), so the dispatcher's wake order does not depend on which kind
+// it wakes. A coroutine's shell is recycled through a free list when it
+// exits.
 //
-// A step runs until it must wait. It blocks only through the task
-// primitives — Sleep, Semaphore.AcquireTask, Queue.GetTask and
-// Event.WaitTask — and returns as soon as one of them reports that the
-// task was parked; the next dispatch of the task calls step again from
-// the top, so the step keeps its own state of where it left off. A step
-// ends the task with Exit and then returns. A step calls a stackful
-// primitive (Clock.Sleep, Semaphore.Acquire, Queue.Get, Event.Wait)
-// only inside Call, which lends it a stack; anywhere else there is no
-// stack to park, and the primitive that would block panics naming the
-// task.
+// Each blocking operation has one body, its task form: Task.Sleep,
+// Semaphore.AcquireTask, Queue.GetTask and Event.WaitTask. A form
+// reports a wait instead of parking. A step returns as soon as one
+// does; the next dispatch of the task calls step again from the top,
+// so the step keeps its own state of where it left off, and ends the
+// task with Exit. A coroutine process reaches the same forms through
+// Clock.Process and Park, which is all the stackful primitives
+// (Clock.Sleep, Semaphore.Acquire, Queue.Get, Event.Wait) add. A step
+// calls those only inside Call, which lends it a stack; anywhere else
+// Process panics naming the task.
 type Task struct {
-	proc
-	c *Clock
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	name  string
+	c     *Clock
 	// The stack Call lends: the coroutine's resume and stop functions,
 	// created by the first Call and reused by every later one, and the
 	// function of the Call in flight (nil when none is).
@@ -37,7 +44,7 @@ type Task struct {
 // goroutine; the task joins the ready queue and its first step runs
 // when the current process blocks or exits.
 func (c *Clock) Spawn(name string, step func()) *Task {
-	t := &Task{proc: proc{name: name}, c: c}
+	t := &Task{name: name, c: c}
 	t.next = func() (struct{}, bool) {
 		if t.fn != nil {
 			// A Call parked: resume its function, and step again only
@@ -47,22 +54,23 @@ func (c *Clock) Spawn(name string, step func()) *Task {
 			}
 		}
 		step()
-		if c.cur == &t.proc && c.running > 0 && c.nextp == nil {
+		if c.cur == t && c.running > 0 && c.nextp == nil {
 			// Nothing would resume anyone: Run would end early.
 			panic("vclock: step returned without waiting or exiting")
 		}
 		return struct{}{}, true
 	}
 	c.total++
-	c.runq.Push(&t.proc)
+	c.runq.Push(t)
 	return t
 }
 
-// Sleep arms a timer d of virtual time ahead, exactly as Clock.Sleep
-// does. It returns true when the task's own timer heads the next
-// dispatch (a self-wake): the step keeps the slot and goes on. It
-// returns false when the task is parked: the step must return, and
-// runs again once the timer fires.
+// Sleep arms a timer d of virtual time ahead; a negative d counts as
+// zero. It returns true when the task's own timer heads the next
+// dispatch (a self-wake, common when one worker races ahead of every
+// other process): the task keeps the slot and goes on. It returns false
+// when the task is parked: the step must return, and runs again once
+// the timer fires.
 //
 //gflink:hotpath
 func (t *Task) Sleep(d time.Duration) bool {
@@ -71,8 +79,8 @@ func (t *Task) Sleep(d time.Duration) bool {
 	}
 	c := t.c
 	c.seq++
-	c.timers.push(timer{deadline: c.now + d, seq: c.seq, p: &t.proc})
-	return c.block(reasonSleep, &t.proc)
+	c.timers.push(timer{deadline: c.now + d, seq: c.seq, p: t})
+	return c.block(reasonSleep, t)
 }
 
 // Exit unregisters the task, stops the stack Call lent it, if any, and
@@ -122,8 +130,9 @@ func (t *Task) Call(fn func()) bool {
 	return t.fn == nil
 }
 
-// AcquireTask is Acquire for a task. It returns true when the n units
-// were taken at once. It returns false when t joined the FIFO wait
+// AcquireTask takes n units of the semaphore for t, in FIFO order. n
+// greater than the capacity panics (it could never succeed). It returns
+// true when the n units were taken at once. It returns false when t joined the FIFO wait
 // queue and was parked: the step must return, and when it runs again
 // the units are already charged to t, as they are to a process whose
 // Acquire returns.
@@ -138,13 +147,13 @@ func (s *Semaphore) AcquireTask(t *Task, n int64) bool {
 		s.free -= n
 		return true
 	}
-	s.waiters.Push(s.c.takeWaiter(&t.proc, n))
+	s.waiters.Push(s.c.takeWaiter(t, n))
 	s.c.block(s.reasonIdx, nil)
 	return false
 }
 
-// GetTask is Get for a task. On a buffered item it returns (v, true,
-// false), and on a closed, drained queue (zero, false, false). wait is
+// GetTask removes the oldest item for t. On a buffered item it returns
+// (v, true, false), and on a closed, drained queue (zero, false, false). wait is
 // true when t was parked on the empty open queue: the step must return
 // and call GetTask again when it runs next, just as Get re-checks
 // after its process resumes.
@@ -157,13 +166,13 @@ func (q *Queue[T]) GetTask(t *Task) (v T, ok, wait bool) {
 	if q.closed {
 		return v, false, false
 	}
-	q.waiters.Push(q.c.takeWaiter(&t.proc, 0))
+	q.waiters.Push(q.c.takeWaiter(t, 0))
 	q.c.block(reasonQueue, nil)
 	return v, false, true
 }
 
-// WaitTask is Wait for a task. It returns true when the event is
-// already set. It returns false when t joined the event's waiters and
+// WaitTask waits for the event for t. It returns true when the event
+// is already set. It returns false when t joined the event's waiters and
 // was parked: the step must return, and when it runs again the event
 // has fired, as it has for a process whose Wait returns.
 //
@@ -172,22 +181,30 @@ func (e *Event) WaitTask(t *Task) bool {
 	if e.set {
 		return true
 	}
-	e.waiters.Push(e.c.takeWaiter(&t.proc, 0))
+	e.waiters.Push(e.c.takeWaiter(t, 0))
 	e.c.block(reasonEvent, nil)
 	return false
 }
 
-// parker returns the calling process of a stackful primitive that is
-// about to park it. A task has a stack to park only inside Call, so a
-// step that gets here outside Call panics naming the task before any
-// clock state changes.
+// Process returns the calling process, for a task form to act on: a
+// coroutine process, or a step inside Call. After the form reports a
+// wait, the process parks with Park. A step outside Call has no stack
+// to park, so Process panics naming its task before any clock state
+// changes.
 //
 //gflink:hotpath
-func (c *Clock) parker() *proc {
-	p := c.cur
-	if p.yield == nil {
+func (c *Clock) Process() *Task {
+	t := c.cur
+	if t.yield == nil {
 		//gflink:allow-alloc panic diagnostic on a step misusing a stackful primitive
-		panic(fmt.Sprintf("vclock: task %q called a stackful blocking primitive; a step must use the task forms or Call", p.name))
+		panic(fmt.Sprintf("vclock: task %q called a stackful blocking primitive; a step must use the task forms or Call", t.name))
 	}
-	return p
+	return t
 }
+
+// Park parks the coroutine of process t, which a task form has just
+// reported waiting, until a primitive wakes it. Only Process's result
+// may park.
+//
+//gflink:hotpath
+func (t *Task) Park() { t.c.park(t) }

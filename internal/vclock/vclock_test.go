@@ -161,7 +161,9 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 		g := NewGroup(c)
 		for i := 0; i < 6; i++ {
 			g.Go("task", func() {
-				sem.Use(1, func() { c.Sleep(time.Second) })
+				sem.Acquire(1)
+				c.Sleep(time.Second)
+				sem.Release(1)
 			})
 		}
 		g.Wait()
@@ -207,14 +209,22 @@ func TestSemaphoreMultiUnitAcquire(t *testing.T) {
 		g := NewGroup(c)
 		// One big task (4 units) then two small ones (2 each): the big one
 		// runs alone, the small ones run together afterwards.
-		g.Go("big", func() { sem.Use(4, func() { c.Sleep(time.Second) }) })
+		g.Go("big", func() {
+			sem.Acquire(4)
+			c.Sleep(time.Second)
+			sem.Release(4)
+		})
 		g.Go("s1", func() {
 			c.Sleep(time.Millisecond)
-			sem.Use(2, func() { c.Sleep(time.Second) })
+			sem.Acquire(2)
+			c.Sleep(time.Second)
+			sem.Release(2)
 		})
 		g.Go("s2", func() {
 			c.Sleep(time.Millisecond)
-			sem.Use(2, func() { c.Sleep(time.Second) })
+			sem.Acquire(2)
+			c.Sleep(time.Second)
+			sem.Release(2)
 		})
 		g.Wait()
 	})
@@ -257,22 +267,6 @@ func TestGroupEmptyWait(t *testing.T) {
 	c.Run(func() {
 		g := NewGroup(c)
 		g.Wait() // must not block
-	})
-}
-
-func TestDeadlineFiresAndCancels(t *testing.T) {
-	c := New()
-	c.Run(func() {
-		d1 := NewDeadline(c, time.Second)
-		d2 := NewDeadline(c, time.Second)
-		d2.Cancel()
-		c.Sleep(2 * time.Second)
-		if !d1.Fired() {
-			t.Error("d1 did not fire")
-		}
-		if d2.Fired() {
-			t.Error("cancelled d2 fired")
-		}
 	})
 }
 
@@ -447,22 +441,6 @@ func TestGoroutineCountSeesLeak(t *testing.T) {
 	}
 }
 
-func TestAfterFunc(t *testing.T) {
-	c := New()
-	var at time.Duration
-	c.Run(func() {
-		done := NewEvent(c)
-		c.AfterFunc("later", 42*time.Millisecond, func() {
-			at = c.Now()
-			done.Set()
-		})
-		done.Wait()
-	})
-	if at != 42*time.Millisecond {
-		t.Errorf("AfterFunc ran at %v, want 42ms", at)
-	}
-}
-
 // Property: for any set of task durations run on a k-slot semaphore, the
 // makespan equals the deterministic list-scheduling makespan (tasks
 // admitted in FIFO order).
@@ -483,7 +461,9 @@ func TestSemaphoreMakespanProperty(t *testing.T) {
 				i := i
 				g.Go("t", func() {
 					c.Sleep(time.Duration(i) * time.Nanosecond)
-					sem.Use(1, func() { c.Sleep(d) })
+					sem.Acquire(1)
+					c.Sleep(d)
+					sem.Release(1)
 				})
 			}
 			g.Wait()
@@ -582,9 +562,9 @@ func TestDeterminism(t *testing.T) {
 						if !ok {
 							return
 						}
-						sem.Use(1, func() {
-							c.Sleep(time.Duration(v) * time.Millisecond)
-						})
+						sem.Acquire(1)
+						c.Sleep(time.Duration(v) * time.Millisecond)
+						sem.Release(1)
 					}
 				})
 			}
