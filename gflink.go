@@ -61,9 +61,6 @@ type (
 	CacheKey = core.CacheKey
 	// CachePolicy selects a cache region's eviction scheme.
 	CachePolicy = core.CachePolicy
-	// EvictionPolicy is the pluggable eviction interface the cache
-	// regions order victims with (DESIGN.md "Tiered memory").
-	EvictionPolicy = core.EvictionPolicy
 	// Block is a page of GStruct records in off-heap memory.
 	Block = core.Block
 	// GDST is a distributed dataset of blocks.
@@ -185,10 +182,6 @@ var (
 	StreamWithBufferBatches = stream.WithBufferBatches
 	// StreamWithRecordBytes sets the nominal per-record wire size.
 	StreamWithRecordBytes = stream.WithRecordBytes
-	// StreamWithTracer directs the pipeline's spans to a tracer.
-	StreamWithTracer = stream.WithTracer
-	// StreamWithMetrics directs the stream.* counters to a registry.
-	StreamWithMetrics = stream.WithMetrics
 )
 
 // Cache-eviction policies for the per-job GPU cache region

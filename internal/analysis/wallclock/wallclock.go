@@ -51,11 +51,11 @@ import (
 var banned = map[string]string{
 	"Now":       "read the virtual clock via (*vclock.Clock).Now",
 	"Sleep":     "use (*vclock.Clock).Sleep",
-	"After":     "use vclock primitives (Clock.AfterFunc, Deadline)",
-	"AfterFunc": "use (*vclock.Clock).AfterFunc",
+	"After":     "use (*vclock.Clock).Sleep, or vclock.Event to wake a waiter",
+	"AfterFunc": "spawn a process with (*vclock.Clock).Go that sleeps, then runs the function",
 	"Since":     "subtract (*vclock.Clock).Now values",
 	"Until":     "subtract (*vclock.Clock).Now values",
-	"NewTimer":  "use vclock.NewDeadline",
+	"NewTimer":  "use (*vclock.Clock).Sleep in a process, or Task.Sleep in a step",
 	"NewTicker": "use (*vclock.Clock).Sleep in a process loop",
 	"Tick":      "use (*vclock.Clock).Sleep in a process loop",
 }

@@ -29,12 +29,20 @@ const (
 )
 
 // String names the policy as experiments and tables render it.
-func (p CachePolicy) String() string { return policyFor(p).Name() }
+func (p CachePolicy) String() string {
+	switch p {
+	case StopWhenFull:
+		return "stop"
+	case EvictLRU:
+		return "lru"
+	}
+	return "fifo"
+}
 
 // GMemoryManager owns one device's memory on behalf of GFlink
 // (Section 4.2): it allocates and releases buffers automatically around
 // each GWork and maintains the per-job cache regions — a hash table of
-// CacheKey to device buffer plus the eviction list its EvictionPolicy
+// CacheKey to device buffer plus the eviction list its CachePolicy
 // orders. With a host tier configured (WithHostTierBytes) it becomes
 // the top of a three-level hierarchy: victims demote to a membuf-backed
 // host page pool instead of being freed, pages spill onward to
@@ -46,8 +54,8 @@ type GMemoryManager struct {
 	wrapper *CUDAWrapper
 	clock   *vclock.Clock
 	model   costmodel.Model
-	// pol orders eviction; fifoPolicy unless an option overrides it.
-	pol EvictionPolicy
+	// policy orders eviction; EvictFIFO unless an option overrides it.
+	policy CachePolicy
 	// regionCap is the per-job cache-region capacity in nominal bytes
 	// (the user-defined parameter of Section 4.2.2).
 	regionCap int64
@@ -129,9 +137,9 @@ type cacheEntry struct {
 // MemOption configures optional behaviour of a memory manager.
 type MemOption func(*GMemoryManager)
 
-// WithPolicy selects a built-in eviction policy.
+// WithPolicy selects the eviction policy.
 func WithPolicy(p CachePolicy) MemOption {
-	return func(m *GMemoryManager) { m.pol = policyFor(p) }
+	return func(m *GMemoryManager) { m.policy = p }
 }
 
 // WithHostTierBytes enables the host paging tier, capped at n nominal
@@ -150,7 +158,6 @@ func NewMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, op
 		wrapper:   wrapper,
 		clock:     wrapper.clock,
 		model:     wrapper.model,
-		pol:       fifoPolicy{},
 		regionCap: regionCap,
 		memTrack:  fmt.Sprintf("gpu%d/mem", dev.ID),
 		spillDisk: costmodel.DefaultSpillDisk,
@@ -192,9 +199,6 @@ func (m *GMemoryManager) Device() *gpu.Device { return m.dev }
 // RegionCap returns the per-job cache-region capacity.
 func (m *GMemoryManager) RegionCap() int64 { return m.regionCap }
 
-// Policy returns the manager's eviction policy.
-func (m *GMemoryManager) Policy() EvictionPolicy { return m.pol }
-
 // HostTierBytes returns the host paging tier's capacity (0 when the
 // tier is disabled).
 func (m *GMemoryManager) HostTierBytes() int64 { return m.hostTierBytes }
@@ -226,8 +230,10 @@ func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
 	r := m.region(key.JobID)
 	if e, ok := r.entries[key]; ok {
 		e.refs++
-		//gflink:allow-alloc policy dispatch: built-in Touch is pointer-only bookkeeping, verified hotalloc-clean in evict.go
-		m.pol.Touch(r, e)
+		if m.policy == EvictLRU {
+			r.unlink(e)
+			r.pushBack(e)
+		}
 		m.cntHits.Add(1)
 		return e.buf, true
 	}
@@ -272,12 +278,11 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 		return false
 	}
 	for r.used+nominal > r.capacity {
-		//gflink:allow-alloc policy dispatch: built-in Victim is a pointer-only list walk, verified hotalloc-clean in evict.go
-		v, stop := m.pol.Victim(r)
-		if stop {
+		if m.policy == StopWhenFull {
 			m.cntStop.Add(1)
 			return false
 		}
+		v := oldestUnpinned(r)
 		if v == nil {
 			m.cntRejects.Add(1)
 			return false // everything pinned
@@ -286,8 +291,7 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 	}
 	e := m.entryShell()
 	e.key, e.buf, e.nominal, e.refs = key, buf, nominal, 1
-	//gflink:allow-alloc policy dispatch: built-in Admit is a pointer-only list push, verified hotalloc-clean in evict.go
-	m.pol.Admit(r, e)
+	r.pushBack(e)
 	//gflink:allow-alloc cache-entry registration, one per cached block
 	r.entries[key] = e
 	r.used += nominal
@@ -304,8 +308,7 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 //
 //gflink:hotpath
 func (m *GMemoryManager) evict(r *cacheRegion, e *cacheEntry) {
-	//gflink:allow-alloc policy dispatch: built-in Remove is a pointer-only list unlink, verified hotalloc-clean in evict.go
-	m.pol.Remove(r, e)
+	r.unlink(e)
 	delete(r.entries, e.key)
 	r.used -= e.nominal
 	if m.hostTierBytes > 0 {
@@ -427,8 +430,8 @@ func (m *GMemoryManager) Reclaim(need int64) {
 		sort.Ints(jobs)
 		for _, id := range jobs {
 			r := m.regions[id]
-			if v, _ := m.pol.Victim(r); v != nil {
-				m.pol.Remove(r, v)
+			if v := oldestUnpinned(r); v != nil {
+				r.unlink(v)
 				delete(r.entries, v.key)
 				r.used -= v.nominal
 				victim = v
@@ -471,7 +474,7 @@ func (m *GMemoryManager) ReleaseJob(jobID int) {
 				panic(fmt.Sprintf("core: ReleaseJob(%d) with pinned cache entry %+v", jobID, key))
 			}
 			m.dev.Free(e.buf)
-			m.pol.Remove(r, e)
+			r.unlink(e)
 			m.recycleEntry(e)
 		}
 		delete(m.regions, jobID)

@@ -311,8 +311,8 @@ func TestMemOptionsAndShim(t *testing.T) {
 	dev := gpu.NewDevice(clock, 0, 0, costmodel.C2050, model.PCIe)
 	m := NewMemoryManager(dev, wrapper, 1<<20,
 		WithPolicy(EvictLRU), WithHostTierBytes(4096))
-	if got := m.Policy().Name(); got != "lru" {
-		t.Errorf("WithPolicy: policy = %q, want lru", got)
+	if m.policy != EvictLRU {
+		t.Errorf("WithPolicy: policy = %v, want lru", m.policy)
 	}
 	if m.HostTierBytes() != 4096 {
 		t.Errorf("WithHostTierBytes: %d, want 4096", m.HostTierBytes())
@@ -322,8 +322,8 @@ func TestMemOptionsAndShim(t *testing.T) {
 	}
 
 	def := NewMemoryManager(dev, wrapper, 1<<20)
-	if got := def.Policy().Name(); got != "fifo" {
-		t.Errorf("default policy = %q, want fifo", got)
+	if def.policy != EvictFIFO {
+		t.Errorf("default policy = %v, want fifo", def.policy)
 	}
 	if def.HostTierBytes() != 0 || def.hostPool != nil {
 		t.Error("default manager must have the host tier disabled")
@@ -338,10 +338,6 @@ func TestMemOptionsAndShim(t *testing.T) {
 	}{
 		{EvictFIFO, "fifo"}, {StopWhenFull, "stop"}, {EvictLRU, "lru"},
 	} {
-		m := NewMemoryManager(dev, wrapper, 1<<20, WithPolicy(tc.pol))
-		if got := m.Policy().Name(); got != tc.name {
-			t.Errorf("WithPolicy(%v) policy = %q, want %q", tc.pol, got, tc.name)
-		}
 		if got := tc.pol.String(); got != tc.name {
 			t.Errorf("CachePolicy(%d).String() = %q, want %q", tc.pol, got, tc.name)
 		}

@@ -141,17 +141,6 @@ var (
 	P100   = GPUProfile{Name: "P100", SMs: 56, SPGFLOPS: 9300, MemBWGBps: 732, MemBytes: 16 << 30, CopyEngines: 2, Efficiency: 0.28, LaunchOverhead: 6 * time.Microsecond}
 )
 
-// ProfileByName resolves a profile by its Name field; it returns false
-// for unknown names.
-func ProfileByName(name string) (GPUProfile, bool) {
-	for _, p := range []GPUProfile{GTX750, C2050, K20, P100} {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return GPUProfile{}, false
-}
-
 // KernelTime returns the execution time of a kernel with demand w whose
 // global-memory accesses achieve the given coalescing factor in (0,1]:
 // 1.0 for fully coalesced (SoA/AoP column access), lower for strided AoS

@@ -97,18 +97,6 @@ func TestPCIeMatchesTable2Shape(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"GTX750", "C2050", "K20", "P100"} {
-		p, ok := ProfileByName(name)
-		if !ok || p.Name != name {
-			t.Errorf("ProfileByName(%q) = %+v, %v", name, p, ok)
-		}
-	}
-	if _, ok := ProfileByName("V100"); ok {
-		t.Error("unknown profile resolved")
-	}
-}
-
 func TestCoalesceFactor(t *testing.T) {
 	if CoalesceFactor("SoA") != 1.0 || CoalesceFactor("AoP") != 1.0 {
 		t.Error("columnar layouts must be fully coalesced")

@@ -126,12 +126,3 @@ func CPUConnCompProp(edges [][2]int32, labels []uint32) ([]uint32, bool) {
 	}
 	return out, changed
 }
-
-// MinLabels merges per-block label arrays element-wise.
-func MinLabels(dst, src []uint32) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}

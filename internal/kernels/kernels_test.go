@@ -798,17 +798,6 @@ func TestConnCompMatchesCPUAndConverges(t *testing.T) {
 	}
 }
 
-func TestMinLabels(t *testing.T) {
-	dst := []uint32{5, 1, 7}
-	MinLabels(dst, []uint32{3, 2, 9})
-	want := []uint32{3, 1, 7}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-}
-
 func TestWordCountMatchesCPU(t *testing.T) {
 	text := []byte("the quick brown fox jumps over the lazy dog the fox")
 	const table = 64
