@@ -7,6 +7,7 @@ import (
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
 	"gflink/internal/gpu"
+	"gflink/internal/obs"
 )
 
 // cacheModelEntry is one resident entry of the reference cache model.
@@ -83,23 +84,70 @@ func (m *cacheModel) insert(key CacheKey, buf *gpu.Buffer, nominal int64) bool {
 	return true
 }
 
+// reclaim predicts Reclaim when want more bytes must come free: it
+// evicts the oldest unpinned entry of the lowest job that has one until
+// the victims' bytes reach want or no unpinned entry is left, whatever
+// the policy.
+func (m *cacheModel) reclaim(want int64) {
+	for freed := int64(0); freed < want; {
+		victim := m.oldestUnpinned()
+		if victim == nil {
+			return
+		}
+		freed += victim.nominal
+		m.tally[5]++
+	}
+}
+
+// oldestUnpinned removes and returns the oldest unpinned entry of the
+// lowest job that has one, or nil.
+func (m *cacheModel) oldestUnpinned() *cacheModelEntry {
+	for job, entries := range m.jobs {
+		for i, e := range entries {
+			if e.refs == 0 {
+				m.jobs[job] = append(entries[:i:i], entries[i+1:]...)
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// unpinned reports whether any resident entry is unpinned.
+func (m *cacheModel) unpinned() bool {
+	for _, entries := range m.jobs {
+		for _, e := range entries {
+			if e.refs == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzDeviceCache drives one device's cache regions (two jobs, a
-// 100-byte region each) with random Acquire, Release, Insert and
-// ReleaseJob sequences under FIFO and StopWhenFull, with the host tier
+// 100-byte region each) with random Acquire, Release, Insert, ReleaseJob
+// and Reclaim sequences under FIFO and StopWhenFull, with the host tier
 // off, and checks after every step that:
 //   - Used never exceeds RegionCap;
 //   - an acquired entry is never evicted;
-//   - FIFO evicts in admission order (the resident set matches the
-//     model's entry for entry);
+//   - FIFO evicts in admission order, and Reclaim oldest first from the
+//     lowest job ID up (the resident set matches the model's entry for
+//     entry);
+//   - after Reclaim(need) the device has need bytes free, or no unpinned
+//     entry is left;
 //   - the device's allocated bytes are the start value plus the
 //     resident entries, so after ReleaseJob they are back to the start
 //     value plus the other job's entries, and every rejected or evicted
 //     buffer is freed exactly once (a double free panics);
 //   - the cache.<event>.gpuN counters equal the model's tally.
 //
-// Each op is one byte (mod 4) followed by its arguments: a job byte
-// (mod 2), a block byte (mod 8) and, for Insert, a size byte (nominal
-// 1 + b mod 120, so some objects exceed the region).
+// Each op is one byte (mod 5) followed by its arguments: a job byte
+// (mod 2) and a block byte (mod 8) for Acquire, Release and Insert, then
+// for Insert a size byte (nominal 1 + b mod 120, so some objects exceed
+// the region); a job byte for ReleaseJob; and for Reclaim a byte b that
+// sets need to the device's free bytes plus b, so that Reclaim must free
+// b bytes.
 func FuzzDeviceCache(f *testing.F) {
 	// FIFO: fill, evict the oldest, miss it, hit the next, then insert
 	// past a pinned entry and release the job with a pin held.
@@ -110,6 +158,18 @@ func FuzzDeviceCache(f *testing.F) {
 	f.Add(byte(0), []byte{2, 1, 5, 119, 2, 0, 0, 99, 2, 0, 0, 9, 2, 1, 1, 9, 2, 0, 4, 0, 3, 1, 0, 1, 1})
 	// Everything pinned: FIFO rejects after evicting what it can.
 	f.Add(byte(0), []byte{2, 0, 0, 29, 2, 0, 1, 29, 1, 0, 0, 2, 0, 2, 29, 2, 0, 3, 69, 3, 0, 3, 1})
+	// Two entries per job, all released; Reclaim needs 50 bytes and
+	// takes job 0's two and job 1's oldest. Then two more for job 0 and
+	// one for job 1, with job 0's newer one kept pinned: Reclaim needs 90
+	// bytes, takes the other three, across both jobs, and stops with the
+	// pinned one left.
+	reclaim := []byte{
+		2, 0, 0, 19, 2, 0, 1, 19, 2, 1, 0, 29, 2, 1, 1, 29,
+		1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 4, 50,
+		2, 0, 0, 19, 2, 0, 1, 19, 2, 1, 0, 29, 1, 0, 0, 1, 1, 0, 4, 90, 4, 0,
+	}
+	f.Add(byte(0), reclaim)
+	f.Add(byte(1), reclaim)
 	f.Fuzz(func(t *testing.T, policy byte, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -183,7 +243,7 @@ func runCacheOps(g *GFlink, pol CachePolicy, ops []byte) error {
 		return nil
 	}
 	for step := 0; len(ops) > 0; step++ {
-		switch next() % 4 {
+		switch next() % 5 {
 		case 0: // Acquire
 			key := jobKey(next()%2, next()%8)
 			buf, hit := mem.Acquire(managerKey(key))
@@ -229,6 +289,14 @@ func runCacheOps(g *GFlink, pol CachePolicy, ops []byte) error {
 			}
 			mem.ReleaseJob(job + 1)
 			model.jobs[job] = nil
+		case 4: // Reclaim
+			want := int64(next())
+			need := dev.FreeBytes() + want
+			mem.Reclaim(need)
+			model.reclaim(want)
+			if dev.FreeBytes() < need && model.unpinned() {
+				return fmt.Errorf("step %d: Reclaim(%d) left %d bytes free with an unpinned entry resident", step, need, dev.FreeBytes())
+			}
 		}
 		if err := check(step); err != nil {
 			return err
@@ -246,4 +314,61 @@ func runCacheOps(g *GFlink, pol CachePolicy, ops []byte) error {
 		return fmt.Errorf("after releasing every job the device holds %d bytes, want the start value %d", got, start)
 	}
 	return nil
+}
+
+// TestReclaimAllocatesNothing pins a tierless Reclaim at zero heap
+// allocations once the cache's free lists are warm. Each cycle caches
+// two entries for each of two jobs, releases them, and makes one
+// Reclaim take three victims across both jobs and a second take the
+// last one.
+func TestReclaimAllocatesNothing(t *testing.T) {
+	g := New(Config{
+		Config:           flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
+		GPUsPerWorker:    1,
+		CacheBytesPerJob: 100,
+	})
+	mem := g.Manager(0).Streams.Memory(0)
+	dev := mem.Device()
+	evictions := g.Obs.Metrics().Counter(obs.CacheEvictions, dev.ID)
+	var first int64
+	var err error // set inside g.Run, checked after it
+	cycle := func() {
+		for _, e := range []struct {
+			job, block int
+			nominal    int64
+		}{{1, 0, 20}, {1, 1, 20}, {2, 0, 30}, {2, 1, 30}} {
+			buf, merr := dev.MallocReserve(e.nominal, 0)
+			if merr != nil {
+				err = merr
+				return
+			}
+			dev.MallocFill(buf, 0)
+			key := CacheKey{JobID: e.job, Block: e.block}
+			if !mem.Insert(key, buf, e.nominal) {
+				err = fmt.Errorf("Insert(%+v) rejected", key)
+				return
+			}
+			mem.Release(key)
+		}
+		before := evictions.Get()
+		mem.Reclaim(dev.FreeBytes() + 50)
+		first = evictions.Get() - before
+		mem.Reclaim(dev.FreeBytes() + 30)
+	}
+	var allocs float64
+	g.Run(func() {
+		for i := 0; i < 16; i++ {
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(1000, cycle)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 3 || mem.Entries(1)+mem.Entries(2) != 0 {
+		t.Fatalf("first Reclaim took %d victims and %d entries stayed, want 3 and 0", first, mem.Entries(1)+mem.Entries(2))
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f heap allocations per cycle at steady state, want 0", allocs)
+	}
 }

@@ -96,6 +96,8 @@ type GMemoryManager struct {
 	diskPool *membuf.Pool
 
 	regions map[int]*cacheRegion // by job ID
+	// reclaimJobs is Reclaim's scratch: the regions' job IDs, ascending.
+	reclaimJobs []int
 	// freeEntries recycles cacheEntry shells (which double as eviction
 	// list nodes) so steady-state insert-after-evict allocates nothing.
 	freeEntries []*cacheEntry
@@ -418,17 +420,21 @@ func (m *GMemoryManager) HostPages(jobID int) int {
 // host tier enabled each victim demotes (charging simulated time) once
 // it has left its region.
 func (m *GMemoryManager) Reclaim(need int64) {
-	for {
-		if m.dev.FreeBytes() >= need {
-			return
+	sorted := false
+	for m.dev.FreeBytes() < need {
+		if !sorted {
+			// Once per call, and again after a demotion: that is the one
+			// step here that sleeps, and so the one that lets another
+			// process add or drop a region.
+			m.reclaimJobs = m.reclaimJobs[:0]
+			for id := range m.regions {
+				m.reclaimJobs = append(m.reclaimJobs, id)
+			}
+			sort.Ints(m.reclaimJobs)
+			sorted = true
 		}
 		var victim *cacheEntry
-		jobs := make([]int, 0, len(m.regions))
-		for id := range m.regions {
-			jobs = append(jobs, id)
-		}
-		sort.Ints(jobs)
-		for _, id := range jobs {
+		for _, id := range m.reclaimJobs {
 			r := m.regions[id]
 			if v := oldestUnpinned(r); v != nil {
 				r.unlink(v)
@@ -444,6 +450,7 @@ func (m *GMemoryManager) Reclaim(need int64) {
 		m.cntEvictions.Add(1)
 		if m.hostTierBytes > 0 {
 			m.demote(victim)
+			sorted = false
 			continue
 		}
 		m.dev.Free(victim.buf)

@@ -25,53 +25,86 @@
 	VBLENDVPS Y5, D, B, B; \
 	VBLENDVPS Y5, N, I, I
 
-// ADDS is the adds stage both bodies end with. The int32 best index of
-// each of the sixteen lanes is in the 64-byte frame; SI is the span, DX
-// its column stride in bytes and R9 is d. For each of the first m lanes
-// in point order, its d coordinates are added to acc[best·(d+1)+j], two
-// per loop step, and 1.0 to the count. The partial sum is always
-// ADDSS's destination, as in the reference, so a NaN sum keeps its own
-// NaN with no check.
-#define ADDS \
-	MOVQ  acc_base+0(FP), DI; \
-	MOVQ  m+56(FP), R8; \
-	LEAQ  4(R9*4), R10; \
-	MOVL  $0x3f800000, AX; \
-	MOVQ  AX, X1; \
-	XORQ  R12, R12; \
-lane: \
-	MOVL  0(SP)(R12*4), AX; \
-	IMULQ R10, AX; \
-	LEAQ  (DI)(AX*1), R11; \
-	LEAQ  (SI)(R12*4), R13; \
-	MOVQ  R9, CX; \
-	SHRQ  $1, CX; \
-	JZ    odd; \
-pair: \
-	MOVSS (R11), X0; \
-	ADDSS (R13), X0; \
-	MOVSS X0, (R11); \
-	MOVSS 4(R11), X2; \
-	ADDSS (R13)(DX*1), X2; \
-	MOVSS X2, 4(R11); \
-	ADDQ  $8, R11; \
-	LEAQ  (R13)(DX*2), R13; \
-	DECQ  CX; \
-	JNZ   pair; \
-odd: \
-	TESTQ $1, R9; \
-	JZ    count; \
-	MOVSS (R11), X0; \
-	ADDSS (R13), X0; \
-	MOVSS X0, (R11); \
-	ADDQ  $4, R11; \
-count: \
-	MOVSS (R11), X0; \
-	ADDSS X1, X0; \
-	MOVSS X0, (R11); \
-	INCQ  R12; \
-	CMPQ  R12, R8; \
-	JLT   lane
+// TRANSPOSE turns lanes O/4..O/4+3 of the column block at R12 (columns
+// 0-3 at R12, R12+DX, R12+2·DX and R12+BX; columns 4-7 the same from
+// R13) into their point rows Y0..Y3, eight coordinates each. Each
+// 128-bit half is loaded from its own column, so the two rounds of
+// UNPCKs that finish the 4x4 transposes never cross a lane. Y4..Y7 are
+// scratch.
+#define TRANSPOSE(O) \
+	VMOVUPS     O(R12), X0; \
+	VINSERTF128 $1, O(R13), Y0, Y0; \
+	VMOVUPS     O(R12)(DX*1), X1; \
+	VINSERTF128 $1, O(R13)(DX*1), Y1, Y1; \
+	VMOVUPS     O(R12)(DX*2), X2; \
+	VINSERTF128 $1, O(R13)(DX*2), Y2, Y2; \
+	VMOVUPS     O(R12)(BX*1), X3; \
+	VINSERTF128 $1, O(R13)(BX*1), Y3, Y3; \
+	VUNPCKLPS   Y1, Y0, Y4; \
+	VUNPCKHPS   Y1, Y0, Y5; \
+	VUNPCKLPS   Y3, Y2, Y6; \
+	VUNPCKHPS   Y3, Y2, Y7; \
+	VUNPCKLPD   Y6, Y4, Y0; \
+	VUNPCKHPD   Y6, Y4, Y1; \
+	VUNPCKLPD   Y7, Y5, Y2; \
+	VUNPCKHPD   Y7, Y5, Y3
+
+// ADDROW adds point row P to the eight partial sums at DI+R: load them,
+// VADDPS with the sums as first source (so a NaN sum keeps its own
+// payload, as ADDSS's destination does), store them. S is scratch.
+#define ADDROW(P, R, S) \
+	VMOVUPS (DI)(R*1), S; \
+	VADDPS  P, S, S; \
+	VMOVUPS S, (DI)(R*1)
+
+// QUAD adds lanes L..L+3 to their partial rows, one column block at a
+// time, each block's four rows in lane order. O = 4·L is both the
+// lanes' byte offset in a column and the frame offset of lane L's int32
+// index; F1..F3 are those of lanes L+1..L+3. The lanes' row offsets stay
+// in AX, CX, SI and R9 across the blocks, and a lane at or past m (R8)
+// adds into the frame's spare row instead (R11). A quad that starts at
+// or past m ends the adds. The whole blocks come from the span, the last
+// from the frame, and BLK and SPAN name the quad's labels.
+#define QUAD(L, O, F1, F2, F3, BLK, SPAN) \
+	CMPQ    R8, $L; \
+	JLE     added; \
+	MOVL    O(SP), AX; \
+	IMULQ   R10, AX; \
+	MOVL    F1(SP), CX; \
+	IMULQ   R10, CX; \
+	CMPQ    R8, $(L+1); \
+	CMOVQLE R11, CX; \
+	MOVL    F2(SP), SI; \
+	IMULQ   R10, SI; \
+	CMPQ    R8, $(L+2); \
+	CMOVQLE R11, SI; \
+	MOVL    F3(SP), R9; \
+	IMULQ   R10, R9; \
+	CMPQ    R8, $(L+3); \
+	CMOVQLE R11, R9; \
+	MOVQ    acc_base+0(FP), DI; \
+	MOVQ    span_base+24(FP), R12; \
+	MOVQ    stride+48(FP), DX; \
+	SHLQ    $2, DX; \
+	LEAQ    (DX)(DX*2), BX; \
+	MOVQ    R15, R14; \
+BLK: \
+	CMPQ    R14, $1; \
+	JNE     SPAN; \
+	LEAQ    64(SP), R12; \
+	MOVQ    $64, DX; \
+	MOVQ    $192, BX; \
+SPAN: \
+	LEAQ    (R12)(DX*4), R13; \
+	TRANSPOSE(O); \
+	ADDROW(Y0, AX, Y8); \
+	ADDROW(Y1, CX, Y9); \
+	ADDROW(Y2, SI, Y10); \
+	ADDROW(Y3, R9, Y11); \
+	ADDQ    $32, DI; \
+	LEAQ    (R12)(DX*8), R12; \
+	DECQ    R14; \
+	JNZ     BLK
 
 // func assignGroupSSE2(acc []float32, span []byte, stride, m int, cents []byte, k, d int)
 //
@@ -83,11 +116,15 @@ count: \
 // PICK then folds the row into the running minimum X8..X11 (from
 // MaxFloat32) and its int32 index X12..X15 (from 0), so the first strict
 // minimum wins and a point with no finite distance keeps centroid 0.
-// The indices go to the frame, and ADDS adds the first m points.
+// The indices go to the frame. Then, for each of the first m lanes in
+// point order, its d coordinates are added to acc[best·kmeansRow(d)+j],
+// two per loop step, and 1.0 to the count. The partial sum is always
+// ADDSS's destination, as in the reference, so a NaN sum keeps its own
+// NaN with no check.
 //
-// The caller guarantees 1 <= m <= 16, k >= 1, d >= 1, that the span
-// (d-1)*stride+16 float32s fits in span, and that cents holds k·d and
-// acc k·(d+1) float32s.
+// The caller guarantees 1 <= m <= 16, k >= 1, 1 <= d <= 64, that the
+// span (d-1)*stride+16 float32s fits in span, and that cents holds k·d
+// and acc k·kmeansRow(d) float32s.
 TEXT ·assignGroupSSE2(SB), NOSPLIT, $64-104
 	MOVQ span_base+24(FP), SI
 	MOVQ stride+48(FP), DX
@@ -154,7 +191,52 @@ col:
 	MOVOU X13, 16(SP)
 	MOVOU X14, 32(SP)
 	MOVOU X15, 48(SP)
-	ADDS
+
+	MOVQ  acc_base+0(FP), DI
+	MOVQ  m+56(FP), R8
+	LEAQ  8(R9), R10
+	ANDQ  $-8, R10               // kmeansRow(d)
+	SHLQ  $2, R10                // bytes per partial row
+	MOVL  $0x3f800000, AX        // 1.0
+	MOVQ  AX, X1
+	XORQ  R12, R12               // lane
+
+lane:
+	MOVL  0(SP)(R12*4), AX
+	IMULQ R10, AX
+	LEAQ  (DI)(AX*1), R11
+	LEAQ  (SI)(R12*4), R13
+	MOVQ  R9, CX
+	SHRQ  $1, CX
+	JZ    odd
+
+pair:
+	MOVSS (R11), X0
+	ADDSS (R13), X0
+	MOVSS X0, (R11)
+	MOVSS 4(R11), X2
+	ADDSS (R13)(DX*1), X2
+	MOVSS X2, 4(R11)
+	ADDQ  $8, R11
+	LEAQ  (R13)(DX*2), R13
+	DECQ  CX
+	JNZ   pair
+
+odd:
+	TESTQ $1, R9
+	JZ    count
+	MOVSS (R11), X0
+	ADDSS (R13), X0
+	MOVSS X0, (R11)
+	ADDQ  $4, R11
+
+count:
+	MOVSS (R11), X0
+	ADDSS X1, X0
+	MOVSS X0, (R11)
+	INCQ  R12
+	CMPQ  R12, R8
+	JLT   lane
 	RET
 
 // func assignGroupAVX2(acc []float32, span []byte, stride, m int, cents []byte, k, d int)
@@ -168,8 +250,26 @@ col:
 // and the distance as the first source of the add, as in the SSE2 body.
 // Row c is folded into the running minimum (Y12, Y13; index Y14, Y15)
 // before row c+1, so the rows are picked in ascending c. An odd k ends
-// with a one-row pass. Only VEX encodings run until VZEROUPPER, which
-// precedes the scalar ADDS.
+// with a one-row pass.
+//
+// The adds take four lanes at a time (QUAD) and, for each, one column
+// block of eight at a time. A lane's point row of a block (eight of its
+// coordinates; in the last block, its d mod 8 last coordinates, then
+// 1.0 for the count, then +0) comes from an in-register transpose, and
+// is added to its centroid's partial row as one YMM vector. Each
+// block's four rows go in lane order, and the blocks touch disjoint
+// sums, so every partial sum still receives its points in point order,
+// each through one VADDPS with the sum as first source and no FMA: the
+// arithmetic of the SSE2 body's ADDSS and of the reference exactly.
+// The rows are kmeansRow(d) floats, so a block never reaches the next
+// row, and the +0 added to the padding keeps it +0. Whole vectors are
+// loaded and stored, never masked, so when consecutive lanes pick one
+// row the store forwards to the next load. The frame holds the sixteen
+// int32 indices (0-63), the last column block (64-575: the d mod 8
+// columns past the whole blocks, copied, then a column of 1.0 and
+// columns of +0) and a spare row (576-863, kmeansRow(64) floats) that
+// takes the adds of lanes at or past m, so the block loop has no branch
+// per lane. Only VEX encodings run until the closing VZEROUPPER.
 //
 // A launch's point block usually comes from beyond the L2 cache, so each
 // column step also prefetches column j 128 bytes on: the line of the
@@ -179,8 +279,9 @@ col:
 // so it may point past the span.
 //
 // It has the same caller guarantees as assignGroupSSE2, and runs only
-// where cpuHasAVX2 holds.
-TEXT ·assignGroupAVX2(SB), NOSPLIT, $64-104
+// where cpuHasAVX2 holds. Its frame is too large for NOSPLIT, so the
+// assembler adds the stack check.
+TEXT ·assignGroupAVX2(SB), $864-104
 	MOVQ span_base+24(FP), SI
 	MOVQ stride+48(FP), DX
 	MOVQ cents_base+64(FP), BX
@@ -276,8 +377,64 @@ col1:
 picked:
 	VMOVDQU Y14, 0(SP)
 	VMOVDQU Y15, 32(SP)
+
+	// The last column block, at 64(SP): the d mod 8 columns past the
+	// whole blocks, then a column of 1.0, then columns of +0, each
+	// sixteen lanes (64 bytes).
+	MOVQ    R9, AX
+	ANDQ    $-8, AX
+	IMULQ   DX, AX
+	LEAQ    (SI)(AX*1), R11
+	LEAQ    64(SP), DI
+	MOVQ    R9, CX
+	ANDQ    $7, CX
+	JZ      ones
+
+tailcol:
+	VMOVUPS 0(R11), Y0
+	VMOVUPS 32(R11), Y1
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    DX, R11
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     tailcol
+
+ones:
+	MOVL         $0x3f800000, AX // 1.0
+	VMOVD        AX, X0
+	VBROADCASTSS X0, Y0
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y0, 32(DI)
+	VXORPS       Y0, Y0, Y0
+	LEAQ         576(SP), AX     // the end of the last block
+
+zeros:
+	ADDQ    $64, DI
+	CMPQ    DI, AX
+	JEQ     adds
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y0, 32(DI)
+	JMP     zeros
+
+adds:
+	MOVQ m+56(FP), R8
+	LEAQ 8(R9), R10
+	ANDQ $-8, R10                // kmeansRow(d)
+	SHLQ $2, R10                 // bytes per partial row
+	MOVQ acc_base+0(FP), AX
+	LEAQ 576(SP), R11
+	SUBQ AX, R11                 // the spare row, as an offset from acc
+	MOVQ R9, R15
+	SHRQ $3, R15
+	INCQ R15                     // column blocks, the last from the frame
+	QUAD(0, 0, 4, 8, 12, blk0, span0)
+	QUAD(4, 16, 20, 24, 28, blk1, span1)
+	QUAD(8, 32, 36, 40, 44, blk2, span2)
+	QUAD(12, 48, 52, 56, 60, blk3, span3)
+
+added:
 	VZEROUPPER
-	ADDS
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
