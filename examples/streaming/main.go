@@ -43,10 +43,7 @@ func main() {
 				gflink.StreamWithMode(mode),
 				gflink.StreamWithBufferBatches(limit))
 			p.Source("gen", 0, gflink.StreamSourceSpec{Records: *records, Seed: 42}).
-				Window("agg", 1, gflink.StreamWindowSpec{
-					Trigger: gflink.TumblingCount(1024),
-					Slots:   256,
-				}).
+				Window("agg", 1, gflink.StreamWindowSpec{Records: 1024, Slots: 256}).
 				Sink("out", 0)
 			res = p.Run()
 		})

@@ -163,8 +163,6 @@ type (
 	StreamSourceSpec = stream.SourceSpec
 	// StreamWindowSpec configures a tumbling-window aggregation stage.
 	StreamWindowSpec = stream.WindowSpec
-	// StreamTrigger decides when a window fires (TumblingCount).
-	StreamTrigger = stream.Trigger
 )
 
 // Stream constructors and functional options.
@@ -172,16 +170,12 @@ var (
 	// NewStream starts an empty pipeline against a deployment, shaped
 	// like NewPlan: nothing touches the virtual clock until Run.
 	NewStream = stream.New
-	// TumblingCount builds a count-based tumbling-window trigger.
-	TumblingCount = stream.TumblingCount
 	// StreamWithMode pins window placement (ForceCPU/ForceGPU/AutoPlace).
 	StreamWithMode = stream.WithMode
 	// StreamWithBatchRecords sets the records per micro-batch.
 	StreamWithBatchRecords = stream.WithBatchRecords
 	// StreamWithBufferBatches sets the per-edge credit limit.
 	StreamWithBufferBatches = stream.WithBufferBatches
-	// StreamWithRecordBytes sets the nominal per-record wire size.
-	StreamWithRecordBytes = stream.WithRecordBytes
 )
 
 // Cache-eviction policies for the per-job GPU cache region

@@ -13,9 +13,9 @@
 // path, where copies are the norm.
 //
 // Inside gated functions (function literals included) every copy is
-// flagged — the CUDAWrapper's synchronous Memcpy, the stream copies a
-// gstream worker enqueues, whole-buffer and ranged alike, and the
-// builtin copy — unless the site carries //gflink:real-copy.
+// flagged — the stream copies a gstream worker enqueues, whole-buffer
+// and ranged alike, and the builtin copy — unless the site carries
+// //gflink:real-copy.
 package outputpurity
 
 import (
@@ -36,9 +36,6 @@ var Analyzer = &analysis.Analyzer{
 // copyCalls lists the entry points that move buffer bytes, by package
 // path and then object key.
 var copyCalls = map[string]map[string]bool{
-	"gflink/internal/core": {
-		"CUDAWrapper.MemcpyH2D": true,
-	},
 	"gflink/internal/gpu": {
 		"Stream.H2DAsync":       true,
 		"Stream.H2DRangesAsync": true,

@@ -3,7 +3,6 @@
 package outputpurity
 
 import (
-	"gflink/internal/core"
 	"gflink/internal/gpu"
 	"gflink/internal/membuf"
 )
@@ -40,8 +39,8 @@ func streamCopiesInGated(s *gpu.Stream, dev *gpu.Buffer, host *membuf.HBuffer) {
 }
 
 //gflink:gated hosttier
-func wholeInGated(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer) {
-	w.MemcpyH2D(d, dst, src, 10) // want `copy inside feature-gated code`
+func wholeInGated(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer) {
+	s.H2DAsync(dst, src, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated projection
@@ -56,10 +55,10 @@ func sanctionedFull(dst, src *membuf.HBuffer) {
 }
 
 //gflink:gated hosttier
-func insideClosure(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer) func() {
+func insideClosure(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer) func() {
 	// Function literals inherit the enclosing function's gatedness.
 	return func() {
-		w.MemcpyH2D(d, dst, src, 10) // want `copy inside feature-gated code`
+		s.H2DAsync(dst, src, 10) // want `copy inside feature-gated code`
 	}
 }
 
@@ -81,17 +80,17 @@ func gatedCallerB(s *gpu.Stream, dst *membuf.HBuffer, src *gpu.Buffer) {
 
 // sharedHelper also runs on the default path (one ungated caller), so
 // it carries no obligation.
-func sharedHelper(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer) {
-	w.MemcpyH2D(d, dst, src, 10)
+func sharedHelper(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer) {
+	s.H2DAsync(dst, src, 10)
 }
 
 //gflink:gated hosttier
-func gatedMixedCaller(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer) {
-	sharedHelper(w, d, dst, src)
+func gatedMixedCaller(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer) {
+	sharedHelper(s, dst, src)
 }
 
-func ungatedMixedCaller(w *core.CUDAWrapper, d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer, s *gpu.Stream) {
-	sharedHelper(w, d, dst, src)
+func ungatedMixedCaller(s *gpu.Stream, dst *gpu.Buffer, src *membuf.HBuffer) {
+	sharedHelper(s, dst, src)
 	s.D2HAsync(nil, nil, 10)            // ungated code copies freely
 	s.H2DRangesAsync(dst, src, nil, 10) // ranged copies too
 }

@@ -7,6 +7,7 @@ import (
 	"gflink/internal/core"
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
+	"gflink/internal/vclock"
 	"gflink/internal/workloads"
 )
 
@@ -55,27 +56,33 @@ func init() {
 			g := paperSpec(1, 1, 1).Build()
 			g.Run(func() {
 				dev := g.Manager(0).Devices[0]
-				wr := g.Manager(0).Wrapper
-				pool := g.Cluster.TaskManagers[0].Pool
 				cpu := g.Cfg.Config.Model.CPU
+				s := dev.NewStream(cpu)
+				done := vclock.NewEvent(g.Clock)
+				pool := g.Cluster.TaskManagers[0].Pool
 				for _, n := range []int64{1 << 20, 16 << 20, 128 << 20} {
 					buf, err := dev.Malloc(n, 0)
 					if err != nil {
 						panic(err)
 					}
 					// Naive: serialize JVM objects into a heap buffer, copy
-					// heap -> native, then DMA (unpinned staging path).
+					// heap -> native (the staging copy an unpinned buffer
+					// pays), then DMA. The stream copies only page-locked
+					// memory, so the buffer is pinned outside the timing.
 					hn := pool.MustAllocate(64)
+					hn.Pin()
 					t0 := g.Clock.Now()
 					g.Clock.Sleep(cpu.SerDe(n))
-					dev.MemcpyH2D(buf, hn, n, cpu) // unpinned: pays HeapCopy
+					g.Clock.Sleep(cpu.HeapCopy(n))
+					h2d(s, done, buf, hn, n)
 					naive := g.Clock.Now() - t0
-					// GFlink: raw off-heap bytes, page-locked, via the
-					// wrapper.
+					// GFlink: raw off-heap bytes, page-locked, through the
+					// transfer channel's JNI redirect.
 					hg := pool.MustAllocate(64)
-					wr.HostRegister(hg)
+					hg.Pin()
 					t1 := g.Clock.Now()
-					wr.MemcpyH2D(dev, buf, hg, n)
+					g.Clock.Sleep(g.Cfg.Config.Model.PCIe.JNIRedirect)
+					h2d(s, done, buf, hg, n)
 					zero := g.Clock.Now() - t1
 					t.AddRow(fmt.Sprintf("%dMiB", n>>20), fmt.Sprintf("%.1fms", naive.Seconds()*1e3),
 						fmt.Sprintf("%.1fms", zero.Seconds()*1e3), ratio(float64(naive)/float64(zero)))

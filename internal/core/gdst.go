@@ -148,22 +148,17 @@ type GPUMapSpec struct {
 	// reduction partial such as centroid sums): its nominal size equals
 	// its real size instead of scaling with the input's nominal count.
 	FixedOutput bool
-	// BlockSize is the CUDA block size (default 256, as in
-	// Algorithm 3.1).
-	BlockSize int
-	// ProducerWork is the per-record CPU cost of assembling the work
-	// (normally negligible: no serialization happens on this path).
-	ProducerWork costmodel.Work
 }
+
+// gpuMapBlockSize is the CUDA block size of every gpuMapPartition
+// launch, as in Algorithm 3.1.
+const gpuMapBlockSize = 256
 
 // GPUMapPartition runs spec's kernel over every block of ds: each
 // TaskManager task produces one GWork per block, submits them all to
 // the worker's GStreamManager, then waits — the producer/consumer
 // decoupling of Fig. 4. It returns the dataset of output blocks.
 func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
-	if spec.BlockSize <= 0 {
-		spec.BlockSize = 256
-	}
 	outElems := spec.OutElems
 	if outElems == nil {
 		outElems = func(in int) int { return in }
@@ -178,8 +173,7 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 		pool := g.Cluster.TaskManagers[worker].Pool
 		// The producer iterates blocks, not elements: charge the
 		// per-record overhead at nominal *block* granularity (the
-		// execution-model fix of Section 3.1), plus any user-declared
-		// assembly work per element.
+		// execution-model fix of Section 3.1).
 		if len(blocks) > 0 {
 			// At paper scale the partition holds nominal/page-capacity
 			// blocks (Section 5.1: one block per memory page); the real
@@ -188,9 +182,6 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 			pageElems := maxI64(1, int64(membuf.ElemsPerPage(g.Cfg.Config.PageSize, blocks[0].BytesPerElem())))
 			nominalBlocks := (part.Nominal + pageElems - 1) / pageElems
 			ds.Job().ChargeCompute(nominalBlocks, costmodel.Work{})
-			if spec.ProducerWork != (costmodel.Work{}) {
-				ds.Job().ChargeCompute(part.Nominal, spec.ProducerWork)
-			}
 		}
 		works := make([]*GWork, len(blocks))
 		outs := make([]*Block, len(blocks))
@@ -228,8 +219,8 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 			w.ExecuteName = spec.Kernel
 			w.Size = b.N
 			w.Nominal = b.Nominal
-			w.BlockSize = spec.BlockSize
-			w.GridSize = (b.N + spec.BlockSize - 1) / spec.BlockSize
+			w.BlockSize = gpuMapBlockSize
+			w.GridSize = (b.N + gpuMapBlockSize - 1) / gpuMapBlockSize
 			w.Out = outBuf
 			w.OutNominal = outNominal * int64(outPerElem)
 			w.Args = spec.Args

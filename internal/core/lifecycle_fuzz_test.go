@@ -116,7 +116,8 @@ func (sw *streamWorker) refExec(w *GWork) {
 		} else {
 			toFree = append(toFree, buf)
 		}
-		wr.HostRegister(in.Buf)
+		clock.Sleep(wr.charge(callHostRegister))
+		in.Buf.Pin()
 		clock.Sleep(wr.charge(callMemcpyH2D))
 		if in.Ranges != nil {
 			sw.stream.H2DRangesAsync(buf, in.Buf, in.Ranges, in.Nominal)
@@ -131,7 +132,8 @@ func (sw *streamWorker) refExec(w *GWork) {
 		return
 	}
 	toFree = append(toFree, out)
-	wr.HostRegister(w.Out)
+	clock.Sleep(wr.charge(callHostRegister))
+	w.Out.Pin()
 	sw.tAfterH2D = 0
 	sw.stream.Callback(sw.markH2D)
 	ctx := &gpu.KernelCtx{In: devBufs, Out: []*gpu.Buffer{out}, N: w.Size, Nominal: w.Nominal,

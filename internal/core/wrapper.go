@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"gflink/internal/costmodel"
-	"gflink/internal/gpu"
-	"gflink/internal/membuf"
 	"gflink/internal/vclock"
 )
 
@@ -48,9 +46,9 @@ const (
 	callMemcpyD2H
 )
 
-// charge returns what entry point c costs before its action runs. The
-// stackful entry points below sleep it; a stream worker's step sleeps
-// it through its task and then runs the action itself.
+// charge returns what entry point c costs before its action runs. A
+// stream worker's step sleeps it through its task and then runs the
+// action itself.
 //
 //gflink:hotpath
 func (w *CUDAWrapper) charge(c cudaCall) time.Duration {
@@ -58,20 +56,4 @@ func (w *CUDAWrapper) charge(c cudaCall) time.Duration {
 		return w.model.PCIe.JNIRedirect
 	}
 	return w.model.Overheads.JNICall
-}
-
-// HostRegister page-locks a direct buffer (cudaHostRegister). The pin
-// is released by the buffer's owner: Free unpins implicitly, so the
-// registration lives exactly as long as the buffer.
-func (w *CUDAWrapper) HostRegister(b *membuf.HBuffer) {
-	w.clock.Sleep(w.charge(callHostRegister))
-	//gflink:owns-buffer -- caller keeps ownership; Free() unpins
-	b.Pin()
-}
-
-// MemcpyH2D is the synchronous transfer-channel host-to-device copy
-// (cudaMemcpyH2D): JNI redirect plus DMA.
-func (w *CUDAWrapper) MemcpyH2D(d *gpu.Device, dst *gpu.Buffer, src *membuf.HBuffer, nominal int64) {
-	w.clock.Sleep(w.charge(callMemcpyH2D))
-	d.MemcpyH2D(dst, src, nominal, w.model.CPU)
 }

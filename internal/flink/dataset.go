@@ -241,21 +241,6 @@ func Filter[T any](d *Dataset[T], name string, perRec costmodel.Work, pred func(
 	return FromPartitions(d.job, d.recordBytes, out)
 }
 
-// FlatMap expands each record into zero or more records.
-func FlatMap[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes int, f func(T) []U) *Dataset[U] {
-	out := make([]Partition[U], len(d.parts))
-	d.job.runTasks("flatMap:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
-		in := d.parts[p]
-		d.job.ChargeCompute(in.Nominal, perRec)
-		var items []U
-		for _, v := range in.Items {
-			items = append(items, f(v)...)
-		}
-		out[p] = Partition[U]{Worker: in.Worker, Items: items, Nominal: scaleNominal(in.Nominal, int64(len(in.Items)), int64(len(items)))}
-	})
-	return FromPartitions(d.job, outBytes, out)
-}
-
 func (d *Dataset[T]) workerOf(p int) int { return d.parts[p].Worker }
 
 // hashKey maps any comparable key to a deterministic 64-bit hash.
@@ -281,8 +266,10 @@ func sortKeys[K comparable](keys []K) {
 	})
 }
 
-// shuffleCost charges sender-side serialization and performs the
-// network exchange for a partition-to-partition byte matrix.
+// shuffleExchange performs the network exchange for a
+// partition-to-partition byte matrix, one transfer per non-empty cell,
+// all in parallel. Serialization is charged by the caller's tasks on
+// both sides.
 func shuffleExchange(j *Job, fromWorker []int, toWorker []int, bytes [][]int64) {
 	g := vclock.NewGroup(j.cluster.Clock)
 	for p := range bytes {
@@ -390,71 +377,6 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 	return FromPartitions(d.job, d.recordBytes, out)
 }
 
-// GroupReduce groups by key and applies reduce to each whole group
-// (non-combinable aggregation: the full groups cross the network).
-func GroupReduce[T any, K comparable, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes int, key func(T) K, reduce func(K, []T) U) *Dataset[U] {
-	nparts := len(d.parts)
-	model := d.job.cluster.Cfg.Model
-
-	outbox := make([][][]T, nparts)
-	outNominal := make([][]int64, nparts)
-	d.job.runTasks("partition:"+name, nparts, d.workerOf, func(p int, tm *TaskManager) {
-		in := d.parts[p]
-		byTarget := make([][]T, nparts)
-		for _, v := range in.Items {
-			q := int(hashKey(key(v)) % uint64(nparts))
-			byTarget[q] = append(byTarget[q], v)
-		}
-		outbox[p] = byTarget
-		outNominal[p] = make([]int64, nparts)
-		for q, recs := range byTarget {
-			outNominal[p][q] = scaleNominal(in.Nominal, int64(len(in.Items)), int64(len(recs)))
-		}
-		d.job.cluster.Clock.Sleep(model.CPU.SerDe(in.Nominal * int64(d.recordBytes)))
-	})
-
-	from := make([]int, nparts)
-	to := make([]int, nparts)
-	bytes := make([][]int64, nparts)
-	for p := range d.parts {
-		from[p] = d.parts[p].Worker
-		bytes[p] = make([]int64, nparts)
-		for q := 0; q < nparts; q++ {
-			to[q] = q % d.job.cluster.Cfg.Workers
-			bytes[p][q] = outNominal[p][q] * int64(d.recordBytes)
-		}
-	}
-	shuffleExchange(d.job, from, to, bytes)
-
-	out := make([]Partition[U], nparts)
-	d.job.runTasks("groupReduce:"+name, nparts, func(q int) int { return q % d.job.cluster.Cfg.Workers }, func(q int, tm *TaskManager) {
-		var incoming []T
-		var nominal int64
-		for p := 0; p < nparts; p++ {
-			incoming = append(incoming, outbox[p][q]...)
-			nominal += outNominal[p][q]
-		}
-		d.job.cluster.Clock.Sleep(model.CPU.SerDe(nominal * int64(d.recordBytes)))
-		d.job.ChargeCompute(nominal, perRec)
-		groups := make(map[K][]T)
-		order := make([]K, 0)
-		for _, v := range incoming {
-			k := key(v)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], v)
-		}
-		sortKeys(order)
-		items := make([]U, 0, len(order))
-		for _, k := range order {
-			items = append(items, reduce(k, groups[k]))
-		}
-		out[q] = Partition[U]{Worker: tm.ID, Items: items, Nominal: scaleNominal(nominal, int64(len(incoming)), int64(len(items)))}
-	})
-	return FromPartitions(d.job, outBytes, out)
-}
-
 // Collect gathers every record to the driver (via the master), charging
 // serialization and the network hops, and returns them in partition
 // order. The returned slice is freshly allocated — mutating it (or its
@@ -476,12 +398,6 @@ func Collect[T any](d *Dataset[T]) []T {
 		out = append(out, p.Items...)
 	}
 	return out
-}
-
-// Count returns the nominal record count, with a driver round trip.
-func Count[T any](d *Dataset[T]) int64 {
-	d.job.cluster.Clock.Sleep(d.job.cluster.Cfg.Model.Net.Latency * 2)
-	return d.NominalCount()
 }
 
 // Broadcast charges the cost of shipping n bytes from the driver to
@@ -553,48 +469,4 @@ func (j *Job) ShuffleBytes(totalBytes int64) {
 // bulk iterations.
 func (j *Job) Superstep() {
 	j.cluster.Clock.Sleep(j.cluster.Cfg.Model.Overheads.SuperstepSync)
-}
-
-// Iterate runs body n times with a superstep barrier after each
-// iteration, mirroring Flink's bulk iterations. body receives the
-// iteration index and the loop dataset and returns the next one.
-func Iterate[T any](d *Dataset[T], n int, body func(i int, in *Dataset[T]) *Dataset[T]) *Dataset[T] {
-	cur := d
-	for i := 0; i < n; i++ {
-		cur = body(i, cur)
-		cur.job.Superstep()
-	}
-	return cur
-}
-
-// WriteHDFS writes the dataset to the named file, one sink task per
-// partition following the replication pipeline.
-func WriteHDFS[T any](d *Dataset[T], file string) {
-	d.job.runTasks("sink:"+file, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
-		part := d.parts[p]
-		bytes := part.Nominal * int64(d.recordBytes)
-		d.job.cluster.Clock.Sleep(d.job.cluster.Cfg.Model.CPU.SerDe(bytes))
-		d.job.cluster.FS.Write(tm.ID, file, bytes)
-	})
-}
-
-// Rebalance redistributes partitions round-robin over workers (Flink's
-// rebalance), paying the full network exchange.
-func Rebalance[T any](d *Dataset[T]) *Dataset[T] {
-	nparts := len(d.parts)
-	out := make([]Partition[T], nparts)
-	g := vclock.NewGroup(d.job.cluster.Clock)
-	for p := range d.parts {
-		p := p
-		part := d.parts[p]
-		target := p % d.job.cluster.Cfg.Workers
-		g.Go(fmt.Sprintf("rebalance[%d]", p), func() {
-			if part.Worker != target {
-				d.job.cluster.Net.Transfer(part.Worker, target, part.Nominal*int64(d.recordBytes))
-			}
-			out[p] = Partition[T]{Worker: target, Items: part.Items, Nominal: part.Nominal}
-		})
-	}
-	g.Wait()
-	return FromPartitions(d.job, d.recordBytes, out)
 }

@@ -118,21 +118,6 @@ func TestFilterAdjustsNominal(t *testing.T) {
 	})
 }
 
-func TestFlatMapExpands(t *testing.T) {
-	c := testCluster(1)
-	c.Clock.Run(func() {
-		j := c.NewJob("fm")
-		ds := Generate(j, "n", 100, 8, 2, func(p int, ord int64) int64 { return ord })
-		out := FlatMap(ds, "triple", costmodel.Work{}, 8, func(v int64) []int64 { return []int64{v, v, v} })
-		if out.RealCount() != 3*ds.RealCount() {
-			t.Errorf("flatmap real = %d, want %d", out.RealCount(), 3*ds.RealCount())
-		}
-		if out.NominalCount() != 300 {
-			t.Errorf("flatmap nominal = %d, want 300", out.NominalCount())
-		}
-	})
-}
-
 func TestReduceByKeyWordCountSemantics(t *testing.T) {
 	c := testCluster(2)
 	words := []string{"a", "b", "a", "c", "b", "a"}
@@ -167,25 +152,6 @@ func TestReduceByKeyWordCountSemantics(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Errorf("got %d distinct words, want %d", len(got), len(want))
-		}
-	})
-}
-
-func TestGroupReduce(t *testing.T) {
-	c := testCluster(2)
-	c.Clock.Run(func() {
-		j := c.NewJob("gr")
-		ds := Generate(j, "n", 100, 8, 4, func(p int, ord int64) int64 { return ord })
-		// Group by value % 3 and count group sizes.
-		out := GroupReduce(ds, "mod3", costmodel.Work{}, 16,
-			func(v int64) int64 { return v % 3 },
-			func(k int64, vs []int64) [2]int64 { return [2]int64{k, int64(len(vs))} })
-		var total int64
-		for _, g := range Collect(out) {
-			total += g[1]
-		}
-		if total != ds.RealCount() {
-			t.Errorf("group sizes sum to %d, want %d", total, ds.RealCount())
 		}
 	})
 }
@@ -233,26 +199,6 @@ func TestCollectGathersInOrder(t *testing.T) {
 	})
 }
 
-func TestIterateRunsBodyAndCharges(t *testing.T) {
-	c := testCluster(1)
-	var iterations int
-	end := c.Clock.Run(func() {
-		j := c.NewJob("iter")
-		ds := Generate(j, "n", 10, 8, 1, func(p int, ord int64) int64 { return ord })
-		Iterate(ds, 5, func(i int, in *Dataset[int64]) *Dataset[int64] {
-			iterations++
-			return in
-		})
-	})
-	if iterations != 5 {
-		t.Errorf("body ran %d times", iterations)
-	}
-	want := c.Cfg.Model.Overheads.JobSubmit + 5*c.Cfg.Model.Overheads.SuperstepSync
-	if end != want {
-		t.Errorf("iterate cost %v, want %v", end, want)
-	}
-}
-
 func TestHDFSRoundTrip(t *testing.T) {
 	c := testCluster(2)
 	c.Clock.Run(func() {
@@ -265,18 +211,7 @@ func TestHDFSRoundTrip(t *testing.T) {
 		if ds.NominalCount() != (64<<20)/64 {
 			t.Errorf("nominal records = %d", ds.NominalCount())
 		}
-		WriteHDFS(ds, "out")
-		f, err := c.FS.Open("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Size != ds.NominalCount()*64 {
-			t.Errorf("output size = %d", f.Size)
-		}
 	})
-	if _, err := c.Clock, error(nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestReadHDFSMissingFile(t *testing.T) {
@@ -327,30 +262,13 @@ func TestMoreWorkersFinishFaster(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndRebalance(t *testing.T) {
+func TestBroadcastMovesBytes(t *testing.T) {
 	c := testCluster(3)
 	c.Clock.Run(func() {
-		j := c.NewJob("misc")
-		j.Broadcast(1 << 20)
-		ds := FromPartitions(j, 8, []Partition[int64]{
-			{Worker: 0, Items: []int64{1, 2}, Nominal: 2},
-			{Worker: 0, Items: []int64{3}, Nominal: 1},
-			{Worker: 0, Items: []int64{4}, Nominal: 1},
-		})
-		out := Rebalance(ds)
-		workers := map[int]bool{}
-		for p := 0; p < out.Partitions(); p++ {
-			workers[out.Partition(p).Worker] = true
-		}
-		if len(workers) != 3 {
-			t.Errorf("rebalance spread over %d workers, want 3", len(workers))
-		}
-		if Count(out) != 4 {
-			t.Errorf("count = %d", Count(out))
-		}
+		c.NewJob("misc").Broadcast(1 << 20)
 	})
-	if _, by := c.Net.Stats(); by == 0 {
-		t.Error("broadcast/rebalance moved no bytes")
+	if _, by := c.Net.Stats(); by != 2<<20 {
+		t.Errorf("broadcast to 2 peers moved %d bytes, want %d", by, 2<<20)
 	}
 }
 

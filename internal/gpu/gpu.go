@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"gflink/internal/costmodel"
-	"gflink/internal/membuf"
 	"gflink/internal/vclock"
 )
 
@@ -188,20 +187,6 @@ func (d *Device) UsedBytes() int64 { return d.usedBytes }
 // FreeBytes reports remaining nominal device memory.
 func (d *Device) FreeBytes() int64 { return d.Profile.MemBytes - d.usedBytes }
 
-// MemcpyH2D synchronously copies src's logical bytes into dst,
-// charging nominal bytes of PCIe time on the H2D engine. Unpinned
-// buffers pay an extra host staging copy, as the real CUDA driver does.
-func (d *Device) MemcpyH2D(dst *Buffer, src *membuf.HBuffer, nominal int64, cpu costmodel.CPU) {
-	if !src.Pinned() {
-		d.clock.Sleep(cpu.HeapCopy(nominal))
-	}
-	d.h2d.Acquire(1)
-	d.clock.Sleep(d.pcie.TransferTime(nominal))
-	d.h2d.Release(1)
-	copy(dst.data, src.Bytes())
-	d.count(&d.h2dCopies, &d.h2dBytes, nominal)
-}
-
 func (d *Device) count(ops, bytes *int64, n int64) {
 	*ops++
 	*bytes += n
@@ -283,9 +268,10 @@ func lookupKernel(name string) (Func, error) {
 
 // Launch executes the named kernel synchronously on the calling
 // process: it waits for the device's compute engine, really runs the
-// kernel function, and charges the reported cost. It returns the
-// virtual duration of the kernel (excluding queueing). A stream's
-// executor makes the same calls in the same order through its task.
+// kernel function, charges the reported cost, releases the engine and
+// only then counts the kernel. It returns the virtual duration of the
+// kernel (excluding queueing). A stream's executor makes the same calls
+// in the same order through its task.
 //
 //gflink:hotpath
 func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
@@ -294,12 +280,14 @@ func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 		return 0, err
 	}
 	d.compute.Acquire(1)
-	defer d.compute.Release(1)
 	dur, err := d.runKernel(name, fn, ctx)
+	if err == nil {
+		d.clock.Sleep(dur)
+	}
+	d.compute.Release(1)
 	if err != nil {
 		return 0, err
 	}
-	d.clock.Sleep(dur)
 	d.kernels++
 	return dur, nil
 }

@@ -91,8 +91,13 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 		copy(h.Bytes(), []byte("gpudata!"))
 		h.Pin()
 		buf, _ := d.Malloc(1<<20, 8)
+		s := d.NewStream(cpu)
+		defer d.Close()
 		start := c.Now()
-		d.MemcpyH2D(buf, h, 1<<20, cpu)
+		s.H2DAsync(buf, h, 1<<20)
+		if t := c.Process(); !s.SynchronizeTask(t) {
+			t.Park()
+		}
 		elapsed = c.Now() - start
 		if string(buf.Bytes()) != "gpudata!" {
 			t.Errorf("device bytes = %q", buf.Bytes())
@@ -100,8 +105,6 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 		out := p.MustAllocate(8)
 		defer out.Free()
 		out.Pin()
-		s := d.NewStream(cpu)
-		defer d.Close()
 		s.D2HAsync(out, buf, 1<<20)
 		if t := c.Process(); !s.SynchronizeTask(t) {
 			t.Park()
@@ -112,32 +115,6 @@ func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 	})
 	if want := costmodel.DefaultPCIe.TransferTime(1 << 20); elapsed != want {
 		t.Errorf("H2D took %v, want %v", elapsed, want)
-	}
-}
-
-func TestUnpinnedSyncCopyPaysStaging(t *testing.T) {
-	c, d, p := testRig()
-	cpu := costmodel.DefaultCPU
-	var pinned, unpinned time.Duration
-	c.Run(func() {
-		buf, _ := d.Malloc(1<<20, 0)
-		hp := p.MustAllocate(8)
-		defer hp.Free()
-		hp.Pin()
-		t0 := c.Now()
-		d.MemcpyH2D(buf, hp, 1<<20, cpu)
-		pinned = c.Now() - t0
-		hu := p.MustAllocate(8)
-		defer hu.Free()
-		t1 := c.Now()
-		d.MemcpyH2D(buf, hu, 1<<20, cpu)
-		unpinned = c.Now() - t1
-	})
-	if unpinned <= pinned {
-		t.Errorf("unpinned copy (%v) not slower than pinned (%v)", unpinned, pinned)
-	}
-	if unpinned-pinned != cpu.HeapCopy(1<<20) {
-		t.Errorf("staging surcharge = %v, want %v", unpinned-pinned, cpu.HeapCopy(1<<20))
 	}
 }
 

@@ -5,13 +5,6 @@ import (
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
-	"gflink/internal/gstruct"
-)
-
-// EdgeSchema is the GStruct of one directed edge (src, dst node ids).
-var EdgeSchema = gstruct.MustNew("Edge", 4,
-	gstruct.Field{Name: "src", Kind: gstruct.Int32},
-	gstruct.Field{Name: "dst", Kind: gstruct.Int32},
 )
 
 // PageRankContribKernel scatters rank contributions of an edge block
@@ -21,7 +14,7 @@ var EdgeSchema = gstruct.MustNew("Edge", 4,
 //
 // Buffers:
 //
-//	In[0]  — edges, AoS Edge (cacheable: the graph is static)
+//	In[0]  — edges, int32 (src, dst) pairs (cacheable: the graph is static)
 //	In[1]  — ranks, float32[n] (fresh every superstep)
 //	In[2]  — outdeg, int32[n] (cacheable: static)
 //	Out[0] — contrib, float32[n]

@@ -39,7 +39,7 @@ func runPipeline(t *testing.T, records int64, opts ...stream.Option) stream.Resu
 	g.Run(func() {
 		p := stream.New(g, "test", opts...)
 		p.Source("gen", 0, stream.SourceSpec{Records: records, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 			Sink("out", 0)
 		res = p.Run()
 	})
@@ -77,7 +77,7 @@ func TestBlockedCounterExported(t *testing.T) {
 	g.Run(func() {
 		p := stream.New(g, "test", stream.WithMode(plan.ForceCPU), stream.WithBufferBatches(1))
 		p.Source("gen", 0, stream.SourceSpec{Records: 4096, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 			Sink("out", 0)
 		res = p.Run()
 	})
@@ -184,7 +184,7 @@ func TestWindowMatchesReference(t *testing.T) {
 					p := stream.New(g, "test", stream.WithMode(mode),
 						stream.WithBatchRecords(tc.batch), stream.WithBufferBatches(tc.credits))
 					p.Source("gen", 0, stream.SourceSpec{Records: tc.records, Keys: tc.keys, Seed: 7}).
-						Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(tc.width), Slots: tc.slots}).
+						Window("agg", 1, stream.WindowSpec{Records: tc.width, Slots: tc.slots}).
 						Sink("out", 0)
 					res = p.Run()
 				})
@@ -224,7 +224,7 @@ func checkPipeline(t *testing.T, seed uint64, records int64, keys, batch, width,
 		p := stream.New(g, "test", stream.WithMode(mode),
 			stream.WithBatchRecords(batch), stream.WithBufferBatches(credits))
 		p.Source("gen", 0, stream.SourceSpec{Records: records, Keys: keys, Seed: seed}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: slots}).
+			Window("agg", 1, stream.WindowSpec{Records: width, Slots: slots}).
 			Sink("out", 0)
 		parks = clock.Parks()
 		res = p.Run()
@@ -311,7 +311,7 @@ func TestStreamSteadyStateZeroAllocs(t *testing.T) {
 			mallocs := func(w int64) int64 {
 				p := stream.New(g, "test", stream.WithMode(mode))
 				p.Source("gen", 0, stream.SourceSpec{Records: w * width, Seed: 7}).
-					Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(width), Slots: 256}).
+					Window("agg", 1, stream.WindowSpec{Records: width, Slots: 256}).
 					Sink("out", 0)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -346,7 +346,7 @@ func BenchmarkPipelineRecords(b *testing.B) {
 				g.Run(func() {
 					p := stream.New(g, "bench", stream.WithMode(mode))
 					p.Source("gen", 0, stream.SourceSpec{Records: records, Seed: 7}).
-						Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(1024), Slots: 256}).
+						Window("agg", 1, stream.WindowSpec{Records: 1024, Slots: 256}).
 						Sink("out", 0)
 					p.Run()
 				})
@@ -369,7 +369,7 @@ func TestStreamParksNothing(t *testing.T) {
 		g.Run(func() {
 			p := stream.New(g, "test", stream.WithMode(mode), stream.WithBufferBatches(credits))
 			p.Source("gen", 0, stream.SourceSpec{Records: records, Seed: 7}).
-				Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(1024), Slots: 256}).
+				Window("agg", 1, stream.WindowSpec{Records: 1024, Slots: 256}).
 				Sink("out", 0)
 			p.Run()
 		})
@@ -392,7 +392,7 @@ func TestAutoPlacement(t *testing.T) {
 	g.Run(func() {
 		p := stream.New(g, "test")
 		p.Source("gen", 0, stream.SourceSpec{Records: 2048, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 			Sink("out", 0)
 		p.Run()
 		if d, ok := p.Placement("agg"); !ok || d != plan.GPU {
@@ -404,7 +404,7 @@ func TestAutoPlacement(t *testing.T) {
 	g.Run(func() {
 		p := stream.New(g, "test", stream.WithMode(plan.ForceCPU))
 		p.Source("gen", 0, stream.SourceSpec{Records: 2048, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 			Sink("out", 0)
 		p.Run()
 		if d, _ := p.Placement("agg"); d != plan.CPU {
@@ -422,7 +422,7 @@ func TestPipelineDeterministic(t *testing.T) {
 		g.Run(func() {
 			p := stream.New(g, "test", stream.WithBufferBatches(2))
 			p.Source("gen", 0, stream.SourceSpec{Records: 4096, Seed: 7}).
-				Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+				Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 				Sink("out", 0)
 			res = p.Run()
 		})
@@ -448,7 +448,7 @@ func TestSpanAttrsInOrder(t *testing.T) {
 	g.Run(func() {
 		p := stream.New(g, "test", stream.WithMode(plan.ForceCPU), stream.WithBufferBatches(2))
 		p.Source("gen", 0, stream.SourceSpec{Records: 4096, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Trigger: stream.TumblingCount(512), Slots: 64}).
+			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 			Sink("out", 0)
 		res = p.Run()
 	})
@@ -489,17 +489,17 @@ func TestOptionsDefaults(t *testing.T) {
 	g := build(1)
 	p := stream.New(g, "test")
 	o := p.Options()
-	if o.BatchRecords != 256 || o.BufferBatches != 4 || o.RecordBytes != 64 {
-		t.Errorf("defaults = %+v, want BatchRecords 256, BufferBatches 4, RecordBytes 64", o)
+	if o.BatchRecords != 256 || o.BufferBatches != 4 {
+		t.Errorf("defaults = %+v, want BatchRecords 256, BufferBatches 4", o)
 	}
 	if o.Mode != plan.Auto {
 		t.Errorf("default mode = %v, want Auto", o.Mode)
 	}
 	p2 := stream.New(g, "test",
 		stream.WithMode(plan.ForceGPU), stream.WithBatchRecords(128),
-		stream.WithBufferBatches(9), stream.WithRecordBytes(32))
+		stream.WithBufferBatches(9))
 	o2 := p2.Options()
-	if o2.Mode != plan.ForceGPU || o2.BatchRecords != 128 || o2.BufferBatches != 9 || o2.RecordBytes != 32 {
+	if o2.Mode != plan.ForceGPU || o2.BatchRecords != 128 || o2.BufferBatches != 9 {
 		t.Errorf("options not applied: %+v", o2)
 	}
 }

@@ -17,11 +17,9 @@ type LinRegParams struct {
 	// D is the feature dimension.
 	D int
 	// Iterations is the gradient-descent step count.
-	Iterations int
-	// LearningRate for the weight update.
-	LearningRate float32
-	Parallelism  int
-	UseCache     bool
+	Iterations  int
+	Parallelism int
+	UseCache    bool
 	// MetaCols widens each sample with unread trailing float32 metadata
 	// columns after the label; the gradient kernel reads only the D+1
 	// feature/label prefix, so projection can drop them from the
@@ -37,10 +35,10 @@ func (p *LinRegParams) defaults() {
 	if p.Iterations == 0 {
 		p.Iterations = 10
 	}
-	if p.LearningRate == 0 {
-		p.LearningRate = 0.1
-	}
 }
+
+// linregLearningRate is the gradient-descent step size.
+const linregLearningRate = 0.1
 
 // linregGen generates the regression samples: d features uniform in
 // [-1, 1), then a label from the planted model (truth·x + bias) plus
@@ -157,7 +155,7 @@ func LinRegCPU(g *core.GFlink, p LinRegParams) Result {
 			kernels.MergePartials(grad, part)
 		}
 		res.MapPhase = c.Clock.Now() - tm0
-		weights = kernels.ApplyGradient(weights, grad, n, p.LearningRate, p.D)
+		weights = kernels.ApplyGradient(weights, grad, n, linregLearningRate, p.D)
 		j.Superstep()
 		res.Iterations = append(res.Iterations, c.Clock.Now()-t0)
 	}
@@ -224,7 +222,7 @@ func LinRegGPU(g *core.GFlink, p LinRegParams) Result {
 			b.Free()
 		}
 		wBuf.Free()
-		weights = kernels.ApplyGradient(weights, grad, n, p.LearningRate, p.D)
+		weights = kernels.ApplyGradient(weights, grad, n, linregLearningRate, p.D)
 		j.Superstep()
 		res.Iterations = append(res.Iterations, c.Clock.Now()-t0)
 	}

@@ -18,8 +18,6 @@ type PageRankParams struct {
 	Pages int64
 	// EdgesPerPage is the average out-degree.
 	EdgesPerPage int
-	// Damping is the PageRank damping factor.
-	Damping float32
 	// Iterations is the superstep count.
 	Iterations  int
 	Parallelism int
@@ -31,13 +29,13 @@ func (p *PageRankParams) defaults() {
 	if p.EdgesPerPage == 0 {
 		p.EdgesPerPage = 8
 	}
-	if p.Damping == 0 {
-		p.Damping = 0.85
-	}
 	if p.Iterations == 0 {
 		p.Iterations = 10
 	}
 }
+
+// prDamping is the PageRank damping factor.
+const prDamping = 0.85
 
 // prEdge generates the e-th real edge of partition part. Destinations
 // follow a product-skew (power-law-like) distribution, as web graphs
@@ -136,7 +134,7 @@ func PageRankCPU(g *core.GFlink, p PageRankParams) Result {
 		})
 		res.MapPhase = c.Clock.Now() - tm0
 		merged := shuffleSumPairs(pairs, gs.nReal)
-		ranks = kernels.ApplyDamping(merged, p.Damping, gs.nReal)
+		ranks = kernels.ApplyDamping(merged, prDamping, gs.nReal)
 		j.Superstep()
 		res.Iterations = append(res.Iterations, c.Clock.Now()-t0)
 	}
@@ -237,7 +235,7 @@ func PageRankGPU(g *core.GFlink, p PageRankParams) Result {
 		})
 		res.MapPhase = c.Clock.Now() - tm0
 		merged := shuffleSumPairs(pairs, gs.nReal)
-		ranks = kernels.ApplyDamping(merged, p.Damping, gs.nReal)
+		ranks = kernels.ApplyDamping(merged, prDamping, gs.nReal)
 		for _, b := range perWorker {
 			b.Free()
 		}

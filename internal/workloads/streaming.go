@@ -19,26 +19,15 @@ type BackpressureParams struct {
 	// BufferBatches is the per-edge credit limit; 0 keeps the stream
 	// layer's default.
 	BufferBatches int
-	// BatchRecords overrides the micro-batch size; 0 keeps the default.
-	BatchRecords int
-	// WindowRecords is the tumbling-window width (default 1024).
-	WindowRecords int
-	// Slots is the aggregation table size (default 256).
-	Slots int
 	// Seed keys the generator (default 42).
 	Seed uint64
 }
 
 // Backpressure runs the rate-mismatched source→window→sink pipeline and
-// returns its result. Must be called inside g.Run, like every driver in
-// this package.
+// returns its result. Windows are 1024 records wide and aggregate into
+// the stream layer's default 256 slots, in micro-batches of its default
+// size. Must be called inside g.Run, like every driver in this package.
 func Backpressure(g *core.GFlink, p BackpressureParams) stream.Result {
-	if p.WindowRecords <= 0 {
-		p.WindowRecords = 1024
-	}
-	if p.Slots <= 0 {
-		p.Slots = 256
-	}
 	if p.Seed == 0 {
 		p.Seed = 42
 	}
@@ -46,16 +35,10 @@ func Backpressure(g *core.GFlink, p BackpressureParams) stream.Result {
 	if p.BufferBatches > 0 {
 		opts = append(opts, stream.WithBufferBatches(p.BufferBatches))
 	}
-	if p.BatchRecords > 0 {
-		opts = append(opts, stream.WithBatchRecords(p.BatchRecords))
-	}
 	windowWorker := g.Cfg.Config.Workers - 1
 	pl := stream.New(g, "backpressure", opts...)
 	pl.Source("source", 0, stream.SourceSpec{Records: p.Records, Seed: p.Seed}).
-		Window("window", windowWorker, stream.WindowSpec{
-			Trigger: stream.TumblingCount(p.WindowRecords),
-			Slots:   p.Slots,
-		}).
+		Window("window", windowWorker, stream.WindowSpec{Records: 1024}).
 		Sink("sink", 0)
 	return pl.Run()
 }

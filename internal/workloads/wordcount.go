@@ -18,33 +18,27 @@ import (
 // (the ~1.1x speedup of Fig 5c).
 type WordCountParams struct {
 	// Bytes is the nominal input size (24-56 GB in the paper).
-	Bytes int64
-	// Vocab is the distinct-word table size.
-	Vocab int
-	// LineBytes is the average record length.
-	LineBytes   int
+	Bytes       int64
 	Parallelism int
 	Seed        uint64
 }
 
-func (p *WordCountParams) defaults() {
-	if p.Vocab == 0 {
-		p.Vocab = 4096
-	}
-	if p.LineBytes == 0 {
-		p.LineBytes = 100
-	}
-}
+const (
+	// wcVocab is the distinct-word table size.
+	wcVocab = 4096
+	// wcLineBytes is the average record length.
+	wcLineBytes = 100
+)
 
 // wcLine deterministically generates the text line at nominal ordinal
-// ord: skewed word ids joined by spaces, padded to ~LineBytes.
-func wcLine(seed uint64, ord int64, lineBytes, vocab int) string {
+// ord: skewed word ids joined by spaces, padded to ~wcLineBytes.
+func wcLine(seed uint64, ord int64) string {
 	var b strings.Builder
 	i := 0
-	for b.Len() < lineBytes-8 {
+	for b.Len() < wcLineBytes-8 {
 		m := mix(seed, uint64(ord)*97+uint64(i))
 		// Product skew: low word ids are much more frequent.
-		id := int((m % uint64(vocab)) * ((m >> 32) % uint64(vocab)) / uint64(vocab))
+		id := int((m % wcVocab) * ((m >> 32) % wcVocab) / wcVocab)
 		fmt.Fprintf(&b, "w%d ", id)
 		i++
 	}
@@ -84,7 +78,7 @@ func wordCountStageCost(g *core.GFlink, p WordCountParams) costmodel.StageCost {
 		CPUPerRec:      costmodel.Work{Flops: 14, BytesRead: 7},
 		GPUWork:        kernels.WordCountWork(p.Bytes),
 		HostToDevice:   p.Bytes,
-		DeviceToHost:   int64(4*p.Vocab) * int64(cpuLanes),
+		DeviceToHost:   int64(4*wcVocab) * int64(cpuLanes),
 		Launches:       int64(cpuLanes),
 		CPUParallelism: cpuLanes,
 		GPUParallelism: gpuLanes,
@@ -97,7 +91,6 @@ func wordCountStageCost(g *core.GFlink, p WordCountParams) costmodel.StageCost {
 // Forced modes reproduce the former WordCountCPU/WordCountGPU drivers
 // exactly; Auto lets the cost model pick the tokenize device.
 func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
-	p.defaults()
 	c := g.Cluster
 	start := c.Clock.Now()
 	res := Result{}
@@ -109,8 +102,8 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 	lines := plan.Source(gr, "wc-input", func(ctx *plan.Ctx) *flink.Dataset[string] {
 		c.FS.Create("wc-input", p.Bytes)
 		// The scan cost is identical on both placements.
-		lines, err := flink.ReadHDFS(ctx.Job, "wc-input", p.Parallelism, p.LineBytes, func(split int, ord int64) string {
-			return wcLine(p.Seed, ord, p.LineBytes, p.Vocab)
+		lines, err := flink.ReadHDFS(ctx.Job, "wc-input", p.Parallelism, wcLineBytes, func(split int, ord int64) string {
+			return wcLine(p.Seed, ord)
 		})
 		if err != nil {
 			panic(err)
@@ -129,12 +122,12 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 		func(pr wcPair) int { return pr.Slot },
 		func(a, b wcPair) wcPair { return wcPair{Slot: a.Slot, Count: a.Count + b.Count} })
 	plan.Collect(reduced, "counts", func(ctx *plan.Ctx, recs []wcPair) {
-		counts = make(map[int]uint32, p.Vocab)
+		counts = make(map[int]uint32, wcVocab)
 		for _, pr := range recs {
 			counts[pr.Slot] += pr.Count
 		}
 		res.MapPhase = c.Clock.Now() - tm0
-		flinkWriteCounts(g, p.Vocab)
+		flinkWriteCounts(g, wcVocab)
 	})
 	gr.Execute()
 
@@ -160,19 +153,19 @@ func WordCountGPU(g *core.GFlink, p WordCountParams) Result {
 // iterator model pays per-word record overhead plus the scan cost
 // (HiBench text averages ~12 bytes per word including the separator).
 func tokenizeCPU(j *flink.Job, lines *flink.Dataset[string], p WordCountParams) *flink.Dataset[wcPair] {
-	wordsPerLine := float64(p.LineBytes) / 12.0
+	wordsPerLine := float64(wcLineBytes) / 12.0
 	return flink.ProcessPartitions(lines, "tokenize", 12, func(pi, worker int, in flink.Partition[string]) ([]wcPair, int64) {
 		nominalWords := int64(float64(in.Nominal) * wordsPerLine)
 		j.ChargeCompute(nominalWords, costmodel.Work{Flops: 14, BytesRead: 7})
 		text := strings.Join(in.Items, " ")
-		table := kernels.CPUWordCount([]byte(text), p.Vocab)
+		table := kernels.CPUWordCount([]byte(text), wcVocab)
 		var pairs []wcPair
 		for slot, cnt := range table {
 			if cnt > 0 {
 				pairs = append(pairs, wcPair{Slot: slot, Count: cnt})
 			}
 		}
-		return pairs, int64(p.Vocab)
+		return pairs, int64(wcVocab)
 	})
 }
 
@@ -184,8 +177,8 @@ func tokenizeGPU(g *core.GFlink, j *flink.Job, lines *flink.Dataset[string], p W
 		pool := g.Cluster.TaskManagers[worker].Pool
 		inBuf := pool.MustAllocate(len(text) + 1)
 		copy(inBuf.Bytes(), text)
-		outBuf := pool.MustAllocate(4 * p.Vocab)
-		nominalBytes := in.Nominal * int64(p.LineBytes)
+		outBuf := pool.MustAllocate(4 * wcVocab)
+		nominalBytes := in.Nominal * int64(wcLineBytes)
 		w := &core.GWork{
 			ExecuteName: kernels.WordCountKernel,
 			Size:        len(text),
@@ -194,8 +187,8 @@ func tokenizeGPU(g *core.GFlink, j *flink.Job, lines *flink.Dataset[string], p W
 			GridSize:    (len(text) + 255) / 256,
 			In:          []core.Input{{Buf: inBuf, Nominal: nominalBytes}},
 			Out:         outBuf,
-			OutNominal:  int64(4 * p.Vocab),
-			Args:        []int64{int64(p.Vocab)},
+			OutNominal:  int64(4 * wcVocab),
+			Args:        []int64{int64(wcVocab)},
 			JobID:       j.ID,
 		}
 		g.Manager(worker).Streams.Submit(w)
@@ -203,14 +196,14 @@ func tokenizeGPU(g *core.GFlink, j *flink.Job, lines *flink.Dataset[string], p W
 			panic(err)
 		}
 		var pairs []wcPair
-		for slot := 0; slot < p.Vocab; slot++ {
+		for slot := 0; slot < wcVocab; slot++ {
 			if cnt := rawU32(outBuf.Bytes(), slot); cnt > 0 {
 				pairs = append(pairs, wcPair{Slot: slot, Count: cnt})
 			}
 		}
 		inBuf.Free()
 		outBuf.Free()
-		return pairs, int64(p.Vocab)
+		return pairs, int64(wcVocab)
 	})
 }
 

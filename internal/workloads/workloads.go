@@ -20,20 +20,18 @@ import (
 	"gflink/internal/core"
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
-	"gflink/internal/hdfs"
 	"gflink/internal/vclock"
 )
 
 // Spec describes the deployment every workload runs on.
 type Spec struct {
-	Workers        int
-	SlotsPerWorker int
-	GPUsPerWorker  int
-	Profile        costmodel.GPUProfile
-	ScaleDivisor   int64
-	StreamsPerGPU  int
-	CacheBytes     int64
-	CachePolicy    core.CachePolicy
+	Workers       int
+	GPUsPerWorker int
+	Profile       costmodel.GPUProfile
+	ScaleDivisor  int64
+	StreamsPerGPU int
+	CacheBytes    int64
+	CachePolicy   core.CachePolicy
 	// HostTierBytes caps the per-device host paging tier (0 = disabled,
 	// the paper-mode default).
 	HostTierBytes int64
@@ -57,12 +55,10 @@ type Spec struct {
 func (s Spec) Build() *core.GFlink {
 	g := core.New(core.Config{
 		Config: flink.Config{
-			Workers:        s.Workers,
-			SlotsPerWorker: s.SlotsPerWorker,
-			Model:          costmodel.Default(),
-			PageSize:       s.PageSize,
-			ScaleDivisor:   s.ScaleDivisor,
-			HDFS:           hdfs.Config{},
+			Workers:      s.Workers,
+			Model:        costmodel.Default(),
+			PageSize:     s.PageSize,
+			ScaleDivisor: s.ScaleDivisor,
 		},
 		GPUsPerWorker:    s.GPUsPerWorker,
 		GPUProfile:       s.Profile,
