@@ -52,8 +52,8 @@ type deviceState struct {
 	idx     int
 	dev     *gpu.Device
 	mem     *GMemoryManager
-	queue   vclock.FIFO[*GWork]        // this GPU's FIFO queue in the GWork Pool
-	idle    vclock.FIFO[*streamWorker] // idle streams of this bulk
+	queue   vclock.Ring[*GWork]        // this GPU's FIFO queue in the GWork Pool
+	idle    vclock.Ring[*streamWorker] // idle streams of this bulk
 	streams []*streamWorker
 	// cntH2D and cntD2H are the preregistered per-device transfer
 	// counters ("xfer.h2d.bytes.gpuN" / "xfer.d2h.bytes.gpuN").

@@ -295,8 +295,8 @@ func TestScheduleSeedCorpus(t *testing.T) {
 func TestRingFIFOWraparound(t *testing.T) {
 	var r Ring[int]
 	next, expect := 0, 0
-	// Fill to 6 of the initial 8 slots, then cycle 100 times: head and
-	// tail lap the backing array repeatedly.
+	// Fill to 6 of 8 slots, then cycle 100 times: head and tail lap the
+	// backing array repeatedly.
 	for i := 0; i < 6; i++ {
 		r.Push(next)
 		next++

@@ -14,8 +14,8 @@ type waiter struct {
 // once drained. The zero value is not usable; use NewQueue.
 type Queue[T any] struct {
 	c       *Clock
-	items   FIFO[T]
-	waiters FIFO[*waiter]
+	items   Ring[T]
+	waiters Ring[*waiter]
 	closed  bool
 }
 
@@ -87,7 +87,7 @@ type Semaphore struct {
 	reasonIdx int // census index of "sem:"+name, interned at construction
 	free      int64
 	cap       int64
-	waiters   FIFO[*waiter]
+	waiters   Ring[*waiter]
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -142,7 +142,7 @@ func (s *Semaphore) Free() int64 { return s.free }
 type Event struct {
 	c       *Clock
 	set     bool
-	waiters FIFO[*waiter]
+	waiters Ring[*waiter]
 }
 
 // NewEvent returns an unset event.

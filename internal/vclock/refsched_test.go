@@ -283,11 +283,14 @@ func runReal(p *schedProgram) (out schedOutcome) {
 // outside Call has no coroutine to finish.
 func reapParked(dead *bool, sems []*Semaphore, queues []*Queue[int], events []*Event) {
 	var parked []*Task
-	collect := func(f *FIFO[*waiter]) {
-		for i := 0; i < f.Len(); i++ {
-			if p := f.At(i).p; p.yield != nil {
-				parked = append(parked, p)
+	collect := func(r *Ring[*waiter]) {
+		// Pop and re-push every waiter: a full turn keeps the order.
+		for i := r.Len(); i > 0; i-- {
+			w, _ := r.Pop()
+			if w.p.yield != nil {
+				parked = append(parked, w.p)
 			}
+			r.Push(w)
 		}
 	}
 	for _, s := range sems {
