@@ -108,7 +108,9 @@ func fuseNode(members []*node) *node {
 					j.ChargeWork(m.perRec.Scale(float64(nominal)))
 					next := make([]any, 0, len(items))
 					for _, v := range items {
-						next = append(next, m.rec(v)...)
+						if u, ok := m.rec(v); ok {
+							next = append(next, u)
+						}
 					}
 					// Maps are 1:1 by construction: nominal is carried, not
 					// rescaled, matching the eager operator on empty

@@ -122,6 +122,11 @@ type Clock struct {
 // New returns a Clock positioned at virtual time zero.
 func New() *Clock {
 	return &Clock{
+		// Every run readies several processes at once and fires timers
+		// in batches, so the dispatcher's queues start at eight slots
+		// rather than growing through one, two and four.
+		runq:         Ring[*Task]{buf: make([]*Task, 8)},
+		wakeq:        Ring[*Task]{buf: make([]*Task, 8)},
 		reasonLabels: []string{"sleep", "queue", "event"},
 		blockedN:     make([]int, numBuiltinReasons),
 	}

@@ -619,8 +619,8 @@ func BenchmarkHandoff(b *testing.B) {
 	b.Run("semaphore", func(b *testing.B) {
 		c := New()
 		sem := NewSemaphore(c, "slot", 1)
-		sem.Acquire(1)
 		pingPong(b, c, semRoot(b, sem), func() {
+			sem.Acquire(1) // the root starts out holding the unit
 			c.Go("peer", func() {
 				for i := 0; i < b.N; i++ {
 					sem.Acquire(1)
@@ -632,8 +632,8 @@ func BenchmarkHandoff(b *testing.B) {
 	b.Run("task", func(b *testing.B) {
 		c := New()
 		sem := NewSemaphore(c, "slot", 1)
-		sem.Acquire(1)
 		pingPong(b, c, semRoot(b, sem), func() {
+			sem.Acquire(1) // the root starts out holding the unit
 			var peer *Task
 			n, granted := 0, false
 			peer = c.Spawn("peer", func() {
