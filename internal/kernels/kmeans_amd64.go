@@ -1,5 +1,7 @@
 package kernels
 
+import "gflink/internal/cpufeat"
+
 // useAVX2 picks assignGroupBody's body: AVX2 where the CPU and OS run it,
 // else SSE2, the amd64 baseline. It is set once, at init; only tests
 // change it, to run every body this CPU has.
@@ -26,13 +28,6 @@ func assignGroupSSE2(acc []float32, span []byte, stride, m int, cents []byte, k,
 //go:noescape
 func assignGroupAVX2(acc []float32, span []byte, stride, m int, cents []byte, k, d int)
 
-// cpuid runs CPUID with EAX = leaf and ECX = sub.
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 returns the low half of XCR0, the state components the OS
-// saves. It faults unless CPUID.1:ECX.OSXSAVE is set.
-func xgetbv0() uint32
-
 // CPUID and XCR0 bits that cpuHasAVX2 reads.
 const (
 	cpuid1OSXSAVE = 1 << 27 // ECX of leaf 1: XGETBV is enabled
@@ -45,15 +40,15 @@ const (
 // cpuHasAVX2 reports whether the CPU has AVX and AVX2 and the OS saves
 // the XMM and YMM state across context switches.
 func cpuHasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+	if maxLeaf, _, _, _ := cpufeat.CPUID(0, 0); maxLeaf < 7 {
 		return false
 	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(cpuid1OSXSAVE|cpuid1AVX) != cpuid1OSXSAVE|cpuid1AVX {
+	if _, _, ecx, _ := cpufeat.CPUID(1, 0); ecx&(cpuid1OSXSAVE|cpuid1AVX) != cpuid1OSXSAVE|cpuid1AVX {
 		return false
 	}
-	if xgetbv0()&(xcr0XMM|xcr0YMM) != xcr0XMM|xcr0YMM {
+	if cpufeat.XGETBV0()&(xcr0XMM|xcr0YMM) != xcr0XMM|xcr0YMM {
 		return false
 	}
-	_, ebx, _, _ := cpuid(7, 0)
+	_, ebx, _, _ := cpufeat.CPUID(7, 0)
 	return ebx&cpuid7AVX2 != 0
 }

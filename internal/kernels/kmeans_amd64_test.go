@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"gflink/internal/cpufeat"
 )
 
 // kmeansBodies names the assignGroupBody bodies this CPU runs.
@@ -28,15 +30,15 @@ func useKMeansBody(body string) (restore func()) {
 // also holds the choice to the kernel's "avx2" flag in /proc/cpuinfo,
 // which the kernel clears when it does not save YMM state.
 func TestKMeansBodySelected(t *testing.T) {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, ecx1, _ := cpuid(1, 0)
+	maxLeaf, _, _, _ := cpufeat.CPUID(0, 0)
+	_, _, ecx1, _ := cpufeat.CPUID(1, 0)
 	osxsave, avx := ecx1&(1<<27) != 0, ecx1&(1<<28) != 0
 	var ymmState, avx2 bool
 	if osxsave {
-		ymmState = xgetbv0()&0b110 == 0b110
+		ymmState = cpufeat.XGETBV0()&0b110 == 0b110
 	}
 	if maxLeaf >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
+		_, ebx7, _, _ := cpufeat.CPUID(7, 0)
 		avx2 = ebx7&(1<<5) != 0
 	}
 	want := osxsave && avx && ymmState && avx2

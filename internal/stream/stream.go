@@ -931,11 +931,13 @@ func (s *stage) emit() bool {
 			return true
 		}
 		e.b = e.take()
-		end := min(len(s.sums), s.emitted+batchLen)
-		for slot := s.emitted; slot < end; slot++ {
-			//gflink:allow-alloc never grows: take's shells hold BatchRecords
-			e.b.recs = append(e.b.recs, Record{Key: uint64(slot), Val: s.sums[slot]})
+		first, end := s.emitted, min(len(s.sums), s.emitted+batchLen)
+		sums := s.sums[first:end]
+		recs := e.b.recs[:len(sums)]
+		for j, v := range sums {
+			recs[j] = Record{Key: uint64(first + j), Val: v}
 		}
+		e.b.recs = recs
 		s.emitted = end
 	}
 }
@@ -947,21 +949,29 @@ func (s *stage) emit() bool {
 // so sources are deterministic at any batch size. The mask and %
 // reductions run as separate loops, and generate stays out of the
 // source's step, whose loop index would otherwise spill per record.
+// The mask loop has an AVX-512 body on amd64 (generateMask); the % loop
+// stays scalar, since there is no exact 64-bit vector remainder.
 //
 //go:noinline
 func generate(recs []Record, z uint64, keys modulus) uint64 {
 	if keys.n == 0 {
-		for j := range recs {
-			z += 0x9e3779b97f4a7c15
-			h := mix(z)
-			recs[j] = Record{Key: h & keys.mask, Val: unit(h)}
-		}
-		return z
+		return generateMask(recs, z, keys.mask)
 	}
 	for j := range recs {
 		z += 0x9e3779b97f4a7c15
 		h := mix(z)
 		recs[j] = Record{Key: h % keys.n, Val: unit(h)}
+	}
+	return z
+}
+
+// generateMaskGo is generate's mask loop in Go: the portable twin of
+// the AVX-512 body and the loop that draws its tail.
+func generateMaskGo(recs []Record, z, mask uint64) uint64 {
+	for j := range recs {
+		z += 0x9e3779b97f4a7c15
+		h := mix(z)
+		recs[j] = Record{Key: h & mask, Val: unit(h)}
 	}
 	return z
 }

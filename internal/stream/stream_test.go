@@ -159,10 +159,10 @@ func referenceChecksum(seed uint64, records int64, keys, width, slots int) (floa
 	return checksum, windows
 }
 
-// TestWindowMatchesReference checks each placement against an
-// independent replay through kernels.CPUWindowAgg, so a packing or
-// folding bug shared by both placements cannot hide behind their
-// agreement with each other.
+// TestWindowMatchesReference checks each placement, under every source
+// body this CPU has, against an independent replay through
+// kernels.CPUWindowAgg, so a packing or folding bug shared by both
+// placements cannot hide behind their agreement with each other.
 func TestWindowMatchesReference(t *testing.T) {
 	cases := []struct {
 		name                               string
@@ -178,24 +178,29 @@ func TestWindowMatchesReference(t *testing.T) {
 		want, windows := referenceChecksum(7, tc.records, tc.keys, tc.width, tc.slots)
 		for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
-				g := build(2)
-				var res stream.Result
-				g.Run(func() {
-					p := stream.New(g, "test", stream.WithMode(mode),
-						stream.WithBatchRecords(tc.batch), stream.WithBufferBatches(tc.credits))
-					p.Source("gen", 0, stream.SourceSpec{Records: tc.records, Keys: tc.keys, Seed: 7}).
-						Window("agg", 1, stream.WindowSpec{Records: tc.width, Slots: tc.slots}).
-						Sink("out", 0)
-					res = p.Run()
-				})
-				if math.Float64bits(res.Checksum) != math.Float64bits(want) {
-					t.Errorf("checksum %v, reference %v", res.Checksum, want)
-				}
-				if res.Records != tc.records || res.Windows != windows {
-					t.Errorf("records/windows = %d/%d, want %d/%d", res.Records, res.Windows, tc.records, windows)
-				}
-				if res.MaxDepth > int64(tc.credits) {
-					t.Errorf("edge depth %d exceeds %d credits", res.MaxDepth, tc.credits)
+				for _, body := range stream.GenerateBodies() {
+					t.Run(body, func(t *testing.T) {
+						defer stream.UseGenerateBody(body)()
+						g := build(2)
+						var res stream.Result
+						g.Run(func() {
+							p := stream.New(g, "test", stream.WithMode(mode),
+								stream.WithBatchRecords(tc.batch), stream.WithBufferBatches(tc.credits))
+							p.Source("gen", 0, stream.SourceSpec{Records: tc.records, Keys: tc.keys, Seed: 7}).
+								Window("agg", 1, stream.WindowSpec{Records: tc.width, Slots: tc.slots}).
+								Sink("out", 0)
+							res = p.Run()
+						})
+						if math.Float64bits(res.Checksum) != math.Float64bits(want) {
+							t.Errorf("checksum %v, reference %v", res.Checksum, want)
+						}
+						if res.Records != tc.records || res.Windows != windows {
+							t.Errorf("records/windows = %d/%d, want %d/%d", res.Records, res.Windows, tc.records, windows)
+						}
+						if res.MaxDepth > int64(tc.credits) {
+							t.Errorf("edge depth %d exceeds %d credits", res.MaxDepth, tc.credits)
+						}
+					})
 				}
 			})
 		}
@@ -257,7 +262,7 @@ func checkPipeline(t *testing.T, seed uint64, records int64, keys, batch, width,
 }
 
 // FuzzPipeline randomizes the pipeline's shape and placement and holds
-// every run to checkPipeline. The seed corpus covers the
+// a run under every source body to checkPipeline. The seed corpus covers the
 // TestWindowMatchesReference shapes, the power-of-two shape of the
 // stream-window benchmark, and one key and one slot, so the slot and
 // key reductions run both their mask and their % branch.
@@ -286,7 +291,11 @@ func FuzzPipeline(f *testing.F) {
 		if gpu {
 			mode = plan.ForceGPU
 		}
-		checkPipeline(t, seed, int64(n), span(int(keys), 1<<16), span(int(batch), 512), w, sl, span(int(credits), 8), mode)
+		for _, body := range stream.GenerateBodies() {
+			restore := stream.UseGenerateBody(body)
+			checkPipeline(t, seed, int64(n), span(int(keys), 1<<16), span(int(batch), 512), w, sl, span(int(credits), 8), mode)
+			restore()
+		}
 	})
 }
 
