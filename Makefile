@@ -11,9 +11,9 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# go vet's standard checks plus the repo's own seven-analyzer suite
-# (wallclock, maporder, bufescape, clockflow, outputpurity, hotalloc,
-# poolsafe — see DESIGN.md "Concurrency & lifetime invariants").
+# go vet's standard checks plus the repo's own six-analyzer suite
+# (wallclock, bufescape, clockflow, outputpurity, hotalloc, poolsafe —
+# see DESIGN.md "Concurrency & lifetime invariants").
 # Findings recorded in vet-baseline.json are suppressed: CI ratchets
 # on NEW findings only; the examples tree is vetted alongside the
 # module.

@@ -58,14 +58,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	g := analysis.BuildCallGraph(pass)
+	decls := analysis.FuncDecls(pass)
 
 	// Per-parameter retention, to fixpoint: a later-declared helper's
 	// retention must be visible when an earlier function passes its
 	// parameter along.
 	local := make(map[*types.Func][]bool)
 	params := make(map[*types.Func][]*types.Var)
-	for _, fi := range g.Decls {
+	for _, fi := range decls {
 		sig := fi.Obj.Type().(*types.Signature)
 		ps := make([]*types.Var, sig.Params().Len())
 		for i := range ps {
@@ -86,7 +86,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, fi := range g.Decls {
+		for _, fi := range decls {
 			for i, p := range params[fi.Obj] {
 				if local[fi.Obj][i] || !isSlice(p.Type()) {
 					continue
@@ -99,7 +99,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	for _, fi := range g.Decls {
+	for _, fi := range decls {
 		if anyTrue(local[fi.Obj]) {
 			pass.ExportObjectFact(fi.Obj, &Retains{Params: local[fi.Obj]})
 		}

@@ -3,122 +3,36 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
-// CallGraph is a lightweight per-package static call graph over the
-// source-importing loader: for every function declared in the analyzed
-// package it records the statically resolvable callees (direct calls
-// to declared functions and methods; calls through function values and
-// interface methods are invisible, which keeps the interprocedural
-// analyzers sound only for the direct-call discipline the simulator
-// actually uses). Interprocedural analyzers combine it with facts:
-// same-package callees are resolved through the graph's fixpoint
-// helpers, cross-package callees through Import*Fact.
-type CallGraph struct {
-	// Decls maps each declared function to its syntax, in source order.
-	Decls []*FuncInfo
-	// byObj indexes Decls by their types object.
-	byObj map[*types.Func]*FuncInfo
-}
-
-// FuncInfo is one declared function with its resolved call sites.
+// FuncInfo is one function declared in an analyzed package.
 type FuncInfo struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
-	// Callees are the statically resolved targets of calls anywhere in
-	// the body (function literals included), deduplicated, in first-use
-	// order.
-	Callees []*types.Func
 }
 
-// BuildCallGraph scans the pass's files and resolves every static call.
-func BuildCallGraph(pass *Pass) *CallGraph {
-	g := &CallGraph{byObj: make(map[*types.Func]*FuncInfo)}
+// FuncDecls lists the functions with bodies declared in the pass's
+// files, in source order. The interprocedural analyzers (bufescape)
+// iterate their per-function facts over it to a fixpoint, resolving
+// calls on demand through StaticCallee: direct calls to declared
+// functions and methods. Calls through function values and interface
+// methods are invisible, which keeps those analyzers sound only for
+// the direct-call discipline the simulator actually uses; cross-package
+// callees resolve through Import*Fact.
+func FuncDecls(pass *Pass) []*FuncInfo {
+	var fns []*FuncInfo
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fi := &FuncInfo{Obj: obj, Decl: fd}
-			seen := make(map[*types.Func]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee := StaticCallee(pass.TypesInfo, call); callee != nil && !seen[callee] {
-					seen[callee] = true
-					fi.Callees = append(fi.Callees, callee)
-				}
-				return true
-			})
-			g.Decls = append(g.Decls, fi)
-			g.byObj[obj] = fi
-		}
-	}
-	return g
-}
-
-// Lookup returns the FuncInfo of a function declared in this package,
-// or nil for cross-package (or undeclared) functions.
-func (g *CallGraph) Lookup(fn *types.Func) *FuncInfo {
-	return g.byObj[fn]
-}
-
-// Fixpoint propagates a string-set property through the package's call
-// graph until stable. seed gives each declared function's direct
-// contribution; external resolves callees declared outside the package
-// (typically via an imported fact). The result maps every declared
-// function to its transitive set, sorted.
-func (g *CallGraph) Fixpoint(seed func(*FuncInfo) []string, external func(*types.Func) []string) map[*types.Func][]string {
-	sets := make(map[*types.Func]map[string]bool, len(g.Decls))
-	for _, fi := range g.Decls {
-		s := make(map[string]bool)
-		for _, v := range seed(fi) {
-			s[v] = true
-		}
-		sets[fi.Obj] = s
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range g.Decls {
-			s := sets[fi.Obj]
-			absorb := func(v string) {
-				if !s[v] {
-					s[v] = true
-					changed = true
-				}
-			}
-			for _, callee := range fi.Callees {
-				if local, ok := sets[callee]; ok {
-					//gflink:unordered -- absorbing into a set; membership, not order, feeds the result
-					for v := range local {
-						absorb(v)
-					}
-				} else if external != nil {
-					for _, v := range external(callee) {
-						absorb(v)
-					}
-				}
+			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				fns = append(fns, &FuncInfo{Obj: obj, Decl: fd})
 			}
 		}
 	}
-	out := make(map[*types.Func][]string, len(sets))
-	for fn, s := range sets {
-		vals := make([]string, 0, len(s))
-		for v := range s {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		out[fn] = vals
-	}
-	return out
+	return fns
 }
 
 // StaticCallee resolves the declared function or method a call

@@ -14,7 +14,7 @@
 // roots), plus any function through
 // which a parameter provably flows into a sink. Those derived sinks are
 // exported as TimestampSink facts, so the check follows helpers across
-// packages exactly like the maporder/bufescape fact flows. Functions
+// packages exactly like bufescape's fact flow. Functions
 // whose every return value is vclock-derived export VClockSource and
 // count as clock readings at their call sites.
 //

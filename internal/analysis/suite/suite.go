@@ -8,23 +8,21 @@ import (
 	"gflink/internal/analysis/bufescape"
 	"gflink/internal/analysis/clockflow"
 	"gflink/internal/analysis/hotalloc"
-	"gflink/internal/analysis/maporder"
 	"gflink/internal/analysis/outputpurity"
 	"gflink/internal/analysis/poolsafe"
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of seven analyzers.
+// Rules returns the production analyzer suite of six analyzers.
 //
-//   - wallclock (wall-clock time sources, bare go statements and
-//     mutexes) runs module-wide except the gflink/benchmark module,
-//     the harness that measures host time on purpose. Per-deployment
-//     state needs no mutex (the virtual clock runs one process at a
-//     time), so none may appear anywhere in the simulator, cmd/,
-//     examples/ or the root package.
-//   - maporder guards every simulator package under gflink/internal
-//     (the public API and examples only assemble configurations, but
-//     the internal packages are where result ordering lives).
+//   - wallclock (wall-clock time sources, bare go statements, map
+//     ranges and mutexes) runs module-wide except the gflink/benchmark
+//     module, the harness that measures host time on purpose.
+//     Per-deployment state needs no mutex (the virtual clock runs one
+//     process at a time), so none may appear anywhere in the
+//     simulator, cmd/, examples/ or the root package. Its map-range
+//     row also skips the analysis framework and cmd/gflink-vet
+//     (wallclock.MapRangeBanned).
 //   - bufescape and poolsafe (HBuffer views and lifetimes, plus
 //     //gflink:pool values) run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
@@ -39,15 +37,13 @@ import (
 //     //gflink:hotpath annotations (invariant 10), so unannotated
 //     packages cost nothing.
 //
-// maporder, bufescape, clockflow, hotalloc and poolsafe carry fact
-// types, so the driver also runs them over module-internal
-// dependencies of the requested packages (facts only) before analyzing
-// the targets.
+// bufescape, clockflow, hotalloc and poolsafe carry fact types, so the
+// driver also runs them over module-internal dependencies of the
+// requested packages (facts only) before analyzing the targets.
 func Rules() []analysis.Rule {
 	benchmark := analysis.Under("gflink/benchmark")
 	return []analysis.Rule{
 		{Analyzer: wallclock.Analyzer, Applies: func(path string) bool { return !benchmark(path) }},
-		{Analyzer: maporder.Analyzer, Applies: analysis.Under("gflink/internal")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: outputpurity.Analyzer},

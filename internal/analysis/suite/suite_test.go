@@ -6,22 +6,23 @@ import (
 
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/suite"
+	"gflink/internal/analysis/wallclock"
 )
 
-// TestSuiteHasSevenAnalyzers pins the suite's composition: the three
+// TestSuiteHasSixAnalyzers pins the suite's composition: the two
 // lexical/interprocedural checks of DESIGN.md "Concurrency & lifetime
-// invariants" (wallclock, maporder, bufescape), the two observability
-// analyzers that enforce invariants 8–9 (clockflow, outputpurity), and
-// the two allocation-discipline analyzers that enforce invariant 10
-// (hotalloc, and poolsafe, which also owns HBuffer lifetimes for
-// invariant 4).
-func TestSuiteHasSevenAnalyzers(t *testing.T) {
+// invariants" (wallclock, whose ban table includes map ranges, and
+// bufescape), the two observability analyzers that enforce invariants
+// 8–9 (clockflow, outputpurity), and the two allocation-discipline
+// analyzers that enforce invariant 10 (hotalloc, and poolsafe, which
+// also owns HBuffer lifetimes for invariant 4).
+func TestSuiteHasSixAnalyzers(t *testing.T) {
 	var names []string
 	for _, a := range suite.Analyzers() {
 		names = append(names, a.Name)
 	}
 	want := []string{
-		"wallclock", "maporder", "bufescape",
+		"wallclock", "bufescape",
 		"clockflow", "outputpurity",
 		"hotalloc", "poolsafe",
 	}
@@ -73,6 +74,57 @@ func TestSuiteCoversTransferChannel(t *testing.T) {
 			if r.Applies != nil && !r.Applies(pkg) {
 				t.Errorf("analyzer %q does not apply to %s", r.Analyzer.Name, pkg)
 			}
+		}
+	}
+}
+
+// TestMapRangeScope pins where the map-range ban applies: every
+// package the TestSuiteCovers* tests name, plus the root package, the
+// examples and cmd/gflink-bench, but not the analysis framework, the
+// vet command or the benchmark harness.
+func TestMapRangeScope(t *testing.T) {
+	applies := func(path string) bool {
+		for _, r := range suite.Rules() {
+			if r.Analyzer == wallclock.Analyzer {
+				return (r.Applies == nil || r.Applies(path)) && wallclock.MapRangeBanned(path)
+			}
+		}
+		t.Fatal("wallclock is not in the suite")
+		return false
+	}
+	for _, pkg := range []string{
+		"gflink",
+		"gflink/internal/plan",
+		"gflink/internal/obs",
+		"gflink/internal/gstruct",
+		"gflink/internal/gpu",
+		"gflink/internal/core",
+		"gflink/internal/costmodel",
+		"gflink/internal/workloads",
+		"gflink/internal/bench",
+		"gflink/internal/vclock",
+		"gflink/internal/stream",
+		"gflink/internal/stream_test",
+		"gflink/examples/kmeans",
+		"gflink/examples/quickstart",
+		"gflink/examples/spmv",
+		"gflink/examples/streaming",
+		"gflink/examples/wordcount",
+		"gflink/cmd/gflink-bench",
+	} {
+		if !applies(pkg) {
+			t.Errorf("map-range ban does not apply to %s", pkg)
+		}
+	}
+	for _, pkg := range []string{
+		"gflink/internal/analysis",
+		"gflink/internal/analysis/suite",
+		"gflink/internal/analysis/wallclock",
+		"gflink/cmd/gflink-vet",
+		"gflink/benchmark",
+	} {
+		if applies(pkg) {
+			t.Errorf("map-range ban applies to %s", pkg)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package wallclock forbids the two ways host time leaks into simulator
-// packages, wall-clock time sources and bare go statements, and the one
-// host synchronisation primitive the virtual clock makes redundant, the
-// mutex.
+// Package wallclock forbids the three ways host nondeterminism leaks
+// into simulator packages, wall-clock time sources, bare go statements
+// and ranges over maps, and the one host synchronisation primitive the
+// virtual clock makes redundant, the mutex.
 //
 // Every paper figure the repo reproduces is a deterministic function of
 // the virtual clock (internal/vclock): the simulation advances only
@@ -33,6 +33,17 @@
 // sync.Mutex and sync.RWMutex — a field, a variable, an embedding, a
 // pointer — is reported, with no waiver directive; sync.WaitGroup and
 // sync.Once stay legal.
+//
+// Go randomizes map iteration order on every range statement, so a map
+// range whose body appends, sends, accumulates floats, frees, panics or
+// reaches the clock makes two runs of the same binary differ. Rather
+// than judge each body, simulator code never ranges over a map: a range
+// over an expression whose underlying type is a map is reported, with
+// no waiver directive. Keep the keys in a slice beside the map, in
+// insertion order (or sorted), or use a dense slice when the keys are
+// small integers. The row skips the analysis framework and the vet
+// command (see MapRangeBanned): they are host tools whose map loops
+// feed position-sorted findings, not simulated results.
 package wallclock
 
 import (
@@ -63,10 +74,17 @@ var banned = map[string]string{
 // bannedSync lists the sync types simulator code may not use.
 var bannedSync = map[string]bool{"Mutex": true, "RWMutex": true}
 
+// MapRangeBanned reports whether the map-range row applies to the
+// package at path: everywhere the analyzer runs except the analysis
+// framework and the vet command built on it.
+func MapRangeBanned(path string) bool {
+	return !analysis.Under("gflink/internal/analysis")(path) && !analysis.Under("gflink/cmd/gflink-vet")(path)
+}
+
 // Analyzer implements the wallclock check.
 var Analyzer = &analysis.Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...), bare go statements and sync.Mutex/RWMutex in simulator packages; all time must flow through vclock.Clock, every process through (*vclock.Clock).Go (suppress a go statement with //gflink:allow-go), and no state needs a lock",
+	Doc:  "forbid wall-clock time sources (time.Now, time.Sleep, ...), bare go statements, ranges over maps and sync.Mutex/RWMutex in simulator packages; all time must flow through vclock.Clock, every process through (*vclock.Clock).Go (suppress a go statement with //gflink:allow-go), iteration order through slices, and no state needs a lock",
 	Run:  run,
 }
 
@@ -98,11 +116,21 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass.Reportf(f.pos, "%s", f.msg)
 	}
 
+	banMaps := MapRangeBanned(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		idx := analysis.DirectiveIndex(pass.Fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && !analysis.DirectiveAt(idx, pass.Fset, "allow-go", g.Pos()) {
-				pass.Reportf(g.Pos(), "bare go statement in a simulator package; use (*vclock.Clock).Go so the virtual clock tracks the process, or annotate with //gflink:allow-go")
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !analysis.DirectiveAt(idx, pass.Fset, "allow-go", n.Pos()) {
+					pass.Reportf(n.Pos(), "bare go statement in a simulator package; use (*vclock.Clock).Go so the virtual clock tracks the process, or annotate with //gflink:allow-go")
+				}
+			case *ast.RangeStmt:
+				if t := pass.TypesInfo.TypeOf(n.X); banMaps && t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						pass.Reportf(n.Pos(), "range over a map in simulator code: Go randomizes map order; keep the keys in a slice beside the map, or use a dense slice for small integer keys")
+					}
+				}
 			}
 			return true
 		})

@@ -17,3 +17,11 @@ func TestWallclock(t *testing.T) {
 func TestClockGo(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "clockgo")
 }
+
+// TestMapRange runs the map-range fixture: every range over a map is
+// flagged, including the loops whose bodies are order-free and one
+// carrying the retired unordered directive; ranges over
+// slices, arrays, array pointers, strings, channels and ints are not.
+func TestMapRange(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "maprange")
+}

@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,28 +114,30 @@ type Experiment struct {
 	Check func(t *Table) error
 }
 
-var registry = map[string]*Experiment{}
+// registry holds the experiments in registration order.
+var registry []*Experiment
 
 // register installs an experiment; duplicate IDs panic.
 func register(e *Experiment) {
-	if _, dup := registry[e.ID]; dup {
+	if _, dup := ByID(e.ID); dup {
 		panic("bench: duplicate experiment " + e.ID)
 	}
-	registry[e.ID] = e
+	registry = append(registry, e)
 }
 
 // ByID resolves an experiment.
 func ByID(id string) (*Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range registry {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
 // All returns every experiment sorted by ID.
 func All() []*Experiment {
-	out := make([]*Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
+	out := slices.Clone(registry)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -66,16 +66,17 @@ func TestFig8aTraceDeterministic(t *testing.T) {
 func TestGoldenTraceHashes(t *testing.T) {
 	_, backpressure := backpressureTrace(t)
 	_, oocore := oocoreTrace(t)
-	for id, c := range map[string]struct {
+	for _, c := range []struct {
+		id   string
 		data []byte
 		want string
 	}{
-		"fig8a":            {fig8aTrace(t), "98341a78ff7f96a12d450179d9b446622098190754290145574df9ec0c82d6f9"},
-		"abl-backpressure": {backpressure, "d2c3906ca75d8c2349d6b67fc3cfb0edc600e855e29acd0c8e994a3f448254d6"},
-		"abl-oocore":       {oocore, "fe139492deaeb225c1030c9165ea5c3ad9414abed137fc9b8960793521f53a5f"},
+		{"fig8a", fig8aTrace(t), "98341a78ff7f96a12d450179d9b446622098190754290145574df9ec0c82d6f9"},
+		{"abl-backpressure", backpressure, "d2c3906ca75d8c2349d6b67fc3cfb0edc600e855e29acd0c8e994a3f448254d6"},
+		{"abl-oocore", oocore, "fe139492deaeb225c1030c9165ea5c3ad9414abed137fc9b8960793521f53a5f"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
-			t.Errorf("%s trace sha256 = %s, want %s (%d bytes)", id, got, c.want, len(c.data))
+			t.Errorf("%s trace sha256 = %s, want %s (%d bytes)", c.id, got, c.want, len(c.data))
 		}
 	}
 }

@@ -231,6 +231,48 @@ func TestFIFOEviction(t *testing.T) {
 	})
 }
 
+// TestReleaseJobFreesInKeyOrder caches one block under two column sets
+// and checks that ReleaseJob frees them in key order, the wider column
+// set last, on every repeat. The device's free list hands the buffer
+// freed last out first, so the next allocation must reuse the wider
+// set's buffer. The wider set is inserted first, so neither insertion
+// order nor map order can pass for key order.
+func TestReleaseJobFreesInKeyOrder(t *testing.T) {
+	g := New(Config{
+		Config:           flink.Config{Workers: 1, Model: costmodel.Default()},
+		GPUsPerWorker:    1,
+		CacheBytesPerJob: 1 << 20,
+	})
+	mem := g.Manager(0).Streams.Memory(0)
+	dev := g.Manager(0).Devices[0]
+	alloc := func() *gpu.Buffer {
+		b, err := dev.MallocReserve(64, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.MallocFill(b, 8)
+		return b
+	}
+	narrow := CacheKey{JobID: 1, Block: 3, Cols: gstruct.Cols(0)}
+	wide := CacheKey{JobID: 1, Block: 3, Cols: gstruct.Cols(0, 1)}
+	for i := 0; i < 50; i++ {
+		bufs := map[CacheKey]*gpu.Buffer{}
+		for _, k := range []CacheKey{wide, narrow} {
+			bufs[k] = alloc()
+			if !mem.Insert(k, bufs[k], 64) {
+				t.Fatalf("insert %+v failed", k)
+			}
+			mem.Release(k)
+		}
+		mem.ReleaseJob(1)
+		got := alloc()
+		if got != bufs[wide] {
+			t.Fatalf("repeat %d: ReleaseJob freed %+v last, want %+v", i, narrow, wide)
+		}
+		dev.Free(got)
+	}
+}
+
 func TestStopWhenFullPolicy(t *testing.T) {
 	g := New(Config{
 		Config:           flink.Config{Workers: 1, Model: costmodel.Default()},

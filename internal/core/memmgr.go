@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gflink/internal/costmodel"
@@ -96,8 +98,9 @@ type GMemoryManager struct {
 	diskPool *membuf.Pool
 
 	regions map[int]*cacheRegion // by job ID
-	// reclaimJobs is Reclaim's scratch: the regions' job IDs, ascending.
-	reclaimJobs []int
+	// jobs holds the regions' job IDs, ascending: the order Reclaim
+	// scans the regions in.
+	jobs []int
 	// freeEntries recycles cacheEntry shells (which double as eviction
 	// list nodes) so steady-state insert-after-evict allocates nothing.
 	freeEntries []*cacheEntry
@@ -110,11 +113,12 @@ type GMemoryManager struct {
 
 	// Host tier state. hostHead/hostTail order the
 	// resident pages oldest-first for spilling; spilled pages stay in
-	// hostPages but leave the resident list.
-	hostPages          map[CacheKey]*hostPage
-	hostHead, hostTail *hostPage
-	hostUsed           int64
-	freePages          []*hostPage
+	// hostPages and move to the spilled list, spillHead/spillTail.
+	hostPages            map[CacheKey]*hostPage
+	hostHead, hostTail   *hostPage
+	spillHead, spillTail *hostPage
+	hostUsed             int64
+	freePages            []*hostPage
 }
 
 type cacheRegion struct {
@@ -215,7 +219,7 @@ func (m *GMemoryManager) region(jobID int) *cacheRegion {
 		//gflink:allow-alloc lazy per-job region creation: once per job, not per work
 		r = &cacheRegion{capacity: m.regionCap, entries: make(map[CacheKey]*cacheEntry)}
 		//gflink:allow-alloc per-job region registration: once per job, not per work
-		m.regions[jobID] = r
+		m.regions[jobID], m.jobs = r, slices.Insert(m.jobs, sort.SearchInts(m.jobs, jobID), jobID)
 	}
 	return r
 }
@@ -401,13 +405,7 @@ func (m *GMemoryManager) Entries(jobID int) int {
 // HostPages reports the number of host-tier pages (resident plus
 // spilled) held for a job.
 func (m *GMemoryManager) HostPages(jobID int) int {
-	n := 0
-	for k := range m.hostPages {
-		if k.JobID == jobID {
-			n++
-		}
-	}
-	return n
+	return len(m.jobPages(jobID))
 }
 
 // Reclaim evicts unpinned cache entries (policy order, across regions
@@ -420,21 +418,9 @@ func (m *GMemoryManager) HostPages(jobID int) int {
 // host tier enabled each victim demotes (charging simulated time) once
 // it has left its region.
 func (m *GMemoryManager) Reclaim(need int64) {
-	sorted := false
 	for m.dev.FreeBytes() < need {
-		if !sorted {
-			// Once per call, and again after a demotion: that is the one
-			// step here that sleeps, and so the one that lets another
-			// process add or drop a region.
-			m.reclaimJobs = m.reclaimJobs[:0]
-			for id := range m.regions {
-				m.reclaimJobs = append(m.reclaimJobs, id)
-			}
-			sort.Ints(m.reclaimJobs)
-			sorted = true
-		}
 		var victim *cacheEntry
-		for _, id := range m.reclaimJobs {
+		for _, id := range m.jobs {
 			r := m.regions[id]
 			if v := oldestUnpinned(r); v != nil {
 				r.unlink(v)
@@ -450,7 +436,6 @@ func (m *GMemoryManager) Reclaim(need int64) {
 		m.cntEvictions.Add(1)
 		if m.hostTierBytes > 0 {
 			m.demote(victim)
-			sorted = false
 			continue
 		}
 		m.dev.Free(victim.buf)
@@ -465,16 +450,10 @@ func (m *GMemoryManager) Reclaim(need int64) {
 func (m *GMemoryManager) ReleaseJob(jobID int) {
 	if r, ok := m.regions[jobID]; ok {
 		keys := make([]CacheKey, 0, len(r.entries))
-		for key := range r.entries {
-			keys = append(keys, key)
+		for e := r.head; e != nil; e = e.next {
+			keys = append(keys, e.key)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.Partition != b.Partition {
-				return a.Partition < b.Partition
-			}
-			return a.Block < b.Block
-		})
+		sortKeys(keys)
 		for _, key := range keys {
 			e := r.entries[key]
 			if e.refs > 0 {
@@ -485,6 +464,16 @@ func (m *GMemoryManager) ReleaseJob(jobID int) {
 			m.recycleEntry(e)
 		}
 		delete(m.regions, jobID)
+		i := sort.SearchInts(m.jobs, jobID)
+		m.jobs = slices.Delete(m.jobs, i, i+1)
 	}
 	m.releaseJobPages(jobID)
+}
+
+// sortKeys orders one job's keys totally, by partition, block and
+// column set, so a free order never depends on how they were gathered.
+func sortKeys(keys []CacheKey) {
+	slices.SortFunc(keys, func(a, b CacheKey) int {
+		return cmp.Or(cmp.Compare(a.Partition, b.Partition), cmp.Compare(a.Block, b.Block), cmp.Compare(a.Cols, b.Cols))
+	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"gflink/internal/gpu"
 	"gflink/internal/membuf"
 	"gflink/internal/obs"
@@ -24,8 +22,9 @@ import (
 
 // hostPage is one demoted cache object. Resident pages hold their real
 // bytes in an off-heap HBuffer from the host pool and sit on the
-// manager's oldest-first spill list; spilled pages keep the bytes in a
-// simulated on-disk blob from the disk pool and leave the list.
+// manager's oldest-first resident list; spilled pages keep the bytes in
+// a simulated on-disk blob from the disk pool and sit on the spilled
+// list instead.
 type hostPage struct {
 	key     CacheKey
 	nominal int64
@@ -37,29 +36,40 @@ type hostPage struct {
 	next    *hostPage
 }
 
-// pagePushBack appends p as the newest resident page.
-func (m *GMemoryManager) pagePushBack(p *hostPage) {
-	p.prev = m.hostTail
-	p.next = nil
-	if m.hostTail != nil {
-		m.hostTail.next = p
-	} else {
-		m.hostHead = p
+// pageList returns the ends of the list p belongs on: the spilled list
+// for a spilled page, the resident list otherwise.
+func (m *GMemoryManager) pageList(p *hostPage) (head, tail **hostPage) {
+	if p.spilled {
+		return &m.spillHead, &m.spillTail
 	}
-	m.hostTail = p
+	return &m.hostHead, &m.hostTail
 }
 
-// pageUnlink removes p from the resident list.
+// pagePushBack appends p as the newest page of its list.
+func (m *GMemoryManager) pagePushBack(p *hostPage) {
+	head, tail := m.pageList(p)
+	p.prev = *tail
+	p.next = nil
+	if *tail != nil {
+		(*tail).next = p
+	} else {
+		*head = p
+	}
+	*tail = p
+}
+
+// pageUnlink removes p from its list.
 func (m *GMemoryManager) pageUnlink(p *hostPage) {
+	head, tail := m.pageList(p)
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
-		m.hostHead = p.next
+		*head = p.next
 	}
 	if p.next != nil {
 		p.next.prev = p.prev
 	} else {
-		m.hostTail = p.prev
+		*tail = p.prev
 	}
 	p.prev, p.next = nil, nil
 }
@@ -98,8 +108,8 @@ func (m *GMemoryManager) takePage(key CacheKey) *hostPage {
 		return nil
 	}
 	delete(m.hostPages, key)
+	m.pageUnlink(pg)
 	if !pg.spilled {
-		m.pageUnlink(pg)
 		m.hostUsed -= pg.nominal
 	}
 	return pg
@@ -151,8 +161,8 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 		// re-evicted while an earlier demotion or spill was in flight.
 		// The bytes we carry are the newest.
 		delete(m.hostPages, key)
+		m.pageUnlink(old)
 		if !old.spilled {
-			m.pageUnlink(old)
 			m.hostUsed -= old.nominal
 		}
 		m.recyclePage(old)
@@ -211,6 +221,7 @@ func (m *GMemoryManager) spill(p *hostPage) {
 	} else {
 		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[p.key] = p
+		m.pagePushBack(p)
 	}
 }
 
@@ -232,7 +243,7 @@ func (m *GMemoryManager) promote(key CacheKey, pg *hostPage) (*gpu.Buffer, bool)
 	m.clock.Sleep(m.model.PCIe.GFlinkTransferTime(pg.nominal))
 	buf, err := m.dev.Malloc(pg.nominal, pg.real)
 	if err != nil {
-		//gflink:allow-alloc device-pressure fallback: Reclaim orders the job IDs, and runs only when the device is full
+		//gflink:allow-alloc device-pressure fallback: Reclaim demotes its victims, and runs only when the device is full
 		m.Reclaim(pg.nominal)
 		buf, err = m.dev.Malloc(pg.nominal, pg.real)
 	}
@@ -279,37 +290,37 @@ func (m *GMemoryManager) restorePage(pg *hostPage) {
 	} else {
 		//gflink:allow-alloc page registration: the table grows only to the peak page count
 		m.hostPages[pg.key] = pg
+		m.pagePushBack(pg)
 		if !pg.spilled {
-			m.pagePushBack(pg)
 			m.hostUsed += pg.nominal
 		}
 	}
 }
 
-// releaseJobPages drops every host-tier page and spilled blob a
-// job owns, in deterministic key order. Called from ReleaseJob.
-func (m *GMemoryManager) releaseJobPages(jobID int) {
-	if len(m.hostPages) == 0 {
-		return
-	}
+// jobPages returns the keys of a job's host-tier pages, resident then
+// spilled, each in list order.
+func (m *GMemoryManager) jobPages(jobID int) []CacheKey {
 	keys := make([]CacheKey, 0, len(m.hostPages))
-	for k := range m.hostPages {
-		if k.JobID == jobID {
-			keys = append(keys, k)
+	for _, p := range [...]*hostPage{m.hostHead, m.spillHead} {
+		for ; p != nil; p = p.next {
+			if p.key.JobID == jobID {
+				keys = append(keys, p.key)
+			}
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		return a.Block < b.Block
-	})
+	return keys
+}
+
+// releaseJobPages drops every host-tier page and spilled blob a
+// job owns, in key order. Called from ReleaseJob.
+func (m *GMemoryManager) releaseJobPages(jobID int) {
+	keys := m.jobPages(jobID)
+	sortKeys(keys)
 	for _, k := range keys {
 		pg := m.hostPages[k]
 		delete(m.hostPages, k)
+		m.pageUnlink(pg)
 		if !pg.spilled {
-			m.pageUnlink(pg)
 			m.hostUsed -= pg.nominal
 		}
 		m.recyclePage(pg)

@@ -1,6 +1,7 @@
 package flink
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -144,14 +145,8 @@ func TestReduceByKeyWordCountSemantics(t *testing.T) {
 		for _, v := range Collect(out) {
 			got[v.Word] += v.Count
 		}
-		want := map[string]int64{"a": 3, "b": 2, "c": 1}
-		for k, n := range want {
-			if got[k] != n {
-				t.Errorf("count[%s] = %d, want %d", k, got[k], n)
-			}
-		}
-		if len(got) != len(want) {
-			t.Errorf("got %d distinct words, want %d", len(got), len(want))
+		if want := map[string]int64{"a": 3, "b": 2, "c": 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("counts = %v, want %v", got, want)
 		}
 	})
 }

@@ -19,7 +19,6 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"gflink/internal/costmodel"
@@ -241,16 +240,6 @@ func Register(name string, fn Func) {
 func Lookup(name string) (Func, bool) {
 	fn, ok := registry[name]
 	return fn, ok
-}
-
-// RegisteredKernels lists kernel names, sorted (for docs and tests).
-func RegisteredKernels() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // lookupKernel resolves a kernel by name, failing for an unregistered

@@ -429,18 +429,6 @@ func TestThreeStagePipelineOverlaps(t *testing.T) {
 	}
 }
 
-func TestRegisteredKernelsSorted(t *testing.T) {
-	names := RegisteredKernels()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("kernel list not sorted/unique: %v", names)
-		}
-	}
-	if _, ok := Lookup("test.double"); !ok {
-		t.Error("test.double not found")
-	}
-}
-
 // TestMallocSplitMatchesMalloc holds the split form a stream worker's
 // step uses — MallocReserve, the MallocOverhead sleep, MallocFill — to
 // Malloc: the same buffer ids, the same simulated time, the same

@@ -412,25 +412,28 @@ func TestPinSplitMatchesPin(t *testing.T) {
 			b.PinPublish()
 		}
 	}
-	for name, scenario := range map[string]func(c *vclock.Clock, p *Pool, split bool){ //gflink:unordered — each case runs on its own
-		"pin-twice": func(c *vclock.Clock, p *Pool, split bool) {
+	for _, tc := range []struct {
+		name     string
+		scenario func(c *vclock.Clock, p *Pool, split bool)
+	}{
+		{"pin-twice", func(c *vclock.Clock, p *Pool, split bool) {
 			b := p.MustAllocate(3 * 1024)
 			pin(c, b, split)
 			pin(c, b, split)
 			b.Free()
-		},
-		"freed-during-charge": func(c *vclock.Clock, p *Pool, split bool) {
+		}},
+		{"freed-during-charge", func(c *vclock.Clock, p *Pool, split bool) {
 			b := p.MustAllocate(2 * 1024)
 			c.Go("freer", func() { b.Free() })
 			pin(c, b, split)
-		},
-		"freed-before": func(c *vclock.Clock, p *Pool, split bool) {
+		}},
+		{"freed-before", func(c *vclock.Clock, p *Pool, split bool) {
 			b := p.MustAllocate(1024)
 			b.Free()
 			pin(c, b, split)
-		},
+		}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			run := func(split bool) (out outcome) {
 				c, p := newPool(Config{PageSize: 1024})
 				defer func() {
@@ -439,14 +442,14 @@ func TestPinSplitMatchesPin(t *testing.T) {
 					}
 					out.stats = p.Stats()
 				}()
-				out.end = c.Run(func() { scenario(c, p, split) }).String()
+				out.end = c.Run(func() { tc.scenario(c, p, split) }).String()
 				return out
 			}
 			whole, split := run(false), run(true)
 			if whole != split {
 				t.Fatalf("split pin = %+v, want Pin's %+v", split, whole)
 			}
-			if freed := name != "pin-twice"; freed != strings.Contains(whole.panic, "membuf: Pin on freed HBuffer") {
+			if freed := tc.name != "pin-twice"; freed != strings.Contains(whole.panic, "membuf: Pin on freed HBuffer") {
 				t.Fatalf("Pin panicked with %q", whole.panic)
 			}
 		})

@@ -267,6 +267,9 @@ var kinds = [numKinds]struct{ name, scope string }{
 // directly.
 type Registry struct {
 	handles map[string]*Counter
+	// head and tail chain the same handles through their next fields,
+	// in registration order, so walks never see map order.
+	head, tail *Counter
 	// disabled is copied into each handle Counter registers, so a
 	// handle registered after SetEnabled(false) starts silenced.
 	disabled bool
@@ -284,8 +287,19 @@ func NewRegistry() *Registry {
 // same discipline the stream-worker scratch buffers rely on. A nil
 // Counter (from a nil registry) drops writes.
 type Counter struct {
-	v        int64
+	v    int64
+	next *Counter // the registry's next handle, in registration order
+	// idx and kind name the counter (counterName), so walks need not
+	// store the name.
+	idx      int32
+	kind     Kind
 	disabled bool
+}
+
+// counterName renders the name of kind k at scope index idx,
+// "<kind name>.<scope><idx>".
+func counterName(k Kind, idx int) string {
+	return kinds[k].name + "." + kinds[k].scope + strconv.Itoa(idx)
 }
 
 // Counter returns the handle of kind k at scope index idx, named
@@ -301,12 +315,18 @@ func (r *Registry) Counter(k Kind, idx int) *Counter {
 	if r == nil {
 		return nil
 	}
-	name := kinds[k].name + "." + kinds[k].scope + strconv.Itoa(idx)
+	name := counterName(k, idx)
 	if c, ok := r.handles[name]; ok {
 		return c
 	}
-	c := &Counter{disabled: r.disabled}
+	c := &Counter{idx: int32(idx), kind: k, disabled: r.disabled}
 	r.handles[name] = c
+	if r.tail != nil {
+		r.tail.next = c
+	} else {
+		r.head = c
+	}
+	r.tail = c
 	return c
 }
 
@@ -351,7 +371,7 @@ func (r *Registry) SetEnabled(on bool) {
 		return
 	}
 	r.disabled = !on
-	for _, c := range r.handles { //gflink:unordered — flag write, no observable order
+	for c := r.head; c != nil; c = c.next {
 		c.disabled = !on
 	}
 }
@@ -374,8 +394,8 @@ func (r *Registry) Total(prefix string) int64 {
 		return 0
 	}
 	var n int64
-	for name, c := range r.handles { //gflink:unordered — summing ints
-		if strings.HasPrefix(name, prefix) {
+	for c := r.head; c != nil; c = c.next {
+		if strings.HasPrefix(counterName(c.kind, int(c.idx)), prefix) {
 			n += c.v
 		}
 	}
@@ -389,9 +409,9 @@ func (r *Registry) Snapshot() []Metric {
 		return nil
 	}
 	out := make([]Metric, 0, len(r.handles))
-	for name, c := range r.handles { //gflink:unordered — sorted below
+	for c := r.head; c != nil; c = c.next {
 		if c.v != 0 {
-			out = append(out, Metric{Name: name, Value: c.v})
+			out = append(out, Metric{Name: counterName(c.kind, int(c.idx)), Value: c.v})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -104,18 +104,18 @@ func TestRecordGWorkSpanTree(t *testing.T) {
 		g.Start != 105 || g.End != 105+37 {
 		t.Errorf("gwork span = %+v", g)
 	}
-	want := map[string]any{
-		"device": int64(3), "worker": int64(1),
-		"cache_hits": int64(2), "cache_misses": int64(1),
-		"stolen_from": int64(2), "job": int64(9),
+	want := []Attr{
+		Int("device", 3), Int("worker", 1),
+		Int("cache_hits", 2), Int("cache_misses", 1),
+		Int("stolen_from", 2), Int("job", 9),
 	}
 	got := map[string]any{}
 	for _, a := range g.Attrs {
 		got[a.Key] = a.Val
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("gwork attr %s = %v, want %v", k, got[k], v)
+	for _, w := range want {
+		if got[w.Key] != w.Val {
+			t.Errorf("gwork attr %s = %v, want %v", w.Key, got[w.Key], w.Val)
 		}
 	}
 	// The stage children tile [start, start+Pipeline] exactly.
@@ -302,22 +302,21 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestValidateChromeTraceRejects(t *testing.T) {
-	cases := map[string]string{
-		"not json":        `{`,
-		"no traceEvents":  `{}`,
-		"missing name":    `{"traceEvents":[{"ph":"X","ts":0,"pid":0,"tid":0}]}`,
-		"negative ts":     `{"traceEvents":[{"name":"a","ph":"X","ts":-1,"pid":0,"tid":0}]}`,
-		"negative dur":    `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":-2,"pid":0,"tid":0}]}`,
-		"missing pid":     `{"traceEvents":[{"name":"a","ph":"X","ts":0,"tid":0}]}`,
-		"missing tid":     `{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":0}]}`,
-		"bad phase":       `{"traceEvents":[{"name":"a","ph":"B","ts":0,"pid":0,"tid":0}]}`,
-		"unknown meta":    `{"traceEvents":[{"name":"other","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"x"}}]}`,
-		"meta no args":    `{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0}]}`,
-		"meta empty name": `{"traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":""}}]}`,
-	}
-	for label, data := range cases {
-		if err := ValidateChromeTrace([]byte(data)); err == nil {
-			t.Errorf("%s: validation passed, want error", label)
+	for _, c := range []struct{ label, data string }{
+		{"not json", `{`},
+		{"no traceEvents", `{}`},
+		{"missing name", `{"traceEvents":[{"ph":"X","ts":0,"pid":0,"tid":0}]}`},
+		{"negative ts", `{"traceEvents":[{"name":"a","ph":"X","ts":-1,"pid":0,"tid":0}]}`},
+		{"negative dur", `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":-2,"pid":0,"tid":0}]}`},
+		{"missing pid", `{"traceEvents":[{"name":"a","ph":"X","ts":0,"tid":0}]}`},
+		{"missing tid", `{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":0}]}`},
+		{"bad phase", `{"traceEvents":[{"name":"a","ph":"B","ts":0,"pid":0,"tid":0}]}`},
+		{"unknown meta", `{"traceEvents":[{"name":"other","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"x"}}]}`},
+		{"meta no args", `{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0}]}`},
+		{"meta empty name", `{"traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":""}}]}`},
+	} {
+		if err := ValidateChromeTrace([]byte(c.data)); err == nil {
+			t.Errorf("%s: validation passed, want error", c.label)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -57,10 +58,7 @@ func (gr *Graph) Explain() string {
 
 	if len(st.actuals) > 0 {
 		b.WriteString("measured:\n")
-		names := make([]string, 0, len(st.actuals))
-		for name := range st.actuals {
-			names = append(names, name)
-		}
+		names := slices.Clone(st.actualOrder)
 		sort.Strings(names)
 		for _, name := range names {
 			a := st.actuals[name]

@@ -54,8 +54,8 @@ func TestExecuteEmitsDriverSpans(t *testing.T) {
 	}
 	var chain obs.Span
 	found := false
-	for name, s := range byName {
-		if strings.HasPrefix(name, "chain:") {
+	for _, s := range spans {
+		if s.Track == driverTrack && strings.HasPrefix(s.Name, "chain:") {
 			chain, found = s, true
 		}
 	}

@@ -124,6 +124,8 @@ type state struct {
 	decisions  map[string]Device
 	ests       map[string]stageEst
 	actuals    map[string]nodeActual
+	// actualOrder lists the actuals' names in first-run order.
+	actualOrder []string
 }
 
 // Graph is a deferred job: an ordered list of plan nodes built by the
@@ -338,6 +340,9 @@ const driverTrack = "driver"
 func (st *state) recordNode(n *node, t0, t1 time.Duration) {
 	key := n.name
 	a := st.actuals[key]
+	if a.runs == 0 {
+		st.actualOrder = append(st.actualOrder, key)
+	}
 	a.total += t1 - t0
 	a.runs++
 	st.actuals[key] = a

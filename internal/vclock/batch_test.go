@@ -264,8 +264,20 @@ func TestCallsShareWaitQueuesWithProcesses(t *testing.T) {
 // reports the census both schedulers agree on without leaking the
 // parked coroutines.
 func TestScheduleSeedCorpus(t *testing.T) {
-	for name, p := range seedPrograms { //gflink:unordered — each entry is checked on its own
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSchedule", name))
+	dir := filepath.Join("testdata", "fuzz", "FuzzSchedule")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := 0
+	for _, e := range entries {
+		name := e.Name()
+		p, ok := seedPrograms[name]
+		if !ok {
+			continue // a committed failing input, not a seed
+		}
+		seeds++
+		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,6 +290,9 @@ func TestScheduleSeedCorpus(t *testing.T) {
 		if !reflect.DeepEqual(decodeProgram([]byte(data)), p) {
 			t.Errorf("%s: corpus entry decodes to a different program", name)
 		}
+	}
+	if seeds != len(seedPrograms) {
+		t.Errorf("corpus holds %d of the %d seed programs", seeds, len(seedPrograms))
 	}
 	before := goroutines()
 	out := checkSchedule(t, seedPrograms["deadlock-census"])
@@ -421,10 +436,12 @@ func TestDeadlockDiagnosticCensus(t *testing.T) {
 		}
 		// The driver's Group.Wait parks on the group's done event, so
 		// the event census includes it alongside the explicit waiter.
-		want := map[string]int{"queue": 2, "event": 2, "sem:gate": 1}
-		for label, n := range want {
-			if census[label] != n {
-				t.Errorf("census[%s] = %d, want %d (full diagnostic: %q)", label, census[label], n, msg)
+		for _, want := range []struct {
+			label string
+			n     int
+		}{{"queue", 2}, {"event", 2}, {"sem:gate", 1}} {
+			if census[want.label] != want.n {
+				t.Errorf("census[%s] = %d, want %d (full diagnostic: %q)", want.label, census[want.label], want.n, msg)
 			}
 		}
 	}()

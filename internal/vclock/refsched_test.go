@@ -465,10 +465,14 @@ func runModel(p *schedProgram) schedOutcome {
 			step(t.pid)
 		default:
 			census := map[string]int{}
+			var labels []string // census keys, first-seen order
 			alive := 0
 			for _, m := range procs {
 				if !m.done {
 					alive++
+					if census[m.why] == 0 {
+						labels = append(labels, m.why)
+					}
 					census[m.why]++
 				}
 			}
@@ -477,8 +481,8 @@ func runModel(p *schedProgram) schedOutcome {
 				return out
 			}
 			out.deadlock = []string{fmt.Sprintf("virtual time: %v", now), fmt.Sprintf("processes alive: %d", alive)}
-			for label, n := range census { //gflink:unordered — sorted below
-				out.deadlock = append(out.deadlock, fmt.Sprintf("%s %d", label, n))
+			for _, label := range labels {
+				out.deadlock = append(out.deadlock, fmt.Sprintf("%s %d", label, census[label]))
 			}
 			sort.Strings(out.deadlock[2:])
 			return out

@@ -80,34 +80,37 @@ func TestTaskDeadlockCensus(t *testing.T) {
 // does not have — also once an earlier Call has created the stack Call
 // lends, which is lent only for the Call.
 func TestStepCallingStackfulPrimitivePanics(t *testing.T) {
-	for name, block := range map[string]func(c *Clock) func(){ //gflink:unordered — each case runs on its own
-		"Clock.Sleep": func(c *Clock) func() {
+	for _, tc := range []struct {
+		name  string
+		block func(c *Clock) func()
+	}{
+		{"Clock.Sleep", func(c *Clock) func() {
 			return func() { c.Sleep(time.Second) }
-		},
-		"Semaphore.Acquire": func(c *Clock) func() {
+		}},
+		{"Semaphore.Acquire", func(c *Clock) func() {
 			sem := NewSemaphore(c, "gate", 1)
 			sem.Acquire(1)
 			return func() { sem.Acquire(1) }
-		},
-		"Queue.Get": func(c *Clock) func() {
+		}},
+		{"Queue.Get", func(c *Clock) func() {
 			q := NewQueue[int](c)
 			return func() { q.Get() }
-		},
-		"Event.Wait": func(c *Clock) func() {
+		}},
+		{"Event.Wait", func(c *Clock) func() {
 			ev := NewEvent(c)
 			return func() { ev.Wait() }
-		},
+		}},
 	} {
-		t.Run(name, func(t *testing.T) {
-			msg := runPanic(t, func(c *Clock) { c.Spawn("stepper", block(c)) })
+		t.Run(tc.name, func(t *testing.T) {
+			msg := runPanic(t, func(c *Clock) { c.Spawn("stepper", tc.block(c)) })
 			if want := `process "stepper" panicked: vclock: task "stepper" called a stackful blocking primitive`; !strings.Contains(msg, want) {
 				t.Fatalf("Run panicked with %q, want it to contain %q", msg, want)
 			}
 		})
-		t.Run(name+"/after-Call", func(t *testing.T) {
+		t.Run(tc.name+"/after-Call", func(t *testing.T) {
 			msg := runPanic(t, func(c *Clock) {
 				var task *Task
-				bad := block(c)
+				bad := tc.block(c)
 				task = c.Spawn("stepper", func() {
 					if !task.Call(func() { c.Sleep(0) }) {
 						t.Error("Call of a self-waking sleep parked")
@@ -192,21 +195,24 @@ func TestTaskCall(t *testing.T) {
 // function surfaces from Run naming the task, whether the function
 // panics at once or after it parked.
 func TestTaskCallPanicNamesTask(t *testing.T) {
-	for name, fn := range map[string]func(c *Clock) func(){ //gflink:unordered — each case runs on its own
-		"in place": func(c *Clock) func() {
+	for _, tc := range []struct {
+		name string
+		fn   func(c *Clock) func()
+	}{
+		{"in place", func(c *Clock) func() {
 			return func() { panic("boom") }
-		},
-		"after a park": func(c *Clock) func() {
+		}},
+		{"after a park", func(c *Clock) func() {
 			return func() {
 				c.Sleep(time.Second)
 				panic("boom")
 			}
-		},
+		}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			msg := runPanic(t, func(c *Clock) {
 				var task *Task
-				body := fn(c)
+				body := tc.fn(c)
 				task = c.Spawn("caller", func() {
 					if task.Call(body) {
 						task.Exit()

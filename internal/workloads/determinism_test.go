@@ -50,8 +50,8 @@ func determinismRun() detObservation {
 // simulated-clock totals down to the nanosecond. The virtual clock
 // already serializes process execution; this test is the regression
 // net for the residual nondeterminism sources (map iteration feeding
-// ordered output, float accumulation order) that the maporder analyzer
-// guards statically. Run under -race in CI.
+// ordered output, float accumulation order) that wallclock's map-range
+// ban rules out statically. Run under -race in CI.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

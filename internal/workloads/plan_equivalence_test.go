@@ -104,12 +104,12 @@ func planEquivalenceRun() planObservation {
 // not invent a third behavior).
 func TestPlannedMatchesEagerGolden(t *testing.T) {
 	obs := planEquivalenceRun()
-	for name, want := range eagerGolden {
-		if got := obs.Golden[name]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s diverged from the eager golden:\ngot:  %+v\nwant: %+v", name, got, want)
-		}
-	}
 	for _, wl := range []string{"wc", "km", "spmv"} {
+		for _, name := range []string{wl + "-cpu", wl + "-gpu"} {
+			if got, want := obs.Golden[name], eagerGolden[name]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s diverged from the eager golden:\ngot:  %+v\nwant: %+v", name, got, want)
+			}
+		}
 		auto := obs.Solo[wl+"-auto"]
 		cpu := obs.Solo[wl+"-cpu"]
 		gpu := obs.Solo[wl+"-gpu"]

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -45,18 +44,13 @@ func wcLine(seed uint64, ord int64) string {
 	return b.String()
 }
 
-// wcChecksum fingerprints a count table. Slots are summed in sorted
-// order: float addition is not associative, so map order would make the
-// checksum differ between runs of the same binary.
-func wcChecksum(counts map[int]uint32) float64 {
-	slots := make([]int, 0, len(counts))
-	for slot := range counts {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
+// wcChecksum fingerprints a count table indexed by slot. Slots are
+// summed in slot order: float addition is not associative, so the order
+// is part of the checksum.
+func wcChecksum(counts []uint32) float64 {
 	var s float64
-	for _, slot := range slots {
-		s += float64(slot+1) * float64(counts[slot])
+	for slot, n := range counts {
+		s += float64(slot+1) * float64(n)
 	}
 	return s
 }
@@ -94,7 +88,7 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
 	res := Result{}
-	var counts map[int]uint32
+	var counts []uint32
 	var tm0 time.Duration
 
 	gr := plan.NewGraph(g, "wordcount-"+opts.Mode.String(), opts)
@@ -122,7 +116,7 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 		func(pr wcPair) int { return pr.Slot },
 		func(a, b wcPair) wcPair { return wcPair{Slot: a.Slot, Count: a.Count + b.Count} })
 	plan.Collect(reduced, "counts", func(ctx *plan.Ctx, recs []wcPair) {
-		counts = make(map[int]uint32, wcVocab)
+		counts = make([]uint32, wcVocab)
 		for _, pr := range recs {
 			counts[pr.Slot] += pr.Count
 		}
