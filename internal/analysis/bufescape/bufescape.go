@@ -1,9 +1,9 @@
 // Package bufescape flags zero-copy HBuffer views that escape the
 // scope guaranteeing the buffer is live.
 //
-// HBuffer.Bytes() and HBuffer.Raw() return slices aliasing the
-// buffer's backing array — the whole point of the zero-copy transfer
-// path. The contract is that such a view is transient: read or written
+// HBuffer.Bytes() returns a slice aliasing the buffer's backing array
+// — the whole point of the zero-copy transfer path. The contract is
+// that such a view is transient: read or written
 // in place, then dropped before the buffer's Free (whose exactly-once
 // discipline poolsafe enforces). A view stored into a struct field, a
 // global, a long-lived slice, or a channel — or captured by a closure
@@ -52,7 +52,7 @@ const membufPath = "gflink/internal/membuf"
 // Analyzer implements the bufescape check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "bufescape",
-	Doc:       "flag HBuffer.Bytes()/Raw() views escaping their owning scope (returned, stored, sent, captured, or passed to a retaining function); suppress with //gflink:retains-bytes",
+	Doc:       "flag HBuffer.Bytes() views escaping their owning scope (returned, stored, sent, captured, or passed to a retaining function); suppress with //gflink:retains-bytes",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*Retains)(nil)},
 }
@@ -143,7 +143,7 @@ type escape struct {
 
 // trackEscapes scans body for escapes of tracked slice values. When
 // seed is non-nil the tracked value is that parameter; when viewCalls
-// is set, every HBuffer.Bytes()/Raw() call is a tracked value. Local
+// is set, every HBuffer.Bytes() call is a tracked value. Local
 // aliases (x := v, x := v[a:b]) are tracked transitively. includeReturn
 // controls whether returning the value counts (it does for views; a
 // function returning its own parameter is the transient-view idiom and
@@ -157,7 +157,7 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 	// transmits reports whether evaluating e yields a tracked slice (or
 	// an alias of one): the identifier itself, a re-slice, a slice
 	// conversion, &v[i], a composite literal carrying one, or (for the
-	// view analysis) a Bytes()/Raw() call.
+	// view analysis) a Bytes() call.
 	var transmits func(e ast.Expr) bool
 	transmits = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
@@ -372,14 +372,14 @@ func lvalueKind(pass *analysis.Pass, lhs ast.Expr) (string, bool) {
 	return "", false
 }
 
-// isViewCall reports whether call is HBuffer.Bytes() or HBuffer.Raw().
+// isViewCall reports whether call is HBuffer.Bytes().
 func isViewCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := analysis.StaticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != membufPath {
 		return false
 	}
 	key := analysis.ObjectKey(fn)
-	return key == "HBuffer.Bytes" || key == "HBuffer.Raw"
+	return key == "HBuffer.Bytes"
 }
 
 func isSlice(t types.Type) bool {

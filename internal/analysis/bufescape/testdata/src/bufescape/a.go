@@ -23,7 +23,7 @@ func field(s *sink, b *membuf.HBuffer) {
 }
 
 func toGlobal(b *membuf.HBuffer) {
-	global = b.Raw() // want `stored in the global variable "?global`
+	global = b.Bytes() // want `stored in the global variable "?global`
 }
 
 func send(ch chan []byte, b *membuf.HBuffer) {

@@ -45,7 +45,8 @@ func Except(pred func(string) bool, paths ...string) func(string) bool {
 	}
 }
 
-// Run loads every package matched by patterns (test files included) and
+// Run loads every package matched by patterns (test files included,
+// and a directory's external test package as a target of its own) and
 // applies each rule whose predicate admits the package.
 //
 // When any rule's analyzer declares FactTypes, the run is
@@ -70,9 +71,13 @@ func Run(l *Loader, patterns []string, rules []Rule) ([]Finding, error) {
 		if err != nil {
 			return nil, err
 		}
-		isTarget[importPath] = true
-		loaded[importPath] = pkg
-		paths = append(paths, importPath)
+		for _, p := range []*Package{pkg, pkg.XTest} {
+			if p != nil {
+				isTarget[p.ImportPath] = true
+				loaded[p.ImportPath] = p
+				paths = append(paths, p.ImportPath)
+			}
+		}
 	}
 
 	// With facts in play, pull in module-internal dependencies so their

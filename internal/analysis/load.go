@@ -22,6 +22,10 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+	// XTest is the directory's external test package, ImportPath +
+	// "_test", loaded with the package when tests are included; nil
+	// when the directory has none.
+	XTest *Package
 }
 
 // Loader parses and type-checks packages of the enclosing module from
@@ -106,26 +110,13 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if l.inProgress[path] {
 		return nil, fmt.Errorf("analysis: import cycle through %q", path)
 	}
-	for _, src := range l.ExtraSrcDirs {
-		dir := filepath.Join(src, filepath.FromSlash(path))
-		if hasGoFiles(dir) {
-			return l.importDir(dir, path)
-		}
+	dir, ok := l.srcDir(path)
+	if !ok {
+		return l.std.Import(path)
 	}
-	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
-		dir := filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
-		return l.importDir(dir, path)
-	}
-	return l.std.Import(path)
-}
-
-// importDir type-checks dir as the export view of path (no test files)
-// and caches the result.
-func (l *Loader) importDir(dir, path string) (*types.Package, error) {
 	l.inProgress[path] = true
 	defer delete(l.inProgress, path)
-	pkg, err := l.load(dir, path, false)
+	pkg, err := l.load(dir, path, false, l)
 	if err != nil {
 		return nil, err
 	}
@@ -133,14 +124,32 @@ func (l *Loader) importDir(dir, path string) (*types.Package, error) {
 	return pkg.Types, nil
 }
 
-// Load parses and type-checks the package in dir under the given import
-// path. When includeTests is set, in-package _test.go files are part of
-// the package (external _test packages are not supported).
-func (l *Loader) Load(dir, importPath string, includeTests bool) (*Package, error) {
-	return l.load(dir, importPath, includeTests)
+// srcDir returns the directory the loader type-checks path from: an
+// extra source dir holding it, else the module's directory for it.
+// ok is false for a path outside both (the standard library).
+func (l *Loader) srcDir(path string) (dir string, ok bool) {
+	for _, src := range l.ExtraSrcDirs {
+		dir := filepath.Join(src, filepath.FromSlash(path))
+		if hasGoFiles(dir) {
+			return dir, true
+		}
+	}
+	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
+		return filepath.Join(l.moduleRoot, filepath.FromSlash(rel)), true
+	}
+	return "", false
 }
 
-func (l *Loader) load(dir, importPath string, includeTests bool) (*Package, error) {
+// Load parses and type-checks the package in dir under the given import
+// path. When includeTests is set, in-package _test.go files are part of
+// the package, and the directory's external test files are checked as
+// the package's XTest.
+func (l *Loader) Load(dir, importPath string, includeTests bool) (*Package, error) {
+	return l.load(dir, importPath, includeTests, l)
+}
+
+func (l *Loader) load(dir, importPath string, includeTests bool, imp types.Importer) (*Package, error) {
 	ctx := build.Default
 	bp, err := ctx.ImportDir(dir, 0)
 	if err != nil {
@@ -150,6 +159,18 @@ func (l *Loader) load(dir, importPath string, includeTests bool) (*Package, erro
 	if includeTests {
 		names = append(names, bp.TestGoFiles...)
 	}
+	pkg, err := l.check(dir, importPath, names, imp)
+	if err != nil || !includeTests || len(bp.XTestGoFiles) == 0 {
+		return pkg, err
+	}
+	xt := &testImporter{l: l, path: importPath, variant: map[string]*types.Package{importPath: pkg.Types}}
+	pkg.XTest, err = l.check(dir, importPath+"_test", bp.XTestGoFiles, xt)
+	return pkg, err
+}
+
+// check parses the named files of dir and type-checks them as
+// importPath, resolving imports through imp.
+func (l *Loader) check(dir, importPath string, names []string, imp types.Importer) (*Package, error) {
 	sort.Strings(names)
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
@@ -170,7 +191,7 @@ func (l *Loader) load(dir, importPath string, includeTests bool) (*Package, erro
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", importPath, err)
@@ -183,6 +204,57 @@ func (l *Loader) load(dir, importPath string, includeTests bool) (*Package, erro
 		Types:      tpkg,
 		Info:       info,
 	}, nil
+}
+
+// testImporter resolves an external test package's imports the way go
+// test builds it: path, the package under test, is its variant with the
+// in-package tests, and every source package that depends on path is
+// type-checked again against that variant, so the test sees one
+// package path per package.
+type testImporter struct {
+	l       *Loader
+	path    string
+	variant map[string]*types.Package
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := t.variant[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := t.l.Import(path)
+	if err != nil || !t.l.dependsOn(pkg, t.path) {
+		return pkg, err
+	}
+	dir, _ := t.l.srcDir(path)
+	v, err := t.l.load(dir, path, false, t)
+	if err != nil {
+		return nil, err
+	}
+	t.variant[path] = v.Types
+	return v.Types, nil
+}
+
+// dependsOn reports whether pkg imports path, directly or through the
+// source packages the loader has checked.
+func (l *Loader) dependsOn(pkg *types.Package, path string) bool {
+	seen := make(map[string]bool)
+	var walk func(*types.Package) bool
+	walk = func(p *types.Package) bool {
+		for _, imp := range p.Imports() {
+			q := imp.Path()
+			if q == path {
+				return true
+			}
+			if l.cache[q] == imp && !seen[q] {
+				seen[q] = true
+				if walk(imp) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(pkg)
 }
 
 // Expand resolves package patterns ("./...", "./internal/core",

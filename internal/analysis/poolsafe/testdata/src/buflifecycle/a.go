@@ -44,7 +44,7 @@ func okFree(p *membuf.Pool) {
 func okDeferFree(p *membuf.Pool) {
 	b := p.MustAllocate(64)
 	defer b.Free()
-	_ = b.Raw()
+	_ = b.Bytes()
 }
 
 func okReturn(p *membuf.Pool) (*membuf.HBuffer, error) {

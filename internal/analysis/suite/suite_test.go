@@ -1,6 +1,8 @@
 package suite_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -126,6 +128,30 @@ func TestMapRangeScope(t *testing.T) {
 		if applies(pkg) {
 			t.Errorf("map-range ban applies to %s", pkg)
 		}
+	}
+}
+
+// TestExternalTestPackageIsChecked runs the suite over a fixture module
+// whose package has an external test package with a map range. The
+// range is reported, so the external test was type-checked and
+// analyzed. It calls a method from the package's in-package test file
+// on a value from another package that imports the package under test,
+// which type-checks only if both see the same test variant.
+func TestExternalTestPackageIsChecked(t *testing.T) {
+	l, err := analysis.NewLoader("testdata/xtest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := analysis.Run(l, []string{"./testdata/xtest/..."}, suite.Rules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Analyzer))
+	}
+	if want := []string{"counts_test.go:11: wallclock"}; !slices.Equal(got, want) {
+		t.Errorf("findings = %q, want %q", got, want)
 	}
 }
 

@@ -149,7 +149,56 @@ func literal(ch chan string) {
 	}
 }
 
+// --- type parameters whose core type is a map ---
+
+func Sum[M ~map[string]int](m M) int {
+	n := 0
+	for _, v := range m { // want `range over a map`
+		n += v
+	}
+	return n
+}
+
+type counts map[int]int
+
+type tally map[int]int
+
+type eitherMap interface{ counts | tally }
+
+func union[M eitherMap](m M) {
+	for k := range m { // want `range over a map`
+		_ = k
+	}
+}
+
+type stringer interface{ String() string }
+
+func embedded[M interface {
+	stringer
+	eitherMap
+}](m M) {
+	for k := range m { // want `range over a map`
+		_ = k
+	}
+}
+
 // --- not maps: allowed ---
+
+func SumSlice[S ~[]int](s S) int {
+	n := 0
+	for _, v := range s {
+		n += v
+	}
+	return n
+}
+
+func runes[S ~string](s S) int {
+	n := 0
+	for _, r := range s {
+		n += int(r)
+	}
+	return n
+}
 
 func notMaps(xs []int, arr [4]int, parr *[4]int, s string, ch chan int) int {
 	n := 0

@@ -38,8 +38,9 @@
 // range whose body appends, sends, accumulates floats, frees, panics or
 // reaches the clock makes two runs of the same binary differ. Rather
 // than judge each body, simulator code never ranges over a map: a range
-// over an expression whose underlying type is a map is reported, with
-// no waiver directive. Keep the keys in a slice beside the map, in
+// over an expression whose underlying type is a map, or a type
+// parameter whose type terms are all maps, is reported, with no waiver
+// directive. Keep the keys in a slice beside the map, in
 // insertion order (or sorted), or use a dense slice when the keys are
 // small integers. The row skips the analysis framework and the vet
 // command (see MapRangeBanned): they are host tools whose map loops
@@ -126,14 +127,40 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					pass.Reportf(n.Pos(), "bare go statement in a simulator package; use (*vclock.Clock).Go so the virtual clock tracks the process, or annotate with //gflink:allow-go")
 				}
 			case *ast.RangeStmt:
-				if t := pass.TypesInfo.TypeOf(n.X); banMaps && t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						pass.Reportf(n.Pos(), "range over a map in simulator code: Go randomizes map order; keep the keys in a slice beside the map, or use a dense slice for small integer keys")
-					}
+				if t := pass.TypesInfo.TypeOf(n.X); banMaps && t != nil && onlyMaps(t) {
+					pass.Reportf(n.Pos(), "range over a map in simulator code: Go randomizes map order; keep the keys in a slice beside the map, or use a dense slice for small integer keys")
 				}
 			}
 			return true
 		})
 	}
 	return nil, nil
+}
+
+// onlyMaps reports whether every type t stands for has a map as its
+// underlying type: t is a map, or t is a type parameter whose
+// constraint's type terms are all maps (its core type is a map). A
+// type parameter's Underlying is its constraint interface, whose type
+// set is the intersection of its embedded elements, so one element of
+// map terms alone is enough; a union needs every term to be maps.
+func onlyMaps(t types.Type) bool {
+	if u, ok := t.(*types.Union); ok {
+		for i := 0; i < u.Len(); i++ {
+			if !onlyMaps(u.Term(i).Type()) {
+				return false
+			}
+		}
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return true
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if onlyMaps(u.EmbeddedType(i)) {
+				return true
+			}
+		}
+	}
+	return false
 }

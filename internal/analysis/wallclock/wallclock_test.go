@@ -19,9 +19,11 @@ func TestClockGo(t *testing.T) {
 }
 
 // TestMapRange runs the map-range fixture: every range over a map is
-// flagged, including the loops whose bodies are order-free and one
-// carrying the retired unordered directive; ranges over
-// slices, arrays, array pointers, strings, channels and ints are not.
+// flagged, including the loops whose bodies are order-free, one
+// carrying the retired unordered directive and ranges over type
+// parameters whose terms are all maps; ranges over slices, arrays,
+// array pointers, strings, channels, ints and type parameters of slice
+// or string terms are not.
 func TestMapRange(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "maprange")
 }

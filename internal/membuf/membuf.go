@@ -4,17 +4,19 @@
 // asynchronous DMA, and whose raw bytes are handed to the transfer
 // channel without any heap-to-native copy.
 //
-// The simulator runs in Go, so the pages are Go memory, but the pool
+// The simulator runs in Go, so the buffers are Go memory, but the pool
 // manages them the way an off-heap allocator does: fixed page size
 // (matching Flink's memory segments), a bounded page budget per worker,
-// page-aligned HBuffers, the rule that a GStruct never straddles a page
-// boundary (Section 5.1), and page spans that are recycled rather than
-// returned to the garbage collector. A freed span goes onto the pool's
-// spare list for its page count, and the next Allocate of that many
-// pages reuses it, so a steady Allocate/Free cycle does not touch the
-// Go heap beyond the HBuffer handle. Spans never leave the pool: for
-// each page count it keeps as many spans as it ever had buffers of that
-// size live at once.
+// HBuffers charged in whole pages, the rule that a GStruct never
+// straddles a page boundary (Section 5.1), and spans that are recycled
+// rather than returned to the garbage collector. Pages are the unit the
+// simulation charges and counts (capacity, pinning); a buffer's Go
+// backing, its span, is exactly its requested size. A freed span goes
+// onto the pool's spare list for its byte size, and the next Allocate
+// of that size reuses it, so a steady Allocate/Free cycle does not
+// touch the Go heap beyond the HBuffer handle. Spans never leave the
+// pool: for each size it keeps as many spans as it ever had buffers of
+// that size live at once.
 package membuf
 
 import (
@@ -30,8 +32,8 @@ const DefaultPageSize = 32 * 1024
 
 // Config sizes a Pool.
 type Config struct {
-	// PageSize is the allocation granule; HBuffer capacities round up to
-	// it. Defaults to DefaultPageSize.
+	// PageSize is the accounting granule: a buffer is charged and pinned
+	// as its size rounded up to whole pages. Defaults to DefaultPageSize.
 	PageSize int
 	// CapacityPages bounds the pool; 0 means unbounded.
 	CapacityPages int
@@ -52,8 +54,8 @@ type Pool struct {
 	pinOps  int64
 	nextIDs int64
 	reused  int64
-	// spare holds freed page spans by page count, most recently freed
-	// last. spareTotal counts the pages they hold.
+	// spare holds freed spans by byte size, most recently freed last.
+	// spareTotal counts the pages their buffers held.
 	spare      map[int]*[][]byte
 	spareTotal int
 }
@@ -66,15 +68,13 @@ func NewPool(clock *vclock.Clock, model costmodel.Model, cfg Config) *Pool {
 	return &Pool{clock: clock, model: model, pageSize: cfg.PageSize, capacity: cfg.CapacityPages}
 }
 
-// PageSize returns the pool's allocation granule.
+// PageSize returns the pool's accounting granule.
 func (p *Pool) PageSize() int { return p.pageSize }
 
-// Allocate returns an HBuffer of at least n bytes (rounded up to whole
-// pages), zeroed across its whole span like fresh memory. It reuses a
-// freed span of the same page count when the pool holds one, clearing
-// only the prefix the span's last owner could have written. It fails
-// when the pool's page budget is exhausted, modelling an off-heap
-// OutOfMemory condition.
+// Allocate returns a zeroed HBuffer of n bytes, charged to the pool as
+// n rounded up to whole pages. It reuses a freed span of the same size
+// when the pool holds one. It fails when the pool's page budget is
+// exhausted, modelling an off-heap OutOfMemory condition.
 //
 //gflink:hotpath
 func (p *Pool) Allocate(n int) (*HBuffer, error) {
@@ -95,22 +95,17 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	p.nextIDs++
 	id := p.nextIDs
 	var data []byte
-	if st := p.spare[pages]; st != nil && len(*st) > 0 {
+	if st := p.spare[n]; st != nil && len(*st) > 0 {
 		k := len(*st) - 1
 		data = (*st)[k]
 		(*st)[k] = nil
 		*st = (*st)[:k]
 		p.spareTotal -= pages
 		p.reused++
-	}
-	if data == nil {
-		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
-		data = make([]byte, pages*p.pageSize)
-	} else {
-		// A spare span is stored cut to the prefix its last owner could
-		// have written (see Free); past it the span is still zero.
 		clear(data)
-		data = data[:cap(data)]
+	} else {
+		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
+		data = make([]byte, n)
 	}
 	// The handle stays fresh so that a stale *HBuffer still sees its own
 	// freed flag and a double free still panics; only the span recycles.
@@ -137,8 +132,8 @@ type Stats struct {
 	PinnedPages int
 	PinOps      int64
 	// Reused counts allocations served from a freed span instead of the
-	// Go heap; SparePages is the number of freed pages the pool holds
-	// for reuse.
+	// Go heap; SparePages is the page count charged to the freed spans
+	// the pool holds for reuse.
 	Reused     int64
 	SparePages int
 }
@@ -163,33 +158,21 @@ func (p *Pool) Stats() Stats {
 type HBuffer struct {
 	id    int64
 	pool  *Pool
-	data  []byte
-	size  int // requested size
+	data  []byte // exactly size bytes
+	size  int
 	pages int
 
 	pinned bool
 	freed  bool
-	// raw records that Raw handed out the whole span, so Free cannot
-	// assume the bytes past size are still zero.
-	raw bool
 }
 
 // ID returns a pool-unique buffer identity (used as default cache key
 // material).
 func (b *HBuffer) ID() int64 { return b.id }
 
-// Bytes returns the logical contents (requested size, not the padded
-// page span). Its capacity ends at size too, so only Raw reaches the
-// padding.
-func (b *HBuffer) Bytes() []byte { return b.data[:b.size:b.size] }
-
-// Raw returns the whole page span, as a DMA engine would see it. A
-// buffer whose span went out through Raw has its whole span cleared
-// when the span is next allocated.
-func (b *HBuffer) Raw() []byte {
-	b.raw = true
-	return b.data
-}
+// Bytes returns the buffer's contents: its whole span, Size bytes long
+// and no larger in capacity. A freed buffer's Bytes is nil.
+func (b *HBuffer) Bytes() []byte { return b.data }
 
 // Size returns the requested byte size.
 func (b *HBuffer) Size() int { return b.size }
@@ -255,7 +238,7 @@ func (b *HBuffer) Unpin() {
 func (b *HBuffer) Pinned() bool { return b.pinned }
 
 // Free returns the pages to the pool, releasing any page lock first,
-// and keeps their span for the next Allocate of the same page count.
+// and keeps the span for the next Allocate of the same size.
 // Double frees panic: the paper's GMemoryManager owns buffer lifetime
 // exactly once.
 //
@@ -276,21 +259,15 @@ func (b *HBuffer) Free() {
 		//gflink:allow-alloc spare lists are created on first Free, so an idle pool costs nothing
 		p.spare = make(map[int]*[][]byte)
 	}
-	st := p.spare[b.pages]
+	st := p.spare[b.size]
 	if st == nil {
-		//gflink:allow-alloc one spare list per distinct buffer page count
+		//gflink:allow-alloc one spare list per distinct buffer size
 		st = new([][]byte)
-		//gflink:allow-alloc one spare list per distinct buffer page count
-		p.spare[b.pages] = st
+		//gflink:allow-alloc one spare list per distinct buffer size
+		p.spare[b.size] = st
 	}
-	// Keep only the prefix this owner could have written: Bytes stops at
-	// size, so the rest of the span is still zero unless Raw exposed it.
-	written := b.data[:b.size]
-	if b.raw {
-		written = b.data
-	}
-	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this page count ever live at once
-	*st = append(*st, written)
+	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this size ever live at once
+	*st = append(*st, b.data)
 	p.spareTotal += b.pages
 	b.data = nil
 }

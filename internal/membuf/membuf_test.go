@@ -2,6 +2,7 @@ package membuf
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -19,12 +20,13 @@ func TestAllocateRoundsToPages(t *testing.T) {
 	c, p := newPool(Config{PageSize: 1024})
 	c.Run(func() {
 		b := p.MustAllocate(1)
-		if b.Pages() != 1 || len(b.Raw()) != 1024 || len(b.Bytes()) != 1 {
-			t.Errorf("1-byte alloc: pages=%d raw=%d bytes=%d", b.Pages(), len(b.Raw()), len(b.Bytes()))
+		if b.Pages() != 1 || len(b.Bytes()) != 1 || cap(b.Bytes()) != 1 || b.Size() != 1 {
+			t.Errorf("1-byte alloc: pages=%d len=%d cap=%d size=%d", b.Pages(), len(b.Bytes()), cap(b.Bytes()), b.Size())
 		}
 		b2 := p.MustAllocate(1025)
-		if b2.Pages() != 2 {
-			t.Errorf("1025-byte alloc used %d pages, want 2", b2.Pages())
+		if b2.Pages() != 2 || len(b2.Bytes()) != 1025 || cap(b2.Bytes()) != 1025 || b2.Size() != 1025 {
+			t.Errorf("1025-byte alloc: pages=%d len=%d cap=%d size=%d, want 2 pages and 1025 bytes",
+				b2.Pages(), len(b2.Bytes()), cap(b2.Bytes()), b2.Size())
 		}
 		b.Free()
 		b2.Free()
@@ -99,15 +101,15 @@ func TestDoubleFreePanics(t *testing.T) {
 	})
 }
 
-// A freed span comes back for the next allocation of the same page
-// count, zeroed across the whole page span, under a new buffer ID; an
-// allocation of another page count does not take it.
+// A freed span comes back for the next allocation of the same size,
+// zeroed, under a new buffer ID; an allocation of another size does not
+// take it, not even one of the same page count.
 func TestFreedSpanIsReusedZeroed(t *testing.T) {
 	_, p := newPool(Config{PageSize: 256})
 	b := p.MustAllocate(300)
-	raw := b.Raw()
-	for i := range raw {
-		raw[i] = 0xAB
+	span := b.Bytes()
+	for i := range span {
+		span[i] = 0xAB
 	}
 	id := b.ID()
 	b.Free()
@@ -118,23 +120,57 @@ func TestFreedSpanIsReusedZeroed(t *testing.T) {
 	if s := p.Stats(); s.Reused != 0 || s.SparePages != 2 {
 		t.Errorf("1-page allocation took the 2-page span: %+v", s)
 	}
-	again := p.MustAllocate(512)
-	if s := p.Stats(); s.Reused != 1 || s.SparePages != 0 {
-		t.Errorf("2-page allocation did not reuse the span: %+v", s)
+	other := p.MustAllocate(512)
+	if s := p.Stats(); s.Reused != 0 || s.SparePages != 2 {
+		t.Errorf("512-byte allocation took the 300-byte span: %+v", s)
 	}
-	if &again.Raw()[0] != &raw[0] {
-		t.Error("2-page allocation got a fresh span, not the freed one")
+	again := p.MustAllocate(300)
+	if s := p.Stats(); s.Reused != 1 || s.SparePages != 0 {
+		t.Errorf("300-byte allocation did not reuse the span: %+v", s)
+	}
+	if &again.Bytes()[0] != &span[0] {
+		t.Error("300-byte allocation got a fresh span, not the freed one")
 	}
 	if again.ID() == id {
 		t.Error("a reused span kept the freed buffer's ID")
 	}
-	for i, v := range again.Raw() {
+	for i, v := range again.Bytes() {
 		if v != 0 {
 			t.Fatalf("reused span byte %d = %#x, want 0", i, v)
 		}
 	}
 	one.Free()
+	other.Free()
 	again.Free()
+}
+
+// A buffer much smaller than a page is backed by its own bytes, not a
+// whole page, while the pool still counts and pins it as one page.
+func TestSubPageBufferAllocatesItsBytes(t *testing.T) {
+	const n, size = 64, 840
+	_, p := newPool(Config{PageSize: 32 * 1024})
+	bufs := make([]*HBuffer, 0, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		bufs = append(bufs, p.MustAllocate(size))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n*2*1024 {
+		t.Errorf("%d live %d-byte buffers allocated %d bytes, want under %d", n, size, got, n*2*1024)
+	}
+	if s := p.Stats(); s.InUsePages != n {
+		t.Errorf("in-use pages = %d, want %d", s.InUsePages, n)
+	}
+	pin := costmodel.Default().Overheads.PinPage
+	for _, b := range bufs {
+		if d, ok := b.PinCharge(); !ok || d != pin {
+			t.Fatalf("PinCharge = %v, %v; want one page's %v", d, ok, pin)
+		}
+	}
+	for _, b := range bufs {
+		b.Free()
+	}
 }
 
 // The handle of a freed buffer never aliases the recycled span: its
@@ -145,8 +181,8 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	b := p.MustAllocate(64)
 	b.Free()
 	next := p.MustAllocate(64)
-	if b.Raw() != nil {
-		t.Error("a freed handle still exposes its page span")
+	if b.data != nil || b.Bytes() != nil {
+		t.Error("a freed handle still exposes its span")
 	}
 	func() {
 		defer func() {
@@ -178,16 +214,29 @@ func TestSteadyAllocateFreeReusesSpan(t *testing.T) {
 	}
 }
 
-// BenchmarkAllocateFree times one page-sized Allocate and Free against a
-// warm pool, the cycle a GWork output buffer or a host-tier page goes
-// through.
+// BenchmarkAllocateFree times one Allocate and Free against a warm pool,
+// the cycle a GWork output buffer or a host-tier page goes through:
+// page-sized, and sub-page (a kmeans partial-sum output). The cold case
+// gives every buffer a fresh pool, so its B/op is the span's size plus
+// the pool's own bookkeeping.
 func BenchmarkAllocateFree(b *testing.B) {
-	_, p := newPool(Config{})
-	p.MustAllocate(DefaultPageSize).Free()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.MustAllocate(DefaultPageSize).Free()
+	for _, size := range []int{DefaultPageSize, 840} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			_, p := newPool(Config{})
+			p.MustAllocate(size).Free()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.MustAllocate(size).Free()
+			}
+		})
 	}
+	b.Run("size=840/cold", func(b *testing.B) {
+		c, m := vclock.New(), costmodel.Default()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewPool(c, m, Config{}).MustAllocate(840).Free()
+		}
+	})
 }
 
 func TestFreeUnpins(t *testing.T) {
@@ -318,16 +367,14 @@ func TestBufferIDUniqueness(t *testing.T) {
 
 // FuzzPoolSpansZeroed runs random Allocate, write and Free sequences
 // over buffers of one to four pages and checks, after every Allocate,
-// that the new buffer's whole span is zero and that Bytes stops at
-// Size. Writes go through Bytes (only the requested prefix) and through
-// Raw (the whole span, which Free must then clear in full). The span is
-// read from the buffer's field, not through Raw, so the check itself
-// does not mark the buffer.
+// that the new buffer's whole span is zero and exactly Size bytes, and
+// that Bytes is that span. Writes go through Bytes, from a random
+// offset or over the whole span.
 func FuzzPoolSpansZeroed(f *testing.F) {
-	// Allocate 301 bytes, write its span through Raw, free it, and
-	// allocate 301 bytes again on the recycled span.
-	f.Add([]byte{0, 0x2c, 0x01, 2, 0, 0x11, 0x33, 3, 0, 0, 0x2c, 0x01})
-	// The same through Bytes, then a smaller reuse of the span.
+	// Allocate 301 bytes, write its whole span, free it, and allocate
+	// 301 bytes again on the recycled span.
+	f.Add([]byte{0, 0x2c, 0x01, 2, 0, 0x11, 3, 0, 0, 0x2c, 0x01})
+	// The same from an offset, then an allocation of another size.
 	f.Add([]byte{0, 0xff, 0x03, 1, 0, 0x40, 0x77, 3, 0, 0, 0x00, 0x03, 0, 0x10, 0x00})
 	// Mixed sizes, writes and frees.
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 1, 1, 0x7f, 2, 0, 0x55, 3, 1, 3, 0, 0, 5, 0, 0, 6, 0})
@@ -348,11 +395,14 @@ func FuzzPoolSpansZeroed(f *testing.F) {
 			case 0:
 				n := 1 + (next()|next()<<8)%(4*pageSize)
 				b := p.MustAllocate(n)
-				if cap(b.Bytes()) != b.Size() {
-					t.Fatalf("Allocate(%d): cap(Bytes()) = %d, want Size() = %d", n, cap(b.Bytes()), b.Size())
+				if len(b.data) != b.Size() || cap(b.data) != b.Size() || b.Size() != n {
+					t.Fatalf("Allocate(%d): span len %d cap %d, Size() %d; want all %d", n, len(b.data), cap(b.data), b.Size(), n)
 				}
-				if len(b.data) != b.Pages()*pageSize {
-					t.Fatalf("Allocate(%d): span is %d bytes, want %d pages of %d", n, len(b.data), b.Pages(), pageSize)
+				if bs := b.Bytes(); len(bs) != len(b.data) || cap(bs) != cap(b.data) || &bs[0] != &b.data[0] {
+					t.Fatalf("Allocate(%d): Bytes() is not the buffer's span", n)
+				}
+				if want := (n + pageSize - 1) / pageSize; b.Pages() != want {
+					t.Fatalf("Allocate(%d): %d pages, want %d", n, b.Pages(), want)
 				}
 				for i, v := range b.data {
 					if v != 0 {
@@ -370,10 +420,11 @@ func FuzzPoolSpansZeroed(f *testing.F) {
 				}
 				b := live[next()%len(live)]
 				buf := b.Bytes()
-				if op%4 == 2 {
-					buf = b.Raw()
+				from := 0
+				if op%4 == 1 {
+					from = next() % len(buf)
 				}
-				from, val := next()%len(buf), byte(next()|1)
+				val := byte(next() | 1)
 				for i := from; i < len(buf); i++ {
 					buf[i] = val
 				}
