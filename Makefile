@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-baseline bench bench-test results
+.PHONY: build test race vet bench bench-test results
 
 build:
 	$(GO) build ./...
@@ -13,19 +13,11 @@ race:
 
 # go vet's standard checks plus the repo's own six-analyzer suite
 # (wallclock, bufescape, clockflow, outputpurity, hotalloc, poolsafe —
-# see DESIGN.md "Concurrency & lifetime invariants").
-# Findings recorded in vet-baseline.json are suppressed: CI ratchets
-# on NEW findings only; the examples tree is vetted alongside the
-# module.
+# see DESIGN.md "Concurrency & lifetime invariants"). Any finding fails
+# the target; ./... includes the examples tree.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/gflink-vet -baseline vet-baseline.json ./... ./examples/...
-
-# Re-record the suppression baseline. Run only when deliberately
-# accepting existing findings; the diff to vet-baseline.json is the
-# review surface.
-vet-baseline:
-	$(GO) run ./cmd/gflink-vet -write-baseline vet-baseline.json ./... ./examples/...
+	$(GO) run ./cmd/gflink-vet ./...
 
 bench:
 	$(GO) run ./cmd/gflink-bench -list

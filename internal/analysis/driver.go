@@ -211,12 +211,8 @@ func topoOrder(l *Loader, loaded map[string]*Package) []string {
 }
 
 // RunAnalyzers applies the given rules' analyzers to one loaded
-// package. store carries facts across packages of a run; pass nil for
-// a private, single-package store.
+// package. store carries facts across the packages of a run.
 func RunAnalyzers(pkg *Package, rules []Rule, store *FactStore) ([]Finding, error) {
-	if store == nil {
-		store = NewFactStore()
-	}
 	var findings []Finding
 	for _, r := range rules {
 		a := r.Analyzer

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a serializable observation one analyzer run exports about
@@ -23,9 +22,10 @@ import (
 // Identity is structural, not pointer-based: facts are keyed by
 // (package path, object key, fact type), where the object key is a
 // stable textual path ("FuncName" or "Recv.Method" — see ObjectKey).
-// That makes facts survive both JSON round trips between `go vet`
-// compilation units and the loader re-type-checking a package twice
-// (once as an import, once as a test-augmented target).
+// That makes facts survive the loader type-checking a package twice
+// (once as an import, once as a test-augmented target). The store
+// keeps each fact as JSON, so an importer gets its own copy and cannot
+// change what the exporter recorded.
 type Fact interface {
 	AFact() // dummy marker method
 }
@@ -105,59 +105,6 @@ func (s *FactStore) get(pkg, obj string, fact Fact) bool {
 	}
 	return json.Unmarshal(data, fact) == nil
 }
-
-// factRecord is the serialized form of one fact (the vetx wire format
-// used between `go vet` compilation units).
-type factRecord struct {
-	Pkg  string          `json:"pkg"`
-	Obj  string          `json:"obj,omitempty"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode serializes every fact in the store, sorted for byte-stable
-// output. Facts of dependencies are included, so encoding after
-// analyzing one unit propagates transitive facts through direct-import
-// vetx files exactly as unitchecker does.
-func (s *FactStore) Encode() []byte {
-	recs := make([]factRecord, 0, len(s.m))
-	for k, v := range s.m {
-		recs = append(recs, factRecord{Pkg: k.pkg, Obj: k.obj, Type: k.typ, Data: v})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return a.Type < b.Type
-	})
-	data, err := json.Marshal(recs)
-	if err != nil {
-		// Raw messages re-marshal without error by construction.
-		panic(err)
-	}
-	return data
-}
-
-// Decode merges previously encoded facts into the store. Unknown input
-// is rejected; duplicate keys keep the incoming value (facts are
-// deterministic functions of their package, so duplicates agree).
-func (s *FactStore) Decode(data []byte) error {
-	var recs []factRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	for _, r := range recs {
-		s.m[factKey{pkg: r.Pkg, obj: r.Obj, typ: r.Type}] = r.Data
-	}
-	return nil
-}
-
-// Len reports the number of stored facts.
-func (s *FactStore) Len() int { return len(s.m) }
 
 // ExportObjectFact associates fact with a package-level object
 // (typically a function or method of the package under analysis).

@@ -17,7 +17,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -198,7 +197,6 @@ func (l *Loader) check(dir, importPath string, names []string, imp types.Importe
 	}
 	return &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,
 		Types:      tpkg,

@@ -2,8 +2,13 @@ package suite_test
 
 import (
 	"fmt"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"gflink/internal/analysis"
@@ -155,6 +160,10 @@ func TestExternalTestPackageIsChecked(t *testing.T) {
 	}
 }
 
+// moduleLoader is the one loader the whole-module tests share, so the
+// packages one of them type-checks are cached for the other.
+var moduleLoader = sync.OnceValues(func() (*analysis.Loader, error) { return analysis.NewLoader(".") })
+
 // TestRepositoryIsClean runs the full gflink-vet suite over the module
 // (test files included), so `go test ./...` fails the moment a
 // determinism, no-mutex or buffer-lifecycle violation lands.
@@ -162,7 +171,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source; skipped in -short mode")
 	}
-	l, err := analysis.NewLoader(".")
+	l, err := moduleLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,5 +181,64 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestLoaderCoversGoList holds the loader's package set to the go
+// command's: "./..." from the module root expands to exactly what `go
+// list ./...` lists there and in benchmark/, a module of its own under
+// the root, and every package with external test files gets its
+// external _test package loaded with it.
+func TestLoaderCoversGoList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks every external test package from source; skipped in -short mode")
+	}
+	l, err := moduleLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xtests := make(map[string]int)
+	var want []string
+	for _, dir := range []string{l.ModuleRoot(), filepath.Join(l.ModuleRoot(), "benchmark")} {
+		cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "list", "-f", "{{.ImportPath}} {{len .XTestGoFiles}}", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, count, _ := strings.Cut(line, " ")
+			n, err := strconv.Atoi(count)
+			if err != nil {
+				t.Fatalf("go list line %q: %v", line, err)
+			}
+			want = append(want, path)
+			xtests[path] = n
+		}
+	}
+	targets, err := l.Expand([]string{l.ModulePath() + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tgt := range targets {
+		got = append(got, tgt[1])
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Expand(./...) = %q\nwant the go list set %q", got, want)
+	}
+	for _, tgt := range targets {
+		if xtests[tgt[1]] == 0 {
+			continue
+		}
+		pkg, err := l.Load(tgt[0], tgt[1], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pkg.XTest == nil {
+			t.Errorf("%s has %d external test file(s) but loaded no %s_test", tgt[1], xtests[tgt[1]], tgt[1])
+		}
 	}
 }

@@ -173,20 +173,15 @@ func (j *Job) shouldFail(operator string) bool {
 	return false
 }
 
-// runTasks deploys one task per partition of the operator and waits for
+// RunTasks deploys one task per partition of the operator and waits for
 // all of them: the JobManager's scheduling loop. Each task runs on its
 // partition's worker, holding one task slot. Failed attempts are
 // retried on the same worker (Flink restarts from the consumed state;
-// our eager model simply re-runs the task body).
-// RunTasks exposes the scheduling loop to the plan layer: a fused
-// operator chain deploys exactly one task per partition for the whole
-// chain, so it needs the deploy-acquire-retry protocol without any
-// eager operator wrapped around it.
+// our eager model simply re-runs the task body). The plan layer calls
+// it directly: a fused operator chain deploys exactly one task per
+// partition for the whole chain, so it needs the deploy-acquire-retry
+// protocol without any eager operator wrapped around it.
 func (j *Job) RunTasks(operator string, nparts int, workerOf func(p int) int, body func(p int, tm *TaskManager)) {
-	j.runTasks(operator, nparts, workerOf, body)
-}
-
-func (j *Job) runTasks(operator string, nparts int, workerOf func(p int) int, body func(p int, tm *TaskManager)) {
 	c := j.cluster
 	g := vclock.NewGroup(c.Clock)
 	for p := 0; p < nparts; p++ {

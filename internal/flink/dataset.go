@@ -140,7 +140,7 @@ func ReadHDFS[T any](j *Job, file string, parallelism, recordBytes int, gen func
 		}
 		return p % j.cluster.Cfg.Workers
 	}
-	j.runTasks("source:"+file, len(splits), workerOf, func(p int, tm *TaskManager) {
+	j.RunTasks("source:"+file, len(splits), workerOf, func(p int, tm *TaskManager) {
 		s := splits[p]
 		j.cluster.FS.ReadSplit(tm.ID, s)
 		nom := s.Length / int64(recordBytes)
@@ -199,7 +199,7 @@ func (j *Job) ChargeWork(w costmodel.Work) {
 // mismatch).
 func ProcessPartitions[T, U any](d *Dataset[T], name string, outBytes int, body func(p, worker int, in Partition[T]) ([]U, int64)) *Dataset[U] {
 	out := make([]Partition[U], len(d.parts))
-	d.job.runTasks(name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
+	d.job.RunTasks(name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
 		in := d.parts[p]
 		items, nominal := body(p, in.Worker, in)
 		out[p] = Partition[U]{Worker: in.Worker, Items: items, Nominal: nominal}
@@ -211,7 +211,7 @@ func ProcessPartitions[T, U any](d *Dataset[T], name string, outBytes int, body 
 // demand of f; outBytes the serialized size of U records.
 func Map[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes int, f func(T) U) *Dataset[U] {
 	out := make([]Partition[U], len(d.parts))
-	d.job.runTasks("map:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
+	d.job.RunTasks("map:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
 		in := d.parts[p]
 		d.job.ChargeCompute(in.Nominal, perRec)
 		items := make([]U, len(in.Items))
@@ -227,7 +227,7 @@ func Map[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outBytes i
 // observed selectivity.
 func Filter[T any](d *Dataset[T], name string, perRec costmodel.Work, pred func(T) bool) *Dataset[T] {
 	out := make([]Partition[T], len(d.parts))
-	d.job.runTasks("filter:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
+	d.job.RunTasks("filter:"+name, len(d.parts), d.workerOf, func(p int, tm *TaskManager) {
 		in := d.parts[p]
 		d.job.ChargeCompute(in.Nominal, perRec)
 		var items []T
@@ -298,7 +298,7 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 	// Phase 1: map-side combine and split by target partition.
 	outbox := make([][][]T, nparts)       // [p][q]records
 	outNominal := make([][]int64, nparts) // [p][q]
-	d.job.runTasks("combine:"+name, nparts, d.workerOf, func(p int, tm *TaskManager) {
+	d.job.RunTasks("combine:"+name, nparts, d.workerOf, func(p int, tm *TaskManager) {
 		in := d.parts[p]
 		d.job.ChargeCompute(in.Nominal, perRec)
 		groups := make(map[K]T)
@@ -347,7 +347,7 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 
 	// Phase 3: reduce-side final combine.
 	out := make([]Partition[T], nparts)
-	d.job.runTasks("reduce:"+name, nparts, func(q int) int { return q % d.job.cluster.Cfg.Workers }, func(q int, tm *TaskManager) {
+	d.job.RunTasks("reduce:"+name, nparts, func(q int) int { return q % d.job.cluster.Cfg.Workers }, func(q int, tm *TaskManager) {
 		var incoming []T
 		var nominal int64
 		for p := 0; p < nparts; p++ {
