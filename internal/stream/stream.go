@@ -421,6 +421,12 @@ func (p *Pipeline) Run() Result {
 	}
 	p.done.Wait()
 	makespan := clock.Now() - p.t0
+	for _, s := range p.stages {
+		if s.kind == kWindow {
+			s.inBuf.Free()
+			s.outBuf.Free()
+		}
+	}
 
 	res := Result{Makespan: makespan}
 	for _, s := range p.stages {
@@ -864,8 +870,8 @@ func (s *stage) fold(recs []Record) {
 }
 
 // prepareWindow allocates the stage's reusable staging: the packed
-// input buffer and slot-table output for the GPU path, and the sums
-// table both paths emit from.
+// input buffer and slot-table output for the GPU path, which Run frees
+// once the stream drains, and the sums table both paths emit from.
 func (s *stage) prepareWindow(jobID int) {
 	s.sums = make([]float32, s.win.Slots)
 	s.slot = newModulus(uint64(s.win.Slots))

@@ -527,3 +527,32 @@ func TestThroughputReported(t *testing.T) {
 		t.Errorf("implausible makespan %v", res.Makespan)
 	}
 }
+
+// TestRunFreesStagingBuffers runs a window pipeline under each
+// placement and requires every TaskManager pool's in-use pages back at
+// their value before the run: Run frees each window stage's packed
+// input and slot-table buffers once the stream drains.
+func TestRunFreesStagingBuffers(t *testing.T) {
+	for _, mode := range []plan.Mode{plan.ForceCPU, plan.ForceGPU} {
+		g := build(2)
+		inUse := func() []int {
+			pages := make([]int, len(g.Cluster.TaskManagers))
+			for w, tm := range g.Cluster.TaskManagers {
+				pages[w] = tm.Pool.Stats().InUsePages
+			}
+			return pages
+		}
+		before := inUse()
+		g.Run(func() {
+			p := stream.New(g, "test", stream.WithMode(mode))
+			p.Source("gen", 0, stream.SourceSpec{Records: 8192, Seed: 7}).
+				Window("agg", 1, stream.WindowSpec{Records: 1024, Slots: 256}).
+				Window("agg2", 0, stream.WindowSpec{Records: 2, Slots: 64}).
+				Sink("out", 0)
+			p.Run()
+		})
+		if after := inUse(); !slices.Equal(after, before) {
+			t.Errorf("%v: in-use pages per worker pool: %v after the run, %v before", mode, after, before)
+		}
+	}
+}

@@ -174,27 +174,33 @@ func TestGDSTFillMatchesPerElement(t *testing.T) {
 
 // BenchmarkGDSTFill builds and frees the GDST of the benchmark's
 // kmeans-cluster workload (135k real 20-float points in SoA blocks)
-// against a warm page pool: page allocation, clearing and the column
-// fill. ns/float is per generated coordinate.
+// against a warm page pool, under each fill body this CPU has: page
+// allocation, clearing and the column fill. ns/float is per generated
+// coordinate.
 func BenchmarkGDSTFill(b *testing.B) {
 	spec, p := kmeansClusterSpec()
-	g := spec.Build()
 	schema := kernels.PointSchema(p.D)
 	fill := newKMeansGen(p).fill
-	g.Run(func() {
-		j := g.Cluster.NewJob("fill")
-		core.FreeBlocks(core.NewGDST(g, j, schema, gstruct.SoA, p.Points, 0, fill))
-		b.ResetTimer()
-		var floats int64
-		for i := 0; i < b.N; i++ {
-			ds := core.NewGDST(g, j, schema, gstruct.SoA, p.Points, 0, fill)
-			for pi := 0; pi < ds.Partitions(); pi++ {
-				for _, blk := range ds.Partition(pi).Items {
-					floats += int64(blk.N * p.D)
+	for _, body := range kmeansFillBodies() {
+		b.Run(body, func(b *testing.B) {
+			defer useKMeansFillBody(body)()
+			g := spec.Build()
+			g.Run(func() {
+				j := g.Cluster.NewJob("fill")
+				core.FreeBlocks(core.NewGDST(g, j, schema, gstruct.SoA, p.Points, 0, fill))
+				b.ResetTimer()
+				var floats int64
+				for i := 0; i < b.N; i++ {
+					ds := core.NewGDST(g, j, schema, gstruct.SoA, p.Points, 0, fill)
+					for pi := 0; pi < ds.Partitions(); pi++ {
+						for _, blk := range ds.Partition(pi).Items {
+							floats += int64(blk.N * p.D)
+						}
+					}
+					core.FreeBlocks(ds)
 				}
-			}
-			core.FreeBlocks(ds)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(floats), "ns/float")
-	})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(floats), "ns/float")
+			})
+		})
+	}
 }

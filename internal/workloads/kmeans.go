@@ -64,14 +64,16 @@ func (p KMeansParams) pointBytes() int { return 4 * (p.D + p.MetaCols) }
 type kmeansGen struct {
 	seed       uint64
 	k, d, meta int
-	base       []float32 // base[c*d+j]
+	// base[j*k+c] is center c's base value for coordinate j, so one
+	// column's K values are contiguous.
+	base []float32
 }
 
 func newKMeansGen(p KMeansParams) *kmeansGen {
 	g := &kmeansGen{seed: p.Seed, k: p.K, d: p.D, meta: p.MetaCols, base: make([]float32, p.K*p.D)}
 	for c := 0; c < p.K; c++ {
 		for j := 0; j < p.D; j++ {
-			g.base[c*p.D+j] = float32(unit(p.Seed+uint64(c)*977+uint64(j)*31, 0) * 100)
+			g.base[j*p.K+c] = float32(unit(p.Seed+uint64(c)*977+uint64(j)*31, 0) * 100)
 		}
 	}
 	return g
@@ -81,7 +83,7 @@ func (g *kmeansGen) center(ord int64) int { return int(mix(g.seed, uint64(ord)) 
 
 // coord returns coordinate j of nominal point ord, whose center is c.
 func (g *kmeansGen) coord(c int, ord int64, j int) float32 {
-	return g.base[c*g.d+j] + float32(unit(g.seed+123457, uint64(ord)*29+uint64(j))*4-2)
+	return g.base[j*g.k+c] + float32(unit(g.seed+123457, uint64(ord)*29+uint64(j))*4-2)
 }
 
 // point writes the D coordinates of nominal point ord into dst.
@@ -93,27 +95,27 @@ func (g *kmeansGen) point(ord int64, dst []float32) {
 }
 
 // fillChunk is how many elements a column fill handles per pass: their
-// per-element draws stay on the stack while each column is written.
+// centers stay on the stack while each column is written.
 const fillChunk = 128
 
 // fill writes one SoA block of points column by column (the GDST fill):
 // element i is nominal point ord0 + i*step, followed by the MetaCols
-// metadata columns.
+// metadata columns. Within a column, element i's noise draws ordinal
+// x + i·29·step, which fillCoords steps through.
 //
 //gflink:hotpath
 func (g *kmeansGen) fill(_ int, v gstruct.View, ord0, step int64) {
 	n := v.Len()
-	var centers [fillChunk]int
+	var centers [fillChunk]int32
 	for lo := 0; lo < n; lo += fillChunk {
 		hi := min(lo+fillChunk, n)
 		for i := lo; i < hi; i++ {
-			centers[i-lo] = g.center(ord0 + int64(i)*step)
+			centers[i-lo] = int32(g.center(ord0 + int64(i)*step))
 		}
+		x := uint64(ord0+int64(lo)*step) * 29
 		for j := 0; j < g.d; j++ {
-			col := v.Column(j, gstruct.Float32)
-			for i := lo; i < hi; i++ {
-				putRawF32(col, i, g.coord(centers[i-lo], ord0+int64(i)*step, j))
-			}
+			col := v.Column(j, gstruct.Float32)[4*lo : 4*hi]
+			fillCoords(col, centers[:hi-lo], g.base[j*g.k:(j+1)*g.k], g.seed+123457, x+uint64(j), uint64(step)*29)
 		}
 	}
 	for j := g.d; j < g.d+g.meta; j++ {
@@ -121,6 +123,16 @@ func (g *kmeansGen) fill(_ int, v gstruct.View, ord0, step int64) {
 		for i := 0; i < n; i++ {
 			putRawF32(col, i, unit(g.seed+777, uint64(ord0+int64(i)*step)*53+uint64(j)))
 		}
+	}
+}
+
+// fillCoordsGo is fillCoords' portable body, and its tail on amd64:
+// col[i] = base[centers[i]] + (u·4 − 2) with u = unit(seed, x + i·dx),
+// the base added last and nothing fused.
+func fillCoordsGo(col []byte, centers []int32, base []float32, seed, x, dx uint64) {
+	for i, c := range centers {
+		putRawF32(col, i, base[c]+float32(unit(seed, x)*4-2))
+		x += dx
 	}
 }
 

@@ -190,7 +190,6 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 	// engine dataset, the GPU placement as encoded device blocks.
 	var matrix *flink.Dataset[spmvPart]
 	var gmatrix *flink.Dataset[*core.Block]
-	var blockParts []flink.Partition[*core.Block]
 	var chunkRowStart [][]int
 
 	gr := plan.NewGraph(g, "spmv-"+opts.Mode.String(), opts)
@@ -216,7 +215,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 			// so a single transfer can never exceed device memory.
 			const maxNomBytesPerBlock = 256 << 20
 			byteSchema := gstruct.MustNew("CSRByte", 1, gstruct.Field{Name: "b", Kind: gstruct.Uint8})
-			blockParts = make([]flink.Partition[*core.Block], par)
+			blockParts := make([]flink.Partition[*core.Block], par)
 			chunkRowStart = make([][]int, par) // real row offsets of each chunk
 			rowsNomPer := rowsNominal / int64(par)
 			for pi := range blockParts {
@@ -379,9 +378,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 		func(ctx *plan.Ctx) {},
 		func(ctx *plan.Ctx) {
 			g.ReleaseJobCaches(ctx.Job.ID)
-			for pi := range blockParts {
-				blockParts[pi].Items[0].Buf.Free()
-			}
+			core.FreeBlocks(gmatrix)
 		})
 	gr.Execute()
 

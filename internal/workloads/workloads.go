@@ -103,15 +103,21 @@ func Speedup(base, r Result) float64 {
 // generator, keyed by (seed, ordinal) so the CPU and GPU variants build
 // bit-identical real datasets at any scale divisor.
 func mix(seed, x uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(x+1)
+	z := seed + gamma*(x+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// unit maps (seed, ordinal) to a float32 in [0, 1).
+// gamma is splitmix64's golden gamma: mix's state for ordinal x is
+// seed + gamma·(x+1), affine in x.
+const gamma = 0x9e3779b97f4a7c15
+
+// unit maps (seed, ordinal) to a float32 in [0, 1). h>>40 is below
+// 2^24, so the int32 conversion is exact and cheaper than one from
+// uint64.
 func unit(seed, x uint64) float32 {
-	return float32(mix(seed, x)>>40) / float32(1<<24)
+	return float32(int32(mix(seed, x)>>40)) / float32(1<<24)
 }
 
 // planLanes returns the lane counts placement estimates divide a stage

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -302,5 +303,30 @@ func TestWorkloadsReturnEveryHostPage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// poolPages returns the InUsePages of every TaskManager's page pool.
+func poolPages(g *core.GFlink) []int {
+	pages := make([]int, len(g.Cluster.TaskManagers))
+	for w, tm := range g.Cluster.TaskManagers {
+		pages[w] = tm.Pool.Stats().InUsePages
+	}
+	return pages
+}
+
+// TestSpMVFreesEveryBlock runs the GPU SpMV on a matrix whose
+// partitions span several CSR blocks each (1 GiB nominal per partition,
+// 256 MiB per block) and requires every pool's in-use pages back at
+// their value before the run: the cleanup frees every block, not only
+// each partition's first.
+func TestSpMVFreesEveryBlock(t *testing.T) {
+	g := testSpec(2000).Build()
+	before := poolPages(g)
+	g.Run(func() {
+		SpMVGPU(g, SpMVParams{MatrixBytes: 4 << 30, NNZPerRow: 8, Iterations: 2, Parallelism: 4, UseCache: true, Seed: 5})
+	})
+	if after := poolPages(g); !slices.Equal(after, before) {
+		t.Errorf("in-use pages per worker pool: %v after the run, %v before", after, before)
 	}
 }
