@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gflink/internal/core"
+	"gflink/internal/membuf"
 )
 
 // parse a "1.23x" cell.
@@ -27,24 +30,43 @@ func secondsCell(t *testing.T, cell string) float64 {
 	return v
 }
 
-// tableOnce memoizes one experiment's table.
+// tableOnce memoizes one experiment's table, with the stats of every
+// TaskManager pool ([deployment][worker]) the run built, read once the
+// run returned.
 type tableOnce struct {
-	once sync.Once
-	tbl  *Table
+	once  sync.Once
+	tbl   *Table
+	pools [][]membuf.Stats
 }
 
 // tables maps an experiment ID to its *tableOnce, so each experiment
-// runs once per test process and the shape tests and TestResultsGolden
-// share the run. Callers must not modify the returned table.
+// runs once per test process and the shape tests, TestResultsGolden and
+// TestExperimentsReturnEveryHostPage share the run. Callers must not
+// modify the returned table.
 var tables sync.Map
 
-// table returns e's memoized table, running e on first use.
-func table(e *Experiment) *Table {
+// memo returns e's memoized run, running e on first use.
+func memo(e *Experiment) *tableOnce {
 	v, _ := tables.LoadOrStore(e.ID, new(tableOnce))
 	m := v.(*tableOnce)
-	m.once.Do(func() { m.tbl = e.Run() })
-	return m.tbl
+	m.once.Do(func() {
+		var gs []*core.GFlink
+		deployObserver = func(g *core.GFlink) { gs = append(gs, g) }
+		defer func() { deployObserver = nil }()
+		m.tbl = e.Run()
+		for _, g := range gs {
+			var pools []membuf.Stats
+			for _, tm := range g.Cluster.TaskManagers {
+				pools = append(pools, tm.Pool.Stats())
+			}
+			m.pools = append(m.pools, pools)
+		}
+	})
+	return m
 }
+
+// table returns e's memoized table.
+func table(e *Experiment) *Table { return memo(e).tbl }
 
 func runExp(t *testing.T, id string) *Table {
 	t.Helper()
@@ -319,5 +341,25 @@ func TestDeterministicExperiment(t *testing.T) {
 	e, _ := ByID("abl-zerocopy")
 	if a.String() != e.Run().String() {
 		t.Error("experiment output differs across runs")
+	}
+}
+
+// TestExperimentsReturnEveryHostPage: every deployment of every
+// experiment ends with each TaskManager pool at no page in use and none
+// pinned, so a run returns every off-heap page it took, the harness's
+// own GWork buffers included.
+func TestExperimentsReturnEveryHostPage(t *testing.T) {
+	for _, e := range All() {
+		m := memo(e)
+		if len(m.pools) == 0 {
+			t.Errorf("%s: the observer saw no deployment; the check is vacuous", e.ID)
+		}
+		for d, pools := range m.pools {
+			for w, st := range pools {
+				if st.InUsePages != 0 || st.PinnedPages != 0 {
+					t.Errorf("%s#%d worker %d pool: %d pages in use, %d pinned", e.ID, d, w, st.InUsePages, st.PinnedPages)
+				}
+			}
+		}
 	}
 }

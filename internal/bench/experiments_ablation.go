@@ -182,6 +182,7 @@ func init() {
 					if err := warm.Wait(); err != nil {
 						panic(err)
 					}
+					warm.Out.Free()
 					t0 := g.Clock.Now()
 					var works []*core.GWork
 					for i := 0; i < 16; i++ {
@@ -198,9 +199,11 @@ func init() {
 						if err := w.Wait(); err != nil {
 							panic(err)
 						}
+						w.Out.Free()
 					}
 					makespan = g.Clock.Now() - t0
 					g.ReleaseJobCaches(1)
+					in.Free()
 				})
 				return makespan
 			}

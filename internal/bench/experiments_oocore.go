@@ -89,6 +89,7 @@ func oocoreRun(kind string, factor int, policy core.CachePolicy, onBuild func(*c
 				if err := w.Wait(); err != nil {
 					panic(fmt.Sprintf("bench: abl-oocore %s %dx %v: %v", kind, factor, policy, err))
 				}
+				w.Out.Free()
 			}
 		}
 		cell.makespan = g.Clock.Now() - t0

@@ -8,7 +8,6 @@ import (
 	"gflink/internal/gpu"
 	"gflink/internal/gstruct"
 	"gflink/internal/membuf"
-	"gflink/internal/vclock"
 )
 
 // Block is one page-sized chunk of a GDST: GStruct records stored as
@@ -335,19 +334,6 @@ func StageBuffer(g *GFlink, src *membuf.HBuffer) []*membuf.HBuffer {
 // returns per-worker copies. The returned buffers belong to each
 // worker's pool.
 func BroadcastBuffer(g *GFlink, j *flink.Job, src *membuf.HBuffer, nominalBytes int64) []*membuf.HBuffer {
-	out := make([]*membuf.HBuffer, g.Cfg.Config.Workers)
-	grp := vclock.NewGroup(g.Cluster.Clock)
-	for w := 0; w < g.Cfg.Config.Workers; w++ {
-		w := w
-		grp.Go(fmt.Sprintf("bcastbuf[%d]", w), func() {
-			if w != 0 {
-				g.Cluster.Net.Transfer(0, w, nominalBytes)
-			}
-			dst := g.Cluster.TaskManagers[w].Pool.MustAllocate(src.Size())
-			copy(dst.Bytes(), src.Bytes())
-			out[w] = dst
-		})
-	}
-	grp.Wait()
-	return out
+	g.Cluster.Net.Exchange("bcastbuf", j.Scatter(nominalBytes))
+	return StageBuffer(g, src)
 }

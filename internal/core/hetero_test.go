@@ -7,7 +7,6 @@ import (
 
 	"gflink/internal/costmodel"
 	"gflink/internal/flink"
-	"gflink/internal/gstruct"
 )
 
 func TestNewHeteroProfilesPerDevice(t *testing.T) {
@@ -116,42 +115,4 @@ func TestCUDAWrapperChargesControlChannel(t *testing.T) {
 			t.Errorf("charge(%d) = %v, want %v", c.call, got, c.want)
 		}
 	}
-}
-
-func TestGPUPathSurvivesProducerTaskRetry(t *testing.T) {
-	// The reliability path the paper cites: a failed producer task is
-	// retried by the JobManager and the GPU work still completes with
-	// correct results.
-	g := New(Config{
-		Config:        flink.Config{Workers: 1, Model: costmodel.Default(), PageSize: 2048, ScaleDivisor: 8},
-		GPUsPerWorker: 1,
-	})
-	g.Run(func() {
-		j := g.Cluster.NewJob("flaky")
-		j.InjectTaskFailures("gpu:double", 2)
-		ds := NewGDST(g, j, f32Schema, gstruct.AoS, 8000, 2, func(part int, v gstruct.View, ord0, step int64) {
-			for i := 0; i < v.Len(); i++ {
-				ord := ord0 + int64(i)*step
-				v.PutFloat32At(i, 0, 0, float32(ord))
-			}
-		})
-		out := GPUMapPartition(g, ds, GPUMapSpec{
-			Name: "double", Kernel: "core_test.double",
-			OutSchema: f32Schema, OutLayout: gstruct.AoS,
-		})
-		if j.Retries() != 2 {
-			t.Errorf("retries = %d, want 2", j.Retries())
-		}
-		for p := 0; p < out.Partitions(); p++ {
-			for bi, ob := range out.Partition(p).Items {
-				ib := ds.Partition(p).Items[bi]
-				iv, ov := ib.View(), ob.View()
-				for i := 0; i < ib.N; i++ {
-					if ov.Float32At(i, 0, 0) != 2*iv.Float32At(i, 0, 0) {
-						t.Fatalf("wrong result at p%d b%d i%d after retry", p, bi, i)
-					}
-				}
-			}
-		}
-	})
 }

@@ -3,7 +3,7 @@
 // executing DataSet programs on CPU task slots through the
 // one-element-at-a-time iterator model, with hash shuffles over the
 // simulated network, HDFS sources, superstep barriers for bulk
-// iterations, and task retry on failure.
+// iterations.
 //
 // The engine executes programs for real (operators transform real Go
 // values) while charging virtual time per the cost model: per-record
@@ -117,8 +117,8 @@ type TaskManager struct {
 // producer tasks).
 func (tm *TaskManager) Slots() *vclock.Semaphore { return tm.slots }
 
-// JobManager is the cluster coordinator: it admits jobs, deploys tasks
-// and retries failed ones.
+// JobManager is the cluster coordinator: it admits jobs and deploys
+// their tasks.
 type JobManager struct {
 	cluster *Cluster
 	jobSeq  int
@@ -131,56 +131,24 @@ type Job struct {
 	ID      int
 	Name    string
 	cluster *Cluster
-
-	// failures maps operator name to the number of task attempts that
-	// should be failed (test hook for the retry path).
-	failures map[string]int
-	retries  int
 }
 
 // NewJob submits a job: the driver program runs on the calling process.
 // Submission and plan translation cost is charged here.
 func (c *Cluster) NewJob(name string) *Job {
 	c.JobManager.jobSeq++
-	j := &Job{
-		ID:       c.JobManager.jobSeq,
-		Name:     name,
-		cluster:  c,
-		failures: make(map[string]int),
-	}
+	j := &Job{ID: c.JobManager.jobSeq, Name: name, cluster: c}
 	c.Clock.Sleep(c.Cfg.Model.Overheads.JobSubmit)
 	return j
 }
 
-// InjectTaskFailures arranges for the next n task attempts of the named
-// operator to fail; the JobManager transparently retries them
-// (exercising the reliability path the paper cites as the reason to
-// build on Flink).
-func (j *Job) InjectTaskFailures(operator string, n int) {
-	j.failures[operator] += n
-}
-
-// Retries reports how many task attempts were retried so far.
-func (j *Job) Retries() int { return j.retries }
-
-// shouldFail consumes one injected failure for operator, if any.
-func (j *Job) shouldFail(operator string) bool {
-	if j.failures[operator] > 0 {
-		j.failures[operator]--
-		j.retries++
-		return true
-	}
-	return false
-}
-
 // RunTasks deploys one task per partition of the operator and waits for
 // all of them: the JobManager's scheduling loop. Each task runs on its
-// partition's worker, holding one task slot. Failed attempts are
-// retried on the same worker (Flink restarts from the consumed state;
-// our eager model simply re-runs the task body). The plan layer calls
-// it directly: a fused operator chain deploys exactly one task per
-// partition for the whole chain, so it needs the deploy-acquire-retry
-// protocol without any eager operator wrapped around it.
+// partition's worker: the deploy overhead, then one task slot held for
+// the body. The plan layer calls it directly: a fused operator chain
+// deploys exactly one task per partition for the whole chain, so it
+// needs the deploy-and-acquire protocol without any eager operator
+// wrapped around it.
 func (j *Job) RunTasks(operator string, nparts int, workerOf func(p int) int, body func(p int, tm *TaskManager)) {
 	c := j.cluster
 	g := vclock.NewGroup(c.Clock)
@@ -188,18 +156,10 @@ func (j *Job) RunTasks(operator string, nparts int, workerOf func(p int) int, bo
 		p := p
 		tm := c.TaskManagers[workerOf(p)%len(c.TaskManagers)]
 		g.Go(fmt.Sprintf("%s[%d]", operator, p), func() {
-			for {
-				c.Clock.Sleep(c.Cfg.Model.Overheads.TaskDeploy)
-				tm.slots.Acquire(1)
-				failed := j.shouldFail(operator)
-				if !failed {
-					body(p, tm)
-				}
-				tm.slots.Release(1)
-				if !failed {
-					return
-				}
-			}
+			c.Clock.Sleep(c.Cfg.Model.Overheads.TaskDeploy)
+			tm.slots.Acquire(1)
+			body(p, tm)
+			tm.slots.Release(1)
 		})
 	}
 	g.Wait()

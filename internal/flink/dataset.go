@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"gflink/internal/costmodel"
-	"gflink/internal/vclock"
+	"gflink/internal/netsim"
 )
 
 // Partition is one distributed slice of a Dataset, pinned to a worker.
@@ -266,27 +266,6 @@ func sortKeys[K comparable](keys []K) {
 	})
 }
 
-// shuffleExchange performs the network exchange for a
-// partition-to-partition byte matrix, one transfer per non-empty cell,
-// all in parallel. Serialization is charged by the caller's tasks on
-// both sides.
-func shuffleExchange(j *Job, fromWorker []int, toWorker []int, bytes [][]int64) {
-	g := vclock.NewGroup(j.cluster.Clock)
-	for p := range bytes {
-		for q := range bytes[p] {
-			n := bytes[p][q]
-			if n <= 0 {
-				continue
-			}
-			src, dst := fromWorker[p], toWorker[q]
-			g.Go(fmt.Sprintf("shuffle[%d->%d]", p, q), func() {
-				j.cluster.Net.Transfer(src, dst, n)
-			})
-		}
-	}
-	g.Wait()
-}
-
 // ReduceByKey groups records by key and combines each group to a single
 // record with the associative combiner. A map-side combine runs before
 // the hash shuffle, as Flink's combinable reduce does, so shuffle
@@ -331,19 +310,16 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 		d.job.cluster.Clock.Sleep(model.CPU.SerDe(sent * int64(d.recordBytes)))
 	})
 
-	// Phase 2: network exchange.
-	from := make([]int, nparts)
-	to := make([]int, nparts)
-	bytes := make([][]int64, nparts)
+	// Phase 2: network exchange, one flow per non-empty cell.
+	var flows []netsim.Flow
 	for p := range d.parts {
-		from[p] = d.parts[p].Worker
-		bytes[p] = make([]int64, nparts)
-		for q := 0; q < nparts; q++ {
-			to[q] = q % d.job.cluster.Cfg.Workers
-			bytes[p][q] = outNominal[p][q] * int64(d.recordBytes)
+		for q, nom := range outNominal[p] {
+			if nom > 0 {
+				flows = append(flows, netsim.Flow{Src: d.parts[p].Worker, Dst: q % d.job.cluster.Cfg.Workers, Bytes: nom * int64(d.recordBytes)})
+			}
 		}
 	}
-	shuffleExchange(d.job, from, to, bytes)
+	d.job.cluster.Net.Exchange("shuffle:"+name, flows)
 
 	// Phase 3: reduce-side final combine.
 	out := make([]Partition[T], nparts)
@@ -383,16 +359,12 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 // order) never touches the source partitions.
 func Collect[T any](d *Dataset[T]) []T {
 	model := d.job.cluster.Cfg.Model
-	g := vclock.NewGroup(d.job.cluster.Clock)
-	for p := range d.parts {
-		part := d.parts[p]
-		g.Go(fmt.Sprintf("collect[%d]", p), func() {
-			bytes := part.Nominal * int64(d.recordBytes)
-			d.job.cluster.Clock.Sleep(model.CPU.SerDe(bytes))
-			d.job.cluster.Net.Transfer(part.Worker, 0, bytes)
-		})
+	flows := make([]netsim.Flow, len(d.parts))
+	for p, part := range d.parts {
+		bytes := part.Nominal * int64(d.recordBytes)
+		flows[p] = netsim.Flow{Src: part.Worker, Dst: 0, Bytes: bytes, Lead: model.CPU.SerDe(bytes)}
 	}
-	g.Wait()
+	d.job.cluster.Net.Exchange("collect", flows)
 	var out []T
 	for _, p := range d.parts {
 		out = append(out, p.Items...)
@@ -400,43 +372,48 @@ func Collect[T any](d *Dataset[T]) []T {
 	return out
 }
 
+// Scatter returns the flows shipping n bytes from worker 0 (the
+// driver's node) to every other worker.
+func (j *Job) Scatter(n int64) []netsim.Flow {
+	flows := make([]netsim.Flow, 0, j.cluster.Cfg.Workers)
+	for w := 1; w < j.cluster.Cfg.Workers; w++ {
+		flows = append(flows, netsim.Flow{Src: 0, Dst: w, Bytes: n})
+	}
+	return flows
+}
+
 // Broadcast charges the cost of shipping n bytes from the driver to
 // every worker (used for broadcast variables such as KMeans centroids).
 func (j *Job) Broadcast(n int64) {
-	g := vclock.NewGroup(j.cluster.Clock)
-	for w := 1; w < j.cluster.Cfg.Workers; w++ {
-		w := w
-		g.Go(fmt.Sprintf("broadcast[%d]", w), func() {
-			j.cluster.Net.Transfer(0, w, n)
-		})
-	}
-	g.Wait()
+	j.cluster.Net.Exchange("broadcast", j.Scatter(n))
 	j.cluster.Clock.Sleep(j.cluster.Cfg.Model.Net.Latency)
+}
+
+// allToAll charges per bytes from every worker to every other one, all
+// links working in parallel.
+func (j *Job) allToAll(name string, per int64) {
+	w := j.cluster.Cfg.Workers
+	flows := make([]netsim.Flow, 0, w*(w-1))
+	for src := 0; src < w; src++ {
+		for dst := 0; dst < w; dst++ {
+			if src != dst {
+				flows = append(flows, netsim.Flow{Src: src, Dst: dst, Bytes: per})
+			}
+		}
+	}
+	j.cluster.Net.Exchange(name, flows)
 }
 
 // AllGather charges redistributing a totalBytes value that is
 // partitioned across the workers so every worker ends with the whole
 // value (e.g., the SpMV vector between iterations): each worker ships
-// its share to every peer, all links working in parallel.
+// its share to every peer.
 func (j *Job) AllGather(totalBytes int64) {
 	w := j.cluster.Cfg.Workers
 	if w <= 1 || totalBytes <= 0 {
 		return
 	}
-	share := totalBytes / int64(w)
-	g := vclock.NewGroup(j.cluster.Clock)
-	for src := 0; src < w; src++ {
-		for dst := 0; dst < w; dst++ {
-			if src == dst {
-				continue
-			}
-			src, dst := src, dst
-			g.Go(fmt.Sprintf("allgather[%d->%d]", src, dst), func() {
-				j.cluster.Net.Transfer(src, dst, share)
-			})
-		}
-	}
-	g.Wait()
+	j.allToAll("allgather", totalBytes/int64(w))
 }
 
 // ShuffleBytes charges an even all-to-all exchange of totalBytes (e.g.,
@@ -446,23 +423,7 @@ func (j *Job) ShuffleBytes(totalBytes int64) {
 	if w <= 1 || totalBytes <= 0 {
 		return
 	}
-	per := totalBytes / int64(w*w)
-	if per <= 0 {
-		per = 1
-	}
-	g := vclock.NewGroup(j.cluster.Clock)
-	for src := 0; src < w; src++ {
-		for dst := 0; dst < w; dst++ {
-			if src == dst {
-				continue
-			}
-			src, dst := src, dst
-			g.Go(fmt.Sprintf("shufbytes[%d->%d]", src, dst), func() {
-				j.cluster.Net.Transfer(src, dst, per)
-			})
-		}
-	}
-	g.Wait()
+	j.allToAll("shufbytes", max(totalBytes/int64(w*w), 1))
 }
 
 // Superstep charges the driver-side synchronization barrier between

@@ -219,23 +219,6 @@ func TestReadHDFSMissingFile(t *testing.T) {
 	})
 }
 
-func TestTaskFailureRetry(t *testing.T) {
-	c := testCluster(1)
-	c.Clock.Run(func() {
-		j := c.NewJob("flaky")
-		j.InjectTaskFailures("map:x", 2)
-		ds := Generate(j, "n", 100, 8, 4, func(p int, ord int64) int64 { return ord })
-		out := Map(ds, "x", costmodel.Work{}, 8, func(v int64) int64 { return v + 1 })
-		// Despite two failed attempts the result is complete and correct.
-		if out.RealCount() != ds.RealCount() {
-			t.Errorf("lost records after retry: %d vs %d", out.RealCount(), ds.RealCount())
-		}
-		if j.Retries() != 2 {
-			t.Errorf("retries = %d, want 2", j.Retries())
-		}
-	})
-}
-
 func TestMoreWorkersFinishFaster(t *testing.T) {
 	run := func(workers int) time.Duration {
 		c := NewCluster(Config{Workers: workers, Model: costmodel.Default(), ScaleDivisor: 100_000})

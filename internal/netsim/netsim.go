@@ -40,6 +40,8 @@ func (n *Network) Nodes() int { return len(n.up) }
 // Transfer moves bytes from node src to node dst, blocking the calling
 // process for the transfer duration: an Xfer driven to completion. A
 // same-node transfer is a memory copy and costs nothing on the network.
+// A fan-out of transfers is an Exchange; Transfer is for code already
+// running on a stack of its own (hdfs reads and writes).
 func (n *Network) Transfer(src, dst int, bytes int64) {
 	t := n.clock.Process()
 	var x Xfer
@@ -47,6 +49,67 @@ func (n *Network) Transfer(src, dst int, bytes int64) {
 	for !x.Step(t) {
 		t.Park()
 	}
+}
+
+// Flow is one transfer of an Exchange: Bytes from node Src to node
+// Dst, sent after Lead, the sender's own work before the bytes leave
+// (serialization), which holds no link.
+type Flow struct {
+	Src, Dst int
+	Bytes    int64
+	Lead     time.Duration
+}
+
+// Exchange runs every flow at once and returns when the last one is
+// done. Each flow is a stackless task, spawned in slice order, that
+// sleeps its Lead if it is positive and then drives an Xfer, so the
+// flows contend for links exactly as concurrent Transfers do. The
+// calling process parks once, and not at all for no flows; name names
+// the tasks.
+func (n *Network) Exchange(name string, flows []Flow) {
+	if len(flows) == 0 {
+		return
+	}
+	ex := &exchange{live: len(flows), done: vclock.NewEvent(n.clock)}
+	tasks := make([]flowTask, len(flows))
+	for i, f := range flows {
+		ft := &tasks[i]
+		ft.ex, ft.lead = ex, f.Lead
+		ft.x.Start(n, f.Src, f.Dst, f.Bytes)
+		ft.t = n.clock.Spawn(name, ft.step)
+	}
+	ex.done.Wait()
+}
+
+// exchange is what an Exchange's flows share: how many are still
+// running, and the event the last one sets.
+type exchange struct {
+	live int
+	done *vclock.Event
+}
+
+// flowTask is one flow of an Exchange as a task.
+type flowTask struct {
+	x    Xfer
+	lead time.Duration // still to sleep before the transfer
+	t    *vclock.Task
+	ex   *exchange
+}
+
+func (f *flowTask) step() {
+	if d := f.lead; d > 0 {
+		f.lead = 0
+		if !f.t.Sleep(d) {
+			return
+		}
+	}
+	if !f.x.Step(f.t) {
+		return
+	}
+	if f.ex.live--; f.ex.live == 0 {
+		f.ex.done.Set()
+	}
+	f.t.Exit()
 }
 
 // xferPhase is where an Xfer stands in its transfer.
