@@ -11,8 +11,8 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# go vet's standard checks plus the repo's own six-analyzer suite
-# (wallclock, bufescape, clockflow, outputpurity, hotalloc, poolsafe —
+# go vet's standard checks plus the repo's own five-analyzer suite
+# (wallclock, clockflow, outputpurity, hotalloc, poolsafe —
 # see DESIGN.md "Concurrency & lifetime invariants"). Any finding fails
 # the target; ./... includes the examples tree.
 vet:

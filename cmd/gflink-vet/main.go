@@ -1,8 +1,9 @@
-// Command gflink-vet runs the repository's six custom static analyzers
-// (wallclock, bufescape, plus the observability checks clockflow and
-// outputpurity and the allocation-discipline pair hotalloc and
-// poolsafe, the latter also owning HBuffer lifetimes) over the module. See DESIGN.md "Concurrency & lifetime
-// invariants" for what each enforces and why `go test -race` cannot.
+// Command gflink-vet runs the repository's five custom static analyzers
+// (wallclock, the observability checks clockflow and outputpurity, and
+// the allocation-discipline pair hotalloc and poolsafe, the latter also
+// owning HBuffer lifetimes and zero-copy views) over the module. See
+// DESIGN.md "Concurrency & lifetime invariants" for what each enforces
+// and why `go test -race` cannot.
 //
 // Usage:
 //

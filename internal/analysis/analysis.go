@@ -9,15 +9,14 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The six production analyzers live in the subpackages wallclock,
-// bufescape, clockflow, outputpurity, hotalloc and poolsafe;
-// cmd/gflink-vet wires them into a multichecker via the suite
-// subpackage. The flow-sensitive two (poolsafe, clockflow) share the
-// CFG/dataflow core in cfg.go and scope.go: per-function control-flow
-// graphs with panic edges, a generic forward/backward
-// worklist solver, reaching definitions, one function-scope builder
-// and one forward may-solver. See DESIGN.md "Concurrency & lifetime
-// invariants" for the invariants they enforce.
+// The five production analyzers live in the subpackages wallclock,
+// clockflow, outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
+// them into a multichecker via the suite subpackage. The flow-sensitive
+// two (poolsafe, clockflow) share the CFG/dataflow core in cfg.go and
+// scope.go: per-function control-flow graphs with panic edges, a
+// generic forward worklist solver, reaching definitions, one
+// function-scope builder and one forward may-solver. See DESIGN.md
+// "Concurrency & lifetime invariants" for the invariants they enforce.
 package analysis
 
 import (

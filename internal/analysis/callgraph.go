@@ -5,36 +5,6 @@ import (
 	"go/types"
 )
 
-// FuncInfo is one function declared in an analyzed package.
-type FuncInfo struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-}
-
-// FuncDecls lists the functions with bodies declared in the pass's
-// files, in source order. The interprocedural analyzers (bufescape)
-// iterate their per-function facts over it to a fixpoint, resolving
-// calls on demand through StaticCallee: direct calls to declared
-// functions and methods. Calls through function values and interface
-// methods are invisible, which keeps those analyzers sound only for
-// the direct-call discipline the simulator actually uses; cross-package
-// callees resolve through Import*Fact.
-func FuncDecls(pass *Pass) []*FuncInfo {
-	var fns []*FuncInfo
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				fns = append(fns, &FuncInfo{Obj: obj, Decl: fd})
-			}
-		}
-	}
-	return fns
-}
-
 // StaticCallee resolves the declared function or method a call
 // expression statically targets, or nil for calls through function
 // values, interface methods, type conversions, and builtins.

@@ -2,9 +2,9 @@ package analysis
 
 // This file is the flow-sensitive layer of the analysis framework:
 // per-function control-flow graphs built over the AST loader, a generic
-// forward/backward worklist solver, and a reaching-definitions lattice
-// with per-use def resolution. The AST-walking analyzers (wallclock,
-// bufescape, ...) check properties of individual expressions; the CFG
+// forward worklist solver, and a reaching-definitions lattice with
+// per-use def resolution. The AST-walking analyzers (wallclock,
+// hotalloc, ...) check properties of individual expressions; the CFG
 // analyzers (poolsafe, clockflow) check
 // properties of *paths* — "freed on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this
@@ -43,8 +43,8 @@ type Block struct {
 // Nodes; a function's parameters are modeled by the analyses' boundary
 // values, not by entry-block statements. Exit collects every return
 // (and the fall-off-the-end path); Panic collects every explicit
-// panic(...) statement, giving backward analyses a distinct abnormal
-// exit on which deferred cleanup still runs.
+// panic(...) statement, giving analyses a distinct abnormal exit on
+// which deferred cleanup still runs.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
@@ -424,25 +424,12 @@ func (b *cfgBuilder) buildSwitch(label string, clauses []ast.Stmt, addScrutinee 
 	b.cur = join
 }
 
-// Direction selects how a dataflow problem traverses the CFG.
-type Direction int
-
-const (
-	// Forward propagates facts along control flow (reaching
-	// definitions, taint).
-	Forward Direction = iota
-	// Backward propagates against it (liveness, "an End is reachable
-	// on every path").
-	Backward
-)
-
-// FlowProblem describes one monotone dataflow problem over a CFG for
-// Solve. F is the lattice element type; Meet, Transfer and Equal must
-// treat their arguments as immutable and return fresh values.
+// FlowProblem describes one monotone forward dataflow problem over a
+// CFG for Solve. F is the lattice element type; Meet, Transfer and
+// Equal must treat their arguments as immutable and return fresh
+// values.
 type FlowProblem[F any] struct {
-	Dir Direction
-	// Boundary is the value at the flow entry: the entry block for
-	// Forward problems, the exit and panic blocks for Backward ones.
+	// Boundary is the value at the entry block.
 	Boundary F
 	// Init yields the optimistic initial value for every other block.
 	Init func() F
@@ -455,26 +442,12 @@ type FlowProblem[F any] struct {
 }
 
 // Solve runs the iterative worklist algorithm to fixpoint and returns
-// the value at each block's flow entry and exit ("entry"/"exit" in the
-// problem's direction: for Backward problems In is the value after the
-// block's last node and Out the value before its first).
-func Solve[F any](cfg *CFG, p FlowProblem[F]) (in, out map[*Block]F) {
-	in = make(map[*Block]F, len(cfg.Blocks))
-	out = make(map[*Block]F, len(cfg.Blocks))
-	boundary := func(blk *Block) bool {
-		if p.Dir == Forward {
-			return blk == cfg.Entry
-		}
-		return blk == cfg.Exit || blk == cfg.Panic
-	}
-	preds := func(blk *Block) []*Block {
-		if p.Dir == Forward {
-			return blk.Preds
-		}
-		return blk.Succs
-	}
+// the value at each block's entry.
+func Solve[F any](cfg *CFG, p FlowProblem[F]) map[*Block]F {
+	in := make(map[*Block]F, len(cfg.Blocks))
+	out := make(map[*Block]F, len(cfg.Blocks))
 	for _, blk := range cfg.Blocks {
-		if boundary(blk) {
+		if blk == cfg.Entry {
 			in[blk] = p.Boundary
 		} else {
 			in[blk] = p.Init()
@@ -491,9 +464,9 @@ func Solve[F any](cfg *CFG, p FlowProblem[F]) (in, out map[*Block]F) {
 		blk := work[0]
 		work = work[1:]
 		queued[blk.Index] = false
-		if !boundary(blk) {
+		if blk != cfg.Entry {
 			v := p.Init()
-			for _, pr := range preds(blk) {
+			for _, pr := range blk.Preds {
 				v = p.Meet(v, out[pr])
 			}
 			in[blk] = v
@@ -503,18 +476,14 @@ func Solve[F any](cfg *CFG, p FlowProblem[F]) (in, out map[*Block]F) {
 			continue
 		}
 		out[blk] = nv
-		next := blk.Succs
-		if p.Dir == Backward {
-			next = blk.Preds
-		}
-		for _, s := range next {
+		for _, s := range blk.Succs {
 			if !queued[s.Index] {
 				queued[s.Index] = true
 				work = append(work, s)
 			}
 		}
 	}
-	return in, out
+	return in
 }
 
 // DefKind classifies how a Def gives its variable a value.
@@ -617,8 +586,7 @@ func NewReachingDefs(info *types.Info, cfg *CFG, recv *ast.FieldList, fnType *as
 	for _, d := range params {
 		entry.set(d.index)
 	}
-	inSets, _ := Solve(cfg, FlowProblem[bitset]{
-		Dir:      Forward,
+	inSets := Solve(cfg, FlowProblem[bitset]{
 		Boundary: entry,
 		Init:     func() bitset { return newBitset(len(r.defs)) },
 		Meet: func(a, b bitset) bitset {

@@ -278,56 +278,6 @@ func TestSwitchFallthrough(t *testing.T) {
 	}
 }
 
-// TestBackwardSolve runs a backward must-analysis over a diamond: "every
-// path from here to exit calls done()". The lattice is bool with AND
-// meet — the shape of an "on every path out" obligation check.
-func TestBackwardSolve(t *testing.T) {
-	src := `package fixture
-func done()  {}
-func work()  {}
-func f(c bool) {
-	work()
-	if c {
-		done()
-		return
-	}
-	work()
-}`
-	_, cfg, _, _ := buildFixture(t, src, "f")
-	callsDone := func(b *Block) bool {
-		for _, n := range b.Nodes {
-			found := false
-			ast.Inspect(n, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "done" {
-						found = true
-					}
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
-		return false
-	}
-	_, out := Solve(cfg, FlowProblem[bool]{
-		Dir:      Backward,
-		Boundary: false,
-		Init:     func() bool { return true },
-		Meet:     func(a, b bool) bool { return a && b },
-		Transfer: func(b *Block, in bool) bool { return in || callsDone(b) },
-		Equal:    func(a, b bool) bool { return a == b },
-	})
-	thenBlk := callBlock(cfg, "done")
-	if !out[thenBlk] {
-		t.Error("the done() branch must satisfy the property")
-	}
-	if out[cfg.Entry] {
-		t.Error("the else path skips done(); entry must not satisfy the property")
-	}
-}
-
 // TestSolveMay runs the shared forward may-solver over a diamond with
 // two bits, both set before the branch: bit 0 is killed on the then arm
 // only, bit 1 on both arms. A may-fact survives a join when any arm

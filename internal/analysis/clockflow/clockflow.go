@@ -14,7 +14,7 @@
 // roots), plus any function through
 // which a parameter provably flows into a sink. Those derived sinks are
 // exported as TimestampSink facts, so the check follows helpers across
-// packages exactly like bufescape's fact flow. Functions
+// packages exactly like poolsafe's Retains facts. Functions
 // whose every return value is vclock-derived export VClockSource and
 // count as clock readings at their call sites.
 //

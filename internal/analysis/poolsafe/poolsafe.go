@@ -1,7 +1,9 @@
-// Package poolsafe proves buffer ownership: a value from an owning
+// Package poolsafe proves buffer ownership. A value from an owning
 // source must be released exactly once on every non-panicking path out
 // of the acquiring function, and must not be referenced — directly or
-// through a reference retained by an earlier call — once released.
+// through a reference retained by an earlier call — once released; a
+// zero-copy view of an HBuffer must not outlive the scope that keeps
+// the buffer live.
 // The sources are //gflink:pool-annotated Get-like methods (released
 // with the pool's Put; the discipline behind allocation-free hot
 // paths) and membuf's Pool.Allocate and Pool.MustAllocate (released
@@ -13,11 +15,26 @@
 // obligation, dropped by Unpin, Free or a transfer: pinned pages are
 // excluded from cache reclaim.
 //
+// Both checks read one retention result, the Retains fact: whether a
+// function keeps its argument beyond the call. It covers every
+// parameter that can hold a reference (pointer, slice, map, chan, func
+// or interface) and is one fixpoint over the package's functions: a
+// parameter is retained when it, a local alias or re-slice of it, or a
+// local holding it in a field is stored anywhere outliving the frame,
+// sent on a channel, appended, captured by a function literal, or
+// passed to a retaining parameter. Imported facts carry it across
+// packages, so a helper in core that caches its argument is visible
+// from flink. Unknown callees (function values, interface methods,
+// stdlib, membuf) and type-parameter arguments are assumed
+// non-retaining — the direct-call discipline the simulator uses keeps
+// that optimistic default honest, and it lets a hand-off through a
+// generic vclock queue (submit, wait, release) stand: the wait that
+// ends such a retention is invisible here.
+//
 // Each function body — declared or literal — is a forward may-problem
 // over its CFG with four bits per obligation: live (not yet released),
-// done (released), retained (an earlier call kept a reference: by
-// imported bufescape Retains facts, or a lexical scan of same-package
-// callees) and bare (some path has no deferred release armed).
+// done (released), retained (an earlier call kept a reference) and
+// bare (some path has no deferred release armed).
 // Findings: live at the exit (panic exits are exempt: an abandoned
 // value on a dying path costs one recycle, not correctness); a release
 // while done; any use while done; a release while retained; and an
@@ -32,6 +49,17 @@
 // known non-nil (if err != nil { ... }) there is nothing to release. A
 // transfer the analysis cannot see is documented with
 // //gflink:owns-buffer on (or above) the acquisition or Pin line.
+//
+// HBuffer.Bytes() returns a slice aliasing the buffer's backing array,
+// the point of the zero-copy transfer path. Such a view is transient:
+// read or written in place, then dropped before the buffer's Free. A
+// view returned, stored, sent, appended, captured by a closure or
+// passed to a retaining parameter becomes a dangling window once the
+// pool reuses the pages, a use-after-free Go's GC hides until the data
+// is wrong. Element reads (v[i]), copy/len/cap and append(dst, v...)
+// are not escapes. Intentional retention — e.g. a test harness that
+// owns the buffer for the process's whole lifetime — is annotated
+// //gflink:retains-bytes with a justification.
 package poolsafe
 
 import (
@@ -42,7 +70,6 @@ import (
 	"slices"
 
 	"gflink/internal/analysis"
-	"gflink/internal/analysis/bufescape"
 )
 
 // PoolSource is an object fact marking a //gflink:pool-annotated
@@ -56,9 +83,9 @@ func (*PoolSource) AFact() {}
 // Analyzer is the poolsafe analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "poolsafe",
-	Doc:       "values from //gflink:pool sources and membuf HBuffers (and HBuffer pins) must be released exactly once on every path and not used after release (suppress leaks with //gflink:owns-buffer)",
+	Doc:       "values from //gflink:pool sources and membuf HBuffers (and HBuffer pins) must be released exactly once on every path and not used after release (suppress leaks with //gflink:owns-buffer); HBuffer.Bytes() views must not escape (suppress with //gflink:retains-bytes)",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*PoolSource)(nil)},
+	FactTypes: []analysis.Fact{(*PoolSource)(nil), (*Retains)(nil)},
 }
 
 const membufPath = "gflink/internal/membuf"
@@ -66,27 +93,24 @@ const membufPath = "gflink/internal/membuf"
 func run(pass *analysis.Pass) (interface{}, error) {
 	c := &checker{
 		pass:    pass,
-		decls:   make(map[*types.Func]*ast.FuncDecl),
 		sources: make(map[*types.Func]bool),
-		retain:  make(map[*types.Func][]bool),
+		local:   make(map[*types.Func][]bool),
 	}
 	scopes := analysis.FuncScopes(pass)
 	for _, sc := range scopes {
-		if sc.Obj == nil {
-			continue
-		}
-		c.decls[sc.Obj] = sc.Decl
-		if analysis.DirectiveAt(sc.Idx, pass.Fset, "pool", sc.Decl.Pos()) {
+		if sc.Obj != nil && analysis.DirectiveAt(sc.Idx, pass.Fset, "pool", sc.Decl.Pos()) {
 			c.sources[sc.Obj] = true
 			if analysis.ObjectKey(sc.Obj) != "" {
 				pass.ExportObjectFact(sc.Obj, &PoolSource{})
 			}
 		}
 	}
+	c.solveRetention(scopes)
 	// A literal's free variables are untracked inside it, so a value
 	// acquired outside and released inside stays the enclosing
 	// scope's business (capturing it is a transfer there).
 	for _, sc := range scopes {
+		c.checkViews(sc)
 		c.checkFunc(sc)
 	}
 	return nil, nil
@@ -94,9 +118,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 type checker struct {
 	pass    *analysis.Pass
-	decls   map[*types.Func]*ast.FuncDecl
 	sources map[*types.Func]bool
-	retain  map[*types.Func][]bool // lexical retention cache, by param
+	local   map[*types.Func][]bool // Retains of this package's functions, by param
 }
 
 // source reports whether a call acquires a tracked value, returning
@@ -171,90 +194,6 @@ func (c *checker) discarded(n ast.Node) *ast.CallExpr {
 		}
 	}
 	return nil
-}
-
-// retains reports whether fn keeps a reference to its i'th parameter:
-// by imported bufescape Retains fact, or for same-package callees by a
-// lexical scan.
-func (c *checker) retains(fn *types.Func, i int) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	var fact bufescape.Retains
-	if c.pass.ImportObjectFact(fn, &fact) {
-		return paramBit(fact.Params, sig, i)
-	}
-	ps, ok := c.retain[fn]
-	if !ok {
-		ps = c.lexicalRetention(fn)
-		c.retain[fn] = ps
-	}
-	return paramBit(ps, sig, i)
-}
-
-func paramBit(ps []bool, sig *types.Signature, i int) bool {
-	if sig != nil && sig.Variadic() && i >= len(ps)-1 {
-		i = len(ps) - 1
-	}
-	return i >= 0 && i < len(ps) && ps[i]
-}
-
-// lexicalRetention scans a same-package callee's body: a parameter is
-// retained when it is stored (assignment right-hand side, composite
-// literal element, channel send, append argument) or captured by a
-// function literal.
-func (c *checker) lexicalRetention(fn *types.Func) []bool {
-	decl := c.decls[fn]
-	sig, _ := fn.Type().(*types.Signature)
-	if decl == nil || decl.Body == nil || sig == nil {
-		return nil
-	}
-	ps := make([]bool, sig.Params().Len())
-	vars := make(map[*types.Var]int, len(ps))
-	for i := 0; i < sig.Params().Len(); i++ {
-		vars[sig.Params().At(i)] = i
-	}
-	info := c.pass.TypesInfo
-	var stack []ast.Node
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if v, ok := info.Uses[id].(*types.Var); ok {
-				if i, ok := vars[v]; ok && retainingUse(stack, id) {
-					ps[i] = true
-				}
-			}
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return ps
-}
-
-// retainingUse reports whether a parameter occurrence stores the
-// reference beyond the call.
-func retainingUse(stack []ast.Node, id *ast.Ident) bool {
-	for _, a := range stack {
-		if _, ok := a.(*ast.FuncLit); ok {
-			return true
-		}
-	}
-	switch p := parentOf(stack).(type) {
-	case *ast.AssignStmt:
-		for _, l := range p.Lhs {
-			if ast.Unparen(l) == ast.Expr(id) {
-				return false
-			}
-		}
-		return true // on a right-hand side: stored somewhere
-	case *ast.CompositeLit, *ast.KeyValueExpr, *ast.SendStmt:
-		return true
-	case *ast.CallExpr:
-		fun, ok := ast.Unparen(p.Fun).(*ast.Ident)
-		return ok && fun.Name == "append"
-	}
-	return false
 }
 
 // parentOf returns the nearest non-paren ancestor.

@@ -141,6 +141,12 @@ func touchedPut(p *pool) {
 	p.Put(w)
 }
 
+func retainedPutCrossPackage(p *dep.Pool) {
+	w := p.Get()
+	dep.Keep(w) // dep.Keep stores w in a global...
+	p.Put(w)    // want `retained by an earlier call`
+}
+
 func okDep(p *dep.Pool) {
 	w := p.Get()
 	w.N++

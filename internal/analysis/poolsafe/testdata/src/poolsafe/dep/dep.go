@@ -1,5 +1,5 @@
-// Package dep exports a PoolSource fact consumed by the poolsafe
-// fixture package.
+// Package dep exports the PoolSource and Retains facts consumed by the
+// poolsafe fixture package.
 package dep
 
 // Work is a pooled object.
@@ -22,3 +22,8 @@ func (p *Pool) Get() *Work {
 
 // Put returns a Work to the free list.
 func (p *Pool) Put(w *Work) { p.free = append(p.free, w) }
+
+var kept []*Work
+
+// Keep stores w; its parameter is retained.
+func Keep(w *Work) { kept = append(kept, w) }

@@ -69,8 +69,7 @@ func FuncScopes(pass *Pass) []*FuncScope {
 // a private copy of its entry bits. SolveMay returns every block's
 // entry bits.
 func SolveMay(cfg *CFG, n int, step func(blk *Block, bits []bool)) map[*Block][]bool {
-	in, _ := Solve(cfg, FlowProblem[[]bool]{
-		Dir:      Forward,
+	return Solve(cfg, FlowProblem[[]bool]{
 		Boundary: make([]bool, n),
 		Init:     func() []bool { return make([]bool, n) },
 		Meet: func(a, b []bool) []bool {
@@ -87,7 +86,6 @@ func SolveMay(cfg *CFG, n int, step func(blk *Block, bits []bool)) map[*Block][]
 		},
 		Equal: slices.Equal[[]bool],
 	})
-	return in
 }
 
 // CallDefs reports each definition node n makes of a tracked local

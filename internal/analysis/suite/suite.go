@@ -5,7 +5,6 @@ package suite
 
 import (
 	"gflink/internal/analysis"
-	"gflink/internal/analysis/bufescape"
 	"gflink/internal/analysis/clockflow"
 	"gflink/internal/analysis/hotalloc"
 	"gflink/internal/analysis/outputpurity"
@@ -13,7 +12,7 @@ import (
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of six analyzers.
+// Rules returns the production analyzer suite of five analyzers.
 //
 //   - wallclock (wall-clock time sources, bare go statements, map
 //     ranges and mutexes) runs module-wide except the gflink/benchmark
@@ -23,10 +22,10 @@ import (
 //     simulator, cmd/, examples/ or the root package. Its map-range
 //     row also skips the analysis framework and cmd/gflink-vet
 //     (wallclock.MapRangeBanned).
-//   - bufescape and poolsafe (HBuffer views and lifetimes, plus
-//     //gflink:pool values) run module-wide except internal/membuf,
-//     which constructs, destroys, and aliases HBuffer storage by
-//     definition and declares no //gflink:pool source.
+//   - poolsafe (buffer ownership: HBuffer lifetimes and zero-copy
+//     views, plus //gflink:pool values) runs module-wide except
+//     internal/membuf, which constructs, destroys, and aliases HBuffer
+//     storage by definition and declares no //gflink:pool source.
 //   - the flow-sensitive observability analyzer clockflow and
 //     outputpurity run module-wide: they fire only on calls into the
 //     obs/core recording APIs or on //gflink:gated code, so an
@@ -37,14 +36,13 @@ import (
 //     //gflink:hotpath annotations (invariant 10), so unannotated
 //     packages cost nothing.
 //
-// bufescape, clockflow, hotalloc and poolsafe carry fact types, so the
-// driver also runs them over module-internal dependencies of the
-// requested packages (facts only) before analyzing the targets.
+// clockflow, hotalloc and poolsafe carry fact types, so the driver
+// also runs them over module-internal dependencies of the requested
+// packages (facts only) before analyzing the targets.
 func Rules() []analysis.Rule {
 	benchmark := analysis.Under("gflink/benchmark")
 	return []analysis.Rule{
 		{Analyzer: wallclock.Analyzer, Applies: func(path string) bool { return !benchmark(path) }},
-		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: outputpurity.Analyzer},
 		{Analyzer: hotalloc.Analyzer},
