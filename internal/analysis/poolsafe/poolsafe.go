@@ -19,17 +19,17 @@
 // function keeps its argument beyond the call. It covers every
 // parameter that can hold a reference (pointer, slice, map, chan, func
 // or interface) and is one fixpoint over the package's functions: a
-// parameter is retained when it, a local alias or re-slice of it, or a
-// local holding it in a field is stored anywhere outliving the frame,
-// sent on a channel, appended, captured by a function literal, or
-// passed to a retaining parameter. Imported facts carry it across
-// packages, so a helper in core that caches its argument is visible
-// from flink. Unknown callees (function values, interface methods,
-// stdlib, membuf) and type-parameter arguments are assumed
+// parameter is retained when it, or a local alias or re-slice of it, is
+// stored in a field, element, pointer or global, sent on a channel,
+// appended, captured by a function literal, or passed to a retaining
+// parameter. Imported facts carry it across packages, so a helper in
+// core that caches its argument is visible from flink. Unknown callees
+// (function values, interface methods, stdlib, membuf) are assumed
 // non-retaining — the direct-call discipline the simulator uses keeps
-// that optimistic default honest, and it lets a hand-off through a
-// generic vclock queue (submit, wait, release) stand: the wait that
-// ends such a retention is invisible here.
+// that optimistic default honest — and so are the simulator's
+// submission points (vclock's Queue.Put and Ring.Push, gpu.Stream's
+// async copies), whose retention ends at a later wait this analysis
+// cannot see.
 //
 // Each function body — declared or literal — is a forward may-problem
 // over its CFG with four bits per obligation: live (not yet released),

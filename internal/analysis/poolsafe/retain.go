@@ -50,10 +50,27 @@ func (c *checker) solveRetention(scopes []*analysis.FuncScope) {
 	}
 }
 
+// handoffs are the simulator's submission points, keyed by package
+// path and ObjectKey. Each passes its argument to a consumer that the
+// caller then waits on (the submitted work's Wait, a stream callback's
+// event), and the reference ends at that wait, which this analysis
+// cannot see. So they are non-retaining by name, as membuf's methods
+// are recognized by name.
+var handoffs = map[string]bool{
+	"gflink/internal/vclock.Queue.Put":          true,
+	"gflink/internal/vclock.Ring.Push":          true,
+	"gflink/internal/gpu.Stream.H2DAsync":       true,
+	"gflink/internal/gpu.Stream.H2DRangesAsync": true,
+	"gflink/internal/gpu.Stream.D2HAsync":       true,
+}
+
 // retains reports whether fn keeps a reference to its i'th argument:
-// the package's own fixpoint for same-package callees, the imported
-// Retains fact for the rest.
+// never for a handoff, else the package's own fixpoint for same-package
+// callees and the imported Retains fact for the rest.
 func (c *checker) retains(fn *types.Func, i int) bool {
+	if fn.Pkg() != nil && handoffs[fn.Pkg().Path()+"."+analysis.ObjectKey(fn)] {
+		return false
+	}
 	ps, ok := c.local[fn]
 	if !ok {
 		var fact Retains
@@ -91,8 +108,7 @@ type escape struct {
 // seed the tracked value is that parameter; with a nil seed every
 // HBuffer.Bytes() call is one, and returning it counts too (a function
 // returning its own parameter is the transient-view idiom and the
-// caller's problem). Local aliases (x := v, x := v[a:b]) and locals
-// holding a tracked value in a field (x.f = v) are tracked
+// caller's problem). Local aliases (x := v, x := v[a:b]) are tracked
 // transitively.
 func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
 	info := c.pass.TypesInfo
@@ -153,7 +169,7 @@ func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
 				if !transmits(rhss[i]) {
 					continue
 				}
-				if obj := holder(info, body, lhss[i]); obj != nil && !tracked[obj] {
+				if obj := holder(info, lhss[i]); obj != nil && !tracked[obj] {
 					tracked[obj] = true
 					changed = true
 				}
@@ -198,7 +214,7 @@ func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
 				if !transmits(rhss[i]) {
 					continue
 				}
-				if kind, escapes := lvalueKind(info, body, lhss[i]); escapes {
+				if kind, escapes := lvalueKind(info, lhss[i]); escapes {
 					add(rhss[i].Pos(), "stored in "+kind)
 				}
 			}
@@ -259,16 +275,10 @@ func assignPairs(n ast.Node) (lhs, rhs []ast.Expr) {
 	return nil, nil
 }
 
-// holder returns the local variable that an assignment to lhs stores
-// into, which then carries the value as an alias: lhs itself when it
-// names a non-global variable, or the root of a field path (x.f, x.f.g)
-// when that root is declared in body. Anything else outlives the frame.
-func holder(info *types.Info, body *ast.BlockStmt, lhs ast.Expr) types.Object {
-	e, field := ast.Unparen(lhs), false
-	for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = e.(*ast.SelectorExpr) {
-		e, field = ast.Unparen(sel.X), true
-	}
-	id, ok := e.(*ast.Ident)
+// holder returns the local variable an assignment to lhs stores into,
+// which then carries the value as an alias; nil for any other target.
+func holder(info *types.Info, lhs ast.Expr) types.Object {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -276,21 +286,18 @@ func holder(info *types.Info, body *ast.BlockStmt, lhs ast.Expr) types.Object {
 	if obj == nil {
 		obj = info.Uses[id]
 	}
-	if obj == nil || isGlobal(obj) || field && (obj.Pos() < body.Pos() || obj.Pos() >= body.End()) {
+	if obj == nil || isGlobal(obj) {
 		return nil
 	}
 	return obj
 }
 
 // lvalueKind classifies an assignment target that receives a tracked
-// value: anything but a holder outlives the frame.
-func lvalueKind(info *types.Info, body *ast.BlockStmt, lhs ast.Expr) (string, bool) {
-	if holder(info, body, lhs) != nil {
-		return "", false // tracked instead
-	}
+// value: anything but a local variable outlives the frame.
+func lvalueKind(info *types.Info, lhs ast.Expr) (string, bool) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		if obj := info.Uses[lhs]; obj != nil {
+		if obj := info.Uses[lhs]; obj != nil && isGlobal(obj) {
 			return "the global variable " + obj.Name(), true
 		}
 	case *ast.SelectorExpr:
@@ -304,14 +311,9 @@ func lvalueKind(info *types.Info, body *ast.BlockStmt, lhs ast.Expr) (string, bo
 }
 
 // holdsRef reports whether a value of type t can hold a reference: a
-// pointer, slice, map, chan, func or interface. A type parameter is
-// none of these until instantiated, and a generic body is analyzed
-// once for every instantiation, so it stays optimistic like a call
-// through an interface method.
+// pointer, slice, map, chan, func or interface, or a type parameter
+// (its constraint is an interface).
 func holdsRef(t types.Type) bool {
-	if _, ok := t.(*types.TypeParam); ok {
-		return false
-	}
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
 		return true

@@ -53,25 +53,11 @@ type report struct{ buf *membuf.HBuffer }
 
 var reports []*report
 
-// measure stores b only in a field of its own local.
-func measure(b *membuf.HBuffer) int {
-	var r report
-	r.buf = b
-	return r.buf.Size()
-}
-
 // stash stores b in a field of a local that then escapes.
 func stash(b *membuf.HBuffer) {
 	r := &report{}
 	r.buf = b
 	reports = append(reports, r)
-}
-
-func okFreeAfterLocalField(p *membuf.Pool) int {
-	b := p.MustAllocate(64)
-	n := measure(b)
-	b.Free()
-	return n
 }
 
 func freeStashed(p *membuf.Pool) {
@@ -80,15 +66,27 @@ func freeStashed(p *membuf.Pool) {
 	b.Free() // want `HBuffer was retained by an earlier call`
 }
 
+type slots struct{ entries []*report }
+
+// park stores b in the report a slot points at, through a local.
+func park(t *slots, i int, b *membuf.HBuffer) {
+	e := t.entries[i]
+	e.buf = b
+}
+
+func freeParked(p *membuf.Pool, t *slots) {
+	b := p.MustAllocate(64)
+	park(t, 0, b)
+	b.Free() // want `HBuffer was retained by an earlier call`
+}
+
 type queue[T any] struct{ items []T }
 
 func (q *queue[T]) put(v T) { q.items = append(q.items, v) }
 
-// A type-parameter argument is not tracked: the generic body is one
-// analysis for every instantiation. The simulator's hand-offs through
-// vclock queues (submit, wait, release) rely on this.
-func okFreeAfterGenericPut(p *membuf.Pool, q *queue[*membuf.HBuffer]) {
+// A same-package generic container retains like any other callee.
+func freeAfterGenericPut(p *membuf.Pool, q *queue[*membuf.HBuffer]) {
 	b := p.MustAllocate(64)
 	q.put(b)
-	b.Free()
+	b.Free() // want `HBuffer was retained by an earlier call`
 }
