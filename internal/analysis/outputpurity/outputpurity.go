@@ -1,8 +1,8 @@
 // Package outputpurity enforces DESIGN.md invariant 9: code that is
 // reachable only when an opt-in feature (SoA column projection, the
-// host paging tier) is enabled must not write result buffers unless
-// the copy is annotated as sanctioned, so enabling a feature can change
-// *when* bytes move but never *which* bytes the caller observes.
+// host paging tier) is enabled must not write result buffers, so
+// enabling a feature can change *when* bytes move but never *which*
+// bytes the caller observes.
 //
 // A function is feature-gated when its declaration carries a
 // //gflink:gated <feature> directive (the annotation the gated entry
@@ -14,8 +14,7 @@
 //
 // Inside gated functions (function literals included) every copy is
 // flagged — the stream copies a gstream worker enqueues, whole-buffer
-// and ranged alike, and the builtin copy — unless the site carries
-// //gflink:real-copy.
+// and ranged alike, and the builtin copy. No directive exempts one.
 package outputpurity
 
 import (
@@ -29,7 +28,7 @@ import (
 // Analyzer implements the outputpurity check.
 var Analyzer = &analysis.Analyzer{
 	Name: "outputpurity",
-	Doc:  "feature-gated code must not write result buffers except through //gflink:real-copy sites",
+	Doc:  "feature-gated code must not write result buffers",
 	Run:  run,
 }
 
@@ -136,15 +135,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // checkGated walks one gated function (nested literals included) and
-// flags every unannotated copy.
+// flags every copy.
 func checkGated(pass *analysis.Pass, sc *scope) {
 	info := pass.TypesInfo
 	ast.Inspect(sc.fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
-		}
-		if analysis.DirectiveAt(sc.idx, pass.Fset, "real-copy", call.Pos()) {
 			return true
 		}
 		if !isBuiltinCopy(info, call) {
@@ -153,7 +149,7 @@ func checkGated(pass *analysis.Pass, sc *scope) {
 				return true
 			}
 		}
-		pass.Reportf(call.Pos(), "copy inside feature-gated code; gated paths must not write result buffers (invariant 9; //gflink:real-copy if this copy is the sanctioned one)")
+		pass.Reportf(call.Pos(), "copy inside feature-gated code; gated paths must not write result buffers (invariant 9)")
 		return true
 	})
 }

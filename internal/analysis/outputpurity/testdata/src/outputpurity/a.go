@@ -1,5 +1,5 @@
 // Fixture for the outputpurity analyzer: feature-gated code must not
-// write result buffers except through //gflink:real-copy sites.
+// write result buffers, and no directive exempts a copy.
 package outputpurity
 
 import (
@@ -28,8 +28,8 @@ func rangedEmptyInGated(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer) {
 
 //gflink:gated projection
 func rangedSanctioned(s *gpu.Stream, dst *gpu.Buffer, in *membuf.HBuffer, ranges []gpu.CopyRange) {
-	//gflink:real-copy -- the projected columns are the sanctioned copy here
-	s.H2DRangesAsync(dst, in, ranges, 10)
+	//gflink:real-copy -- not a directive: no comment exempts a copy
+	s.H2DRangesAsync(dst, in, ranges, 10) // want `copy inside feature-gated code`
 }
 
 //gflink:gated hosttier
@@ -50,8 +50,8 @@ func hostCopyInGated(dst, src *membuf.HBuffer) {
 
 //gflink:gated hosttier
 func sanctionedFull(dst, src *membuf.HBuffer) {
-	//gflink:real-copy -- staging rebuild is the sanctioned full copy here
-	copy(dst.Bytes(), src.Bytes())
+	//gflink:real-copy -- not a directive: no comment exempts a copy
+	copy(dst.Bytes(), src.Bytes()) // want `copy inside feature-gated code`
 }
 
 //gflink:gated hosttier

@@ -31,12 +31,14 @@ func secondsCell(t *testing.T, cell string) float64 {
 }
 
 // tableOnce memoizes one experiment's table, with the stats of every
-// TaskManager pool ([deployment][worker]) the run built, read once the
-// run returned.
+// TaskManager pool ([deployment][worker]) and the allocated bytes of
+// every GPU ([deployment][device], workers in order) the run built,
+// read once the run returned.
 type tableOnce struct {
-	once  sync.Once
-	tbl   *Table
-	pools [][]membuf.Stats
+	once    sync.Once
+	tbl     *Table
+	pools   [][]membuf.Stats
+	devUsed [][]int64
 }
 
 // tables maps an experiment ID to its *tableOnce, so each experiment
@@ -60,6 +62,13 @@ func memo(e *Experiment) *tableOnce {
 				pools = append(pools, tm.Pool.Stats())
 			}
 			m.pools = append(m.pools, pools)
+			var used []int64
+			for _, mgr := range g.Managers {
+				for _, dev := range mgr.Devices {
+					used = append(used, dev.UsedBytes())
+				}
+			}
+			m.devUsed = append(m.devUsed, used)
 		}
 	})
 	return m
@@ -346,8 +355,9 @@ func TestDeterministicExperiment(t *testing.T) {
 
 // TestExperimentsReturnEveryHostPage: every deployment of every
 // experiment ends with each TaskManager pool at no page in use and none
-// pinned, so a run returns every off-heap page it took, the harness's
-// own GWork buffers included.
+// pinned, and with every GPU at no allocated byte, so a run returns
+// every off-heap page and every device buffer it took, the harness's
+// own GWork buffers and the cache regions included.
 func TestExperimentsReturnEveryHostPage(t *testing.T) {
 	for _, e := range All() {
 		m := memo(e)
@@ -358,6 +368,13 @@ func TestExperimentsReturnEveryHostPage(t *testing.T) {
 			for w, st := range pools {
 				if st.InUsePages != 0 || st.PinnedPages != 0 {
 					t.Errorf("%s#%d worker %d pool: %d pages in use, %d pinned", e.ID, d, w, st.InUsePages, st.PinnedPages)
+				}
+			}
+		}
+		for d, used := range m.devUsed {
+			for i, n := range used {
+				if n != 0 {
+					t.Errorf("%s#%d gpu %d: %d device bytes still allocated", e.ID, d, i, n)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -127,8 +128,8 @@ func (m *cacheModel) unpinned() bool {
 
 // FuzzDeviceCache drives one device's cache regions (two jobs, a
 // 100-byte region each) with random Acquire, Release, Insert, ReleaseJob
-// and Reclaim sequences under FIFO and StopWhenFull, with the host tier
-// off, and checks after every step that:
+// and Reclaim sequences under FIFO and StopWhenFull. With the host tier
+// off (bit 1 of the policy byte clear) it checks after every step that:
 //   - Used never exceeds RegionCap;
 //   - an acquired entry is never evicted;
 //   - FIFO evicts in admission order, and Reclaim oldest first from the
@@ -141,6 +142,10 @@ func (m *cacheModel) unpinned() bool {
 //     value plus the other job's entries, and every rejected or evicted
 //     buffer is freed exactly once (a double free panics);
 //   - the cache.<event>.gpuN counters equal the model's tally.
+//
+// With bit 1 set, a 150-byte host tier is armed, so victims demote,
+// spill and come back on Acquire; runTierOps then checks the properties
+// that need no model of the tier.
 //
 // Each op is one byte (mod 5) followed by its arguments: a job byte
 // (mod 2) and a block byte (mod 8) for Acquire, Release and Insert, then
@@ -170,6 +175,21 @@ func FuzzDeviceCache(f *testing.F) {
 	}
 	f.Add(byte(0), reclaim)
 	f.Add(byte(1), reclaim)
+	// Host tier, FIFO: four 60-byte blocks evict one another into the
+	// tier, which spills block 0. Blocks 0, 1 and 2 each reload from the
+	// spill disk, each reload's Insert (and one Reclaim) demoting the
+	// resident block, and the job is released with block 2 pinned.
+	f.Add(byte(2), []byte{
+		2, 0, 0, 59, 1, 0, 0, 2, 0, 1, 59, 1, 0, 1, 2, 0, 2, 59, 1, 0, 2, 2, 0, 3, 59, 1, 0, 3,
+		0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 4, 100, 0, 0, 2, 3, 0,
+	})
+	// Host tier, StopWhenFull: only Reclaim demotes; the third demotion
+	// spills block 0, which reloads, and block 1's promotion then finds
+	// the region full and degrades to a miss.
+	f.Add(byte(3), []byte{
+		2, 0, 0, 59, 1, 0, 0, 4, 200, 2, 0, 1, 59, 1, 0, 1, 4, 200, 2, 0, 2, 59, 1, 0, 2, 4, 200,
+		0, 0, 0, 1, 0, 0, 0, 0, 1, 3, 0,
+	})
 	f.Fuzz(func(t *testing.T, policy byte, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -178,14 +198,25 @@ func FuzzDeviceCache(f *testing.F) {
 		if policy%2 == 1 {
 			pol = StopWhenFull
 		}
-		g := New(Config{
+		tier := policy&2 != 0
+		cfg := Config{
 			Config:           flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
 			GPUsPerWorker:    1,
 			CacheBytesPerJob: 100,
 			CachePolicy:      pol,
-		})
+		}
+		if tier {
+			cfg.HostTierBytes = 150
+		}
+		g := New(cfg)
 		var err error
-		g.Run(func() { err = runCacheOps(g, pol, ops) })
+		g.Run(func() {
+			if tier {
+				err = runTierOps(g, ops)
+			} else {
+				err = runCacheOps(g, pol, ops)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,6 +343,156 @@ func runCacheOps(g *GFlink, pol CachePolicy, ops []byte) error {
 	}
 	if got := dev.UsedBytes(); got != start {
 		return fmt.Errorf("after releasing every job the device holds %d bytes, want the start value %d", got, start)
+	}
+	return nil
+}
+
+// tierBytes is key's byte pattern of length n: its first byte differs
+// from every other key's, and the rest vary with the index.
+func tierBytes(key CacheKey, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(key.JobID<<4|key.Block) + byte(i)*0x9d
+	}
+	return b
+}
+
+// runTierOps replays ops against device 0 of g, whose host tier is
+// armed, with runCacheOps' encoding. Insert writes a key-unique pattern
+// of 1 + nominal%8 bytes. It returns the first violation of:
+//   - every Acquire hit returns exactly its key's pattern, at the length
+//     the resident entry was inserted with;
+//   - Used never exceeds RegionCap, and the tier's resident pages never
+//     exceed its capacity;
+//   - the device's allocated bytes are the start value plus the resident
+//     entries: a tier page holds no device bytes;
+//   - no buffer backs two entries or pages at once, so a detached
+//     buffer is never reattached twice;
+//   - after Reclaim(need) the device has need bytes free, or every
+//     resident entry is pinned;
+//   - after ReleaseJob the job has no entry and no tier page, and after
+//     releasing every job the device is back at its start value.
+func runTierOps(g *GFlink, ops []byte) error {
+	mem := g.Manager(0).Streams.Memory(0)
+	dev := mem.Device()
+	start := dev.UsedBytes()
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return int(b)
+	}
+	key := func(job, block int) CacheKey { return CacheKey{JobID: job + 1, Block: block} }
+	// unpin drops every pin a job's entries hold, as its finished work
+	// would.
+	unpin := func(job int) {
+		if r, ok := mem.regions[job+1]; ok {
+			for e := r.head; e != nil; e = e.next {
+				for n := e.refs; n > 0; n-- {
+					mem.Release(e.key)
+				}
+			}
+		}
+	}
+	check := func(step int) error {
+		owner := make(map[*gpu.Buffer]CacheKey)
+		claim := func(b *gpu.Buffer, k CacheKey) error {
+			if o, dup := owner[b]; dup {
+				return fmt.Errorf("step %d: one buffer backs both %+v and %+v", step, o, k)
+			}
+			owner[b] = k
+			return nil
+		}
+		var resident int64
+		for job := 0; job < 2; job++ {
+			used := mem.Used(job + 1)
+			if used > mem.RegionCap() {
+				return fmt.Errorf("step %d: job %d uses %d bytes of a %d-byte region", step, job, used, mem.RegionCap())
+			}
+			resident += used
+			if r, ok := mem.regions[job+1]; ok {
+				for e := r.head; e != nil; e = e.next {
+					if err := claim(e.buf, e.key); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		if got := dev.UsedBytes(); got != start+resident {
+			return fmt.Errorf("step %d: device holds %d bytes, want %d at start plus %d resident", step, got, start, resident)
+		}
+		var hostUsed int64
+		pages := 0
+		for _, l := range [...]*entryList{&mem.hostList, &mem.spillList} {
+			for p := l.head; p != nil; p = p.next {
+				if err := claim(p.buf, p.key); err != nil {
+					return err
+				}
+				if !p.spilled {
+					hostUsed += p.nominal
+				}
+				pages++
+			}
+		}
+		if hostUsed != mem.hostUsed || hostUsed > mem.HostTierBytes() || pages != len(mem.hostPages) {
+			return fmt.Errorf("step %d: %d tier pages holding %d resident bytes (tier counts %d of %d, maps %d pages)",
+				step, pages, hostUsed, mem.hostUsed, mem.HostTierBytes(), len(mem.hostPages))
+		}
+		return nil
+	}
+	for step := 0; len(ops) > 0; step++ {
+		switch next() % 5 {
+		case 0: // Acquire
+			k := key(next()%2, next()%8)
+			if buf, hit := mem.Acquire(k); hit {
+				want := tierBytes(k, 1+int(mem.CachedBytes([]CacheKey{k})%8))
+				if got := buf.Bytes(); !bytes.Equal(got, want) {
+					return fmt.Errorf("step %d: Acquire(%+v) returned bytes %v, want %v", step, k, got, want)
+				}
+			}
+		case 1: // Release
+			mem.Release(key(next()%2, next()%8))
+		case 2: // Insert
+			k := key(next()%2, next()%8)
+			nominal := int64(1 + next()%120)
+			buf, err := dev.Malloc(nominal, 1+int(nominal%8))
+			if err != nil {
+				return fmt.Errorf("step %d: %v", step, err)
+			}
+			copy(buf.Bytes(), tierBytes(k, len(buf.Bytes())))
+			if !mem.Insert(k, buf, nominal) {
+				dev.Free(buf)
+			}
+		case 3: // ReleaseJob, after the job's work drops its pins
+			job := next() % 2
+			unpin(job)
+			mem.ReleaseJob(job + 1)
+			if n, p := mem.Entries(job+1), mem.HostPages(job+1); n != 0 || p != 0 {
+				return fmt.Errorf("step %d: ReleaseJob(%d) left %d entries and %d tier pages", step, job+1, n, p)
+			}
+		case 4: // Reclaim
+			need := dev.FreeBytes() + int64(next())
+			mem.Reclaim(need)
+			if dev.FreeBytes() < need {
+				for job := 1; job <= 2; job++ {
+					if r, ok := mem.regions[job]; ok && oldestUnpinned(r) != nil {
+						return fmt.Errorf("step %d: Reclaim(%d) left %d bytes free with an unpinned entry resident", step, need, dev.FreeBytes())
+					}
+				}
+			}
+		}
+		if err := check(step); err != nil {
+			return err
+		}
+	}
+	for job := 0; job < 2; job++ {
+		unpin(job)
+		mem.ReleaseJob(job + 1)
+	}
+	if got, pages := dev.UsedBytes(), len(mem.hostPages); got != start || pages != 0 {
+		return fmt.Errorf("after releasing every job the device holds %d bytes (want %d) and the tier %d pages", got, start, pages)
 	}
 	return nil
 }

@@ -8,33 +8,37 @@ package core
 // oldest unpinned entry from the front; LRU moves a hit entry to the
 // back, and stop-when-full refuses to evict to admit.
 
-// pushBack appends e as the newest entry of r's eviction list.
+// entryList is an intrusive list of entries, oldest first: a region's
+// eviction list, and the host tier's resident and spilled page lists.
+type entryList struct{ head, tail *cacheEntry }
+
+// pushBack appends e as the newest entry of l.
 //
 //gflink:hotpath
-func (r *cacheRegion) pushBack(e *cacheEntry) {
-	e.prev = r.tail
+func (l *entryList) pushBack(e *cacheEntry) {
+	e.prev = l.tail
 	e.next = nil
-	if r.tail != nil {
-		r.tail.next = e
+	if l.tail != nil {
+		l.tail.next = e
 	} else {
-		r.head = e
+		l.head = e
 	}
-	r.tail = e
+	l.tail = e
 }
 
-// unlink removes e from r's eviction list.
+// unlink removes e from l.
 //
 //gflink:hotpath
-func (r *cacheRegion) unlink(e *cacheEntry) {
+func (l *entryList) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		r.head = e.next
+		l.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		r.tail = e.prev
+		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
 }

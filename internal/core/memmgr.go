@@ -8,7 +8,6 @@ import (
 
 	"gflink/internal/costmodel"
 	"gflink/internal/gpu"
-	"gflink/internal/membuf"
 	"gflink/internal/obs"
 	"gflink/internal/vclock"
 )
@@ -46,11 +45,11 @@ func (p CachePolicy) String() string {
 // each GWork and maintains the per-job cache regions — a hash table of
 // CacheKey to device buffer plus the eviction list its CachePolicy
 // orders. With a host tier configured (WithHostTierBytes) it becomes
-// the top of a three-level hierarchy: victims demote to a membuf-backed
-// host page pool instead of being freed, pages spill onward to
-// simulated disk when the host tier overflows, and a later Acquire
-// promotes pages back at costmodel transfer cost instead of forcing the
-// caller to re-transfer or recompute.
+// the top of a three-level hierarchy: victims demote to host pages
+// instead of being freed, pages spill onward to simulated disk when the
+// host tier overflows, and a later Acquire promotes pages back at
+// costmodel transfer cost instead of forcing the caller to re-transfer
+// or recompute.
 type GMemoryManager struct {
 	dev     *gpu.Device
 	wrapper *CUDAWrapper
@@ -89,13 +88,6 @@ type GMemoryManager struct {
 	// spillDisk is the simulated device host pages spill to when the
 	// tier overflows.
 	spillDisk costmodel.Disk
-	// hostPool backs resident host pages with off-heap buffers and
-	// diskPool the spilled pages' simulated on-disk blobs. The tier's
-	// capacity is enforced in nominal bytes by hostUsed, so both pools
-	// are unbounded: they only hold the scaled-down real bytes, and both
-	// recycle their spans, so steady tier traffic reuses the same memory.
-	hostPool *membuf.Pool
-	diskPool *membuf.Pool
 
 	regions map[int]*cacheRegion // by job ID
 	// jobs holds the regions' job IDs, ascending: the order Reclaim
@@ -111,31 +103,31 @@ type GMemoryManager struct {
 	// is consistent again.
 	pendHead, pendTail *cacheEntry
 
-	// Host tier state. hostHead/hostTail order the
-	// resident pages oldest-first for spilling; spilled pages stay in
-	// hostPages and move to the spilled list, spillHead/spillTail.
-	hostPages            map[CacheKey]*hostPage
-	hostHead, hostTail   *hostPage
-	spillHead, spillTail *hostPage
-	hostUsed             int64
-	freePages            []*hostPage
+	// Host tier state: the pages by key. hostList orders the resident
+	// pages oldest-first for spilling; spilled pages move to spillList.
+	hostPages           map[CacheKey]*cacheEntry
+	hostList, spillList entryList
+	hostUsed            int64
 }
 
 type cacheRegion struct {
 	capacity int64
 	used     int64
 	entries  map[CacheKey]*cacheEntry
-	// head/tail anchor the intrusive eviction list the region's policy
-	// orders (oldest candidate first). Entries are their own nodes, so
-	// eviction bookkeeping rides the manager's shell free list.
-	head, tail *cacheEntry
+	// The intrusive eviction list the region's policy orders (oldest
+	// candidate first). Entries are their own nodes, so eviction
+	// bookkeeping rides the manager's shell free list.
+	entryList
 }
 
+// cacheEntry is one cached block. A demoted entry is a host-tier page:
+// it keeps its key, nominal size and buffer, detached from the device.
 type cacheEntry struct {
 	key     CacheKey
 	buf     *gpu.Buffer
 	nominal int64
-	refs    int // in-flight kernels using the entry; evictable at 0
+	refs    int  // in-flight kernels using the entry; evictable at 0
+	spilled bool // a host-tier page on the spilled list
 	prev    *cacheEntry
 	next    *cacheEntry
 }
@@ -173,9 +165,7 @@ func NewMemoryManager(dev *gpu.Device, wrapper *CUDAWrapper, regionCap int64, op
 		o(m)
 	}
 	if m.hostTierBytes > 0 {
-		m.hostPool = membuf.NewPool(wrapper.clock, wrapper.model, membuf.Config{})
-		m.diskPool = membuf.NewPool(wrapper.clock, wrapper.model, membuf.Config{})
-		m.hostPages = make(map[CacheKey]*hostPage)
+		m.hostPages = make(map[CacheKey]*cacheEntry)
 	}
 	return m
 }
@@ -291,7 +281,12 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 		v := oldestUnpinned(r)
 		if v == nil {
 			m.cntRejects.Add(1)
-			return false // everything pinned
+			// Everything left is pinned. The victims taken so far stay
+			// evicted, so their demotions are owed all the same.
+			if pend := m.takePending(); pend != nil {
+				m.settle(pend)
+			}
+			return false
 		}
 		m.evict(r, v)
 	}
@@ -419,33 +414,27 @@ func (m *GMemoryManager) HostPages(jobID int) int {
 // it has left its region.
 func (m *GMemoryManager) Reclaim(need int64) {
 	for m.dev.FreeBytes() < need {
+		var region *cacheRegion
 		var victim *cacheEntry
 		for _, id := range m.jobs {
-			r := m.regions[id]
-			if v := oldestUnpinned(r); v != nil {
-				r.unlink(v)
-				delete(r.entries, v.key)
-				r.used -= v.nominal
-				victim = v
+			region = m.regions[id]
+			if victim = oldestUnpinned(region); victim != nil {
 				break
 			}
 		}
 		if victim == nil {
 			return
 		}
-		m.cntEvictions.Add(1)
-		if m.hostTierBytes > 0 {
-			m.demote(victim)
-			continue
+		m.evict(region, victim)
+		if pend := m.takePending(); pend != nil {
+			m.settle(pend)
 		}
-		m.dev.Free(victim.buf)
-		m.recycleEntry(victim)
 	}
 }
 
 // ReleaseJob frees a job's whole cache region ("it is released when the
-// job finishes") along with any host-tier pages and spilled blobs the
-// job demoted. Releasing with in-flight references panics: the job
+// job finishes") along with any host-tier pages, resident or spilled,
+// the job demoted. Releasing with in-flight references panics: the job
 // cannot finish while its work is still running.
 func (m *GMemoryManager) ReleaseJob(jobID int) {
 	if r, ok := m.regions[jobID]; ok {

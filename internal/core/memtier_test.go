@@ -173,61 +173,138 @@ func TestHostTierSpillReload(t *testing.T) {
 	})
 }
 
-// TestHostTierCyclesReuseSpans cycles five keys through a one-entry
-// region and a two-page host tier, so every Acquire promotes or reloads
-// one page and demotes (and may spill) others. Bytes round-trip on every
-// hop; every live page is backed by exactly one span of the host or disk
-// pool; after the first round neither pool takes a fresh span from the
-// Go heap; and releasing the job returns every span.
-func TestHostTierCyclesReuseSpans(t *testing.T) {
-	g := tieredGFlink(100, 130) // region holds one 60-byte entry, the tier two
+// tierRing caches blocks 0..n-1 of job 1, each of real bytes filled
+// with its own pattern, in a region that holds one 60-byte entry in
+// front of a host tier of two pages (tieredGFlink(100, 130)). Acquiring
+// the blocks in turn then makes every Acquire, from the first round on,
+// reload its block from the spill disk, demote the resident block and
+// spill the oldest resident page. Tracing is off, as in a timed
+// benchmark run. Build and cycle it inside g.Run.
+type tierRing struct {
+	mem  *GMemoryManager
+	bufs []*gpu.Buffer // the buffer each block was inserted with
+	next int
+}
+
+func newTierRing(g *GFlink, n, real int) (*tierRing, error) {
+	g.Obs.Tracer().SetEnabled(false)
+	r := &tierRing{mem: g.Manager(0).Streams.Memory(0)}
+	for i := 0; i < n; i++ {
+		b, err := r.mem.Device().Malloc(60, real)
+		if err != nil {
+			return nil, err
+		}
+		copy(b.Bytes(), tierPattern(i, real))
+		if !r.mem.Insert(tierKey(i), b, 60) {
+			return nil, fmt.Errorf("insert %d failed", i)
+		}
+		r.mem.Release(tierKey(i))
+		r.bufs = append(r.bufs, b)
+	}
+	return r, nil
+}
+
+func tierKey(i int) CacheKey { return CacheKey{JobID: 1, Block: i} }
+
+// tierPattern is block i's real bytes.
+func tierPattern(i, real int) []byte {
+	return bytes.Repeat([]byte{byte(i + 1)}, real)
+}
+
+// cycle acquires and releases the next block and returns the buffer
+// Acquire handed out, nil on a miss.
+func (r *tierRing) cycle() (int, *gpu.Buffer) {
+	i := r.next
+	r.next = (i + 1) % len(r.bufs)
+	buf, ok := r.mem.Acquire(tierKey(i))
+	if !ok {
+		return i, nil
+	}
+	r.mem.Release(tierKey(i))
+	return i, buf
+}
+
+// TestHostTierCyclesHandOffBuffers cycles five blocks through a
+// one-entry region and a two-page host tier (see tierRing). Every
+// promotion returns the very buffer the block was evicted with, its
+// bytes untouched; after the first round a cycle allocates nothing;
+// spills and reloads both happen; and after ReleaseJob the job has no
+// tier page and every device buffer is back on the device's free list.
+func TestHostTierCyclesHandOffBuffers(t *testing.T) {
+	const n, real = 5, 24
+	g := tieredGFlink(100, 130)
 	g.Run(func() {
-		mem := g.Manager(0).Streams.Memory(0)
-		dev := g.Manager(0).Devices[0]
-		const n = 5
-		key := func(i int) CacheKey { return CacheKey{JobID: 1, Block: i} }
-		want := func(i int) []byte { return []byte(fmt.Sprintf("block-%d", i)) }
-		for i := 0; i < n; i++ {
-			b, _ := dev.Malloc(60, len(want(i)))
-			copy(b.Bytes(), want(i))
-			if !mem.Insert(key(i), b, 60) {
-				t.Fatalf("insert %d failed", i)
-			}
-			mem.Release(key(i))
+		r, err := newTierRing(g, n, real)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fresh := func() int64 {
-			h, d := mem.hostPool.Stats(), mem.diskPool.Stats()
-			return h.Allocs - h.Reused + d.Allocs - d.Reused
+		want := make([][]byte, n)
+		for i := range want {
+			want[i] = tierPattern(i, real)
 		}
-		var afterFirst int64
-		for round := 0; round < 4; round++ {
-			for i := 0; i < n; i++ {
-				buf, ok := mem.Acquire(key(i))
-				if !ok {
-					t.Fatalf("round %d: key %d not promotable", round, i)
+		round := func() {
+			for range r.bufs {
+				i, buf := r.cycle()
+				if buf != r.bufs[i] {
+					t.Fatalf("block %d promoted as %p, want the evicted buffer %p", i, buf, r.bufs[i])
 				}
-				if got := buf.Bytes(); !bytes.Equal(got, want(i)) {
-					t.Fatalf("round %d: key %d promoted as %q, want %q", round, i, got, want(i))
-				}
-				mem.Release(key(i))
-				h, d := mem.hostPool.Stats(), mem.diskPool.Stats()
-				if pages := mem.HostPages(1); h.InUsePages+d.InUsePages != pages {
-					t.Fatalf("round %d key %d: %d host + %d disk spans back %d tier pages", round, i, h.InUsePages, d.InUsePages, pages)
+				if !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Fatalf("block %d promoted with bytes %v", i, buf.Bytes())
 				}
 			}
-			if round == 0 {
-				afterFirst = fresh()
-			}
 		}
-		if got := fresh(); got != afterFirst {
-			t.Errorf("tier took %d fresh spans after the first round, want 0", got-afterFirst)
+		round()
+		if allocs := testing.AllocsPerRun(4, round); allocs != 0 {
+			t.Errorf("%.1f heap allocations per round of %d tier cycles, want 0", allocs, n)
 		}
 		if m := g.Obs.Metrics(); m.Get("mem.spills.gpu0") == 0 || m.Get("mem.reloads.gpu0") == 0 {
 			t.Error("the cycle never spilled or reloaded; the test exercises nothing")
 		}
+		dev := r.mem.Device()
 		g.ReleaseJobCaches(1)
-		if h, d := mem.hostPool.Stats(), mem.diskPool.Stats(); h.InUsePages != 0 || d.InUsePages != 0 {
-			t.Errorf("after ReleaseJob: %d host and %d disk pages still in use", h.InUsePages, d.InUsePages)
+		if pages := r.mem.HostPages(1); pages != 0 {
+			t.Errorf("after ReleaseJob: %d tier pages left", pages)
+		}
+		if used := dev.UsedBytes(); used != 0 {
+			t.Errorf("after ReleaseJob: device holds %d bytes", used)
+		}
+		// With every buffer back on the free list, n Mallocs draw
+		// exactly the n buffers the blocks lived in.
+		seen := make(map[*gpu.Buffer]bool)
+		for range r.bufs {
+			b, err := dev.Malloc(60, real)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[b] = true
+		}
+		for i, b := range r.bufs {
+			if !seen[b] {
+				t.Errorf("block %d's buffer is not on the device free list after ReleaseJob", i)
+			}
+		}
+	})
+}
+
+// BenchmarkTierCycle times one host-tier cycle: an Acquire that reloads
+// a spilled block, demotes the resident one and spills the oldest
+// resident page (see tierRing), over 64 KiB blocks.
+func BenchmarkTierCycle(b *testing.B) {
+	g := tieredGFlink(100, 130)
+	g.Run(func() {
+		r, err := newTierRing(g, 5, 64<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range r.bufs {
+			r.cycle()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, buf := r.cycle(); buf == nil {
+				b.Fatal("tier cycle missed")
+			}
 		}
 	})
 }
@@ -284,6 +361,11 @@ func TestReclaimNeverDemotesPinned(t *testing.T) {
 					})
 				}
 				grp.Wait()
+				// A demoted entry would come back as the same buffer, so
+				// check that it never left the region before acquiring it.
+				if mem.CachedBytes([]CacheKey{pinned}) != 400 {
+					t.Fatal("pinned entry left the device under Reclaim churn")
+				}
 				buf, ok := mem.Acquire(pinned)
 				if !ok {
 					t.Fatal("pinned entry vanished under Reclaim churn")
@@ -317,15 +399,15 @@ func TestMemOptionsAndShim(t *testing.T) {
 	if m.HostTierBytes() != 4096 {
 		t.Errorf("WithHostTierBytes: %d, want 4096", m.HostTierBytes())
 	}
-	if m.hostPool == nil || m.hostPages == nil {
-		t.Error("host tier enabled but pool/pages not initialised")
+	if m.hostPages == nil {
+		t.Error("host tier enabled but its page table not initialised")
 	}
 
 	def := NewMemoryManager(dev, wrapper, 1<<20)
 	if def.policy != EvictFIFO {
 		t.Errorf("default policy = %v, want fifo", def.policy)
 	}
-	if def.HostTierBytes() != 0 || def.hostPool != nil {
+	if def.HostTierBytes() != 0 || def.hostPages != nil {
 		t.Error("default manager must have the host tier disabled")
 	}
 	if def.spillDisk != costmodel.DefaultSpillDisk {

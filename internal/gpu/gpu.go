@@ -88,6 +88,9 @@ type Buffer struct {
 	nominal int64
 	data    []byte
 	freed   bool
+	// detached: Detach released the nominal bytes; the holder keeps
+	// the buffer and its real bytes.
+	detached bool
 }
 
 // Bytes returns the real backing storage kernels compute on.
@@ -125,12 +128,9 @@ func (d *Device) MallocReserve(nominal int64, real int) (*Buffer, error) {
 		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("gpu: malloc nominal=%d real=%d", nominal, real)
 	}
-	if d.usedBytes+nominal > d.Profile.MemBytes {
-		//gflink:allow-alloc error diagnostic: out-of-memory cold path
-		return nil, fmt.Errorf("gpu%d: out of device memory: need %d, free %d", d.ID, nominal, d.Profile.MemBytes-d.usedBytes)
+	if err := d.reserve(nominal); err != nil {
+		return nil, err
 	}
-	d.usedBytes += nominal
-	d.nextBuf++
 	var b *Buffer
 	if n := len(d.freeBufs); n > 0 {
 		b = d.freeBufs[n-1]
@@ -163,7 +163,22 @@ func (d *Device) MallocFill(b *Buffer, real int) {
 	b.freed = false
 }
 
-// Free releases the buffer into the device's recycle list. Double frees
+// reserve checks that nominal more bytes fit, accounts them and draws
+// the next buffer id.
+//
+//gflink:hotpath
+func (d *Device) reserve(nominal int64) error {
+	if d.usedBytes+nominal > d.Profile.MemBytes {
+		//gflink:allow-alloc error diagnostic: out-of-memory cold path
+		return fmt.Errorf("gpu%d: out of device memory: need %d, free %d", d.ID, nominal, d.Profile.MemBytes-d.usedBytes)
+	}
+	d.usedBytes += nominal
+	d.nextBuf++
+	return nil
+}
+
+// Free releases the buffer into the device's recycle list. A detached
+// buffer's nominal bytes were already released by Detach. Double frees
 // panic.
 //
 //gflink:hotpath
@@ -174,10 +189,38 @@ func (d *Device) Free(b *Buffer) {
 	if b.freed {
 		panic("gpu: double free of device buffer")
 	}
-	b.freed = true
-	d.usedBytes -= b.nominal
+	if !b.detached {
+		d.usedBytes -= b.nominal
+	}
+	b.freed, b.detached = true, false
 	//gflink:allow-alloc amortized growth of the device buffer free list
 	d.freeBufs = append(d.freeBufs, b)
+}
+
+// Detach releases a live buffer's nominal device bytes, as Free does,
+// but keeps it and its real bytes off the free list: the caller holds
+// them until it Reattaches or Frees the buffer.
+func (d *Device) Detach(b *Buffer) {
+	if b.dev != d || b.freed || b.detached {
+		panic("gpu: Detach of a buffer that is not live on this device")
+	}
+	b.detached = true
+	d.usedBytes -= b.nominal
+}
+
+// Reattach re-admits a detached buffer, real bytes unchanged, with
+// MallocReserve's capacity check and accounting and a fresh id; the
+// caller charges MallocOverhead. It fails, leaving b detached, when
+// device memory is exhausted, and panics unless b is detached.
+func (d *Device) Reattach(b *Buffer) error {
+	if b.dev != d || !b.detached {
+		panic("gpu: Reattach of a buffer that is not detached from this device")
+	}
+	if err := d.reserve(b.nominal); err != nil {
+		return err
+	}
+	b.id, b.detached = d.nextBuf, false
+	return nil
 }
 
 // UsedBytes reports allocated nominal device memory.

@@ -81,6 +81,50 @@ func TestDoubleFreePanics(t *testing.T) {
 	})
 }
 
+// TestDetachReattach: Detach releases a buffer's nominal bytes and
+// keeps its real bytes; Reattach accounts them again under a fresh id,
+// or fails while they do not fit; a buffer is reattached only once per
+// Detach; and Free of a detached buffer releases nothing twice.
+func TestDetachReattach(t *testing.T) {
+	c, d, _ := testRig()
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	c.Run(func() {
+		b, _ := d.Malloc(1<<20, 4)
+		copy(b.Bytes(), "keep")
+		id := b.id
+		d.Detach(b)
+		if d.UsedBytes() != 0 {
+			t.Errorf("used after Detach = %d", d.UsedBytes())
+		}
+		full, _ := d.Malloc(d.Profile.MemBytes, 0)
+		if err := d.Reattach(b); err == nil {
+			t.Error("Reattach on a full device succeeded")
+		}
+		d.Free(full)
+		if err := d.Reattach(b); err != nil {
+			t.Fatal(err)
+		}
+		if d.UsedBytes() != 1<<20 || string(b.Bytes()) != "keep" || b.id == id {
+			t.Errorf("after Reattach: used=%d bytes=%q id=%d (was %d)", d.UsedBytes(), b.Bytes(), b.id, id)
+		}
+		if !panics(func() { d.Reattach(b) }) {
+			t.Error("second Reattach of one detached buffer did not panic")
+		}
+		d.Detach(b)
+		d.Free(b)
+		if d.UsedBytes() != 0 {
+			t.Errorf("used after Free of a detached buffer = %d", d.UsedBytes())
+		}
+		if !panics(func() { d.Detach(b) }) {
+			t.Error("Detach of a freed buffer did not panic")
+		}
+	})
+}
+
 func TestSyncCopyMovesBytesAndChargesTime(t *testing.T) {
 	c, d, p := testRig()
 	cpu := costmodel.DefaultCPU

@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
 	"gflink/internal/core"
@@ -202,5 +204,27 @@ func BenchmarkGDSTFill(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(floats), "ns/float")
 			})
 		})
+	}
+}
+
+// TestReciprocalMatchesRemainder holds the center draw's reduction to
+// plain % at every k from 1 to 64: on 0, MaxUint64, the multiples of k
+// nearest them and nearest 2³², each ±1, and on random inputs.
+func TestReciprocalMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := uint64(1); k <= 64; k++ {
+		r := newReciprocal(int(k))
+		xs := []uint64{0, math.MaxUint64}
+		for _, q := range []uint64{1, 2, 1 << 32 / k, math.MaxUint64/k - 1, math.MaxUint64 / k} {
+			xs = append(xs, q*k-1, q*k, q*k+1)
+		}
+		for i := 0; i < 1000; i++ {
+			xs = append(xs, rng.Uint64())
+		}
+		for _, x := range xs {
+			if got, want := r.mod(x), x%k; got != want {
+				t.Fatalf("k=%d: mod(%d) = %d, want %d", k, x, got, want)
+			}
+		}
 	}
 }

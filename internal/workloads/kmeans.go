@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gflink/internal/core"
 	"gflink/internal/costmodel"
@@ -64,13 +65,15 @@ func (p KMeansParams) pointBytes() int { return 4 * (p.D + p.MetaCols) }
 type kmeansGen struct {
 	seed       uint64
 	k, d, meta int
+	// byK reduces a point's draw to its center index.
+	byK reciprocal
 	// base[j*k+c] is center c's base value for coordinate j, so one
 	// column's K values are contiguous.
 	base []float32
 }
 
 func newKMeansGen(p KMeansParams) *kmeansGen {
-	g := &kmeansGen{seed: p.Seed, k: p.K, d: p.D, meta: p.MetaCols, base: make([]float32, p.K*p.D)}
+	g := &kmeansGen{seed: p.Seed, k: p.K, d: p.D, meta: p.MetaCols, byK: newReciprocal(p.K), base: make([]float32, p.K*p.D)}
 	for c := 0; c < p.K; c++ {
 		for j := 0; j < p.D; j++ {
 			g.base[j*p.K+c] = float32(unit(p.Seed+uint64(c)*977+uint64(j)*31, 0) * 100)
@@ -79,7 +82,25 @@ func newKMeansGen(p KMeansParams) *kmeansGen {
 	return g
 }
 
-func (g *kmeansGen) center(ord int64) int { return int(mix(g.seed, uint64(ord)) % uint64(g.k)) }
+// center returns the center of nominal point ord: its draw mod K.
+func (g *kmeansGen) center(ord int64) int { return int(g.byK.mod(mix(g.seed, uint64(ord)))) }
+
+// reciprocal reduces x mod k without a 64-bit DIV. With m =
+// ⌊(2⁶⁴−1)/k⌋, 2⁶⁴ − k·m lies in [1, k], so x/k − x·m/2⁶⁴ lies in
+// [0, 1): the high word of x·m is ⌊x/k⌋ or one less, and one
+// conditional subtraction corrects the remainder.
+type reciprocal struct{ k, m uint64 }
+
+func newReciprocal(k int) reciprocal { return reciprocal{uint64(k), ^uint64(0) / uint64(k)} }
+
+func (r reciprocal) mod(x uint64) uint64 {
+	q, _ := bits.Mul64(x, r.m)
+	x -= q * r.k
+	if x >= r.k {
+		x -= r.k
+	}
+	return x
+}
 
 // coord returns coordinate j of nominal point ord, whose center is c.
 func (g *kmeansGen) coord(c int, ord int64, j int) float32 {
