@@ -1,7 +1,7 @@
-// Command gflink-vet runs the repository's five custom static analyzers
+// Command gflink-vet runs the repository's four custom static analyzers
 // (wallclock, the observability checks clockflow and outputpurity, and
-// the allocation-discipline pair hotalloc and poolsafe, the latter also
-// owning HBuffer lifetimes and zero-copy views) over the module. See
+// poolsafe, which owns HBuffer lifetimes and zero-copy views) over the
+// module. See
 // DESIGN.md "Concurrency & lifetime invariants" for what each enforces
 // and why `go test -race` cannot.
 //

@@ -9,8 +9,8 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The five production analyzers live in the subpackages wallclock,
-// clockflow, outputpurity, hotalloc and poolsafe; cmd/gflink-vet wires
+// The four production analyzers live in the subpackages wallclock,
+// clockflow, outputpurity and poolsafe; cmd/gflink-vet wires
 // them into a multichecker via the suite subpackage. The flow-sensitive
 // two (poolsafe, clockflow) share the CFG/dataflow core in cfg.go and
 // scope.go: per-function control-flow graphs with panic edges, a

@@ -4,7 +4,7 @@ package analysis
 // per-function control-flow graphs built over the AST loader, a generic
 // forward worklist solver, and a reaching-definitions lattice with
 // per-use def resolution. The AST-walking analyzers (wallclock,
-// hotalloc, ...) check properties of individual expressions; the CFG
+// outputpurity) check properties of individual expressions; the CFG
 // analyzers (poolsafe, clockflow) check
 // properties of *paths* — "freed on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this

@@ -37,7 +37,7 @@ func (c *checker) solveRetention(scopes []*analysis.FuncScope) {
 			ret := c.local[sc.Obj]
 			for i := range ret {
 				p := sc.Sig.Params().At(i)
-				if !ret[i] && holdsRef(p.Type()) && len(c.escapes(sc.Body, p)) > 0 {
+				if !ret[i] && holdsRef(p.Type()) && len(c.escapes(sc, p)) > 0 {
 					ret[i], changed = true, true
 				}
 			}
@@ -88,9 +88,9 @@ func (c *checker) retains(fn *types.Func, i int) bool {
 // body. The escape walk stops at literal boundaries (a view captured
 // from outside is one escape, reported at the literal), and every
 // literal is a scope of its own, so views bound inside one are checked
-// there.
+// there, where storing one into a captured variable escapes.
 func (c *checker) checkViews(sc *analysis.FuncScope) {
-	for _, esc := range c.escapes(sc.Body, nil) {
+	for _, esc := range c.escapes(sc, nil) {
 		if analysis.DirectiveAt(sc.Idx, c.pass.Fset, "retains-bytes", esc.pos) {
 			continue
 		}
@@ -104,14 +104,15 @@ type escape struct {
 	kind string
 }
 
-// escapes scans body for escapes of tracked values. With a non-nil
-// seed the tracked value is that parameter; with a nil seed every
-// HBuffer.Bytes() call is one, and returning it counts too (a function
-// returning its own parameter is the transient-view idiom and the
-// caller's problem). Local aliases (x := v, x := v[a:b]) are tracked
-// transitively.
-func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
-	info := c.pass.TypesInfo
+// escapes scans the body of sc for escapes of tracked values. With a
+// non-nil seed the tracked value is that parameter; with a nil seed
+// every HBuffer.Bytes() call is one, and returning it counts too (a
+// function returning its own parameter is the transient-view idiom and
+// the caller's problem). Local aliases (x := v, x := v[a:b]) are
+// tracked transitively, but not inside function literals, which are
+// scopes of their own.
+func (c *checker) escapes(sc *analysis.FuncScope, seed *types.Var) []escape {
+	info, body := c.pass.TypesInfo, sc.Body
 	views := seed == nil
 	tracked := make(map[types.Object]bool)
 	if seed != nil {
@@ -164,6 +165,9 @@ func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
+			if _, lit := n.(*ast.FuncLit); lit {
+				return false
+			}
 			lhss, rhss := assignPairs(n)
 			for i := range lhss {
 				if !transmits(rhss[i]) {
@@ -214,7 +218,7 @@ func (c *checker) escapes(body *ast.BlockStmt, seed *types.Var) []escape {
 				if !transmits(rhss[i]) {
 					continue
 				}
-				if kind, escapes := lvalueKind(info, lhss[i]); escapes {
+				if kind, escapes := lvalueKind(info, sc, lhss[i]); escapes {
 					add(rhss[i].Pos(), "stored in "+kind)
 				}
 			}
@@ -292,13 +296,20 @@ func holder(info *types.Info, lhs ast.Expr) types.Object {
 	return obj
 }
 
-// lvalueKind classifies an assignment target that receives a tracked
-// value: anything but a local variable outlives the frame.
-func lvalueKind(info *types.Info, lhs ast.Expr) (string, bool) {
+// lvalueKind classifies an assignment target of sc that receives a
+// tracked value: anything but a variable of sc itself outlives the
+// frame, a variable a literal captures from its enclosing function
+// included.
+func lvalueKind(info *types.Info, sc *analysis.FuncScope, lhs ast.Expr) (string, bool) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		if obj := info.Uses[lhs]; obj != nil && isGlobal(obj) {
+		obj := info.Uses[lhs]
+		switch {
+		case obj == nil:
+		case isGlobal(obj):
 			return "the global variable " + obj.Name(), true
+		case (obj.Pos() < sc.Body.Pos() || obj.Pos() >= sc.Body.End()) && !inSignature(sc.Sig, obj):
+			return "the captured variable " + obj.Name(), true
 		}
 	case *ast.SelectorExpr:
 		return "a struct field", true
@@ -317,6 +328,22 @@ func holdsRef(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
 		return true
+	}
+	return false
+}
+
+// inSignature reports whether obj is the receiver, a parameter or a
+// result of sig: declared outside the body, yet a variable of its own.
+func inSignature(sig *types.Signature, obj types.Object) bool {
+	if sig.Recv() == obj {
+		return true
+	}
+	for _, vars := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < vars.Len(); i++ {
+			if vars.At(i) == obj {
+				return true
+			}
+		}
 	}
 	return false
 }

@@ -132,3 +132,28 @@ func crossRead(b *membuf.HBuffer) int {
 func pinnedForRun(s *sink, b *membuf.HBuffer) {
 	s.view = b.Bytes() //gflink:retains-bytes -- s is dropped before the pool reclaims b
 }
+
+// --- views inside function literals ---
+
+// A view bound and used only inside the literal is the literal's own
+// transient view; the enclosing function captures nothing.
+func literalLocalView(p *membuf.Pool, run func(func())) {
+	run(func() {
+		b := p.MustAllocate(64)
+		v := b.Bytes()
+		_ = v[0]
+		b.Free()
+	})
+}
+
+// A literal that stores a view into a variable of its enclosing
+// function lets the view outlive the literal.
+func literalStoresCaptured(p *membuf.Pool, run func(func())) []byte {
+	var keep []byte
+	run(func() {
+		b := p.MustAllocate(64)
+		keep = b.Bytes() // want `stored in the captured variable keep`
+		b.Free()
+	})
+	return keep
+}

@@ -6,13 +6,12 @@ package suite
 import (
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/clockflow"
-	"gflink/internal/analysis/hotalloc"
 	"gflink/internal/analysis/outputpurity"
 	"gflink/internal/analysis/poolsafe"
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of five analyzers.
+// Rules returns the production analyzer suite of four analyzers.
 //
 //   - wallclock (wall-clock time sources, bare go statements, map
 //     ranges and mutexes) runs module-wide except the gflink/benchmark
@@ -32,11 +31,11 @@ import (
 //     unrestricted scope costs nothing outside those and catches
 //     misuse wherever it appears (clockflow skips _test.go files
 //     itself — fixtures pin literal timestamps by design).
-//   - hotalloc runs module-wide too: it fires only on
-//     //gflink:hotpath annotations (invariant 10), so unannotated
-//     packages cost nothing.
 //
-// clockflow, hotalloc and poolsafe carry fact types, so the driver
+// Allocation-free hot paths (invariant 10) are held by run-time
+// allocation budgets, not by an analyzer.
+//
+// clockflow and poolsafe carry fact types, so the driver
 // also runs them over module-internal dependencies of the requested
 // packages (facts only) before analyzing the targets.
 func Rules() []analysis.Rule {
@@ -45,7 +44,6 @@ func Rules() []analysis.Rule {
 		{Analyzer: wallclock.Analyzer, Applies: func(path string) bool { return !benchmark(path) }},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: outputpurity.Analyzer},
-		{Analyzer: hotalloc.Analyzer},
 		{Analyzer: poolsafe.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 	}
 }

@@ -16,14 +16,13 @@ import (
 	"gflink/internal/analysis/wallclock"
 )
 
-// TestSuiteHasFiveAnalyzers pins the suite's composition: the lexical
+// TestSuiteHasFourAnalyzers pins the suite's composition: the lexical
 // check of DESIGN.md "Concurrency & lifetime invariants" (wallclock,
 // whose ban table includes map ranges), the two observability
 // analyzers that enforce invariants 8–9 (clockflow, outputpurity), and
-// the two allocation-discipline analyzers that enforce invariant 10
-// (hotalloc, and poolsafe, which also owns HBuffer lifetimes and
-// zero-copy views for invariants 4 and 7).
-func TestSuiteHasFiveAnalyzers(t *testing.T) {
+// poolsafe, which owns HBuffer lifetimes and zero-copy views for
+// invariants 4 and 7. Invariant 10 is measured by allocation budgets.
+func TestSuiteHasFourAnalyzers(t *testing.T) {
 	var names []string
 	for _, a := range suite.Analyzers() {
 		names = append(names, a.Name)
@@ -31,7 +30,7 @@ func TestSuiteHasFiveAnalyzers(t *testing.T) {
 	want := []string{
 		"wallclock",
 		"clockflow", "outputpurity",
-		"hotalloc", "poolsafe",
+		"poolsafe",
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("suite analyzers = %q, want %q", names, want)

@@ -3,7 +3,8 @@ package core
 // The intrusive eviction list: entries double as list nodes (prev/next
 // fields), so eviction bookkeeping allocates nothing — entry shells
 // ride the manager's free list and the list operations below are pure
-// pointer swaps, keeping the hit path hotalloc-clean (invariant 10).
+// pointer swaps, keeping the hit path allocation-free (invariant 10;
+// TestCacheAllocatesNothing).
 // Every policy appends an admitted entry at the back and evicts the
 // oldest unpinned entry from the front; LRU moves a hit entry to the
 // back, and stop-when-full refuses to evict to admit.
@@ -13,8 +14,6 @@ package core
 type entryList struct{ head, tail *cacheEntry }
 
 // pushBack appends e as the newest entry of l.
-//
-//gflink:hotpath
 func (l *entryList) pushBack(e *cacheEntry) {
 	e.prev = l.tail
 	e.next = nil
@@ -27,8 +26,6 @@ func (l *entryList) pushBack(e *cacheEntry) {
 }
 
 // unlink removes e from l.
-//
-//gflink:hotpath
 func (l *entryList) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -46,8 +43,6 @@ func (l *entryList) unlink(e *cacheEntry) {
 // oldestUnpinned walks the eviction list front to back and returns the
 // first entry with no in-flight references: the next victim, or nil
 // when every entry is pinned.
-//
-//gflink:hotpath
 func oldestUnpinned(r *cacheRegion) *cacheEntry {
 	for e := r.head; e != nil; e = e.next {
 		if e.refs == 0 {

@@ -106,8 +106,6 @@ func (w *GWork) Wait() error {
 // error once the work is complete. It returns false when t was parked
 // on the work's completion: the step must return, and call WaitTask
 // again when it runs next.
-//
-//gflink:hotpath
 func (w *GWork) WaitTask(t *vclock.Task) (bool, error) {
 	if !w.done.WaitTask(t) {
 		return false, nil

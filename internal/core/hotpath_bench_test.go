@@ -15,8 +15,9 @@ import (
 // runHotPath builds a tracing-off single-GPU deployment (counters stay
 // on, as in every real deployment) and calls body inside clock.Run with
 // the deployment's clock and one, which drives one GWork through the full submit/exec/complete hot
-// path.
-func runHotPath(tb testing.TB, body func(clock *vclock.Clock, one func())) {
+// path. With cached set, the GWork's input is cache-flagged, so every
+// GWork after the first picks the GPU by its cached bytes and hits.
+func runHotPath(tb testing.TB, cached bool, body func(clock *vclock.Clock, one func())) {
 	clock := vclock.New()
 	model := costmodel.Default()
 	wrapper := NewCUDAWrapper(clock, model)
@@ -48,7 +49,7 @@ func runHotPath(tb testing.TB, body func(clock *vclock.Clock, one func())) {
 			w.Nominal = n
 			w.BlockSize = 256
 			w.GridSize = 1
-			w.In = append(w.In, Input{Buf: in, Nominal: 4 * n})
+			w.In = append(w.In, Input{Buf: in, Nominal: 4 * n, Cache: cached, Key: CacheKey{JobID: 1}})
 			w.Out = out
 			w.OutNominal = 4 * n
 			mgr.Submit(w)
@@ -68,7 +69,7 @@ func runHotPath(tb testing.TB, body func(clock *vclock.Clock, one func())) {
 // count that TestHotPathZeroAllocsPerGWork pins at 0, and
 // `-benchtime=1000000x` reproduces the 1M-GWork sweep.
 func BenchmarkHotPath1MGWorks(b *testing.B) {
-	runHotPath(b, func(_ *vclock.Clock, one func()) {
+	runHotPath(b, false, func(_ *vclock.Clock, one func()) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -82,16 +83,29 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 // tracing-off path — pool shells, vclock parks, stream commands, launch
 // futures and device buffers are all recycled.
 func TestHotPathZeroAllocsPerGWork(t *testing.T) {
-	var allocs float64
-	runHotPath(t, func(_ *vclock.Clock, one func()) {
+	if allocs := hotPathAllocs(t, false); allocs != 0 {
+		t.Fatalf("%.2f heap allocations per GWork at steady state, want 0", allocs)
+	}
+}
+
+// TestHotPathZeroAllocsPerCachedGWork pins the same for a GWork whose
+// input hits the device cache: pickGPU's key scratch, the lookup, the
+// pin and its release.
+func TestHotPathZeroAllocsPerCachedGWork(t *testing.T) {
+	if allocs := hotPathAllocs(t, true); allocs != 0 {
+		t.Fatalf("%.2f heap allocations per cached GWork at steady state, want 0", allocs)
+	}
+}
+
+// hotPathAllocs returns the steady-state heap allocations per GWork.
+func hotPathAllocs(t *testing.T, cached bool) (allocs float64) {
+	runHotPath(t, cached, func(_ *vclock.Clock, one func()) {
 		for i := 0; i < 256; i++ {
 			one()
 		}
 		allocs = testing.AllocsPerRun(10000, one)
 	})
-	if allocs != 0 {
-		t.Fatalf("%.2f heap allocations per GWork at steady state, want 0", allocs)
-	}
+	return allocs
 }
 
 // TestHotPathParksPerGWork pins the coroutine switches a GWork costs at
@@ -101,7 +115,7 @@ func TestHotPathZeroAllocsPerGWork(t *testing.T) {
 func TestHotPathParksPerGWork(t *testing.T) {
 	const works = 1000
 	var parks uint64
-	runHotPath(t, func(clock *vclock.Clock, one func()) {
+	runHotPath(t, false, func(clock *vclock.Clock, one func()) {
 		for i := 0; i < 256; i++ {
 			one()
 		}

@@ -201,14 +201,10 @@ func (m *GMemoryManager) HostTierBytes() int64 { return m.hostTierBytes }
 
 // region returns the job's cache region, allocating it lazily ("the
 // cache region of a specific job is allocated when the job starts").
-//
-//gflink:hotpath
 func (m *GMemoryManager) region(jobID int) *cacheRegion {
 	r, ok := m.regions[jobID]
 	if !ok {
-		//gflink:allow-alloc lazy per-job region creation: once per job, not per work
 		r = &cacheRegion{capacity: m.regionCap, entries: make(map[CacheKey]*cacheEntry)}
-		//gflink:allow-alloc per-job region registration: once per job, not per work
 		m.regions[jobID], m.jobs = r, slices.Insert(m.jobs, sort.SearchInts(m.jobs, jobID), jobID)
 	}
 	return r
@@ -220,8 +216,6 @@ func (m *GMemoryManager) region(jobID int) *cacheRegion {
 // page is promoted back to the device at simulated transfer (and disk)
 // cost and returned pinned, like a hit. Callers must pair a hit with
 // Release.
-//
-//gflink:hotpath
 func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
 	r := m.region(key.JobID)
 	if e, ok := r.entries[key]; ok {
@@ -243,8 +237,6 @@ func (m *GMemoryManager) Acquire(key CacheKey) (*gpu.Buffer, bool) {
 }
 
 // Release unpins a previously acquired entry.
-//
-//gflink:hotpath
 func (m *GMemoryManager) Release(key CacheKey) {
 	r := m.region(key.JobID)
 	if e, ok := r.entries[key]; ok && e.refs > 0 {
@@ -261,8 +253,6 @@ func (m *GMemoryManager) Release(key CacheKey) {
 // place — demotion charges simulated time, so it never runs in the
 // middle of the region update, where another process could observe it
 // half done.
-//
-//gflink:hotpath
 func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bool {
 	r := m.region(key.JobID)
 	if _, dup := r.entries[key]; dup {
@@ -293,7 +283,6 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 	e := m.entryShell()
 	e.key, e.buf, e.nominal, e.refs = key, buf, nominal, 1
 	r.pushBack(e)
-	//gflink:allow-alloc cache-entry registration, one per cached block
 	r.entries[key] = e
 	r.used += nominal
 	m.cntInserts.Add(1)
@@ -306,8 +295,6 @@ func (m *GMemoryManager) Insert(key CacheKey, buf *gpu.Buffer, nominal int64) bo
 // evict detaches a chosen victim from its region and either frees its
 // device buffer (no host tier) or chains it onto the pending demotions
 // for once the caller's region update is complete.
-//
-//gflink:hotpath
 func (m *GMemoryManager) evict(r *cacheRegion, e *cacheEntry) {
 	r.unlink(e)
 	delete(r.entries, e.key)
@@ -331,8 +318,6 @@ func (m *GMemoryManager) evict(r *cacheRegion, e *cacheEntry) {
 }
 
 // entryShell returns a zeroed cacheEntry shell from the free list.
-//
-//gflink:hotpath
 func (m *GMemoryManager) entryShell() *cacheEntry {
 	if n := len(m.freeEntries); n > 0 {
 		e := m.freeEntries[n-1]
@@ -340,24 +325,19 @@ func (m *GMemoryManager) entryShell() *cacheEntry {
 		m.freeEntries = m.freeEntries[:n-1]
 		return e
 	}
-	//gflink:allow-alloc cache-entry cold start: shells recycle through the free list thereafter
 	return &cacheEntry{}
 }
 
 // recycleEntry zeroes a shell and returns it to the free list.
-//
-//gflink:hotpath
 func (m *GMemoryManager) recycleEntry(e *cacheEntry) {
 	*e = cacheEntry{}
-	//gflink:allow-alloc amortized free-list growth, bounded by the peak entry count
+	// Amortized free-list growth, bounded by the peak entry count.
 	m.freeEntries = append(m.freeEntries, e)
 }
 
 // takePending hands the chain of owed demotions (nil if none) to the
 // caller, which must run settle on it once its region update is
 // complete.
-//
-//gflink:hotpath
 func (m *GMemoryManager) takePending() *cacheEntry {
 	e := m.pendHead
 	m.pendHead, m.pendTail = nil, nil
@@ -367,8 +347,6 @@ func (m *GMemoryManager) takePending() *cacheEntry {
 // CachedBytes sums the nominal sizes of the given keys present in this
 // device's regions — the quantity Algorithm 5.1 maximizes when picking
 // a GPU. Host-tier pages do not count: locality means device-resident.
-//
-//gflink:hotpath
 func (m *GMemoryManager) CachedBytes(keys []CacheKey) int64 {
 	var n int64
 	for _, k := range keys {

@@ -93,7 +93,7 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 		// The buffer we carry is the newest.
 		m.recyclePage(old)
 	}
-	//gflink:allow-alloc page registration: the table grows only to the peak page count
+	// Page registration: the table grows only to the peak page count.
 	m.hostPages[key] = e
 	m.hostList.pushBack(e)
 	m.hostUsed += nominal
@@ -154,7 +154,8 @@ func (m *GMemoryManager) promote(key CacheKey, pg *cacheEntry) (*gpu.Buffer, boo
 	buf := pg.buf
 	err := m.dev.Reattach(buf)
 	if err != nil {
-		//gflink:allow-alloc device-pressure fallback: Reclaim demotes its victims, and runs only when the device is full
+		// Device-pressure fallback: Reclaim demotes its victims, and runs only
+		// when the device is full.
 		m.Reclaim(pg.nominal)
 		err = m.dev.Reattach(buf)
 	}
@@ -195,7 +196,7 @@ func (m *GMemoryManager) restorePage(pg *cacheEntry) {
 	if _, dup := m.hostPages[pg.key]; dup {
 		m.recyclePage(pg)
 	} else {
-		//gflink:allow-alloc page registration: the table grows only to the peak page count
+		// Page registration: the table grows only to the peak page count.
 		m.hostPages[pg.key] = pg
 		m.pageList(pg).pushBack(pg)
 		if !pg.spilled {

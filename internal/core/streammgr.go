@@ -255,11 +255,9 @@ func (m *GStreamManager) Close() {
 
 // Submit schedules w per Algorithm 5.1. It never blocks the producer:
 // when every stream is busy the work parks in the GWork Pool.
-//
-//gflink:hotpath
 func (m *GStreamManager) Submit(w *GWork) {
 	if w.done == nil {
-		//gflink:allow-alloc unpooled submission; WorkPool shells arrive with their event preset
+		// Unpooled submission; WorkPool shells arrive with their event preset.
 		w.done = vclock.NewEvent(m.clock)
 	}
 	w.submitT = m.clock.Now()
@@ -294,8 +292,6 @@ func (m *GStreamManager) Submit(w *GWork) {
 // Algorithm 5.1: the GPU with the biggest sum of the work's cached
 // input bytes resident in device memory, or -1 when nothing is cached
 // anywhere (GID null). Under RoundRobin it cycles through devices.
-//
-//gflink:hotpath
 func (m *GStreamManager) pickGPU(w *GWork) int {
 	if m.policy == RoundRobin {
 		gid := m.rr % len(m.devs)
@@ -305,7 +301,7 @@ func (m *GStreamManager) pickGPU(w *GWork) int {
 	keys := m.scratchKeys[:0]
 	for _, in := range w.In {
 		if in.Cache {
-			//gflink:allow-alloc amortized growth of the key scratch, reused across submissions
+			// Amortized growth of the key scratch, reused across submissions.
 			keys = append(keys, in.Key)
 		}
 	}
@@ -322,13 +318,11 @@ func (m *GStreamManager) pickGPU(w *GWork) int {
 	return best
 }
 
-//gflink:hotpath
 func (m *GStreamManager) popIdle(gid int) *streamWorker {
 	sw, _ := m.devs[gid].idle.Pop()
 	return sw
 }
 
-//gflink:hotpath
 func (m *GStreamManager) bulkWithMostIdle() int {
 	best, most := -1, 0
 	for i, ds := range m.devs {
@@ -339,7 +333,6 @@ func (m *GStreamManager) bulkWithMostIdle() int {
 	return best
 }
 
-//gflink:hotpath
 func (m *GStreamManager) queueWithLeastWork() int {
 	best, least := 0, int(^uint(0)>>1)
 	for i, ds := range m.devs {
@@ -353,8 +346,6 @@ func (m *GStreamManager) queueWithLeastWork() int {
 // steal implements Algorithm 5.2 for a stream of GPU gid: first
 // the GPU's own queue, then (when stealing is enabled) the queue with
 // the most pending GWork.
-//
-//gflink:hotpath
 func (m *GStreamManager) steal(gid int) *GWork {
 	if w, ok := m.devs[gid].queue.Pop(); ok {
 		return w
@@ -380,8 +371,6 @@ func (m *GStreamManager) steal(gid int) *GWork {
 // nextOrIdle either takes more work for sw or parks it on the idle
 // list. Nothing between the check and the park blocks, so no submission
 // can fall between them.
-//
-//gflink:hotpath
 func (m *GStreamManager) nextOrIdle(sw *streamWorker) *GWork {
 	if w := m.steal(sw.ds.idx); w != nil {
 		return w
@@ -408,8 +397,6 @@ func (m *GStreamManager) nextOrIdle(sw *streamWorker) *GWork {
 // release — in that order, so wake order and simulated time are those
 // of that pipeline. The three memory-manager calls that can sleep with
 // a host tier run through tierCall.
-//
-//gflink:hotpath
 func (sw *streamWorker) step() {
 	wr := sw.mgr.wrapper
 	for {
@@ -422,7 +409,6 @@ func (sw *streamWorker) step() {
 				return
 			}
 			if !ok {
-				//gflink:allow-alloc the worker ends: once per stream, when the manager closes
 				sw.task.Exit()
 				return
 			}
@@ -470,7 +456,6 @@ func (sw *streamWorker) step() {
 				break
 			}
 			if sw.phase == phaseRetry {
-				//gflink:allow-alloc failure diagnostic: cold path that ends the work
 				if !sw.allocFailed(err) {
 					continue
 				}
@@ -563,15 +548,13 @@ func (sw *streamWorker) step() {
 // the host tier, and reports whether it finished in place. Without a
 // tier it cannot sleep and runs in place; with one it runs on the
 // stack the task borrows (see vclock.Task.Call).
-//
-//gflink:hotpath
 func (sw *streamWorker) tierCall(fn func()) bool {
 	if !sw.tiered {
-		//gflink:allow-alloc fn is lookup or insert, each hotpath-checked on its own, or reclaim, the memory-pressure cold path
 		fn()
 		return true
 	}
-	//gflink:allow-alloc host-tier path: the borrowed stack is created once per worker, and the bodies are the manager's own calls
+	// Host-tier path: the borrowed stack is created once per worker, and the
+	// bodies are the manager's own calls.
 	return sw.task.Call(fn)
 }
 
@@ -580,8 +563,6 @@ func (sw *streamWorker) tierCall(fn func()) bool {
 // atomically, so concurrent streams throttle instead of failing
 // allocations mid-flight. It reports whether the step keeps the slot;
 // a work queued on the budget starts once the budget is granted.
-//
-//gflink:hotpath
 func (sw *streamWorker) admit(w *GWork) bool {
 	footprint := w.OutNominal
 	for _, in := range w.In {
@@ -598,12 +579,9 @@ func (sw *streamWorker) admit(w *GWork) bool {
 // its pipeline at the first input. The scratch slices only grow to the
 // widest work this stream has seen, so steady-state executions reuse
 // them allocation-free.
-//
-//gflink:hotpath
 func (sw *streamWorker) start() {
 	n := len(sw.w.In)
 	if cap(sw.devBufs) < n {
-		//gflink:allow-alloc scratch growth to the widest GWork this stream has seen
 		sw.devBufs = make([]*gpu.Buffer, n)
 	}
 	sw.devBufs = sw.devBufs[:n]
@@ -620,8 +598,6 @@ func (sw *streamWorker) start() {
 
 // sizes returns the nominal and real byte sizes of the buffer being
 // allocated: input i's, or the output's.
-//
-//gflink:hotpath
 func (sw *streamWorker) sizes() (nominal int64, real int) {
 	w := sw.w
 	if sw.i < len(w.In) {
@@ -632,8 +608,6 @@ func (sw *streamWorker) sizes() (nominal int64, real int) {
 
 // host returns the host buffer being registered: input i's, or the
 // output.
-//
-//gflink:hotpath
 func (sw *streamWorker) host() *membuf.HBuffer {
 	if sw.i < len(sw.w.In) {
 		return sw.w.In[sw.i].Buf
@@ -643,30 +617,23 @@ func (sw *streamWorker) host() *membuf.HBuffer {
 
 // place records a freshly allocated buffer: a cache-flagged input's
 // waits to be inserted into the cache, every other one to be freed.
-//
-//gflink:hotpath
 func (sw *streamWorker) place(b *gpu.Buffer) {
 	w := sw.w
 	if sw.i == len(w.In) {
 		sw.outArr[0] = b
-		//gflink:allow-alloc amortized growth of the free-list scratch
 		sw.toFree = append(sw.toFree, b)
 		return
 	}
 	sw.devBufs[sw.i] = b
 	if w.In[sw.i].Cache {
-		//gflink:allow-alloc amortized growth of the cache-insert scratch
 		sw.toCache = append(sw.toCache, sw.i)
 	} else {
-		//gflink:allow-alloc amortized growth of the free-list scratch
 		sw.toFree = append(sw.toFree, b)
 	}
 }
 
 // lookup looks input i up in the device cache: a hit pins the entry
 // and binds its buffer, a miss counts.
-//
-//gflink:hotpath
 func (sw *streamWorker) lookup() {
 	in := &sw.w.In[sw.i]
 	buf, ok := sw.ds.mem.Acquire(in.Key)
@@ -676,23 +643,18 @@ func (sw *streamWorker) lookup() {
 		return
 	}
 	sw.devBufs[sw.i] = buf
-	//gflink:allow-alloc amortized growth of the pin scratch
 	sw.acquired = append(sw.acquired, in.Key)
 	sw.cacheHits++
 }
 
 // insert offers the i-th missed input to the cache: the cache keeps it
 // pinned, or it joins the buffers to free.
-//
-//gflink:hotpath
 func (sw *streamWorker) insert() {
 	i := sw.toCache[sw.i]
 	in := &sw.w.In[i]
 	if sw.ds.mem.Insert(in.Key, sw.devBufs[i], in.Nominal) {
-		//gflink:allow-alloc amortized growth of the pin scratch
 		sw.acquired = append(sw.acquired, in.Key)
 	} else {
-		//gflink:allow-alloc amortized growth of the free-list scratch
 		sw.toFree = append(sw.toFree, sw.devBufs[i])
 	}
 	sw.i++
@@ -708,8 +670,6 @@ func (sw *streamWorker) reclaim() {
 // prepareLaunch binds the work to the stream's reusable launch context
 // (safe: a stream runs one work at a time, and the step synchronizes on
 // the launch before the next work starts).
-//
-//gflink:hotpath
 func (sw *streamWorker) prepareLaunch() {
 	w := sw.w
 	ctx := &sw.ctx
@@ -755,12 +715,9 @@ func (sw *streamWorker) allocFailed(err error) bool {
 // its completion event and releases its budget. Then the worker takes
 // the next work from the GWork Pool or goes idle. finish reports
 // whether the step keeps the slot.
-//
-//gflink:hotpath
 func (sw *streamWorker) finish() bool {
 	w := sw.w
 	if sw.allocErr != nil {
-		//gflink:allow-alloc failure report: cold path of a work whose allocation failed
 		sw.reportFailure()
 	} else {
 		sw.report()
@@ -778,8 +735,6 @@ func (sw *streamWorker) finish() bool {
 }
 
 // report fills the completed work's report and records its spans.
-//
-//gflink:hotpath
 func (sw *streamWorker) report() {
 	mgr := sw.mgr
 	w := sw.w

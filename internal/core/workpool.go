@@ -27,7 +27,6 @@ func NewWorkPool(clock *vclock.Clock) *WorkPool {
 // ready for the caller to fill and Submit. The shell must come back via
 // Put (or have its ownership visibly transferred) on every path.
 //
-//gflink:hotpath
 //gflink:pool
 func (p *WorkPool) Get() *GWork {
 	if n := len(p.free); n > 0 {
@@ -36,7 +35,7 @@ func (p *WorkPool) Get() *GWork {
 		p.free = p.free[:n-1]
 		return w
 	}
-	//gflink:allow-alloc pool cold start: shell and completion event are created once, then recycled
+	// Pool cold start: shell and completion event are created once, then recycled.
 	return &GWork{done: vclock.NewEvent(p.clock)}
 }
 
@@ -44,8 +43,6 @@ func (p *WorkPool) Get() *GWork {
 // the In backing array is kept (element-zeroed so cached *HBuffer
 // pointers don't pin host memory); every other field — including Args,
 // whose backing belongs to the submitter — is dropped.
-//
-//gflink:hotpath
 func (p *WorkPool) Put(w *GWork) {
 	if w == nil {
 		return
@@ -59,6 +56,6 @@ func (p *WorkPool) Put(w *GWork) {
 		w.In[i] = Input{}
 	}
 	*w = GWork{done: ev, In: w.In[:0]}
-	//gflink:allow-alloc amortized free-list growth, bounded by peak in-flight works
+	// Amortized free-list growth, bounded by peak in-flight works.
 	p.free = append(p.free, w)
 }

@@ -49,8 +49,6 @@ const (
 // charge returns what entry point c costs before its action runs. A
 // stream worker's step sleeps it through its task and then runs the
 // action itself.
-//
-//gflink:hotpath
 func (w *CUDAWrapper) charge(c cudaCall) time.Duration {
 	if c >= callMemcpyH2D {
 		return w.model.PCIe.JNIRedirect

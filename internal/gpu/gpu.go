@@ -104,8 +104,6 @@ func (b *Buffer) Device() *Device { return b.dev }
 // shells and backing arrays are recycled from freed buffers, so a
 // steady-state Malloc/Free cycle does not touch the host heap. Malloc
 // is MallocReserve, the MallocOverhead driver cost, then MallocFill.
-//
-//gflink:hotpath
 func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 	b, err := d.MallocReserve(nominal, real)
 	if err != nil {
@@ -121,11 +119,8 @@ func (d *Device) Malloc(nominal int64, real int) (*Buffer, error) {
 // on) and takes a buffer shell with its id. The caller charges
 // MallocOverhead and then backs the shell with MallocFill; the shell is
 // not a usable buffer before that.
-//
-//gflink:hotpath
 func (d *Device) MallocReserve(nominal int64, real int) (*Buffer, error) {
 	if nominal <= 0 || real < 0 {
-		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("gpu: malloc nominal=%d real=%d", nominal, real)
 	}
 	if err := d.reserve(nominal); err != nil {
@@ -137,7 +132,6 @@ func (d *Device) MallocReserve(nominal int64, real int) (*Buffer, error) {
 		d.freeBufs[n-1] = nil
 		d.freeBufs = d.freeBufs[:n-1]
 	} else {
-		//gflink:allow-alloc cold start: the device buffer free list amortizes this away
 		b = &Buffer{}
 	}
 	b.dev, b.id, b.nominal = d, d.nextBuf, nominal
@@ -147,11 +141,9 @@ func (d *Device) MallocReserve(nominal int64, real int) (*Buffer, error) {
 // MallocFill is the second half of Malloc: it backs a reserved shell
 // with real zeroed bytes, reusing the shell's recycled backing when it
 // is large enough.
-//
-//gflink:hotpath
 func (d *Device) MallocFill(b *Buffer, real int) {
 	if cap(b.data) < real {
-		//gflink:allow-alloc backing growth to the largest transfer seen on this device
+		// Backing growth to the largest transfer seen on this device.
 		b.data = make([]byte, real)
 	} else {
 		// Reuse the recycled backing, zeroed to match a fresh cudaMalloc'd
@@ -165,11 +157,8 @@ func (d *Device) MallocFill(b *Buffer, real int) {
 
 // reserve checks that nominal more bytes fit, accounts them and draws
 // the next buffer id.
-//
-//gflink:hotpath
 func (d *Device) reserve(nominal int64) error {
 	if d.usedBytes+nominal > d.Profile.MemBytes {
-		//gflink:allow-alloc error diagnostic: out-of-memory cold path
 		return fmt.Errorf("gpu%d: out of device memory: need %d, free %d", d.ID, nominal, d.Profile.MemBytes-d.usedBytes)
 	}
 	d.usedBytes += nominal
@@ -180,8 +169,6 @@ func (d *Device) reserve(nominal int64) error {
 // Free releases the buffer into the device's recycle list. A detached
 // buffer's nominal bytes were already released by Detach. Double frees
 // panic.
-//
-//gflink:hotpath
 func (d *Device) Free(b *Buffer) {
 	if b.dev != d {
 		panic("gpu: Free on wrong device")
@@ -193,7 +180,6 @@ func (d *Device) Free(b *Buffer) {
 		d.usedBytes -= b.nominal
 	}
 	b.freed, b.detached = true, false
-	//gflink:allow-alloc amortized growth of the device buffer free list
 	d.freeBufs = append(d.freeBufs, b)
 }
 
@@ -287,12 +273,9 @@ func Lookup(name string) (Func, bool) {
 
 // lookupKernel resolves a kernel by name, failing for an unregistered
 // one.
-//
-//gflink:hotpath
 func lookupKernel(name string) (Func, error) {
 	fn, ok := registry[name]
 	if !ok {
-		//gflink:allow-alloc error diagnostic: unregistered-kernel cold path
 		return nil, fmt.Errorf("gpu: kernel %q not registered", name)
 	}
 	return fn, nil
@@ -304,8 +287,6 @@ func lookupKernel(name string) (Func, error) {
 // only then counts the kernel. It returns the virtual duration of the
 // kernel (excluding queueing). A stream's executor makes the same calls
 // in the same order through its task.
-//
-//gflink:hotpath
 func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 	fn, err := lookupKernel(name)
 	if err != nil {
@@ -326,12 +307,9 @@ func (d *Device) Launch(name string, ctx *KernelCtx) (time.Duration, error) {
 
 // runKernel runs kernel fn over ctx while its caller holds the compute
 // engine and returns the kernel's modelled duration.
-//
-//gflink:hotpath
 func (d *Device) runKernel(name string, fn Func, ctx *KernelCtx) (time.Duration, error) {
-	//gflink:allow-alloc kernel bodies are user code; the launch machinery itself is allocation-free
+	// Kernel bodies are user code; the launch machinery itself is allocation-free.
 	if err := fn(ctx); err != nil {
-		//gflink:allow-alloc error diagnostic: kernel-failure cold path
 		return 0, fmt.Errorf("gpu: kernel %q: %w", name, err)
 	}
 	coalesce := ctx.coalesce

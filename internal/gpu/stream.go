@@ -100,15 +100,12 @@ func (d *Device) NewStream(cpu costmodel.CPU) *Stream {
 }
 
 // takeCmd pops a command shell from the free list.
-//
-//gflink:hotpath
 func (s *Stream) takeCmd() *cmd {
 	if n := len(s.freeCmds); n > 0 {
 		c := s.freeCmds[n-1]
 		s.freeCmds = s.freeCmds[:n-1]
 		return c
 	}
-	//gflink:allow-alloc pool cold start: command shells recycle through the free list thereafter
 	return &cmd{}
 }
 
@@ -233,8 +230,6 @@ func (s *Stream) Device() *Device { return s.dev }
 // cudaMemcpyH2DAsync, the host buffer must be page-locked; enqueuing an
 // unpinned buffer panics, surfacing the programming error the paper's
 // cudaHostRegister step exists to prevent.
-//
-//gflink:hotpath
 func (s *Stream) H2DAsync(dst *Buffer, src *membuf.HBuffer, nominal int64) {
 	if !src.Pinned() {
 		panic("gpu: H2DAsync requires a page-locked host buffer")
@@ -273,8 +268,6 @@ func clampCopy(dst, src []byte, r CopyRange) {
 // device-side column addressing is unchanged) while charging nominal
 // bytes of PCIe time — the projected-column transfer of the paper's
 // transfer channel.
-//
-//gflink:hotpath
 func (s *Stream) H2DRangesAsync(dst *Buffer, src *membuf.HBuffer, ranges []CopyRange, nominal int64) {
 	if !src.Pinned() {
 		panic("gpu: H2DRangesAsync requires a page-locked host buffer")
@@ -286,8 +279,6 @@ func (s *Stream) H2DRangesAsync(dst *Buffer, src *membuf.HBuffer, ranges []CopyR
 
 // D2HAsync enqueues an asynchronous device-to-host copy into a
 // page-locked buffer.
-//
-//gflink:hotpath
 func (s *Stream) D2HAsync(dst *membuf.HBuffer, src *Buffer, nominal int64) {
 	if !dst.Pinned() {
 		panic("gpu: D2HAsync requires a page-locked host buffer")
@@ -303,14 +294,11 @@ func (s *Stream) D2HAsync(dst *membuf.HBuffer, src *Buffer, nominal int64) {
 // stream worker that waits on each launch before issuing the next one
 // can therefore run an unbounded number of launches with zero
 // allocations.
-//
-//gflink:hotpath
 func (s *Stream) LaunchAsyncInto(f *Future, name string, ctx *KernelCtx) {
 	f.ev.Reset()
 	s.launch(f, name, ctx)
 }
 
-//gflink:hotpath
 func (s *Stream) launch(f *Future, name string, ctx *KernelCtx) {
 	c := s.takeCmd()
 	c.op, c.fut, c.name, c.ctx = opLaunch, f, name, ctx
@@ -318,8 +306,6 @@ func (s *Stream) launch(f *Future, name string, ctx *KernelCtx) {
 }
 
 // Callback enqueues fn to run in stream order (cudaStreamAddCallback).
-//
-//gflink:hotpath
 func (s *Stream) Callback(fn func()) {
 	c := s.takeCmd()
 	c.op, c.fn = opCallback, fn
@@ -333,8 +319,6 @@ func (s *Stream) Callback(fn func()) {
 // reuses the stream's rendezvous event, so it allocates nothing; a
 // stream supports one synchronizer at a time (its owning stream
 // worker).
-//
-//gflink:hotpath
 func (s *Stream) SynchronizeTask(t *vclock.Task) bool {
 	s.syncEv.Reset()
 	s.Callback(s.syncSet)
@@ -356,8 +340,6 @@ func NewFuture(c *vclock.Clock) *Future {
 // Result returns the kernel duration and error of a completed launch,
 // for a caller that already knows the launch is done (a synchronize of
 // its stream returned). It panics on a launch still in flight.
-//
-//gflink:hotpath
 func (f *Future) Result() (time.Duration, error) {
 	if !f.ev.IsSet() {
 		panic("gpu: Future.Result on a launch still in flight")

@@ -26,7 +26,7 @@ func TestColSetBasics(t *testing.T) {
 	if got := c.String(); got != "{0,2}" {
 		t.Fatalf("String = %q, want {0,2}", got)
 	}
-	if !ColSet(0).Empty() || c.Empty() {
+	if ColSet(0) != 0 || c == 0 {
 		t.Fatal("Empty wrong")
 	}
 	if ColRange(1, 3) != Cols(1, 2) {

@@ -2,44 +2,37 @@ package gstruct
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 )
 
-// putBits writes x, truncated to the field's kind, through the kind's
-// Put*At accessor.
-func putBits(v View, e, field, idx int, x uint64) {
-	switch v.s.fields[field].Kind {
-	case Uint8:
-		v.PutUint8At(e, field, idx, uint8(x))
-	case Int32:
-		v.PutInt32At(e, field, idx, int32(x))
-	case Uint32:
-		v.PutUint32At(e, field, idx, uint32(x))
-	case Int64:
-		v.PutInt64At(e, field, idx, int64(x))
-	case Float32:
-		v.PutFloat32At(e, field, idx, math.Float32frombits(uint32(x)))
-	case Float64:
-		v.PutFloat64At(e, field, idx, math.Float64frombits(x))
+// refOffset is the tests' own address arithmetic for value idx of
+// field of element e: an AoS element is stride bytes with each field at
+// its C offset, and a SoA buffer is the fields' columns back to back
+// (runningSumSoAOffset), each element's values adjacent in its column.
+func refOffset(v View, e, field, idx int) int {
+	s, f := v.s, v.s.fields[field]
+	if v.layout == AoS {
+		return e*s.stride + s.offsets[field] + idx*f.Kind.Size()
 	}
+	return runningSumSoAOffset(s, v.n, field, e, idx)
 }
 
-// getBits reads a value through the kind's *At accessor as raw bits.
-func getBits(v View, e, field, idx int) uint64 {
-	switch v.s.fields[field].Kind {
-	case Uint8:
-		return uint64(v.Uint8At(e, field, idx))
-	case Int32:
-		return uint64(uint32(v.Int32At(e, field, idx)))
-	case Uint32:
-		return uint64(v.Uint32At(e, field, idx))
-	case Int64:
-		return uint64(v.Int64At(e, field, idx))
-	case Float32:
-		return uint64(math.Float32bits(v.Float32At(e, field, idx)))
-	default:
-		return math.Float64bits(v.Float64At(e, field, idx))
+// refGet reads value idx of field of element e, little-endian, as raw
+// bits from refOffset.
+func refGet(v View, e, field, idx int) uint64 {
+	off := refOffset(v, e, field, idx)
+	var x uint64
+	for b := v.s.fields[field].Kind.Size() - 1; b >= 0; b-- {
+		x = x<<8 | uint64(v.buf[off+b])
+	}
+	return x
+}
+
+// refPut stores the low bytes of x, little-endian, at refOffset.
+func refPut(v View, e, field, idx int, x uint64) {
+	off := refOffset(v, e, field, idx)
+	for b := 0; b < v.s.fields[field].Kind.Size(); b++ {
+		v.buf[off+b] = byte(x >> (8 * b))
 	}
 }
 
@@ -83,8 +76,8 @@ func valueBits(k Kind, salt, e, field, idx int) uint64 {
 	}
 }
 
-// Bytes written through Column read back identically through the *At
-// accessors and the other way round, for every kind, scalar and array
+// Bytes written through Column read back identically at the reference
+// addresses and the other way round, for every kind, scalar and array
 // fields, SoA views of several sizes and AoS views of one element.
 func TestColumnMatchesPerElement(t *testing.T) {
 	schemas := []*Schema{
@@ -112,7 +105,7 @@ func TestColumnMatchesPerElement(t *testing.T) {
 	for _, s := range schemas {
 		for _, sh := range shapes {
 			for fi, f := range s.fields {
-				// Column -> *At.
+				// Column -> reference.
 				v := MustView(s, sh.layout, make([]byte, s.Size(sh.layout, sh.n)), sh.n)
 				col := v.Column(fi, f.Kind)
 				if want := f.Kind.Size() * f.len() * sh.n; len(col) != want || cap(col) != want {
@@ -126,19 +119,19 @@ func TestColumnMatchesPerElement(t *testing.T) {
 				}
 				for e := 0; e < sh.n; e++ {
 					for idx := 0; idx < f.len(); idx++ {
-						if got, want := getBits(v, e, fi, idx), valueBits(f.Kind, 1, e, fi, idx); got != want {
+						if got, want := refGet(v, e, fi, idx), valueBits(f.Kind, 1, e, fi, idx); got != want {
 							t.Fatalf("%s %s n=%d: column write of %q[%d] elem %d read back %#x, want %#x",
 								s.Name(), sh.layout, sh.n, f.Name, idx, e, got, want)
 						}
 					}
 				}
-				// *At -> Column, with every other field written too, so a
+				// Reference -> Column, with every other field written too, so a
 				// column that strays into a neighbour shows.
 				w := MustView(s, sh.layout, make([]byte, s.Size(sh.layout, sh.n)), sh.n)
 				for gi, g := range s.fields {
 					for e := 0; e < sh.n; e++ {
 						for idx := 0; idx < g.len(); idx++ {
-							putBits(w, e, gi, idx, valueBits(g.Kind, 2, e, gi, idx))
+							refPut(w, e, gi, idx, valueBits(g.Kind, 2, e, gi, idx))
 						}
 					}
 				}

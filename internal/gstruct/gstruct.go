@@ -199,10 +199,6 @@ func (s *Schema) Field(i int) Field { return s.fields[i] }
 // the matching CUDA struct.
 func (s *Schema) Stride() int { return s.stride }
 
-// OffsetAoS returns the byte offset of field i within one AoS element —
-// the offsetof of the matching CUDA struct member.
-func (s *Schema) OffsetAoS(i int) int { return s.offsets[i] }
-
 // Size returns the buffer size in bytes needed to hold n elements under
 // the given layout. For AoP it is the sum of the per-field buffers (see
 // AoPSizes for the split).
@@ -275,9 +271,6 @@ func (c ColSet) Count() int {
 	}
 	return n
 }
-
-// Empty reports whether no field is selected.
-func (c ColSet) Empty() bool { return c == 0 }
 
 // String renders the set as a sorted index list, e.g. "{0,1,5}".
 func (c ColSet) String() string {
@@ -458,12 +451,9 @@ func (v View) addr(elem, field, idx int) int {
 // kind and span are checked once here, so a fill or merge loop over the
 // run pays no per-value dispatch. The run aliases the view's bytes, and
 // its capacity ends at the column's end.
-//
-//gflink:hotpath
 func (v View) Column(field int, k Kind) []byte {
 	f := v.s.fields[field]
 	if f.Kind != k || !(v.layout == SoA || v.layout == AoS && v.n <= 1) {
-		//gflink:allow-alloc panic diagnostic: a misused accessor is a bug, never a hot-path state
 		panic(v.columnMisuse(field, k))
 	}
 	lo := v.s.soaCol[field] * v.n
@@ -503,76 +493,8 @@ func (v View) PutFloat32At(elem, field, idx int, x float32) {
 	binary.LittleEndian.PutUint32(v.buf[off:], math.Float32bits(x))
 }
 
-// Float64At reads a Double64 field.
-func (v View) Float64At(elem, field, idx int) float64 {
-	v.kindCheck(field, Float64)
-	off := v.addr(elem, field, idx)
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.buf[off:]))
-}
-
-// PutFloat64At writes a Double64 field.
-func (v View) PutFloat64At(elem, field, idx int, x float64) {
-	v.kindCheck(field, Float64)
-	off := v.addr(elem, field, idx)
-	binary.LittleEndian.PutUint64(v.buf[off:], math.Float64bits(x))
-}
-
-// Uint32At reads an Unsigned32 field.
-func (v View) Uint32At(elem, field, idx int) uint32 {
-	v.kindCheck(field, Uint32)
-	off := v.addr(elem, field, idx)
-	return binary.LittleEndian.Uint32(v.buf[off:])
-}
-
-// PutUint32At writes an Unsigned32 field.
-func (v View) PutUint32At(elem, field, idx int, x uint32) {
-	v.kindCheck(field, Uint32)
-	off := v.addr(elem, field, idx)
-	binary.LittleEndian.PutUint32(v.buf[off:], x)
-}
-
-// Int32At reads an Int32 field.
-func (v View) Int32At(elem, field, idx int) int32 {
-	v.kindCheck(field, Int32)
-	off := v.addr(elem, field, idx)
-	return int32(binary.LittleEndian.Uint32(v.buf[off:]))
-}
-
-// PutInt32At writes an Int32 field.
-func (v View) PutInt32At(elem, field, idx int, x int32) {
-	v.kindCheck(field, Int32)
-	off := v.addr(elem, field, idx)
-	binary.LittleEndian.PutUint32(v.buf[off:], uint32(x))
-}
-
-// Int64At reads an Int64 field.
-func (v View) Int64At(elem, field, idx int) int64 {
-	v.kindCheck(field, Int64)
-	off := v.addr(elem, field, idx)
-	return int64(binary.LittleEndian.Uint64(v.buf[off:]))
-}
-
-// PutInt64At writes an Int64 field.
-func (v View) PutInt64At(elem, field, idx int, x int64) {
-	v.kindCheck(field, Int64)
-	off := v.addr(elem, field, idx)
-	binary.LittleEndian.PutUint64(v.buf[off:], uint64(x))
-}
-
-// Uint8At reads a byte field.
-func (v View) Uint8At(elem, field, idx int) uint8 {
-	v.kindCheck(field, Uint8)
-	return v.buf[v.addr(elem, field, idx)]
-}
-
-// PutUint8At writes a byte field.
-func (v View) PutUint8At(elem, field, idx int, x uint8) {
-	v.kindCheck(field, Uint8)
-	v.buf[v.addr(elem, field, idx)] = x
-}
-
 // AoPField wraps one field's standalone buffer (the AoP layout) as a
-// single-field SoA view so the same accessors work.
+// single-field SoA view, addressed like any other view.
 func AoPField(s *Schema, field int, buf []byte, n int) (View, error) {
 	f := s.fields[field]
 	sub, err := New(s.name+"."+f.Name, s.align, f)
@@ -580,28 +502,4 @@ func AoPField(s *Schema, field int, buf []byte, n int) (View, error) {
 		return View{}, err
 	}
 	return NewView(sub, SoA, buf, n)
-}
-
-// Convert re-encodes src (any layout) into dst (any layout); both views
-// must share the schema and element count. It is the transformation
-// GFlink performs when a kernel prefers a different layout than the
-// cached one — and the cost the user-defined layout lets applications
-// avoid.
-func Convert(dst, src View) error {
-	if dst.s != src.s {
-		return fmt.Errorf("gstruct: convert across schemas %q -> %q", src.s.name, dst.s.name)
-	}
-	if dst.n != src.n {
-		return fmt.Errorf("gstruct: convert %d elements into view of %d", src.n, dst.n)
-	}
-	for e := 0; e < src.n; e++ {
-		for fi, f := range src.s.fields {
-			for idx := 0; idx < f.len(); idx++ {
-				so := src.addr(e, fi, idx)
-				do := dst.addr(e, fi, idx)
-				copy(dst.buf[do:do+f.Kind.Size()], src.buf[so:so+f.Kind.Size()])
-			}
-		}
-	}
-	return nil
 }

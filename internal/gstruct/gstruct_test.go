@@ -28,7 +28,7 @@ func TestPaperPointLayout(t *testing.T) {
 	// C layout under pack(8): x @0, pad to 8, y @8, z @16, stride 24.
 	wantOffsets := []int{0, 8, 16}
 	for i, want := range wantOffsets {
-		if got := s.OffsetAoS(i); got != want {
+		if got := s.offsets[i]; got != want {
 			t.Errorf("offset[%d] = %d, want %d", i, got, want)
 		}
 	}
@@ -44,9 +44,9 @@ func TestPack4ChangesLayout(t *testing.T) {
 		Field{Name: "z", Kind: Float32},
 	)
 	// Under pack(4): x @0, y @4 (alignment capped at 4), z @12, stride 16.
-	if s.OffsetAoS(1) != 4 || s.OffsetAoS(2) != 12 || s.Stride() != 16 {
+	if s.offsets[1] != 4 || s.offsets[2] != 12 || s.Stride() != 16 {
 		t.Errorf("pack(4) layout: y@%d z@%d stride=%d, want 4/12/16",
-			s.OffsetAoS(1), s.OffsetAoS(2), s.Stride())
+			s.offsets[1], s.offsets[2], s.Stride())
 	}
 }
 
@@ -56,8 +56,8 @@ func TestByteFieldPadding(t *testing.T) {
 		Field{Name: "v", Kind: Float64},
 		Field{Name: "flag", Kind: Uint8},
 	)
-	if s.OffsetAoS(0) != 0 || s.OffsetAoS(1) != 8 || s.OffsetAoS(2) != 16 {
-		t.Errorf("offsets = %d,%d,%d", s.OffsetAoS(0), s.OffsetAoS(1), s.OffsetAoS(2))
+	if s.offsets[0] != 0 || s.offsets[1] != 8 || s.offsets[2] != 16 {
+		t.Errorf("offsets = %d,%d,%d", s.offsets[0], s.offsets[1], s.offsets[2])
 	}
 	if s.Stride() != 24 { // tail padded to 8
 		t.Errorf("stride = %d, want 24", s.Stride())
@@ -88,18 +88,18 @@ func TestAoSRoundTrip(t *testing.T) {
 	buf := make([]byte, s.Size(AoS, n))
 	v := MustView(s, AoS, buf, n)
 	for i := 0; i < n; i++ {
-		v.PutUint32At(i, 0, 0, uint32(i*3))
-		v.PutFloat64At(i, 1, 0, float64(i)+0.5)
+		refPut(v, i, 0, 0, uint64(i*3))
+		refPut(v, i, 1, 0, math.Float64bits(float64(i)+0.5))
 		v.PutFloat32At(i, 2, 0, float32(i)*2)
 	}
 	for i := 0; i < n; i++ {
-		if v.Uint32At(i, 0, 0) != uint32(i*3) {
+		if refGet(v, i, 0, 0) != uint64(i*3) {
 			t.Fatalf("x[%d] mismatch", i)
 		}
-		if v.Float64At(i, 1, 0) != float64(i)+0.5 {
+		if refGet(v, i, 1, 0) != math.Float64bits(float64(i)+0.5) {
 			t.Fatalf("y[%d] mismatch", i)
 		}
-		if v.Float32At(i, 2, 0) != float32(i)*2 {
+		if v.Float32At(i, 2, 0) != float32(i)*2 || refGet(v, i, 2, 0) != uint64(math.Float32bits(float32(i)*2)) {
 			t.Fatalf("z[%d] mismatch", i)
 		}
 	}
@@ -148,32 +148,6 @@ func TestArrayFieldSoAStyle(t *testing.T) {
 	}
 }
 
-func TestConvertAoSToSoA(t *testing.T) {
-	s := paperPoint(t)
-	const n = 9
-	src := MustView(s, AoS, make([]byte, s.Size(AoS, n)), n)
-	for i := 0; i < n; i++ {
-		src.PutUint32At(i, 0, 0, uint32(i))
-		src.PutFloat64At(i, 1, 0, float64(i)*1.25)
-		src.PutFloat32At(i, 2, 0, float32(i)-3)
-	}
-	dst := MustView(s, SoA, make([]byte, s.Size(SoA, n)), n)
-	if err := Convert(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	back := MustView(s, AoS, make([]byte, s.Size(AoS, n)), n)
-	if err := Convert(back, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if back.Uint32At(i, 0, 0) != uint32(i) ||
-			back.Float64At(i, 1, 0) != float64(i)*1.25 ||
-			back.Float32At(i, 2, 0) != float32(i)-3 {
-			t.Fatalf("roundtrip mismatch at %d", i)
-		}
-	}
-}
-
 func TestAoPField(t *testing.T) {
 	s := paperPoint(t)
 	const n = 5
@@ -181,13 +155,13 @@ func TestAoPField(t *testing.T) {
 	if sizes[0] != 4*n || sizes[1] != 8*n || sizes[2] != 4*n {
 		t.Fatalf("AoPSizes = %v", sizes)
 	}
-	buf := make([]byte, sizes[1])
-	fv, err := AoPField(s, 1, buf, n)
+	buf := make([]byte, sizes[2])
+	fv, err := AoPField(s, 2, buf, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fv.PutFloat64At(3, 0, 0, 42.0)
-	if fv.Float64At(3, 0, 0) != 42.0 {
+	fv.PutFloat32At(3, 0, 0, 42.0)
+	if fv.Float32At(3, 0, 0) != 42.0 || refGet(fv, 3, 0, 0) != uint64(math.Float32bits(42)) {
 		t.Error("AoP field roundtrip failed")
 	}
 }
@@ -203,7 +177,7 @@ func TestViewErrors(t *testing.T) {
 	v := MustView(s, AoS, make([]byte, s.Size(AoS, 2)), 2)
 	mustPanic(t, "out-of-range element", func() { v.Float32At(2, 2, 0) })
 	mustPanic(t, "kind mismatch", func() { v.Float32At(0, 1, 0) })
-	mustPanic(t, "array index", func() { v.Uint32At(0, 0, 1) })
+	mustPanic(t, "array index", func() { v.Float32At(0, 2, 1) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -226,48 +200,21 @@ func TestCLayoutRendering(t *testing.T) {
 	}
 }
 
-// rawAt returns the bits of value idx of field fi of element e of v.
-func rawAt(v View, e, fi, idx int) uint64 {
-	switch v.s.fields[fi].Kind {
-	case Uint8:
-		return uint64(v.Uint8At(e, fi, idx))
-	case Int32:
-		return uint64(uint32(v.Int32At(e, fi, idx)))
-	case Uint32:
-		return uint64(v.Uint32At(e, fi, idx))
-	case Int64:
-		return uint64(v.Int64At(e, fi, idx))
-	case Float32:
-		return uint64(math.Float32bits(v.Float32At(e, fi, idx)))
-	case Float64:
-		return math.Float64bits(v.Float64At(e, fi, idx))
-	}
-	panic("rawAt: unknown kind")
-}
-
-// putRawAt stores the low bits of x as value idx of field fi of element
-// e of v.
-func putRawAt(v View, e, fi, idx int, x uint64) {
-	switch v.s.fields[fi].Kind {
-	case Uint8:
-		v.PutUint8At(e, fi, idx, uint8(x))
-	case Int32:
-		v.PutInt32At(e, fi, idx, int32(x))
-	case Uint32:
-		v.PutUint32At(e, fi, idx, uint32(x))
-	case Int64:
-		v.PutInt64At(e, fi, idx, int64(x))
-	case Float32:
-		v.PutFloat32At(e, fi, idx, math.Float32frombits(uint32(x)))
-	case Float64:
-		v.PutFloat64At(e, fi, idx, math.Float64frombits(x))
-	default:
-		panic("putRawAt: unknown kind")
+// convert copies every value of src into dst, a view of the same
+// schema and length, at the reference addresses.
+func convert(dst, src View) {
+	for e := 0; e < src.n; e++ {
+		for fi, f := range src.s.fields {
+			for idx := 0; idx < f.len(); idx++ {
+				refPut(dst, e, fi, idx, refGet(src, e, fi, idx))
+			}
+		}
 	}
 }
 
 // Property: for random schemas, offsets are aligned, non-overlapping and
-// within stride; AoS, SoA and AoP round-trip losslessly through Convert;
+// within stride; every view addresses each value where the reference
+// arithmetic does; AoS, SoA and AoP round-trip losslessly;
 // and for a random column set, SoAColumnRanges covers every byte of the
 // selected columns exactly once, with sorted, disjoint, merged ranges
 // whose lengths sum to n·ProjectedElemBytes (so no other byte is
@@ -302,7 +249,7 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 			if a > align {
 				a = align
 			}
-			off := s.OffsetAoS(i)
+			off := s.offsets[i]
 			if off%a != 0 || off < end {
 				return false
 			}
@@ -326,7 +273,7 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 		}
 		src := MustView(s, AoS, make([]byte, s.Size(AoS, cnt)), cnt)
 		each(func(e, fi, idx int) bool {
-			putRawAt(src, e, fi, idx, uint64(e*1000+fi*10+idx+1))
+			refPut(src, e, fi, idx, uint64(e*1000+fi*10+idx+1))
 			return true
 		})
 
@@ -334,10 +281,14 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 		// values.
 		soa := MustView(s, SoA, make([]byte, s.Size(SoA, cnt)), cnt)
 		back := MustView(s, AoS, make([]byte, s.Size(AoS, cnt)), cnt)
-		if Convert(soa, src) != nil || Convert(back, soa) != nil {
+		convert(soa, src)
+		convert(back, soa)
+		if !each(func(e, fi, idx int) bool {
+			return src.addr(e, fi, idx) == refOffset(src, e, fi, idx) && soa.addr(e, fi, idx) == refOffset(soa, e, fi, idx)
+		}) {
 			return false
 		}
-		if !each(func(e, fi, idx int) bool { return rawAt(back, e, fi, idx) == rawAt(src, e, fi, idx) }) {
+		if !each(func(e, fi, idx int) bool { return refGet(back, e, fi, idx) == refGet(src, e, fi, idx) }) {
 			return false
 		}
 
@@ -352,12 +303,14 @@ func TestLayoutInvariantsProperty(t *testing.T) {
 			}
 			for e := 0; e < cnt; e++ {
 				for idx := 0; idx < fields[fi].Len; idx++ {
-					putRawAt(aop, e, 0, idx, rawAt(src, e, fi, idx))
+					refPut(aop, e, 0, idx, refGet(src, e, fi, idx))
 				}
 			}
 			aos := MustView(aop.Schema(), AoS, make([]byte, aop.Schema().Size(AoS, cnt)), cnt)
 			again := MustView(aop.Schema(), SoA, make([]byte, size), cnt)
-			if Convert(aos, aop) != nil || Convert(again, aos) != nil || !bytes.Equal(again.Bytes(), aop.Bytes()) {
+			convert(aos, aop)
+			convert(again, aos)
+			if !bytes.Equal(again.Bytes(), aop.Bytes()) {
 				return false
 			}
 			joined = append(joined, aop.Bytes()...)

@@ -116,14 +116,11 @@ func kmeansRow(d int) int { return (d + 8) &^ 7 }
 // from a zero-padded copy), the partials are summed as float32 in rows
 // of kmeansRow(d) and their first d+1 encoded into out once, and nothing
 // is heap-allocated unless k·kmeansRow(d) exceeds kmeansScratch.
-//
-//gflink:hotpath
 func kmeansAssign(points, cents, out []byte, n, k, d int) {
 	r := kmeansRow(d)
 	var scratch [kmeansScratch]float32
 	acc := scratch[:]
 	if k*r > kmeansScratch {
-		//gflink:allow-alloc partials wider than kmeansScratch sum on the heap
 		acc = make([]float32, k*r)
 	}
 	i0 := 0
@@ -159,8 +156,6 @@ func kmeansAssign(points, cents, out []byte, n, k, d int) {
 // d and acc k partial rows, and that 1 ≤ m ≤ 16 and d ≤ gstruct.MaxCols,
 // before it calls assignGroupBody, so that no body reaches outside its
 // slices.
-//
-//gflink:hotpath
 func assignGroup(acc []float32, span []byte, stride, m int, cents []byte, k, d int) {
 	room := len(span)/4 - kmeansLanes // float32s the span holds past column 0
 	// No division: d ≤ MaxCols, stride ≤ room and k ≤ len(acc) are

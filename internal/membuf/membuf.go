@@ -75,16 +75,12 @@ func (p *Pool) PageSize() int { return p.pageSize }
 // n rounded up to whole pages. It reuses a freed span of the same size
 // when the pool holds one. It fails when the pool's page budget is
 // exhausted, modelling an off-heap OutOfMemory condition.
-//
-//gflink:hotpath
 func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	if n <= 0 {
-		//gflink:allow-alloc error diagnostic: invalid-argument cold path
 		return nil, fmt.Errorf("membuf: allocate %d bytes", n)
 	}
 	pages := (n + p.pageSize - 1) / p.pageSize
 	if p.capacity > 0 && p.inUse+pages > p.capacity {
-		//gflink:allow-alloc error diagnostic: off-heap exhaustion cold path
 		return nil, fmt.Errorf("membuf: off-heap exhausted: need %d pages, %d available", pages, p.capacity-p.inUse)
 	}
 	p.inUse += pages
@@ -104,12 +100,12 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 		p.reused++
 		clear(data)
 	} else {
-		//gflink:allow-alloc cold start: freed spans recycle through the spare lists thereafter
+		// Cold start: freed spans recycle through the spare lists thereafter.
 		data = make([]byte, n)
 	}
 	// The handle stays fresh so that a stale *HBuffer still sees its own
 	// freed flag and a double free still panics; only the span recycles.
-	//gflink:allow-alloc HBuffer handle: a small fixed-size header, never reused
+	// HBuffer handle: a small fixed-size header, never reused
 	return &HBuffer{id: id, pool: p, data: data, size: n, pages: pages}, nil
 }
 
@@ -196,8 +192,6 @@ func (b *HBuffer) Pin() {
 // PinCharge is the first half of Pin: it returns the registration time
 // to charge, and ok=false when the buffer is already pinned and Pin
 // charges nothing. Pinning a freed buffer panics.
-//
-//gflink:hotpath
 func (b *HBuffer) PinCharge() (d time.Duration, ok bool) {
 	if b.freed {
 		panic("membuf: Pin on freed HBuffer")
@@ -212,8 +206,6 @@ func (b *HBuffer) PinCharge() (d time.Duration, ok bool) {
 // publishes the page lock. Other processes ran during the charge, so
 // the buffer's state is checked again: a buffer freed meanwhile panics,
 // and one pinned meanwhile stays pinned once.
-//
-//gflink:hotpath
 func (b *HBuffer) PinPublish() {
 	if b.freed {
 		panic("membuf: Pin on freed HBuffer")
@@ -241,8 +233,6 @@ func (b *HBuffer) Pinned() bool { return b.pinned }
 // and keeps the span for the next Allocate of the same size.
 // Double frees panic: the paper's GMemoryManager owns buffer lifetime
 // exactly once.
-//
-//gflink:hotpath
 func (b *HBuffer) Free() {
 	p := b.pool
 	if b.freed {
@@ -256,17 +246,17 @@ func (b *HBuffer) Free() {
 	p.inUse -= b.pages
 	p.frees++
 	if p.spare == nil {
-		//gflink:allow-alloc spare lists are created on first Free, so an idle pool costs nothing
+		// Spare lists are created on first Free, so an idle pool costs nothing.
 		p.spare = make(map[int]*[][]byte)
 	}
 	st := p.spare[b.size]
 	if st == nil {
-		//gflink:allow-alloc one spare list per distinct buffer size
+		// One spare list per distinct buffer size.
 		st = new([][]byte)
-		//gflink:allow-alloc one spare list per distinct buffer size
 		p.spare[b.size] = st
 	}
-	//gflink:allow-alloc amortized spare-list growth, bounded by the most buffers of this size ever live at once
+	// Amortized spare-list growth, bounded by the most buffers of this size ever
+	// live at once.
 	*st = append(*st, b.data)
 	p.spareTotal += b.pages
 	b.data = nil

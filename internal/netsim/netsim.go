@@ -139,8 +139,6 @@ type Xfer struct {
 // Start begins moving bytes from node src to node dst. A same-node or
 // empty transfer touches neither link and leaves x idle, so the next
 // Step completes in place.
-//
-//gflink:hotpath
 func (x *Xfer) Start(n *Network, src, dst int, bytes int64) {
 	if src == dst || bytes <= 0 {
 		return
@@ -154,8 +152,6 @@ func (x *Xfer) Start(n *Network, src, dst int, bytes int64) {
 // transfer is done. It returns false when t was parked on a link or for
 // the transfer time: the step must return, and call Step again when it
 // runs next.
-//
-//gflink:hotpath
 func (x *Xfer) Step(t *vclock.Task) bool {
 	for {
 		switch x.phase {
@@ -194,7 +190,6 @@ func (n *Network) Stats() (transfers, bytes int64) {
 
 func (n *Network) checkNode(id int) {
 	if id < 0 || id >= len(n.up) {
-		//gflink:allow-alloc error diagnostic: an out-of-range node ends the simulation
 		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", id, len(n.up)))
 	}
 }

@@ -75,13 +75,9 @@ type Tracer struct {
 func NewTracer() *Tracer { return &Tracer{} }
 
 // Enabled reports whether recording is on. It is the hot-path gate for
-// span call sites: the hotalloc analyzer treats the body of an
-// `if t.Enabled() { ... }` statement as observability-cold, so attr
-// slices and Record calls built inside one cost nothing — not
-// even their argument construction — when tracing is off or the tracer
-// is nil.
-//
-//gflink:hotpath
+// span call sites: attr slices and Record calls built inside an
+// `if t.Enabled() { ... }` statement cost nothing — not even their
+// argument construction — when tracing is off or the tracer is nil.
 func (t *Tracer) Enabled() bool { return t != nil && !t.disabled }
 
 // SetEnabled turns recording on or off. A disabled tracer drops
@@ -101,13 +97,11 @@ func (t *Tracer) SetEnabled(on bool) {
 // before touching anything); with tracing on, span storage grows
 // amortized — use Reserve to preallocate it when the span count is
 // known up front.
-//
-//gflink:hotpath
 func (t *Tracer) Record(track, cat, name string, start, end time.Duration, attrs ...Attr) {
 	if !t.Enabled() {
 		return
 	}
-	//gflink:allow-alloc amortized span-storage growth; Reserve preallocates it
+	// Amortized span-storage growth; Reserve preallocates it.
 	t.spans = append(t.spans, Span{
 		Track: track, Cat: cat, Name: name,
 		Start: start, End: end, Attrs: attrs, Seq: t.seq,
@@ -174,7 +168,7 @@ func (r WorkReport) Pipeline() time.Duration { return r.H2D + r.Kernel + r.D2H }
 // H2D → kernel → D2H children on the executing stream's track,
 // annotated with device id, cache hits/misses and steal origin.
 func (t *Tracer) RecordGWork(streamTrack, queueTrack, name string, submit, start time.Duration, r WorkReport, attrs ...Attr) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.Record(queueTrack, "queue", "queue:"+name, submit, start,
@@ -332,8 +326,6 @@ func (r *Registry) Counter(k Kind, idx int) *Counter {
 
 // Add increments the counter by delta: one predictable branch and one
 // integer add on the hot path.
-//
-//gflink:hotpath
 func (c *Counter) Add(delta int64) {
 	if c == nil || c.disabled {
 		return
@@ -342,8 +334,6 @@ func (c *Counter) Add(delta int64) {
 }
 
 // Max raises the counter to v if v exceeds its current value.
-//
-//gflink:hotpath
 func (c *Counter) Max(v int64) {
 	if c == nil || c.disabled {
 		return
@@ -354,8 +344,6 @@ func (c *Counter) Max(v int64) {
 }
 
 // Get returns the counter's current value.
-//
-//gflink:hotpath
 func (c *Counter) Get() int64 {
 	if c == nil {
 		return 0
@@ -377,8 +365,6 @@ func (r *Registry) SetEnabled(on bool) {
 }
 
 // Get returns the named counter's value (0 when never registered).
-//
-//gflink:hotpath
 func (r *Registry) Get(name string) int64 {
 	if r == nil {
 		return 0

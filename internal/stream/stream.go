@@ -461,7 +461,6 @@ func (p *Pipeline) exit(t *vclock.Task) {
 	if p.live--; p.live == 0 {
 		p.done.Set()
 	}
-	//gflink:allow-alloc once per task per run
 	t.Exit()
 }
 
@@ -529,7 +528,8 @@ func (e *edge) take() *batch {
 		b.recs = b.recs[:0]
 		return b
 	}
-	//gflink:allow-alloc cold start: at most BufferBatches+1 shells per edge, recycled by the courier thereafter
+	// Cold start: at most BufferBatches+1 shells per edge, recycled by the courier
+	// thereafter.
 	return &batch{recs: make([]Record, 0, e.p.opts.BatchRecords)}
 }
 
@@ -539,8 +539,6 @@ func (e *edge) take() *batch {
 // record size, enqueue. It returns true once the batch is enqueued. It
 // returns false when t parked: the step must return, and call send
 // again when it runs next.
-//
-//gflink:hotpath
 func (e *edge) send(t *vclock.Task) bool {
 	clock := e.p.g.Cluster.Clock
 	switch e.phase {
@@ -590,8 +588,6 @@ func (e *edge) ack(b *batch) { e.grants.Put(b) }
 // courierStep is the step of the edge's credit-return task: for every
 // processed batch it pays the control-message transfer back to the
 // producer, recycles the shell and releases the credit.
-//
-//gflink:hotpath
 func (e *edge) courierStep() {
 	t := e.courier
 	for {
@@ -636,8 +632,6 @@ const (
 // sourceStep is the source task's step: it generates records batch by
 // batch, charging the production cost on the source worker's CPU and
 // pushing each batch through the credit-bounded edge.
-//
-//gflink:hotpath
 func (s *stage) sourceStep() {
 	t, e := s.task, s.out
 	for {
@@ -674,8 +668,6 @@ func (s *stage) sourceStep() {
 // it arrives, and at every full window fires the aggregation on the placed
 // device, emits one aggregate record per slot downstream, and resumes
 // folding the rest of the batch.
-//
-//gflink:hotpath
 func (s *stage) windowStep() {
 	t := s.task
 	clock := s.p.g.Cluster.Clock
@@ -766,8 +758,6 @@ var sinkPerRecord = costmodel.Work{Flops: 2, BytesRead: 8}
 
 // sinkStep is the sink task's step: it drains the final edge, charging
 // a small folding cost and accumulating the checksum.
-//
-//gflink:hotpath
 func (s *stage) sinkStep() {
 	t := s.task
 	for {
@@ -826,14 +816,12 @@ func (s *stage) closeOut() {
 
 // finish records the stage's span and ends its task.
 func (s *stage) finish() {
-	//gflink:allow-alloc once per stage per run
 	attrs := []obs.Attr{
 		obs.Str("kind", s.kind.String()),
 		obs.Int("worker", int64(s.worker)),
 		obs.Int("records", s.records),
 	}
 	if s.kind == kWindow {
-		//gflink:allow-alloc once per stage per run
 		attrs = append(attrs, obs.Str("placed", s.dev.String()))
 	}
 	// Every stage task is spawned at t0 and first runs before the clock
@@ -847,8 +835,6 @@ func (s *stage) finish() {
 // as kernels.CPUWindowAgg over the packed window. A GPU window writes
 // each record once, straight from the batch, as the kernel's packed
 // pair: one little-endian uint64, slot | float32 bits << 32.
-//
-//gflink:hotpath
 func (s *stage) fold(recs []Record) {
 	slot := s.slot
 	if s.dev == plan.GPU {
@@ -896,7 +882,7 @@ func (s *stage) submitGPU() {
 	w.Nominal = int64(n)
 	w.BlockSize = 256
 	w.GridSize = (n + 255) / 256
-	//gflink:allow-alloc the pooled In backing keeps its capacity, so only a fresh shell grows it
+	// The pooled In backing keeps its capacity, so only a fresh shell grows it.
 	w.In = append(w.In, core.Input{Buf: s.inBuf, Nominal: int64(n) * packedRecordBytes})
 	w.Out = s.outBuf
 	w.OutNominal = int64(s.win.Slots) * 4
@@ -912,7 +898,6 @@ func (s *stage) collectGPU(err error) {
 	s.p.g.Manager(s.worker).Streams.Pool().Put(s.work)
 	s.work = nil
 	if err != nil {
-		//gflink:allow-alloc error diagnostic: a failed kernel ends the simulation
 		panic(fmt.Sprintf("stream: window %q kernel failed: %v", s.name, err))
 	}
 	out := s.outBuf.Bytes()[:s.win.Slots*4]
@@ -925,8 +910,6 @@ func (s *stage) collectGPU(err error) {
 // per slot, batched like any other traffic. It returns true once every
 // sum is sent, and false when the task parked in a send; the next call
 // resumes that send.
-//
-//gflink:hotpath
 func (s *stage) emit() bool {
 	e, batchLen := s.out, s.p.opts.BatchRecords
 	for {

@@ -308,7 +308,10 @@ func FuzzPipeline(f *testing.F) {
 // its Puts, so construction code that formats names with fmt allocates
 // a varying number of objects; and a collection cycle that starts
 // mid-Run adds allocations of its own. Counting Run alone, with the
-// collector off, leaves only the growth with the window count.
+// collector off, leaves only the growth with the window count. The
+// count is of the whole process, so each length is run three times and
+// its fewest allocations kept: an allocation from outside the run only
+// ever adds to one of them.
 func TestStreamSteadyStateZeroAllocs(t *testing.T) {
 	const width, windows = 1024, 100
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -329,7 +332,10 @@ func TestStreamSteadyStateZeroAllocs(t *testing.T) {
 				return int64(after.Mallocs - before.Mallocs)
 			}
 			mallocs(windows)
-			short, long = mallocs(windows), mallocs(4*windows)
+			short, long = math.MaxInt64, math.MaxInt64
+			for i := 0; i < 3; i++ {
+				short, long = min(short, mallocs(windows)), min(long, mallocs(4*windows))
+			}
 		})
 		if extra := int64(3 * windows); (long-short)*100 >= extra {
 			t.Errorf("%v: %d windows made %d allocations, %d windows %d: %d more for %d extra windows, want fewer than %d",

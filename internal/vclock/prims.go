@@ -25,8 +25,6 @@ func NewQueue[T any](c *Clock) *Queue[T] {
 }
 
 // Put appends v and wakes one waiting Get, if any.
-//
-//gflink:hotpath
 func (q *Queue[T]) Put(v T) {
 	if q.closed {
 		panic("vclock: Put on closed Queue")
@@ -55,8 +53,6 @@ func (q *Queue[T]) Close() {
 // Get removes and returns the oldest item, blocking while the queue is
 // open and empty: GetTask, re-checked each time the process wakes. ok
 // is false if the queue is closed and drained.
-//
-//gflink:hotpath
 func (q *Queue[T]) Get() (T, bool) {
 	t := q.c.Process()
 	for {
@@ -69,13 +65,9 @@ func (q *Queue[T]) Get() (T, bool) {
 }
 
 // TryGet removes and returns the oldest item without blocking.
-//
-//gflink:hotpath
 func (q *Queue[T]) TryGet() (v T, ok bool) { return q.items.Pop() }
 
 // Len reports the number of buffered items.
-//
-//gflink:hotpath
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Semaphore is a counting semaphore used to model contended hardware
@@ -101,8 +93,6 @@ func NewSemaphore(c *Clock, name string, capacity int64) *Semaphore {
 // Acquire blocks until n units are available and takes them:
 // AcquireTask, parking the process while it waits. n greater than the
 // capacity panics (it could never succeed).
-//
-//gflink:hotpath
 func (s *Semaphore) Acquire(n int64) {
 	if t := s.c.Process(); !s.AcquireTask(t, n) {
 		t.Park()
@@ -111,12 +101,9 @@ func (s *Semaphore) Acquire(n int64) {
 
 // Release returns n units and wakes as many queued acquirers as now fit,
 // in FIFO order.
-//
-//gflink:hotpath
 func (s *Semaphore) Release(n int64) {
 	s.free += n
 	if s.free > s.cap {
-		//gflink:allow-alloc panic diagnostic on over-release
 		panic("vclock: semaphore over-release: " + s.name)
 	}
 	for {
@@ -133,8 +120,6 @@ func (s *Semaphore) Release(n int64) {
 
 // Free reports the available units (intended for scheduler heuristics
 // and tests).
-//
-//gflink:hotpath
 func (s *Semaphore) Free() int64 { return s.free }
 
 // Event is a one-shot broadcast: Wait blocks until Set is called; after
@@ -150,8 +135,6 @@ func NewEvent(c *Clock) *Event { return &Event{c: c} }
 
 // Set fires the event, waking all current and future waiters. Setting an
 // already-set event is a no-op.
-//
-//gflink:hotpath
 func (e *Event) Set() {
 	if e.set {
 		return
@@ -169,8 +152,6 @@ func (e *Event) Set() {
 
 // Wait blocks until the event is set: WaitTask, parking the process
 // while it waits.
-//
-//gflink:hotpath
 func (e *Event) Wait() {
 	if t := e.c.Process(); !e.WaitTask(t) {
 		t.Park()
@@ -178,16 +159,12 @@ func (e *Event) Wait() {
 }
 
 // IsSet reports whether the event fired.
-//
-//gflink:hotpath
 func (e *Event) IsSet() bool { return e.set }
 
 // Reset returns a fired event to the unset state so the same Event can
 // be reused (e.g., the completion event of a pooled GWork). Resetting
 // an event that still has blocked waiters panics: their wake-up would
 // otherwise be lost. Resetting an unset event is a no-op.
-//
-//gflink:hotpath
 func (e *Event) Reset() {
 	if e.waiters.Len() > 0 {
 		panic("vclock: Event.Reset with blocked waiters")

@@ -9,7 +9,7 @@ package vclock
 // power of two so the wrap is a mask, not a division.
 //
 // Every FIFO queue of the simulator is a Ring: the dispatcher's run
-// queue and co-deadline wake batch, the waiters of every Queue,
+// queue, the waiters of every Queue,
 // Semaphore and Event, and the GStreamManager's per-GPU work queues and
 // idle-stream lists. They carry sustained traffic for the whole
 // simulation and must not copy or allocate per event.
@@ -25,13 +25,9 @@ type Ring[T any] struct {
 }
 
 // Len reports the number of queued items.
-//
-//gflink:hotpath
 func (r *Ring[T]) Len() int { return int(r.n) }
 
 // Push appends v at the tail, growing the backing array only when full.
-//
-//gflink:hotpath
 func (r *Ring[T]) Push(v T) {
 	if int(r.n) == len(r.buf) {
 		r.grow()
@@ -42,8 +38,6 @@ func (r *Ring[T]) Push(v T) {
 
 // Pop removes and returns the head item; ok is false on an empty ring.
 // The vacated slot is zeroed so popped values are not retained.
-//
-//gflink:hotpath
 func (r *Ring[T]) Pop() (v T, ok bool) {
 	if r.n == 0 {
 		return v, false
@@ -58,8 +52,6 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 
 // Front returns the head item without removing it; ok is false on an
 // empty ring.
-//
-//gflink:hotpath
 func (r *Ring[T]) Front() (v T, ok bool) {
 	if r.n == 0 {
 		return v, false
@@ -71,11 +63,8 @@ func (r *Ring[T]) Front() (v T, ok bool) {
 // circular contents to the front of the new array. The first push
 // allocates one slot, as append does for a pointer-sized element, so a
 // queue that never holds more than one item stays that small.
-//
-//gflink:hotpath
 func (r *Ring[T]) grow() {
 	newCap := max(1, 2*len(r.buf))
-	//gflink:allow-alloc amortized doubling of the ring's backing array
 	buf := make([]T, newCap)
 	for i := 0; i < int(r.n); i++ {
 		buf[i] = r.buf[(int(r.head)+i)&(len(r.buf)-1)]

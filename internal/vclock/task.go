@@ -71,8 +71,6 @@ func (c *Clock) Spawn(name string, step func()) *Task {
 // other process): the task keeps the slot and goes on. It returns false
 // when the task is parked: the step must return, and runs again once
 // the timer fires.
-//
-//gflink:hotpath
 func (t *Task) Sleep(d time.Duration) bool {
 	if d < 0 {
 		d = 0
@@ -136,11 +134,8 @@ func (t *Task) Call(fn func()) bool {
 // queue and was parked: the step must return, and when it runs again
 // the units are already charged to t, as they are to a process whose
 // Acquire returns.
-//
-//gflink:hotpath
 func (s *Semaphore) AcquireTask(t *Task, n int64) bool {
 	if n > s.cap {
-		//gflink:allow-alloc panic diagnostic on an impossible acquire
 		panic("vclock: semaphore acquire exceeds capacity: " + s.name)
 	}
 	if s.waiters.Len() == 0 && s.free >= n {
@@ -157,8 +152,6 @@ func (s *Semaphore) AcquireTask(t *Task, n int64) bool {
 // true when t was parked on the empty open queue: the step must return
 // and call GetTask again when it runs next, just as Get re-checks
 // after its process resumes.
-//
-//gflink:hotpath
 func (q *Queue[T]) GetTask(t *Task) (v T, ok, wait bool) {
 	if v, ok = q.items.Pop(); ok {
 		return v, true, false
@@ -175,8 +168,6 @@ func (q *Queue[T]) GetTask(t *Task) (v T, ok, wait bool) {
 // is already set. It returns false when t joined the event's waiters and
 // was parked: the step must return, and when it runs again the event
 // has fired, as it has for a process whose Wait returns.
-//
-//gflink:hotpath
 func (e *Event) WaitTask(t *Task) bool {
 	if e.set {
 		return true
@@ -191,12 +182,9 @@ func (e *Event) WaitTask(t *Task) bool {
 // wait, the process parks with Park. A step outside Call has no stack
 // to park, so Process panics naming its task before any clock state
 // changes.
-//
-//gflink:hotpath
 func (c *Clock) Process() *Task {
 	t := c.cur
 	if t.yield == nil {
-		//gflink:allow-alloc panic diagnostic on a step misusing a stackful primitive
 		panic(fmt.Sprintf("vclock: task %q called a stackful blocking primitive; a step must use the task forms or Call", t.name))
 	}
 	return t
@@ -205,6 +193,4 @@ func (c *Clock) Process() *Task {
 // Park parks the coroutine of process t, which a task form has just
 // reported waiting, until a primitive wakes it. Only Process's result
 // may park.
-//
-//gflink:hotpath
 func (t *Task) Park() { t.c.park(t) }

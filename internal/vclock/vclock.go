@@ -29,13 +29,10 @@
 // process runs atomically with respect to every other process of the
 // same clock.
 //
-// Dispatch is batched: when the clock advances, every timer sharing the
-// new instant is drained from the heap at once, in seq order, into a
-// wake batch; readied processes still run before the next batch member
-// fires, so the observable wake order is exactly the textbook one —
-// next ready process, else one timer per step in (deadline, seq) order —
-// that the test-only reference scheduler checks (see DESIGN.md
-// "Simulator engine").
+// Dispatch has one queue and the timer heap: the next readied process,
+// else the earliest timer in (deadline, seq) order, advancing the clock
+// to its deadline. That is the textbook wake order the test-only
+// reference scheduler checks (see DESIGN.md "Simulator engine").
 //
 // If every process is blocked and no timer is pending, the simulation
 // cannot make progress; the kernel panics with a diagnostic listing the
@@ -52,11 +49,9 @@ import (
 // park gives up t's execution slot: the coroutine switches back to the
 // dispatch loop in Run, which resumes it once a dispatch selects it
 // again. Callers must have let block choose the next process first.
-//
-//gflink:hotpath
 func (c *Clock) park(t *Task) {
 	c.parks++
-	//gflink:allow-alloc a coroutine switch through iter.Pull's yield allocates nothing
+	// A coroutine switch through iter.Pull's yield allocates nothing.
 	t.yield(struct{}{})
 }
 
@@ -92,12 +87,9 @@ type Clock struct {
 	// resume once the current process has parked or exited; nil when
 	// the dispatch kept the slot with its caller or found nothing to run.
 	nextp *Task
-	// runq holds readied processes in wake order; wakeq holds the
-	// remainder of the current co-deadline timer batch in seq order.
-	// Dispatch order is runq, then wakeq, then a fresh batch from the
-	// timer heap.
+	// runq holds readied processes in wake order. Dispatch order is
+	// runq, then the earliest timer of the heap.
 	runq    Ring[*Task]
-	wakeq   Ring[*Task]
 	timers  timerHeap
 	seq     uint64 // tie-break for identical deadlines; preserves FIFO order
 	parks   uint64 // coroutine parks so far (Parks)
@@ -122,11 +114,10 @@ type Clock struct {
 // New returns a Clock positioned at virtual time zero.
 func New() *Clock {
 	return &Clock{
-		// Every run readies several processes at once and fires timers
-		// in batches, so the dispatcher's queues start at eight slots
-		// rather than growing through one, two and four.
+		// Every run readies several processes at once, so the run queue
+		// starts at eight slots rather than growing through one, two and
+		// four.
 		runq:         Ring[*Task]{buf: make([]*Task, 8)},
-		wakeq:        Ring[*Task]{buf: make([]*Task, 8)},
 		reasonLabels: []string{"sleep", "queue", "event"},
 		blockedN:     make([]int, numBuiltinReasons),
 	}
@@ -149,8 +140,6 @@ func (c *Clock) RegisterReason(label string) int {
 // Now reports the current virtual time as a duration since the start of
 // the simulation. Only the dispatcher writes it, and only while every
 // process is parked, so a process reads it as a plain field.
-//
-//gflink:hotpath
 func (c *Clock) Now() time.Duration { return c.now }
 
 // Go spawns fn as a new registered process. Only a process (or task)
@@ -243,8 +232,6 @@ func (c *Clock) exit(p *Task) {
 // dispatch. A negative duration counts as zero. A zero sleep does not
 // advance time, but it still round-trips through the timer heap, so
 // wake-ups co-scheduled at the same instant occur in FIFO order.
-//
-//gflink:hotpath
 func (c *Clock) Sleep(d time.Duration) {
 	if t := c.Process(); !t.Sleep(d) {
 		t.Park()
@@ -272,8 +259,6 @@ func (c *Clock) putProc(p *Task) {
 
 // takeWaiter returns a recycled (or new) waiter parked for p with n
 // units requested.
-//
-//gflink:hotpath
 func (c *Clock) takeWaiter(p *Task, n int64) *waiter {
 	if l := len(c.freeWaiters); l > 0 {
 		w := c.freeWaiters[l-1]
@@ -283,18 +268,14 @@ func (c *Clock) takeWaiter(p *Task, n int64) *waiter {
 		w.n = n
 		return w
 	}
-	//gflink:allow-alloc cold start: the free list amortizes this away at steady state
 	return &waiter{p: p, n: n}
 }
 
 // putWaiter recycles a waiter whose wake has been queued: the waker
 // recycles it, since the wake targets the process shell.
-//
-//gflink:hotpath
 func (c *Clock) putWaiter(w *waiter) {
 	w.p = nil
 	w.n = 0
-	//gflink:allow-alloc amortized growth of the waiter free list
 	c.freeWaiters = append(c.freeWaiters, w)
 }
 
@@ -305,8 +286,6 @@ func (c *Clock) putWaiter(w *waiter) {
 // dispatcher re-selected self, in which case the caller keeps the slot
 // and must NOT park. Otherwise the caller must park (c.park) next, or,
 // for a task, return from its step.
-//
-//gflink:hotpath
 func (c *Clock) block(idx int, self *Task) bool {
 	c.running--
 	c.blockedN[idx]++
@@ -318,27 +297,20 @@ func (c *Clock) block(idx int, self *Task) bool {
 // dispatched — the waker keeps the execution slot until it blocks or
 // exits, and queued wake order is what makes contended admissions
 // deterministic.
-//
-//gflink:hotpath
 func (c *Clock) ready(idx int, p *Task) {
 	c.blockedN[idx]--
 	c.runq.Push(p)
 }
 
 // dispatch hands the execution slot to the next process in wake order:
-// a readied process first, then the rest of the current co-deadline
-// batch, then — with both queues empty — a fresh batch drained from the
-// timer heap. Draining every timer that shares the earliest deadline in
-// one sweep (seq order, which is FIFO order) is what "batched dispatch"
-// means; it is observationally identical to firing one timer per
-// dispatch because a timer armed *after* the batch formed necessarily
-// carries a larger seq and the same instant, so it would have fired
-// after the whole batch anyway.
+// a readied process first, else the earliest timer, whose deadline the
+// clock advances to. Timers sharing a deadline fire one per dispatch in
+// seq order, with the processes each one readies running in between; a
+// timer armed at that instant meanwhile carries a larger seq, so it
+// fires after every timer already pending there.
 //
 // dispatch returns true when the selected process is self: the caller
 // keeps the execution slot and does not park.
-//
-//gflink:hotpath
 func (c *Clock) dispatch(self *Task) bool {
 	if !c.started || c.running > 0 || c.total == 0 {
 		return false
@@ -346,33 +318,19 @@ func (c *Clock) dispatch(self *Task) bool {
 	if p, ok := c.runq.Pop(); ok {
 		return c.handoff(p, self)
 	}
-	if p, ok := c.wakeq.Pop(); ok {
-		return c.handoff(p, self)
-	}
 	if len(c.timers) == 0 {
-		//gflink:allow-alloc deadlock diagnostics: cold path that ends the simulation
 		c.deadlock()
 		return false
 	}
-	// Form the batch: pop every timer sharing the earliest deadline, in
-	// seq order. The first wakes now; the rest wait in wakeq behind any
-	// processes the woken ones ready (virtual time holds still for the
-	// whole batch).
 	t := c.timers.pop()
 	c.now = t.deadline
 	c.blockedN[reasonSleep]--
-	for len(c.timers) > 0 && c.timers[0].deadline == c.now {
-		c.blockedN[reasonSleep]--
-		c.wakeq.Push(c.timers.pop().p)
-	}
 	return c.handoff(t.p, self)
 }
 
 // handoff gives p the execution slot. A handoff to self is the fast
 // path: the caller just keeps running. Otherwise p becomes the process
 // Run's loop resumes once the caller parks or exits.
-//
-//gflink:hotpath
 func (c *Clock) handoff(p, self *Task) bool {
 	c.running++
 	c.cur = p
@@ -428,8 +386,6 @@ type timer struct {
 
 // before orders timers by (deadline, seq). Sequence numbers are unique,
 // so the order is total and the heap pops timers in exactly one order.
-//
-//gflink:hotpath
 func (t *timer) before(u *timer) bool {
 	return t.deadline < u.deadline || t.deadline == u.deadline && t.seq < u.seq
 }
@@ -438,10 +394,7 @@ func (t *timer) before(u *timer) bool {
 type timerHeap []timer
 
 // push inserts t, sifting it up from the new leaf.
-//
-//gflink:hotpath
 func (h *timerHeap) push(t timer) {
-	//gflink:allow-alloc amortized growth of the timer heap
 	s := append(*h, t)
 	i := len(s) - 1
 	for i > 0 {
@@ -458,8 +411,6 @@ func (h *timerHeap) push(t timer) {
 
 // pop removes and returns the earliest timer; the heap must be
 // non-empty. The last leaf sifts down from the root into the hole.
-//
-//gflink:hotpath
 func (h *timerHeap) pop() timer {
 	s := *h
 	top := s[0]

@@ -123,8 +123,6 @@ const fillChunk = 128
 // element i is nominal point ord0 + i*step, followed by the MetaCols
 // metadata columns. Within a column, element i's noise draws ordinal
 // x + i·29·step, which fillCoords steps through.
-//
-//gflink:hotpath
 func (g *kmeansGen) fill(_ int, v gstruct.View, ord0, step int64) {
 	n := v.Len()
 	var centers [fillChunk]int32

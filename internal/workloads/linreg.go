@@ -82,8 +82,6 @@ func (g *linregGen) sample(ord int64, dst []float32) {
 
 // fill writes one SoA block of samples column by column (the GDST
 // fill): element i is nominal sample ord0 + i*step.
-//
-//gflink:hotpath
 func (g *linregGen) fill(_ int, v gstruct.View, ord0, step int64) {
 	n := v.Len()
 	var ys [fillChunk]float32
