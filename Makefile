@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-test results mutate
+.PHONY: build test race vet bench bench-test results mutate examples
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,18 @@ vet:
 
 bench:
 	$(GO) run ./cmd/gflink-bench -list
+
+# Run every program under examples/ and diff its stdout against the
+# stdout.golden beside it; any difference, or a program that fails,
+# fails the target. Quickstart prints the path of the trace it writes
+# to the temp dir, so TMPDIR is pinned to keep that line fixed.
+examples:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
+		echo "== $$d"; \
+		TMPDIR=/tmp $(GO) run "./$$d" > "$$out" || exit 1; \
+		diff -u "$${d}stdout.golden" "$$out" || exit 1; \
+	done
 
 # Rewrite EXPERIMENTS.md's Full results from the code. TestResultsGolden
 # fails whenever the two disagree; after a change that moves a result on

@@ -40,7 +40,7 @@ func main() {
 	total := g.Run(func() {
 		// Build the deferred graph: nothing below touches the virtual
 		// clock until Execute submits the job and materializes the nodes.
-		gr = gflink.NewPlan(g, "quickstart", gflink.PlanOptions{})
+		gr = gflink.NewPlan(g, "quickstart", gflink.PlanOptions{Mode: gflink.ForceGPU})
 
 		// Source node: a GDST of Point3 records — raw bytes in off-heap
 		// blocks, ready for DMA without serialization. The fill runs once
@@ -95,9 +95,8 @@ func main() {
 	})
 	fmt.Printf("total simulated job time: %v\n", total)
 
-	// Explain renders the plan after the fact: placement decisions with
-	// the cost-model estimates behind them, the stage list the chaining
-	// pass produced, and the simulated time each stage took.
+	// Explain renders the plan after the fact: the stage list the
+	// chaining pass produced and the simulated time each stage took.
 	fmt.Println()
 	fmt.Print(gflink.Explain(gr))
 

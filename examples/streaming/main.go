@@ -2,7 +2,7 @@
 // A generator source on worker 0 outruns a tumbling-window aggregation
 // on worker 1, so the bounded edge between them exercises credit-based
 // backpressure; the window lowers onto the GPU (or a CPU slot under
-// -cpu) through the same cost-model placement the plan layer uses. The
+// -cpu) by the placement mode, the rule the plan layer uses. The
 // program runs the pipeline at three buffer limits and prints the
 // throughput-vs-buffer-limit curve the abl-backpressure experiment
 // pins, then dumps the stream.* counters of the last run.
@@ -22,7 +22,7 @@ func main() {
 	records := flag.Int64("records", 1<<17, "records to stream")
 	flag.Parse()
 
-	mode := gflink.AutoPlace
+	mode := gflink.ForceGPU
 	if *cpu {
 		mode = gflink.ForceCPU
 	}

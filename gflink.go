@@ -108,11 +108,12 @@ var (
 // those, as the examples do.
 type (
 	// Plan is a deferred job graph: operators append nodes, Execute
-	// materializes them through the chaining and placement passes.
+	// materializes them through the chaining pass.
 	Plan = plan.Graph
 	// PlanOptions configure one graph's planning passes.
 	PlanOptions = plan.Options
-	// PlacementMode selects forced or cost-model-driven device placement.
+	// PlacementMode picks the body of every Either node: ForceCPU or
+	// ForceGPU.
 	PlacementMode = plan.Mode
 )
 
@@ -134,17 +135,16 @@ var (
 
 // Placement modes.
 const (
-	AutoPlace = plan.Auto
-	ForceCPU  = plan.ForceCPU
-	ForceGPU  = plan.ForceGPU
+	ForceCPU = plan.ForceCPU
+	ForceGPU = plan.ForceGPU
 )
 
 // Streaming DataStream layer: the unbounded counterpart to Plan. A
 // Stream is a linear source→window→sink pipeline whose stages run as
 // virtual-time processes connected by bounded, credit-backpressured
 // edges; window aggregation lowers onto the GPU map/reduce path or a
-// CPU slot by the same cost-model comparison Plan uses (DESIGN.md
-// "Streaming layer").
+// CPU slot by the pipeline's PlacementMode, the rule Plan uses
+// (DESIGN.md "Streaming layer").
 type (
 	// Stream is a deferred streaming pipeline; NewStream starts one.
 	Stream = stream.Pipeline
@@ -170,7 +170,8 @@ var (
 	// NewStream starts an empty pipeline against a deployment, shaped
 	// like NewPlan: nothing touches the virtual clock until Run.
 	NewStream = stream.New
-	// StreamWithMode pins window placement (ForceCPU/ForceGPU/AutoPlace).
+	// StreamWithMode sets window placement (ForceCPU, the default, or
+	// ForceGPU).
 	StreamWithMode = stream.WithMode
 	// StreamWithBatchRecords sets the records per micro-batch.
 	StreamWithBatchRecords = stream.WithBatchRecords
@@ -226,9 +227,9 @@ var (
 	ValidateChromeTrace = obs.ValidateChromeTrace
 )
 
-// Explain renders a plan as text: placement decisions with cost-model
-// estimates, the stage list after chaining, and measured stage times
-// once the plan has executed.
+// Explain renders a plan as text: the stage list after chaining with
+// each Either node's device, and measured stage times once the plan has
+// executed.
 func Explain(p *Plan) string { return p.Explain() }
 
 // GStruct schema helpers.

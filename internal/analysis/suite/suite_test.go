@@ -39,7 +39,7 @@ func TestSuiteHasFourAnalyzers(t *testing.T) {
 
 // TestSuiteCoversPlanLayer pins the scoping rules to the deferred plan
 // layer: every analyzer must apply to gflink/internal/plan, since the
-// planner's chaining and placement passes sit directly on the
+// planner's chaining pass and Either nodes sit directly on the
 // determinism and buffer-lifecycle invariants the suite enforces.
 func TestSuiteCoversPlanLayer(t *testing.T) {
 	for _, r := range suite.Rules() {

@@ -60,9 +60,13 @@ func TestFig8aTraceDeterministic(t *testing.T) {
 // multiplier at 1: the same program this one runs. The abl-oocore hash
 // pins the host-tier path (demotion, spill and promotion inside the
 // gstream workers) and was recorded while the workers were still
-// coroutines. Any change to a wake order — in the vclock or above it —
-// fails here. A change that moves simulated behaviour on purpose
-// re-records them and says why.
+// coroutines. The fig8a hash was re-recorded when the cost-model
+// placer was deleted: its 20 Either stage spans lost three attributes,
+// the placement group and the CPU and GPU estimates, and nothing else
+// in the trace moved (with those keys deleted from the older trace,
+// the two are equal as compact JSON). Any change to a wake order — in
+// the vclock or above it — fails here. A change that moves simulated
+// behaviour on purpose re-records them and says why.
 func TestGoldenTraceHashes(t *testing.T) {
 	_, backpressure := backpressureTrace(t)
 	_, oocore := oocoreTrace(t)
@@ -71,7 +75,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"fig8a", fig8aTrace(t), "98341a78ff7f96a12d450179d9b446622098190754290145574df9ec0c82d6f9"},
+		{"fig8a", fig8aTrace(t), "52c38b43e2f1f406ff8c0833028606dae8dfa5630960eab1d9f5143d5679f4a2"},
 		{"abl-backpressure", backpressure, "d2c3906ca75d8c2349d6b67fc3cfb0edc600e855e29acd0c8e994a3f448254d6"},
 		{"abl-oocore", oocore, "fe139492deaeb225c1030c9165ea5c3ad9414abed137fc9b8960793521f53a5f"},
 	} {

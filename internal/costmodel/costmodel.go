@@ -287,113 +287,6 @@ func Default() Model {
 	}
 }
 
-// StageCost describes one pipeline stage as the plan layer's placement
-// pass sees it: nominal record and byte counts on both candidate
-// devices, never measured times. The planner compares
-// EstimateCPUStage against EstimateGPUStage and places the stage's
-// Either node on the cheaper device.
-type StageCost struct {
-	// Records is the nominal record count one execution processes
-	// through the iterator model on the CPU path.
-	Records int64
-	// CPUPerRec is the per-record demand of the CPU operator body.
-	CPUPerRec Work
-	// GPUWork is the kernel's total demand for one execution.
-	GPUWork Work
-	// Coalesce is the kernel's memory-coalescing factor in (0,1]
-	// (0 means fully coalesced).
-	Coalesce float64
-	// HostToDevice is the PCIe byte volume staged to the device per
-	// execution; with CacheResident set, only the first execution
-	// pays it (the GPU cache keeps the blocks on-device).
-	HostToDevice int64
-	// H2DStreamed is the byte volume re-shipped on every execution even
-	// when the stage is cache-resident (e.g. SpMV's iteration vector).
-	H2DStreamed int64
-	// DeviceToHost is the result byte volume copied back per execution.
-	DeviceToHost int64
-	// Launches is the kernel-launch count per execution (one per block;
-	// 0 means 1).
-	Launches int64
-	// Executions is how many times the stage runs (bulk-iteration
-	// count; 0 means 1).
-	Executions int64
-	// CacheResident marks HostToDevice as cacheable on the device.
-	CacheResident bool
-	// ProjectedH2D, when > 0, is the per-execution input byte volume
-	// after column projection (the kernel's declared read set over the
-	// SoA schema); estimators charge it in place of HostToDevice, so a
-	// projectable stage competes for Auto placement with the bytes it
-	// would actually ship. 0 means no projection.
-	ProjectedH2D int64
-	// CPUParallelism and GPUParallelism are the lane counts each path
-	// spreads over — task slots and devices respectively (0 means 1).
-	CPUParallelism, GPUParallelism int
-}
-
-// norm fills the neutral defaults so estimators never divide by zero.
-func (s StageCost) norm() StageCost {
-	if s.Executions < 1 {
-		s.Executions = 1
-	}
-	if s.Launches < 1 {
-		s.Launches = 1
-	}
-	if s.CPUParallelism < 1 {
-		s.CPUParallelism = 1
-	}
-	if s.GPUParallelism < 1 {
-		s.GPUParallelism = 1
-	}
-	if s.Coalesce <= 0 || s.Coalesce > 1 {
-		s.Coalesce = 1
-	}
-	return s
-}
-
-// EstimateCPUStage predicts the stage's makespan on CPU task slots:
-// the iterator-model slot time of one lane's share of the records,
-// repeated once per execution.
-func (m Model) EstimateCPUStage(s StageCost) time.Duration {
-	s = s.norm()
-	per := s.Records / int64(s.CPUParallelism)
-	one := m.CPU.SlotTime(per, s.CPUPerRec.Scale(float64(per)))
-	return one * time.Duration(s.Executions)
-}
-
-// EstimateGPUStage predicts the stage's makespan on the GPUs: per
-// execution one lane transfers its share over PCIe (through the
-// CUDAWrapper control channel), runs its kernel launches under the
-// roofline, and copies the result back. Cache-resident input bytes are
-// paid only on the first execution; streamed bytes on every one.
-func (m Model) EstimateGPUStage(p GPUProfile, s StageCost) time.Duration {
-	s = s.norm()
-	lanes := int64(s.GPUParallelism)
-	xfer := func(n int64) time.Duration {
-		if n <= 0 {
-			return 0
-		}
-		return m.PCIe.GFlinkTransferTime(n / lanes)
-	}
-	kern := p.KernelTime(s.GPUWork.Scale(1/float64(lanes)), s.Coalesce)
-	if perLane := (s.Launches + lanes - 1) / lanes; perLane > 1 {
-		kern += time.Duration(perLane-1) * p.LaunchOverhead
-	}
-	h2d := s.HostToDevice
-	if s.ProjectedH2D > 0 && s.ProjectedH2D < h2d {
-		h2d = s.ProjectedH2D
-	}
-	perExec := xfer(s.H2DStreamed) + kern + xfer(s.DeviceToHost)
-	total := xfer(h2d) + perExec
-	steadyH2D := xfer(h2d)
-	if s.CacheResident {
-		steadyH2D = 0
-	}
-	total += time.Duration(s.Executions-1) * steadyH2D
-	total += time.Duration(s.Executions-1) * perExec
-	return total
-}
-
 // CoalesceFactor maps a data layout to the fraction of peak device
 // memory bandwidth its access pattern achieves (Section 2.1's AoS / SoA
 // / AoP discussion).

@@ -154,62 +154,3 @@ func TestDiskNetOverheads(t *testing.T) {
 		t.Error("default model incomplete")
 	}
 }
-
-func TestStageEstimatesPlacementDirection(t *testing.T) {
-	m := Default()
-	// A compute-dense iterative stage with a cacheable input belongs on
-	// the GPU: per-record iterator overhead dwarfs the kernel time.
-	dense := StageCost{
-		Records:        10_000_000,
-		CPUPerRec:      Work{Flops: 120, BytesRead: 80},
-		GPUWork:        Work{Flops: 1.2e9, BytesRead: 8e8},
-		HostToDevice:   800 << 20,
-		DeviceToHost:   4 << 10,
-		Executions:     10,
-		CacheResident:  true,
-		CPUParallelism: 8,
-		GPUParallelism: 4,
-	}
-	if cpu, gpu := m.EstimateCPUStage(dense), m.EstimateGPUStage(C2050, dense); gpu >= cpu {
-		t.Errorf("dense iterative stage: gpu %v not under cpu %v", gpu, cpu)
-	}
-	// A tiny one-shot stage stays on the CPU: the PCIe round trip alone
-	// exceeds the iterator cost of a handful of records.
-	tiny := StageCost{
-		Records:        100,
-		CPUPerRec:      Work{Flops: 10},
-		GPUWork:        Work{Flops: 1000},
-		HostToDevice:   64 << 20,
-		CPUParallelism: 4,
-		GPUParallelism: 2,
-	}
-	if cpu, gpu := m.EstimateCPUStage(tiny), m.EstimateGPUStage(C2050, tiny); cpu >= gpu {
-		t.Errorf("tiny stage: cpu %v not under gpu %v", cpu, gpu)
-	}
-}
-
-func TestStageEstimateCacheAmortization(t *testing.T) {
-	m := Default()
-	s := StageCost{
-		GPUWork:        Work{Flops: 1e9},
-		HostToDevice:   512 << 20,
-		H2DStreamed:    1 << 20,
-		Executions:     8,
-		GPUParallelism: 2,
-	}
-	uncached := m.EstimateGPUStage(C2050, s)
-	s.CacheResident = true
-	cached := m.EstimateGPUStage(C2050, s)
-	if cached >= uncached {
-		t.Errorf("cache residency did not amortize transfers: %v >= %v", cached, uncached)
-	}
-	// The first execution still pays the full transfer either way:
-	// one-execution stages are identical.
-	one := s
-	one.Executions = 1
-	oneUncached := one
-	oneUncached.CacheResident = false
-	if m.EstimateGPUStage(C2050, one) != m.EstimateGPUStage(C2050, oneUncached) {
-		t.Error("single-execution estimate should not depend on cache residency")
-	}
-}

@@ -208,13 +208,3 @@ func (fs *FS) Write(node int, name string, n int64) {
 	}
 	fs.Create(name, n)
 }
-
-// IsLocal reports whether the split has a replica on node.
-func (s Split) IsLocal(node int) bool {
-	for _, r := range s.LocalNodes {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}

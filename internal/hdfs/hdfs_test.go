@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,7 @@ func TestLocalReadCostsDiskOnly(t *testing.T) {
 		f := fs.Create("d", 1<<20)
 		s := fs.Splits(f, 1)[0]
 		// Replication 3 on 3 nodes: every node has a replica.
-		if !s.IsLocal(2) {
+		if !slices.Contains(s.LocalNodes, 2) {
 			t.Fatal("expected local replica on node 2")
 		}
 		fs.ReadSplit(2, s)
@@ -92,7 +93,7 @@ func TestRemoteReadAddsNetwork(t *testing.T) {
 		// Find a node with no replica.
 		remote := -1
 		for node := 0; node < 4; node++ {
-			if !s.IsLocal(node) {
+			if !slices.Contains(s.LocalNodes, node) {
 				remote = node
 				break
 			}

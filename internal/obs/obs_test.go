@@ -252,7 +252,7 @@ func TestRegistrySetEnabled(t *testing.T) {
 
 func traceFixture() *Tracer {
 	tr := NewTracer()
-	tr.Record("driver", "plan", "plan:x", 0, 100, Str("mode", "auto"))
+	tr.Record("driver", "plan", "plan:x", 0, 100, Str("mode", "gpu"))
 	tr.RecordGWork("w0/gpu0/s0", "w0/gpu0/queue", "k1", 10, 12,
 		WorkReport{DeviceID: 0, QueueWait: 2, H2D: 3, Kernel: 5, D2H: 1, StolenFrom: -1})
 	return tr

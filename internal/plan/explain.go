@@ -7,32 +7,16 @@ import (
 	"strings"
 )
 
-// Explain renders the plan as text: the planning options, every
-// placement decision with the cost-model estimates behind it, the
-// stage list after chaining, and — when the graph has executed — the
-// simulated time each stage actually took. Explain is read-only with
-// respect to simulation state: placement decisions are pure functions
-// of the cost model, so resolving an undecided group here yields the
-// same device Execute would pick, and nothing touches the clock.
+// Explain renders the plan as text: the planning options, the stage
+// list after chaining with the device each Either node runs on, and —
+// when the graph has executed — the simulated time each stage actually
+// took. Explain is read-only with respect to simulation state: nothing
+// touches the clock.
 func (gr *Graph) Explain() string {
 	st := gr.st
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %q (mode=%s, chaining=%s)\n",
 		gr.name, st.opts.Mode, onOff(!st.opts.DisableChaining))
-
-	if len(st.groupOrder) > 0 {
-		b.WriteString("placement:\n")
-		for _, group := range st.groupOrder {
-			d := st.place(group)
-			est := st.ests[group]
-			how := "auto"
-			if est.forced {
-				how = "forced"
-			}
-			fmt.Fprintf(&b, "  %-16s -> %-3s (%s; est cpu=%v gpu=%v)\n",
-				group, d, how, est.cpu, est.gpu)
-		}
-	}
 
 	nodes := gr.nodes
 	if !st.opts.DisableChaining {
@@ -45,12 +29,8 @@ func (gr *Graph) Explain() string {
 			if n.chainLen > 0 {
 				fmt.Fprintf(&b, " [fused x%d]", n.chainLen)
 			}
-			if n.group != "" {
-				if _, declared := st.groups[n.group]; declared {
-					fmt.Fprintf(&b, " [%s -> %s]", n.group, st.place(n.group))
-				} else {
-					fmt.Fprintf(&b, " [group %s undeclared]", n.group)
-				}
+			if n.kind == kEither {
+				fmt.Fprintf(&b, " [placed %s]", st.opts.Mode.Device())
 			}
 			b.WriteByte('\n')
 		}

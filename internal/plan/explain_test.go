@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestExecuteEmitsDriverSpans(t *testing.T) {
 	for _, a := range p.Attrs {
 		attrs[a.Key] = a.Val
 	}
-	if attrs["mode"] != "auto" || attrs["chaining"] != true {
+	if attrs["mode"] != "cpu" || attrs["chaining"] != true {
 		t.Errorf("plan span attrs = %v", attrs)
 	}
 	var chain obs.Span
@@ -71,56 +72,38 @@ func TestExecuteEmitsDriverSpans(t *testing.T) {
 	}
 }
 
-func TestEitherSpanCarriesPlacementAndEstimates(t *testing.T) {
-	g := testDeployment()
-	// A group whose GPU estimate clearly wins (heavy flops, light PCIe).
-	cost := costmodel.StageCost{
-		Records:        50_000_000,
-		CPUPerRec:      costmodel.Work{Flops: 100, BytesRead: 64},
-		GPUWork:        costmodel.Work{Flops: 5e9},
-		HostToDevice:   64 << 20,
-		Executions:     10,
-		CacheResident:  true,
-		CPUParallelism: 8,
-		GPUParallelism: 4,
-	}
-	g.Run(func() {
-		gr := NewGraph(g, "either", Options{})
-		gr.PlaceGroup("kernel", cost)
-		src := Source(gr, "nums", func(ctx *Ctx) *flink.Dataset[int64] {
-			return flink.Generate(ctx.Job, "nums", 1000, 8, 8, func(part int, ord int64) int64 { return ord })
+// TestEitherSpanCarriesPlacement pins an Either node's stage span to
+// exactly two attributes, its kind and the device the mode placed it on.
+func TestEitherSpanCarriesPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		want string
+	}{{ForceCPU, "CPU"}, {ForceGPU, "GPU"}} {
+		g := testDeployment()
+		g.Run(func() {
+			gr := NewGraph(g, "either", Options{Mode: tc.mode})
+			src := Source(gr, "nums", func(ctx *Ctx) *flink.Dataset[int64] {
+				return flink.Generate(ctx.Job, "nums", 1000, 8, 8, func(part int, ord int64) int64 { return ord })
+			})
+			res := Either(src, "compute",
+				func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in },
+				func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in })
+			Sink(res, "drop", func(ctx *Ctx, d *flink.Dataset[int64]) {})
+			gr.Execute()
 		})
-		res := Either(src, "compute", "kernel",
-			func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in },
-			func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in })
-		Sink(res, "drop", func(ctx *Ctx, d *flink.Dataset[int64]) {})
-		gr.Execute()
-
-		d, ok := gr.Placement("kernel")
-		if !ok || d != GPU {
-			t.Fatalf("placement = %v/%v, want GPU", d, ok)
+		var either *obs.Span
+		for _, s := range g.Obs.Tracer().Spans() {
+			if s.Name == "either:compute" {
+				e := s
+				either = &e
+			}
 		}
-	})
-	var either *obs.Span
-	for _, s := range g.Obs.Tracer().Spans() {
-		if s.Name == "either:compute" {
-			e := s
-			either = &e
+		if either == nil {
+			t.Fatal("missing either:compute span")
 		}
-	}
-	if either == nil {
-		t.Fatal("missing either:compute span")
-	}
-	attrs := map[string]any{}
-	for _, a := range either.Attrs {
-		attrs[a.Key] = a.Val
-	}
-	if attrs["group"] != "kernel" || attrs["placed"] != "GPU" {
-		t.Errorf("either attrs = %v, want group=kernel placed=GPU", attrs)
-	}
-	for _, k := range []string{"est_cpu", "est_gpu"} {
-		if v, ok := attrs[k].(string); !ok || v == "" || v == "0s" {
-			t.Errorf("either attr %s = %v, want a non-zero duration", k, attrs[k])
+		want := []obs.Attr{obs.Str("kind", "either"), obs.Str("placed", tc.want)}
+		if !reflect.DeepEqual(either.Attrs, want) {
+			t.Errorf("mode %v: either attrs = %v, want %v", tc.mode, either.Attrs, want)
 		}
 	}
 }
@@ -130,21 +113,13 @@ func TestExplain(t *testing.T) {
 	var report string
 	g.Run(func() {
 		gr := NewGraph(g, "explained", Options{Mode: ForceCPU})
-		gr.PlaceGroup("work", costmodel.StageCost{
-			Records:        100,
-			CPUPerRec:      costmodel.Work{Flops: 4},
-			GPUWork:        costmodel.Work{Flops: 400},
-			HostToDevice:   1 << 30,
-			CPUParallelism: 8,
-			GPUParallelism: 4,
-		})
 		src := Source(gr, "nums", func(ctx *Ctx) *flink.Dataset[int64] {
 			return flink.Generate(ctx.Job, "nums", 1000, 8, 8, func(part int, ord int64) int64 { return ord })
 		})
 		w := costmodel.Work{Flops: 2, BytesRead: 8}
 		a := Map(src, "double", w, 8, func(v int64) int64 { return v * 2 })
 		b := Map(a, "inc", w, 8, func(v int64) int64 { return v + 1 })
-		res := Either(b, "compute", "work",
+		res := Either(b, "compute",
 			func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in },
 			func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] { return in })
 		Sink(res, "drop", func(ctx *Ctx, d *flink.Dataset[int64]) {})
@@ -153,11 +128,9 @@ func TestExplain(t *testing.T) {
 	})
 	for _, want := range []string{
 		`plan "explained" (mode=cpu, chaining=on)`,
-		"placement:",
-		"work", "CPU", "forced", "est cpu=", "gpu=",
 		"stages:",
 		"chain:double:inc", "[fused x2]",
-		"either:compute", "[work -> CPU]",
+		"either:compute", "[placed CPU]",
 		"measured:",
 		"source:nums",
 	} {
@@ -172,7 +145,7 @@ func TestExplain(t *testing.T) {
 	if strings.Contains(pre, "measured:") {
 		t.Errorf("unexecuted plan reports measurements:\n%s", pre)
 	}
-	if !strings.Contains(pre, `plan "pre" (mode=auto, chaining=on)`) {
+	if !strings.Contains(pre, `plan "pre" (mode=cpu, chaining=on)`) {
 		t.Errorf("Explain() header wrong:\n%s", pre)
 	}
 }

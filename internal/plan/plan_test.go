@@ -120,86 +120,49 @@ func TestChainedNominalAndRecordBytesMatchEager(t *testing.T) {
 	}
 }
 
-// TestModePlace pins the placement rule the plan and stream layers
-// share: forced modes ignore the estimates, and Auto takes the GPU only
-// when it is strictly cheaper.
-func TestModePlace(t *testing.T) {
-	for _, tc := range []struct {
-		mode     Mode
-		cpu, gpu time.Duration
-		want     Device
-	}{
-		{ForceCPU, 2, 1, CPU},
-		{ForceGPU, 1, 2, GPU},
-		{Auto, 2, 1, GPU},
-		{Auto, 1, 2, CPU},
-		{Auto, 1, 1, CPU},
-	} {
-		if got := tc.mode.Place(tc.cpu, tc.gpu); got != tc.want {
-			t.Errorf("%v.Place(cpu %v, gpu %v) = %v, want %v", tc.mode, tc.cpu, tc.gpu, got, tc.want)
-		}
-	}
-}
-
+// TestForcedPlacementSelectsBody runs each kind of Either node under
+// both modes: the driver-side EitherDo, the dataset Either, and an
+// Either inside an Iterate subgraph, built only once the parent graph
+// is executing. Each must run exactly the mode's body, every time.
 func TestForcedPlacementSelectsBody(t *testing.T) {
+	const iters = 2
 	for _, tc := range []struct {
-		mode Mode
-		want Device
-	}{{ForceCPU, CPU}, {ForceGPU, GPU}} {
+		mode        Mode
+		want, other Device
+	}{{ForceCPU, CPU, GPU}, {ForceGPU, GPU, CPU}} {
 		g := testDeployment()
-		var ran Device = -1
+		ran := map[Device]map[string]int{CPU: {}, GPU: {}}
 		g.Run(func() {
 			gr := NewGraph(g, "placed", Options{Mode: tc.mode})
-			gr.PlaceGroup("stage", costmodel.StageCost{})
-			EitherDo(gr, "stage", "stage",
-				func(ctx *Ctx) { ran = CPU },
-				func(ctx *Ctx) { ran = GPU })
-			gr.Execute()
-			if d, ok := gr.Placement("stage"); !ok || d != tc.want {
-				t.Errorf("mode %v: placement reported (%v,%v), want %v", tc.mode, d, ok, tc.want)
+			EitherDo(gr, "driver",
+				func(ctx *Ctx) { ran[CPU]["driver"]++ },
+				func(ctx *Ctx) { ran[GPU]["driver"]++ })
+			src := Source(gr, "nums", func(ctx *Ctx) *flink.Dataset[int64] {
+				return flink.Generate(ctx.Job, "nums", 1000, 8, 8, func(part int, ord int64) int64 { return ord })
+			})
+			body := func(d Device, stage string) func(*Ctx, *flink.Dataset[int64]) *flink.Dataset[int64] {
+				return func(ctx *Ctx, in *flink.Dataset[int64]) *flink.Dataset[int64] {
+					ran[d][stage]++
+					return in
+				}
 			}
+			Sink(Either(src, "dataset", body(CPU, "dataset"), body(GPU, "dataset")),
+				"drop", func(ctx *Ctx, d *flink.Dataset[int64]) {})
+			Iterate(gr, "loop", iters, func(it int, sub *Graph) {
+				src := Source(sub, "nums", func(ctx *Ctx) *flink.Dataset[int64] {
+					return flink.Generate(ctx.Job, "nums", 1000, 8, 8, func(part int, ord int64) int64 { return ord })
+				})
+				Sink(Either(src, "sub", body(CPU, "sub"), body(GPU, "sub")),
+					"drop", func(ctx *Ctx, d *flink.Dataset[int64]) {})
+			})
+			gr.Execute()
 		})
-		if ran != tc.want {
-			t.Errorf("mode %v ran the %v body", tc.mode, ran)
+		want := map[string]int{"driver": 1, "dataset": 1, "sub": iters}
+		if !reflect.DeepEqual(ran[tc.want], want) || len(ran[tc.other]) != 0 {
+			t.Errorf("mode %v: %v bodies ran %v, %v bodies ran %v; want %v on %v only",
+				tc.mode, tc.want, ran[tc.want], tc.other, ran[tc.other], want, tc.want)
 		}
 	}
-}
-
-func TestAutoPlacementFollowsCostModel(t *testing.T) {
-	g := testDeployment()
-	gpuFavored := costmodel.StageCost{
-		Records:        50_000_000,
-		CPUPerRec:      costmodel.Work{Flops: 100, BytesRead: 64},
-		GPUWork:        costmodel.Work{Flops: 5e9},
-		HostToDevice:   64 << 20,
-		Executions:     10,
-		CacheResident:  true,
-		CPUParallelism: 8,
-		GPUParallelism: 4,
-	}
-	cpuFavored := costmodel.StageCost{
-		Records:        100,
-		CPUPerRec:      costmodel.Work{Flops: 4},
-		GPUWork:        costmodel.Work{Flops: 400},
-		HostToDevice:   1 << 30,
-		CPUParallelism: 8,
-		GPUParallelism: 4,
-	}
-	g.Run(func() {
-		gr := NewGraph(g, "auto", Options{})
-		gr.PlaceGroup("hot", gpuFavored)
-		gr.PlaceGroup("cold", cpuFavored)
-		var hot, cold Device
-		EitherDo(gr, "hot", "hot", func(ctx *Ctx) { hot = CPU }, func(ctx *Ctx) { hot = GPU })
-		EitherDo(gr, "cold", "cold", func(ctx *Ctx) { cold = CPU }, func(ctx *Ctx) { cold = GPU })
-		gr.Execute()
-		if hot != GPU {
-			t.Error("compute-dense cached stage not placed on GPU")
-		}
-		if cold != CPU {
-			t.Error("transfer-dominated tiny stage not placed on CPU")
-		}
-	})
 }
 
 func TestDriverNodeBreaksChain(t *testing.T) {
@@ -252,18 +215,4 @@ func TestIterateRunsSupersteps(t *testing.T) {
 			t.Errorf("iteration %d (%v) shorter than the superstep barrier %v", i, d, sync)
 		}
 	}
-}
-
-func TestUndeclaredGroupPanics(t *testing.T) {
-	g := testDeployment()
-	g.Run(func() {
-		gr := NewGraph(g, "bad", Options{})
-		EitherDo(gr, "stage", "missing", func(ctx *Ctx) {}, func(ctx *Ctx) {})
-		defer func() {
-			if recover() == nil {
-				t.Error("executing an Either with an undeclared group did not panic")
-			}
-		}()
-		gr.Execute()
-	})
 }

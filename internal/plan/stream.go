@@ -76,20 +76,19 @@ func ReduceByKey[T any, K comparable](s *Stream[T], name string, perRec costmode
 	})
 }
 
-// Either appends a dataset-typed placement node: the group's decision
-// selects which body transforms the stream. Both bodies see the
+// Either appends a dataset-typed placement node: the GPU body transforms
+// the stream iff the graph's mode is ForceGPU. Both bodies see the
 // materialized input dataset and account their own costs, exactly like
 // the eager workload variants they replace.
-func Either[In, Out any](s *Stream[In], name, group string,
+func Either[In, Out any](s *Stream[In], name string,
 	cpu, gpu func(ctx *Ctx, in *flink.Dataset[In]) *flink.Dataset[Out]) *Stream[Out] {
 	return newStream[Out](s.gr, &node{
-		kind:  kEither,
-		name:  "either:" + name,
-		up:    s.n,
-		group: group,
+		kind: kEither,
+		name: "either:" + name,
+		up:   s.n,
 		run: func(ctx *Ctx, in any) any {
 			d := in.(*flink.Dataset[In])
-			if ctx.Placement(group) == GPU {
+			if ctx.st.opts.Mode == ForceGPU {
 				return gpu(ctx, d)
 			}
 			return cpu(ctx, d)

@@ -15,11 +15,11 @@
 //     grant travels back over netsim as a small control message, so a
 //     one-deep buffer exposes the full credit round trip while a deep
 //     buffer overlaps production, transfer and consumption;
-//   - window aggregation is an Either stage: the planner compares
-//     costmodel estimates exactly like plan's placement pass and lowers
-//     the window onto the GPU map/reduce path (pooled GWorks through
-//     core.WorkPool, so steady-state submission stays allocation-free)
-//     or onto a CPU slot. Keys are pre-hashed to slots on the host and
+//   - window aggregation is an Either stage: the pipeline's plan.Mode
+//     lowers the window onto the GPU map/reduce path (pooled GWorks
+//     through core.WorkPool, so steady-state submission stays
+//     allocation-free) or onto a CPU slot, as it picks an Either body
+//     in package plan. Keys are pre-hashed to slots on the host and
 //     both bodies replay the same float additions in the same order, so
 //     results are bit-identical across placements.
 //
@@ -65,8 +65,8 @@ const packedRecordBytes = 8
 // New's functional options; the zero value of every field selects the
 // default.
 type Options struct {
-	// Mode pins window stages to a device, or lets the cost model
-	// decide (plan.Auto, the default).
+	// Mode places every window stage: plan.ForceCPU (the default) or
+	// plan.ForceGPU.
 	Mode plan.Mode
 	// BatchRecords is the records per micro-batch (default 256). One
 	// batch is the unit of network transfer and credit accounting.
@@ -86,8 +86,7 @@ const recordWireBytes = 64
 // option shape as core.NewMemoryManager's MemOption).
 type Option func(*Options)
 
-// WithMode pins window placement (plan.ForceCPU / plan.ForceGPU) or
-// restores cost-model placement (plan.Auto).
+// WithMode sets window placement (plan.ForceCPU or plan.ForceGPU).
 func WithMode(m plan.Mode) Option { return func(o *Options) { o.Mode = m } }
 
 // WithBatchRecords sets the records per micro-batch.
@@ -162,9 +161,8 @@ type Pipeline struct {
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 
-	stages    []*stage
-	decisions map[string]plan.Device
-	ran       bool
+	stages []*stage
+	ran    bool
 	// t0 is when the stage tasks start; live counts the run's tasks
 	// still alive, and the last to exit sets done, which Run waits on.
 	t0   time.Duration
@@ -188,19 +186,11 @@ func New(g *core.GFlink, name string, opts ...Option) *Pipeline {
 	return &Pipeline{
 		g: g, name: name, opts: o,
 		tracer: g.Obs.Tracer(), metrics: g.Obs.Metrics(),
-		decisions: make(map[string]plan.Device),
 	}
 }
 
 // Options returns the pipeline's resolved options.
 func (p *Pipeline) Options() Options { return p.opts }
-
-// Placement reports the device the named window stage resolved to; ok
-// is false before Run decided it.
-func (p *Pipeline) Placement(stage string) (plan.Device, bool) {
-	d, ok := p.decisions[stage]
-	return d, ok
-}
 
 type stageKind int
 
@@ -319,7 +309,7 @@ func (p *Pipeline) Source(name string, worker int, spec SourceSpec) *Stage {
 
 // Window appends a tumbling-window keyed aggregation stage downstream
 // of up, pinned to a worker node. Placement (CPU slot vs pooled GWorks
-// on the worker's GPUs) follows the pipeline's Mode and the cost model.
+// on the worker's GPUs) follows the pipeline's Mode.
 func (up *Stage) Window(name string, worker int, spec WindowSpec) *Stage {
 	p := up.s.p
 	if up.s.kind == kSink {
@@ -357,30 +347,9 @@ func (p *Pipeline) connect(from, to *stage) {
 	to.in = from.out
 }
 
-// decide places one window stage by plan's rule (plan.Mode.Place),
-// comparing one window's cost-model estimate on a CPU slot against the
-// GPU path (packed H2D, windowAgg kernel, slot-table D2H).
-func (p *Pipeline) decide(s *stage) plan.Device {
-	if d, ok := p.decisions[s.name]; ok {
-		return d
-	}
-	width := int64(s.win.Records)
-	cost := costmodel.StageCost{
-		Records:      width,
-		CPUPerRec:    windowPerRecord,
-		GPUWork:      kernels.WindowAggWork(width),
-		HostToDevice: width * packedRecordBytes,
-		DeviceToHost: int64(s.win.Slots) * 4,
-	}
-	m := p.g.Cfg.Config.Model
-	d := p.opts.Mode.Place(m.EstimateCPUStage(cost), m.EstimateGPUStage(p.g.Cfg.GPUProfile, cost))
-	p.decisions[s.name] = d
-	return d
-}
-
 // Run materializes the pipeline: submit the job (charging the usual
-// submission overhead), decide window placements, spawn one task per
-// stage plus one credit courier per edge, and wait for the bounded
+// submission overhead), place the windows by the mode, spawn one task
+// per stage plus one credit courier per edge, and wait for the bounded
 // stream to drain. Must be called inside g.Run, like plan.Execute.
 func (p *Pipeline) Run() Result {
 	if p.ran {
@@ -395,7 +364,7 @@ func (p *Pipeline) Run() Result {
 	job := p.g.Cluster.NewJob(p.name)
 	for _, s := range p.stages {
 		if s.kind == kWindow {
-			s.dev = p.decide(s)
+			s.dev = p.opts.Mode.Device()
 			s.prepareWindow(job.ID)
 		}
 	}

@@ -399,43 +399,15 @@ func TestStreamParksNothing(t *testing.T) {
 	}
 }
 
-// TestAutoPlacement: the default window body is a few thousand flops
-// per record — far past the point the GPU path wins — so Auto must
-// place it on the GPU; forcing pins regardless.
-func TestAutoPlacement(t *testing.T) {
-	g := build(2)
-	g.Run(func() {
-		p := stream.New(g, "test")
-		p.Source("gen", 0, stream.SourceSpec{Records: 2048, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
-			Sink("out", 0)
-		p.Run()
-		if d, ok := p.Placement("agg"); !ok || d != plan.GPU {
-			t.Errorf("Auto placed default-weight window on %v (ok=%v), want GPU", d, ok)
-		}
-	})
-
-	g = build(2)
-	g.Run(func() {
-		p := stream.New(g, "test", stream.WithMode(plan.ForceCPU))
-		p.Source("gen", 0, stream.SourceSpec{Records: 2048, Seed: 7}).
-			Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
-			Sink("out", 0)
-		p.Run()
-		if d, _ := p.Placement("agg"); d != plan.CPU {
-			t.Errorf("ForceCPU placed window on %v", d)
-		}
-	})
-}
-
 // TestPipelineDeterministic: identical pipelines on fresh deployments
-// produce identical results and span streams.
+// produce identical results and span streams, with the window on the
+// GPU path.
 func TestPipelineDeterministic(t *testing.T) {
 	run := func() (stream.Result, interface{}) {
 		g := build(2)
 		var res stream.Result
 		g.Run(func() {
-			p := stream.New(g, "test", stream.WithBufferBatches(2))
+			p := stream.New(g, "test", stream.WithMode(plan.ForceGPU), stream.WithBufferBatches(2))
 			p.Source("gen", 0, stream.SourceSpec{Records: 4096, Seed: 7}).
 				Window("agg", 1, stream.WindowSpec{Records: 512, Slots: 64}).
 				Sink("out", 0)
@@ -507,8 +479,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.BatchRecords != 256 || o.BufferBatches != 4 {
 		t.Errorf("defaults = %+v, want BatchRecords 256, BufferBatches 4", o)
 	}
-	if o.Mode != plan.Auto {
-		t.Errorf("default mode = %v, want Auto", o.Mode)
+	if o.Mode != plan.ForceCPU {
+		t.Errorf("default mode = %v, want ForceCPU", o.Mode)
 	}
 	p2 := stream.New(g, "test",
 		stream.WithMode(plan.ForceGPU), stream.WithBatchRecords(128),

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 
 	"gflink/internal/core"
-	"gflink/internal/costmodel"
 	"gflink/internal/flink"
 	"gflink/internal/gstruct"
 	"gflink/internal/kernels"
@@ -173,47 +172,13 @@ func centroidChecksum(cents []float32) float64 {
 	return s
 }
 
-// kmeansStageCost estimates the assign stage for auto placement: the
-// points cross PCIe once (then stay cached when UseCache holds), the
-// centroids are streamed per device per iteration, and each iteration
-// returns one partial-sums record per launch.
-func kmeansStageCost(g *core.GFlink, p KMeansParams) costmodel.StageCost {
-	cpuLanes, gpuLanes := planLanes(g, p.Parallelism)
-	pointBytes := p.Points * int64(p.pointBytes())
-	blockBytes := g.Cfg.MaxBlockNominal
-	if blockBytes <= 0 {
-		blockBytes = 128 << 20
-	}
-	launches := (pointBytes + blockBytes - 1) / blockBytes
-	// With column projection enabled only the D coordinate columns cross
-	// PCIe; the MetaCols tail stays on the host.
-	var projected int64
-	if g.Cfg.EnableProjection && p.MetaCols > 0 {
-		projected = p.Points * int64(4*p.D)
-	}
-	return costmodel.StageCost{
-		Records:        p.Points,
-		CPUPerRec:      kernels.KMeansWork(p.K, p.D),
-		GPUWork:        kernels.KMeansWork(p.K, p.D).Scale(float64(p.Points)),
-		HostToDevice:   pointBytes,
-		ProjectedH2D:   projected,
-		H2DStreamed:    int64(4 * p.K * p.D * gpuLanes),
-		DeviceToHost:   int64(4*p.K*(p.D+1)) * launches,
-		Launches:       launches,
-		Executions:     int64(p.Iterations),
-		CacheResident:  p.UseCache,
-		CPUParallelism: cpuLanes,
-		GPUParallelism: gpuLanes,
-	}
-}
-
 // KMeans runs Lloyd iterations through the plan layer as one pipeline.
-// The source and the per-iteration assign stage are Either nodes in the
-// "assign" placement group: the CPU body keeps the points as engine
+// The source, the per-iteration assign stage and the cleanup are Either
+// nodes, so the mode places all three together: the CPU body keeps the points as engine
 // partitions and assigns through the iterator model, the GPU body
 // builds SoA GDST blocks and launches the fused assign-reduce kernel.
-// Forced modes reproduce the former KMeansCPU/KMeansGPU drivers
-// exactly; Auto lets the cost model pick.
+// The two modes reproduce the former KMeansCPU/KMeansGPU drivers
+// exactly.
 func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 	p.defaults()
 	c := g.Cluster
@@ -231,8 +196,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 	var partialSchema *gstruct.Schema
 
 	gr := plan.NewGraph(g, "kmeans-"+opts.Mode.String(), opts)
-	gr.PlaceGroup("assign", kmeansStageCost(g, p))
-	plan.EitherDo(gr, "points", "assign",
+	plan.EitherDo(gr, "points",
 		func(ctx *plan.Ctx) {
 			points = flink.Generate(ctx.Job, "points", p.Points, p.pointBytes(), p.Parallelism, func(part int, ord int64) []float32 {
 				pt := make([]float32, p.D)
@@ -255,7 +219,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 				stageRead(g, ctx.Job, "kmeans-input", p.Points*int64(p.pointBytes()), p.Parallelism)
 			}
 		})
-		plan.EitherDo(sub, "assign", "assign",
+		plan.EitherDo(sub, "assign",
 			func(ctx *plan.Ctx) {
 				j := ctx.Job
 				j.Broadcast(int64(p.K * p.D * 4))
@@ -321,7 +285,7 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 			}
 		})
 	})
-	plan.EitherDo(gr, "cleanup", "assign",
+	plan.EitherDo(gr, "cleanup",
 		func(ctx *plan.Ctx) {},
 		func(ctx *plan.Ctx) {
 			g.ReleaseJobCaches(ctx.Job.ID)

@@ -127,33 +127,6 @@ func initialVector(seed uint64, nReal int) []float32 {
 // reason the paper's CPU baseline is so slow.
 var spmvPerNNZWork = costmodel.Work{Flops: 40, BytesRead: 24}
 
-// spmvStageCost estimates the multiply stage for auto placement: the
-// matrix crosses PCIe once (then stays resident when UseCache holds)
-// while the vector is streamed to every device each iteration.
-func spmvStageCost(g *core.GFlink, p SpMVParams, par int) costmodel.StageCost {
-	cpuLanes, gpuLanes := planLanes(g, par)
-	rows := p.Rows()
-	nnz := rows * int64(p.NNZPerRow)
-	const blockBytes = 256 << 20
-	launches := (p.MatrixBytes + blockBytes - 1) / blockBytes
-	if launches < int64(par) {
-		launches = int64(par)
-	}
-	return costmodel.StageCost{
-		Records:        nnz,
-		CPUPerRec:      spmvPerNNZWork,
-		GPUWork:        kernels.SpMVWork(nnz, rows),
-		HostToDevice:   p.MatrixBytes,
-		H2DStreamed:    rows * 4 * int64(gpuLanes),
-		DeviceToHost:   rows * 4,
-		Launches:       launches,
-		Executions:     int64(p.Iterations),
-		CacheResident:  p.UseCache,
-		CPUParallelism: cpuLanes,
-		GPUParallelism: gpuLanes,
-	}
-}
-
 // kernelRowsOf decodes a CSR block's row count from its header.
 func kernelRowsOf(blk *core.Block) int32 {
 	b := blk.Buf.Bytes()
@@ -161,13 +134,14 @@ func kernelRowsOf(blk *core.Block) int32 {
 }
 
 // SpMV runs the iterative multiply through the plan layer as one
-// pipeline. The matrix source and the per-iteration multiply are
-// Either nodes in the "multiply" placement group: the CPU body keeps
+// pipeline. The matrix source, the per-iteration multiply and the
+// cleanup are Either nodes, so the mode places all three together: the
+// CPU body keeps
 // the CSR chunks as one-item engine partitions and multiplies through
 // the iterator model; the GPU body encodes the chunks into cacheable
 // device blocks and launches the CSR kernel, re-shipping x each
-// iteration. Forced modes reproduce the former SpMVCPU/SpMVGPU drivers
-// exactly; Auto lets the cost model pick.
+// iteration. The two modes reproduce the former SpMVCPU/SpMVGPU drivers
+// exactly.
 func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 	p.defaults()
 	c := g.Cluster
@@ -193,8 +167,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 	var chunkRowStart [][]int
 
 	gr := plan.NewGraph(g, "spmv-"+opts.Mode.String(), opts)
-	gr.PlaceGroup("multiply", spmvStageCost(g, p, par))
-	plan.EitherDo(gr, "matrix", "multiply",
+	plan.EitherDo(gr, "matrix",
 		func(ctx *plan.Ctx) {
 			// A one-item-per-partition dataset carrying the CSR chunks.
 			chunkParts := make([]flink.Partition[spmvPart], par)
@@ -280,7 +253,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 			// every worker all-gathers the full vector.
 			ctx.Job.AllGather(rowsNominal * 4)
 		})
-		plan.EitherDo(sub, "multiply", "multiply",
+		plan.EitherDo(sub, "multiply",
 			func(ctx *plan.Ctx) {
 				j := ctx.Job
 				xNow := x
@@ -374,7 +347,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 			}
 		})
 	})
-	plan.EitherDo(gr, "cleanup", "multiply",
+	plan.EitherDo(gr, "cleanup",
 		func(ctx *plan.Ctx) {},
 		func(ctx *plan.Ctx) {
 			g.ReleaseJobCaches(ctx.Job.ID)

@@ -13,8 +13,7 @@ import (
 type BackpressureParams struct {
 	// Records bounds the stream.
 	Records int64
-	// Mode places the window stage (plan.ForceCPU / plan.ForceGPU /
-	// plan.Auto).
+	// Mode places the window stage (plan.ForceCPU or plan.ForceGPU).
 	Mode plan.Mode
 	// BufferBatches is the per-edge credit limit; 0 keeps the stream
 	// layer's default.

@@ -61,29 +61,11 @@ type wcPair struct {
 	Count uint32
 }
 
-// wordCountStageCost estimates the tokenize stage for auto placement:
-// one pass over the text (records at ~12 bytes per word) against one
-// kernel launch per partition with the full text crossing PCIe and only
-// the dense count tables coming back.
-func wordCountStageCost(g *core.GFlink, p WordCountParams) costmodel.StageCost {
-	cpuLanes, gpuLanes := planLanes(g, p.Parallelism)
-	return costmodel.StageCost{
-		Records:        p.Bytes / 12,
-		CPUPerRec:      costmodel.Work{Flops: 14, BytesRead: 7},
-		GPUWork:        kernels.WordCountWork(p.Bytes),
-		HostToDevice:   p.Bytes,
-		DeviceToHost:   int64(4*wcVocab) * int64(cpuLanes),
-		Launches:       int64(cpuLanes),
-		CPUParallelism: cpuLanes,
-		GPUParallelism: gpuLanes,
-	}
-}
-
 // WordCount runs the benchmark through the plan layer as one pipeline:
 // HDFS source, an Either tokenize stage (iterator-model CPU body vs
 // tokenizing-kernel GPU body), the count shuffle, and the output write.
-// Forced modes reproduce the former WordCountCPU/WordCountGPU drivers
-// exactly; Auto lets the cost model pick the tokenize device.
+// The two modes reproduce the former WordCountCPU/WordCountGPU drivers
+// exactly.
 func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 	c := g.Cluster
 	start := c.Clock.Now()
@@ -92,7 +74,6 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 	var tm0 time.Duration
 
 	gr := plan.NewGraph(g, "wordcount-"+opts.Mode.String(), opts)
-	gr.PlaceGroup("tokenize", wordCountStageCost(g, p))
 	lines := plan.Source(gr, "wc-input", func(ctx *plan.Ctx) *flink.Dataset[string] {
 		c.FS.Create("wc-input", p.Bytes)
 		// The scan cost is identical on both placements.
@@ -105,7 +86,7 @@ func WordCount(g *core.GFlink, p WordCountParams, opts plan.Options) Result {
 		tm0 = c.Clock.Now()
 		return lines
 	})
-	tables := plan.Either(lines, "tokenize", "tokenize",
+	tables := plan.Either(lines, "tokenize",
 		func(ctx *plan.Ctx, in *flink.Dataset[string]) *flink.Dataset[wcPair] {
 			return tokenizeCPU(ctx.Job, in, p)
 		},

@@ -120,21 +120,6 @@ func unit(seed, x uint64) float32 {
 	return float32(int32(mix(seed, x)>>40)) / float32(1<<24)
 }
 
-// planLanes returns the lane counts placement estimates divide a stage
-// over: CPU stages spread over the job's task slots, GPU stages over
-// the deployment's devices.
-func planLanes(g *core.GFlink, par int) (cpuLanes, gpuLanes int) {
-	if par <= 0 || par > g.Cluster.Parallelism() {
-		par = g.Cluster.Parallelism()
-	}
-	cpuLanes = par
-	gpuLanes = g.Cfg.Config.Workers * g.Cfg.GPUsPerWorker
-	if gpuLanes < 1 {
-		gpuLanes = 1
-	}
-	return cpuLanes, gpuLanes
-}
-
 // stageRead creates (if needed) an HDFS file of the given size and runs
 // one reader task per partition, charging the disk and network time of
 // streaming it in — the first-iteration I/O of Fig 7a/7b and the input
