@@ -11,10 +11,10 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# go vet's standard checks plus the repo's own four-analyzer suite
-# (wallclock, clockflow, outputpurity, poolsafe —
-# see DESIGN.md "Concurrency & lifetime invariants"). Any finding fails
-# the target; ./... includes the examples tree.
+# go vet's standard checks plus the repo's own three-analyzer suite
+# (wallclock, clockflow, poolsafe — see DESIGN.md "Concurrency &
+# lifetime invariants"). Any finding fails the target; ./... includes
+# the examples tree.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/gflink-vet ./...
@@ -40,10 +40,12 @@ examples:
 results:
 	$(GO) test ./internal/bench -run '^TestResultsGolden$$' -count=1 -update
 
-# Apply each allocation mutant of cmd/gflink-mutate/mutants.json, one at
-# a time, to a temporary copy of the module and run the allocation
-# budgets (DESIGN.md invariant 10) against it; fails when a mutant
-# survives. About ten seconds per mutant.
+# Apply each mutant of both tables beside cmd/gflink-mutate, one at a
+# time, to a temporary copy of the module and run the table's tests
+# against it: mutants.json's allocations against the allocation budgets
+# (DESIGN.md invariant 10), copy-mutants.json's byte writes against
+# TestFeaturesNeverChangeOutputs and the host-tier tests (invariants 9
+# and 11). Fails when a mutant survives. About ten seconds per mutant.
 mutate:
 	$(GO) run ./cmd/gflink-mutate
 

@@ -1,11 +1,15 @@
 // Command gflink-mutate is the repository's mutation driver. It copies
-// the module to a temporary directory, applies one mutant of
-// mutants.json (beside this file) at a time, runs the tests the table
-// names, and prints whether each mutant was killed and by which tests.
-// A mutant is one exact textual rewrite of one file; it must apply
-// exactly once. The table holds allocation mutants of the
-// allocation-free hot paths (DESIGN.md invariant 10) and the
-// allocation budgets that must kill them.
+// the module to a temporary directory and, for each mutant table beside
+// this file (every *.json, in name order), applies one of its mutants
+// at a time, runs the tests the table names, and prints whether each
+// mutant was killed and by which tests. A mutant is one exact textual
+// rewrite of one file; it must apply exactly once. Two tables:
+//
+//   - mutants.json: allocations on the allocation-free hot paths
+//     (DESIGN.md invariant 10), killed by the allocation budgets.
+//   - copy-mutants.json: byte writes where an opt-in feature acts
+//     (column projection, the host tier; invariants 9 and 11), killed
+//     by semantic tests; its pattern names no golden byte pin.
 //
 // Usage (from the module root):
 //
@@ -13,7 +17,7 @@
 //
 // Exit status: 0 when every mutant is killed, 1 when one survives, 2 on
 // an operational error (a mutant that does not apply or does not
-// build, or tests that fail before any mutant is applied).
+// build, or a table whose tests fail before any mutant is applied).
 package main
 
 import (
@@ -33,7 +37,7 @@ import (
 // table is the mutant table's file format.
 type table struct {
 	// Run is the go test -run pattern, over ./internal/..., of the
-	// tests that must kill every mutant.
+	// tests that must kill every mutant of the table.
 	Run     string   `json:"run"`
 	Mutants []mutant `json:"mutants"`
 }
@@ -58,14 +62,9 @@ func run(stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "gflink-mutate:", err)
 		return 2
 	}
-	const path = "cmd/gflink-mutate/mutants.json"
-	var tab table
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fail(err)
-	}
-	if err := json.Unmarshal(raw, &tab); err != nil {
-		return fail(fmt.Errorf("%s: %v", path, err))
+	paths, err := filepath.Glob("cmd/gflink-mutate/*.json")
+	if err != nil || len(paths) == 0 {
+		return fail(fmt.Errorf("no mutant table in cmd/gflink-mutate (%v)", err))
 	}
 	dir, err := os.MkdirTemp("", "gflink-mutate-")
 	if err != nil {
@@ -75,33 +74,58 @@ func run(stdout, stderr io.Writer) int {
 	if err := copyModule(".", dir); err != nil {
 		return fail(err)
 	}
+	status := 0
+	for _, path := range paths {
+		var tab table
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return fail(err)
+		}
+		if err := json.Unmarshal(raw, &tab); err != nil {
+			return fail(fmt.Errorf("%s: %v", path, err))
+		}
+		fmt.Fprintln(stdout, path)
+		killed, err := runTable(stdout, stderr, dir, tab)
+		if err != nil {
+			return fail(fmt.Errorf("%s: %v", path, err))
+		}
+		fmt.Fprintf(stdout, "%d of %d mutants killed\n", killed, len(tab.Mutants))
+		if killed < len(tab.Mutants) {
+			status = 1
+		}
+	}
+	return status
+}
 
+// runTable applies each of tab's mutants to the module copy in dir,
+// runs the table's tests, prints the verdict and returns how many
+// mutants were killed.
+func runTable(stdout, stderr io.Writer, dir string, tab table) (int, error) {
 	// The unmutated copy must pass every test.
 	if failed, out, err := runTests(dir, tab); err != nil || len(failed) > 0 {
 		stderr.Write(out)
-		return fail(fmt.Errorf("the unmutated module fails %v (%v)", failed, err))
+		return 0, fmt.Errorf("the unmutated module fails %v (%v)", failed, err)
 	}
-
 	killed := 0
 	for _, m := range tab.Mutants {
 		file := filepath.Join(dir, m.File)
 		orig, err := os.ReadFile(file)
 		if err != nil {
-			return fail(err)
+			return killed, err
 		}
 		if n := bytes.Count(orig, []byte(m.Old)); n != 1 {
-			return fail(fmt.Errorf("mutant %s: its text occurs %d times in %s, want once", m.ID, n, m.File))
+			return killed, fmt.Errorf("mutant %s: its text occurs %d times in %s, want once", m.ID, n, m.File)
 		}
 		if err := os.WriteFile(file, bytes.Replace(orig, []byte(m.Old), []byte(m.New), 1), 0o644); err != nil {
-			return fail(err)
+			return killed, err
 		}
 		failed, out, terr := runTests(dir, tab)
 		if err := os.WriteFile(file, orig, 0o644); err != nil {
-			return fail(err)
+			return killed, err
 		}
 		if terr != nil && len(failed) == 0 {
 			stderr.Write(out)
-			return fail(fmt.Errorf("mutant %s: %v", m.ID, terr))
+			return killed, fmt.Errorf("mutant %s: %v", m.ID, terr)
 		}
 		verdict := "survived"
 		if len(failed) > 0 {
@@ -110,11 +134,7 @@ func run(stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%-32s %-8s %s\n", m.ID, verdict, strings.Join(failed, ", "))
 	}
-	fmt.Fprintf(stdout, "%d of %d mutants killed\n", killed, len(tab.Mutants))
-	if killed < len(tab.Mutants) {
-		return 1
-	}
-	return 0
+	return killed, nil
 }
 
 // copyModule copies the module tree at src into dst, leaving out

@@ -1,7 +1,6 @@
-// Command gflink-vet runs the repository's four custom static analyzers
-// (wallclock, the observability checks clockflow and outputpurity, and
-// poolsafe, which owns HBuffer lifetimes and zero-copy views) over the
-// module. See
+// Command gflink-vet runs the repository's three custom static analyzers
+// (wallclock, the observability check clockflow, and poolsafe, which
+// owns HBuffer lifetimes and zero-copy views) over the module. See
 // DESIGN.md "Concurrency & lifetime invariants" for what each enforces
 // and why `go test -race` cannot.
 //

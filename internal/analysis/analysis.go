@@ -9,10 +9,10 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The four production analyzers live in the subpackages wallclock,
-// clockflow, outputpurity and poolsafe; cmd/gflink-vet wires
-// them into a multichecker via the suite subpackage. The flow-sensitive
-// two (poolsafe, clockflow) share the CFG/dataflow core in cfg.go and
+// The three production analyzers live in the subpackages wallclock,
+// clockflow and poolsafe; cmd/gflink-vet wires them into a
+// multichecker via the suite subpackage. The flow-sensitive two
+// (poolsafe, clockflow) share the CFG/dataflow core in cfg.go and
 // scope.go: per-function control-flow graphs with panic edges, a
 // generic forward worklist solver, reaching definitions, one
 // function-scope builder and one forward may-solver. See DESIGN.md

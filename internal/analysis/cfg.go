@@ -3,9 +3,9 @@ package analysis
 // This file is the flow-sensitive layer of the analysis framework:
 // per-function control-flow graphs built over the AST loader, a generic
 // forward worklist solver, and a reaching-definitions lattice with
-// per-use def resolution. The AST-walking analyzers (wallclock,
-// outputpurity) check properties of individual expressions; the CFG
-// analyzers (poolsafe, clockflow) check
+// per-use def resolution. The AST-walking analyzer (wallclock) checks
+// properties of individual expressions; the CFG analyzers (poolsafe,
+// clockflow) check
 // properties of *paths* — "freed on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this
 // argument" — which no single-pass walk can express.

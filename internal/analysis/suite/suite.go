@@ -6,12 +6,11 @@ package suite
 import (
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/clockflow"
-	"gflink/internal/analysis/outputpurity"
 	"gflink/internal/analysis/poolsafe"
 	"gflink/internal/analysis/wallclock"
 )
 
-// Rules returns the production analyzer suite of four analyzers.
+// Rules returns the production analyzer suite of three analyzers.
 //
 //   - wallclock (wall-clock time sources, bare go statements, map
 //     ranges and mutexes) runs module-wide except the gflink/benchmark
@@ -25,15 +24,16 @@ import (
 //     views, plus //gflink:pool values) runs module-wide except
 //     internal/membuf, which constructs, destroys, and aliases HBuffer
 //     storage by definition and declares no //gflink:pool source.
-//   - the flow-sensitive observability analyzer clockflow and
-//     outputpurity run module-wide: they fire only on calls into the
-//     obs/core recording APIs or on //gflink:gated code, so an
-//     unrestricted scope costs nothing outside those and catches
-//     misuse wherever it appears (clockflow skips _test.go files
-//     itself — fixtures pin literal timestamps by design).
+//   - the flow-sensitive observability analyzer clockflow runs
+//     module-wide: it fires only on calls into the obs/core recording
+//     APIs, so an unrestricted scope costs nothing outside those and
+//     catches misuse wherever it appears (clockflow skips _test.go
+//     files itself — fixtures pin literal timestamps by design).
 //
-// Allocation-free hot paths (invariant 10) are held by run-time
-// allocation budgets, not by an analyzer.
+// Two invariants are held by run-time tests, not by an analyzer:
+// allocation-free hot paths (invariant 10) by allocation budgets, and
+// opt-in features that never change outputs (invariants 9 and 11) by
+// TestFeaturesNeverChangeOutputs and the host-tier tests.
 //
 // clockflow and poolsafe carry fact types, so the driver
 // also runs them over module-internal dependencies of the requested
@@ -43,7 +43,6 @@ func Rules() []analysis.Rule {
 	return []analysis.Rule{
 		{Analyzer: wallclock.Analyzer, Applies: func(path string) bool { return !benchmark(path) }},
 		{Analyzer: clockflow.Analyzer},
-		{Analyzer: outputpurity.Analyzer},
 		{Analyzer: poolsafe.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 	}
 }

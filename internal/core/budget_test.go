@@ -84,7 +84,7 @@ func cacheAllocs(policy CachePolicy) (hits, evictions float64, entries int, err 
 		hits = testing.AllocsPerRun(1000, hit)
 		evictions = testing.AllocsPerRun(1000, insert)
 	})
-	return hits, evictions, mem.Entries(1), err
+	return hits, evictions, regionEntries(mem, 1), err
 }
 
 // TestSchedulingAllocatesNothing pins the two-GPU scheduling paths at

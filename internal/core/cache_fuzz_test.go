@@ -244,13 +244,13 @@ func runCacheOps(g *GFlink, pol CachePolicy, ops []byte) error {
 	check := func(step int) error {
 		var resident int64
 		for job := range model.jobs {
-			used := mem.Used(job + 1)
+			used := regionUsed(mem, job+1)
 			if used > mem.RegionCap() {
 				return fmt.Errorf("step %d: job %d uses %d bytes of a %d-byte region", step, job, used, mem.RegionCap())
 			}
-			if want := model.used(job); used != want || mem.Entries(job+1) != len(model.jobs[job]) {
+			if want := model.used(job); used != want || regionEntries(mem, job+1) != len(model.jobs[job]) {
 				return fmt.Errorf("step %d: job %d holds %d entries (%d bytes), model %d entries (%d bytes)",
-					step, job, mem.Entries(job+1), used, len(model.jobs[job]), want)
+					step, job, regionEntries(mem, job+1), used, len(model.jobs[job]), want)
 			}
 			for _, e := range model.jobs[job] {
 				if mem.CachedBytes([]CacheKey{managerKey(e.key)}) != e.nominal {
@@ -407,7 +407,7 @@ func runTierOps(g *GFlink, ops []byte) error {
 		}
 		var resident int64
 		for job := 0; job < 2; job++ {
-			used := mem.Used(job + 1)
+			used := regionUsed(mem, job+1)
 			if used > mem.RegionCap() {
 				return fmt.Errorf("step %d: job %d uses %d bytes of a %d-byte region", step, job, used, mem.RegionCap())
 			}
@@ -469,7 +469,7 @@ func runTierOps(g *GFlink, ops []byte) error {
 			job := next() % 2
 			unpin(job)
 			mem.ReleaseJob(job + 1)
-			if n, p := mem.Entries(job+1), mem.HostPages(job+1); n != 0 || p != 0 {
+			if n, p := regionEntries(mem, job+1), mem.HostPages(job+1); n != 0 || p != 0 {
 				return fmt.Errorf("step %d: ReleaseJob(%d) left %d entries and %d tier pages", step, job+1, n, p)
 			}
 		case 4: // Reclaim
@@ -546,8 +546,8 @@ func TestReclaimAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 3 || mem.Entries(1)+mem.Entries(2) != 0 {
-		t.Fatalf("first Reclaim took %d victims and %d entries stayed, want 3 and 0", first, mem.Entries(1)+mem.Entries(2))
+	if first != 3 || regionEntries(mem, 1)+regionEntries(mem, 2) != 0 {
+		t.Fatalf("first Reclaim took %d victims and %d entries stayed, want 3 and 0", first, regionEntries(mem, 1)+regionEntries(mem, 2))
 	}
 	if allocs != 0 {
 		t.Fatalf("%.2f heap allocations per cycle at steady state, want 0", allocs)

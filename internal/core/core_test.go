@@ -58,6 +58,22 @@ func newGFlink(workers, gpus int) *GFlink {
 	})
 }
 
+// regionUsed and regionEntries read a job's cache region on mem: the
+// nominal bytes it holds and its entry count, 0 for a job with none.
+func regionUsed(mem *GMemoryManager, job int) int64 {
+	if r, ok := mem.regions[job]; ok {
+		return r.used
+	}
+	return 0
+}
+
+func regionEntries(mem *GMemoryManager, job int) int {
+	if r, ok := mem.regions[job]; ok {
+		return len(r.entries)
+	}
+	return 0
+}
+
 // submitSimple builds and submits a double-kernel GWork over n float32s.
 func submitSimple(g *GFlink, worker, n int, nominal int64, cache bool, key CacheKey) (*GWork, *membuf.HBuffer, *membuf.HBuffer) {
 	pool := g.Cluster.TaskManagers[worker].Pool
@@ -172,11 +188,11 @@ func TestCacheSkipsSecondTransfer(t *testing.T) {
 			t.Errorf("cached run %v vs first run %v: H2D not skipped", second, first)
 		}
 		mem := g.Manager(0).Streams.Memory(0)
-		if mem.Entries(1) != 1 {
-			t.Errorf("cache entries = %d", mem.Entries(1))
+		if regionEntries(mem, 1) != 1 {
+			t.Errorf("cache entries = %d", regionEntries(mem, 1))
 		}
 		g.ReleaseJobCaches(1)
-		if mem.Entries(1) != 0 {
+		if regionEntries(mem, 1) != 0 {
 			t.Error("ReleaseJobCaches left entries")
 		}
 		if used := g.Manager(0).Devices[0].UsedBytes(); used != 0 {
@@ -224,8 +240,8 @@ func TestFIFOEviction(t *testing.T) {
 		} else {
 			mem.Release(k2)
 		}
-		if mem.Used(1) != 80 {
-			t.Errorf("region used = %d, want 80", mem.Used(1))
+		if regionUsed(mem, 1) != 80 {
+			t.Errorf("region used = %d, want 80", regionUsed(mem, 1))
 		}
 		g.ReleaseJobCaches(1)
 	})

@@ -79,7 +79,7 @@ func TestFailedWorkEmitsSpans(t *testing.T) {
 			if after != before {
 				t.Errorf("device UsedBytes = %d after the failed work, want %d (leaked %d)", after, before, after-before)
 			}
-			if n, used := mem.Entries(job), mem.Used(job); n != 0 || used != 0 {
+			if n, used := regionEntries(mem, job), regionUsed(mem, job); n != 0 || used != 0 {
 				t.Errorf("failed work left %d cache entries (%d bytes) for job %d, want none", n, used, job)
 			}
 			spans := g.Obs.Tracer().Spans()
@@ -156,7 +156,7 @@ func TestKernelErrorFailsWork(t *testing.T) {
 		w.Out, w.OutNominal, w.JobID = out, 64, job
 		g.Manager(0).Streams.Submit(w)
 		werr = w.Wait()
-		after = dev.UsedBytes() - mem.Used(job)
+		after = dev.UsedBytes() - regionUsed(mem, job)
 		free := len(wp.free)
 		wp.Put(w)
 		reused = len(wp.free) == free+1
@@ -255,7 +255,7 @@ func TestAllocReclaimRetry(t *testing.T) {
 					}
 					evicted = metrics.Get("cache.evictions.gpu0")
 					demoted = metrics.Get("mem.demotions.gpu0")
-					before = dev.UsedBytes() - mem.Used(job)
+					before = dev.UsedBytes() - regionUsed(mem, job)
 					w := wp.Get()
 					w.ExecuteName = "core_test.double"
 					w.Size, w.Nominal = n, n
@@ -264,7 +264,7 @@ func TestAllocReclaimRetry(t *testing.T) {
 					w.Out, w.OutNominal, w.JobID = out, tc.outNominal, job
 					g.Manager(0).Streams.Submit(w)
 					werr = w.Wait()
-					after = dev.UsedBytes() - mem.Used(job)
+					after = dev.UsedBytes() - regionUsed(mem, job)
 					outBytes = append(outBytes, out.Bytes()...)
 					free := len(wp.free)
 					wp.Put(w)

@@ -257,9 +257,8 @@ func GPUMapPartition(g *GFlink, ds GDST, spec GPUMapSpec) GDST {
 // of the schema, the input ships (and caches) only the referenced byte
 // ranges at their original offsets — nominal volume, cache key and real
 // copy all shrink together. Otherwise the input is returned unchanged,
-// keeping the default path byte-identical.
-//
-//gflink:gated projection -- effective only when projection is enabled; outputpurity flags any copy made here
+// keeping the default path byte-identical. It is effective only when
+// projection is enabled, and writes no buffer byte (invariant 9).
 func projectInput(g *GFlink, kernel string, b *Block, in Input, args []int64) Input {
 	if !g.Cfg.EnableProjection || b.Layout != gstruct.SoA || b.Schema.NumFields() > gstruct.MaxCols {
 		return in

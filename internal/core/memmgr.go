@@ -359,22 +359,6 @@ func (m *GMemoryManager) CachedBytes(keys []CacheKey) int64 {
 	return n
 }
 
-// Used reports the region occupancy for a job.
-func (m *GMemoryManager) Used(jobID int) int64 {
-	if r, ok := m.regions[jobID]; ok {
-		return r.used
-	}
-	return 0
-}
-
-// Entries reports the number of cached objects for a job.
-func (m *GMemoryManager) Entries(jobID int) int {
-	if r, ok := m.regions[jobID]; ok {
-		return len(r.entries)
-	}
-	return 0
-}
-
 // HostPages reports the number of host-tier pages (resident plus
 // spilled) held for a job.
 func (m *GMemoryManager) HostPages(jobID int) int {

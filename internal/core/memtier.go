@@ -73,7 +73,7 @@ func (m *GMemoryManager) settle(e *cacheEntry) {
 // spills the oldest resident pages to disk. The entry must already be
 // detached from its region and unpinned.
 //
-//gflink:gated hosttier -- reachable only when the host paging tier is enabled; it moves no bytes (invariant 11)
+// Reachable only with the host paging tier enabled; it moves no bytes (invariant 11).
 func (m *GMemoryManager) demote(e *cacheEntry) {
 	key, nominal := e.key, e.nominal
 	t0 := m.clock.Now()
@@ -122,7 +122,7 @@ func (m *GMemoryManager) demote(e *cacheEntry) {
 // left the tier's map and resident list; it re-enters the map as a
 // spilled page once the disk write is charged.
 //
-//gflink:gated hosttier -- reachable only when the host paging tier is enabled; it moves no bytes (invariant 11)
+// Reachable only with the host paging tier enabled; it moves no bytes (invariant 11).
 func (m *GMemoryManager) spill(p *cacheEntry) {
 	t0 := m.clock.Now()
 	m.clock.Sleep(m.spillDisk.WriteTime(p.nominal))
@@ -143,7 +143,7 @@ func (m *GMemoryManager) spill(p *cacheEntry) {
 // entry) the lookup degrades to a plain miss and the caller
 // re-transfers as usual.
 //
-//gflink:gated hosttier -- reachable only when the host paging tier is enabled; it moves no bytes (invariant 11)
+// Reachable only with the host paging tier enabled; it moves no bytes (invariant 11).
 func (m *GMemoryManager) promote(key CacheKey, pg *cacheEntry) (*gpu.Buffer, bool) {
 	t0 := m.clock.Now()
 	reload := pg.spilled

@@ -163,7 +163,7 @@ func (fs *FS) ReadSplit(node int, s Split) int64 {
 	fs.clock.Sleep(fs.disk.ReadTime(s.Length))
 	fs.disks[src].Release(1)
 	if src != node {
-		fs.net.Transfer(src, node, s.Length)
+		fs.net.Exchange("hdfs-read", []netsim.Flow{{Src: src, Dst: node, Bytes: s.Length}})
 	}
 	return s.Length
 }
@@ -197,7 +197,7 @@ func (fs *FS) Write(node int, name string, n int64) {
 	// Replication pipeline.
 	for r := 1; r < fs.cfg.Replication; r++ {
 		peer := (node + r) % fs.net.Nodes()
-		fs.net.Transfer(node, peer, n)
+		fs.net.Exchange("hdfs-replicate", []netsim.Flow{{Src: node, Dst: peer, Bytes: n}})
 		fs.disks[peer].Acquire(1)
 		fs.clock.Sleep(fs.disk.WriteTime(n))
 		fs.disks[peer].Release(1)

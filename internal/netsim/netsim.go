@@ -37,20 +37,6 @@ func New(clock *vclock.Clock, model costmodel.Net, numNodes int) *Network {
 // Nodes returns the node count.
 func (n *Network) Nodes() int { return len(n.up) }
 
-// Transfer moves bytes from node src to node dst, blocking the calling
-// process for the transfer duration: an Xfer driven to completion. A
-// same-node transfer is a memory copy and costs nothing on the network.
-// A fan-out of transfers is an Exchange; Transfer is for code already
-// running on a stack of its own (hdfs reads and writes).
-func (n *Network) Transfer(src, dst int, bytes int64) {
-	t := n.clock.Process()
-	var x Xfer
-	x.Start(n, src, dst, bytes)
-	for !x.Step(t) {
-		t.Park()
-	}
-}
-
 // Flow is one transfer of an Exchange: Bytes from node Src to node
 // Dst, sent after Lead, the sender's own work before the bytes leave
 // (serialization), which holds no link.
@@ -63,9 +49,9 @@ type Flow struct {
 // Exchange runs every flow at once and returns when the last one is
 // done. Each flow is a stackless task, spawned in slice order, that
 // sleeps its Lead if it is positive and then drives an Xfer, so the
-// flows contend for links exactly as concurrent Transfers do. The
-// calling process parks once, and not at all for no flows; name names
-// the tasks.
+// flows contend for links exactly as concurrent processes each driving
+// one Xfer would. The calling process parks once, and not at all for
+// no flows; name names the tasks.
 func (n *Network) Exchange(name string, flows []Flow) {
 	if len(flows) == 0 {
 		return

@@ -10,6 +10,20 @@ import (
 	"gflink/internal/vclock"
 )
 
+// Transfer moves bytes from node src to node dst, blocking the calling
+// process for the transfer duration: an Xfer driven to completion. A
+// same-node transfer is a memory copy and costs nothing on the network.
+// It is the stackful reference the tests and FuzzExchange hold
+// Exchange's flows to.
+func (n *Network) Transfer(src, dst int, bytes int64) {
+	t := n.clock.Process()
+	var x Xfer
+	x.Start(n, src, dst, bytes)
+	for !x.Step(t) {
+		t.Park()
+	}
+}
+
 func TestTransferDuration(t *testing.T) {
 	c := vclock.New()
 	m := costmodel.DefaultNet
